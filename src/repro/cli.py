@@ -16,9 +16,6 @@ Commands
 ``serve``
     In-process demo of the batched, cached solve-serving subsystem
     (:mod:`repro.service`); prints cache/batch/latency metrics.
-``bench-serve``
-    Serving-path throughput benchmark: batched vs one-at-a-time
-    request handling, cold vs warm cache latency.
 ``serve-fleet``
     Sharded serving-fleet demo (:class:`repro.service.FleetService`):
     consistent-hash routing over supervised shard processes, with
@@ -222,20 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "shard (bounds respawn-to-warm time)")
     fl.add_argument("--seed", type=int, default=0)
 
-    bs = sub.add_parser(
-        "bench-serve", help="serving-path throughput benchmark"
-    )
-    bs.add_argument("--requests", type=int, default=32)
-    bs.add_argument("--repeats", type=int, default=3)
-    bs.add_argument("--viruses", type=int, default=4)
-    bs.add_argument("--points-per-virus", type=int, default=400)
-    bs.add_argument("--tile-size", type=int, default=200)
-    bs.add_argument("--accuracy", type=float, default=1e-6)
-    bs.add_argument("--workers", type=int, default=None,
-                    help="DAG worker threads for the cold build "
-                         "(0 = one per core)")
-    bs.add_argument("--json", type=str, default=None,
-                    help="also write the result dict to this JSON file")
     return p
 
 
@@ -644,46 +627,6 @@ def _cmd_serve_fleet(args) -> int:
     return 1 if (failed and killed is None) else 0
 
 
-def _cmd_bench_serve(args) -> int:
-    import json as _json
-
-    from repro.service.bench import default_benchmark_spec, run_throughput_benchmark
-
-    spec = default_benchmark_spec(
-        viruses=args.viruses,
-        points_per_virus=args.points_per_virus,
-        tile_size=args.tile_size,
-        accuracy=args.accuracy,
-    )
-    try:
-        result = run_throughput_benchmark(
-            spec=spec,
-            requests=args.requests,
-            repeats=args.repeats,
-            factor_workers=args.workers,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    w = result["workload"]
-    print(f"serving benchmark: N={w['n']}, tile {w['tile_size']}, "
-          f"{result['requests']} requests")
-    print(f"cold latency : {result['cold_latency_seconds']*1e3:10.1f} ms "
-          f"(build + solve)")
-    print(f"warm latency : {result['warm_latency_seconds']*1e3:10.1f} ms "
-          f"(cache hit, {result['cold_over_warm']:.0f}x faster)")
-    print(f"sequential   : {result['sequential']['throughput_rps']:10.1f} req/s")
-    print(f"batched      : {result['batched']['throughput_rps']:10.1f} req/s "
-          f"(max batch {result['batched']['realized_max_batch']})")
-    print(f"speedup      : {result['batched_speedup']:10.2f}x")
-    print(f"residual     : {result['solve_residual']:10.2e}")
-    if args.json:
-        with open(args.json, "w") as f:
-            _json.dump(result, f, indent=2, sort_keys=True)
-        print(f"result written to {args.json}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "info":
@@ -700,8 +643,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_serve(args)
     if args.command == "serve-fleet":
         return _cmd_serve_fleet(args)
-    if args.command == "bench-serve":
-        return _cmd_bench_serve(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -8,6 +8,8 @@ where noted.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 #: Floating-point dtype used for all matrix data (paper: double precision).
@@ -88,3 +90,71 @@ def default_shape_parameter(min_spacing: float) -> float:
     if min_spacing <= 0.0:
         raise ValueError(f"min_spacing must be positive, got {min_spacing}")
     return 0.5 * min_spacing
+
+
+# ---------------------------------------------------------------------
+# environment knobs — the only ``os.environ`` reads in the library.
+# Each is the fallback for an explicit argument somewhere (the module
+# that owns the argument re-exports the reader), so CI can sweep whole
+# suites through another engine or policy without touching call sites.
+# ---------------------------------------------------------------------
+
+#: Switches on per-kernel operand checksum verification.
+VERIFY_TILES_ENV = "REPRO_VERIFY_TILES"
+
+#: Arena spill region, as a multiple of the all-dense payload size.
+SPILL_FACTOR_ENV = "REPRO_ARENA_SPILL"
+
+
+def _env(name: str) -> str:
+    return os.environ.get(name, "").strip()
+
+
+def workers_from_env() -> int | None:
+    """``$REPRO_WORKERS`` as an int, ``None`` when unset (callers
+    default to 1; ``<= 0`` means one per CPU core)."""
+    env = _env("REPRO_WORKERS")
+    return int(env) if env else None
+
+
+def engine_from_env() -> str | None:
+    """``$REPRO_ENGINE`` verbatim (``threads`` / ``mp`` / ``serial`` or
+    an alias), ``None`` when unset."""
+    return _env("REPRO_ENGINE") or None
+
+
+def debug_from_env() -> bool:
+    """Whether ``$REPRO_ENGINE_DEBUG`` requests the ownership assertion."""
+    return _env("REPRO_ENGINE_DEBUG") not in ("", "0")
+
+
+def stall_timeout_from_env() -> float | None:
+    """``$REPRO_STALL_TIMEOUT`` in seconds; ``None`` (watchdog disabled)
+    when unset, empty or non-positive."""
+    env = _env("REPRO_STALL_TIMEOUT")
+    timeout = float(env) if env else 0.0
+    return timeout if timeout > 0.0 else None
+
+
+def verify_tiles_from_env() -> bool:
+    """Whether ``$REPRO_VERIFY_TILES`` requests per-kernel verification."""
+    return _env(VERIFY_TILES_ENV) not in ("", "0")
+
+
+def spill_factor_from_env() -> float:
+    """``$REPRO_ARENA_SPILL`` (default 1.5); negative values are rejected."""
+    env = _env(SPILL_FACTOR_ENV)
+    factor = float(env) if env else 1.5
+    if factor < 0.0:
+        raise ValueError(f"{SPILL_FACTOR_ENV} must be >= 0, got {env!r}")
+    return factor
+
+
+def compression_from_env() -> str:
+    """``$REPRO_COMPRESSION``, else :data:`DEFAULT_COMPRESSION`."""
+    return _env(COMPRESSION_ENV) or DEFAULT_COMPRESSION
+
+
+def storage_precision_from_env() -> str:
+    """``$REPRO_STORAGE_PRECISION``, else :data:`DEFAULT_STORAGE_PRECISION`."""
+    return _env(STORAGE_PRECISION_ENV) or DEFAULT_STORAGE_PRECISION

@@ -56,15 +56,16 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.config import DTYPE, STORAGE_DTYPE_SINGLE
+from repro.config import (
+    DTYPE,
+    SPILL_FACTOR_ENV,
+    STORAGE_DTYPE_SINGLE,
+    spill_factor_from_env,
+)
 from repro.linalg.lowrank import LowRankFactor
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile
 
 __all__ = ["ArenaError", "TileArena", "SPILL_FACTOR_ENV"]
-
-#: Environment variable scaling the spill region (float multiplier of
-#: the all-tiles-dense payload size; default 1.5).
-SPILL_FACTOR_ENV = "REPRO_ARENA_SPILL"
 
 _ITEM = np.dtype(DTYPE).itemsize
 
@@ -97,16 +98,6 @@ _N_HEADER = 2
 
 class ArenaError(RuntimeError):
     """Arena capacity or protocol violation (e.g. spill exhaustion)."""
-
-
-def spill_factor_from_env() -> float:
-    env = os.environ.get(SPILL_FACTOR_ENV, "").strip()
-    if not env:
-        return 1.5
-    factor = float(env)
-    if factor < 0.0:
-        raise ValueError(f"{SPILL_FACTOR_ENV} must be >= 0, got {env!r}")
-    return factor
 
 
 def _unlink_segments(payload, desc, creator_pid: int) -> None:

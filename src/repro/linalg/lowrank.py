@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from repro.config import COMPRESSION_ENV, DEFAULT_COMPRESSION, DTYPE
+from repro.config import DEFAULT_COMPRESSION, DTYPE, compression_from_env
 
 __all__ = [
     "LowRankFactor",
@@ -187,9 +186,7 @@ def resolve_compression(
     if isinstance(value, CompressionPolicy):
         return value
     if value is None:
-        value = (
-            os.environ.get(COMPRESSION_ENV, "").strip() or DEFAULT_COMPRESSION
-        )
+        value = compression_from_env()
     return CompressionPolicy(method=str(value), seed_root=int(seed_root))
 
 

@@ -21,7 +21,6 @@ for mixed-precision operators exactly as it does for fp64 ones.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from repro.config import (
     MIXED_PRECISION_BAND,
     MIXED_PRECISION_MARGIN,
     STORAGE_DTYPE_SINGLE,
-    STORAGE_PRECISION_ENV,
+    storage_precision_from_env,
 )
 from repro.linalg.lowrank import LowRankFactor
 
@@ -98,7 +97,7 @@ def resolve_storage(value: StoragePolicy | str | None) -> StoragePolicy:
     if isinstance(value, StoragePolicy):
         return value
     if value is None:
-        value = os.environ.get(STORAGE_PRECISION_ENV, "").strip() or "fp64"
+        value = storage_precision_from_env()
     return StoragePolicy(mode=str(value))
 
 

@@ -52,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.config import VERIFY_TILES_ENV, verify_tiles_from_env
 from repro.linalg.integrity import tile_checksum
 from repro.linalg.lowrank import LowRankFactor
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile
@@ -67,19 +68,11 @@ __all__ = [
     "load_checkpoint",
 ]
 
-#: Environment variable switching on per-kernel checksum verification.
-VERIFY_TILES_ENV = "REPRO_VERIFY_TILES"
-
 _MANIFEST_VERSION = 1
 _CKPT_PREFIX = "ckpt-"
 
 #: task uid as stored in the manifest: (klass, params tuple)
 TaskUid = tuple[str, tuple[int, ...]]
-
-
-def verify_tiles_from_env() -> bool:
-    """Whether $REPRO_VERIFY_TILES requests per-kernel verification."""
-    return os.environ.get(VERIFY_TILES_ENV, "").strip() not in ("", "0")
 
 
 def graph_signature(graph) -> str:

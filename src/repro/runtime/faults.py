@@ -26,7 +26,8 @@ rolled-back inputs, not the whole factorization):
     The rollback primitive.  Tile kernels never mutate operand arrays
     in place (they build new tiles and ``set_tile`` them), so a
     snapshot is a dict of tile *references* — O(writes) bookkeeping,
-    no copies.
+    no copies.  A store that rewrites slots in place (the shared-memory
+    arena) supplies its own byte-level ``snapshot`` / ``restore``.
 """
 
 from __future__ import annotations
@@ -317,14 +318,6 @@ class FaultInjector:
         #: converge.  Epoch 0 leaves every decision bitwise-unchanged.
         self.epoch = 0
         self.counters: Counter[str] = Counter()
-        #: tile keys the most recent ``invoke`` bitflipped — consumers
-        #: (the mp engine's post-kernel operand re-check) use it to
-        #: tell the task's *own* post-kernel at-rest flips (outputs
-        #: valid, later readers' problem) from a concurrent task's
-        #: flip that may have raced the kernel's reads.  Meaningful
-        #: only where one invoke runs at a time per injector copy
-        #: (forked workers); the threaded engine never reads it.
-        self.flipped_reads: list[tuple[int, int]] = []
         self._lock = threading.Lock()
 
     def _count(self, kind: str, klass: str) -> None:
@@ -350,7 +343,6 @@ class FaultInjector:
             faults = tuple(
                 r for r in faults if r.kind not in PROCESS_FAULT_KINDS
             ) + tuple(r for r in shifted if r.kind in PROCESS_FAULT_KINDS)
-        self.flipped_reads = []
         for rule in faults:
             if rule.kind == "delay":
                 self._count("delay", task.klass)
@@ -393,11 +385,10 @@ class FaultInjector:
         for rule in faults:
             # deliberately silent on success: the whole point of the
             # bitflip kind is that only checksum verification sees it
-            if rule.kind == "bitflip":
-                flipped = self._bitflip_one_read(task, data, attempt)
-                if flipped is not None:
-                    self.flipped_reads.append(flipped)
-                    self._count("bitflip", task.klass)
+            if rule.kind == "bitflip" and self._bitflip_one_read(
+                task, data, attempt
+            ):
+                self._count("bitflip", task.klass)
 
     @staticmethod
     def _corrupt_one_write(task: Task, data: object) -> bool:
@@ -414,9 +405,7 @@ class FaultInjector:
         data.set_tile(m, k, DenseTile(np.full(shape, np.nan)))
         return True
 
-    def _bitflip_one_read(
-        self, task: Task, data: object, attempt: int
-    ) -> tuple[int, int] | None:
+    def _bitflip_one_read(self, task: Task, data: object, attempt: int) -> bool:
         """Flip one bit in one element of a tile the task only reads.
 
         Pure-read tiles are already-finalized outputs of earlier tasks
@@ -424,17 +413,19 @@ class FaultInjector:
         they were produced), so flipping a bit here models at-rest
         corruption: a later reader's pre-kernel verification — or the
         end-of-run sweep — is the only defense.  The perturbed tile is
-        *republished* via ``set_tile`` (a fresh array), honoring the
-        kernels' no-in-place-mutation convention; deterministic in
-        ``(seed, task, attempt)`` like every other decision.  Returns
-        the flipped tile's key, or ``None`` if nothing was flipped.
+        *republished* via ``set_tile`` (a fresh array in the victim's
+        own memory order — a bit flip does not transpose storage, and
+        checksums are layout-blind while BLAS rounding is not),
+        honoring the kernels' no-in-place-mutation convention;
+        deterministic in ``(seed, task, attempt)`` like every other
+        decision.  Returns whether a tile was flipped.
         """
         if not hasattr(data, "tile") or not hasattr(data, "set_tile"):
-            return None
+            return False
         written = set(task.writes)
         read_only = sorted(set(task.reads) - written)
         if not read_only:
-            return None
+            return False
         import numpy as np
 
         from repro.linalg.lowrank import LowRankFactor
@@ -446,22 +437,24 @@ class FaultInjector:
         ]
         tile = data.tile(m, k)
         if isinstance(tile, LowRankTile):
-            u = tile.u.copy()
-            flat = u.reshape(-1).view(np.uint64)
+            u = tile.u.copy(order="K")
+            flat = u.ravel(order="K").view(np.uint64)  # a view of the copy
             flat[int(_fraction(salt + "|elem") * flat.size) % flat.size] ^= (
                 np.uint64(1) << np.uint64(40)
             )
-            data.set_tile(m, k, LowRankTile(LowRankFactor(u, tile.v.copy())))
+            data.set_tile(
+                m, k, LowRankTile(LowRankFactor(u, tile.v.copy(order="K")))
+            )
         elif isinstance(tile, DenseTile):
-            d = tile.data.copy()
-            flat = d.reshape(-1).view(np.uint64)
+            d = tile.data.copy(order="K")
+            flat = d.ravel(order="K").view(np.uint64)
             flat[int(_fraction(salt + "|elem") * flat.size) % flat.size] ^= (
                 np.uint64(1) << np.uint64(40)
             )
             data.set_tile(m, k, DenseTile(d))
         else:  # null tiles store no payload to corrupt
-            return None
-        return (m, k)
+            return False
+        return True
 
 
 # ----------------------------------------------------------------------
@@ -511,8 +504,14 @@ def snapshot_writes(task: Task, data: object) -> dict | None:
     is then unavailable; retry still works for kernels that fail
     before publishing output).  Tiles are immutable by convention —
     kernels build new tiles rather than mutating operands — so
-    references are a complete snapshot.
+    references are a complete snapshot.  The exception is a store
+    whose slots are rewritten in place (the arena): references would
+    alias the very bytes a retry must restore, so it brings its own
+    byte-level ``snapshot(keys)`` / ``restore(snapshot)``.
     """
+    own = getattr(data, "snapshot", None)
+    if own is not None:
+        return own(task.writes)
     tile = getattr(data, "tile", None)
     set_tile = getattr(data, "set_tile", None)
     if tile is None or set_tile is None:
@@ -524,5 +523,8 @@ def restore_writes(task: Task, data: object, snapshot: dict | None) -> None:
     """Roll the tiles ``task`` writes back to their snapshot state."""
     if not snapshot:
         return
+    own = getattr(data, "restore", None)
+    if own is not None:
+        return own(snapshot)
     for (m, k), t in snapshot.items():
         data.set_tile(m, k, t)

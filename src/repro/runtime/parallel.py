@@ -1,16 +1,14 @@
-"""Multi-worker parallel execution of a task graph.
+"""The threaded executor, and engine selection.
 
 The paper's runtime (PaRSEC) extracts the concurrency of the tile
-Cholesky DAG across worker threads; this module is the in-process
-analogue.  ``ParallelExecutionEngine`` runs a
-:class:`~repro.runtime.dag.TaskGraph` with N worker threads sharing a
-condition-variable-protected ready pool:
+Cholesky DAG across worker threads; ``ParallelExecutionEngine`` is the
+in-process analogue: N worker threads each call the scheduling core
+(:class:`~repro.runtime.engine._Run`) under one condition variable —
+no dispatcher thread, no hand-off per task:
 
-* readiness is driven by indegree decrements under the pool lock, so a
-  task enters the ready pool the moment its last predecessor retires;
-* the pluggable :class:`~repro.runtime.scheduler.Scheduler` policies
-  (FIFO / LIFO / priority) order the ready pool exactly as they order
-  the serial engine's traversal — dispatch pops under the lock;
+* a task enters the ready pool the moment its last predecessor
+  retires, and the pluggable :class:`~repro.runtime.scheduler.Scheduler`
+  policies order the pool exactly as they order the serial traversal;
 * the first kernel exception *fails fast*: queued tasks are abandoned,
   idle workers wake and exit, and the exception is re-raised in the
   calling thread once in-flight kernels retire;
@@ -35,13 +33,19 @@ import os
 import threading
 import time
 
+from repro.config import (
+    debug_from_env,
+    engine_from_env,
+    stall_timeout_from_env,
+    workers_from_env,
+)
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.dag import TaskGraph
-from repro.runtime.engine import ExecutionEngine
+from repro.runtime.engine import ExecutionEngine, _Run
 from repro.runtime.faults import FaultInjector, RetryPolicy
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.task import Task
-from repro.runtime.tracing import Trace, TraceEvent
+from repro.runtime.tracing import Trace
 
 __all__ = [
     "ParallelExecutionEngine",
@@ -51,23 +55,6 @@ __all__ = [
     "stall_timeout_from_env",
     "scaled_stall_timeout",
 ]
-
-#: Environment variable supplying the default worker count (used by the
-#: CI smoke job to sweep the whole core suite through the parallel
-#: engine without touching call sites).
-WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable switching on the per-tile ownership assertion.
-DEBUG_ENV = "REPRO_ENGINE_DEBUG"
-
-#: Environment variable supplying the default stall-watchdog timeout in
-#: seconds (unset / empty / 0 disables the watchdog).
-STALL_TIMEOUT_ENV = "REPRO_STALL_TIMEOUT"
-
-#: Environment variable selecting the execution backend ("threads",
-#: "mp", or "serial"); the CI mp smoke job sweeps the core suite with
-#: REPRO_ENGINE=mp without touching call sites.
-ENGINE_ENV = "REPRO_ENGINE"
 
 #: Accepted backend names (with aliases) -> canonical form.
 _ENGINE_ALIASES = {
@@ -89,32 +76,13 @@ def resolve_workers(workers: int | None = None) -> int:
     CPU core".
     """
     if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if not env:
+        workers = workers_from_env()
+        if workers is None:
             return 1
-        workers = int(env)
     workers = int(workers)
     if workers <= 0:
         workers = os.cpu_count() or 1
     return workers
-
-
-def debug_from_env() -> bool:
-    """Whether $REPRO_ENGINE_DEBUG requests the ownership assertion."""
-    return os.environ.get(DEBUG_ENV, "").strip() not in ("", "0")
-
-
-def stall_timeout_from_env() -> float | None:
-    """The stall-watchdog timeout requested by $REPRO_STALL_TIMEOUT.
-
-    Returns ``None`` (watchdog disabled) when unset, empty, or
-    non-positive.
-    """
-    env = os.environ.get(STALL_TIMEOUT_ENV, "").strip()
-    if not env:
-        return None
-    timeout = float(env)
-    return timeout if timeout > 0.0 else None
 
 
 #: Safety multiplier applied to the cost model's longest-kernel
@@ -159,7 +127,7 @@ def resolve_engine(engine: str | None = None) -> str:
     ``"process"`` normalize); raises ``ValueError`` on anything else.
     """
     if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "").strip() or "threads"
+        engine = engine_from_env() or "threads"
     canonical = _ENGINE_ALIASES.get(str(engine).strip().lower())
     if canonical is None:
         raise ValueError(
@@ -222,54 +190,15 @@ def engine_for(
     )
 
 
-class _RunState:
-    """Shared mutable state of one ``run`` call (lives under the lock)."""
-
-    __slots__ = (
-        "indegree",
-        "completed",
-        "target",
-        "skipped",
-        "running",
-        "failure",
-        "started",
-        "owners",
-        "lanes",
-        "last_progress",
-        "retries",
-    )
-
-    def __init__(self, graph: TaskGraph) -> None:
-        self.indegree = [graph.in_degree(i) for i in range(len(graph))]
-        self.completed = 0
-        #: tasks that must retire this run (graph size minus the
-        #: checkpoint frontier)
-        self.target = len(graph)
-        #: task uids pre-retired by a resumed checkpoint frontier
-        self.skipped: frozenset = frozenset()
-        #: tasks popped from the ready pool and not yet retired
-        self.running = 0
-        self.failure: BaseException | None = None
-        #: task indices ever dispatched (diagnoses stuck tasks)
-        self.started: set[int] = set()
-        #: debug-mode tile ownership: key -> [writer_index | None, n_readers]
-        self.owners: dict[tuple[int, int], list] = {}
-        #: per-worker lane state: lane -> str(task) in flight (None = idle)
-        self.lanes: dict[int, str | None] = {}
-        #: monotonic timestamp of the last dispatch/retire (watchdog input)
-        self.last_progress = time.monotonic()
-        #: retried attempts accumulated across all workers
-        self.retries = 0
-
-
 class ParallelExecutionEngine(ExecutionEngine):
     """Executes a task graph with ``workers`` threads.
 
-    Kernel registration and scheduler policy are inherited from
-    :class:`ExecutionEngine`; only the traversal is replaced.  A run
-    produces the same per-tile arithmetic as the serial engine — every
-    write sequence to a tile is ordered by the graph's edges — so
-    factors are bitwise-reproducible across worker counts.
+    Kernel registration, scheduler policy, the scheduling core and the
+    per-task dispatch are inherited from :class:`ExecutionEngine`; only
+    who calls them is replaced.  A run produces the same per-tile
+    arithmetic as the serial engine — every write sequence to a tile is
+    ordered by the graph's edges — so factors are bitwise-reproducible
+    across worker counts.
 
     Parameters
     ----------
@@ -326,13 +255,14 @@ class ParallelExecutionEngine(ExecutionEngine):
         self.stall_timeout = stall_timeout
 
     # ------------------------------------------------------------------
-    # debug-mode tile ownership
+    # debug-mode tile ownership: key -> [writer task | None, n_readers]
     # ------------------------------------------------------------------
 
-    def _claim(self, state: _RunState, task: Task) -> None:
+    @staticmethod
+    def _claim(owners: dict, task: Task) -> None:
         """Register ``task``'s tile accesses; raise on any overlap."""
         for acc in task.accesses:
-            slot = state.owners.setdefault(acc.key, [None, 0])
+            slot = owners.setdefault(acc.key, [None, 0])
             writer, readers = slot
             if acc.mode.writes:
                 if writer is not None or readers:
@@ -352,44 +282,14 @@ class ParallelExecutionEngine(ExecutionEngine):
                     )
                 slot[1] += 1
 
-    def _release(self, state: _RunState, task: Task) -> None:
+    @staticmethod
+    def _unclaim(owners: dict, task: Task) -> None:
         for acc in task.accesses:
-            slot = state.owners[acc.key]
+            slot = owners[acc.key]
             if acc.mode.writes:
                 slot[0] = None
             else:
                 slot[1] -= 1
-
-    # ------------------------------------------------------------------
-    # stall diagnostics
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _lane_report(state: _RunState) -> str:
-        """Per-worker lane state for stall diagnostics."""
-        if not state.lanes:
-            return "no lanes dispatched yet"
-        return "; ".join(
-            f"lane {lane}: {'running ' + task if task else 'idle'}"
-            for lane, task in sorted(state.lanes.items())
-        )
-
-    def _starvation_failure(
-        self, state: _RunState, graph: TaskGraph, n: int
-    ) -> ValueError:
-        stuck = [
-            str(graph.tasks[j])
-            for j in range(n)
-            if j not in state.started and graph.tasks[j].uid not in state.skipped
-        ]
-        shown = ", ".join(stuck[:8])
-        if len(stuck) > 8:
-            shown += f", ... ({len(stuck) - 8} more)"
-        return ValueError(
-            f"execution stalled with {len(stuck)} of {state.target} "
-            f"tasks blocked (cycle or unsatisfiable "
-            f"dependencies): {shown} [{self._lane_report(state)}]"
-        )
 
     # ------------------------------------------------------------------
     # run
@@ -404,136 +304,63 @@ class ParallelExecutionEngine(ExecutionEngine):
     ) -> Trace:
         """Execute every task; returns the (thread-safely filled) trace.
 
-        Raises the first kernel exception (fail-fast), ``KeyError`` for
-        an unregistered task class, and ``ValueError`` when the graph
-        stalls (cycle / unsatisfiable dependencies) or — in debug mode
-        — when two concurrent tasks touch one tile.  With
-        ``checkpoint``, the manager's completed frontier is skipped and
-        due checkpoints are flushed by whichever worker notices,
+        Same contract as :meth:`ExecutionEngine.run`, plus — in debug
+        mode — ``ValueError`` when two concurrent tasks touch one tile.
+        Due checkpoints are flushed by whichever worker notices,
         outside the pool lock.
         """
-        if trace is None:
-            trace = Trace()
-        self.last_run_retries = 0
-        self.last_run_resumed = 0
-        n = len(graph)
-        if n == 0:
-            return trace
-        # Fail before spawning threads, like the serial engine does on
-        # its first pop.
-        missing = {t.klass for t in graph.tasks} - set(self._kernels)
-        if missing:
-            raise KeyError(
-                f"no kernel registered for task class(es) {sorted(missing)}"
-            )
+        run = _Run(self, graph, data, trace, checkpoint)
+        if run.target:
+            self._work(run)
+        return run.finish()
 
-        state = _RunState(graph)
-        state.skipped = self._frontier(graph, data, state.indegree, checkpoint)
-        state.target = n - len(state.skipped)
-        ledger, verify = self._setup_integrity(data, checkpoint)
-        if state.target == 0:
-            if verify and ledger is not None:
-                self._final_verify(data, ledger, checkpoint)
-            return trace
-        cond = threading.Condition()
-        scheduler = self.scheduler
-        for i in range(n):
-            if state.indegree[i] == 0 and graph.tasks[i].uid not in state.skipped:
-                scheduler.push(i, graph.tasks[i])
-
-        t0 = time.perf_counter()
+    def _work(self, run: _Run) -> None:
+        """Start the workers (and the watchdog) and join them."""
+        graph, data = run.graph, run.data
+        cond = threading.Condition()  # guards every run.* call but capture
+        owners: dict = {}
 
         def worker(lane: int) -> None:
             while True:
                 with cond:
-                    while True:
-                        if (
-                            state.failure is not None
-                            or state.completed == state.target
-                        ):
+                    while (i := run.pop(lane)) is None:
+                        if run.over:
                             return
-                        if scheduler:
-                            i = scheduler.pop()
-                            state.running += 1
-                            state.started.add(i)
-                            break
-                        if state.running == 0:
+                        if not run.in_flight:
                             # Nothing ready, nothing in flight, tasks
                             # remain: the graph can never finish.
-                            state.failure = self._starvation_failure(
-                                state, graph, n
-                            )
+                            run.fail(run.stall_error())
                             cond.notify_all()
                             return
                         cond.wait()
                     task = graph.tasks[i]
-                    state.lanes[lane] = str(task)
-                    state.last_progress = time.monotonic()
                     if self.debug:
                         try:
-                            self._claim(state, task)
+                            self._claim(owners, task)
                         except ValueError as exc:
-                            state.failure = exc
-                            state.running -= 1
-                            state.lanes[lane] = None
+                            run.fail(exc, i)
                             cond.notify_all()
                             return
-                kernel = self._kernels[task.klass]
-                start = time.perf_counter() - t0
+                start = time.perf_counter()
                 try:
-                    attempts = self._dispatch(
-                        task,
-                        kernel,
-                        data,
-                        ledger=ledger,
-                        verify=verify,
-                        checkpoint=checkpoint,
-                    )
-                except BaseException as exc:
+                    attempts = self._dispatch(task, data, run.expected, run.heal)
+                    end = time.perf_counter()
+                    flush_due = run.capture(i)
+                except BaseException as exc:  # re-raised by finish()
                     with cond:
-                        state.running -= 1
-                        state.lanes[lane] = None
-                        if state.failure is None:
-                            state.failure = exc
+                        run.fail(exc, i)
                         cond.notify_all()
                     return
-                end = time.perf_counter() - t0
-                trace.record(
-                    TraceEvent(
-                        task.klass,
-                        task.params,
-                        start,
-                        end,
-                        flops=task.flops,
-                        worker=lane,
-                    )
-                )
-                # Capture the retirement in the checkpoint manager NOW,
-                # before successors are published under the pool lock:
-                # until then no other task can replace the tiles this
-                # task wrote, so the captured references are exactly
-                # its outputs.
-                flush_due = checkpoint is not None and checkpoint.task_retired(
-                    task, data
-                )
                 with cond:
                     if self.debug:
-                        self._release(state, task)
-                    state.running -= 1
-                    state.completed += 1
-                    state.retries += attempts
-                    state.lanes[lane] = None
-                    state.last_progress = time.monotonic()
-                    for j in graph.successors.get(i, ()):
-                        state.indegree[j] -= 1
-                        if state.indegree[j] == 0:
-                            scheduler.push(j, graph.tasks[j])
+                        self._unclaim(owners, task)
+                    run.release(i, attempts, start, end, lane)
                     cond.notify_all()
                 if flush_due:
                     # Single-writer inside flush(); concurrent callers
                     # return immediately and the due flag persists, so
                     # a skipped flush happens at the next retirement.
-                    checkpoint.flush(data)
+                    run.checkpoint.flush(data)
 
         stop_watchdog = threading.Event()
 
@@ -541,21 +368,10 @@ class ParallelExecutionEngine(ExecutionEngine):
             poll = max(min(timeout / 5.0, 0.25), 0.005)
             while not stop_watchdog.wait(poll):
                 with cond:
-                    if (
-                        state.failure is not None
-                        or state.completed == state.target
-                    ):
+                    if run.over:
                         return
-                    idle = time.monotonic() - state.last_progress
-                    if idle >= timeout:
-                        state.failure = ValueError(
-                            f"execution stalled: no task dispatched or "
-                            f"retired in {idle:.3g}s "
-                            f"(stall_timeout={timeout:.3g}s) with "
-                            f"{state.target - state.completed} of "
-                            f"{state.target} tasks "
-                            f"outstanding [{self._lane_report(state)}]"
-                        )
+                    if run.stalled(timeout):
+                        run.fail(run.stall_error(timeout))
                         cond.notify_all()
                         return
 
@@ -563,7 +379,7 @@ class ParallelExecutionEngine(ExecutionEngine):
             threading.Thread(
                 target=worker, args=(lane,), name=f"tlr-worker-{lane}"
             )
-            for lane in range(min(self.workers, n))
+            for lane in range(min(self.workers, len(graph)))
         ]
         monitor = None
         if self.stall_timeout is not None:
@@ -581,18 +397,3 @@ class ParallelExecutionEngine(ExecutionEngine):
         if monitor is not None:
             stop_watchdog.set()
             monitor.join()
-        self.last_run_retries = state.retries
-
-        if state.failure is not None:
-            # Drain the ready pool so a reused scheduler starts clean.
-            while scheduler:
-                scheduler.pop()
-            raise state.failure
-        if state.completed != state.target:  # pragma: no cover - defensive
-            raise ValueError(
-                f"executed {state.completed} of {state.target} tasks; "
-                "graph has unsatisfiable dependencies"
-            )
-        if verify and ledger is not None:
-            self._final_verify(data, ledger, checkpoint)
-        return trace

@@ -2,9 +2,8 @@
 
 ``ParallelExecutionEngine`` (threads) loses most of the hardware on
 real numerics: the Python glue between BLAS calls — tile dispatch,
-recompression bookkeeping, trace records — serializes on the GIL
-(BENCH_parallel.json: 5.8x replayed vs 1.3x real at 8 workers).  This
-module replaces threads with *processes*, the asynchronous-runtime
+recompression bookkeeping, trace records — serializes on the GIL.
+This module replaces threads with *processes*, the asynchronous-runtime
 model of the fan-both Cholesky solvers: one-sided, message-driven task
 execution with no global lock.
 
@@ -23,13 +22,14 @@ Architecture
   arena-backed tile views (fault injection, retry with arena-byte
   rollback, and operand checksum verification all happen *in the
   worker*), and send a small retirement message back.
-* **Coordinator** — keeps the exact CV-driven ready-pool discipline of
-  the threaded engine: the scheduler policy orders the ready pool, and
-  at most one task per idle worker is in flight, so priority order is
-  respected.  On retirement it materializes the task's written tiles
-  out of the arena into the caller's matrix (a private copy, immune to
-  later in-place slot rewrites), records checksums, feeds the
-  checkpoint manager, releases successors, and dispatches.
+* **Coordinator** — the caller's thread drives the same scheduling
+  core as the other executors (:class:`~repro.runtime.engine._Run`)
+  around its lane messages: the scheduler policy orders the ready
+  pool, and at most one task per idle worker is in flight, so priority
+  order is respected.  Retirement goes through the core with a
+  ``materialize`` hook that copies the task's written tiles out of the
+  arena into the caller's matrix (a private copy, immune to later
+  in-place slot rewrites) before they are ledgered and checkpointed.
 * **Supervisor** — per-lane task queues make the coordinator's view of
   worker state exact: it always knows which task each worker holds.
   :class:`~repro.runtime.supervisor.WorkerSupervisor` watches pid
@@ -47,18 +47,20 @@ Invariants preserved from the threaded engine:
 * **bitwise-identical factors** at any worker count — arena copy-in /
   views / copy-out all preserve memory order (C vs Fortran), so every
   kernel sees byte- and layout-identical operands to the serial run;
-* **per-task retry with tile-snapshot rollback** — worker-side, as
-  byte snapshots of the slots a task writes (arena slots are rewritten
-  in place, so reference snapshots would alias);
+* **per-task retry with tile-snapshot rollback** — worker-side,
+  through the arena's own byte-level ``snapshot``/``restore`` (slots
+  are rewritten in place, so reference snapshots would alias);
 * **fault injection** — the plan is a pure function of
   ``(seed, rule, task, attempt)``, so worker-side decisions replay the
   serial sequence exactly; counters are merged back per retirement.
   Process-fate kinds additionally shift by the dispatch epoch, so a
   respawned replacement is not doomed to re-die on the same task;
 * **checkpoint capture** and **ABFT checksum verification** — operand
-  digests ride along with the task message; a corrupt operand fails
-  the task in the worker, and the coordinator heals the arena from the
-  checkpoint's last-known-good tile and re-dispatches;
+  digests ride along with the task message; the worker checksums a
+  private copy of each operand and hands the kernel that copy, so a
+  concurrent in-place rewrite of the slot cannot reach it; a corrupt
+  operand fails the task in the worker, and the coordinator heals the
+  arena from the checkpoint's last-known-good tile and re-dispatches;
 * a worker hard-crash (``os._exit(137)`` fault kind) still takes the
   coordinator down with the same exit code — SIGKILL semantics — after
   unlinking the shared segments, so recovery flows through the
@@ -77,20 +79,18 @@ from multiprocessing import connection as mp_connection
 
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.dag import TaskGraph
-from repro.runtime.engine import ExecutionEngine, _NO_RETRY
+from repro.runtime.engine import ExecutionEngine, _Run
 from repro.runtime.faults import (
     FaultInjector,
     RetryPolicy,
     TaskFailedError,
     TileCorruptionError,
-    restore_writes,
-    snapshot_writes,
 )
 from repro.runtime.parallel import scaled_stall_timeout
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.supervisor import WorkerSupervisor
 from repro.runtime.task import Task
-from repro.runtime.tracing import Trace, TraceEvent
+from repro.runtime.tracing import Trace
 
 __all__ = ["MultiprocessExecutionEngine", "WorkerCrashError"]
 
@@ -208,112 +208,6 @@ class MultiprocessExecutionEngine(ExecutionEngine):
     # worker side
     # ------------------------------------------------------------------
 
-    def _verify_reads_worker(
-        self,
-        task: Task,
-        store,
-        expected: dict,
-        read_only: bool = False,
-        skip: set | None = None,
-    ) -> None:
-        """Operand checksum verification against coordinator digests.
-
-        ``read_only`` restricts the sweep to pure-read tiles — the
-        post-kernel re-check must skip read-write slots, which
-        legitimately hold the kernel's new bytes.  ``skip`` drops
-        specific keys (the task's own injected at-rest flips).
-        """
-        from repro.linalg.integrity import tile_checksum
-
-        keys = set(task.reads)
-        if read_only:
-            keys -= set(task.writes)
-        if skip:
-            keys -= skip
-        for key in sorted(keys):
-            want = expected.get(key)
-            if want is None:
-                continue
-            if tile_checksum(store.tile(*key)) != want:
-                raise TileCorruptionError(
-                    f"{task}: operand tile {key} failed checksum "
-                    "verification in worker — silent data corruption "
-                    "detected before the kernel consumed it"
-                )
-
-    def _dispatch_worker(
-        self, task: Task, kernel, store, arena, expected: dict | None
-    ) -> int:
-        """Worker-side analogue of :meth:`ExecutionEngine._dispatch`.
-
-        Differs in two ways: rollback snapshots are *byte* snapshots of
-        the arena slots the task writes (slots are rewritten in place,
-        so tile references would alias the very bytes a retry must
-        restore), and operand verification compares against the digests
-        the coordinator attached to the task message (healing is the
-        coordinator's job, on re-dispatch).
-        """
-        injector = self.fault_injector
-        verify = expected is not None
-        if injector is None and self.retry is None and not verify:
-            kernel(task, store)
-            return 0
-        retry = self.retry if self.retry is not None else _NO_RETRY
-        rollback = retry.max_retries > 0
-        attempt = 0
-        while True:
-            if rollback:
-                snapshot = (
-                    arena.snapshot(task.writes)
-                    if arena is not None
-                    else snapshot_writes(task, store)
-                )
-            else:
-                snapshot = None
-            try:
-                if verify:
-                    self._verify_reads_worker(task, store, expected)
-                if injector is not None:
-                    injector.invoke(kernel, task, store, attempt)
-                else:
-                    kernel(task, store)
-                if verify:
-                    # Arena slots are rewritten in place, so an at-rest
-                    # flip landing *during* the kernel mutates bytes a
-                    # view-holding kernel may already have consumed —
-                    # unlike the in-process engines, where concurrent
-                    # readers keep the old tile object.  Re-verifying
-                    # after the kernel closes that window: any flip
-                    # that could have reached the kernel's reads
-                    # happened before this check and fails the task,
-                    # so retirement certifies clean operands end to
-                    # end.  Skipped: read-write slots (they hold the
-                    # kernel's new bytes by design) and the task's own
-                    # injected flips (applied after the kernel
-                    # returned — the outputs are valid, and a later
-                    # reader's pre-check is the intended detector;
-                    # re-failing here would re-inject on every
-                    # redispatch and starve the heal budget).
-                    own_flips = (
-                        set(injector.flipped_reads) if injector else None
-                    )
-                    self._verify_reads_worker(
-                        task, store, expected, read_only=True, skip=own_flips
-                    )
-                return attempt
-            except retry.retry_on as exc:
-                if snapshot is not None:
-                    if arena is not None:
-                        arena.restore(snapshot)
-                    else:
-                        restore_writes(task, store, snapshot)
-                if attempt >= retry.max_retries:
-                    raise TaskFailedError(task, attempt + 1, exc) from exc
-                pause = retry.delay(attempt)
-                if pause > 0.0:
-                    time.sleep(pause)
-                attempt += 1
-
     def _worker_main(self, lane, graph, data, arena, task_q, result_conn) -> None:
         """Worker process body: serve tasks until the ``None`` sentinel.
 
@@ -335,17 +229,18 @@ class MultiprocessExecutionEngine(ExecutionEngine):
             msg = task_q.get()
             if msg is None:
                 return
-            idx, expected, epoch = msg
+            idx, digests, epoch = msg
             task = graph.tasks[idx]
-            kernel = self._kernels[task.klass]
             if injector is not None:
                 injector.epoch = epoch
             counter_base = dict(injector.counters) if injector else None
             report_base = [set(r) for r in self._reports]
             start = time.perf_counter()
             try:
-                attempts = self._dispatch_worker(
-                    task, kernel, store, arena, expected
+                # Digests ride on the message; healing is the
+                # coordinator's job, on redispatch.
+                attempts = self._dispatch(
+                    task, store, None if digests is None else digests.get
                 )
             except BaseException as exc:
                 try:
@@ -380,53 +275,26 @@ class MultiprocessExecutionEngine(ExecutionEngine):
     # coordinator side
     # ------------------------------------------------------------------
 
-    def _expected_for(self, task: Task, ledger) -> dict | None:
-        if ledger is None:
-            return None
-        expected = {}
-        for key in set(task.reads):
-            digest = ledger.expected(key)
-            if digest is not None:
-                expected[key] = digest
-        return expected
-
-    def _retire_writes(self, task: Task, arena, data, ledger) -> None:
-        """Materialize a retired task's outputs out of the arena.
-
-        The copies are private heap tiles: later in-place rewrites of
-        the arena slots cannot touch them, so they are safe references
-        for the checkpoint manager, the ledger, and the final factor.
-        """
-        if arena is None:
-            return
-        for key in set(task.writes):
-            tile = arena.materialize(*key)
-            data.set_tile(*key, tile)
-            if ledger is not None:
-                ledger.record(key, tile)
-
-    def _heal_operands(
-        self, task: Task, arena, data, ledger, checkpoint
-    ) -> int:
+    def _heal_operands(self, task: Task, arena, data, ledger, checkpoint) -> bool:
         """Restore corrupt operand slots from last-known-good tiles.
 
-        Returns the number of tiles healed; 0 means the corruption is
-        unhealable and the failure must surface.
+        True when every operand slot now hashes clean (healed here, or
+        already healed on behalf of another reader) and the task can be
+        redispatched; False when one is unhealable and the failure must
+        surface.
         """
-        if arena is None or ledger is None or checkpoint is None:
-            return 0
-        healed = 0
+        if arena is None or checkpoint is None:
+            return False
         for key in sorted(set(task.reads)):
             if ledger.matches(key, arena.tile(*key)):
                 continue
             if not checkpoint.heal(data, key):
-                return 0
+                return False
             good = data.tile(*key)
             if not ledger.matches(key, good):
-                return 0
+                return False
             arena.set_tile(*key, good)
-            healed += 1
-        return healed
+        return True
 
     def _rewind_writes(self, task: Task, arena, data, supervisor) -> None:
         """Restore the pre-task bytes of a lost task's write slots.
@@ -463,29 +331,11 @@ class MultiprocessExecutionEngine(ExecutionEngine):
         ``supervise=False``) :class:`WorkerCrashError` surfaces.  Exit
         code 137 (the injected hard crash) is still mirrored.
         """
-        if trace is None:
-            trace = Trace()
-        self.last_run_retries = 0
-        self.last_run_resumed = 0
         self.last_run_supervision = {}
         self.worker_pids = {}
-        n = len(graph)
-        if n == 0:
-            return trace
-        missing = {t.klass for t in graph.tasks} - set(self._kernels)
-        if missing:
-            raise KeyError(
-                f"no kernel registered for task class(es) {sorted(missing)}"
-            )
-
-        indegree = [graph.in_degree(i) for i in range(n)]
-        skipped = self._frontier(graph, data, indegree, checkpoint)
-        target = n - len(skipped)
-        ledger, verify = self._setup_integrity(data, checkpoint)
-        if target == 0:
-            if verify and ledger is not None:
-                self._final_verify(data, ledger, checkpoint)
-            return trace
+        run = _Run(self, graph, data, trace, checkpoint)
+        if not run.target:
+            return run.finish()
 
         from repro.linalg.arena import TileArena
 
@@ -499,6 +349,8 @@ class MultiprocessExecutionEngine(ExecutionEngine):
             if arena_mode
             else None
         )
+        if arena is not None:
+            run.materialize = arena.materialize
 
         stall_timeout = scaled_stall_timeout(self.stall_timeout, graph)
         hang_timeout = self.hang_timeout
@@ -508,7 +360,7 @@ class MultiprocessExecutionEngine(ExecutionEngine):
             hang_timeout = 0.8 * stall_timeout
 
         ctx = multiprocessing.get_context("fork")
-        num_workers = min(self.workers, target)
+        num_workers = min(self.workers, run.target)
         budget = (
             self.max_respawns
             if self.max_respawns is not None
@@ -548,16 +400,6 @@ class MultiprocessExecutionEngine(ExecutionEngine):
         for lane in range(num_workers):
             spawn(lane)
 
-        scheduler = self.scheduler
-        for i in range(n):
-            if indegree[i] == 0 and graph.tasks[i].uid not in skipped:
-                scheduler.push(i, graph.tasks[i])
-
-        completed = 0
-        retries = 0
-        outstanding: dict[int, Task] = {}
-        #: lane -> task index currently dispatched to it
-        lane_task: dict[int, int] = {}
         #: task index -> dispatch epoch (bumped per supervised requeue;
         #: a stale retirement from a killed worker carries the old
         #: epoch and is dropped instead of double-retiring the task)
@@ -566,33 +408,23 @@ class MultiprocessExecutionEngine(ExecutionEngine):
         #: results received but not yet processed (drained per wait())
         inbox: deque = deque()
         heals: dict[int, int] = {}
-        failure: BaseException | None = None
         mirror_hard_crash = False
-        t0 = time.perf_counter()
-        last_progress = time.monotonic()
 
         def dispatch() -> None:
-            nonlocal last_progress
-            while scheduler and idle:
-                i = scheduler.pop()
-                lane = min(idle)
+            while idle and (i := run.pop(min(idle))) is not None:
+                lane = run.in_flight[i]
                 idle.remove(lane)
-                task = graph.tasks[i]
-                outstanding[i] = task
-                lane_task[lane] = i
                 supervisor.task_dispatched(lane, i)
-                lane_queues[lane].put(
-                    (
-                        i,
-                        self._expected_for(task, ledger) if verify else None,
-                        task_epoch.get(i, 0),
-                    )
-                )
-                last_progress = time.monotonic()
+                digests = None
+                if run.expected is not None:
+                    digests = {
+                        key: run.expected(key)
+                        for key in set(graph.tasks[i].reads)
+                    }
+                lane_queues[lane].put((i, digests, task_epoch.get(i, 0)))
 
         def recover(f) -> None:
             """Supervised recovery of one dead/hung lane."""
-            nonlocal last_progress
             dead_conn = result_conns.pop(f.lane, None)
             if dead_conn is not None:
                 # Complete frames the dying worker raced out still sit
@@ -605,15 +437,13 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                 except (EOFError, OSError):
                     pass  # torn trailing frame from mid-send death
                 dead_conn.close()
-            idx = lane_task.pop(f.lane, None)
             idle.discard(f.lane)
-            if idx is not None:
-                task = outstanding.pop(idx, None)
-                if task is not None:
-                    self._rewind_writes(task, arena, data, supervisor)
-                    task_epoch[idx] = task_epoch.get(idx, 0) + 1
-                    scheduler.push(idx, task)
-                    supervisor.tasks_requeued += 1
+            idx = f.task_index
+            if idx is not None and run.in_flight.get(idx) == f.lane:
+                self._rewind_writes(graph.tasks[idx], arena, data, supervisor)
+                task_epoch[idx] = task_epoch.get(idx, 0) + 1
+                run.requeue(idx)
+                supervisor.tasks_requeued += 1
             if arena is not None:
                 # The dead worker may have held the spill-allocator
                 # lock (a microseconds-wide window, but a SIGKILL can
@@ -625,20 +455,14 @@ class MultiprocessExecutionEngine(ExecutionEngine):
             spawn(f.lane)
             supervisor.record_respawn(f.lane)
             idle.add(f.lane)
-            last_progress = time.monotonic()
+            run.last_progress = time.perf_counter()
 
         try:
-            dispatch()
-            while completed < target and failure is None:
-                if not outstanding:
-                    if scheduler:
-                        dispatch()
-                        continue
-                    failure = ValueError(
-                        f"execution stalled with {target - completed} of "
-                        f"{target} tasks blocked (cycle or unsatisfiable "
-                        f"dependencies)"
-                    )
+            while not run.over:
+                dispatch()
+                if not run.in_flight:
+                    # A lane is always idle here, so the pool is empty too.
+                    run.fail(run.stall_error())
                     break
                 if not inbox:
                     lanes = {conn: ln for ln, conn in result_conns.items()}
@@ -663,7 +487,7 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                     for f in failures:
                         if f.injected_hard_crash:
                             mirror_hard_crash = True
-                            return trace  # finally-block handles teardown
+                            return run.trace  # finally-block handles teardown
                         if not supervisor.can_respawn():
                             detail = (
                                 "hung past the "
@@ -671,7 +495,7 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                                 if f.hung
                                 else f"died (exit {f.exitcode})"
                             )
-                            failure = WorkerCrashError(
+                            run.fail(WorkerCrashError(
                                 f"worker lane {f.lane} (pid {f.pid}) {detail}"
                                 + (
                                     f"; respawn budget "
@@ -679,42 +503,25 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                                     if self.supervise
                                     else "; supervision disabled"
                                 )
-                                + (
-                                    "; in flight: "
-                                    + ", ".join(map(str, outstanding.values()))
-                                    if outstanding
-                                    else ""
+                                + "".join(
+                                    f"; in flight: {graph.tasks[i]}"
+                                    for i in run.in_flight
                                 )
-                            )
+                            ))
                             break
                         recover(f)
-                    if failure is not None:
-                        break
-                    if failures:
-                        dispatch()
-                        continue
                     if (
-                        stall_timeout is not None
-                        and time.monotonic() - last_progress >= stall_timeout
+                        not failures
+                        and stall_timeout is not None
+                        and run.stalled(stall_timeout)
                     ):
-                        failure = ValueError(
-                            f"execution stalled: no task dispatched or "
-                            f"retired in {time.monotonic() - last_progress:.3g}s "
-                            f"(stall_timeout={stall_timeout:.3g}s) with "
-                            f"{target - completed} of {target} tasks "
-                            f"outstanding; in flight: "
-                            + ", ".join(map(str, outstanding.values()))
-                        )
-                        break
+                        run.fail(run.stall_error(stall_timeout))
                     continue
 
                 msg = inbox.popleft()
                 lane, idx, epoch, attempts, exc, counters, reports, start, end = msg
-                if (
-                    idx not in outstanding
-                    or epoch != task_epoch.get(idx, 0)
-                    or lane_task.get(lane) != idx
-                ):
+                stale = epoch != task_epoch.get(idx, 0)
+                if stale or run.in_flight.get(idx) != lane:
                     # Stale retirement: a worker we already declared
                     # dead/hung (and whose task we requeued) raced its
                     # own result out before the SIGKILL landed.  The
@@ -722,11 +529,8 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                     # message is what keeps exactly-once retirement.
                     supervisor.stale_results += 1
                     continue
-                task = outstanding.pop(idx)
-                lane_task.pop(lane, None)
                 idle.add(lane)
                 supervisor.task_retired(lane)
-                last_progress = time.monotonic()
 
                 if exc is not None:
                     if (
@@ -734,19 +538,16 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                         and isinstance(exc.cause, TileCorruptionError)
                         and heals.get(idx, 0) < _MAX_HEALS_PER_TASK
                         and self._heal_operands(
-                            task, arena, data, ledger, checkpoint
+                            graph.tasks[idx], arena, data, run.ledger, checkpoint
                         )
                     ):
                         heals[idx] = heals.get(idx, 0) + 1
-                        retries += exc.attempts
-                        scheduler.push(idx, task)
-                        dispatch()
-                        continue
-                    failure = exc
-                    break
+                        run.retries += exc.attempts
+                        run.requeue(idx)
+                    else:
+                        run.fail(exc, idx)
+                    continue
 
-                retries += attempts
-                completed += 1
                 if counters:
                     injector = self.fault_injector
                     with injector._lock:
@@ -756,25 +557,9 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                     for report, delta in zip(self._reports, reports):
                         if delta:
                             report.update(delta)
-                self._retire_writes(task, arena, data, ledger)
-                trace.record(
-                    TraceEvent(
-                        task.klass,
-                        task.params,
-                        start - t0,
-                        end - t0,
-                        flops=task.flops,
-                        worker=lane,
-                        pid=self.worker_pids.get(lane, 0),
-                    )
+                run.retire(
+                    idx, attempts, start, end, lane, self.worker_pids.get(lane, 0)
                 )
-                if checkpoint is not None and checkpoint.task_retired(task, data):
-                    checkpoint.flush(data)
-                for j in graph.successors.get(idx, ()):
-                    indegree[j] -= 1
-                    if indegree[j] == 0:
-                        scheduler.push(j, graph.tasks[j])
-                dispatch()
         finally:
             for q in lane_queues.values():
                 q.put(None)
@@ -802,17 +587,5 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                 # in-process engines.  Segments were just unlinked.
                 os._exit(137)
 
-        self.last_run_retries = retries
         self.last_run_supervision = supervisor.report()
-        if failure is not None:
-            while scheduler:
-                scheduler.pop()
-            raise failure
-        if completed != target:  # pragma: no cover - defensive
-            raise ValueError(
-                f"executed {completed} of {target} tasks; "
-                "graph has unsatisfiable dependencies"
-            )
-        if verify and ledger is not None:
-            self._final_verify(data, ledger, checkpoint)
-        return trace
+        return run.finish()

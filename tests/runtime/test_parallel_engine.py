@@ -1,18 +1,30 @@
-"""Tests for the multi-worker parallel DAG execution engine."""
+"""The engine contract (serial / threads / mp) and the threaded executor.
+
+The three engines share one scheduling core, so the contract classes
+below are written once against ``self.engine()`` and re-collected for
+the other executors by the subclasses at the bottom of the file (the
+un-suffixed classes are the threaded engine).
+"""
 
 import json
-import threading
 import time
 
+import numpy as np
 import pytest
 
-from repro.runtime.dag import build_graph
+from repro.core.tlr_cholesky import register_cholesky_kernels, tlr_cholesky
+from repro.linalg.tile import NullTile
+from repro.linalg.tile_matrix import TLRMatrix
+from repro.runtime.checkpoint import CheckpointManager, load_checkpoint
+from repro.runtime.dag import TaskGraph, build_graph
 from repro.runtime.engine import ExecutionEngine
+from repro.runtime.faults import TaskFailedError, TileCorruptionError
 from repro.runtime.parallel import (
     ParallelExecutionEngine,
     engine_for,
     resolve_workers,
 )
+from repro.runtime.parallel_mp import MultiprocessExecutionEngine
 from repro.runtime.scheduler import (
     FIFOScheduler,
     LIFOScheduler,
@@ -32,14 +44,27 @@ def wide(n, klass="T"):
     return [make_task(klass, (i,), rw=[(i, i)]) for i in range(n)]
 
 
-def record_kernel(log, lock, delay=0.0):
-    def kernel(task, data):
-        if delay:
-            time.sleep(delay)
-        with lock:
-            log.append(task.params)
+def noop(task, data):
+    pass
 
-    return kernel
+
+def ran(trace):
+    """Task params in retirement order — what a run did, observable on
+    every engine (a closure's log stays in the forked mp workers)."""
+    return [e.params for e in trace.events]
+
+
+class EngineContract:
+    """Behaviour every executor owes its caller."""
+
+    kind = "threads"
+
+    def engine(self, scheduler=None, workers=2, **common):
+        if self.kind == "serial":
+            return ExecutionEngine(scheduler, **common)
+        if self.kind == "mp":
+            return MultiprocessExecutionEngine(scheduler, workers=workers, **common)
+        return ParallelExecutionEngine(scheduler, workers=workers, **common)
 
 
 class TestResolveWorkers:
@@ -77,26 +102,22 @@ class TestResolveWorkers:
             ParallelExecutionEngine(workers=0)
 
 
-class TestParallelExecution:
+class TestParallelExecution(EngineContract):
     @pytest.mark.timeout(60)
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_all_tasks_execute_once(self, workers):
-        graph = build_graph(wide(20))
-        log, lock = [], threading.Lock()
-        engine = ParallelExecutionEngine(workers=workers)
-        engine.register("T", record_kernel(log, lock))
-        trace = engine.run(graph, None)
-        assert sorted(log) == [(i,) for i in range(20)]
-        assert len(trace) == 20
+        engine = self.engine(workers=workers)
+        engine.register("T", noop)
+        trace = engine.run(build_graph(wide(20)), None)
+        assert sorted(ran(trace)) == [(i,) for i in range(20)]
 
     @pytest.mark.timeout(60)
     def test_dependency_order_respected(self):
-        graph = build_graph(chain(12))
-        log, lock = [], threading.Lock()
-        engine = ParallelExecutionEngine(workers=4)
-        engine.register("T", record_kernel(log, lock))
-        engine.run(graph, None)
-        assert log == [(i,) for i in range(12)]
+        engine = self.engine(workers=4)
+        engine.register("T", noop)
+        assert ran(engine.run(build_graph(chain(12)), None)) == [
+            (i,) for i in range(12)
+        ]
 
     @pytest.mark.timeout(60)
     @pytest.mark.parametrize(
@@ -106,141 +127,164 @@ class TestParallelExecution:
         tasks = chain(5) + [
             make_task("T", (100 + i,), rw=[(i + 1, i + 1)]) for i in range(5)
         ]
-        graph = build_graph(tasks)
-        log, lock = [], threading.Lock()
-        engine = ParallelExecutionEngine(sched(), workers=3)
-        engine.register("T", record_kernel(log, lock))
-        engine.run(graph, None)
-        assert len(log) == len(tasks)
+        engine = self.engine(sched(), workers=3)
+        engine.register("T", noop)
+        assert len(engine.run(build_graph(tasks), None)) == len(tasks)
 
     @pytest.mark.timeout(60)
     def test_workers_capped_by_task_count(self):
-        graph = build_graph(wide(2))
-        engine = ParallelExecutionEngine(workers=16)
-        log, lock = [], threading.Lock()
-        engine.register("T", record_kernel(log, lock))
-        trace = engine.run(graph, None)
+        engine = self.engine(workers=16)
+        engine.register("T", noop)
+        trace = engine.run(build_graph(wide(2)), None)
         assert set(e.worker for e in trace.events) <= {0, 1}
 
     @pytest.mark.timeout(60)
     def test_supplied_trace_is_extended(self):
-        graph = build_graph(wide(3))
-        engine = ParallelExecutionEngine(workers=2)
-        log, lock = [], threading.Lock()
-        engine.register("T", record_kernel(log, lock))
+        engine = self.engine()
+        engine.register("T", noop)
         trace = Trace()
-        out = engine.run(graph, None, trace=trace)
+        out = engine.run(build_graph(wide(3)), None, trace=trace)
         assert out is trace and len(trace) == 3
 
     def test_empty_graph(self):
-        engine = ParallelExecutionEngine(workers=2)
-        assert len(engine.run(build_graph([]), None)) == 0
+        assert len(self.engine().run(build_graph([]), None)) == 0
 
     def test_unregistered_class_raises_before_spawn(self):
-        graph = build_graph(wide(2))
-        engine = ParallelExecutionEngine(workers=2)
-        with pytest.raises(KeyError, match="no kernel registered"):
-            engine.run(graph, None)
+        """Up front and identically worded everywhere: no kernel runs,
+        not even those of the classes that *are* registered."""
+        engine = self.engine()
+        engine.register("T", noop)
+        trace = Trace()
+        with pytest.raises(KeyError, match=r"no kernel registered.*\['U'\]"):
+            engine.run(build_graph(wide(2) + wide(2, klass="U")), None, trace)
+        assert len(trace) == 0
+
+    @pytest.mark.timeout(120)
+    def test_fully_resumed_frontier_still_runs_final_sweep(self, spd_matrix, tmp_path):
+        """A checkpoint covering every task leaves nothing to execute,
+        but the end-of-run integrity sweep is still owed."""
+        done = tlr_cholesky(
+            TLRMatrix.from_dense(spd_matrix, 32, accuracy=1e-10),
+            workers=1,  # serial: the last retirement's flush is never skipped
+            checkpoint=CheckpointManager(tmp_path, every_tasks=1),
+        )
+        a = TLRMatrix.from_dense(spd_matrix, 32, accuracy=1e-10)
+        manager = CheckpointManager(tmp_path)
+        manager.bind(done.graph, a, resume=load_checkpoint(tmp_path))
+        clean = a.tile(1, 0)
+        a.set_tile(1, 0, NullTile(clean.shape))  # rots after the resume
+        engine = self.engine(verify_tiles=True)
+        register_cholesky_kernels(engine)
+        trace = engine.run(done.graph, a, checkpoint=manager)
+        assert len(trace) == 0 and engine.last_run_resumed == len(done.graph)
+        assert manager.tiles_healed == 1 and a.tile(1, 0) is clean
 
 
-class TestFailFast:
+class TestFailFast(EngineContract):
     @pytest.mark.timeout(60)
     def test_kernel_exception_propagates(self):
-        graph = build_graph(wide(4))
-        engine = ParallelExecutionEngine(workers=2)
+        engine = self.engine()
 
         def poisoned(task, data):
             raise RuntimeError(f"kernel died on {task}")
 
         engine.register("T", poisoned)
         with pytest.raises(RuntimeError, match="kernel died"):
-            engine.run(graph, None)
+            engine.run(build_graph(wide(4)), None)
 
     @pytest.mark.timeout(60)
     def test_failure_cancels_outstanding_work(self):
         """Tasks behind the failure never start: the poisoned head of a
         chain must keep every successor from executing."""
-        tasks = chain(10)
-        graph = build_graph(tasks)
-        log, lock = [], threading.Lock()
-        engine = ParallelExecutionEngine(workers=4)
+        engine = self.engine(workers=4)
 
         def kernel(task, data):
             if task.params == (0,):
                 raise ValueError("poisoned head")
-            with lock:
-                log.append(task.params)
 
         engine.register("T", kernel)
+        trace = Trace()
         with pytest.raises(ValueError, match="poisoned head"):
-            engine.run(graph, None)
-        assert log == []
+            engine.run(build_graph(chain(10)), None, trace)
+        assert ran(trace) == []
 
     @pytest.mark.timeout(60)
     def test_first_failure_wins_with_wide_graph(self):
-        graph = build_graph(wide(30))
-        engine = ParallelExecutionEngine(workers=4)
-        executed, lock = [], threading.Lock()
+        engine = self.engine(workers=4)
 
         def kernel(task, data):
             if task.params[0] == 3:
                 raise RuntimeError("boom")
-            with lock:
-                executed.append(task.params)
 
         engine.register("T", kernel)
+        trace = Trace()
         with pytest.raises(RuntimeError, match="boom"):
-            engine.run(graph, None)
+            engine.run(build_graph(wide(30)), None, trace)
         # fail-fast: the run must abandon the tail of the ready pool
-        assert len(executed) < 30
+        assert len(trace) < 30
 
     @pytest.mark.timeout(60)
     def test_engine_reusable_after_failure(self):
-        engine = ParallelExecutionEngine(workers=2)
-        calls = {"n": 0}
+        engine = self.engine()
+        poison = {"on": True}  # read at fork time by the mp workers
 
         def kernel(task, data):
-            calls["n"] += 1
-            if calls["n"] == 1:
+            if poison["on"]:
                 raise RuntimeError("first run dies")
 
         engine.register("T", kernel)
         with pytest.raises(RuntimeError):
-            engine.run(build_graph(chain(3)), None)
-        # scheduler was drained; a fresh run completes normally
-        trace = engine.run(build_graph(chain(3)), None)
-        assert len(trace) == 3
+            engine.run(build_graph(wide(3)), None)  # dies with tasks still ready
+        poison["on"] = False
+        # the ready pool was drained: no stale index of the failed run
+        # is popped into the fresh one
+        assert ran(engine.run(build_graph(chain(3)), None)) == [(0,), (1,), (2,)]
+
+    @pytest.mark.timeout(60)
+    def test_blowup_on_rotten_operand_is_typed(self):
+        """A non-transient kernel error over operands that no longer
+        hash clean is corruption, not a bug: typed, so retry/heal
+        applies.  With clean operands the original propagates."""
+
+        def kernel(task, a):
+            if rot:
+                a.tile(0, 0).data[0, 0] += 1.0  # rots the operand it consumed
+            raise np.linalg.LinAlgError("not positive definite")
+
+        engine = self.engine(verify_tiles=True)
+        engine.register("T", kernel)
+        for rot, raised in ((True, TaskFailedError), (False, np.linalg.LinAlgError)):
+            a = TLRMatrix.from_dense(np.eye(4), 2, accuracy=1e-10)
+            with pytest.raises(raised) as err:
+                engine.run(build_graph(chain(1)), a)
+            if rot:
+                assert isinstance(err.value.cause, TileCorruptionError)
+                assert "LinAlgError" in str(err.value.cause)
 
 
-class TestStarvationDetection:
+class TestStarvationDetection(EngineContract):
     @pytest.mark.timeout(60)
     def test_cyclic_graph_reports_stuck_tasks(self):
         """A hand-built cycle must abort with a diagnostic, not hang."""
-        from repro.runtime.dag import TaskGraph
-
         tasks = [make_task("T", (i,), rw=[(i, i)]) for i in range(3)]
-        # 0 -> 1 -> 2 -> 1 : task 1 and 2 never reach indegree 0... a
-        # real cycle: 1 -> 2 and 2 -> 1
+        # 0 -> 1 -> 2 -> 1: tasks 1 and 2 never reach indegree 0
         graph = TaskGraph(tasks, {0: {1}, 1: {2}, 2: {1}})
-        engine = ParallelExecutionEngine(workers=2)
-        engine.register("T", lambda t, d: None)
+        engine = self.engine()
+        engine.register("T", noop)
         with pytest.raises(ValueError, match="stalled") as err:
             engine.run(graph, None)
         assert "T(1" in str(err.value) or "T(2" in str(err.value)
 
     @pytest.mark.timeout(60)
     def test_stuck_task_list_is_truncated(self):
-        from repro.runtime.dag import TaskGraph
-
         n = 24
         tasks = [make_task("T", (i,), rw=[(i, i)]) for i in range(n)]
         edges = {i: {(i + 1) % (n - 1) + 1} for i in range(1, n)}
         # tie tasks 1..n-1 into cycles; task 0 is free
-        graph = TaskGraph(tasks, edges)
-        engine = ParallelExecutionEngine(workers=2)
-        engine.register("T", lambda t, d: None)
+        engine = self.engine()
+        engine.register("T", noop)
         with pytest.raises(ValueError, match="more"):
-            engine.run(graph, None)
+            engine.run(TaskGraph(tasks, edges), None)
 
 
 class TestDebugOwnership:
@@ -248,19 +292,15 @@ class TestDebugOwnership:
     def test_clean_graph_passes(self):
         graph = build_graph(chain(4) + wide(4, klass="U"))
         engine = ParallelExecutionEngine(workers=3, debug=True)
-        log, lock = [], threading.Lock()
-        engine.register("T", record_kernel(log, lock))
-        engine.register("U", record_kernel(log, lock))
-        engine.run(graph, None)
-        assert len(log) == 8
+        engine.register("T", noop)
+        engine.register("U", noop)
+        assert len(engine.run(graph, None)) == 8
 
     @pytest.mark.timeout(60)
     def test_under_constrained_graph_is_caught(self):
         """Two tasks writing one tile with no edge between them: the
         ownership check must flag the race that build_graph would have
         prevented."""
-        from repro.runtime.dag import TaskGraph
-
         tasks = [make_task("T", (i,), rw=[(0, 0)]) for i in range(2)]
         graph = TaskGraph(tasks, {})  # no edges: a lying DAG
         engine = ParallelExecutionEngine(workers=2, debug=True)
@@ -330,3 +370,11 @@ class TestWorkerLanes:
         engine.register("T", lambda t, d: None)
         trace = engine.run(graph, None)
         assert set(trace.worker_lanes()) == {0}
+
+
+# The same contract on the other two executors: re-collect the classes
+# above under a suffixed name with ``kind`` overridden.
+for _cls in (TestParallelExecution, TestFailFast, TestStarvationDetection):
+    for _kind in ("serial", "mp"):
+        _name = _cls.__name__ + _kind.title()
+        globals()[_name] = type(_name, (_cls,), {"kind": _kind})

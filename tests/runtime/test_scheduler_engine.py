@@ -62,26 +62,6 @@ class TestSchedulers:
 
 
 class TestEngine:
-    def test_executes_all_respecting_deps(self):
-        log = []
-        tasks = [
-            make_task("A", (0,), rw=[(0, 0)]),
-            make_task("B", (0,), reads=[(0, 0)], rw=[(1, 1)]),
-            make_task("C", (0,), reads=[(1, 1)], rw=[(2, 2)]),
-        ]
-        g = build_graph(tasks)
-        eng = ExecutionEngine(FIFOScheduler())
-        for k in "ABC":
-            eng.register(k, lambda t, d, k=k: log.append(k))
-        trace = eng.run(g, None)
-        assert log == ["A", "B", "C"]
-        assert len(trace) == 3
-
-    def test_missing_kernel_raises(self):
-        g = build_graph([make_task("X", (0,), rw=[(0, 0)])])
-        with pytest.raises(KeyError):
-            ExecutionEngine().run(g, None)
-
     def test_duplicate_registration_raises(self):
         eng = ExecutionEngine()
         eng.register("A", lambda t, d: None)

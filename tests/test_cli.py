@@ -126,21 +126,6 @@ class TestCommands:
         assert "failover: killed shard-0" in out
         assert "mismatches=0" in out
 
-    def test_bench_serve(self, capsys, tmp_path):
-        out_json = tmp_path / "bench.json"
-        rc = main(
-            ["bench-serve", "--viruses", "2", "--points-per-virus", "100",
-             "--tile-size", "50", "--requests", "8", "--repeats", "1",
-             "--json", str(out_json)]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "cold latency" in out and "speedup" in out
-        result = json.loads(out_json.read_text())
-        assert result["requests"] == 8
-        assert result["cache"]["builds"] == 1
-        assert result["batched"]["throughput_rps"] > 0
-
 
 class TestCheckpointFlags:
     ARGS = ["factorize", "--viruses", "2", "--points-per-virus", "120",

@@ -1,5 +1,9 @@
 """Tests for global configuration helpers and the public API surface."""
 
+import importlib
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,41 @@ class TestConfig:
             default_shape_parameter(0.0)
         with pytest.raises(ValueError):
             default_shape_parameter(-1.0)
+
+    @pytest.mark.parametrize(
+        "var, owner, unset, text, parsed",
+        [
+            ("REPRO_WORKERS", "runtime.parallel:resolve_workers", 1, "3", 3),
+            ("REPRO_ENGINE", "runtime.parallel:resolve_engine", "threads", "process", "mp"),
+            ("REPRO_ENGINE_DEBUG", "runtime.parallel:debug_from_env", False, "1", True),
+            ("REPRO_STALL_TIMEOUT", "runtime.parallel:stall_timeout_from_env", None, "2.5", 2.5),
+            ("REPRO_VERIFY_TILES", "runtime.checkpoint:verify_tiles_from_env", False, "yes", True),
+            ("REPRO_ARENA_SPILL", "linalg.arena:spill_factor_from_env", 1.5, "0.25", 0.25),
+            ("REPRO_COMPRESSION", "linalg.lowrank:resolve_compression", "svd", "rand", "rand"),
+            ("REPRO_STORAGE_PRECISION", "linalg.precision:resolve_storage", "fp64", "mixed", "mixed"),
+        ],
+    )
+    def test_env_knobs(self, monkeypatch, var, owner, unset, text, parsed):
+        """The eight knobs are read in config.py only, stay importable
+        from the module that owns the explicit argument, and keep their
+        defaults (empty and whitespace count as unset)."""
+        module, name = owner.split(":")
+        reader = getattr(importlib.import_module(f"repro.{module}"), name)
+        args = (None,) if inspect.signature(reader).parameters else ()
+
+        def value():
+            out = reader(*args)  # resolve_* return policy objects
+            return getattr(out, "method", getattr(out, "mode", out))
+
+        for blank in (None, "", "  "):
+            monkeypatch.delenv(var, raising=False)
+            if blank is not None:
+                monkeypatch.setenv(var, blank)
+            assert value() == unset
+        monkeypatch.setenv(var, f" {text} ")
+        assert value() == parsed
+        sources = Path(repro.__file__).parent.rglob("*.py")
+        assert [p.name for p in sources if "os.environ" in p.read_text()] == ["config.py"]
 
 
 class TestPublicAPI:
