@@ -19,7 +19,7 @@ Quick start
 >>> pts = virus_population(2, points_per_virus=300, seed=0)
 >>> gen = RBFMatrixGenerator(pts, shape_parameter=0.02, tile_size=150,
 ...                          nugget=1e-2)
->>> a = TLRMatrix.compress(gen.tile, gen.n, 150, accuracy=1e-6)
+>>> a = TLRMatrix.from_generator(gen, accuracy=1e-6)
 >>> result = hicma_parsec_factorize(a)
 >>> x = solve_cholesky(result.factor, np.ones(gen.n))
 """

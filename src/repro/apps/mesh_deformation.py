@@ -128,12 +128,7 @@ class RBFMeshDeformation:
     def factorize(self) -> FactorizationResult:
         """Generate, compress and factorize the RBF operator."""
         t0 = time.perf_counter()
-        a = TLRMatrix.compress(
-            self.generator.tile,
-            self.generator.n,
-            self.generator.tile_size,
-            self.accuracy,
-        )
+        a = TLRMatrix.from_generator(self.generator, self.accuracy)
         t1 = time.perf_counter()
         self.timings["generation+compression"] = t1 - t0
         self.timings["initial_density"] = a.density()

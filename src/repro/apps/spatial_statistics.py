@@ -91,9 +91,7 @@ class GaussianLogLikelihood:
             kernel=MaternKernel(nu=self.nu),
             nugget=self.nugget,
         )
-        sigma = TLRMatrix.compress(
-            gen.tile, gen.n, self.tile_size, self.accuracy
-        )
+        sigma = TLRMatrix.from_generator(gen, self.accuracy)
         factor = tlr_cholesky(sigma).factor
         ld = logdet(factor)
         y = solve_lower(factor, z[self._perm])

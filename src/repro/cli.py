@@ -254,10 +254,8 @@ def _cmd_factorize(args) -> int:
     gen = RBFMatrixGenerator(
         pts, delta, tile_size=args.tile_size, nugget=100 * args.accuracy
     )
-    a = TLRMatrix.compress(
-        gen.tile,
-        gen.n,
-        args.tile_size,
+    a = TLRMatrix.from_generator(
+        gen,
         args.accuracy,
         compression=args.compression,
         storage=args.storage_precision,
@@ -270,7 +268,8 @@ def _cmd_factorize(args) -> int:
         cs = a.compression_stats.to_dict()
         print(f"compression: method={a.compression.method} "
               f"svd={cs['svd_tiles']} rand={cs['rand_tiles']} "
-              f"probe-dense={cs['probe_dense']} "
+              f"screened-null={cs['screened_null']} "
+              f"bound-null={cs['bound_null']} "
               f"sampled-rank avg/max {cs['sampled_rank_avg']:.1f}/"
               f"{cs['sampled_rank_max']} fp32-tiles={cs['fp32_tiles']}")
     from repro.runtime.faults import (

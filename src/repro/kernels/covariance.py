@@ -32,6 +32,7 @@ class MaternKernel(RadialBasisFunction):
 
     nu: float = 0.5
     positive_definite = True
+    decreasing = True
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)

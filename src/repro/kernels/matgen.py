@@ -15,7 +15,9 @@ accuracy threshold when chosen well below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,13 @@ from repro.kernels.rbf import GaussianRBF, RadialBasisFunction
 from repro.utils.validation import check_positive
 
 __all__ = ["RBFMatrixGenerator", "dense_rbf_matrix"]
+
+#: rounding head-room of :meth:`RBFMatrixGenerator.tile_norm_bound`:
+#: relative slack on every computed length (sphere distances, and the
+#: cancellation in ``_pairwise_distances``, which scales with the
+#: squared point norms), and on the kernel value itself
+_LENGTH_SLACK = 64.0 * np.finfo(DTYPE).eps
+_VALUE_SLACK = 1.0e-9
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,6 +110,49 @@ class RBFMatrixGenerator:
         if i == j and self.nugget > 0.0:
             block[np.diag_indices_from(block)] += self.nugget
         return np.ascontiguousarray(block, dtype=DTYPE)
+
+    @cached_property
+    def _tile_spheres(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per tile: bounding-sphere centre and radius, and the largest
+        squared point norm (one ``O(n)`` pass, on first use)."""
+        nt = self.n_tiles
+        centers = np.empty((nt, 3), dtype=DTYPE)
+        radii = np.empty(nt, dtype=DTYPE)
+        sqnorms = np.empty(nt, dtype=DTYPE)
+        for i in range(nt):
+            pts = self.points[slice(*self.tile_range(i))]
+            centers[i] = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+            radii[i] = np.sqrt(((pts - centers[i]) ** 2).sum(axis=1).max())
+            sqnorms[i] = (pts * pts).sum(axis=1).max()
+        return centers, radii, sqnorms
+
+    def tile_norm_bound(self, i: int, j: int) -> float:
+        """Upper bound on ``||tile(i, j)||_F`` from geometry alone.
+
+        Every pair of points across the two tiles is at least
+        ``d_min = ||c_i - c_j|| - r_i - r_j`` apart (bounding spheres),
+        so for a kernel that declares ``decreasing`` every entry is at
+        most ``phi(d_min / delta)`` and the Frobenius norm at most
+        ``sqrt(rows * cols)`` times that — the geometric admissibility
+        test, with no kernel value evaluated.  The bound is rounded
+        upwards so that it also dominates the norm of the tile as
+        :meth:`tile` *computes* it.  ``inf`` for kernels that make no
+        such promise.
+        """
+        if not self.kernel.decreasing:
+            return math.inf
+        (lo_i, hi_i), (lo_j, hi_j) = self.tile_range(i), self.tile_range(j)
+        centers, radii, sqnorms = self._tile_spheres
+        apart = float(np.linalg.norm(centers[i] - centers[j]))
+        reach = float(radii[i] + radii[j])
+        gap = apart * (1.0 - _LENGTH_SLACK) - reach * (1.0 + _LENGTH_SLACK)
+        sq = max(gap, 0.0) ** 2 - _LENGTH_SLACK * float(sqnorms[i] + sqnorms[j])
+        d_min = math.sqrt(max(sq, 0.0))
+        peak = float(self.kernel.scaled(d_min, self.shape_parameter))
+        if i == j:
+            peak += self.nugget
+        size = (hi_i - lo_i) * (hi_j - lo_j)
+        return math.sqrt(size) * peak * (1.0 + _VALUE_SLACK)
 
     def dense(self) -> np.ndarray:
         """The full dense operator (laptop-scale validation only)."""

@@ -39,6 +39,12 @@ class RadialBasisFunction(ABC):
     #: True if phi has compact support (zero beyond the support radius).
     compact_support: bool = False
 
+    #: True if phi is non-negative and non-increasing on ``[0, inf)``,
+    #: so ``|phi(r)| <= phi(d)`` for every ``r >= d``: a lower bound on
+    #: the distance between two point sets bounds every kernel entry
+    #: between them (``RBFMatrixGenerator.tile_norm_bound``).
+    decreasing: bool = False
+
     @abstractmethod
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Evaluate ``phi`` elementwise on non-negative distances."""
@@ -55,6 +61,7 @@ class GaussianRBF(RadialBasisFunction):
     """Gaussian kernel ``exp(-r^2)`` — the paper's kernel."""
 
     positive_definite = True
+    decreasing = True
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
@@ -77,6 +84,7 @@ class InverseMultiquadricRBF(RadialBasisFunction):
     """Inverse multiquadric ``1 / sqrt(1 + r^2)`` (positive definite)."""
 
     positive_definite = True
+    decreasing = True
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
@@ -103,6 +111,7 @@ class WendlandC2RBF(RadialBasisFunction):
 
     positive_definite = True
     compact_support = True
+    decreasing = True
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)

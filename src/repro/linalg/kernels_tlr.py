@@ -215,8 +215,8 @@ def _compress_or_dense(
     The randomized policy is deliberately *not* forwarded here: this
     path only fires when a GEMM materializes a dense product or the
     accumulated rank stops being low — both signal a near-full-rank
-    block where sampling cannot win, so the exact SVD (with its rank
-    pre-probe) is the right tool regardless of the build method.
+    block where sampling cannot win, so the exact SVD is the right
+    tool regardless of the build method.
     """
     from repro.linalg.tile import as_tile
 

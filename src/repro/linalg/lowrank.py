@@ -9,14 +9,16 @@ paper exploits.
 
 Two compression methods coexist behind :class:`CompressionPolicy`:
 
-* ``"svd"`` — exact truncated SVD (the baseline), with a cheap
-  deterministic over-rank pre-probe so blocks destined for the dense
-  fallback skip the full ``O(mn min(m,n))`` decomposition;
+* ``"svd"`` — exact truncated SVD (the baseline);
 * ``"rand"`` — blocked adaptive randomized range-finder
   (H2OPUS-TLR style): cost scales with the *detected* rank instead of
   the tile size, with incremental rank detection against the same
   absolute/relative tolerance and a direct-SVD fallback once the
   sampled rank crosses the crossover point.
+
+Both sit behind one null certificate (:func:`compress_block`): a block
+with ``||A||_F <= tol`` has ``sigma_1 <= tol``, so it is null without
+any decomposition — in the sparse regime that is most tiles.
 
 Randomized results are a pure function of ``(block, tol, seed)``: the
 Gaussian test matrices come from a ``PCG64`` stream seeded per tile
@@ -191,12 +193,16 @@ def resolve_compression(
 
 
 class CompressionStats:
-    """Mutable per-build counters (method mix, sampled-rank profile).
+    """Mutable per-build counters (method mix, null certificates,
+    sampled-rank profile).
 
     Filled by :meth:`~repro.linalg.tile_matrix.TLRMatrix.compress` and
-    exported by the compression benchmark; process-local (a forked
-    worker's counts stay in the worker), so treat the numbers as
-    build-time observability, not an exact global ledger.
+    printed by ``repro factorize``; process-local (a forked worker's
+    counts stay in the worker), so treat the numbers as build-time
+    observability, not an exact global ledger.  ``bound_null`` counts
+    tiles certified null from the generator's norm bound (never
+    generated), ``screened_null`` those certified by their Frobenius
+    norm (generated, never decomposed).
     """
 
     __slots__ = (
@@ -204,7 +210,8 @@ class CompressionStats:
         "rand_tiles",
         "rand_dense",
         "rand_svd_fallback",
-        "probe_dense",
+        "screened_null",
+        "bound_null",
         "sampled_tiles",
         "sampled_rank_sum",
         "sampled_rank_max",
@@ -228,6 +235,28 @@ class CompressionStats:
             else 0.0
         )
         return out
+
+
+#: relative head-room of the null certificate: the computed
+#: ``||A||_F`` must clear the cutoff by more than the rounding of the
+#: norm and of an SVD's ``sigma_1``, so the certificate never disagrees
+#: with the decomposition it replaces
+_NULL_MARGIN = 1.0e-10
+
+
+def _certified_null(block: np.ndarray, tol: float, relative: bool) -> bool:
+    """True when ``||A||_F`` proves that the block compresses to null.
+
+    ``sigma_1 <= ||A||_F``, so a Frobenius norm under the truncation
+    cutoff (``tol``, or ``tol * sigma_1`` in relative mode, which only
+    a zero block or ``tol >= 1`` can meet) means every singular value
+    would be discarded: the tile disappears for the price of one pass
+    over the block instead of a decomposition (H2OPUS-TLR's
+    norm-driven early exit).
+    """
+    fnorm = float(np.linalg.norm(block))
+    cutoff = tol * fnorm if relative else tol
+    return fnorm <= cutoff * (1.0 - _NULL_MARGIN)
 
 
 def truncated_svd(
@@ -299,10 +328,9 @@ def randomized_compress(
     block = np.asarray(block, dtype=DTYPE)
     m, n = block.shape
     short = min(m, n)
-    fnorm = float(np.linalg.norm(block))
-    stop = tol * fnorm if relative else tol
-    if fnorm <= stop or fnorm == 0.0:
-        return None  # sigma_1 <= ||A||_F <= cutoff: the tile disappears
+    if _certified_null(block, tol, relative):
+        return None
+    stop = tol * float(np.linalg.norm(block)) if relative else tol
 
     cross_cap = max(1, int(math.ceil(crossover * short)))
     cap = cross_cap
@@ -366,51 +394,6 @@ def randomized_compress(
     )
 
 
-#: over-rank pre-probe tuning: sampling cushion past max_rank, and the
-#: multiple of the rank<=max_rank residual bound that must be exceeded
-#: before the probe declares the block dense without a full SVD
-_PROBE_OVERSAMPLE = 8
-_PROBE_SAFETY = 2.0
-
-
-def _probe_over_rank(block: np.ndarray, tol: float, max_rank: int) -> bool:
-    """Cheap deterministic test that a block's rank clearly exceeds
-    ``max_rank`` (absolute tolerance only).
-
-    Projects the block onto a sampled ``max_rank + oversample``-column
-    range and measures the left-over energy via
-    ``||A||_F^2 - ||Q^T A||_F^2``.  A block that *is* compressible to
-    ``max_rank`` leaves at most ``tol * sqrt(min(m,n) - max_rank)``
-    behind (every discarded singular value <= tol), so a residual
-    beyond ``_PROBE_SAFETY`` times that bound proves the dense
-    fallback is inevitable — without paying the full SVD it would
-    throw away.  Borderline blocks keep taking the exact SVD path.
-
-    The Gaussian samples are seeded from the block's own bytes, so the
-    probe is a pure function of the block — identical decisions on
-    every engine, no seed plumbing required.
-    """
-    m, n = block.shape
-    short = min(m, n)
-    probe_cols = max_rank + _PROBE_OVERSAMPLE
-    if 3 * probe_cols >= short:
-        return False  # probe would cost a comparable fraction of the SVD
-    seed = int.from_bytes(
-        hashlib.blake2b(
-            np.ascontiguousarray(block).tobytes(), digest_size=8
-        ).digest(),
-        "little",
-    )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    omega = rng.standard_normal((n, probe_cols))
-    q = sla.qr(block @ omega, mode="economic", check_finite=False)[0]
-    total = float(np.linalg.norm(block)) ** 2
-    captured = float(np.linalg.norm(q.T @ block)) ** 2
-    resid = math.sqrt(max(total - captured, 0.0))
-    bound = tol * math.sqrt(max(short - max_rank, 1))
-    return resid > _PROBE_SAFETY * bound
-
-
 def compress_block(
     block: np.ndarray,
     tol: float,
@@ -427,14 +410,26 @@ def compress_block(
     ``max_rank``, and the original dense block otherwise — mirroring
     HiCMA's maxrank convention (config ``DENSE_RANK_FRACTION``).
 
-    ``policy`` selects the method: randomized policies route through
-    :func:`randomized_compress` with the given per-tile ``seed``; the
-    default SVD path first runs a cheap over-rank pre-probe so blocks
-    headed for the dense fallback skip the full decomposition.
+    Whatever the method, a block whose Frobenius norm certifies it null
+    (:func:`_certified_null`) returns before any decomposition.
+    ``policy`` then selects the method: randomized policies route
+    through :func:`randomized_compress` with the given per-tile
+    ``seed``; the default is the exact truncated SVD.
     """
-    if policy is not None and policy.randomized:
-        if stats is not None:
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    block = np.asarray(block, dtype=DTYPE)
+    randomized = policy is not None and policy.randomized
+    if stats is not None:
+        if randomized:
             stats.rand_tiles += 1
+        else:
+            stats.svd_tiles += 1
+    if _certified_null(block, tol, relative):
+        if stats is not None:
+            stats.screened_null += 1
+        return None
+    if randomized:
         return randomized_compress(
             block,
             tol,
@@ -446,21 +441,11 @@ def compress_block(
             crossover=policy.crossover,
             stats=stats,
         )
-    if stats is not None:
-        stats.svd_tiles += 1
-    if (
-        max_rank is not None
-        and not relative
-        and _probe_over_rank(np.asarray(block, dtype=DTYPE), tol, max_rank)
-    ):
-        if stats is not None:
-            stats.probe_dense += 1
-        return np.asarray(block, dtype=DTYPE)
     factor = truncated_svd(block, tol, relative=relative)
     if factor is None:
         return None
     if max_rank is not None and factor.rank > max_rank:
-        return np.asarray(block, dtype=DTYPE)
+        return block
     return factor
 
 

@@ -26,7 +26,7 @@ from repro.linalg.precision import (
     factor_significance,
     resolve_storage,
 )
-from repro.linalg.tile import DenseTile, Tile, as_tile
+from repro.linalg.tile import DenseTile, NullTile, Tile, as_tile
 from repro.utils.validation import check_positive, check_square_matrix
 
 __all__ = ["TLRMatrix"]
@@ -95,6 +95,7 @@ class TLRMatrix:
         compression: CompressionPolicy | str | None = None,
         storage: StoragePolicy | str | None = None,
         seed_root: int = 0,
+        norm_bound: Callable[[int, int], float] | None = None,
     ) -> "TLRMatrix":
         """Build a TLR matrix by compressing tiles from a generator.
 
@@ -113,6 +114,12 @@ class TLRMatrix:
         selects the tile-storage precision (``"fp64"``/``"mixed"`` or a
         :class:`~repro.linalg.precision.StoragePolicy`; default honors
         ``$REPRO_STORAGE_PRECISION``).
+
+        ``norm_bound(i, j)``, when given, must be an upper bound on the
+        Frobenius norm of ``tile_source(i, j)``: an off-diagonal tile
+        whose bound is within ``accuracy`` is null (``sigma_1`` cannot
+        exceed it) and is never generated.  :meth:`from_generator`
+        wires it up.
         """
         check_positive("tile_size", tile_size)
         if max_rank is None:
@@ -124,6 +131,11 @@ class TLRMatrix:
         tiles: dict[tuple[int, int], Tile] = {}
         for k in range(nt):
             for m in range(k, nt):
+                if m != k and norm_bound is not None and norm_bound(m, k) <= accuracy:
+                    stats.bound_null += 1
+                    rows = min(tile_size, n - m * tile_size)
+                    tiles[(m, k)] = NullTile((rows, tile_size))
+                    continue
                 block = np.asarray(tile_source(m, k), dtype=DTYPE)
                 if m == k:
                     tiles[(m, k)] = DenseTile(block)
@@ -153,6 +165,23 @@ class TLRMatrix:
             compression=policy,
             storage=storage_policy,
             compression_stats=stats,
+        )
+
+    @classmethod
+    def from_generator(cls, gen, accuracy: float, **kwargs) -> "TLRMatrix":
+        """Compress the operator of a tile generator (e.g.
+        :class:`~repro.kernels.matgen.RBFMatrixGenerator`): its
+        ``tile``, ``n`` and ``tile_size``, with its ``tile_norm_bound``
+        sparing null tiles their generation.  ``kwargs`` as for
+        :meth:`compress`.
+        """
+        return cls.compress(
+            gen.tile,
+            gen.n,
+            gen.tile_size,
+            accuracy,
+            norm_bound=gen.tile_norm_bound,
+            **kwargs,
         )
 
     @classmethod

@@ -162,10 +162,8 @@ class OperatorSpec:
             kernel=KERNELS[self.kernel](),
             nugget=self.nugget,
         )
-        a = TLRMatrix.compress(
-            gen.tile,
-            gen.n,
-            self.tile_size,
+        a = TLRMatrix.from_generator(
+            gen,
             self.accuracy,
             max_rank=self.max_rank,
             compression=self.compression,

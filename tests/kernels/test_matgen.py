@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.kernels.covariance import MaternKernel
 from repro.kernels.matgen import RBFMatrixGenerator, dense_rbf_matrix
-from repro.kernels.rbf import WendlandC2RBF
+from repro.kernels.rbf import (
+    GaussianRBF,
+    InverseMultiquadricRBF,
+    MultiquadricRBF,
+    ThinPlateSplineRBF,
+    WendlandC2RBF,
+)
 
 
 @pytest.fixture()
@@ -83,6 +90,82 @@ class TestRBFMatrixGenerator:
         )
         a = g.dense()
         assert (a == 0.0).sum() > 0
+
+
+DECREASING_KERNELS = [
+    GaussianRBF(),
+    InverseMultiquadricRBF(),
+    WendlandC2RBF(),
+    MaternKernel(nu=0.5),
+    MaternKernel(nu=1.5),
+    MaternKernel(nu=2.5),
+    MaternKernel(nu=0.8),  # the Bessel-function branch
+]
+
+
+def clustered_cloud(rng, n=130, clusters=4):
+    """Tight clusters in generation order, so whole tiles sit far apart
+    and others straddle two clusters."""
+    centres = 3.0 * rng.random((clusters, 3))
+    return centres[np.arange(n) * clusters // n] + 0.1 * rng.random((n, 3))
+
+
+def rigid_motion(rng, shift):
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * np.sign(np.diag(r)), shift * rng.uniform(-1.0, 1.0, 3)
+
+
+class TestTileNormBound:
+    """``tile_norm_bound`` dominates the tile's norm without generating it."""
+
+    @pytest.mark.parametrize("kernel", DECREASING_KERNELS, ids=repr)
+    @pytest.mark.parametrize("shift", [0.0, 10.0, 1.0e4])
+    def test_dominates_every_tile(self, rng, kernel, shift):
+        assert kernel.decreasing
+        q, t = rigid_motion(rng, shift)
+        pts = clustered_cloud(rng) @ q.T + t
+        for delta in (0.05, 0.5):
+            g = RBFMatrixGenerator(pts, delta, tile_size=50, kernel=kernel, nugget=1e-3)
+            assert g.tile_range(2) == (100, 130)  # ragged last tile
+            for i in range(g.n_tiles):
+                for j in range(g.n_tiles):
+                    bound = g.tile_norm_bound(i, j)
+                    assert bound >= np.linalg.norm(g.tile(i, j)), (i, j, delta)
+                    assert bound == g.tile_norm_bound(j, i)
+
+    def test_certifies_well_separated_tiles(self, rng):
+        pts = clustered_cloud(rng, n=100, clusters=2)
+        g = RBFMatrixGenerator(pts, 0.05, tile_size=50, nugget=0.0)
+        gap = np.linalg.norm(pts[:50, None] - pts[None, 50:], axis=2).min()
+        assert gap > 0.5  # two clusters, one per tile
+        assert g.tile_norm_bound(1, 0) < 1e-12
+        assert g.tile_norm_bound(0, 0) >= 50.0  # diagonal: phi(0) = 1
+
+    def test_bound_is_tight_for_single_point_tiles(self):
+        pts = np.array([[0.0, 0.0, 0.0], [0.3, 0.4, 0.0]])
+        g = RBFMatrixGenerator(pts, 1.0, tile_size=1, nugget=0.0)
+        exact = np.exp(-0.25)
+        assert exact <= g.tile_norm_bound(1, 0) <= exact * (1.0 + 1e-8)
+
+    def test_rounded_up_past_the_cancellation_in_tile(self, rng):
+        """Single-point tiles make the spheres exact, so only rounding
+        separates bound and entry — and far from the origin ``tile``'s
+        expanded-square distances lose digits the bound must cover."""
+        for _ in range(300):
+            shift = 10.0 ** rng.uniform(0.0, 5.0)
+            pts = shift * rng.uniform(-1.0, 1.0, 3) + rng.random((2, 3))
+            g = RBFMatrixGenerator(pts, 0.3, tile_size=1, nugget=0.0)
+            assert g.tile_norm_bound(1, 0) >= abs(g.tile(1, 0)[0, 0])
+
+    @pytest.mark.parametrize("kernel", [MultiquadricRBF(), ThinPlateSplineRBF()])
+    def test_inf_for_kernels_that_do_not_decay(self, rng, kernel):
+        assert not kernel.decreasing
+        g = RBFMatrixGenerator(clustered_cloud(rng), 0.5, tile_size=50, kernel=kernel)
+        assert g.tile_norm_bound(2, 0) == np.inf
+
+    def test_out_of_range_tile_raises(self, gen):
+        with pytest.raises(IndexError):
+            gen.tile_norm_bound(3, 0)
 
 
 class TestDenseRBFMatrix:

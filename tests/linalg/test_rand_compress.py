@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.linalg import lowrank
 from repro.linalg.lowrank import (
     CompressionPolicy,
     CompressionStats,
@@ -220,13 +221,6 @@ class TestCompressBlockDispatch:
         assert stats.svd_tiles == 1
         assert stats.rand_tiles == 0
 
-    def test_probe_skips_svd_for_clearly_dense(self, rng):
-        stats = CompressionStats()
-        block = rng.standard_normal((128, 128))
-        out = compress_block(block, tol=1e-10, max_rank=8, stats=stats)
-        assert isinstance(out, np.ndarray)
-        assert stats.probe_dense == 1
-
     def test_rand_agrees_with_svd_on_dense_fallback(self, rng):
         block = rng.standard_normal((96, 96))
         svd_out = compress_block(block, tol=1e-10, max_rank=8)
@@ -240,6 +234,97 @@ class TestCompressBlockDispatch:
         assert isinstance(svd_out, np.ndarray)
         assert isinstance(rnd_out, np.ndarray)
         assert np.array_equal(svd_out, rnd_out)
+
+
+POLICIES = [None, CompressionPolicy(method="rand")]
+
+
+def same_result(a, b):
+    """Null / factor / dense results agree to the last byte."""
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, LowRankFactor):
+        return (
+            isinstance(b, LowRankFactor)
+            and a.u.tobytes() == b.u.tobytes()
+            and a.v.tobytes() == b.v.tobytes()
+        )
+    return np.array_equal(a, b)
+
+
+class TestNullCertificate:
+    """``||A||_F <= tol`` proves null before any decomposition."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_null_block_is_never_decomposed(self, rng, monkeypatch, policy):
+        def boom(*args, **kwargs):
+            raise AssertionError("a certified-null block was decomposed")
+
+        monkeypatch.setattr(lowrank.sla, "svd", boom)
+        monkeypatch.setattr(lowrank.sla, "qr", boom)
+        stats = CompressionStats()
+        block = low_rank_block(rng, 40, 50, 3, scale=1e-9)
+        assert compress_block(block, 1e-6, policy=policy, stats=stats) is None
+        assert stats.screened_null == 1
+        assert stats.svd_tiles + stats.rand_tiles == 1
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [0.9, 0.99, 1.0, 1.01, 1.1])
+    def test_straddling_tol_agrees_with_unscreened(
+        self, rng, monkeypatch, policy, k, scale
+    ):
+        tol = 1e-6
+        block = low_rank_block(rng, 48, 36, k)
+        block *= scale * tol / np.linalg.norm(block)
+        stats = CompressionStats()
+        out = compress_block(block, tol, policy=policy, seed=5, stats=stats)
+        # at scale 1.0 rounding decides; the certificate must stand
+        # aside and leave the verdict to the decomposition
+        assert stats.screened_null == (scale < 1.0)
+        monkeypatch.setattr(lowrank, "_certified_null", lambda *a: False)
+        assert same_result(
+            out, compress_block(block, tol, policy=policy, seed=5)
+        )
+        if scale < 1.0:
+            assert truncated_svd(block, tol) is None
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("tol,null", [(0.5, False), (1.0, True), (1.5, True)])
+    def test_relative_mode(self, rng, policy, tol, null):
+        # relative cutoff tol * sigma_1: only tol >= 1 (or a zero
+        # block) discards everything, and only tol > 1 is certified
+        block = low_rank_block(rng, 30, 30, 2)
+        stats = CompressionStats()
+        out = compress_block(
+            block, tol, relative=True, policy=policy, seed=1, stats=stats
+        )
+        assert (out is None) == null
+        assert (truncated_svd(block, tol, relative=True) is None) == null
+        assert stats.screened_null == (tol > 1.0)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_zero_block(self, policy, relative):
+        stats = CompressionStats()
+        out = compress_block(
+            np.zeros((20, 30)), 1e-8, relative=relative, policy=policy, stats=stats
+        )
+        assert out is None and stats.screened_null == 1
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_survivors_are_untouched_by_the_screen(self, rng, monkeypatch, policy):
+        block = low_rank_block(rng, 60, 60, 4)
+        screened = compress_block(block, 1e-8, max_rank=10, policy=policy, seed=3)
+        monkeypatch.setattr(lowrank, "_certified_null", lambda *a: False)
+        unscreened = compress_block(block, 1e-8, max_rank=10, policy=policy, seed=3)
+        assert screened.rank == 4
+        assert same_result(screened, unscreened)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_rejects_nonpositive_tol(self, policy):
+        with pytest.raises(ValueError):
+            compress_block(np.zeros((8, 8)), 0.0, policy=policy)
 
 
 def stacked_factor(rng, m, n, ranks, tol=1e-12):

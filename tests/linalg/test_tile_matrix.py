@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.geometry import min_spacing, virus_population
+from repro.kernels import RBFMatrixGenerator
+from repro.linalg.integrity import matrix_checksums
 from repro.linalg.tile import DenseTile, NullTile, TileKind
 from repro.linalg.tile_matrix import TLRMatrix
 
@@ -51,6 +54,95 @@ class TestCompression:
         assert t.tile(2, 2).shape == (30, 30)
         assert t.tile(2, 0).shape == (30, 50)
         assert np.allclose(t.to_dense(), a, atol=1e-7)
+
+
+class CountingGenerator:
+    """A generator that records which tiles were asked for."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.n, self.tile_size = gen.n, gen.tile_size
+        self.tile_norm_bound = gen.tile_norm_bound
+        self.generated = []
+
+    def tile(self, i, j):
+        self.generated.append((i, j))
+        return self._gen.tile(i, j)
+
+
+@pytest.fixture(scope="module")
+def ragged_sparse_generator():
+    """8 virions, 16 tiles with a short last one, density ~0.2."""
+    pts = virus_population(8, points_per_virus=100, seed=0)[:-15]
+    return RBFMatrixGenerator(
+        pts, 0.5 * min_spacing(pts) * 20, tile_size=50, nugget=1e-4
+    )
+
+
+class TestFromGenerator:
+    """The generator's norm bound spares null tiles their generation."""
+
+    @pytest.mark.parametrize("storage", ["fp64", "mixed"])
+    @pytest.mark.parametrize("compression", ["svd", "rand"])
+    def test_same_operator_as_compress(
+        self, ragged_sparse_generator, compression, storage
+    ):
+        g = ragged_sparse_generator
+        kw = dict(compression=compression, storage=storage, seed_root=7)
+        a = TLRMatrix.from_generator(g, 1e-6, **kw)
+        b = TLRMatrix.compress(g.tile, g.n, g.tile_size, 1e-6, **kw)
+        assert a.compression_stats.bound_null > 0
+        assert b.compression_stats.bound_null == 0
+        assert matrix_checksums(a) == matrix_checksums(b)
+        assert a.tile(15, 0).shape == b.tile(15, 0).shape == (35, 50)
+        assert (a.max_rank, a.compression, a.storage) == (
+            b.max_rank, b.compression, b.storage
+        )
+
+    def test_bound_certified_tiles_are_never_generated(
+        self, ragged_sparse_generator
+    ):
+        g = CountingGenerator(ragged_sparse_generator)
+        a = TLRMatrix.from_generator(g, 1e-6)
+        nt = a.n_tiles
+        lower = [(m, k) for k in range(nt) for m in range(k, nt)]
+        certified = {
+            (m, k)
+            for m, k in lower
+            if m != k and g.tile_norm_bound(m, k) <= a.accuracy
+        }
+        stats = a.compression_stats
+        assert stats.bound_null == len(certified) > 0
+        assert sorted(g.generated) == sorted(set(lower) - certified)
+        assert all(a.tile(m, k).is_null for m, k in certified)
+
+    def test_every_null_tile_is_certified_in_the_sparse_regime(
+        self, ragged_sparse_generator
+    ):
+        g = ragged_sparse_generator
+        for a in (
+            TLRMatrix.from_generator(g, 1e-6),
+            TLRMatrix.compress(g.tile, g.n, g.tile_size, 1e-6),
+        ):
+            nulls = sum(1 for _, t in a if t.is_null)
+            stats = a.compression_stats
+            assert 0.15 < a.density() < 0.25
+            assert stats.screened_null + stats.bound_null == nulls
+            assert stats.screened_null > 0
+
+    def test_dense_regime_certifies_nothing(self, dense_generator):
+        a = TLRMatrix.from_generator(dense_generator, 1e-7)
+        assert a.density() == 1.0
+        stats = a.compression_stats
+        assert stats.screened_null == 0 and stats.bound_null == 0
+
+    def test_norm_bound_ignored_on_the_diagonal(self, sparse_generator):
+        g = sparse_generator
+        a = TLRMatrix.compress(
+            g.tile, g.n, g.tile_size, 1e-6, norm_bound=lambda i, j: 0.0
+        )
+        assert a.density() == 0.0
+        assert all(isinstance(a.tile(k, k), DenseTile) for k in range(a.n_tiles))
 
 
 class TestAccess:

@@ -6,12 +6,18 @@ numerical rank and sample seed — and bitwise-deterministic in the
 seed, which is what makes them safe to run under any execution engine.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.linalg import lowrank
 from repro.linalg.lowrank import (
+    CompressionPolicy,
+    CompressionStats,
     LowRankFactor,
+    compress_block,
     randomized_compress,
     randomized_recompress,
     recompress,
@@ -92,6 +98,54 @@ class TestRandomizedCompressProperties:
     def test_negligible_blocks_disappear(self, data_seed, seed, scale):
         block = scale * synthetic_block(40, 40, 3, data_seed)
         assert randomized_compress(block, tol=1e-4, seed=seed) is None
+
+
+class TestNullCertificateProperties:
+    @given(
+        m=st.integers(20, 60),
+        n=st.integers(20, 60),
+        k=st.integers(0, 3),
+        data_seed=st.integers(0, 2**16),
+        scale=st.floats(0.9, 1.1),
+        relative=st.booleans(),
+        method=st.sampled_from(["svd", "rand"]),
+        seed=SEEDS,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_fires_only_where_the_decomposition_says_null(
+        self, m, n, k, data_seed, scale, relative, method, seed
+    ):
+        """Blocks straddling the cutoff: wherever the certificate fires
+        the unscreened decomposition (same policy, and the plain SVD)
+        also says null; everywhere else the result is byte-identical
+        to the unscreened one."""
+        if relative:
+            # the relative cutoff tol * sigma_1 discards everything
+            # only for tol >= 1: straddle that
+            tol, block = scale, synthetic_block(m, n, k, data_seed)
+        else:
+            tol, block = 1e-6, synthetic_block(m, n, k, data_seed)
+            if k:
+                block *= scale * tol / np.linalg.norm(block)
+        policy = CompressionPolicy(method=method)
+        stats = CompressionStats()
+        out = compress_block(
+            block, tol, relative=relative, policy=policy, seed=seed, stats=stats
+        )
+        with mock.patch.object(lowrank, "_certified_null", lambda *a: False):
+            unscreened = compress_block(
+                block, tol, relative=relative, policy=policy, seed=seed
+            )
+        if stats.screened_null:
+            assert out is None and unscreened is None
+            assert truncated_svd(block, tol, relative=relative) is None
+        else:
+            assert (out is None) == (unscreened is None)
+            if out is not None:
+                assert out.u.tobytes() == unscreened.u.tobytes()
+                assert out.v.tobytes() == unscreened.v.tobytes()
+        if k == 0:
+            assert stats.screened_null == 1
 
 
 class TestRandomizedRecompressProperties:

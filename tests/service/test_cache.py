@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.solver import solve_cholesky
+from repro.linalg.integrity import matrix_checksums
 from repro.service import OperatorCache
+
+from .conftest import disable_null_certificate
 
 
 class TestLookup:
@@ -101,6 +104,28 @@ class TestDiskPersistence:
         # the persistence round-trip preserves the solve exactly enough
         x_disk = solve_cholesky(entry.factor, rhs)
         assert np.allclose(x_mem, x_disk, rtol=1e-12, atol=1e-12)
+
+    def test_entry_written_without_null_certificate_still_serves(
+        self, sparse_spec, tmp_path, monkeypatch
+    ):
+        """A disk entry from before the null certificate (every tile
+        generated and decomposed) is the entry today's build writes."""
+        with monkeypatch.context() as before:
+            disable_null_certificate(before)
+            old = OperatorCache(directory=tmp_path).get_or_build(sparse_spec)
+            stats = old.operator.compression_stats
+            assert stats.bound_null == stats.screened_null == 0
+        cache = OperatorCache(directory=tmp_path)
+        entry, outcome = cache.acquire(sparse_spec)
+        assert outcome == "disk" and cache.builds == 0
+        fresh = sparse_spec.build()
+        assert fresh.operator.compression_stats.bound_null > 0
+        assert matrix_checksums(entry.factor) == matrix_checksums(fresh.factor)
+        assert matrix_checksums(entry.operator) == matrix_checksums(fresh.operator)
+        rhs = np.random.default_rng(5).standard_normal(sparse_spec.n)
+        assert np.array_equal(
+            solve_cholesky(entry.factor, rhs), solve_cholesky(fresh.factor, rhs)
+        )
 
     def test_eviction_leaves_disk_copy(self, small_spec, other_spec, tmp_path):
         probe = OperatorCache()

@@ -1,10 +1,16 @@
 """Tests for operator specs and their content fingerprints."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.geometry import random_cloud
+from repro.kernels.matgen import RBFMatrixGenerator
+from repro.linalg.integrity import matrix_checksums
 from repro.service import KERNELS, OperatorSpec
+
+from .conftest import disable_null_certificate
 
 
 def clone(spec: OperatorSpec, **overrides) -> OperatorSpec:
@@ -109,6 +115,56 @@ class TestBuild:
             built.factor.to_dense(symmetrize=False),
             built.operator.to_dense(symmetrize=False),
         )
+
+
+class TestColdPathParity:
+    """The null certificate changes what a build costs, never what it is."""
+
+    def test_fingerprints_pinned(self):
+        # digests recorded at the commit before the certificate landed
+        pts = (np.arange(36.0).reshape(12, 3) % 7) / 7.0 + np.arange(12)[:, None] / 12.0
+        kw = dict(points=pts, shape_parameter=0.25, tile_size=4, accuracy=1e-6, nugget=1e-3)
+        assert OperatorSpec(
+            compression="svd", storage_precision="fp64", **kw
+        ).fingerprint == (
+            "55f258fe2ebe1f97ccaaee13ab54e72f55618db4a133c131e4d1c182d9b249d0"
+        )
+        assert OperatorSpec(
+            compression="rand", storage_precision="mixed", **kw
+        ).fingerprint == (
+            "58bbaa305341cee8c6808a8fca7c5c682cbfe1e5bfbde91e0f2bdebd4c662e91"
+        )
+
+    @pytest.mark.parametrize("compression", ["svd", "rand"])
+    def test_build_bitwise_equal_to_uncertified(
+        self, sparse_spec, monkeypatch, compression
+    ):
+        spec = clone(sparse_spec, compression=compression)
+        built = spec.build()
+        stats = built.operator.compression_stats
+        assert stats.bound_null > 0
+        nulls = sum(1 for _, t in built.operator if t.is_null)
+        assert stats.bound_null + stats.screened_null == nulls
+        disable_null_certificate(monkeypatch)
+        reference = spec.build()
+        ref_stats = reference.operator.compression_stats
+        assert ref_stats.bound_null == ref_stats.screened_null == 0
+        assert matrix_checksums(built.operator) == matrix_checksums(reference.operator)
+        assert matrix_checksums(built.factor) == matrix_checksums(reference.factor)
+
+    def test_compress_seconds_covers_generation(self, small_spec, monkeypatch):
+        calls = []
+        tile = RBFMatrixGenerator.tile
+
+        def slow_tile(self, i, j):
+            calls.append((i, j))
+            time.sleep(0.01)
+            return tile(self, i, j)
+
+        monkeypatch.setattr(RBFMatrixGenerator, "tile", slow_tile)
+        built = small_spec.build()
+        assert len(calls) == 6  # NT=3, nothing certified in a random cloud
+        assert built.compress_seconds >= 0.01 * len(calls)
 
 
 class TestPolicyKnobs:
