@@ -1,8 +1,8 @@
 """Shared-memory tile arena for true-parallel (process-pool) execution.
 
-The threaded engine hits the GIL on real numerics (BENCH_parallel.json:
-5.8x on replayed DAGs, 1.3x on real kernels), because the Python glue
-around each BLAS call serializes.  Worker *processes* sidestep the GIL,
+The threaded engine hits the GIL on real numerics (`bench/run.py
+--layers`, `runtime.parallel.speedup_vs_serial`: 0.54-1.08x on two
+cores), because the Python glue around each BLAS call serializes.  Worker *processes* sidestep the GIL,
 but then the tile payloads must live somewhere every process can reach
 without pickling megabytes per task.  That somewhere is this arena:
 

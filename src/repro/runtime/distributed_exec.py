@@ -20,50 +20,25 @@ from __future__ import annotations
 import multiprocessing as mp
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.distribution.base import Distribution
-from repro.linalg.lowrank import LowRankFactor
-from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile
+from repro.linalg.tile import Tile
 from repro.linalg.tile_matrix import TLRMatrix
+from repro.runtime import transport
 from repro.runtime.dag import TaskGraph
+from repro.runtime.parallel_mp import WorkerCrashError
 
 __all__ = ["DistributedExecutor", "DistributedRunResult"]
 
 
 # ----------------------------------------------------------------------
-# tile (de)serialization — explicit, no pickling of library classes
+# rank process
 # ----------------------------------------------------------------------
 
 
-def _pack_tile(tile: Tile):
-    if isinstance(tile, NullTile):
-        return ("null", tile.shape)
-    if isinstance(tile, LowRankTile):
-        return ("lr", tile.u, tile.v)
-    return ("dense", tile.data)
-
-
-def _unpack_tile(payload) -> Tile:
-    kind = payload[0]
-    if kind == "null":
-        return NullTile(payload[1])
-    if kind == "lr":
-        return LowRankTile(LowRankFactor(payload[1], payload[2]))
-    return DenseTile(payload[1])
-
-
-def _payload_bytes(payload) -> int:
-    return sum(p.nbytes for p in payload[1:] if isinstance(p, np.ndarray))
-
-
-# ----------------------------------------------------------------------
-# worker process
-# ----------------------------------------------------------------------
-
-
-def _worker_main(cmd_conn, res_conn, accuracy: float, max_rank) -> None:
-    """Worker loop: owns a local tile store, executes kernels on it."""
+def _rank_main(accuracy: float, max_rank, commands, replies) -> None:
+    """Rank loop: owns a local tile store, executes kernels on it, and
+    answers every command with one reply until told to stop (or the
+    coordinator is gone)."""
     from repro.linalg.kernels_tlr import (
         gemm_tile,
         potrf_tile,
@@ -72,23 +47,16 @@ def _worker_main(cmd_conn, res_conn, accuracy: float, max_rank) -> None:
     )
 
     store: dict[tuple[int, int], Tile] = {}
-    while True:
-        msg = cmd_conn.recv()
+    for msg in transport.frames(commands):
         op = msg[0]
-        if op == "stop":
-            res_conn.send(("bye",))
-            return
+        reply = ("ok",)
         if op == "put":
-            _, key, payload = msg
-            store[key] = _unpack_tile(payload)
-            res_conn.send(("ok",))
+            _, key, tile = msg
+            store[key] = tile
         elif op == "get":
-            _, key = msg
-            res_conn.send(("tile", _pack_tile(store[key])))
+            reply = ("tile", store[msg[1]])
         elif op == "drop":
-            _, key = msg
-            store.pop(key, None)
-            res_conn.send(("ok",))
+            store.pop(msg[1], None)
         elif op == "exec":
             _, klass, params = msg
             try:
@@ -109,11 +77,14 @@ def _worker_main(cmd_conn, res_conn, accuracy: float, max_rank) -> None:
                     )
                 else:
                     raise ValueError(f"unknown task class {klass!r}")
-                res_conn.send(("ok",))
-            except Exception as exc:  # surface worker failures
-                res_conn.send(("error", repr(exc)))
+            except Exception as exc:  # surface kernel failures
+                reply = ("error", repr(exc))
         else:
-            res_conn.send(("error", f"unknown op {op!r}"))
+            reply = ("error", f"unknown op {op!r}")
+        try:
+            replies.send(reply)
+        except OSError:  # coordinator is gone
+            return
 
 
 # ----------------------------------------------------------------------
@@ -157,28 +128,29 @@ class DistributedExecutor:
         if data_dist.nproc != self.nproc:
             raise ValueError("distribution nproc != executor nproc")
         xd = exec_dist if exec_dist is not None else data_dist
-        ctx = mp.get_context("fork")
-        cmd_pipes = [ctx.Pipe() for _ in range(self.nproc)]
-        res_pipes = [ctx.Pipe() for _ in range(self.nproc)]
-        workers = [
-            ctx.Process(
-                target=_worker_main,
-                args=(cmd_pipes[p][1], res_pipes[p][0], a.accuracy, a.max_rank),
-                daemon=True,
+        ranks = [
+            transport.spawn(
+                mp.get_context("fork"),
+                _rank_main,
+                (a.accuracy, a.max_rank),
+                f"tlr-rank-{p}",
             )
             for p in range(self.nproc)
         ]
-        for w in workers:
-            w.start()
-        cmd = [c[0] for c in cmd_pipes]
-        res = [r[1] for r in res_pipes]
 
         def ask(p: int, *msg):
-            cmd[p].send(msg)
-            reply = res[p].recv()
-            if reply[0] == "error":
-                raise RuntimeError(f"worker {p}: {reply[1]}")
-            return reply
+            # a dead rank reads as a failed send or as EOF before the reply
+            if ranks[p].send(msg):
+                for _, reply in transport.recv_ready([ranks[p]], None):
+                    if reply[0] == "error":
+                        raise RuntimeError(f"worker {p}: {reply[1]}")
+                    return reply
+            ranks[p].process.join(timeout=1.0)
+            held = msg[:2] if msg[0] == "put" else msg  # not the payload
+            raise WorkerCrashError(
+                f"rank {p} (pid {ranks[p].pid}) died (exit "
+                f"{ranks[p].process.exitcode}) holding {held}"
+            )
 
         try:
             # ---- scatter: each worker gets its owned tiles ----------
@@ -186,7 +158,7 @@ class DistributedExecutor:
             for (m, k), tile in a:
                 p = data_dist.owner(m, k)
                 home[(m, k)] = p
-                ask(p, "put", (m, k), _pack_tile(tile))
+                ask(p, "put", (m, k), tile)
             # copies[d] = set of workers holding a current copy
             copies = {d: {p} for d, p in home.items()}
 
@@ -199,11 +171,11 @@ class DistributedExecutor:
                 if p in copies[d]:
                     return
                 src = next(iter(copies[d]))
-                _, payload = ask(src, "get", d)
-                ask(p, "put", d, payload)
+                _, tile = ask(src, "get", d)
+                ask(p, "put", d, tile)
                 copies[d].add(p)
                 n_transfers += 1
-                transfer_bytes += _payload_bytes(payload)
+                transfer_bytes += tile.nbytes
 
             # ---- execute in topological order -----------------------
             order = graph.topological_order()
@@ -225,8 +197,7 @@ class DistributedExecutor:
             tiles: dict[tuple[int, int], Tile] = {}
             for d in home:
                 src = next(iter(copies[d]))
-                _, payload = ask(src, "get", d)
-                tiles[d] = _unpack_tile(payload)
+                _, tiles[d] = ask(src, "get", d)
             factor = TLRMatrix(
                 a.n, a.tile_size, tiles, a.accuracy, a.max_rank
             )
@@ -238,13 +209,4 @@ class DistributedExecutor:
                 tasks_per_worker=tasks_per_worker,
             )
         finally:
-            for p in range(self.nproc):
-                try:
-                    cmd[p].send(("stop",))
-                    res[p].recv()
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
-            for w in workers:
-                w.join(timeout=10)
-                if w.is_alive():
-                    w.terminate()
+            transport.stop(ranks, None, 10.0)

@@ -16,12 +16,14 @@ Architecture
   physical pages; task messages carry ``(task index, expected operand
   checksums, dispatch epoch)`` — kernel id and tile keys, never tile
   payloads.
-* **Workers** — forked processes inheriting the registered kernels and
-  the task graph (closures need no pickling under ``fork``).  Each
-  loops: pull a task from its *own* lane queue, run the kernel against
-  arena-backed tile views (fault injection, retry with arena-byte
-  rollback, and operand checksum verification all happen *in the
-  worker*), and send a small retirement message back.
+* **Workers** — children of :mod:`repro.runtime.transport`, forked so
+  they inherit the registered kernels and the task graph (closures
+  need no pickling).  Each loops: take a task from its *own* lane
+  pipe, run the kernel against arena-backed tile views (fault
+  injection, retry with arena-byte rollback, and operand checksum
+  verification all happen *in the worker*), and send a small
+  retirement message back on its own reply pipe.  A worker whose
+  coordinator dies reads EOF and exits, releasing the arena segments.
 * **Coordinator** — the caller's thread drives the same scheduling
   core as the other executors (:class:`~repro.runtime.engine._Run`)
   around its lane messages: the scheduler policy orders the ready
@@ -30,9 +32,9 @@ Architecture
   ``materialize`` hook that copies the task's written tiles out of the
   arena into the caller's matrix (a private copy, immune to later
   in-place slot rewrites) before they are ledgered and checkpointed.
-* **Supervisor** — per-lane task queues make the coordinator's view of
+* **Supervisor** — per-lane pipes make the coordinator's view of
   worker state exact: it always knows which task each worker holds.
-  :class:`~repro.runtime.supervisor.WorkerSupervisor` watches pid
+  :class:`~repro.runtime.supervisor.ProcessSupervisor` watches pid
   liveness and per-task hang budgets; a worker lost to a real
   ``SIGKILL`` (or wedged past the hang budget, which earns it one) is
   *recovered*, not fatal: its in-flight task is requeued, the task's
@@ -75,8 +77,8 @@ import os
 import pickle
 import time
 from collections import deque
-from multiprocessing import connection as mp_connection
 
+from repro.runtime import transport
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.dag import TaskGraph
 from repro.runtime.engine import ExecutionEngine, _Run
@@ -88,7 +90,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.parallel import scaled_stall_timeout
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.supervisor import WorkerSupervisor
+from repro.runtime.supervisor import ProcessSupervisor
 from repro.runtime.task import Task
 from repro.runtime.tracing import Trace
 
@@ -208,28 +210,16 @@ class MultiprocessExecutionEngine(ExecutionEngine):
     # worker side
     # ------------------------------------------------------------------
 
-    def _worker_main(self, lane, graph, data, arena, task_q, result_conn) -> None:
-        """Worker process body: serve tasks until the ``None`` sentinel.
-
-        Results travel on a per-lane pipe whose write end only this
-        process holds.  A shared ``mp.Queue`` would do, except its
-        feeder thread takes a cross-process write lock around every
-        put — a SIGKILL landing inside that window (exactly what the
-        worker_kill fault injects) leaves the lock held forever and
-        deadlocks every surviving worker's results.  A single-writer
-        pipe has no lock to orphan.
-        """
+    def _worker_main(self, lane, graph, data, arena, tasks, results) -> None:
+        """Worker process body: serve tasks until told to stop (or the
+        coordinator is gone)."""
         store = arena if arena is not None else data
         injector = self.fault_injector
         if injector is not None:
             # Arms the whole-worker fault kinds (worker_kill /
             # worker_hang): only a forked worker may act on them.
             injector.in_worker = True
-        while True:
-            msg = task_q.get()
-            if msg is None:
-                return
-            idx, digests, epoch = msg
+        for idx, digests, epoch in transport.frames(tasks):
             task = graph.tasks[idx]
             if injector is not None:
                 injector.epoch = epoch
@@ -244,11 +234,11 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                 )
             except BaseException as exc:
                 try:
-                    result_conn.send(
+                    results.send(
                         (lane, idx, epoch, None, _picklable(exc), None, None,
                          0.0, 0.0)
                     )
-                except (BrokenPipeError, OSError):  # coordinator is gone
+                except OSError:  # coordinator is gone
                     return
                 continue
             end = time.perf_counter()
@@ -264,11 +254,11 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                 for r, base in zip(self._reports, report_base)
             ]
             try:
-                result_conn.send(
+                results.send(
                     (lane, idx, epoch, attempts, None, counters, reports,
                      start, end)
                 )
-            except (BrokenPipeError, OSError):  # coordinator is gone
+            except OSError:  # coordinator is gone
                 return
 
     # ------------------------------------------------------------------
@@ -296,8 +286,9 @@ class MultiprocessExecutionEngine(ExecutionEngine):
             arena.set_tile(*key, good)
         return True
 
-    def _rewind_writes(self, task: Task, arena, data, supervisor) -> None:
-        """Restore the pre-task bytes of a lost task's write slots.
+    def _rewind_writes(self, task: Task, arena, data) -> int:
+        """Restore the pre-task bytes of a lost task's write slots and
+        return how many were restored.
 
         ``data`` always holds the last *retired* value of every tile
         (retirement materializes arena -> data, and the DAG's WAW/RAW
@@ -307,10 +298,11 @@ class MultiprocessExecutionEngine(ExecutionEngine):
         Read-only operands need no rewind: kernels never mutate them.
         """
         if arena is None:
-            return
-        for key in sorted(set(task.writes)):
+            return 0
+        keys = sorted(set(task.writes))
+        for key in keys:
             arena.set_tile(*key, data.tile(*key))
-            supervisor.tiles_restored += 1
+        return len(keys)
 
     def run(
         self,
@@ -366,36 +358,28 @@ class MultiprocessExecutionEngine(ExecutionEngine):
             if self.max_respawns is not None
             else 2 * num_workers + 2
         ) if self.supervise else 0
-        supervisor = WorkerSupervisor(
-            max_respawns=budget, hang_timeout=hang_timeout
-        )
-        lane_queues: dict[int, object] = {}
-        #: lane -> read end of that lane's single-writer result pipe
-        result_conns: dict[int, object] = {}
-        procs: dict[int, object] = {}
+        supervisor = ProcessSupervisor(max_respawns=budget, timeout=hang_timeout)
+        #: lane -> its current worker
+        lanes: dict[int, transport.Child] = {}
+        #: every worker of this run: a replaced one stays until its
+        #: reply pipe has drained, and all are torn down together
+        children: list[transport.Child] = []
+        tasks_requeued = tiles_restored = stale_results = 0
 
         def spawn(lane: int) -> None:
-            # A fresh lane queue per (re)spawn: a task message the dead
-            # worker never pulled must not reach its replacement — the
-            # coordinator requeues it explicitly, exactly once.  The
-            # result pipe is fresh too; its write end lives only in the
-            # new child (the parent drops its copy right after the
-            # fork), so worker death reads as EOF, never a stuck lock.
-            q = ctx.SimpleQueue()
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            p = ctx.Process(
-                target=self._worker_main,
-                args=(lane, graph, data, arena, q, send_conn),
-                name=f"tlr-mp-worker-{lane}",
-                daemon=True,
+            # Fresh pipes per (re)spawn: a task message the dead worker
+            # never pulled must not reach its replacement — the
+            # coordinator requeues it explicitly, exactly once.
+            child = transport.spawn(
+                ctx,
+                self._worker_main,
+                (lane, graph, data, arena),
+                f"tlr-mp-worker-{lane}",
             )
-            lane_queues[lane] = q
-            procs[lane] = p
-            p.start()
-            send_conn.close()
-            result_conns[lane] = recv_conn
-            self.worker_pids[lane] = p.pid
-            supervisor.attach(lane, p)
+            lanes[lane] = child
+            children.append(child)
+            self.worker_pids[lane] = child.pid
+            supervisor.attach(lane, child.process)
 
         for lane in range(num_workers):
             spawn(lane)
@@ -405,7 +389,7 @@ class MultiprocessExecutionEngine(ExecutionEngine):
         #: epoch and is dropped instead of double-retiring the task)
         task_epoch: dict[int, int] = {}
         idle: set[int] = set(range(num_workers))
-        #: results received but not yet processed (drained per wait())
+        #: results received but not yet processed
         inbox: deque = deque()
         heals: dict[int, int] = {}
         mirror_hard_crash = False
@@ -414,47 +398,40 @@ class MultiprocessExecutionEngine(ExecutionEngine):
             while idle and (i := run.pop(min(idle))) is not None:
                 lane = run.in_flight[i]
                 idle.remove(lane)
-                supervisor.task_dispatched(lane, i)
+                supervisor.arm(lane)
                 digests = None
                 if run.expected is not None:
                     digests = {
                         key: run.expected(key)
                         for key in set(graph.tasks[i].reads)
                     }
-                lane_queues[lane].put((i, digests, task_epoch.get(i, 0)))
+                # a failed send is a dead worker: the supervisor's to report
+                lanes[lane].send((i, digests, task_epoch.get(i, 0)))
 
-        def recover(f) -> None:
-            """Supervised recovery of one dead/hung lane."""
-            dead_conn = result_conns.pop(f.lane, None)
-            if dead_conn is not None:
-                # Complete frames the dying worker raced out still sit
-                # in the pipe buffer; pull them through the normal
-                # stale-result path (the epoch bump below drops them)
-                # rather than losing their accounting.
-                try:
-                    while dead_conn.poll(0):
-                        inbox.append(dead_conn.recv())
-                except (EOFError, OSError):
-                    pass  # torn trailing frame from mid-send death
-                dead_conn.close()
-            idle.discard(f.lane)
-            idx = f.task_index
-            if idx is not None and run.in_flight.get(idx) == f.lane:
-                self._rewind_writes(graph.tasks[idx], arena, data, supervisor)
+        def recover(lane: int) -> None:
+            """Supervised recovery of one dead/hung lane.  Frames the
+            dying worker raced out still drain through ``children``;
+            the epoch bump below makes them stale."""
+            nonlocal tasks_requeued, tiles_restored
+            idle.discard(lane)
+            idx = next((i for i, ln in run.in_flight.items() if ln == lane), None)
+            if idx is not None:
+                tiles_restored += self._rewind_writes(
+                    graph.tasks[idx], arena, data
+                )
                 task_epoch[idx] = task_epoch.get(idx, 0) + 1
                 run.requeue(idx)
-                supervisor.tasks_requeued += 1
+                tasks_requeued += 1
             if arena is not None:
                 # The dead worker may have held the spill-allocator
                 # lock (a microseconds-wide window, but a SIGKILL can
                 # land anywhere); break it rather than deadlock every
                 # surviving worker's next spill allocation.
                 arena.break_lock()
-            old = procs[f.lane]
-            old.join(timeout=1.0)
-            spawn(f.lane)
-            supervisor.record_respawn(f.lane)
-            idle.add(f.lane)
+            lanes[lane].process.join(timeout=1.0)
+            spawn(lane)
+            supervisor.record_respawn()
+            idle.add(lane)
             run.last_progress = time.perf_counter()
 
         try:
@@ -465,27 +442,17 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                     run.fail(run.stall_error())
                     break
                 if not inbox:
-                    lanes = {conn: ln for ln, conn in result_conns.items()}
-                    ready = mp_connection.wait(
-                        list(lanes), timeout=_POLL_SECONDS
+                    inbox.extend(
+                        msg
+                        for _, msg in transport.recv_ready(children, _POLL_SECONDS)
                     )
-                    for conn in ready:
-                        try:
-                            inbox.append(conn.recv())
-                            while conn.poll(0):
-                                inbox.append(conn.recv())
-                        except (EOFError, OSError):
-                            # The writer died.  Stop waiting on this
-                            # pipe — an EOF conn is permanently
-                            # "ready" and would starve the supervisor
-                            # poll below; supervisor.poll() recovers
-                            # the lane and spawn() replaces the pipe.
-                            result_conns.pop(lanes[conn], None)
-                            conn.close()
                 if not inbox:
                     failures = supervisor.poll()
                     for f in failures:
-                        if f.injected_hard_crash:
+                        if f.exitcode == 137:
+                            # The fault injector's ``os._exit(137)``:
+                            # mirrored, not recovered, preserving the
+                            # checkpoint/restart SIGKILL semantics.
                             mirror_hard_crash = True
                             return run.trace  # finally-block handles teardown
                         if not supervisor.can_respawn():
@@ -496,7 +463,7 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                                 else f"died (exit {f.exitcode})"
                             )
                             run.fail(WorkerCrashError(
-                                f"worker lane {f.lane} (pid {f.pid}) {detail}"
+                                f"worker lane {f.key} (pid {f.pid}) {detail}"
                                 + (
                                     f"; respawn budget "
                                     f"({supervisor.max_respawns}) exhausted"
@@ -509,7 +476,7 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                                 )
                             ))
                             break
-                        recover(f)
+                        recover(f.key)
                     if (
                         not failures
                         and stall_timeout is not None
@@ -527,10 +494,10 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                     # own result out before the SIGKILL landed.  The
                     # replay owns the task now — dropping the stale
                     # message is what keeps exactly-once retirement.
-                    supervisor.stale_results += 1
+                    stale_results += 1
                     continue
                 idle.add(lane)
-                supervisor.task_retired(lane)
+                supervisor.disarm(lane)
 
                 if exc is not None:
                     if (
@@ -561,20 +528,7 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                     idx, attempts, start, end, lane, self.worker_pids.get(lane, 0)
                 )
         finally:
-            for q in lane_queues.values():
-                q.put(None)
-            deadline = time.monotonic() + 5.0
-            for p in procs.values():
-                p.join(timeout=max(0.1, deadline - time.monotonic()))
-            for p in procs.values():
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=1.0)
-            supervisor.detach_all()
-            for q in lane_queues.values():
-                q.close()
-            for conn in result_conns.values():
-                conn.close()
+            transport.stop(children, None, 5.0)
             if arena is not None:
                 # Written tiles were already copied out per retirement;
                 # the segments hold nothing the caller still needs.
@@ -587,5 +541,10 @@ class MultiprocessExecutionEngine(ExecutionEngine):
                 # in-process engines.  Segments were just unlinked.
                 os._exit(137)
 
-        self.last_run_supervision = supervisor.report()
+        self.last_run_supervision = {
+            **supervisor.report(),
+            "tasks_requeued": tasks_requeued,
+            "tiles_restored": tiles_restored,
+            "stale_results": stale_results,
+        }
         return run.finish()

@@ -1,39 +1,36 @@
-"""Process supervision: liveness, hang-kill, and respawn budgets.
+"""Process supervision: liveness, hang-kill, and the respawn budget.
 
-The mp engine's original failure model was fail-fast: any worker death
-killed the whole run (mirroring exit 137 for the injected hard-crash
-kind, raising ``WorkerCrashError`` otherwise).  That is the wrong
-default on the road to a long-lived serving fleet — the distributed
-runtimes this project models (PaRSEC, the fan-both solvers) treat node
-loss as an operating condition, not an exception.
+The distributed runtimes this project models (PaRSEC, the fan-both
+solvers) treat node loss as an operating condition, not an exception,
+so every forked population here — the mp engine's worker lanes, the
+fleet's shards — is watched by one :class:`ProcessSupervisor`.  It
+owns the *policy*: which process is dead, which is wedged, and whether
+a replacement is still affordable.  The owners keep the recovery
+*mechanics* (re-forking, requeueing, state restoration), which need
+their internals.
 
-Two supervised process populations share the same skeleton:
+A key is **armed** while its process owes a sign of life, and the
+supervisor only knows the time it was last armed:
 
-* **kernel workers** (:class:`WorkerSupervisor`, used by the
-  process-pool execution engine) — hang detection keys off *dispatch
-  state*: a lane that has held one task too long is wedged;
-* **service shards** (:class:`repro.service.health.ShardSupervisor`) —
-  hang detection keys off *heartbeats*: a shard that stops beating is
-  wedged even when it holds no request at all.
+* the mp engine arms a lane when it dispatches a task to it and
+  disarms it when the task retires — an idle lane can never hang;
+* the fleet arms a shard when it attaches it (one full timeout of
+  grace: fork and cache recovery legitimately precede the first
+  heartbeat) and again on every beat — a shard must stay responsive
+  even when it holds no request at all.
 
-:class:`ProcessSupervisor` is the shared core: a keyed registry of
-process handles, exit-code liveness polling, SIGKILL delivery, and the
-respawn budget.  Subclasses own their population's hang semantics and
-failure records; the engines/fleets keep the recovery *mechanics*
-(re-forking, queue plumbing, state restoration) because those need
-internals — the supervisor owns the *policy*.
+Either way a key armed for longer than ``timeout`` is SIGKILLed, which
+folds hangs into the one recovery path, death::
 
-Worker lifecycle state machine (one lane)::
-
-    spawned --dispatch--> busy --retire--> idle --dispatch--> busy ...
-       |                   |  \\
-       |                   |   +--hang_timeout--> killed (SIGKILL)
-       |                   |                          |
-       +---exit/killed-----+--------------------------+
-                           |
-                respawn (budget left)  -> spawned (task requeued,
-                           |               torn tiles restored)
-                budget exhausted       -> WorkerCrashError
+    attached --arm--> armed --disarm--> idle --arm--> armed ...
+       |                |  \\
+       |                |   +--timeout--> killed (SIGKILL)
+       +---exit/killed--+---------------------+
+                        |
+             poll() reports it once and forgets the key
+                        |
+             budget left      -> owner respawns and re-attaches
+             budget exhausted -> owner surfaces the failure
 """
 
 from __future__ import annotations
@@ -43,7 +40,24 @@ import signal
 import time
 from dataclasses import dataclass
 
-__all__ = ["ProcessSupervisor", "WorkerFailure", "WorkerSupervisor"]
+__all__ = ["ProcessFailure", "ProcessSupervisor"]
+
+
+@dataclass(frozen=True)
+class ProcessFailure:
+    """One detected failure, as the owning engine or fleet consumes it."""
+
+    #: the key the process was attached under (lane index, shard name)
+    key: object
+    #: OS pid of the failed process
+    pid: int
+    #: exit code (negative = died by signal); for a hung process this is
+    #: the post-SIGKILL code (or ``None`` if it refused to die)
+    exitcode: int | None
+    #: True when the failure is a hang the supervisor resolved by kill
+    hung: bool
+    #: seconds since the key was last armed (0.0 for an idle key)
+    age: float
 
 
 class ProcessSupervisor:
@@ -54,111 +68,10 @@ class ProcessSupervisor:
     max_respawns:
         Total replacement processes allowed over this supervisor's
         lifetime.  0 disables recovery (every failure is fatal).
-    clock:
-        Monotonic time source (injectable for tests).
-    """
-
-    def __init__(self, max_respawns: int = 0, clock=time.monotonic) -> None:
-        if max_respawns < 0:
-            raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
-        self.max_respawns = int(max_respawns)
-        self._clock = clock
-        self._procs: dict = {}
-        self.respawns = 0
-
-    # ------------------------------------------------------------------
-    # registry
-    # ------------------------------------------------------------------
-
-    def attach(self, key, process) -> None:
-        """Register (or replace, after a respawn) a key's process."""
-        self._procs[key] = process
-
-    def detach(self, key) -> None:
-        self._procs.pop(key, None)
-
-    def detach_all(self) -> None:
-        self._procs.clear()
-
-    def process_of(self, key):
-        return self._procs.get(key)
-
-    def keys(self) -> list:
-        return sorted(self._procs)
-
-    # ------------------------------------------------------------------
-    # liveness
-    # ------------------------------------------------------------------
-
-    def poll_exits(self) -> list[tuple[object, object, int]]:
-        """``(key, process, exitcode)`` for every registered process
-        that has exited (negative exit code = died by signal)."""
-        dead = []
-        for key in sorted(self._procs):
-            proc = self._procs[key]
-            code = proc.exitcode
-            if code is not None:
-                dead.append((key, proc, code))
-        return dead
-
-    @staticmethod
-    def _kill(proc) -> None:
-        """Deliver SIGKILL and reap (idempotent, race-tolerant)."""
-        try:
-            os.kill(proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):  # already gone
-            pass
-        proc.join(timeout=5.0)
-
-    # ------------------------------------------------------------------
-    # respawn budget
-    # ------------------------------------------------------------------
-
-    def can_respawn(self) -> bool:
-        return self.respawns < self.max_respawns
-
-    def record_respawn(self, key) -> None:
-        self.respawns += 1
-
-
-@dataclass(frozen=True)
-class WorkerFailure:
-    """One detected worker failure, as the engine consumes it."""
-
-    #: worker lane index
-    lane: int
-    #: OS pid of the failed process
-    pid: int
-    #: process exit code (negative = died by signal); for a hung worker
-    #: this is the post-SIGKILL code (or ``None`` if it refused to die)
-    exitcode: int | None
-    #: True when the failure is a hang the supervisor resolved by kill
-    hung: bool
-    #: task index the lane held when it failed (``None`` = idle lane)
-    task_index: int | None
-
-    @property
-    def injected_hard_crash(self) -> bool:
-        """Exit 137 — the fault injector's ``os._exit(137)``.  The
-        engine mirrors it instead of recovering, preserving the
-        checkpoint/restart SIGKILL semantics tests rely on."""
-        return self.exitcode == 137
-
-
-class WorkerSupervisor(ProcessSupervisor):
-    """Liveness + hang detection + respawn budget over worker lanes.
-
-    Parameters
-    ----------
-    max_respawns:
-        Total replacement workers allowed per run.  0 disables
-        recovery (every failure is fatal, the pre-supervision
-        behavior).
-    hang_timeout:
-        Seconds a lane may hold one task before it is declared hung
-        and killed.  ``None`` disables hang detection (kernel runtimes
-        are unbounded in general; the engine wires this to the scaled
-        stall timeout when one is configured).
+    timeout:
+        Seconds a key may stay armed before its process is declared
+        hung and killed.  ``None`` disables hang detection (exit codes
+        still detect deaths).
     clock:
         Monotonic time source (injectable for tests).
     """
@@ -166,108 +79,82 @@ class WorkerSupervisor(ProcessSupervisor):
     def __init__(
         self,
         max_respawns: int = 0,
-        hang_timeout: float | None = None,
+        timeout: float | None = None,
         clock=time.monotonic,
     ) -> None:
-        super().__init__(max_respawns=max_respawns, clock=clock)
-        if hang_timeout is not None and hang_timeout <= 0.0:
-            raise ValueError(
-                f"hang_timeout must be positive or None, got {hang_timeout}"
-            )
-        self.hang_timeout = hang_timeout
-        #: lane -> (task index, dispatch timestamp) while busy
-        self._busy: dict[int, tuple[int, float]] = {}
+        if max_respawns < 0:
+            raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
+        if timeout is not None and timeout <= 0.0:
+            raise ValueError(f"timeout must be positive or None, got {timeout}")
+        self.max_respawns = int(max_respawns)
+        self.timeout = timeout
+        self._clock = clock
+        self._procs: dict = {}
+        #: key -> time it was last armed
+        self._armed: dict = {}
+        self.respawns = 0
         self.hung_killed = 0
-        self.tasks_requeued = 0
-        self.tiles_restored = 0
-        self.stale_results = 0
 
-    # ------------------------------------------------------------------
-    # engine-facing bookkeeping
-    # ------------------------------------------------------------------
+    def attach(self, key, process) -> None:
+        """Register (or replace, after a respawn) a key's process."""
+        self._procs[key] = process
+        self._armed.pop(key, None)
 
-    def attach(self, lane: int, process) -> None:
-        """Register (or replace, after a respawn) a lane's process."""
-        super().attach(lane, process)
-        self._busy.pop(lane, None)
+    def detach(self, key) -> None:
+        self._procs.pop(key, None)
+        self._armed.pop(key, None)
 
-    def detach_all(self) -> None:
-        super().detach_all()
-        self._busy.clear()
+    def arm(self, key) -> None:
+        """(Re)start ``key``'s hang timer."""
+        self._armed[key] = self._clock()
 
-    def task_dispatched(self, lane: int, task_index: int) -> None:
-        self._busy[lane] = (task_index, self._clock())
+    def disarm(self, key) -> None:
+        self._armed.pop(key, None)
 
-    def task_retired(self, lane: int) -> None:
-        self._busy.pop(lane, None)
+    def poll(self) -> list[ProcessFailure]:
+        """Detect dead and hung processes (hung ones are killed here).
 
-    def task_of(self, lane: int) -> int | None:
-        entry = self._busy.get(lane)
-        return None if entry is None else entry[0]
-
-    # ------------------------------------------------------------------
-    # detection
-    # ------------------------------------------------------------------
-
-    def poll(self) -> list[WorkerFailure]:
-        """Detect dead and hung lanes (hung lanes are killed here).
-
-        Each failure is reported exactly once: the engine either
-        respawns the lane (re-attaching a fresh process) or aborts the
-        run, so a reported lane never re-enters the scan as the same
-        corpse.
+        A reported key is detached, so each failure is reported exactly
+        once whether the owner respawns it or gives up.
         """
-        failures: list[WorkerFailure] = []
+        failures = []
         now = self._clock()
-        dead_lanes = set()
-        for lane, proc, code in self.poll_exits():
-            dead_lanes.add(lane)
-            failures.append(
-                WorkerFailure(
-                    lane=lane,
-                    pid=proc.pid,
-                    exitcode=code,
-                    hung=False,
-                    task_index=self.task_of(lane),
-                )
-            )
-        for lane in sorted(self._procs):
-            if lane in dead_lanes:
-                continue
-            proc = self._procs[lane]
-            entry = self._busy.get(lane)
-            if (
-                self.hang_timeout is not None
-                and entry is not None
-                and now - entry[1] >= self.hang_timeout
-            ):
+        for key in sorted(self._procs):
+            proc = self._procs[key]
+            age = now - self._armed.get(key, now)
+            hung = False
+            if proc.exitcode is None:
+                if (
+                    self.timeout is None
+                    or key not in self._armed
+                    or age < self.timeout
+                ):
+                    continue
+                hung = True
                 self.hung_killed += 1
-                self._kill(proc)
-                failures.append(
-                    WorkerFailure(
-                        lane=lane,
-                        pid=proc.pid,
-                        exitcode=proc.exitcode,
-                        hung=True,
-                        task_index=entry[0],
-                    )
-                )
+                self.kill(proc)
+            failures.append(
+                ProcessFailure(key, proc.pid, proc.exitcode, hung, age)
+            )
+        for failure in failures:
+            self.detach(failure.key)
         return failures
 
-    # ------------------------------------------------------------------
-    # respawn budget
-    # ------------------------------------------------------------------
+    @staticmethod
+    def kill(proc) -> None:
+        """Deliver SIGKILL and reap (idempotent, race-tolerant)."""
+        try:
+            os.kill(proc.pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):  # already gone
+            pass
+        proc.join(timeout=5.0)
 
-    def record_respawn(self, lane: int) -> None:
-        super().record_respawn(lane)
-        self._busy.pop(lane, None)
+    def can_respawn(self) -> bool:
+        return self.respawns < self.max_respawns
+
+    def record_respawn(self) -> None:
+        self.respawns += 1
 
     def report(self) -> dict[str, int]:
-        """Counters for this run (merged into engine/run reports)."""
-        return {
-            "respawns": self.respawns,
-            "hung_killed": self.hung_killed,
-            "tasks_requeued": self.tasks_requeued,
-            "tiles_restored": self.tiles_restored,
-            "stale_results": self.stale_results,
-        }
+        """Counters so far (merged into engine and fleet reports)."""
+        return {"respawns": self.respawns, "hung_killed": self.hung_killed}

@@ -24,9 +24,9 @@ a per-call expense.  The subsystem provides
   shapes, Chrome-trace export via :mod:`repro.runtime.tracing`;
 - :class:`FleetService` — N supervised shard processes behind a
   consistent-hash front door (:class:`FleetRouter`), with heartbeat
-  liveness (:class:`ShardSupervisor`), hot-operator replication,
-  failover replay of in-flight requests, and warm handoff through the
-  shared sealed cache.
+  liveness (:class:`~repro.runtime.supervisor.ProcessSupervisor`),
+  hot-operator replication, failover replay of in-flight requests,
+  and warm handoff through the shared sealed cache.
 """
 
 from repro.service.batching import RequestBatcher
@@ -49,7 +49,6 @@ from repro.service.errors import (
     reconstruct_error,
 )
 from repro.service.fleet import FleetService, ShardStatus
-from repro.service.health import ShardFailure, ShardSupervisor
 from repro.service.metrics import ServiceMetrics, percentile
 from repro.service.router import ConsistentHashRing, FleetRouter, RouteDecision
 from repro.service.server import Request, RequestHandle, SolveService
@@ -88,6 +87,4 @@ __all__ = [
     "ConsistentHashRing",
     "FleetRouter",
     "RouteDecision",
-    "ShardFailure",
-    "ShardSupervisor",
 ]

@@ -16,9 +16,10 @@ router:
   next ``replication - 1`` shards clockwise, which are exactly the
   shards that inherit the arc if the primary dies: a shard loss
   degrades latency (one disk reload at worst), not availability;
-* **supervision** — a :class:`~repro.service.health.ShardSupervisor`
-  watches exit codes and heartbeat pipes, SIGKILLs hung shards, and
-  meters respawns;
+* **supervision** — a
+  :class:`~repro.runtime.supervisor.ProcessSupervisor`, armed by every
+  heartbeat, watches exit codes, SIGKILLs silent shards, and meters
+  respawns;
 * **failover replay** — the dead shard's in-flight requests are
   re-sent (same request id) to the surviving owner of each key,
   honoring the original end-to-end deadlines.  Request ids dedup late
@@ -34,24 +35,18 @@ router:
   Graceful leave runs the full drain protocol (stop admissions, flush,
   seal) and returns the same handoff payload.
 
-Process topology (``fork`` context, like the mp execution engine)::
+Process topology (children of :mod:`repro.runtime.transport`, like
+the mp execution engine's workers)::
 
     FleetService (front door)
       ├── request pipe ──>  shard-0: SolveService + cache + breakers
-      │     heartbeat pipe <─┘  │
-      │     result pipe <───────┘
+      │     result pipe <───────┘  │
+      │     heartbeat pipe <───────┘
       ├── request pipe ──>  shard-1: ...
-      │     ...                 │
-      └──── result pipe <───────┘
+      │     ...
 
-Each shard replies on its *own* single-writer result pipe and the
-front door multiplexes them with ``connection.wait``.  A shared
-``mp.Queue`` would serialize every reply through a cross-process
-write lock held by the sender's feeder thread — a SIGKILL landing
-inside that window (the fleet-chaos scenario) orphans the lock and
-wedges every surviving shard's replies.  Per-shard pipes have no
-shared lock to orphan: a dead shard reads as EOF, and its buffered
-replies drain normally first.
+Heartbeats keep a pipe of their own: a front door busy draining a
+large result must not read as a silent shard.
 
 The hash ring rebalances only the failed shard's arc: every other
 fingerprint keeps its shard, so a failure never causes fleet-wide
@@ -69,10 +64,11 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 
 import numpy as np
 
+from repro.runtime import transport
+from repro.runtime.supervisor import ProcessFailure, ProcessSupervisor
 from repro.service.errors import (
     DeadlineExpiredError,
     ServiceClosedError,
@@ -80,7 +76,6 @@ from repro.service.errors import (
     ShardUnavailableError,
     reconstruct_error,
 )
-from repro.service.health import ShardFailure, ShardSupervisor
 from repro.service.metrics import ServiceMetrics
 from repro.service.router import ConsistentHashRing, FleetRouter
 from repro.service.server import RequestHandle, SolveService
@@ -110,20 +105,18 @@ def _shard_main(
     name: str,
     epoch: int,
     config: dict,
-    req_conn,
-    beat_conn,
-    res_conn,
     handoff: dict | None,
-    parent_pid: int,
+    req_conn,
+    res_conn,
+    beat_conn,
 ) -> None:
     """One shard: a full SolveService behind a request pipe.
 
-    Replies travel on this shard's own result pipe tagged with
-    ``(name, epoch, request id)`` so the front door can dedup late
-    results from a previous life of this shard name.  The pipe's
-    write end lives only in this process; forwarder threads share it
-    under an in-process lock, so a SIGKILL can never orphan a lock
-    any *other* shard depends on.
+    Replies are tagged with ``(name, epoch, request id)`` so the front
+    door can dedup late results from a previous life of this shard
+    name.  Forwarder threads share the result pipe under an in-process
+    lock, so a SIGKILL can never orphan a lock any *other* shard
+    depends on.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -153,7 +146,7 @@ def _shard_main(
         try:
             with res_lock:
                 res_conn.send(msg)
-        except (BrokenPipeError, OSError):  # parent is gone
+        except OSError:  # parent is gone
             pass
 
     _post(
@@ -189,7 +182,7 @@ def _shard_main(
                         "handoff": svc.export_handoff(),
                     }
                 )
-            except (BrokenPipeError, OSError):  # parent is gone
+            except OSError:  # parent is gone
                 stop.set()
                 return
             now = time.monotonic()
@@ -257,15 +250,8 @@ def _shard_main(
 
     draining = False
     try:
-        while True:
-            if os.getppid() != parent_pid:
-                break  # orphaned: the front door died
-            if not req_conn.poll(0.05):
-                continue
-            try:
-                msg = req_conn.recv()
-            except (EOFError, OSError):
-                break
+        # the loop also ends when the front door dies (EOF)
+        for msg in transport.frames(req_conn):
             kind = msg[0]
             if kind == "stop":
                 break
@@ -347,15 +333,12 @@ class _Pending:
 class _ShardHandle:
     name: str
     epoch: int
-    process: object
-    req_send: object
-    beat_recv: object
-    #: read end of this shard's single-writer result pipe; None once
-    #: the collector has seen EOF and closed it
-    res_recv: object
+    #: the shard process and its pipes: requests down, results on
+    #: reply channel 0, heartbeats on reply channel 1
+    child: transport.Child
     #: outbound request queue drained by this shard's writer thread —
-    #: the only thread that touches ``req_send``, so a full pipe to a
-    #: hung shard can never block the monitor or a client thread
+    #: the only thread that sends on the request pipe, so a full pipe
+    #: to a hung shard can never block the monitor or a client thread
     out_q: queue.Queue
     writer: threading.Thread | None = None
     state: str = "starting"  # starting | live | dead | removed
@@ -492,10 +475,10 @@ class FleetService:
             replication=self.replication,
             hot_threshold=hot_threshold,
         )
-        self.supervisor = ShardSupervisor(
-            max_respawns=max_respawns,
-            heartbeat_timeout=heartbeat_timeout,
-            )
+        self.supervisor = ProcessSupervisor(
+            max_respawns=max_respawns, timeout=heartbeat_timeout
+        )
+        self._beats_seen = 0
         self._lock = threading.Lock()
         self._shards: dict[str, _ShardHandle] = {}
         self._pending: dict[int, _Pending] = {}
@@ -505,9 +488,10 @@ class FleetService:
         self._park: list[_Pending] = []
         #: results of replayed requests retained for dedup verification
         self._replay_results: OrderedDict[int, object] = OrderedDict()
-        #: result pipes of dead shards, kept until their buffered
-        #: replies drain to EOF (the collector owns all result reads)
-        self._dead_conns: list = []
+        #: every shard process ever spawned: a dead one stays so the
+        #: replies it raced out still drain, and all are torn down
+        #: (and their pipes closed) together in close()
+        self._children: list[transport.Child] = []
         self._respawns: list[dict] = []
         self._respawn_t0: dict[str, float] = {}
         self._req_ids = itertools.count(1)
@@ -573,21 +557,26 @@ class FleetService:
             self._monitor.join(timeout=5.0)
         with self._lock:
             handles = list(self._shards.values())
+        # The stop rides each writer's queue, behind the requests
+        # already accepted; the writer then retires, so that nothing
+        # else sends once transport.stop repeats the stop directly
+        # (for a shard whose writer could not deliver it).
         for h in handles:
-            if h.state in ("starting", "live"):
-                h.out_q.put((("stop",), None))
-            h.out_q.put(None)  # retire the writer after the stop
-        deadline = time.monotonic() + 10.0
-        for h in handles:
-            h.process.join(timeout=max(0.1, deadline - time.monotonic()))
-            if h.process.exitcode is None:
-                self.supervisor._kill(h.process)
+            h.out_q.put((("stop",), None))
+            h.out_q.put(None)
+        # The collector goes too (promptly: the exiting shards' EOFs
+        # wake it): from here on transport.stop is the one reader of
+        # the result pipes, and hands what the shards still finish to
+        # the same dispatch.
         self._stop_event.set()
         if self._collector.is_alive():
             self._collector.join(timeout=5.0)
+        deadline = time.monotonic() + 2.0
         for h in handles:
-            if h.writer is not None and h.writer.is_alive():
-                h.writer.join(timeout=2.0)
+            h.writer.join(timeout=max(0.0, deadline - time.monotonic()))
+        transport.stop(
+            self._children, ("stop",), 10.0, on_frame=self._dispatch_result
+        )
         exc = ServiceClosedError("fleet closed")
         with self._lock:
             pending = list(self._pending.values())
@@ -602,14 +591,6 @@ class FleetService:
         for c in controls:
             if not c.done():
                 c.set_exception(exc)
-        with self._lock:
-            for h in self._shards.values():
-                if h.res_recv is not None:
-                    h.res_recv.close()
-                    h.res_recv = None
-            for conn in self._dead_conns:
-                conn.close()
-            self._dead_conns.clear()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
 
@@ -649,8 +630,7 @@ class FleetService:
         (no new traffic), then the drain protocol runs inside the
         shard: stop admissions, flush in-flight work, seal the cache.
         The returned summary carries the shard's handoff payload
-        (breaker/retry-budget state) and final counters; the handoff
-        state is retained so a future respawn of this name imports it.
+        (breaker/retry-budget state) and final counters.
         """
         with self._lock:
             h = self._shards.get(name)
@@ -667,12 +647,11 @@ class FleetService:
             )
         )
         summary = ctrl.result(timeout=timeout)
-        self.supervisor.beat(name, {"handoff": summary.get("handoff")})
         self.supervisor.detach(name)
         h.out_q.put(None)  # drain delivered: retire the writer
-        h.process.join(timeout=10.0)
-        if h.process.exitcode is None:  # pragma: no cover - wedged drain
-            self.supervisor._kill(h.process)
+        h.child.process.join(timeout=10.0)
+        if h.child.process.exitcode is None:  # pragma: no cover - wedged drain
+            self.supervisor.kill(h.child.process)
         with self._lock:
             h.state = "removed"
         self.metrics.count("shards_removed")
@@ -688,44 +667,21 @@ class FleetService:
             h = self._shards.get(name)
             if h is None or h.state not in ("starting", "live"):
                 raise ShardUnavailableError(f"{name} is not a live shard")
-            pid = h.process.pid
+            pid = h.child.pid
         os.kill(pid, signal.SIGKILL)
         self.metrics.count("shards_killed")
         return pid
 
     def _spawn(self, name: str, epoch: int, handoff: dict | None) -> None:
-        req_recv, req_send = self._ctx.Pipe(duplex=False)
-        beat_recv, beat_send = self._ctx.Pipe(duplex=False)
-        res_recv, res_send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_shard_main,
-            args=(
-                name,
-                epoch,
-                self._config,
-                req_recv,
-                beat_send,
-                res_send,
-                handoff,
-                os.getpid(),
-            ),
-            name=f"tlr-{name}",
-            daemon=True,
+        child = transport.spawn(
+            self._ctx,
+            _shard_main,
+            (name, epoch, self._config, handoff),
+            f"tlr-{name}",
+            up=2,
         )
-        proc.start()
-        req_recv.close()
-        beat_send.close()
-        # The parent drops its copy of the write end right away: only
-        # the shard holds it, so shard death reads as EOF downstream.
-        res_send.close()
         handle = _ShardHandle(
-            name=name,
-            epoch=epoch,
-            process=proc,
-            req_send=req_send,
-            beat_recv=beat_recv,
-            res_recv=res_recv,
-            out_q=queue.Queue(),
+            name=name, epoch=epoch, child=child, out_q=queue.Queue()
         )
         handle.writer = threading.Thread(
             target=self._writer_loop,
@@ -736,7 +692,11 @@ class FleetService:
         handle.writer.start()
         with self._lock:
             self._shards[name] = handle
-        self.supervisor.attach(name, proc)
+            self._children.append(child)
+        self.supervisor.attach(name, child.process)
+        # the grace period: fork and cache recovery legitimately
+        # precede the first beat, so it has one full timeout to arrive
+        self.supervisor.arm(name)
 
     def _writer_loop(self, h: _ShardHandle) -> None:
         """Sole sender on one shard's request pipe.
@@ -759,11 +719,9 @@ class FleetService:
                 return
             msg, on_fail = item
             if not broken:
-                try:
-                    h.req_send.send(msg)
+                if h.child.send(msg):
                     continue
-                except (BrokenPipeError, OSError):
-                    broken = True
+                broken = True
             if on_fail is not None:
                 on_fail()
 
@@ -988,45 +946,16 @@ class FleetService:
     # ------------------------------------------------------------------
 
     def _collect_loop(self) -> None:
-        # Sole reader of every result pipe (live shards' and dead
-        # shards' alike): single-reader discipline is what lets a dead
-        # shard's buffered replies drain in order before its EOF.
-        while True:
+        # Sole reader of every result pipe, live shards' and dead
+        # shards' alike, until close() hands them to transport.stop.
+        while not self._stop_event.is_set():
             with self._lock:
-                conns = [
-                    h.res_recv
-                    for h in self._shards.values()
-                    if h.res_recv is not None
-                ]
-                conns.extend(self._dead_conns)
-            if not conns:
-                if self._stop_event.wait(0.05):
-                    return
+                children = list(self._children)
+            if all(c.ups[0] is None for c in children):
+                self._stop_event.wait(0.05)  # nothing to wait on yet
                 continue
-            ready = mp_connection.wait(conns, timeout=0.2)
-            for conn in ready:
-                while True:
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        # writer exited (or died); buffered frames are
-                        # exhausted, so stop waiting on this pipe
-                        self._retire_conn(conn)
-                        break
-                    self._dispatch_result(msg)
-                    if not conn.poll(0):
-                        break
-            if self._stop_event.is_set() and not ready:
-                return
-
-    def _retire_conn(self, conn) -> None:
-        with self._lock:
-            for h in self._shards.values():
-                if h.res_recv is conn:
-                    h.res_recv = None
-            if conn in self._dead_conns:
-                self._dead_conns.remove(conn)
-        conn.close()
+            for _, msg in transport.recv_ready(children, 0.2):
+                self._dispatch_result(msg)
 
     def _dispatch_result(self, msg: tuple) -> None:
         tag = msg[0]
@@ -1150,55 +1079,45 @@ class FleetService:
 
     def _drain_beats(self) -> None:
         with self._lock:
-            handles = [
-                h
+            beating = {
+                h.child: h
                 for h in self._shards.values()
                 if h.state in ("starting", "live")
-            ]
-        for h in handles:
-            try:
-                while h.beat_recv.poll(0):
-                    payload = h.beat_recv.recv()
-                    h.last_beat = payload
-                    self.supervisor.beat(h.name, payload)
-            except (EOFError, OSError):
-                pass  # death shows up in the exit-code poll
+            }
+        # a dead shard's beat pipe just retires here; its death shows
+        # up in the exit-code poll
+        for child, payload in transport.recv_ready(beating, 0, channel=1):
+            beating[child].last_beat = payload
+            self._beats_seen += 1
+            self.supervisor.arm(beating[child].name)
 
-    def _on_shard_failure(self, failure: ShardFailure) -> None:
+    def _on_shard_failure(self, failure: ProcessFailure) -> None:
+        shard = failure.key
         with self._lock:
             if self._closed:
                 return  # close() owns shutdown; exits are not failures
-            h = self._shards.get(failure.shard)
+            h = self._shards.get(shard)
             if h is None or h.state in ("dead", "removed"):
                 return
+            # A respawn is about to replace this handle; replies the
+            # dying shard raced out still drain from ``_children``
+            # through the normal dedup-verify path.
             h.state = "dead"
-            if h.res_recv is not None:
-                # Hand the pipe to the dead-conn pool: a respawn is
-                # about to replace this handle, but replies the dying
-                # shard raced out still sit in the buffer and must
-                # drain through the normal dedup-verify path.
-                self._dead_conns.append(h.res_recv)
-                h.res_recv = None
-            victims = [
-                p for p in self._pending.values() if p.shard == failure.shard
-            ]
+            victims = [p for p in self._pending.values() if p.shard == shard]
             dead_ctrl_ids = [
-                rid
-                for rid, (_, s) in self._controls.items()
-                if s == failure.shard
+                rid for rid, (_, s) in self._controls.items() if s == shard
             ]
         self.metrics.count("shard_failures")
         if failure.hung:
             self.metrics.count("shards_hung_killed")
         # rebalance ONLY the dead shard's arc: every other fingerprint
         # keeps its shard (the consistent-hashing contract)
-        self._router.remove_node(failure.shard)
-        self.supervisor.detach(failure.shard)
+        self._router.remove_node(shard)
         # Controls (prewarm/drain) are pinned to their shard — no
         # surviving replica can answer them — so settle their handles
         # rather than leaving callers blocked forever.
         for rid in dead_ctrl_ids:
-            self._fail_control(rid, failure.shard)
+            self._fail_control(rid, shard)
         if victims:
             self.metrics.count("failovers")
         for p in victims:
@@ -1208,16 +1127,15 @@ class FleetService:
         # the replay the loop above already performed.
         h.out_q.put(None)
         if self.supervisor.can_respawn():
-            self.supervisor.record_respawn(failure.shard)
-            self._respawn_t0[failure.shard] = time.monotonic()
-            last = self.supervisor.last_payload(failure.shard) or {}
+            self.supervisor.record_respawn()
+            self._respawn_t0[shard] = time.monotonic()
             # warm handoff out of a crash: the sealed shared cache
             # restores the factors; the last beat restores the
             # breaker/retry-budget protection state
             self._spawn(
-                failure.shard,
+                shard,
                 epoch=h.epoch + 1,
-                handoff=last.get("handoff"),
+                handoff=(h.last_beat or {}).get("handoff"),
             )
             self.metrics.count("shards_respawned")
         else:
@@ -1320,7 +1238,7 @@ class FleetService:
                     ShardStatus(
                         name=name,
                         state=h.state,
-                        pid=h.process.pid if h.process is not None else None,
+                        pid=h.child.pid,
                         epoch=h.epoch,
                         inflight=int(beat.get("inflight", 0)),
                         cache_entries=int(beat.get("entries", 0)),
@@ -1333,7 +1251,10 @@ class FleetService:
         """Fleet-level robustness accounting (benchmark evidence)."""
         counters = self.metrics.to_dict()["counters"]
         return {
-            "supervisor": self.supervisor.report(),
+            "supervisor": {
+                **self.supervisor.report(),
+                "beats_seen": self._beats_seen,
+            },
             "respawns": list(self._respawns),
             "failovers": counters.get("failovers", 0),
             "requests_replayed": counters.get("requests_replayed", 0),

@@ -16,7 +16,11 @@ absorbed by the supervisor and the caller never notices.
 import copy
 import os
 import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 from scipy.spatial.distance import pdist
@@ -33,7 +37,8 @@ from repro.runtime.parallel_mp import (
     MultiprocessExecutionEngine,
     WorkerCrashError,
 )
-from repro.runtime.supervisor import WorkerFailure, WorkerSupervisor
+from repro.runtime.supervisor import ProcessFailure, ProcessSupervisor
+from tests import procs
 
 ACCURACY = 1e-6
 
@@ -228,81 +233,127 @@ class TestWorkerHang:
         _assert_clean(shm_before)
 
 
+#: a coordinator slow enough (every task sleeps first) to be killed mid-run
+_COORDINATOR = """
+import numpy as np
+from repro.core.tlr_cholesky import tlr_cholesky
+from repro.linalg.tile_matrix import TLRMatrix
+from repro.runtime.faults import FaultInjector, FaultPlan
+
+a = TLRMatrix.from_dense(4.0 * np.eye(64) + 0.01, 16, 1e-8)
+slow = FaultInjector(FaultPlan.parse("all:delay:1.0", delay_seconds=0.2))
+tlr_cholesky(a, engine="mp", workers=2, fault_injector=slow)
+"""
+
+
+def _wait_for(condition, seconds):
+    give_up = time.monotonic() + seconds
+    while not (value := condition()) and time.monotonic() < give_up:
+        time.sleep(0.02)
+    return value
+
+
+@pytest.mark.timeout(120)
+class TestCoordinatorDeath:
+    """The other direction: the *coordinator* takes a real SIGKILL."""
+
+    def test_workers_and_segments_do_not_outlive_the_coordinator(self):
+        shm_before = set(os.listdir("/dev/shm"))
+        src = Path(__file__).resolve().parents[2] / "src"
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", _COORDINATOR],
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+
+        def family():  # two workers and the resource tracker
+            kids = [
+                int(pid)
+                for pid in filter(str.isdigit, os.listdir("/proc"))
+                if (procs.stat(pid) or (None, None))[1] == coordinator.pid
+            ]
+            segments = set(os.listdir("/dev/shm")) - shm_before
+            return kids if len(kids) >= 3 and len(segments) >= 2 else None
+
+        try:
+            kids = _wait_for(family, 60.0)
+            assert kids, "the coordinator never got going"
+            coordinator.kill()
+            coordinator.wait()
+            assert procs.wait_gone(kids, 5.0) == []
+            assert _wait_for(
+                lambda: not set(os.listdir("/dev/shm")) - shm_before, 5.0
+            ), f"leaked: {set(os.listdir('/dev/shm')) - shm_before}"
+        finally:
+            coordinator.kill()
+            coordinator.wait()
+
+
 class TestSupervisorUnit:
-    """Policy-level checks with fake processes and an injectable clock."""
+    """The supervisor's policy as the mp engine drives it — arm a lane
+    on dispatch, disarm it on retirement — with fake processes and an
+    injectable clock.  (``tests/service/test_health.py`` holds the
+    rest of the policy, driven the fleet's way.)"""
 
     class FakeProc:
         def __init__(self, pid=4242, exitcode=None):
             self.pid = pid
             self.exitcode = exitcode
-            self.joined = False
-
-        def join(self, timeout=None):
-            self.joined = True
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_respawns"):
-            WorkerSupervisor(max_respawns=-1)
-        with pytest.raises(ValueError, match="hang_timeout"):
-            WorkerSupervisor(hang_timeout=0.0)
+            ProcessSupervisor(max_respawns=-1)
+        with pytest.raises(ValueError, match="timeout"):
+            ProcessSupervisor(timeout=0.0)
 
     def test_dead_lane_reported_once_with_task(self):
-        sup = WorkerSupervisor(max_respawns=1)
-        proc = self.FakeProc(exitcode=-9)
-        sup.attach(0, proc)
-        sup.task_dispatched(0, 17)
-        (failure,) = sup.poll()
-        assert failure == WorkerFailure(
-            lane=0, pid=4242, exitcode=-9, hung=False, task_index=17
-        )
-        assert not failure.injected_hard_crash
-
-    def test_exit_137_classified_as_injected(self):
-        sup = WorkerSupervisor()
-        sup.attach(0, self.FakeProc(exitcode=137))
-        (failure,) = sup.poll()
-        assert failure.injected_hard_crash
+        sup = ProcessSupervisor(max_respawns=1, clock=lambda: 7.0)
+        sup.attach(0, self.FakeProc(exitcode=-9))
+        sup.arm(0)
+        assert sup.poll() == [
+            ProcessFailure(key=0, pid=4242, exitcode=-9, hung=False, age=0.0)
+        ]
+        assert sup.poll() == []  # the corpse is forgotten, not re-reported
 
     def test_hang_detection_uses_clock_and_kills(self, monkeypatch):
         now = [0.0]
-        sup = WorkerSupervisor(
-            max_respawns=1, hang_timeout=5.0, clock=lambda: now[0]
+        sup = ProcessSupervisor(
+            max_respawns=1, timeout=5.0, clock=lambda: now[0]
         )
         killed = []
         monkeypatch.setattr(
-            WorkerSupervisor, "_kill", staticmethod(lambda p: killed.append(p))
+            ProcessSupervisor, "kill", staticmethod(lambda p: killed.append(p))
         )
         proc = self.FakeProc()
         sup.attach(0, proc)
-        sup.task_dispatched(0, 3)
+        sup.arm(0)
         now[0] = 4.9
         assert sup.poll() == []
         now[0] = 5.1
         (failure,) = sup.poll()
-        assert failure.hung and failure.task_index == 3
+        assert failure.hung and failure.key == 0 and failure.age == 5.1
         assert killed == [proc]
-        assert sup.hung_killed == 1
+        assert sup.report() == {"respawns": 0, "hung_killed": 1}
 
     def test_idle_lane_never_hangs(self):
         now = [0.0]
-        sup = WorkerSupervisor(hang_timeout=1.0, clock=lambda: now[0])
+        sup = ProcessSupervisor(timeout=1.0, clock=lambda: now[0])
         sup.attach(0, self.FakeProc())
         now[0] = 100.0
         assert sup.poll() == []
 
     def test_retire_clears_hang_timer(self):
         now = [0.0]
-        sup = WorkerSupervisor(hang_timeout=1.0, clock=lambda: now[0])
+        sup = ProcessSupervisor(timeout=1.0, clock=lambda: now[0])
         sup.attach(0, self.FakeProc())
-        sup.task_dispatched(0, 1)
-        sup.task_retired(0)
+        sup.arm(0)
+        sup.disarm(0)
         now[0] = 100.0
         assert sup.poll() == []
 
     def test_respawn_budget(self):
-        sup = WorkerSupervisor(max_respawns=2)
+        sup = ProcessSupervisor(max_respawns=2)
         assert sup.can_respawn()
-        sup.record_respawn(0)
-        sup.record_respawn(0)
+        sup.record_respawn()
+        sup.record_respawn()
         assert not sup.can_respawn()
         assert sup.report()["respawns"] == 2

@@ -1,5 +1,9 @@
 """Tests for the functional distributed executor (real OS processes)."""
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from repro.distribution import (
 )
 from repro.runtime import build_graph
 from repro.runtime.distributed_exec import DistributedExecutor
+from repro.runtime.parallel_mp import WorkerCrashError
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +95,27 @@ class TestDistributedExecution:
     def test_bad_nproc(self):
         with pytest.raises(ValueError):
             DistributedExecutor(0)
+
+    @pytest.mark.timeout(60)
+    def test_dead_rank_is_a_typed_error_not_a_hang(
+        self, sparse_tlr, problem, monkeypatch
+    ):
+        """A rank that exits mid-kernel reads as EOF on its reply pipe
+        (the coordinator holds no copy of the rank's end), and the
+        surviving ranks are torn down with the run."""
+        from repro.linalg import kernels_tlr
+
+        # ranks are forked, and bind their kernels after the fork
+        monkeypatch.setattr(kernels_tlr, "trsm_tile", lambda *a: os._exit(3))
+        start = time.monotonic()
+        with pytest.raises(
+            WorkerCrashError, match=r"rank \d \(pid \d+\) died \(exit 3\).*TRSM"
+        ):
+            DistributedExecutor(2).run(
+                sparse_tlr.copy(), problem, TwoDBlockCyclic(1, 2)
+            )
+        assert time.monotonic() - start < 5.0
+        assert not [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("tlr-rank")
+        ]

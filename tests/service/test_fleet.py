@@ -15,8 +15,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.geometry import random_cloud
 from repro.service import (
     FleetService,
+    OperatorSpec,
     RequestFailedError,
     ServiceClosedError,
     ShardFailedError,
@@ -167,6 +169,32 @@ class TestChaos:
                 TIMEOUT
             )
             assert np.isfinite(x).all()
+
+    @pytest.mark.timeout(180)
+    def test_crash_respawn_imports_the_last_beats_breaker_state(self, tmp_path):
+        """Crash recovery is a warm handoff too: what the dead shard
+        had learned about a failing operator rode its last heartbeat,
+        and the replacement starts out knowing it."""
+        bad = OperatorSpec(  # conditionally positive definite: POTRF fails
+            points=random_cloud(60, seed=1),
+            shape_parameter=0.05,
+            tile_size=30,
+            accuracy=1e-6,
+            nugget=0.0,
+            kernel="multiquadric",
+        )
+        with tiny_fleet(tmp_path) as fleet:
+            with pytest.raises(ServiceError):
+                fleet.submit_solve(bad, np.ones(bad.n), timeout=TIMEOUT).result(TIMEOUT)
+            target = fleet._router.route(bad.fingerprint, count=False).primary
+            assert wait_for(
+                lambda: (fleet._shards[target].last_beat or {})
+                .get("handoff", {})
+                .get("breaker")
+            )
+            fleet.kill_shard(target)
+            assert wait_for(lambda: fleet.report()["respawns"])
+            assert fleet.report()["respawns"][0]["imported_breaker_keys"] >= 1
 
     @pytest.mark.timeout(180)
     def test_respawn_budget_exhaustion_degrades_to_survivors(

@@ -1,8 +1,16 @@
-"""Shard supervisor: heartbeat liveness with injectable clock/processes."""
+"""The supervisor's policy as the fleet drives it: a shard is armed
+when it is attached (the grace period) and again by every heartbeat.
+Injectable clock and processes."""
 
 import pytest
 
-from repro.service import ShardSupervisor
+from repro.runtime.supervisor import ProcessSupervisor
+
+
+def attach(sup, key, proc):
+    """What ``FleetService._spawn`` does; a later ``sup.arm(key)`` is a beat."""
+    sup.attach(key, proc)
+    sup.arm(key)
 
 
 class FakeClock:
@@ -42,24 +50,24 @@ def no_real_kill(monkeypatch):
         proc.killed = True
         proc.join()
 
-    monkeypatch.setattr(ShardSupervisor, "_kill", staticmethod(fake_kill))
+    monkeypatch.setattr(ProcessSupervisor, "kill", staticmethod(fake_kill))
 
 
 class TestLiveness:
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="heartbeat_timeout"):
-            ShardSupervisor(heartbeat_timeout=0.0)
+        with pytest.raises(ValueError, match="timeout"):
+            ProcessSupervisor(timeout=0.0)
 
     def test_quiet_fleet_reports_nothing(self, clock):
-        sup = ShardSupervisor(heartbeat_timeout=1.0, clock=clock)
-        sup.attach("shard-0", FakeProcess())
+        sup = ProcessSupervisor(timeout=1.0, clock=clock)
+        attach(sup, "shard-0", FakeProcess())
         assert sup.poll() == []
 
     def test_attach_grants_a_grace_period(self, clock):
         """A new process has one full timeout to produce its first beat
         (fork + cache recovery legitimately precede it)."""
-        sup = ShardSupervisor(heartbeat_timeout=1.0, clock=clock)
-        sup.attach("shard-0", FakeProcess())
+        sup = ProcessSupervisor(timeout=1.0, clock=clock)
+        attach(sup, "shard-0", FakeProcess())
         clock.advance(0.9)
         assert sup.poll() == []
         clock.advance(0.2)
@@ -67,91 +75,61 @@ class TestLiveness:
         assert len(failures) == 1 and failures[0].hung
 
     def test_beats_keep_the_shard_alive(self, clock):
-        sup = ShardSupervisor(heartbeat_timeout=1.0, clock=clock)
-        sup.attach("shard-0", FakeProcess())
+        sup = ProcessSupervisor(timeout=1.0, clock=clock)
+        attach(sup, "shard-0", FakeProcess())
         for _ in range(5):
             clock.advance(0.8)
-            sup.beat("shard-0")
+            sup.arm("shard-0")
             assert sup.poll() == []
-        assert sup.beats_seen == 5
-        assert sup.beat_age("shard-0") == 0.0
 
     def test_stale_beat_is_killed_and_reported_hung(self, clock):
-        sup = ShardSupervisor(heartbeat_timeout=1.0, clock=clock)
+        sup = ProcessSupervisor(timeout=1.0, clock=clock)
         proc = FakeProcess(pid=7)
-        sup.attach("shard-0", proc)
-        sup.beat("shard-0")
+        attach(sup, "shard-0", proc)
+        sup.arm("shard-0")
         clock.advance(1.5)
         failures = sup.poll()
         assert len(failures) == 1
         f = failures[0]
-        assert f.shard == "shard-0" and f.hung and f.pid == 7
-        assert f.beat_age == pytest.approx(1.5)
+        assert f.key == "shard-0" and f.hung and f.pid == 7
+        assert f.age == pytest.approx(1.5)
         assert proc.killed and f.exitcode == -9
         assert sup.hung_killed == 1
 
     def test_dead_process_reported_without_kill(self, clock):
-        sup = ShardSupervisor(heartbeat_timeout=10.0, clock=clock)
+        sup = ProcessSupervisor(timeout=10.0, clock=clock)
         proc = FakeProcess(pid=8)
         proc.exitcode = -9
-        sup.attach("shard-0", proc)
+        attach(sup, "shard-0", proc)
         failures = sup.poll()
         assert len(failures) == 1
         assert not failures[0].hung and failures[0].exitcode == -9
         assert not proc.killed  # already dead, no SIGKILL needed
 
     def test_no_staleness_detection_when_disabled(self, clock):
-        sup = ShardSupervisor(heartbeat_timeout=None, clock=clock)
-        sup.attach("shard-0", FakeProcess())
+        sup = ProcessSupervisor(timeout=None, clock=clock)
+        attach(sup, "shard-0", FakeProcess())
         clock.advance(1e6)
         assert sup.poll() == []
 
     def test_dead_shard_not_double_reported_as_hung(self, clock):
-        sup = ShardSupervisor(heartbeat_timeout=1.0, clock=clock)
+        sup = ProcessSupervisor(timeout=1.0, clock=clock)
         proc = FakeProcess()
         proc.exitcode = 1
-        sup.attach("shard-0", proc)
+        attach(sup, "shard-0", proc)
         clock.advance(5.0)  # both stale AND dead
         failures = sup.poll()
         assert len(failures) == 1 and not failures[0].hung
 
 
-class TestHandoffPayloads:
-    def test_payload_survives_detach_for_respawn(self, clock):
-        """The last beat's handoff state is what the replacement shard
-        imports — it must outlive the corpse's registry entry."""
-        sup = ShardSupervisor(max_respawns=2, heartbeat_timeout=1.0, clock=clock)
-        sup.attach("shard-0", FakeProcess())
-        sup.beat("shard-0", {"handoff": {"breaker": {"op": {"state": "open"}}}})
-        sup.detach("shard-0")
-        assert sup.last_payload("shard-0")["handoff"]["breaker"]["op"][
-            "state"
-        ] == "open"
-        assert sup.beat_age("shard-0") is None
-
-    def test_newer_beat_replaces_payload(self, clock):
-        sup = ShardSupervisor(heartbeat_timeout=1.0, clock=clock)
-        sup.attach("shard-0", FakeProcess())
-        sup.beat("shard-0", {"seq": 1})
-        sup.beat("shard-0", {"seq": 2})
-        assert sup.last_payload("shard-0") == {"seq": 2}
-
-    def test_beat_without_payload_keeps_the_old_one(self, clock):
-        sup = ShardSupervisor(heartbeat_timeout=1.0, clock=clock)
-        sup.attach("shard-0", FakeProcess())
-        sup.beat("shard-0", {"seq": 1})
-        sup.beat("shard-0")
-        assert sup.last_payload("shard-0") == {"seq": 1}
-
-
 class TestRespawnBudget:
     def test_budget_metering(self, clock):
-        sup = ShardSupervisor(max_respawns=2, clock=clock)
+        sup = ProcessSupervisor(max_respawns=2, clock=clock)
         assert sup.can_respawn()
-        sup.record_respawn("shard-0")
-        sup.record_respawn("shard-1")
+        sup.record_respawn()
+        sup.record_respawn()
         assert not sup.can_respawn()
         assert sup.report()["respawns"] == 2
 
     def test_zero_budget_disables_recovery(self, clock):
-        assert not ShardSupervisor(max_respawns=0, clock=clock).can_respawn()
+        assert not ProcessSupervisor(max_respawns=0, clock=clock).can_respawn()
