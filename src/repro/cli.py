@@ -171,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "protocol (stop admissions, flush, seal the "
                          "cache for warm handoff) and print its summary")
     sv.add_argument("--max-batch", type=int, default=16)
-    sv.add_argument("--max-wait", type=float, default=0.005,
-                    help="batching window in seconds")
     sv.add_argument("--cache-budget-mb", type=float, default=None,
                     help="resident-bytes LRU budget (default: unbounded)")
     sv.add_argument("--cache-dir", type=str, default=None,
@@ -464,7 +462,6 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         backlog=args.backlog,
         max_batch=args.max_batch,
-        max_wait=args.max_wait,
         factor_workers=args.factor_workers,
         factor_engine=args.factor_engine,
         max_inflight=args.max_inflight,
@@ -496,10 +493,7 @@ def _cmd_serve(args) -> int:
             drain_summary = svc.drain()
         snapshot = svc.metrics.to_dict()
         if args.trace:
-            names = {0: "dispatcher"}
-            names.update(
-                {1 + w: f"solve-worker-{w}" for w in range(args.workers)}
-            )
+            names = {1 + w: f"solve-worker-{w}" for w in range(args.workers)}
             svc.metrics.save_chrome_trace(
                 args.trace, process_name="repro.service", thread_names=names
             )

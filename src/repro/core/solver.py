@@ -22,13 +22,17 @@ from repro.linalg.tile_matrix import TLRMatrix
 __all__ = ["solve_lower", "solve_lower_transpose", "solve_cholesky", "logdet"]
 
 
-def _as_matrix(b: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_matrix(l: TLRMatrix, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A private ``(n, k)`` copy of ``b`` for the substitutions to
+    overwrite, and whether the caller passed a vector."""
     b = np.asarray(b, dtype=DTYPE)
+    if b.ndim not in (1, 2):
+        raise ValueError(f"rhs must be 1D or 2D, got shape {b.shape}")
+    if b.shape[0] != l.n:
+        raise ValueError(f"rhs has {b.shape[0]} rows, matrix order is {l.n}")
     if b.ndim == 1:
         return b[:, None].copy(), True
-    if b.ndim == 2:
-        return b.copy(), False
-    raise ValueError(f"rhs must be 1D or 2D, got shape {b.shape}")
+    return b.copy(), False
 
 
 def _apply(tile: Tile, x: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -44,11 +48,8 @@ def _apply(tile: Tile, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     return (data.T if transpose else data) @ x
 
 
-def solve_lower(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve ``L y = b`` with the TLR lower factor (forward subst.)."""
-    y, squeeze = _as_matrix(b)
-    if y.shape[0] != l.n:
-        raise ValueError(f"rhs has {y.shape[0]} rows, matrix order is {l.n}")
+def _forward(l: TLRMatrix, y: np.ndarray) -> None:
+    """Overwrite ``y`` with the solution of ``L y = y``."""
     bs = l.tile_size
     structure = l.lower_column_structure()
     for k in range(l.n_tiles):
@@ -63,14 +64,10 @@ def solve_lower(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
             tile = l.tile(m, k)
             mlo, mhi = m * bs, min((m + 1) * bs, l.n)
             y[mlo:mhi] -= _apply(tile, y[lo:hi])
-    return y[:, 0] if squeeze else y
 
 
-def solve_lower_transpose(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve ``L^T x = b`` with the TLR lower factor (backward subst.)."""
-    x, squeeze = _as_matrix(b)
-    if x.shape[0] != l.n:
-        raise ValueError(f"rhs has {x.shape[0]} rows, matrix order is {l.n}")
+def _backward(l: TLRMatrix, x: np.ndarray) -> None:
+    """Overwrite ``x`` with the solution of ``L^T x = x``."""
     bs = l.tile_size
     structure = l.lower_column_structure()
     for k in range(l.n_tiles - 1, -1, -1):
@@ -83,12 +80,33 @@ def solve_lower_transpose(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
         x[lo:hi] = sla.solve_triangular(
             diag.data, x[lo:hi], lower=True, trans="T", check_finite=False
         )
+
+
+def solve_lower(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve ``L y = b`` with the TLR lower factor (forward subst.)."""
+    y, squeeze = _as_matrix(l, b)
+    _forward(l, y)
+    return y[:, 0] if squeeze else y
+
+
+def solve_lower_transpose(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve ``L^T x = b`` with the TLR lower factor (backward subst.)."""
+    x, squeeze = _as_matrix(l, b)
+    _backward(l, x)
     return x[:, 0] if squeeze else x
 
 
 def solve_cholesky(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` given the in-place TLR factor of ``A``."""
-    return solve_lower_transpose(l, solve_lower(l, b))
+    """Solve ``A x = b`` given the in-place TLR factor of ``A``.
+
+    One private copy of ``b``: the backward substitution overwrites the
+    forward pass's buffer, bitwise the same as
+    ``solve_lower_transpose(l, solve_lower(l, b))``.
+    """
+    x, squeeze = _as_matrix(l, b)
+    _forward(l, x)
+    _backward(l, x)
+    return x[:, 0] if squeeze else x
 
 
 def logdet(l: TLRMatrix) -> float:

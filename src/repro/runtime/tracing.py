@@ -106,8 +106,8 @@ class Trace:
         Workers map to thread ids; durations are microseconds, as the
         format requires.  ``process_name`` and ``thread_names`` (worker
         id -> label) emit metadata events so consumers other than the
-        factorization engine — e.g. the serving subsystem's dispatcher
-        and solver workers — appear with readable lane names in
+        factorization engine — e.g. the serving subsystem's solver
+        workers — appear with readable lane names in
         ``chrome://tracing`` / Perfetto.  ``label_worker_lanes=True``
         derives default ``worker-N`` labels for every lane present in
         the trace (parallel-engine runs), without having to know the

@@ -9,10 +9,12 @@ a per-call expense.  The subsystem provides
   content :attr:`~OperatorSpec.fingerprint` as cache key;
 - :class:`OperatorCache` — byte-budgeted LRU residency of factored
   operators with write-through disk persistence;
-- :class:`RequestBatcher` — dynamic coalescing of concurrent
-  single-RHS solves into blocked multi-RHS solves;
-- :class:`SolveService` — bounded-backlog queue + dispatcher + worker
-  pool with end-to-end deadline propagation, admission control
+- :class:`RequestBatcher` — the keyed pending pool: single-RHS solves
+  that queued for one operator while the workers were busy are taken
+  together as one blocked multi-RHS solve (no linger timer: nothing
+  ready is held back to grow a batch);
+- :class:`SolveService` — bounded pending pool + worker threads that
+  pull from it, with end-to-end deadline propagation, admission control
   (``max_inflight`` + ``Retry-After`` hints), typed overload
   rejection, build retry-with-backoff, graceful ``drain()`` for warm
   handoff, and input validation at the edge;

@@ -1,24 +1,24 @@
-"""Dynamic request batching (inference-server-style coalescing).
+"""Work-conserving request batching: a keyed pool that workers pull from.
 
 Single-RHS solve requests against the same cached factor are far
 cheaper executed as one blocked multi-RHS triangular solve: the
 Python tile loop and the per-tile skinny GEMMs are paid once per
-*batch* instead of once per *request*.  The batcher groups pending
-requests by an opaque batch key (the server uses
-``(fingerprint, kind, ...)``) and releases a group when either
+*batch* instead of once per *request*.  The batcher holds pending
+requests grouped by an opaque batch key (the server uses
+``(fingerprint, kind, refine)``); a free worker takes the group of the
+oldest pending request, up to ``max_batch`` of it.
 
-- it reaches ``max_batch`` requests (size trigger), or
-- ``max_wait`` seconds have passed since the group's oldest request
-  arrived (latency trigger).
-
-The class is pure data-structure logic — no threads, injectable
-clock — so the coalescing policy is deterministic and unit-testable;
-the service's dispatcher thread supplies the timing.
+Nothing is ever held back to grow a batch (H2OPUS-TLR marshals the
+operations that are ready, it does not wait for more): requests
+coalesce exactly when they queued behind busy workers, and a request
+that finds a worker idle runs at once as a batch of one.  So there is
+no timer and no clock here — pure data-structure logic; the service
+supplies the lock and the threads.
 """
 
 from __future__ import annotations
 
-import time
+import itertools
 from typing import Any, Callable, Hashable
 
 from repro.utils.validation import check_positive
@@ -27,86 +27,73 @@ __all__ = ["RequestBatcher"]
 
 
 class RequestBatcher:
-    """Coalesce items into per-key batches under size/latency triggers."""
+    """Pending items grouped by key, taken oldest group first."""
 
-    def __init__(
-        self,
-        max_batch: int = 32,
-        max_wait: float = 0.002,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, max_batch: int = 32) -> None:
         check_positive("max_batch", max_batch)
-        if max_wait < 0.0:
-            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
-        self._clock = clock
-        #: key -> (arrival time of the oldest pending item, items)
-        self._pending: dict[Hashable, tuple[float, list[Any]]] = {}
+        self._arrivals = itertools.count()
+        #: key -> [(arrival number, item), ...], oldest first
+        self._pending: dict[Hashable, list[tuple[int, Any]]] = {}
+        self._count = 0
 
-    def add(self, key: Hashable, item: Any) -> list[Any] | None:
-        """Queue ``item`` under ``key``; return the batch if it filled.
+    def add(self, key: Hashable | None, item: Any) -> None:
+        """Queue ``item`` under ``key``; ``None`` never coalesces."""
+        if key is None:
+            key = object()
+        self._pending.setdefault(key, []).append((next(self._arrivals), item))
+        self._count += 1
 
-        A ``max_batch`` of 1 degenerates to unbatched operation: every
-        add returns immediately as its own batch.
+    def take(self) -> list[Any]:
+        """Pop the oldest pending item together with every other item
+        of its key, up to ``max_batch`` (``[]`` when nothing is pending).
+
+        Overflow past ``max_batch`` stays pending and is ordered by its
+        own oldest member, so groups are served FIFO by oldest member.
+        A ``max_batch`` of 1 degenerates to unbatched FIFO operation.
         """
-        first, items = self._pending.pop(key, (self._clock(), []))
-        items.append(item)
-        if len(items) >= self.max_batch:
-            return items
-        self._pending[key] = (first, items)
-        return None
-
-    def due(self) -> list[list[Any]]:
-        """Pop every group whose latency window has expired."""
-        now = self._clock()
-        ready = [
-            key
-            for key, (first, _) in self._pending.items()
-            if now - first >= self.max_wait
-        ]
-        return [self._pending.pop(key)[1] for key in ready]
+        if not self._pending:
+            return []
+        key = min(self._pending, key=lambda k: self._pending[k][0][0])
+        group = self._pending.pop(key)
+        if len(group) > self.max_batch:
+            self._pending[key] = group[self.max_batch :]
+            group = group[: self.max_batch]
+        self._count -= len(group)
+        return [item for _, item in group]
 
     def prune(self, predicate: Callable[[Any], bool]) -> list[Any]:
         """Remove (and return) every pending item matching ``predicate``.
 
-        Deadline propagation into the coalescing window: a request
-        whose deadline expires *while batched* must be shed here, not
-        carried into the batch and discovered dead at execution time —
-        its presence would also hold the size trigger back for live
-        requests.  Groups left empty are dropped; surviving groups
-        keep their original arrival timestamp (the latency window is
-        an oldest-item promise, not a per-item one).
+        Deadline propagation into the pool: a request whose deadline
+        expires *while pending* must be shed here, not carried into a
+        batch and discovered dead at execution time.  Groups left
+        empty are dropped; survivors keep their arrival order.
         """
         removed: list[Any] = []
-        for key in list(self._pending):
-            first, items = self._pending[key]
-            dead = [it for it in items if predicate(it)]
-            if not dead:
+        for key, group in list(self._pending.items()):
+            live = []
+            for entry in group:
+                if predicate(entry[1]):
+                    removed.append(entry[1])
+                else:
+                    live.append(entry)
+            if len(live) == len(group):
                 continue
-            removed.extend(dead)
-            live = [it for it in items if not predicate(it)]
             if live:
-                self._pending[key] = (first, live)
+                self._pending[key] = live
             else:
                 del self._pending[key]
+        self._count -= len(removed)
         return removed
 
     def flush_all(self) -> list[list[Any]]:
-        """Pop every pending group regardless of its window (shutdown)."""
-        batches = [items for (_, items) in self._pending.values()]
-        self._pending.clear()
+        """Pop every pending group, oldest first (shutdown)."""
+        batches = []
+        while self._pending:
+            batches.append(self.take())
         return batches
 
-    def next_deadline(self) -> float | None:
-        """Absolute clock time of the earliest pending flush, if any."""
-        if not self._pending:
-            return None
-        return min(first for (first, _) in self._pending.values()) + self.max_wait
-
-    @property
-    def pending_count(self) -> int:
-        return sum(len(items) for (_, items) in self._pending.values())
-
     def __len__(self) -> int:
-        return len(self._pending)
+        """Pending items (not groups)."""
+        return self._count

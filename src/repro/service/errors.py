@@ -64,9 +64,10 @@ class ServiceDrainingError(ServiceError):
 class DeadlineExpiredError(ServiceError):
     """The request's deadline passed before execution started.
 
-    Expired requests are *never* executed: the dispatcher and the
-    worker both re-check the deadline and complete the handle with this
-    error instead of running the solve.
+    Expired requests are *never* executed: a worker re-checks the
+    deadline when it takes work from the pending pool and again after
+    a cache-miss build, and completes the handle with this error
+    instead of running the solve.
     """
 
 

@@ -132,7 +132,6 @@ def _shard_main(
         workers=config["workers"],
         backlog=config["backlog"],
         max_batch=config["max_batch"],
-        max_wait=config["max_wait"],
         max_inflight=config["max_inflight"],
         factor_workers=config["factor_workers"],
         factor_engine=config["factor_engine"],
@@ -382,7 +381,7 @@ class FleetService:
         ``None`` creates a private temporary directory for the fleet's
         lifetime — handoff still works, persistence across fleets
         doesn't.
-    workers_per_shard, backlog, max_batch, max_wait, max_inflight,
+    workers_per_shard, backlog, max_batch, max_inflight,
     factor_workers, factor_engine, build_retries, build_backoff:
         Forwarded to each shard's ``SolveService``.
     byte_budget:
@@ -414,7 +413,6 @@ class FleetService:
         workers_per_shard: int = 2,
         backlog: int = 256,
         max_batch: int = 32,
-        max_wait: float = 0.002,
         max_inflight: int | None = None,
         factor_workers: int | None = None,
         factor_engine: str | None = None,
@@ -458,7 +456,6 @@ class FleetService:
             "workers": int(workers_per_shard),
             "backlog": int(backlog),
             "max_batch": int(max_batch),
-            "max_wait": float(max_wait),
             "max_inflight": max_inflight,
             "factor_workers": factor_workers,
             "factor_engine": factor_engine,

@@ -1,7 +1,7 @@
 """Serving metrics: latency percentiles, hit rates, batch shapes.
 
-Counters and reservoirs are updated from the dispatcher and worker
-threads under one lock and snapshot to a plain dict (JSON-safe) on
+Counters and reservoirs are updated from client and worker threads
+under one lock and snapshot to a plain dict (JSON-safe) on
 demand.  Every timed service phase is also recorded as a
 :class:`repro.runtime.tracing.TraceEvent`, so a serving run exports to
 the same Chrome trace timeline as a factorization run — one

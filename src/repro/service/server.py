@@ -1,20 +1,26 @@
-"""The solve-serving front end: bounded queue, dispatcher, worker pool.
+"""The solve-serving front end: one pending pool, workers that pull.
 
 Request lifecycle::
 
-    submit_*()  --put-->  bounded queue  --dispatcher-->  RequestBatcher
-                               |                               |
-                     BacklogFullError               coalesced batches
-                     (queue full)                              |
-                                                        worker pool
-                                                 (cache acquire + blocked
-                                                  solve / logdet, deadline
-                                                  re-check, handle completion)
+    submit_*()  --add-->  pending pool (RequestBatcher: keyed, bounded)
+                               |                    |
+                     BacklogFullError        take(): the oldest request
+                     (pool full)             plus its same-key neighbours,
+                                             up to max_batch
+                                                    |
+                                             worker threads
+                                      (shed expired, cache acquire, blocked
+                                       solve / logdet, post-build deadline
+                                       re-check, handle completion)
 
-The dispatcher decouples request arrival from execution (the fan-both
-asynchronous-factorization lesson applied to serving): clients never
-block on BLAS, and concurrent single-RHS requests against one factor
-coalesce into a single blocked multi-RHS triangular solve.
+Clients never block on BLAS, and there is no thread between a client
+and the worker that serves it (the fan-both solver's one-sided take:
+executors pull work, nothing hands it to them).  Batching is
+work-conserving: a free worker takes whatever is pending for the
+oldest request's operator, so single-RHS requests coalesce into one
+blocked multi-RHS triangular solve exactly when they queued behind
+busy workers, and a request that finds a worker idle starts at once as
+a batch of one.  No timer holds ready work back to grow a batch.
 
 Overload control happens at the edge, in admission order:
 
@@ -25,28 +31,26 @@ Overload control happens at the edge, in admission order:
    carrying a ``retry_after`` hint (estimated from observed service
    time and current occupancy), because work queued beyond the cap
    would mostly expire waiting;
-3. **queue bound** — a full backlog rejects *synchronously* with
-   :class:`BacklogFullError` (same ``retry_after`` hint).
+3. **backlog bound** — a full pending pool rejects *synchronously*
+   with :class:`BacklogFullError` (same ``retry_after`` hint).
 
 Deadlines propagate through *every* stage rather than being checked
-once: expired requests are shed at dispatch, pruned out of the
-batcher's coalescing window, re-checked at execution start, re-checked
-after a (possibly slow) cache-miss factorization, and the build-retry
-loop gives up rather than sleep past the batch's deadline — so work
-whose deadline has passed is never executed, and the deadline-slack
-histogram's ``late`` count stays zero.  Retries are additionally
-metered by a per-operator :class:`~repro.service.breaker.RetryBudget`
-so a steadily failing build cannot be amplified by the retry loop.
+once: at every take the whole pool is pruned of expired requests,
+survivors are re-checked after a (possibly slow) cache-miss
+factorization, and the build-retry loop gives up rather than sleep
+past the batch's deadline — so work whose deadline has passed is never
+executed, and the deadline-slack histogram's ``late`` count stays
+zero.  Retries are additionally metered by a per-operator
+:class:`~repro.service.breaker.RetryBudget` so a steadily failing
+build cannot be amplified by the retry loop.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +75,6 @@ from repro.service.spec import OperatorSpec
 
 __all__ = ["Request", "RequestHandle", "SolveService"]
 
-_SENTINEL = object()
 _request_ids = itertools.count(1)
 
 
@@ -131,14 +134,12 @@ class Request:
     submitted_at: float = field(default_factory=time.monotonic)
 
     @property
-    def batchable(self) -> bool:
-        """Only single-column solves coalesce; everything else runs as
-        its own (possibly already blocked) execution."""
-        return self.kind == "solve" and self.rhs is not None and self.rhs.ndim == 1
-
-    @property
-    def batch_key(self) -> tuple:
-        return (self.spec.fingerprint, self.kind, self.refine)
+    def batch_key(self) -> tuple | None:
+        """Only single-column solves coalesce; everything else (None)
+        runs as its own (possibly already blocked) execution."""
+        if self.kind == "solve" and self.rhs is not None and self.rhs.ndim == 1:
+            return (self.spec.fingerprint, self.kind, self.refine)
+        return None
 
     def expired(self, now: float | None = None) -> bool:
         if self.deadline is None:
@@ -155,13 +156,16 @@ class SolveService:
         Operator cache (default: unbounded in-memory cache).  Its
         metrics mirror is re-pointed at this service's metrics.
     workers:
-        Worker threads executing batches.  BLAS releases the GIL, so
-        distinct operators genuinely overlap.
+        Worker threads, the only threads the service starts: each
+        pulls batches from the pending pool and executes them.  BLAS
+        releases the GIL, so distinct operators genuinely overlap.
     backlog:
-        Bound on queued-but-undispatched requests; submissions beyond
-        it raise :class:`BacklogFullError` synchronously.
-    max_batch / max_wait:
-        Coalescing knobs (see :class:`RequestBatcher`).
+        Bound on pending requests (admitted, not yet taken by a
+        worker); submissions beyond it raise :class:`BacklogFullError`
+        synchronously.
+    max_batch:
+        Most single-RHS requests one take may coalesce (see
+        :class:`RequestBatcher`); 1 disables coalescing.
     factor_workers:
         Worker threads for cache-miss factorizations: the parallel
         DAG engine executes the build's task graph with this many
@@ -195,8 +199,8 @@ class SolveService:
         explicit instance to tune capacity/refill, or construct one
         with ``capacity=float("inf")`` to restore unmetered retries.
     start:
-        Start the dispatcher immediately.  Tests pass ``False`` to
-        stage requests deterministically, then call :meth:`start`.
+        Start the workers immediately.  Tests pass ``False`` to stage
+        requests deterministically, then call :meth:`start`.
     """
 
     def __init__(
@@ -205,7 +209,6 @@ class SolveService:
         workers: int = 2,
         backlog: int = 128,
         max_batch: int = 32,
-        max_wait: float = 0.002,
         metrics: ServiceMetrics | None = None,
         factor_workers: int | None = None,
         factor_engine: str | None = None,
@@ -257,24 +260,19 @@ class SolveService:
         # uniformly from [0, cap] decorrelates the herd.  OS-seeded:
         # determinism here would defeat the point.
         self._backoff_rng = random.Random()
-        self._queue: queue.Queue = queue.Queue(maxsize=self.backlog)
-        self._batcher = RequestBatcher(max_batch=max_batch, max_wait=max_wait)
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="tlr-serve"
-        )
         self._epoch = time.perf_counter()
+        #: guards the pool and the flags below
         self._lock = threading.Lock()
+        #: workers wait here for "something is pending, or closed"
+        self._work = threading.Condition(self._lock)
+        self._pending = RequestBatcher(max_batch=max_batch)
+        self._threads: list[threading.Thread] = []
         self._closed = False
-        self._started = False
         self._draining = False
-        self._drain_on_close = True
-        #: admitted-but-incomplete requests (queued + batched +
-        #: executing); every completion path decrements via
-        #: _complete/_fail, so this is the drain-progress gauge too
+        #: admitted-but-incomplete requests (pending + executing);
+        #: every completion path decrements via _settle, so this is
+        #: the drain-progress gauge too
         self._inflight = 0
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="tlr-serve-dispatch", daemon=True
-        )
         if start:
             self.start()
 
@@ -352,12 +350,23 @@ class SolveService:
         return self.submit_solve(spec, d_b, timeout=timeout, refine=refine)
 
     def start(self) -> None:
-        """Start the dispatcher (idempotent)."""
+        """Start the worker threads (idempotent; a no-op once closed)."""
         with self._lock:
-            if self._started:
+            if self._threads or self._closed:
                 return
-            self._started = True
-        self._dispatcher.start()
+            self._threads = [
+                threading.Thread(
+                    target=self._work_loop,
+                    args=(lane,),
+                    name=f"tlr-serve-{lane}",
+                    daemon=True,
+                )
+                for lane in range(self.workers)
+            ]
+            # under the lock, so a racing close() never joins a thread
+            # that has not been started
+            for thread in self._threads:
+                thread.start()
 
     def drain(self, timeout: float = 30.0) -> dict:
         """Gracefully drain for warm handoff; the service stays up.
@@ -368,9 +377,8 @@ class SolveService:
            :class:`ServiceDrainingError` (in-flight work keeps its
            promises);
         2. **flush the pipeline** — wait (bounded by ``timeout``
-           seconds) until every admitted request has completed: queue
-           empty, batcher flushed by the live dispatcher, executors
-           idle;
+           seconds) until every admitted request has completed: pool
+           empty, workers idle;
         3. **seal the cache** — persist every resident factor not yet
            on disk, so a successor process pointed at the same cache
            directory starts warm instead of re-factorizing.
@@ -428,22 +436,23 @@ class SolveService:
         """Stop accepting work and shut the pipeline down.
 
         With ``drain=True`` (graceful) every already-accepted request
-        is executed first; with ``drain=False`` queued requests fail
-        with :class:`ServiceClosedError`.
+        is executed first; with ``drain=False`` pending requests fail
+        with :class:`ServiceClosedError` (batches already executing
+        finish either way).
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._drain_on_close = drain
-            started = self._started
-        if started:
-            self._queue.put(_SENTINEL)
-            self._dispatcher.join()
-        # catch stragglers that raced the closed flag (and, for a
-        # never-started service, everything staged in the queue)
-        self._fail_queued(ServiceClosedError("service closed"))
-        self._executor.shutdown(wait=True)
+            # a never-started service has nobody to run what it staged
+            executing = drain and self._threads
+            abandoned = [] if executing else self._pending.flush_all()
+            self._work.notify_all()
+        for batch in abandoned:
+            for req in batch:
+                self._fail(req, ServiceClosedError("service closed"))
+        for thread in self._threads:
+            thread.join()
 
     def __enter__(self) -> "SolveService":
         return self
@@ -500,38 +509,43 @@ class SolveService:
         return max(0.05, mean * (inflight / max(self.workers, 1)))
 
     def _submit(self, req: Request) -> RequestHandle:
+        key = req.batch_key  # hashes the spec on first use: not under the lock
+        refused = None
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("service is closed")
             if self._draining:
-                self.metrics.count("rejected_draining")
-                raise ServiceDrainingError(
-                    "service is draining and admits no new work"
-                )
-            overloaded = (
+                refused = "draining"
+            elif (
                 self.max_inflight is not None
                 and self._inflight >= self.max_inflight
-            )
-            if not overloaded:
+            ):
+                refused = "inflight"
+            elif len(self._pending) >= self.backlog:
+                refused = "backlog"
+            else:
                 self._inflight += 1
-        if overloaded:
-            # retry_after reads metrics/lock — computed outside the lock
+                self._pending.add(key, req)
+                self._work.notify()
+        # metrics and retry_after take locks of their own: outside ours
+        if refused == "draining":
+            self.metrics.count("rejected_draining")
+            raise ServiceDrainingError(
+                "service is draining and admits no new work"
+            )
+        if refused == "inflight":
             self.metrics.count("shed_admission")
             raise ServiceOverloadedError(
                 f"{self.max_inflight} requests already in flight "
                 f"(max_inflight cap)",
                 retry_after=self._retry_after(req.kind),
             )
-        try:
-            self._queue.put_nowait(req)
-        except queue.Full:
-            with self._lock:
-                self._inflight -= 1
+        if refused == "backlog":
             self.metrics.count("rejected_backlog")
             raise BacklogFullError(
-                f"backlog full ({self.backlog} requests queued)",
+                f"backlog full ({self.backlog} requests pending)",
                 retry_after=self._retry_after(req.kind),
-            ) from None
+            )
         self.metrics.count("submitted")
         return req.handle
 
@@ -539,131 +553,68 @@ class SolveService:
     # completion (the only paths that settle a handle)
     # ------------------------------------------------------------------
 
-    def _complete(self, req: Request, value) -> None:
-        req.handle.set_result(value)
+    def _settle(self) -> None:
+        """Release the request's admission slot.  Called *before* its
+        handle is set, so a closed-loop client woken by the result
+        never finds its own finished request still counted against
+        ``max_inflight``."""
         with self._lock:
             self._inflight -= 1
+
+    def _complete(self, req: Request, value) -> None:
+        self._settle()
+        req.handle.set_result(value)
         if req.deadline is not None:
             self.metrics.record_slack(
                 req.kind, req.deadline - time.monotonic()
             )
 
     def _fail(self, req: Request, exc: BaseException, counter: str = "failed") -> None:
+        self._settle()
         req.handle.set_exception(exc)
-        with self._lock:
-            self._inflight -= 1
         self.metrics.count(counter)
 
-    def _fail_queued(self, exc: Exception) -> None:
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is not _SENTINEL:
-                self._fail(item, exc)
-
-    # ------------------------------------------------------------------
-    # dispatcher
-    # ------------------------------------------------------------------
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            flush_at = self._batcher.next_deadline()
-            timeout = (
-                None if flush_at is None else max(0.0, flush_at - time.monotonic())
-            )
-            try:
-                item = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                item = None
-            if item is _SENTINEL:
-                self._shutdown_dispatch()
-                return
-            if item is not None:
-                self._route(item)
-            # Deadline propagation into the coalescing window: requests
-            # that expired while batched are shed here, before the
-            # batch launches, so they neither execute nor hold the
-            # size trigger back for live neighbors.
-            now = time.monotonic()
-            for req in self._batcher.prune(lambda r: r.expired(now)):
-                self._expire(req, stage="batcher")
-            for batch in self._batcher.due():
-                self._launch(batch)
-
-    def _route(self, req: Request) -> None:
-        if req.expired():
-            self._expire(req, stage="dispatch")
-            return
-        if not req.batchable:
-            self._launch([req])
-            return
-        batch = self._batcher.add(req.batch_key, req)
-        if batch is not None:
-            self._launch(batch)
-
-    def _shutdown_dispatch(self) -> None:
-        """Drain (or fail) everything accepted before the sentinel."""
-        closed_exc = ServiceClosedError("service closed")
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SENTINEL:
-                continue
-            if self._drain_on_close:
-                self._route(item)
-            else:
-                self._fail(item, closed_exc)
-        for batch in self._batcher.flush_all():
-            if self._drain_on_close:
-                self._launch(batch)
-            else:
-                for req in batch:
-                    self._fail(req, closed_exc)
-
-    def _launch(self, batch: list[Request]) -> None:
-        self._executor.submit(self._execute_batch, batch)
+    def _expire(self, req: Request, stage: str) -> None:
+        """Shed one expired request, tagged with the pipeline stage
+        that caught it (``shed_<stage>`` counter) — the shed-location
+        histogram is how overload tests prove deadlines propagate
+        instead of being checked once and discarded."""
+        self._fail(
+            req,
+            DeadlineExpiredError(f"request {req.handle.request_id} deadline passed"),
+            counter="expired",
+        )
+        self.metrics.count(f"shed_{stage}")
 
     # ------------------------------------------------------------------
     # execution (worker threads)
     # ------------------------------------------------------------------
 
-    def _worker_id(self) -> int:
-        name = threading.current_thread().name
-        try:
-            return 1 + int(name.rsplit("_", 1)[1])
-        except (IndexError, ValueError):
-            return 0
+    def _work_loop(self, lane: int) -> None:
+        """One worker: take a batch whenever one is pending, until the
+        service is closed and the pool is empty."""
+        while True:
+            with self._lock:
+                while not self._pending and not self._closed:
+                    self._work.wait()
+                if not self._pending:
+                    return  # closed and drained
+                # Deadline propagation into the pool: whatever expired
+                # while pending is shed at this take, whichever group it
+                # sits in, so it neither executes nor holds a backlog
+                # slot against live requests.
+                now = time.monotonic()
+                dead = self._pending.prune(lambda r: r.expired(now))
+                batch = self._pending.take()
+            for req in dead:
+                self._expire(req, stage="take")
+            if batch:
+                self._execute_batch(batch, 1 + lane)
 
     def _now(self) -> float:
         return time.perf_counter() - self._epoch
 
-    def _expire(self, req: Request, stage: str = "dispatch") -> None:
-        """Shed one expired request, tagged with the pipeline stage
-        that caught it (``shed_<stage>`` counter) — the shed-location
-        histogram is how overload tests prove deadlines propagate
-        instead of being checked once and discarded."""
-        req.handle.set_exception(
-            DeadlineExpiredError(f"request {req.handle.request_id} deadline passed")
-        )
-        with self._lock:
-            self._inflight -= 1
-        self.metrics.count("expired")
-        self.metrics.count(f"shed_{stage}")
-
-    def _execute_batch(self, batch: list[Request]) -> None:
-        live = []
-        for req in batch:
-            if req.expired():
-                self._expire(req, stage="execute")
-            else:
-                live.append(req)
-        if not live:
-            return
-        worker = self._worker_id()
+    def _execute_batch(self, live: list[Request], worker: int) -> None:
         deadlines = [r.deadline for r in live if r.deadline is not None]
         batch_deadline = min(deadlines) if deadlines else None
         try:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,12 +105,18 @@ class OperatorSpec:
             resolve_storage(self.storage_precision).mode,
         )
 
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writable; the fingerprint memo
+        # (which rides in ``state``) relies on read-only points
+        self.__dict__.update(state)
+        self.points.setflags(write=False)
+
     @property
     def n(self) -> int:
         """Matrix order (number of points)."""
         return len(self.points)
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
         """Stable hex digest identifying the built operator.
 
@@ -117,6 +124,14 @@ class OperatorSpec:
         every numeric knob that changes the compressed factor.  Stable
         across processes and machines of the same endianness — safe to
         use as an on-disk cache key.
+
+        Computed once per spec: the dataclass is frozen and ``points``
+        is read-only, so nothing the digest covers can change (the
+        serving path reads it several times per request).  The memo
+        lives in the instance ``__dict__``, not in a field:
+        ``dataclasses.replace`` starts the copy without it, and a
+        pickled spec carries it, which is sound because it carries the
+        hashed content too.
         """
         h = hashlib.sha256()
         header = (

@@ -119,6 +119,19 @@ class TestRHSBatchingSemantics:
             assert x1.ndim == 1 and x2.shape == (l.n, 1)
             assert np.array_equal(x1, x2[:, 0])
 
+    def test_one_copy_solve_is_bitwise_the_two_pass_composition(self, factored):
+        """``solve_cholesky`` runs the backward pass in the forward
+        pass's buffer; the two public passes (one private copy each)
+        are the reference.  The caller's rhs is never written."""
+        l, _ = factored
+        rng = np.random.default_rng(14)
+        for shape in ((l.n,), (l.n, 1), (l.n, 5)):
+            b = rng.standard_normal(shape)
+            kept = b.copy()
+            x = solve_cholesky(l, b)
+            assert np.array_equal(x, solve_lower_transpose(l, solve_lower(l, b)))
+            assert np.array_equal(b, kept) and not np.shares_memory(x, b)
+
     def test_blocked_sparse_factor_with_null_tiles(self, sparse_tlr):
         """Multi-RHS agreement holds on a factor containing null tiles
         (the structure-cache fast path)."""

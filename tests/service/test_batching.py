@@ -1,88 +1,46 @@
-"""Tests for the pure request-coalescing policy (no threads)."""
+"""Tests for the pending pool's coalescing policy (no threads, no clock)."""
 
 import pytest
 
 from repro.service import RequestBatcher
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
-
-
-@pytest.fixture()
-def clock():
-    return FakeClock()
+def filled(max_batch, *pairs):
+    b = RequestBatcher(max_batch=max_batch)
+    for key, item in pairs:
+        b.add(key, item)
+    return b
 
 
 class TestSizeTrigger:
-    def test_batch_released_at_max_batch(self, clock):
-        b = RequestBatcher(max_batch=3, max_wait=1.0, clock=clock)
-        assert b.add("k", 1) is None
-        assert b.add("k", 2) is None
-        assert b.add("k", 3) == [1, 2, 3]
-        assert b.pending_count == 0
+    def test_batch_released_at_max_batch(self):
+        """A take stops at ``max_batch``; the overflow waits its turn by
+        its own oldest member (FIFO by oldest member), so it does not
+        jump ahead of a group that arrived before it."""
+        b = filled(2, ("a", 1), ("a", 2), ("b", 3), ("a", 4), ("a", 5))
+        assert len(b) == 5  # items, not groups
+        assert [b.take() for _ in range(4)] == [[1, 2], [3], [4, 5], []]
+        assert len(b) == 0
 
-    def test_max_batch_one_is_unbatched(self, clock):
-        b = RequestBatcher(max_batch=1, max_wait=1.0, clock=clock)
-        assert b.add("k", "only") == ["only"]
+    def test_max_batch_one_is_unbatched(self):
+        b = filled(1, ("k", 1), ("j", 2), ("k", 3))
+        assert [b.take() for _ in range(3)] == [[1], [2], [3]]
 
-    def test_distinct_keys_never_mix(self, clock):
-        b = RequestBatcher(max_batch=2, max_wait=1.0, clock=clock)
-        assert b.add("a", 1) is None
-        assert b.add("b", 2) is None
-        assert b.add("a", 3) == [1, 3]
-        assert b.add("b", 4) == [2, 4]
+    def test_distinct_keys_never_mix(self):
+        b = filled(10, ("a", 1), ("b", 2), ("a", 3), ("b", 4))
+        assert b.take() == [1, 3]  # the oldest item and all of its key
+        assert b.take() == [2, 4]
 
-
-class TestLatencyTrigger:
-    def test_window_measured_from_oldest_item(self, clock):
-        b = RequestBatcher(max_batch=10, max_wait=0.5, clock=clock)
-        b.add("k", 1)
-        clock.advance(0.4)
-        b.add("k", 2)  # does not reset the window
-        assert b.due() == []
-        clock.advance(0.1)
-        assert b.due() == [[1, 2]]
-
-    def test_due_pops_only_expired_groups(self, clock):
-        b = RequestBatcher(max_batch=10, max_wait=0.5, clock=clock)
-        b.add("old", 1)
-        clock.advance(0.3)
-        b.add("new", 2)
-        clock.advance(0.25)
-        assert b.due() == [[1]]
-        assert len(b) == 1  # "new" still pending
-
-    def test_next_deadline(self, clock):
-        b = RequestBatcher(max_batch=10, max_wait=0.5, clock=clock)
-        assert b.next_deadline() is None
-        b.add("k", 1)
-        assert b.next_deadline() == pytest.approx(0.5)
-        clock.advance(0.2)
-        b.add("k2", 2)
-        assert b.next_deadline() == pytest.approx(0.5)  # oldest wins
-
-    def test_zero_wait_flushes_immediately(self, clock):
-        b = RequestBatcher(max_batch=10, max_wait=0.0, clock=clock)
-        b.add("k", 1)
-        assert b.due() == [[1]]
+    def test_none_key_never_coalesces(self):
+        b = filled(10, (None, 1), (None, 2), ("k", 3), ("k", 4))
+        assert [b.take() for _ in range(3)] == [[1], [2], [3, 4]]
 
 
 class TestFlushAll:
-    def test_flush_all_drains_everything(self, clock):
-        b = RequestBatcher(max_batch=10, max_wait=9.0, clock=clock)
-        b.add("a", 1)
-        b.add("b", 2)
-        batches = b.flush_all()
-        assert sorted(batch[0] for batch in batches) == [1, 2]
-        assert len(b) == 0 and b.pending_count == 0
+    def test_flush_all_drains_everything(self):
+        b = filled(2, ("a", 1), ("b", 2), ("a", 3), ("a", 4))
+        assert b.flush_all() == [[1, 3], [2], [4]]  # oldest first
+        assert len(b) == 0 and b.take() == []
 
 
 class TestValidation:
@@ -90,42 +48,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             RequestBatcher(max_batch=0)
 
-    def test_bad_max_wait(self):
-        with pytest.raises(ValueError):
-            RequestBatcher(max_wait=-0.1)
-
 
 class TestPrune:
-    def test_prune_removes_matching_and_returns_them(self, clock):
-        b = RequestBatcher(max_batch=10, max_wait=1.0, clock=clock)
-        b.add("k", 1)
-        b.add("k", 2)
-        b.add("k", 3)
+    def test_prune_removes_matching_and_returns_them(self):
+        b = filled(10, ("k", 1), ("k", 2), ("k", 3))
         assert b.prune(lambda it: it % 2 == 1) == [1, 3]
-        assert b.add("k", 4) is None  # group survives with [2, 4]
-        assert b.flush_all() == [[2, 4]]
+        b.add("k", 4)
+        assert len(b) == 2
+        assert b.flush_all() == [[2, 4]]  # the group survives
 
-    def test_prune_drops_emptied_groups(self, clock):
-        b = RequestBatcher(max_batch=10, max_wait=1.0, clock=clock)
-        b.add("a", 1)
-        b.add("b", 2)
+    def test_prune_drops_emptied_groups(self):
+        b = filled(10, ("a", 1), ("b", 2))
         assert b.prune(lambda it: it == 1) == [1]
-        assert len(b) == 1
-        assert b.next_deadline() == pytest.approx(1.0)  # "b" still timed
+        assert b.flush_all() == [[2]]
 
-    def test_prune_keeps_oldest_item_window(self, clock):
-        """Surviving items keep the group's original arrival stamp —
-        pruning must not silently extend the latency promise."""
-        b = RequestBatcher(max_batch=10, max_wait=0.5, clock=clock)
-        b.add("k", 1)
-        clock.advance(0.3)
-        b.add("k", 2)
+    def test_prune_keeps_oldest_item_window(self):
+        """Survivors keep their own arrival stamps: a group that loses
+        its oldest member is re-ranked by the oldest survivor, neither
+        keeping the dead member's place nor going to the back."""
+        b = filled(10, ("k", 1), ("j", 2), ("k", 3), ("i", 4))
         b.prune(lambda it: it == 1)
-        clock.advance(0.25)  # 0.55 since the *first* add
-        assert b.due() == [[2]]
+        assert [b.take() for _ in range(3)] == [[2], [3], [4]]
 
-    def test_prune_nothing_is_a_noop(self, clock):
-        b = RequestBatcher(max_batch=10, max_wait=1.0, clock=clock)
-        b.add("k", 1)
+    def test_prune_nothing_is_a_noop(self):
+        b = filled(10, ("k", 1))
         assert b.prune(lambda it: False) == []
         assert len(b) == 1

@@ -1,12 +1,15 @@
 """End-to-end tests for the solve-serving front end.
 
 Timing-sensitive behaviours (overload, deadlines, coalescing) are made
-deterministic by constructing the service with ``start=False``: the
-queue and backlog fill synchronously, and the dispatcher only runs
-once the stage is set.
+deterministic by constructing the service with ``start=False`` (the
+pending pool fills synchronously and the workers only run once the
+stage is set) or by parking every worker on a gate.
 """
 
+import sys
+import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -46,19 +49,22 @@ class TestCorrectness:
 
     def test_coalesced_batch_matches_columnwise(self, small_spec, warm_cache):
         """Staged concurrent submits coalesce into one blocked solve
-        whose per-request answers match individual solves."""
+        whose per-request answers match individual solves — and are
+        bitwise the columns of that blocked solve done directly (alone,
+        a column goes through GEMV instead of GEMM kernels, so it
+        agrees to rounding, not to the bit)."""
         entry = warm_cache.get_or_build(small_spec)
         rng = np.random.default_rng(5)
         rhs_list = [rng.standard_normal(small_spec.n) for _ in range(6)]
-        svc = SolveService(
-            cache=warm_cache, workers=1, max_batch=6, max_wait=5.0, start=False
-        )
+        svc = SolveService(cache=warm_cache, workers=1, max_batch=6, start=False)
         handles = [svc.submit_solve(small_spec, b) for b in rhs_list]
         svc.start()
         results = [h.result(TIMEOUT) for h in handles]
         svc.close()
         assert svc.metrics.to_dict()["batch"]["max"] == 6
-        for b, x in zip(rhs_list, results):
+        direct = solve_cholesky(entry.factor, np.stack(rhs_list, axis=1))
+        for j, (b, x) in enumerate(zip(rhs_list, results)):
+            assert np.array_equal(x, direct[:, j])
             assert np.allclose(
                 x, solve_cholesky(entry.factor, b), rtol=1e-10, atol=1e-12
             )
@@ -146,7 +152,7 @@ class TestOverload:
         with pytest.raises(BacklogFullError):
             svc.submit_solve(small_spec, rhs)
         assert svc.metrics.counter("rejected_backlog") == 1
-        # accepted requests still complete once the dispatcher runs
+        # accepted requests still complete once the workers run
         svc.start()
         assert h1.result(TIMEOUT) is not None
         assert h2.result(TIMEOUT) is not None
@@ -177,6 +183,160 @@ class TestOverload:
         with SolveService(cache=warm_cache, workers=1) as svc:
             with pytest.raises(ValueError):
                 svc.submit_solve(small_spec, rhs, timeout=0.0)
+
+
+def park_workers(svc, gate_spec):
+    """Occupy every worker of a started service: each takes one request
+    on ``gate_spec`` and blocks in the cache lookup until the returned
+    event is set.  Whatever is submitted meanwhile queues behind them."""
+    gate, parked = threading.Event(), threading.Semaphore(0)
+    real_acquire = svc.cache.acquire
+
+    def acquire(spec):
+        if spec is gate_spec:
+            parked.release()
+            assert gate.wait(TIMEOUT)
+        return real_acquire(spec)
+
+    svc.cache.acquire = acquire
+    handles = [svc.submit_logdet(gate_spec) for _ in range(svc.workers)]
+    for _ in handles:
+        assert parked.acquire(timeout=TIMEOUT)
+    return gate, handles
+
+
+class TestWorkConserving:
+    """Requests coalesce exactly when they queued behind busy workers;
+    no timer decides anything.  None of these asserts on wall time."""
+
+    @pytest.fixture()
+    def two_op_cache(self, warm_cache, other_spec):
+        warm_cache.get_or_build(other_spec)
+        return warm_cache
+
+    def test_queued_requests_coalesce_at_take_fifo_by_oldest_member(
+        self, small_spec, other_spec, two_op_cache
+    ):
+        rng = np.random.default_rng(12)
+        svc = SolveService(cache=two_op_cache, workers=2, max_batch=4)
+        taken, real_take = [], svc._pending.take
+        svc._pending.take = lambda: taken.append(real_take()) or taken[-1]
+        gate, parked = park_workers(svc, other_spec)
+        singles = [
+            svc.submit_solve(small_spec, rng.standard_normal(small_spec.n))
+            for _ in range(3)
+        ]
+        block = svc.submit_solve(small_spec, rng.standard_normal((small_spec.n, 8)))
+        ld = svc.submit_logdet(small_spec)
+        singles += [
+            svc.submit_solve(small_spec, rng.standard_normal(small_spec.n))
+            for _ in range(3)
+        ]
+        assert svc.inflight == 2 + 8 and svc.metrics.to_dict()["batch"]["count"] == 0
+        gate.set()
+        for h in parked + singles + [block, ld]:
+            h.result(TIMEOUT)
+        svc.close()
+        # the 6 singles: one max_batch-column solve at the first take,
+        # the overflow after the block and the logdet that arrived
+        # before its oldest member; block and logdet run as submitted
+        shapes = [[(r.kind, r.rhs.shape if r.kind == "solve" else None) for r in b]
+                  for b in taken[2:] if b]
+        n = small_spec.n
+        assert shapes == [
+            [("solve", (n,))] * 4,
+            [("solve", (n, 8))],
+            [("logdet", None)],
+            [("solve", (n,))] * 2,
+        ]
+        batch = svc.metrics.to_dict()["batch"]
+        assert (batch["count"], batch["max"]) == (3, 8)
+        assert batch["mean"] == pytest.approx((4 + 8 + 2) / 3)
+
+    def test_lone_request_is_a_batch_of_one_and_needs_no_clock(
+        self, small_spec, warm_cache, rhs, monkeypatch
+    ):
+        """On an idle service a request launches because it arrived, not
+        because time passed: it completes with the clock stopped."""
+        import repro.service.server as server_mod
+
+        frozen = types.SimpleNamespace(
+            monotonic=lambda: 100.0, perf_counter=lambda: 100.0, sleep=time.sleep
+        )
+        monkeypatch.setattr(server_mod, "time", frozen)
+        entry = warm_cache.get_or_build(small_spec)
+        with SolveService(cache=warm_cache, workers=2) as svc:
+            x = svc.submit_solve(small_spec, rhs).result(TIMEOUT)
+            assert svc.inflight == 0
+        # a batch of one is the direct solve, to the bit
+        assert np.array_equal(x, solve_cholesky(entry.factor, rhs))
+        assert svc.metrics.to_dict()["batch"] == {"count": 1, "max": 1, "mean": 1.0}
+
+    def test_deadline_passing_while_pending_is_shed_at_take(
+        self, small_spec, other_spec, two_op_cache, rhs, monkeypatch
+    ):
+        import repro.service.server as server_mod
+
+        clock = types.SimpleNamespace(
+            now=0.0, perf_counter=time.perf_counter, sleep=time.sleep
+        )
+        clock.monotonic = lambda: clock.now
+        monkeypatch.setattr(server_mod, "time", clock)
+        svc = SolveService(cache=two_op_cache, workers=1)
+        gate, parked = park_workers(svc, other_spec)
+        doomed = svc.submit_solve(small_spec, rhs, timeout=1.0)
+        live = svc.submit_solve(small_spec, rhs, timeout=10.0)
+        clock.now = 2.0  # the first deadline passes while both are pending
+        gate.set()
+        with pytest.raises(DeadlineExpiredError):
+            doomed.result(TIMEOUT)
+        assert live.result(TIMEOUT) is not None
+        svc.close()
+        snap = svc.metrics.to_dict()
+        assert snap["counters"]["expired"] == snap["counters"]["shed_take"] == 1
+        assert snap["batch"] == {"count": 1, "max": 1, "mean": 1.0}  # never ran
+        assert snap["deadline_slack_seconds"]["solve"]["late"] == 0
+
+    def test_no_lost_wakeup_under_closed_loop_clients(
+        self, small_spec, warm_cache, rhs
+    ):
+        """2 clients x 500 requests, each sent when the previous one
+        completed: a missed notify would strand a request (and its
+        client) with every worker asleep."""
+        svc = SolveService(cache=warm_cache, workers=2)
+        failures = []
+
+        def client():
+            try:
+                for i in range(500):
+                    h = (
+                        svc.submit_logdet(small_spec)
+                        if i % 10 == 9
+                        else svc.submit_solve(small_spec, rhs)
+                    )
+                    h.result(30.0)
+            except Exception as exc:  # TimeoutError = a stranded request
+                failures.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(2)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(120.0)
+            assert not any(t.is_alive() for t in clients)
+        finally:
+            sys.setswitchinterval(old)
+        assert failures == []
+        assert svc.inflight == 0
+        closer = threading.Thread(target=svc.close)
+        closer.start()
+        closer.join(30.0)
+        assert not closer.is_alive()
+        assert svc.metrics.counter("completed") == 1000
+        assert not any(t.name.startswith("tlr-serve") for t in threading.enumerate())
 
 
 class TestShutdown:
@@ -322,7 +482,7 @@ class TestDrainProtocol:
         self, small_spec, warm_cache, rhs
     ):
         svc = SolveService(cache=warm_cache, workers=1, start=False)
-        svc.submit_solve(small_spec, rhs)  # staged, dispatcher never runs
+        svc.submit_solve(small_spec, rhs)  # staged, the workers never run
         summary = svc.drain(timeout=0.05)
         assert summary["drained"] is False
         assert summary["inflight_remaining"] == 1

@@ -1,5 +1,7 @@
 """Tests for operator specs and their content fingerprints."""
 
+import dataclasses
+import pickle
 import time
 
 import numpy as np
@@ -60,6 +62,30 @@ class TestFingerprint:
         fp = small_spec.fingerprint
         assert len(fp) == 64
         int(fp, 16)  # valid hex
+
+    def test_points_hashed_once_per_spec(self, small_spec, monkeypatch):
+        """The serving path reads the fingerprint several times per
+        request; only the first read hashes the geometry."""
+        import repro.service.spec as spec_mod
+
+        real, hashes = spec_mod.hashlib.sha256, []
+        counting = lambda *a: hashes.append(1) or real(*a)
+        monkeypatch.setattr(spec_mod.hashlib, "sha256", counting)
+        spec = clone(small_spec)
+        assert [spec.fingerprint for _ in range(4)] == [small_spec.fingerprint] * 4
+        assert len(hashes) == 1
+
+    def test_memo_never_outlives_what_it_hashed(self, small_spec):
+        """``dataclasses.replace`` starts without the memo; a pickle
+        round trip (the fleet's shard pipe) carries it together with
+        the content it covers, and re-freezes the points under it."""
+        fp = small_spec.fingerprint
+        replaced = dataclasses.replace(small_spec, tile_size=30)
+        assert "fingerprint" not in vars(replaced)
+        assert replaced.fingerprint == clone(small_spec, tile_size=30).fingerprint != fp
+        piped = pickle.loads(pickle.dumps(small_spec))
+        assert piped.fingerprint == fp == clone(piped).fingerprint
+        assert not piped.points.flags.writeable
 
 
 class TestValidation:

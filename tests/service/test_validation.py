@@ -49,19 +49,19 @@ class TestSolveValidation:
     def test_rejection_never_enqueues(self, svc, small_spec):
         with pytest.raises(RequestFailedError):
             svc.submit_solve(small_spec, np.full(small_spec.n, np.nan))
-        assert svc._queue.qsize() == 0
+        assert svc.inflight == 0
         counters = svc.metrics.to_dict()["counters"]
         assert "submitted" not in counters
 
     def test_valid_multicolumn_rhs_accepted(self, svc, small_spec):
         h = svc.submit_solve(small_spec, np.ones((small_spec.n, 3)))
         assert not h.done()
-        assert svc._queue.qsize() == 1
+        assert svc.inflight == 1
 
     def test_list_rhs_is_converted(self, svc, small_spec):
         h = svc.submit_solve(small_spec, [1.0] * small_spec.n)
         assert h.kind == "solve"
-        assert svc._queue.qsize() == 1
+        assert svc.inflight == 1
 
 
 class TestDeformationValidation:

@@ -96,7 +96,8 @@ class TestCommands:
         data = json.loads(trace.read_text())
         names = {e["args"]["name"] for e in data["traceEvents"]
                  if e["ph"] == "M"}
-        assert "repro.service" in names and "dispatcher" in names
+        assert "repro.service" in names and "solve-worker-0" in names
+        assert "dispatcher" not in names  # workers pull; nothing dispatches
 
     @pytest.mark.timeout(180)
     def test_serve_fleet(self, capsys, tmp_path):
