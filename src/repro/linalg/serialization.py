@@ -33,11 +33,70 @@ from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.utils.atomic import atomic_write_via
 
-__all__ = ["save_tlr", "load_tlr"]
+__all__ = ["save_tlr", "load_tlr", "pack_tiles", "unpack_tiles"]
 
 _FORMAT_VERSION = 2
 _MIXED_FORMAT_VERSION = 3
 _SUPPORTED_VERSIONS = (1, 2, 3)
+
+
+def pack_tiles(tiles) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The tile <-> npz codec, writing half: ``(arrays, kinds)``.
+
+    ``tiles`` iterates ``((m, k), tile)`` in storage order.  ``arrays``
+    holds each stored payload under ``u_/v_`` (low-rank) or ``d_``
+    (dense) + ``"{m}_{k}"``, by reference; ``kinds`` is one
+    ``(m, k, kind, rows, cols)`` int64 row per tile, kind 0 = null,
+    1 = low-rank, 2 = dense.
+    """
+    arrays: dict[str, np.ndarray] = {}
+    kinds = []
+    for (m, k), tile in tiles:
+        key = f"{m}_{k}"
+        if isinstance(tile, NullTile):
+            kind = 0
+        elif isinstance(tile, LowRankTile):
+            kind = 1
+            arrays[f"u_{key}"] = tile.u
+            arrays[f"v_{key}"] = tile.v
+        else:
+            kind = 2
+            arrays[f"d_{key}"] = tile.data
+        kinds.append((m, k, kind, *tile.shape))
+    return arrays, np.array(kinds, dtype=np.int64).reshape(-1, 5)
+
+
+def unpack_tiles(data, null_shape=None) -> dict[tuple[int, int], Tile]:
+    """Reading half of :func:`pack_tiles`: tiles from an open ``.npz``.
+
+    A ``kinds`` row carries a null tile's shape in columns 3-4; files
+    whose rows stop at ``(m, k, kind)`` get it from ``null_shape(m, k)``.
+    """
+    tiles: dict[tuple[int, int], Tile] = {}
+    for row in data["kinds"]:
+        m, k, kind = int(row[0]), int(row[1]), int(row[2])
+        key = f"{m}_{k}"
+        if kind == 0:
+            tiles[(m, k)] = NullTile(
+                (int(row[3]), int(row[4])) if len(row) > 3 else null_shape(m, k)
+            )
+        elif kind == 1:
+            # np.asarray (not ascontiguousarray): the npy format keeps
+            # Fortran order and the stored dtype, and both must survive
+            # the round-trip — BLAS rounds differently for C- vs
+            # F-ordered operands (reloaded factors must behave bitwise
+            # like freshly built ones), and a dtype cast would break
+            # the checksum of fp32-stored (v3) factors.
+            tiles[(m, k)] = LowRankTile(
+                LowRankFactor(
+                    np.asarray(data[f"u_{key}"]), np.asarray(data[f"v_{key}"])
+                )
+            )
+        elif kind == 2:
+            tiles[(m, k)] = DenseTile(data[f"d_{key}"])
+        else:
+            raise ValueError(f"corrupt tile kind {kind} at ({m}, {k})")
+    return tiles
 
 
 def save_tlr(a: TLRMatrix, path, compressed: bool = True) -> None:
@@ -48,36 +107,30 @@ def save_tlr(a: TLRMatrix, path, compressed: bool = True) -> None:
     subsystem's disk tier) where reload latency is on the request
     path; archival snapshots should keep the default zip compression.
     """
-    arrays: dict[str, np.ndarray] = {
-        "accuracy": np.array([a.accuracy], dtype=np.float64),
-    }
-    kinds = []
-    checksums = []
-    mixed = False
-    for (m, k), tile in sorted(a, key=lambda it: it[0]):
-        key = f"{m}_{k}"
-        if isinstance(tile, NullTile):
-            kinds.append((m, k, 0))
-        elif isinstance(tile, LowRankTile):
-            kinds.append((m, k, 1))
-            arrays[f"u_{key}"] = tile.u
-            arrays[f"v_{key}"] = tile.v
-            mixed = mixed or tile.u.dtype != np.float64 or tile.v.dtype != np.float64
-        else:
-            kinds.append((m, k, 2))
-            arrays[f"d_{key}"] = tile.data
-        checksums.append(tile_checksum(tile))
-    arrays["header"] = np.array(
-        [
-            _MIXED_FORMAT_VERSION if mixed else _FORMAT_VERSION,
-            a.n,
-            a.tile_size,
-            a.max_rank if a.max_rank is not None else -1,
-        ],
-        dtype=np.int64,
+    tiles = sorted(a, key=lambda it: it[0])
+    payloads, kinds = pack_tiles(tiles)
+    mixed = any(
+        arr.dtype != np.float64
+        for name, arr in payloads.items()
+        if not name.startswith("d_")
     )
-    arrays["kinds"] = np.array(kinds, dtype=np.int64)
-    arrays["checksums"] = np.array(checksums, dtype="U64")
+    arrays = {
+        "accuracy": np.array([a.accuracy], dtype=np.float64),
+        **payloads,
+        "header": np.array(
+            [
+                _MIXED_FORMAT_VERSION if mixed else _FORMAT_VERSION,
+                a.n,
+                a.tile_size,
+                a.max_rank if a.max_rank is not None else -1,
+            ],
+            dtype=np.int64,
+        ),
+        "kinds": np.ascontiguousarray(kinds[:, :3]),  # shapes follow from n
+        "checksums": np.array(
+            [tile_checksum(tile) for _, tile in tiles], dtype="U64"
+        ),
+    }
     write = np.savez_compressed if compressed else np.savez
     atomic_write_via(path, lambda f: write(f, **arrays))
 
@@ -113,42 +166,20 @@ def load_tlr(path, verify: bool = True) -> TLRMatrix:
                 f"file holds {len(checksums)} checksums for "
                 f"{len(kinds)} tiles"
             )
-        tiles: dict[tuple[int, int], Tile] = {}
-        for i, (m, k, kind) in enumerate(kinds):
-            m, k, kind = int(m), int(k), int(kind)
-            key = f"{m}_{k}"
-            if kind == 0:
-                tile: Tile = NullTile(tile_shape(m, k))
-            elif kind == 1:
-                # np.asarray (not ascontiguousarray): keep the stored
-                # memory layout — BLAS rounds differently for C- vs
-                # F-ordered operands, and reloaded factors must behave
-                # bitwise identically to freshly built ones.  The
-                # stored dtype is preserved too: mixed-precision (v3)
-                # factors reload as fp32, fp64 files as fp64.
-                tile = LowRankTile(
-                    LowRankFactor(
-                        np.asarray(data[f"u_{key}"]),
-                        np.asarray(data[f"v_{key}"]),
-                    )
-                )
-            elif kind == 2:
-                tile = DenseTile(data[f"d_{key}"])
-            else:
-                raise ValueError(f"corrupt tile kind {kind} at ({m}, {k})")
-            if verify and checksums is not None:
-                expected = str(checksums[i])
+        tiles = unpack_tiles(data, tile_shape)
+        expected_count = nt * (nt + 1) // 2
+        if len(tiles) != expected_count or len(kinds) != expected_count:
+            raise ValueError(
+                f"file holds {len(kinds)} tile rows ({len(tiles)} distinct), "
+                f"expected {expected_count}"
+            )
+        if verify and checksums is not None:
+            for ((m, k), tile), expected in zip(tiles.items(), checksums):
                 actual = tile_checksum(tile)
-                if actual != expected:
+                if actual != str(expected):
                     raise TileIntegrityError(
                         f"{path}: tile ({m}, {k}) checksum mismatch "
                         f"(expected {expected}, got {actual}) — "
                         "file content corrupted since it was written"
                     )
-            tiles[(m, k)] = tile
-        expected_count = nt * (nt + 1) // 2
-        if len(tiles) != expected_count:
-            raise ValueError(
-                f"file holds {len(tiles)} tiles, expected {expected_count}"
-            )
     return TLRMatrix(n, tile_size, tiles, accuracy, max_rank)

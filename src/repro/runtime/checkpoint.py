@@ -54,9 +54,9 @@ import numpy as np
 
 from repro.config import VERIFY_TILES_ENV, verify_tiles_from_env
 from repro.linalg.integrity import tile_checksum
-from repro.linalg.lowrank import LowRankFactor
-from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile
-from repro.utils.atomic import atomic_write_bytes
+from repro.linalg.serialization import pack_tiles, unpack_tiles
+from repro.linalg.tile import Tile
+from repro.utils.atomic import atomic_write_bytes, quarantine
 
 __all__ = [
     "VERIFY_TILES_ENV",
@@ -149,64 +149,8 @@ class Checkpoint:
         )
 
 
-def _tiles_to_npz_bytes(tiles: dict[tuple[int, int], Tile]) -> bytes:
-    arrays: dict[str, np.ndarray] = {}
-    kinds = []
-    for (m, k), tile in sorted(tiles.items()):
-        key = f"{m}_{k}"
-        if isinstance(tile, NullTile):
-            kinds.append((m, k, 0, tile.shape[0], tile.shape[1]))
-        elif isinstance(tile, LowRankTile):
-            kinds.append((m, k, 1, tile.shape[0], tile.shape[1]))
-            arrays[f"u_{key}"] = tile.u
-            arrays[f"v_{key}"] = tile.v
-        else:
-            kinds.append((m, k, 2, tile.shape[0], tile.shape[1]))
-            arrays[f"d_{key}"] = tile.data
-    arrays["kinds"] = np.array(kinds, dtype=np.int64).reshape(-1, 5)
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)  # uncompressed: checkpoints are hot-path
-    return buf.getvalue()
-
-
-def _tiles_from_npz_bytes(payload: bytes) -> dict[tuple[int, int], Tile]:
-    tiles: dict[tuple[int, int], Tile] = {}
-    with np.load(io.BytesIO(payload)) as data:
-        for m, k, kind, rows, cols in data["kinds"]:
-            m, k, kind = int(m), int(k), int(kind)
-            key = f"{m}_{k}"
-            if kind == 0:
-                tiles[(m, k)] = NullTile((int(rows), int(cols)))
-            elif kind == 1:
-                # np.asarray (not ascontiguousarray): the npy format
-                # preserves Fortran order and the stored dtype, and
-                # both must survive the round-trip — BLAS picks
-                # different kernel paths (and rounds differently) for
-                # C- vs F-ordered operands, and a dtype cast would
-                # break the manifest checksum of fp32-stored tiles.
-                tiles[(m, k)] = LowRankTile(
-                    LowRankFactor(
-                        np.asarray(data[f"u_{key}"]),
-                        np.asarray(data[f"v_{key}"]),
-                    )
-                )
-            elif kind == 2:
-                tiles[(m, k)] = DenseTile(data[f"d_{key}"])
-            else:
-                raise ValueError(f"corrupt tile kind {kind} at ({m}, {k})")
-    return tiles
-
-
 def _payload_digest(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
-
-
-def _quarantine(path: Path) -> None:
-    """Move a corrupt file out of the way (best effort, never raises)."""
-    try:
-        path.rename(path.with_name(path.name + ".corrupt"))
-    except OSError:
-        pass
 
 
 def _load_one(manifest_path: Path) -> Checkpoint:
@@ -226,7 +170,8 @@ def _load_one(manifest_path: Path) -> Checkpoint:
             f"(manifest {manifest['payload_blake2b']}, file {digest}) — "
             "torn or tampered write"
         )
-    tiles = _tiles_from_npz_bytes(payload)
+    with np.load(io.BytesIO(payload)) as data:
+        tiles = unpack_tiles(data)
     checksums: dict[tuple[int, int], str] = {}
     for key_str, expected in manifest["tile_checksums"].items():
         m_str, k_str = key_str.split("_")
@@ -276,8 +221,8 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint | None:
         try:
             return _load_one(manifest_path)
         except (ValueError, OSError, KeyError, json.JSONDecodeError):
-            _quarantine(manifest_path.parent / (manifest_path.stem + ".npz"))
-            _quarantine(manifest_path)
+            quarantine(manifest_path.parent / (manifest_path.stem + ".npz"))
+            quarantine(manifest_path)
     return None
 
 
@@ -506,9 +451,11 @@ class CheckpointManager:
     def flush(self, data=None, force: bool = False) -> Path | None:
         """Write a checkpoint if one is due (or ``force=True``).
 
-        Safe to call from any worker thread; a single writer proceeds,
-        concurrent callers return immediately (the due flag stays set,
-        so a skipped flush is retried at the next retirement).
+        Safe to call from any worker thread; a single writer proceeds
+        and concurrent callers return immediately.  Retirements that
+        land during the write still count toward the next checkpoint,
+        so one that falls due meanwhile is written at the next
+        retirement or, after the last one, by the run's epilogue.
         """
         with self._lock:
             if self._writing or not (self._due or force):
@@ -516,6 +463,7 @@ class CheckpointManager:
             if self._signature is None:
                 raise RuntimeError("flush() before bind()")
             self._writing = True
+            covered = self._tasks_since
             seq = self._seq + 1
             completed = sorted(self._completed)
             dirty = dict(self._dirty)
@@ -528,9 +476,12 @@ class CheckpointManager:
                 self._writing = False
         with self._lock:
             self._seq = seq
-            self._tasks_since = 0
+            self._tasks_since -= covered
             self._last_write = time.monotonic()
-            self._due = False
+            self._due = (
+                self.every_tasks is not None
+                and self._tasks_since >= self.every_tasks
+            )
             self.checkpoints_written += 1
         self._prune()
         return path
@@ -544,9 +495,13 @@ class CheckpointManager:
         matrix_meta: dict,
     ) -> Path:
         stem = f"{_CKPT_PREFIX}{seq:06d}"
-        payload = _tiles_to_npz_bytes(
-            {key: tile for key, (tile, _) in dirty.items()}
+        arrays, kinds = pack_tiles(
+            (key, tile) for key, (tile, _) in sorted(dirty.items())
         )
+        buf = io.BytesIO()
+        # uncompressed: checkpoints are hot-path
+        np.savez(buf, **arrays, kinds=kinds)
+        payload = buf.getvalue()
         manifest = {
             "version": _MANIFEST_VERSION,
             "seq": seq,

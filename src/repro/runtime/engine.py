@@ -360,6 +360,11 @@ class _Run:
                 self.heal,
                 "post-run integrity sweep",
             )
+        if self.checkpoint is not None:
+            # A retirement that fell due while another worker was
+            # writing skipped its flush, and after the last one no
+            # "next retirement" retries it.
+            self.checkpoint.flush(self.data)
         return self.trace
 
 

@@ -13,6 +13,9 @@ a per-call expense.  The subsystem provides
   that queued for one operator while the workers were busy are taken
   together as one blocked multi-RHS solve (no linger timer: nothing
   ready is held back to grow a batch);
+- :class:`Request` / :class:`RequestHandle` — the one request record
+  (what ``submit`` admits, and the frame a fleet sends its shards) and
+  its handle, a :class:`concurrent.futures.Future`;
 - :class:`SolveService` — bounded pending pool + worker threads that
   pull from it, with end-to-end deadline propagation, admission control
   (``max_inflight`` + ``Retry-After`` hints), typed overload
@@ -24,11 +27,12 @@ a per-call expense.  The subsystem provides
   retries from amplifying an outage;
 - :class:`ServiceMetrics` — latency percentiles, hit rates, batch
   shapes, Chrome-trace export via :mod:`repro.runtime.tracing`;
-- :class:`FleetService` — N supervised shard processes behind a
-  consistent-hash front door (:class:`FleetRouter`), with heartbeat
-  liveness (:class:`~repro.runtime.supervisor.ProcessSupervisor`),
-  hot-operator replication, failover replay of in-flight requests,
-  and warm handoff through the shared sealed cache.
+- :class:`FleetService` — N supervised shard processes, each a
+  ``SolveService`` behind a pipe, under a consistent-hash front door
+  (:class:`FleetRouter`), with heartbeat liveness
+  (:class:`~repro.runtime.supervisor.ProcessSupervisor`), hot-operator
+  replication, failover replay of in-flight requests, and warm handoff
+  through the shared sealed cache.
 """
 
 from repro.service.batching import RequestBatcher
@@ -41,7 +45,6 @@ from repro.service.errors import (
     DeadlineExpiredError,
     FactorizationFailedError,
     RequestFailedError,
-    RetryBudgetExhaustedError,
     ServiceClosedError,
     ServiceDrainingError,
     ServiceError,
@@ -79,7 +82,6 @@ __all__ = [
     "RequestFailedError",
     "FactorizationFailedError",
     "CircuitOpenError",
-    "RetryBudgetExhaustedError",
     "CorruptResultError",
     "ShardFailedError",
     "ShardUnavailableError",

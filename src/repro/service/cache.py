@@ -47,7 +47,7 @@ from repro.linalg.serialization import load_tlr, save_tlr
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.service.metrics import ServiceMetrics
 from repro.service.spec import OperatorSpec
-from repro.utils.atomic import atomic_write_bytes
+from repro.utils.atomic import atomic_write_bytes, quarantine
 
 __all__ = ["CacheEntry", "OperatorCache"]
 
@@ -246,20 +246,12 @@ class OperatorCache:
             json.dumps(manifest, indent=1).encode(),
         )
 
-    @staticmethod
-    def _quarantine(path: Path) -> None:
-        """Move a corrupt file aside for post-mortem (best effort)."""
-        try:
-            path.rename(path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
-
     def _quarantine_entry(self, fp: str) -> None:
         op_path, f_path = self._paths(fp)
         moved = 0
         for p in (op_path, f_path, self._manifest_path(fp)):
             if p.exists():
-                self._quarantine(p)
+                quarantine(p)
                 moved += 1
         if moved:
             self._count("disk_corrupt")

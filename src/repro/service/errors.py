@@ -17,7 +17,6 @@ __all__ = [
     "RequestFailedError",
     "FactorizationFailedError",
     "CircuitOpenError",
-    "RetryBudgetExhaustedError",
     "CorruptResultError",
     "ShardFailedError",
     "ShardUnavailableError",
@@ -108,17 +107,6 @@ class CircuitOpenError(ServiceError):
     """
 
 
-class RetryBudgetExhaustedError(ServiceError):
-    """The operator's retry budget is spent: no retry was attempted.
-
-    Token-bucket retry budgets keep retries from amplifying an outage
-    — when an operator's builds are failing steadily, retrying every
-    request multiplies the load on the failing path.  Once the bucket
-    is empty, failures surface immediately (first attempts are never
-    budgeted, only retries).
-    """
-
-
 class CorruptResultError(ServiceError):
     """A computed result contained non-finite values: corrupt factor.
 
@@ -166,30 +154,25 @@ class ShardUnavailableError(ServiceError):
 #: through pickle safely, so shard replies carry ``(class name, text)``
 #: and the fleet rebuilds the typed error here — unknown names degrade
 #: to :class:`RequestFailedError` rather than crashing the router.
-_WIRE_SAFE: dict[str, type] = {}
+_WIRE_SAFE: dict[str, type] = {
+    cls.__name__: cls
+    for cls in (
+        ServiceError,
+        BacklogFullError,
+        ServiceOverloadedError,
+        ServiceDrainingError,
+        DeadlineExpiredError,
+        ServiceClosedError,
+        RequestFailedError,
+        CircuitOpenError,
+        ShardFailedError,
+        ShardUnavailableError,
+    )
+}
 
 
 def reconstruct_error(name: str, message: str) -> "ServiceError":
     """Rebuild a typed service error from a shard's wire reply."""
-    if not _WIRE_SAFE:
-        _WIRE_SAFE.update(
-            {
-                cls.__name__: cls
-                for cls in (
-                    ServiceError,
-                    BacklogFullError,
-                    ServiceOverloadedError,
-                    ServiceDrainingError,
-                    DeadlineExpiredError,
-                    ServiceClosedError,
-                    RequestFailedError,
-                    CircuitOpenError,
-                    RetryBudgetExhaustedError,
-                    ShardFailedError,
-                    ShardUnavailableError,
-                )
-            }
-        )
     cls = _WIRE_SAFE.get(name)
     if cls is not None:
         return cls(message)

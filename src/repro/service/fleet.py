@@ -38,12 +38,25 @@ router:
 Process topology (children of :mod:`repro.runtime.transport`, like
 the mp execution engine's workers)::
 
-    FleetService (front door)
-      ├── request pipe ──>  shard-0: SolveService + cache + breakers
-      │     result pipe <───────┘  │
-      │     heartbeat pipe <───────┘
+    FleetService (front door: client threads, one writer thread per
+      │           shard, one collector, one monitor)
+      ├── request pipe ──>  shard-0: main thread -- submit() --> SolveService
+      │     result pipe <────────── its ``workers`` lanes (done-callbacks)
+      │     heartbeat pipe <─────── beat thread
       ├── request pipe ──>  shard-1: ...
       │     ...
+
+A shard *is* a ``SolveService`` behind a pipe: what crosses is the
+service's own :class:`~repro.service.server.Request` record, stamped
+by the front door with its request id and absolute deadline and passed
+unchanged to :meth:`SolveService.submit`; the reply is posted by the
+handle's done-callback, on the lane that settled it.  Prewarms and
+occupancies are request kinds, so they meet the same breaker, retry
+budget and deadline checks as a cold solve.  The front door keeps one
+table of outstanding requests: one routed by key is *replayable* (its
+shard's death re-sends it to the key's next owner), one addressed to a
+shard (prewarm, drain) is *pinned*, and the same failover code fails
+it with :class:`ShardFailedError`.
 
 Heartbeats keep a pipe of their own: a front door busy draining a
 large result must not read as a silent shard.
@@ -60,15 +73,18 @@ import multiprocessing
 import os
 import queue
 import signal
+import tempfile
 import threading
 import time
 from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.runtime import transport
 from repro.runtime.supervisor import ProcessFailure, ProcessSupervisor
+from repro.service.cache import OperatorCache
 from repro.service.errors import (
     DeadlineExpiredError,
     ServiceClosedError,
@@ -78,10 +94,25 @@ from repro.service.errors import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.router import ConsistentHashRing, FleetRouter
-from repro.service.server import RequestHandle, SolveService
+from repro.service.server import (
+    Request,
+    RequestHandle,
+    SolveService,
+    deadline_after,
+)
 from repro.service.spec import OperatorSpec
 
 __all__ = ["FleetService", "ShardStatus"]
+
+#: a shard silent for this many heartbeat intervals is SIGKILLed
+HEARTBEAT_TIMEOUT_BEATS = 10
+#: sends per replayable request before failover gives up on it
+MAX_REPLAYS = 3
+#: the failover counters ``FleetService.report`` carries, in its key order
+_REPORTED_COUNTERS = (
+    "failovers", "requests_replayed", "stale_results",
+    "replay_verified_identical", "replay_verified_close", "replay_mismatch",
+)
 
 
 def _set_process_title(title: str) -> None:
@@ -112,58 +143,39 @@ def _shard_main(
 ) -> None:
     """One shard: a full SolveService behind a request pipe.
 
-    Replies are tagged with ``(name, epoch, request id)`` so the front
-    door can dedup late results from a previous life of this shard
-    name.  Forwarder threads share the result pipe under an in-process
-    lock, so a SIGKILL can never orphan a lock any *other* shard
-    depends on.
+    Threads: this one (reads frames, submits), the beat thread, and
+    the service's ``workers`` lanes — which also post the replies, from
+    each handle's done-callback, sharing the result pipe under an
+    in-process lock (a SIGKILL can never orphan a lock any *other*
+    shard depends on).  Replies are tagged ``(name, epoch, request
+    id)`` so the front door can dedup late results from a previous
+    life of this shard name.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.service.cache import OperatorCache
-
     _set_process_title(f"tlr-{name}")
-    cache = OperatorCache(
-        directory=config["cache_dir"],
-        byte_budget=config["byte_budget"],
-    )
-    svc = SolveService(
-        cache=cache,
-        workers=config["workers"],
-        backlog=config["backlog"],
-        max_batch=config["max_batch"],
-        max_inflight=config["max_inflight"],
-        factor_workers=config["factor_workers"],
-        factor_engine=config["factor_engine"],
-        build_retries=config["build_retries"],
-        build_backoff=config["build_backoff"],
-    )
+    cache = OperatorCache(**config["cache"])
+    svc = SolveService(cache=cache, **config["service"])
     imported = svc.import_handoff(handoff)
     res_lock = threading.Lock()
 
     def _post(msg: tuple) -> None:
-        try:
-            with res_lock:
-                res_conn.send(msg)
-        except OSError:  # parent is gone
-            pass
+        with suppress(OSError), res_lock:  # OSError: parent is gone
+            res_conn.send(msg)
 
-    _post(
-        (
-            "ready",
-            name,
-            epoch,
-            os.getpid(),
-            {
-                "disk_entries": len(cache.disk_fingerprints()),
-                "imported_breaker_keys": imported["breaker_keys"],
-            },
-        )
-    )
+    def _reply(handle: RequestHandle) -> None:
+        exc = handle.exception()
+        if exc is None:
+            _post(("ok", name, epoch, handle.request_id, handle.result()))
+        else:  # by name and text: errors.reconstruct_error rebuilds it
+            error = (type(exc).__name__, str(exc))
+            _post(("err", name, epoch, handle.request_id, *error))
+
+    info = {
+        "disk_entries": len(cache.disk_fingerprints()),
+        "imported_breaker_keys": imported["breaker_keys"],
+    }
+    _post(("ready", name, epoch, os.getpid(), info))
 
     stop = threading.Event()
-    completed = itertools.count()
-    ncompleted = [0]
 
     def _beat_loop() -> None:
         last_seal = time.monotonic()
@@ -171,11 +183,9 @@ def _shard_main(
             try:
                 beat_conn.send(
                     {
-                        "t": time.monotonic(),
-                        "pid": os.getpid(),
                         "inflight": svc.inflight,
                         "entries": len(cache),
-                        "completed": ncompleted[0],
+                        "completed": svc.metrics.counter("completed"),
                         # breaker/retry-budget state rides every beat:
                         # a SIGKILL later recovers from the last beat
                         "handoff": svc.export_handoff(),
@@ -188,116 +198,37 @@ def _shard_main(
             if now - last_seal >= config["checkpoint_interval"]:
                 # periodic checkpoint: seal anything built since the
                 # last interval so a crash still hands off warm
-                try:
+                with suppress(OSError):  # disk trouble
                     cache.seal()
-                except OSError:  # pragma: no cover - disk trouble
-                    pass
                 last_seal = now
             stop.wait(config["heartbeat_interval"])
 
     beater = threading.Thread(target=_beat_loop, name=f"{name}-beat", daemon=True)
     beater.start()
 
-    # forwarders wait on service handles and post replies; +2 so a
-    # full complement of busy lanes still leaves a slot for prewarms
-    forwarders = ThreadPoolExecutor(
-        max_workers=config["workers"] + 2, thread_name_prefix=f"{name}-fwd"
-    )
-    # occupancy requests model a busy lane without BLAS: exactly
-    # ``workers`` may sleep concurrently, like real solves
-    occupancy = threading.BoundedSemaphore(config["workers"])
-
-    def _reply_ok(req_id: int, value) -> None:
-        ncompleted[0] = next(completed) + 1
-        _post(("ok", name, epoch, req_id, value))
-
-    def _reply_err(req_id: int, exc: BaseException) -> None:
-        _post(("err", name, epoch, req_id, type(exc).__name__, str(exc)))
-
-    def _await(req_id: int, handle) -> None:
-        try:
-            _reply_ok(req_id, handle.result())
-        except BaseException as exc:
-            _reply_err(req_id, exc)
-
-    def _prewarm(req_id: int, spec) -> None:
-        try:
-            cache.get_or_build(spec)
-            _reply_ok(req_id, spec.fingerprint)
-        except BaseException as exc:
-            _reply_err(req_id, exc)
-
-    def _occupy(req_id: int, seconds: float, deadline: float | None) -> None:
-        try:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise DeadlineExpiredError(f"request {req_id} deadline passed")
-            with occupancy:
-                time.sleep(seconds)
-            _reply_ok(req_id, seconds)
-        except BaseException as exc:
-            _reply_err(req_id, exc)
-
-    def _timeout_of(deadline: float | None) -> float | None:
-        # CLOCK_MONOTONIC is machine-wide on Linux, so the absolute
-        # deadline stamped by the front door is meaningful here
-        if deadline is None:
-            return None
-        remaining = deadline - time.monotonic()
-        if remaining <= 0.0:
-            raise DeadlineExpiredError("deadline passed before shard dispatch")
-        return remaining
-
-    draining = False
     try:
-        # the loop also ends when the front door dies (EOF)
-        for msg in transport.frames(req_conn):
-            kind = msg[0]
-            if kind == "stop":
+        # frames are Request records, until the ("stop",) sentinel or
+        # the front door's death (EOF)
+        for req in transport.frames(req_conn):
+            if req == ("stop",):
                 break
-            if kind == "drain":
-                req_id = msg[1]
-                summary = svc.drain(timeout=config["drain_timeout"])
-                summary["counters"] = dict(
-                    svc.metrics.to_dict()["counters"]
-                )
+            if req.kind == "drain":
+                summary = svc.drain()
+                summary["counters"] = dict(svc.metrics.to_dict()["counters"])
                 summary["cache"] = cache.stats()
-                _reply_ok(req_id, summary)
-                draining = True
+                _post(("ok", name, epoch, req.request_id, summary))
                 break
-            if kind == "prewarm":
-                forwarders.submit(_prewarm, msg[1], msg[2])
-                continue
-            if kind == "occupy":
-                _, req_id, seconds, deadline = msg
-                forwarders.submit(_occupy, req_id, seconds, deadline)
-                continue
-            if kind == "solve":
-                _, req_id, spec, rhs, deadline, refine = msg
-                try:
-                    handle = svc.submit_solve(
-                        spec, rhs, timeout=_timeout_of(deadline), refine=refine
-                    )
-                except BaseException as exc:
-                    _reply_err(req_id, exc)
-                    continue
-                forwarders.submit(_await, req_id, handle)
-                continue
-            if kind == "logdet":
-                _, req_id, spec, deadline = msg
-                try:
-                    handle = svc.submit_logdet(
-                        spec, timeout=_timeout_of(deadline)
-                    )
-                except BaseException as exc:
-                    _reply_err(req_id, exc)
-                    continue
-                forwarders.submit(_await, req_id, handle)
-                continue
+            try:
+                handle = svc.submit(req)
+            except Exception as exc:  # refused at admission
+                handle = RequestHandle(req.request_id, req.kind)
+                handle.set_exception(exc)
+            handle.add_done_callback(_reply)
     finally:
-        forwarders.shutdown(wait=True)
         stop.set()
-        # graceful exits complete accepted work; a drain already did
-        svc.close(drain=not draining)
+        # graceful exits complete accepted work: each lane posts its
+        # replies before close() joins it (after a drain none is left)
+        svc.close()
         beater.join(timeout=2.0)
 
 
@@ -308,24 +239,22 @@ def _shard_main(
 
 @dataclass
 class _Pending:
-    """One admitted fleet request, tracked until its handle settles."""
+    """Routing state around one outstanding request, until its handle
+    settles.  The record itself (kind, spec, rhs, id, deadline) is the
+    :class:`Request` the shard receives."""
 
-    req_id: int
-    kind: str  # "solve" | "logdet" | "occupy"
-    route_key: str
+    request: Request
     handle: RequestHandle
-    shard: str
-    spec: OperatorSpec | None = None
-    payload: object = None  # rhs array / occupancy seconds
-    refine: bool = False
-    deadline: float | None = None
-    attempts: int = 1  # successful sends (replays increment)
-    replayed: bool = False
-    #: epoch of the shard handle the latest dispatch targeted, so a
+    #: what the ring routes (and re-routes) on; None pins the request
+    #: to the one shard that can answer it
+    route_key: str | None
+    #: the shard (this life of it) the latest dispatch targeted, so a
     #: stale writer-thread failure can tell whether the request has
     #: already been re-homed
-    sent_epoch: int = 0
-    submitted_at: float = field(default_factory=time.monotonic)
+    home: _ShardHandle | None = None
+    attempts: int = 0  # successful sends: more than one = replayed
+    #: its shard is gone (or never took it): the monitor re-homes it
+    parked: bool = False
 
 
 @dataclass
@@ -338,12 +267,12 @@ class _ShardHandle:
     #: outbound request queue drained by this shard's writer thread —
     #: the only thread that sends on the request pipe, so a full pipe
     #: to a hung shard can never block the monitor or a client thread
-    out_q: queue.Queue
+    out_q: queue.Queue = field(default_factory=queue.Queue)
     writer: threading.Thread | None = None
     state: str = "starting"  # starting | live | dead | removed
-    spawned_at: float = field(default_factory=time.monotonic)
     last_beat: dict | None = None
-    ready_info: dict | None = None
+    #: when the life this one replaces was found dead (None = a join)
+    respawn_t0: float | None = None
 
 
 @dataclass(frozen=True)
@@ -374,30 +303,25 @@ class FleetService:
     replication:
         Preference-list length for hot operators: the primary plus
         ``replication - 1`` prewarmed replicas (1 = no replication).
-    hot_threshold:
-        Requests after which an operator's replicas are prewarmed.
     cache_dir:
         Shared sealed-cache directory (the warm-handoff medium).
         ``None`` creates a private temporary directory for the fleet's
         lifetime — handoff still works, persistence across fleets
         doesn't.
     workers_per_shard, backlog, max_batch, max_inflight,
-    factor_workers, factor_engine, build_retries, build_backoff:
+    factor_workers, factor_engine:
         Forwarded to each shard's ``SolveService``.
     byte_budget:
         Per-shard resident-bytes LRU budget (None = unbounded).
-    heartbeat_interval / heartbeat_timeout:
-        Shard beat cadence and the staleness bound after which a
-        silent shard is SIGKILLed (default: 10 intervals).
+    heartbeat_interval:
+        Shard beat cadence; a shard silent for
+        :data:`HEARTBEAT_TIMEOUT_BEATS` intervals is SIGKILLed.
     checkpoint_interval:
         Seconds between periodic cache seals inside each shard — the
         bound the respawn-to-warm-serving time is measured against.
     max_respawns:
         Fleet-lifetime shard respawn budget (default ``2*shards + 2``,
         the worker-supervision convention).
-    max_replays:
-        Send attempts per request before failover gives up with
-        :class:`ShardFailedError`.
     start:
         Spawn shards and block until all are serving.  ``False`` for
         tests that stage the fleet manually (call :meth:`start`).
@@ -408,7 +332,6 @@ class FleetService:
         shards: int = 2,
         *,
         replication: int = 2,
-        hot_threshold: int = 2,
         cache_dir=None,
         workers_per_shard: int = 2,
         backlog: int = 256,
@@ -416,16 +339,10 @@ class FleetService:
         max_inflight: int | None = None,
         factor_workers: int | None = None,
         factor_engine: str | None = None,
-        build_retries: int = 1,
-        build_backoff: float = 0.05,
         byte_budget: int | None = None,
         heartbeat_interval: float = 0.1,
-        heartbeat_timeout: float | None = None,
         checkpoint_interval: float = 5.0,
-        drain_timeout: float = 30.0,
         max_respawns: int | None = None,
-        max_replays: int = 3,
-        vnodes: int = 128,
         metrics: ServiceMetrics | None = None,
         start: bool = True,
     ) -> None:
@@ -437,52 +354,49 @@ class FleetService:
             raise ValueError(
                 f"heartbeat_interval must be positive, got {heartbeat_interval}"
             )
-        if heartbeat_timeout is None:
-            heartbeat_timeout = 10.0 * heartbeat_interval
         if max_respawns is None:
             max_respawns = 2 * shards + 2
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.replication = int(replication)
         self.checkpoint_interval = float(checkpoint_interval)
-        self.max_replays = int(max_replays)
         self._tmpdir = None
         if cache_dir is None:
-            import tempfile
-
             self._tmpdir = tempfile.TemporaryDirectory(prefix="tlr-fleet-")
             cache_dir = self._tmpdir.name
+        #: what a shard is built from: its cache's and its service's
+        #: constructor arguments, and its two cadences
         self._config = {
-            "cache_dir": str(cache_dir),
-            "workers": int(workers_per_shard),
-            "backlog": int(backlog),
-            "max_batch": int(max_batch),
-            "max_inflight": max_inflight,
-            "factor_workers": factor_workers,
-            "factor_engine": factor_engine,
-            "build_retries": int(build_retries),
-            "build_backoff": float(build_backoff),
-            "byte_budget": byte_budget,
+            "cache": {"directory": str(cache_dir), "byte_budget": byte_budget},
+            "service": {
+                "workers": int(workers_per_shard),
+                "backlog": int(backlog),
+                "max_batch": int(max_batch),
+                "max_inflight": max_inflight,
+                "factor_workers": factor_workers,
+                "factor_engine": factor_engine,
+            },
             "heartbeat_interval": float(heartbeat_interval),
             "checkpoint_interval": float(checkpoint_interval),
-            "drain_timeout": float(drain_timeout),
         }
         self._ctx = multiprocessing.get_context("fork")
         self._router = FleetRouter(
-            ConsistentHashRing(vnodes=vnodes),
-            replication=self.replication,
-            hot_threshold=hot_threshold,
+            ConsistentHashRing(), replication=self.replication
         )
         self.supervisor = ProcessSupervisor(
-            max_respawns=max_respawns, timeout=heartbeat_timeout
+            max_respawns=max_respawns,
+            timeout=HEARTBEAT_TIMEOUT_BEATS * heartbeat_interval,
         )
         self._beats_seen = 0
         self._lock = threading.Lock()
+        #: notified whenever a shard changes state or joins ``_children``
+        #: (and at close): what ``wait_ready``, ``add_shard`` and an
+        #: idle collector wait on
+        self._changed = threading.Condition(self._lock)
+        #: held while re-homing requests (``_replay``), never under ``_lock``
+        self._rehoming = threading.Lock()
         self._shards: dict[str, _ShardHandle] = {}
+        #: every outstanding request, replayable or pinned, by id
         self._pending: dict[int, _Pending] = {}
-        #: request id -> (handle, target shard); the shard is recorded
-        #: so a shard death settles its controls instead of leaking them
-        self._controls: dict[int, tuple[RequestHandle, str]] = {}
-        self._park: list[_Pending] = []
         #: results of replayed requests retained for dedup verification
         self._replay_results: OrderedDict[int, object] = OrderedDict()
         #: every shard process ever spawned: a dead one stays so the
@@ -490,13 +404,12 @@ class FleetService:
         #: (and their pipes closed) together in close()
         self._children: list[transport.Child] = []
         self._respawns: list[dict] = []
-        self._respawn_t0: dict[str, float] = {}
         self._req_ids = itertools.count(1)
         self._shard_index = itertools.count(0)
         self._closed = False
         self._started = False
         self._n_initial = int(shards)
-        self._stop_event = threading.Event()
+        self._collecting = True
         self._monitor_stop = threading.Event()
         self._collector = threading.Thread(
             target=self._collect_loop, name="tlr-fleet-collect", daemon=True
@@ -517,25 +430,25 @@ class FleetService:
             if self._started:
                 return
             self._started = True
-        self._collector.start()
-        self._monitor.start()
         for _ in range(self._n_initial):
             self.add_shard(wait=False)
+        # after the spawns: the collector's first wait set holds them all
+        self._collector.start()
+        self._monitor.start()
         self.wait_ready(timeout=timeout)
 
     def wait_ready(self, timeout: float = 120.0) -> None:
         """Block until every non-dead shard reports ready."""
-        give_up = time.monotonic() + timeout
-        while time.monotonic() < give_up:
-            with self._lock:
-                states = [h.state for h in self._shards.values()]
-            if states and all(s in ("live", "dead", "removed") for s in states):
-                if any(s == "live" for s in states):
-                    return
-            time.sleep(0.01)
-        raise ShardUnavailableError(
-            f"fleet failed to become ready within {timeout} s"
-        )
+
+        def settled() -> bool:
+            states = {h.state for h in self._shards.values()}
+            return "live" in states and "starting" not in states
+
+        with self._changed:
+            if not self._changed.wait_for(settled, timeout):
+                raise ShardUnavailableError(
+                    f"fleet failed to become ready within {timeout} s"
+                )
 
     def close(self) -> None:
         """Stop every shard (completing accepted work) and shut down."""
@@ -559,13 +472,15 @@ class FleetService:
         # else sends once transport.stop repeats the stop directly
         # (for a shard whose writer could not deliver it).
         for h in handles:
-            h.out_q.put((("stop",), None))
+            h.out_q.put(("stop",))
             h.out_q.put(None)
         # The collector goes too (promptly: the exiting shards' EOFs
         # wake it): from here on transport.stop is the one reader of
         # the result pipes, and hands what the shards still finish to
         # the same dispatch.
-        self._stop_event.set()
+        with self._changed:
+            self._collecting = False
+            self._changed.notify_all()
         if self._collector.is_alive():
             self._collector.join(timeout=5.0)
         deadline = time.monotonic() + 2.0
@@ -578,16 +493,8 @@ class FleetService:
         with self._lock:
             pending = list(self._pending.values())
             self._pending.clear()
-            controls = [c for c, _ in self._controls.values()]
-            self._controls.clear()
-            parked = list(self._park)
-            self._park.clear()
-        for p in pending + parked:
-            if not p.handle.done():
-                p.handle.set_exception(exc)
-        for c in controls:
-            if not c.done():
-                c.set_exception(exc)
+        for p in pending:
+            p.handle.set_exception(exc)
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
 
@@ -608,16 +515,12 @@ class FleetService:
         name = f"shard-{next(self._shard_index)}"
         self._spawn(name, epoch=0, handoff=None)
         if wait:
-            give_up = time.monotonic() + timeout
-            while time.monotonic() < give_up:
-                with self._lock:
-                    h = self._shards.get(name)
-                    if h is not None and h.state == "live":
-                        return name
-                    if h is not None and h.state in ("dead", "removed"):
-                        break
-                time.sleep(0.01)
-            raise ShardUnavailableError(f"{name} failed to become ready")
+            with self._changed:
+                self._changed.wait_for(
+                    lambda: self._shards[name].state != "starting", timeout
+                )
+                if self._shards[name].state != "live":
+                    raise ShardUnavailableError(f"{name} failed to become ready")
         return name
 
     def remove_shard(self, name: str, timeout: float = 60.0) -> dict:
@@ -634,23 +537,18 @@ class FleetService:
             if h is None or h.state != "live":
                 raise ShardUnavailableError(f"{name} is not a live shard")
         self._router.remove_node(name)
-        ctrl = RequestHandle(next(self._req_ids), "drain")
-        with self._lock:
-            self._controls[ctrl.request_id] = (ctrl, name)
-        h.out_q.put(
-            (
-                ("drain", ctrl.request_id),
-                lambda: self._fail_control(ctrl.request_id, name),
-            )
-        )
+        ctrl = self._pin(name, self._request("drain", None))
+        if ctrl is None:
+            raise ShardUnavailableError(f"{name} is not a live shard")
         summary = ctrl.result(timeout=timeout)
         self.supervisor.detach(name)
         h.out_q.put(None)  # drain delivered: retire the writer
         h.child.process.join(timeout=10.0)
         if h.child.process.exitcode is None:  # pragma: no cover - wedged drain
             self.supervisor.kill(h.child.process)
-        with self._lock:
+        with self._changed:
             h.state = "removed"
+            self._changed.notify_all()
         self.metrics.count("shards_removed")
         self.metrics.merge_counters(summary.get("counters", {}), prefix="shard_")
         return summary
@@ -669,7 +567,9 @@ class FleetService:
         self.metrics.count("shards_killed")
         return pid
 
-    def _spawn(self, name: str, epoch: int, handoff: dict | None) -> None:
+    def _spawn(
+        self, name: str, epoch: int, handoff, respawn_t0: float | None = None
+    ) -> None:
         child = transport.spawn(
             self._ctx,
             _shard_main,
@@ -677,9 +577,7 @@ class FleetService:
             f"tlr-{name}",
             up=2,
         )
-        handle = _ShardHandle(
-            name=name, epoch=epoch, child=child, out_q=queue.Queue()
-        )
+        handle = _ShardHandle(name, epoch, child, respawn_t0=respawn_t0)
         handle.writer = threading.Thread(
             target=self._writer_loop,
             args=(handle,),
@@ -687,9 +585,10 @@ class FleetService:
             daemon=True,
         )
         handle.writer.start()
-        with self._lock:
+        with self._changed:
             self._shards[name] = handle
             self._children.append(child)
+            self._changed.notify_all()
         self.supervisor.attach(name, child.process)
         # the grace period: fork and cache recovery legitimately
         # precede the first beat, so it has one full timeout to arrive
@@ -704,23 +603,20 @@ class FleetService:
         monitor thread, and the SIGKILL it delivers closes the pipe's
         read end — the blocked send raises EPIPE, unblocking the
         writer, which then fails the queued work over to the failover
-        path via each item's ``on_fail`` callback.  After the first
-        broken send the writer keeps consuming (failing every item)
-        until its ``None`` sentinel, so a message enqueued after the
-        break is never silently dropped.
+        path by parking it.  After the first broken send the writer
+        keeps consuming (parking every request) until its ``None``
+        sentinel, so one enqueued after the break is never silently
+        dropped.  Items are tracked requests, or close()'s bare stop.
         """
         broken = False
-        while True:
-            item = h.out_q.get()
-            if item is None:
-                return
-            msg, on_fail = item
+        for item in iter(h.out_q.get, None):
+            tracked = isinstance(item, _Pending)
             if not broken:
-                if h.child.send(msg):
-                    continue
-                broken = True
-            if on_fail is not None:
-                on_fail()
+                broken = not h.child.send(item.request if tracked else item)
+            if broken and tracked:
+                with self._lock:
+                    # unless the shard-failure path re-homed it first
+                    item.parked = item.parked or item.home is h
 
     # ------------------------------------------------------------------
     # client API
@@ -741,25 +637,14 @@ class FleetService:
         single-process service.
         """
         rhs = SolveService._validate_rhs(spec, rhs)
-        return self._submit(
-            kind="solve",
-            route_key=spec.fingerprint,
-            spec=spec,
-            payload=rhs,
-            refine=refine,
-            timeout=timeout,
-        )
+        req = self._request("solve", timeout, spec, rhs=rhs, refine=refine)
+        return self._submit(req, spec.fingerprint)
 
     def submit_logdet(
         self, spec: OperatorSpec, timeout: float | None = None
     ) -> RequestHandle:
         """Queue a ``log det A`` request on the shard owning ``spec``."""
-        return self._submit(
-            kind="logdet",
-            route_key=spec.fingerprint,
-            spec=spec,
-            timeout=timeout,
-        )
+        return self._submit(self._request("logdet", timeout, spec), spec.fingerprint)
 
     def submit_occupancy(
         self, route_key: str, seconds: float, timeout: float | None = None
@@ -775,12 +660,8 @@ class FleetService:
         """
         if seconds < 0.0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
-        return self._submit(
-            kind="occupy",
-            route_key=str(route_key),
-            payload=float(seconds),
-            timeout=timeout,
-        )
+        req = self._request("occupy", timeout, seconds=float(seconds))
+        return self._submit(req, str(route_key))
 
     def prewarm(self, spec: OperatorSpec, replicas: bool = True) -> list[RequestHandle]:
         """Build/load ``spec`` on its primary (and replica) shards now,
@@ -791,152 +672,80 @@ class FleetService:
         if decision is None:
             raise ShardUnavailableError("no live shard to prewarm on")
         targets = [decision.primary] + (decision.replicas if replicas else [])
-        handles = []
-        for name in targets:
-            h = self._send_control(name, "prewarm", spec)
-            if h is not None:
-                handles.append(h)
-        return handles
+        handles = (self._pin(s, self._request("prewarm", None, spec)) for s in targets)
+        return [h for h in handles if h is not None]
 
     # ------------------------------------------------------------------
     # submission internals
     # ------------------------------------------------------------------
 
-    def _deadline(self, timeout: float | None) -> float | None:
-        if timeout is None:
-            return None
-        if timeout <= 0.0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        return time.monotonic() + timeout
+    def _request(
+        self, kind: str, timeout: float | None, spec=None, **fields
+    ) -> Request:
+        """The record a shard will execute, stamped here — and only
+        here — with the fleet's request id and absolute deadline."""
+        return Request(
+            kind,
+            spec,
+            deadline=deadline_after(timeout),
+            request_id=next(self._req_ids),
+            **fields,
+        )
 
-    def _submit(
-        self,
-        kind: str,
-        route_key: str,
-        spec: OperatorSpec | None = None,
-        payload=None,
-        refine: bool = False,
-        timeout: float | None = None,
-    ) -> RequestHandle:
+    def _track(self, req: Request, route_key: str | None) -> _Pending:
+        p = _Pending(req, RequestHandle(req.request_id, req.kind), route_key)
         with self._lock:
-            if self._closed:
+            if self._closed:  # nothing tracked from here on would settle
                 raise ServiceClosedError("fleet is closed")
+            self._pending[req.request_id] = p
+        return p
+
+    def _submit(self, req: Request, route_key: str) -> RequestHandle:
         decision = self._router.route(route_key)
         if decision is None:
             self.metrics.count("rejected_no_shard")
             raise ShardUnavailableError("no live shard to route to")
-        req = _Pending(
-            req_id=next(self._req_ids),
-            kind=kind,
-            route_key=route_key,
-            handle=RequestHandle(0, kind),
-            shard=decision.primary,
-            spec=spec,
-            payload=payload,
-            refine=refine,
-            deadline=self._deadline(timeout),
-        )
-        req.handle.request_id = req.req_id
-        with self._lock:
-            self._pending[req.req_id] = req
+        p = self._track(req, route_key)
         self.metrics.count("submitted")
-        if decision.became_hot and spec is not None:
+        if decision.became_hot and req.spec is not None:
             # first crossing of the hot threshold: warm each replica
             # once, so the failover target already holds the factor
             for replica in decision.replicas:
-                if self._send_control(replica, "prewarm", spec) is not None:
+                prewarm = self._request("prewarm", None, req.spec)
+                if self._pin(replica, prewarm) is not None:
                     self.metrics.count("prewarms_sent")
-        if not self._dispatch(req, decision.primary):
-            # the primary died between routing and send: park it; the
-            # monitor reroutes as soon as the supervisor turns over
-            with self._lock:
-                self._park.append(req)
-        return req.handle
+        if not self._dispatch(p, decision.primary):
+            # the primary died between routing and send: the monitor
+            # reroutes it as soon as the supervisor turns over
+            p.parked = True
+        return p.handle
 
-    def _wire_message(self, req: _Pending) -> tuple:
-        if req.kind == "solve":
-            return (
-                "solve",
-                req.req_id,
-                req.spec,
-                req.payload,
-                req.deadline,
-                req.refine,
-            )
-        if req.kind == "logdet":
-            return ("logdet", req.req_id, req.spec, req.deadline)
-        if req.kind == "occupy":
-            return ("occupy", req.req_id, req.payload, req.deadline)
-        raise AssertionError(f"unknown kind {req.kind!r}")
+    def _pin(self, shard: str, req: Request) -> RequestHandle | None:
+        """Send ``req`` to ``shard`` and nowhere else; None if the
+        shard is not accepting work.  It is tracked like any request,
+        so the shard's death settles the handle with
+        :class:`ShardFailedError` instead of leaking it."""
+        p = self._track(req, None)
+        if self._dispatch(p, shard):
+            return p.handle
+        with self._lock:
+            self._pending.pop(req.request_id, None)
+        return None
 
-    def _dispatch(self, req: _Pending, shard: str) -> bool:
-        """Queue ``req`` for ``shard``'s writer; False if the shard is
+    def _dispatch(self, p: _Pending, shard: str) -> bool:
+        """Queue ``p`` for ``shard``'s writer; False if the shard is
         not accepting work.  The pipe write itself happens on the
         shard's writer thread, so this never blocks: a broken pipe
-        surfaces asynchronously by parking the request for the monitor
-        to re-home."""
+        surfaces asynchronously, by the writer parking the request for
+        the monitor to re-home."""
         with self._lock:
             h = self._shards.get(shard)
             if h is None or h.state not in ("starting", "live"):
                 return False
-            req.shard = shard
-            req.sent_epoch = h.epoch
-        h.out_q.put(
-            (
-                self._wire_message(req),
-                lambda: self._park_failed_send(req, shard, h.epoch),
-            )
-        )
+            p.home, p.parked = h, False
+            p.attempts += 1
+        h.out_q.put(p)
         return True
-
-    def _park_failed_send(self, req: _Pending, shard: str, epoch: int) -> None:
-        """Writer-thread callback: ``req``'s send hit a dead pipe.
-        Park it for re-homing unless it already settled or the
-        shard-failure path re-dispatched it first."""
-        with self._lock:
-            if req.handle.done():
-                return
-            if self._pending.get(req.req_id) is not req:
-                return
-            if req.shard != shard or req.sent_epoch != epoch:
-                return  # already re-homed by failover
-            if any(p is req for p in self._park):
-                return
-            self._park.append(req)
-
-    def _send_control(self, shard: str, kind: str, spec) -> RequestHandle | None:
-        """Fire a control request (prewarm) at one shard; None if the
-        shard is not accepting work.  The control is tracked against
-        its target shard, so a shard death settles the handle with
-        :class:`ShardFailedError` instead of leaking it."""
-        with self._lock:
-            h = self._shards.get(shard)
-            if h is None or h.state not in ("starting", "live"):
-                return None
-        ctrl = RequestHandle(next(self._req_ids), kind)
-        with self._lock:
-            self._controls[ctrl.request_id] = (ctrl, shard)
-        h.out_q.put(
-            (
-                (kind, ctrl.request_id, spec),
-                lambda: self._fail_control(ctrl.request_id, shard),
-            )
-        )
-        return ctrl
-
-    def _fail_control(self, req_id: int, shard: str) -> None:
-        """Settle one control handle whose target shard is gone."""
-        with self._lock:
-            entry = self._controls.pop(req_id, None)
-        if entry is None:
-            return
-        ctrl, _ = entry
-        if not ctrl.done():
-            ctrl.set_exception(
-                ShardFailedError(
-                    f"{ctrl.kind} request {req_id} lost shard {shard}"
-                )
-            )
 
     # ------------------------------------------------------------------
     # result collection
@@ -945,12 +754,16 @@ class FleetService:
     def _collect_loop(self) -> None:
         # Sole reader of every result pipe, live shards' and dead
         # shards' alike, until close() hands them to transport.stop.
-        while not self._stop_event.is_set():
-            with self._lock:
+        while True:
+            with self._changed:
+                self._changed.wait_for(
+                    lambda: not self._collecting
+                    or any(c.ups[0] is not None for c in self._children)
+                )
+                if not self._collecting:
+                    return
                 children = list(self._children)
-            if all(c.ups[0] is None for c in children):
-                self._stop_event.wait(0.05)  # nothing to wait on yet
-                continue
+            # bounded, so that a shard spawned meanwhile joins the set
             for _, msg in transport.recv_ready(children, 0.2):
                 self._dispatch_result(msg)
 
@@ -962,24 +775,21 @@ class FleetService:
             self._on_result(msg)
 
     def _on_ready(self, name: str, epoch: int, pid: int, info: dict) -> None:
-        with self._lock:
+        with self._changed:
             h = self._shards.get(name)
             if h is None or h.epoch != epoch or h.state != "starting":
                 return  # a stale life of this name
             h.state = "live"
-            h.ready_info = info
+            self._changed.notify_all()
         self._router.add_node(name)
-        t0 = self._respawn_t0.pop(name, None)
-        if t0 is not None:
+        if h.respawn_t0 is not None:
             self._respawns.append(
                 {
                     "shard": name,
                     "epoch": epoch,
-                    "respawn_seconds": time.monotonic() - t0,
-                    "warm_disk_entries": info.get("disk_entries", 0),
-                    "imported_breaker_keys": info.get(
-                        "imported_breaker_keys", 0
-                    ),
+                    "respawn_seconds": time.monotonic() - h.respawn_t0,
+                    "warm_disk_entries": info["disk_entries"],
+                    "imported_breaker_keys": info["imported_breaker_keys"],
                 }
             )
         self._flush_park()
@@ -987,48 +797,38 @@ class FleetService:
     def _on_result(self, msg: tuple) -> None:
         tag, shard, epoch, req_id = msg[:4]
         with self._lock:
-            entry = self._controls.pop(req_id, None)
-        if entry is not None:
-            ctrl, _ = entry
-            if tag == "ok":
-                ctrl.set_result(msg[4])
-            else:
-                ctrl.set_exception(reconstruct_error(msg[4], msg[5]))
-            return
-        with self._lock:
-            req = self._pending.pop(req_id, None)
-        if req is None:
+            p = self._pending.pop(req_id, None)
+        if p is None:
             self._on_duplicate(req_id, tag, msg)
             return
-        if tag == "ok":
-            value = msg[4]
-            req.handle.set_result(value)
-            self.metrics.count("completed")
-            self.metrics.record_latency(
-                req.kind, time.monotonic() - req.submitted_at
-            )
-            if req.deadline is not None:
-                self.metrics.record_slack(
-                    req.kind, req.deadline - time.monotonic()
-                )
-            if req.replayed:
-                # retain for the dedup-verify check if the first
-                # life's answer is still in flight somewhere;
-                # remember whether this request ran the deterministic
-                # solo path (bitwise-comparable) or a coalescible one
-                solo = req.kind != "solve" or (
-                    getattr(req.payload, "ndim", 1) == 2
-                )
-                with self._lock:
-                    self._replay_results[req_id] = (value, solo)
-                    while len(self._replay_results) > 256:
-                        self._replay_results.popitem(last=False)
-        else:
+        # pinned requests are fleet housekeeping, not client traffic:
+        # they stay out of the counters and histograms
+        req, client = p.request, p.route_key is not None
+        if tag == "err":
             err = reconstruct_error(msg[4], msg[5])
-            req.handle.set_exception(err)
-            self.metrics.count(
-                "expired" if isinstance(err, DeadlineExpiredError) else "failed"
-            )
+            p.handle.set_exception(err)
+            if client:
+                self.metrics.count(
+                    "expired" if isinstance(err, DeadlineExpiredError) else "failed"
+                )
+            return
+        p.handle.set_result(msg[4])
+        if not client:
+            return
+        now = time.monotonic()
+        self.metrics.count("completed")
+        self.metrics.record_latency(req.kind, now - req.submitted_at)
+        if req.deadline is not None:
+            self.metrics.record_slack(req.kind, req.deadline - now)
+        if p.attempts > 1:
+            # retain for the dedup-verify check if the first life's
+            # answer is still in flight somewhere; remember whether
+            # this request ran the deterministic solo path
+            # (bitwise-comparable) or a coalescible one
+            with self._lock:
+                self._replay_results[req_id] = (msg[4], req.batch_key is None)
+                while len(self._replay_results) > 256:
+                    self._replay_results.popitem(last=False)
 
     def _on_duplicate(self, req_id: int, tag: str, msg: tuple) -> None:
         """A result for an already-settled request id: the dead shard's
@@ -1090,7 +890,7 @@ class FleetService:
 
     def _on_shard_failure(self, failure: ProcessFailure) -> None:
         shard = failure.key
-        with self._lock:
+        with self._changed:
             if self._closed:
                 return  # close() owns shutdown; exits are not failures
             h = self._shards.get(shard)
@@ -1100,32 +900,24 @@ class FleetService:
             # dying shard raced out still drain from ``_children``
             # through the normal dedup-verify path.
             h.state = "dead"
-            victims = [p for p in self._pending.values() if p.shard == shard]
-            dead_ctrl_ids = [
-                rid for rid, (_, s) in self._controls.items() if s == shard
-            ]
+            self._changed.notify_all()
+            victims = [p for p in self._pending.values() if p.home is h]
+            for p in victims:
+                p.parked = True  # for the flush below: the one re-homing path
         self.metrics.count("shard_failures")
         if failure.hung:
             self.metrics.count("shards_hung_killed")
         # rebalance ONLY the dead shard's arc: every other fingerprint
         # keeps its shard (the consistent-hashing contract)
         self._router.remove_node(shard)
-        # Controls (prewarm/drain) are pinned to their shard — no
-        # surviving replica can answer them — so settle their handles
-        # rather than leaving callers blocked forever.
-        for rid in dead_ctrl_ids:
-            self._fail_control(rid, shard)
-        if victims:
+        if any(p.route_key is not None for p in victims):
             self.metrics.count("failovers")
-        for p in victims:
-            self._replay(p)
+        self._flush_park()
         # Retire the dead handle's writer once its backlog drains;
-        # every leftover item fails through on_fail, which defers to
-        # the replay the loop above already performed.
+        # it parks nothing the flush above already re-homed.
         h.out_q.put(None)
         if self.supervisor.can_respawn():
             self.supervisor.record_respawn()
-            self._respawn_t0[shard] = time.monotonic()
             # warm handoff out of a crash: the sealed shared cache
             # restores the factors; the last beat restores the
             # breaker/retry-budget protection state
@@ -1133,90 +925,92 @@ class FleetService:
                 shard,
                 epoch=h.epoch + 1,
                 handoff=(h.last_beat or {}).get("handoff"),
+                respawn_t0=time.monotonic(),
             )
             self.metrics.count("shards_respawned")
         else:
             self.metrics.count("respawn_budget_exhausted")
 
-    def _replay(self, req: _Pending) -> None:
-        """Re-home one in-flight request from a dead shard."""
-        if req.handle.done():
+    def _give_up(self, p: _Pending, exc: BaseException, *counters: str) -> None:
+        with self._lock:
+            self._pending.pop(p.request.request_id, None)
+        p.handle.set_exception(exc)
+        for name in counters:
+            self.metrics.count(name)
+
+    def _replay(self, p: _Pending) -> None:
+        """Re-home one outstanding request whose shard died — or, if it
+        was pinned to that shard, fail it: no other can answer."""
+        if p.handle.done():
             return
-        now = time.monotonic()
-        if req.deadline is not None and now >= req.deadline:
-            with self._lock:
-                self._pending.pop(req.req_id, None)
-            req.handle.set_exception(
-                DeadlineExpiredError(
-                    f"request {req.req_id} expired during failover"
-                )
-            )
-            self.metrics.count("expired")
-            self.metrics.count("shed_failover")
-            return
-        if req.attempts >= self.max_replays:
-            with self._lock:
-                self._pending.pop(req.req_id, None)
-            req.handle.set_exception(
+        req = p.request
+        if p.route_key is None:
+            self._give_up(
+                p,
                 ShardFailedError(
-                    f"request {req.req_id} lost {req.attempts} shard(s); "
-                    "replay attempts exhausted"
-                )
+                    f"{req.kind} request {req.request_id} lost {p.home.name}"
+                ),
             )
-            self.metrics.count("failed")
             return
-        decision = self._router.route(req.route_key, count=False)
-        if decision is None:
-            # Park only while recovery is possible: a shard is coming
-            # up, or the respawn budget could still produce one.  With
-            # an empty ring and no replacement ever coming, re-parking
-            # would strand a no-deadline caller forever — settle the
-            # handle instead.
-            with self._lock:
-                recovering = any(
-                    s.state in ("starting", "live")
-                    for s in self._shards.values()
-                )
-            if not recovering and not self.supervisor.can_respawn():
-                with self._lock:
-                    self._pending.pop(req.req_id, None)
-                req.handle.set_exception(
-                    ShardUnavailableError(
-                        f"request {req.req_id}: no live shard and the "
-                        "respawn budget is exhausted"
-                    )
-                )
-                self.metrics.count("failed")
-                self.metrics.count("shed_no_shard")
-                return
-            with self._lock:
-                self._park.append(req)
+        if req.expired():
+            self._give_up(
+                p,
+                DeadlineExpiredError(
+                    f"request {req.request_id} expired during failover"
+                ),
+                "expired",
+                "shed_failover",
+            )
             return
-        req.replayed = True
-        if self._dispatch(req, decision.primary):
-            req.attempts += 1
-            self.metrics.count("requests_replayed")
-        else:
-            with self._lock:
-                self._park.append(req)
+        if p.attempts >= MAX_REPLAYS:
+            self._give_up(
+                p,
+                ShardFailedError(
+                    f"request {req.request_id} lost {p.attempts} shard(s); "
+                    "replay attempts exhausted"
+                ),
+                "failed",
+            )
+            return
+        decision = self._router.route(p.route_key, count=False)
+        if decision is not None:
+            if self._dispatch(p, decision.primary):
+                self.metrics.count("requests_replayed")
+            else:
+                p.parked = True
+            return
+        # Park only while recovery is possible: a shard is coming up,
+        # or the respawn budget could still produce one.  With an empty
+        # ring and no replacement ever coming, re-parking would strand
+        # a no-deadline caller forever — settle the handle instead.
+        with self._lock:
+            recovering = any(
+                s.state in ("starting", "live") for s in self._shards.values()
+            )
+        if recovering or self.supervisor.can_respawn():
+            p.parked = True
+            return
+        self._give_up(
+            p,
+            ShardUnavailableError(
+                f"request {req.request_id}: no live shard and the "
+                "respawn budget is exhausted"
+            ),
+            "failed",
+            "shed_no_shard",
+        )
 
     def _flush_park(self) -> None:
-        with self._lock:
-            if not self._park:
-                return
-            parked = list(self._park)
-            self._park.clear()
-        for req in parked:
-            self._replay(req)
+        # one thread re-homes at a time: the monitor and the collector both flush
+        with self._rehoming:
+            with self._lock:
+                parked = [p for p in self._pending.values() if p.parked]
+            for p in parked:
+                self._replay(p)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    @property
-    def shard_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._shards)
 
     def live_shards(self) -> list[str]:
         with self._lock:
@@ -1226,23 +1020,20 @@ class FleetService:
 
     def status(self) -> list[ShardStatus]:
         """Per-shard condition from the latest heartbeats."""
-        out = []
         with self._lock:
-            for name in sorted(self._shards):
-                h = self._shards[name]
-                beat = h.last_beat or {}
-                out.append(
-                    ShardStatus(
-                        name=name,
-                        state=h.state,
-                        pid=h.child.pid,
-                        epoch=h.epoch,
-                        inflight=int(beat.get("inflight", 0)),
-                        cache_entries=int(beat.get("entries", 0)),
-                        completed=int(beat.get("completed", 0)),
-                    )
-                )
-        return out
+            shards = [(h, h.last_beat or {}) for _, h in sorted(self._shards.items())]
+        return [
+            ShardStatus(
+                name=h.name,
+                state=h.state,
+                pid=h.child.pid,
+                epoch=h.epoch,
+                inflight=int(beat.get("inflight", 0)),
+                cache_entries=int(beat.get("entries", 0)),
+                completed=int(beat.get("completed", 0)),
+            )
+            for h, beat in shards
+        ]
 
     def report(self) -> dict:
         """Fleet-level robustness accounting (benchmark evidence)."""
@@ -1253,13 +1044,6 @@ class FleetService:
                 "beats_seen": self._beats_seen,
             },
             "respawns": list(self._respawns),
-            "failovers": counters.get("failovers", 0),
-            "requests_replayed": counters.get("requests_replayed", 0),
-            "stale_results": counters.get("stale_results", 0),
-            "replay_verified_identical": counters.get(
-                "replay_verified_identical", 0
-            ),
-            "replay_verified_close": counters.get("replay_verified_close", 0),
-            "replay_mismatch": counters.get("replay_mismatch", 0),
+            **{name: counters.get(name, 0) for name in _REPORTED_COUNTERS},
             "hot_fingerprints": len(self._router.hot_fingerprints()),
         }

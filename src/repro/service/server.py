@@ -2,7 +2,7 @@
 
 Request lifecycle::
 
-    submit_*()  --add-->  pending pool (RequestBatcher: keyed, bounded)
+    submit(Request) -add-> pending pool (RequestBatcher: keyed, bounded)
                                |                    |
                      BacklogFullError        take(): the oldest request
                      (pool full)             plus its same-key neighbours,
@@ -10,8 +10,9 @@ Request lifecycle::
                                                     |
                                              worker threads
                                       (shed expired, cache acquire, blocked
-                                       solve / logdet, post-build deadline
-                                       re-check, handle completion)
+                                       solve / logdet / prewarm / occupancy,
+                                       post-build deadline re-check, settle
+                                       the handle -> its done-callbacks)
 
 Clients never block on BLAS, and there is no thread between a client
 and the worker that serves it (the fan-both solver's one-sided take:
@@ -51,6 +52,9 @@ import itertools
 import random
 import threading
 import time
+from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,64 +77,93 @@ from repro.service.errors import (
 from repro.service.metrics import ServiceMetrics
 from repro.service.spec import OperatorSpec
 
-__all__ = ["Request", "RequestHandle", "SolveService"]
+__all__ = ["Request", "RequestHandle", "SolveService", "deadline_after"]
 
 _request_ids = itertools.count(1)
 
 
-class RequestHandle:
-    """Client-side handle for one submitted request.
+class RequestHandle(Future):
+    """Client-side handle for one submitted request: a
+    :class:`concurrent.futures.Future` that knows its request's id and
+    kind.
 
     ``result()`` blocks until the service completes the request and
     either returns the payload (solution array, logdet float) or
-    raises the typed service error recorded for it.
+    raises the typed service error recorded for it (the builtin
+    ``TimeoutError`` if ``timeout`` runs out first, on every Python);
+    ``add_done_callback(fn)`` calls ``fn(handle)`` once instead — on
+    the settling thread, outside every service lock, or at once if the
+    handle has already settled (a raising callback is logged and costs
+    neither that thread nor the result).  The first completion wins:
+    settling a settled handle is a no-op, not an error.
     """
 
     def __init__(self, request_id: int, kind: str) -> None:
+        super().__init__()
         self.request_id = request_id
         self.kind = kind
-        self._done = threading.Event()
-        self._result = None
-        self._exception: BaseException | None = None
 
     def set_result(self, value) -> None:
-        self._result = value
-        self._done.set()
+        with suppress(InvalidStateError):
+            super().set_result(value)
 
     def set_exception(self, exc: BaseException) -> None:
-        self._exception = exc
-        self._done.set()
-
-    def done(self) -> bool:
-        return self._done.is_set()
+        with suppress(InvalidStateError):
+            super().set_exception(exc)
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
-        if not self._done.wait(timeout):
-            raise TimeoutError(f"request {self.request_id} still pending")
-        return self._exception
+        try:
+            return super().exception(timeout)
+        except FutureTimeoutError:  # the builtin only from Python 3.11 on
+            raise TimeoutError(f"request {self.request_id} still pending") from None
 
     def result(self, timeout: float | None = None):
         exc = self.exception(timeout)
         if exc is not None:
             raise exc
-        return self._result
+        return super().result()
+
+    def cancel(self) -> bool:
+        return False  # an admitted request runs: there is nothing to call off
 
     def __repr__(self) -> str:
         state = "done" if self.done() else "pending"
         return f"RequestHandle(#{self.request_id}, {self.kind}, {state})"
 
 
+def deadline_after(timeout: float | None) -> float | None:
+    """The absolute ``time.monotonic()`` deadline ``timeout`` seconds
+    from now (None = none).  CLOCK_MONOTONIC is machine-wide on Linux,
+    so a deadline stamped by a fleet's front door means the same
+    instant inside its shards."""
+    if timeout is None:
+        return None
+    if timeout <= 0.0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
+    return time.monotonic() + timeout
+
+
 @dataclass
 class Request:
-    """One unit of queued work (internal to the service)."""
+    """One unit of work: the record a service queues and executes, and
+    the frame a fleet's front door sends its shards (it pickles as long
+    as ``handle`` is unset; :meth:`SolveService.submit` sets it).
 
-    kind: str  # "solve" | "logdet"
-    spec: OperatorSpec
-    handle: RequestHandle
+    Whoever builds the record stamps ``request_id`` and ``deadline``;
+    they are never re-derived downstream.
+    """
+
+    #: "solve" | "logdet" | "prewarm" (build or load ``spec``, answer
+    #: its fingerprint) | "occupy" (hold a lane ``seconds``, no numerics)
+    kind: str
+    spec: OperatorSpec | None = None
     rhs: np.ndarray | None = None
     refine: bool = False
+    seconds: float = 0.0
     #: monotonic-clock absolute deadline (None = no deadline)
     deadline: float | None = None
+    request_id: int = field(default_factory=lambda: next(_request_ids))
+    handle: RequestHandle | None = None
     submitted_at: float = field(default_factory=time.monotonic)
 
     @property
@@ -182,8 +215,8 @@ class SolveService:
         :class:`FactorizationFailedError`.
     breaker:
         Per-operator circuit breaker (default: a fresh
-        :class:`~repro.service.breaker.CircuitBreaker` built from
-        ``breaker_threshold`` / ``breaker_reset``).  An operator whose
+        :class:`~repro.service.breaker.CircuitBreaker`: opens after 3
+        consecutive failures, probes again after 30 s).  An operator whose
         builds keep failing is shed at the edge with
         :class:`CircuitOpenError` instead of re-building every time;
         a half-open probe re-admits it once it recovers.
@@ -215,8 +248,6 @@ class SolveService:
         build_retries: int = 1,
         build_backoff: float = 0.05,
         breaker: CircuitBreaker | None = None,
-        breaker_threshold: int = 3,
-        breaker_reset: float = 30.0,
         max_inflight: int | None = None,
         retry_budget: RetryBudget | None = None,
         start: bool = True,
@@ -240,13 +271,7 @@ class SolveService:
             self.cache.factor_engine = factor_engine
         self.build_retries = int(build_retries)
         self.build_backoff = float(build_backoff)
-        self.breaker = (
-            breaker
-            if breaker is not None
-            else CircuitBreaker(
-                failure_threshold=breaker_threshold, reset_timeout=breaker_reset
-            )
-        )
+        self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.backlog = int(backlog)
         self.workers = int(workers)
         self.max_inflight = None if max_inflight is None else int(max_inflight)
@@ -299,14 +324,13 @@ class SolveService:
         synchronously with :class:`RequestFailedError`.
         """
         rhs = self._validate_rhs(spec, rhs)
-        return self._submit(
+        return self.submit(
             Request(
-                kind="solve",
-                spec=spec,
-                handle=RequestHandle(next(_request_ids), "solve"),
+                "solve",
+                spec,
                 rhs=rhs.copy(),
                 refine=refine,
-                deadline=self._deadline(timeout),
+                deadline=deadline_after(timeout),
             )
         )
 
@@ -314,13 +338,8 @@ class SolveService:
         self, spec: OperatorSpec, timeout: float | None = None
     ) -> RequestHandle:
         """Queue a ``log det A`` request (memoized per cached factor)."""
-        return self._submit(
-            Request(
-                kind="logdet",
-                spec=spec,
-                handle=RequestHandle(next(_request_ids), "logdet"),
-                deadline=self._deadline(timeout),
-            )
+        return self.submit(
+            Request("logdet", spec, deadline=deadline_after(timeout))
         )
 
     def submit_deformation(
@@ -488,13 +507,6 @@ class SolveService:
             )
         return rhs
 
-    def _deadline(self, timeout: float | None) -> float | None:
-        if timeout is None:
-            return None
-        if timeout <= 0.0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        return time.monotonic() + timeout
-
     def _retry_after(self, kind: str) -> float:
         """Estimated seconds until capacity frees up (Retry-After hint).
 
@@ -508,7 +520,13 @@ class SolveService:
         mean = self.metrics.mean_latency(kind) or 0.05
         return max(0.05, mean * (inflight / max(self.workers, 1)))
 
-    def _submit(self, req: Request) -> RequestHandle:
+    def submit(self, req: Request) -> RequestHandle:
+        """Admit one request record and return its handle — the one
+        way in: ``submit_solve`` / ``submit_logdet`` build the record
+        themselves, a fleet shard receives it ready-made (id and
+        deadline stamped by the front door) and passes it here."""
+        if req.handle is None:
+            req.handle = RequestHandle(req.request_id, req.kind)
         key = req.batch_key  # hashes the spec on first use: not under the lock
         refused = None
         with self._lock:
@@ -561,30 +579,33 @@ class SolveService:
         with self._lock:
             self._inflight -= 1
 
+    # Metrics first, handle last: whoever sees the outcome (a client, a
+    # shard's reply racing a drain's counter snapshot) finds it counted.
+
     def _complete(self, req: Request, value) -> None:
-        self._settle()
-        req.handle.set_result(value)
         if req.deadline is not None:
             self.metrics.record_slack(
                 req.kind, req.deadline - time.monotonic()
             )
+        self._settle()
+        req.handle.set_result(value)
 
     def _fail(self, req: Request, exc: BaseException, counter: str = "failed") -> None:
+        self.metrics.count(counter)
         self._settle()
         req.handle.set_exception(exc)
-        self.metrics.count(counter)
 
     def _expire(self, req: Request, stage: str) -> None:
         """Shed one expired request, tagged with the pipeline stage
         that caught it (``shed_<stage>`` counter) — the shed-location
         histogram is how overload tests prove deadlines propagate
         instead of being checked once and discarded."""
+        self.metrics.count(f"shed_{stage}")
         self._fail(
             req,
-            DeadlineExpiredError(f"request {req.handle.request_id} deadline passed"),
+            DeadlineExpiredError(f"request {req.request_id} deadline passed"),
             counter="expired",
         )
-        self.metrics.count(f"shed_{stage}")
 
     # ------------------------------------------------------------------
     # execution (worker threads)
@@ -617,8 +638,10 @@ class SolveService:
     def _execute_batch(self, live: list[Request], worker: int) -> None:
         deadlines = [r.deadline for r in live if r.deadline is not None]
         batch_deadline = min(deadlines) if deadlines else None
+        spec, entry = live[0].spec, None  # an occupancy names no operator
         try:
-            entry = self._acquire_entry(live[0].spec, worker, batch_deadline)
+            if spec is not None:
+                entry = self._acquire_entry(spec, worker, batch_deadline)
         except DeadlineExpiredError:
             # the build-retry loop refused to sleep past the batch
             # deadline; whoever actually expired is shed as expired,
@@ -798,7 +821,9 @@ class SolveService:
         self.metrics.count("corrupt_results")
         raise CorruptResultError(entry.fingerprint, kind)
 
-    def _run_kind(self, live: list[Request], entry: CacheEntry, worker: int) -> None:
+    def _run_kind(
+        self, live: list[Request], entry: CacheEntry | None, worker: int
+    ) -> None:
         from repro.core.solver import solve_cholesky
         from repro.linalg.matvec import refine_solve
 
@@ -828,6 +853,14 @@ class SolveService:
             ncols = 1 if block.ndim == 1 else block.shape[1]
             params = (len(live), ncols)
             self.metrics.record_batch(ncols)
+        elif kind == "prewarm":
+            # acquiring the entry was the work
+            results = [entry.fingerprint] * len(live)
+            params = (len(live),)
+        elif kind == "occupy":
+            time.sleep(live[0].seconds)
+            results = [live[0].seconds]
+            params = (1,)
         else:
             raise RequestFailedError(f"unknown request kind {kind!r}")
         t1 = self._now()
@@ -835,7 +868,7 @@ class SolveService:
             kind.upper(), params, t0, t1, worker=worker
         )
         done_at = time.monotonic()
-        for req, res in zip(live, results):
-            self._complete(req, res)
-            self.metrics.record_latency(kind, done_at - req.submitted_at)
         self.metrics.count("completed", len(live))
+        for req, res in zip(live, results):
+            self.metrics.record_latency(kind, done_at - req.submitted_at)
+            self._complete(req, res)

@@ -17,7 +17,7 @@ import tempfile
 from collections.abc import Callable
 from pathlib import Path
 
-__all__ = ["atomic_write_bytes", "atomic_write_via"]
+__all__ = ["atomic_write_bytes", "atomic_write_via", "quarantine"]
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -65,3 +65,12 @@ def atomic_write_via(
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> Path:
     """Atomically replace ``path`` with ``data``."""
     return atomic_write_via(path, lambda f: f.write(data))
+
+
+def quarantine(path: Path) -> None:
+    """Rename a corrupt file to ``<name>.corrupt`` (best effort, never
+    raises): out of every loader's way, kept for post-mortem."""
+    try:
+        path.rename(path.with_name(path.name + ".corrupt"))
+    except OSError:
+        pass

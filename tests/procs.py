@@ -4,6 +4,7 @@ not always reap what is reparented to it)."""
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 
@@ -16,6 +17,14 @@ def stat(pid) -> tuple[str, int] | None:
     except OSError:
         return None
     return None if fields[0] == "Z" else (fields[0], int(fields[1]))
+
+
+def threads(pid) -> int:
+    """How many threads ``pid`` has right now (0 once it is gone)."""
+    try:
+        return len(os.listdir(f"/proc/{pid}/task"))
+    except OSError:
+        return 0
 
 
 def wait_gone(pids, seconds: float) -> list[int]:

@@ -7,6 +7,8 @@ falls back — separate from the engine-integration tests in
 """
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +140,66 @@ class TestCheckpointFiles:
         assert len(list(tmp_path.glob("ckpt-*.npz"))) <= 2
         # and the survivors still load
         assert load_checkpoint(tmp_path) is not None
+
+
+class TestLastDueCheckpoint:
+    def test_final_retirement_during_a_write_is_still_checkpointed(self, tmp_path):
+        """Two workers, cadence 1: the first checkpoint's write is held
+        open until every task has retired (an engine publishes a task's
+        successors before it flushes, so the other worker can finish
+        the run alone).  Every later retirement, the last one included,
+        then found a writer busy and skipped its flush: only the run's
+        epilogue can write the checkpoint that covers them."""
+        total = len(tlr_cholesky(spd_tlr()).graph)
+        mgr = CheckpointManager(tmp_path, every_tasks=1, keep=100)
+        real_write, all_retired = mgr._write, threading.Event()
+
+        def held_first_write(seq, completed, *rest):
+            if seq == 1:
+                give_up = time.monotonic() + 60.0
+                while len(mgr.completed_uids) < total and time.monotonic() < give_up:
+                    time.sleep(0.005)
+                if len(mgr.completed_uids) == total:
+                    all_retired.set()
+            return real_write(seq, completed, *rest)
+
+        mgr._write = held_first_write
+        result = tlr_cholesky(spd_tlr(), checkpoint=mgr, engine="threads", workers=2)
+        assert all_retired.is_set() and len(result.graph) == total
+        # the held one (a single task) and the epilogue's: nothing between
+        assert mgr.checkpoints_written == 2
+        assert len(load_checkpoint(tmp_path).completed) == total
+
+    def test_flush_refused_during_a_write_stays_due(self, tmp_path):
+        """The manager's half of it, thread by thread: a retirement
+        that lands while another worker writes is told "not due" and
+        its flush is refused — but the checkpoint stays due, and the
+        next unforced flush (the epilogue's) writes all of it."""
+        data = spd_tlr()
+        graph = tlr_cholesky(spd_tlr()).graph
+        first, last = list(graph.tasks)[:2]
+        mgr = CheckpointManager(tmp_path, every_tasks=1)
+        mgr.bind(graph, data)
+        real_write = mgr._write
+        writing, release = threading.Event(), threading.Event()
+
+        def held_write(*args):
+            writing.set()
+            assert release.wait(60.0)
+            return real_write(*args)
+
+        mgr._write = held_write
+        assert mgr.task_retired(first, data)
+        writer = threading.Thread(target=mgr.flush, args=(data,))
+        writer.start()
+        assert writing.wait(60.0)
+        assert not mgr.task_retired(last, data)  # due, but a writer is busy
+        assert mgr.flush(data) is None
+        release.set()
+        writer.join(60.0)
+        assert load_checkpoint(tmp_path).completed == frozenset({first.uid})
+        assert mgr.flush(data) is not None  # what the run's epilogue does
+        assert load_checkpoint(tmp_path).completed == mgr.completed_uids
 
 
 class TestManagerValidation:

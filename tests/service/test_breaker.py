@@ -12,6 +12,8 @@ from repro.service import (
     CircuitOpenError,
     FactorizationFailedError,
     OperatorSpec,
+    Request,
+    RetryBudget,
     SolveService,
 )
 
@@ -233,6 +235,39 @@ class TestServiceIntegration:
             d = svc.metrics.to_dict()["counters"]
             assert d["breaker_opened"] == 1
             assert d["breaker_fast_fail"] == 1
+
+
+    @pytest.mark.timeout(60)
+    def test_failing_prewarm_is_charged_exactly_like_a_cold_solve(
+        self, small_spec, rhs, flaky_build
+    ):
+        """A prewarm is a request kind on the same lanes: its failing
+        build opens the breaker, spends retry budget and counts retries
+        exactly as the same build failing under a solve does."""
+        fp = small_spec.fingerprint
+
+        def outcome(submit):
+            with SolveService(
+                workers=1,
+                build_retries=2,
+                build_backoff=0.001,
+                breaker=CircuitBreaker(failure_threshold=1, reset_timeout=60.0),
+                retry_budget=RetryBudget(capacity=5.0, refill_per_second=0.0),
+            ) as svc:
+                with pytest.raises(FactorizationFailedError) as err:
+                    submit(svc).result(timeout=30)
+                counters = svc.metrics.to_dict()["counters"]
+                return (
+                    err.value.attempts,
+                    svc.breaker.state(fp),
+                    svc.export_handoff()["retry_budget"],
+                    counters["build_retries"],
+                    counters["breaker_opened"],
+                )
+
+        cold = outcome(lambda svc: svc.submit_solve(small_spec, rhs))
+        warm = outcome(lambda svc: svc.submit(Request("prewarm", small_spec)))
+        assert warm == cold == (3, "open", {fp: 3.0}, 2, 1)
 
 
 class TestHalfOpenRaces:

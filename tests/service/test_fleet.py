@@ -10,6 +10,7 @@ original shard's, and respawn warm from the shared disk cache.
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 from repro.geometry import random_cloud
 from repro.service import (
+    CircuitOpenError,
     FleetService,
     OperatorSpec,
     RequestFailedError,
@@ -26,6 +28,7 @@ from repro.service import (
     reconstruct_error,
 )
 from repro.service.errors import DeadlineExpiredError, ServiceError
+from tests import procs
 
 TIMEOUT = 60.0
 
@@ -98,6 +101,67 @@ class TestRoundTrip:
             FleetService(shards=0, start=False)
         with pytest.raises(ValueError, match="heartbeat_interval"):
             FleetService(shards=1, heartbeat_interval=0.0, start=False)
+
+
+class TestShardIsAServiceBehindAPipe:
+    """Whatever crosses the pipe runs on the shard service's own lanes,
+    behind its own guards — there is no second path."""
+
+    @pytest.mark.timeout(120)
+    def test_a_shard_never_runs_more_than_workers_plus_two_threads(self, tmp_path):
+        """main + beat + ``workers`` lanes, however many requests are
+        outstanding.  (Occupancies, so that no BLAS pool of the host's
+        choosing joins the census.)"""
+        with tiny_fleet(tmp_path, shards=1, workers_per_shard=2) as fleet:
+            (pid,) = [s.pid for s in fleet.status()]
+            handles = [
+                fleet.submit_occupancy(f"key-{i}", 0.05, timeout=TIMEOUT)
+                for i in range(8)
+            ]
+            peak = 0
+            while not all(h.done() for h in handles):
+                peak = max(peak, procs.threads(pid))
+                time.sleep(0.002)
+            assert [h.result(0) for h in handles] == [0.05] * 8
+            assert 0 < peak <= 2 + 2
+
+    @pytest.mark.timeout(120)
+    def test_an_occupancy_holds_a_real_lane(self, small_spec, rhs, tmp_path):
+        with tiny_fleet(tmp_path, shards=1, workers_per_shard=1) as fleet:
+            for h in fleet.prewarm(small_spec):
+                h.result(TIMEOUT)
+            t0 = time.monotonic()
+            fleet.submit_occupancy("probe", 0.2, timeout=TIMEOUT)
+            x = fleet.submit_solve(small_spec, rhs, timeout=TIMEOUT).result(TIMEOUT)
+            # the only lane was held: the warm solve waited behind it
+            assert time.monotonic() - t0 >= 0.15 and np.isfinite(x).all()
+
+    @pytest.mark.timeout(120)
+    def test_prewarm_of_an_open_operator_fast_fails_without_a_build(
+        self, small_spec, rhs, tmp_path, monkeypatch
+    ):
+        """A prewarm meets the shard's circuit breaker like a cold
+        solve: once the operator is open it is refused, not rebuilt."""
+        log = tmp_path / "build-attempts"  # shards are forked: count on disk
+
+        def failing_build(spec, **kwargs):
+            with open(log, "a") as f:
+                f.write("x")
+            raise np.linalg.LinAlgError("injected build failure")
+
+        monkeypatch.setattr(OperatorSpec, "build", failing_build)
+        with tiny_fleet(tmp_path, shards=1) as fleet:
+            for _ in range(3):  # the breaker's failure threshold
+                with pytest.raises(ServiceError):
+                    fleet.submit_solve(small_spec, rhs, timeout=TIMEOUT).result(TIMEOUT)
+            attempts = len(log.read_text())
+            assert attempts == 3 * 2  # each request: one build, one retry
+            (handle,) = fleet.prewarm(small_spec)
+            with pytest.raises(CircuitOpenError):
+                handle.result(TIMEOUT)
+            assert len(log.read_text()) == attempts
+            counters = fleet.remove_shard("shard-0")["counters"]
+            assert counters["breaker_fast_fail"] == 1
 
 
 class TestChaos:
@@ -249,6 +313,63 @@ class TestChaos:
             # settle the control handle instead of leaking it
             with pytest.raises(ShardFailedError):
                 handles[0].result(TIMEOUT)
+
+    @pytest.mark.timeout(120)
+    def test_shard_death_replays_the_routed_and_fails_the_pinned(
+        self, small_spec, tmp_path
+    ):
+        """One failover path: a request routed by key outlives its
+        shard; requests addressed to the shard (prewarm, drain) settle
+        with ShardFailedError — none of the three is left hanging."""
+        with tiny_fleet(tmp_path, shards=1) as fleet:
+            (pid,) = [s.pid for s in fleet.status()]
+            os.kill(pid, signal.SIGSTOP)  # accepts frames, answers none
+            routed = fleet.submit_occupancy("probe", 0.01, timeout=TIMEOUT)
+            (prewarm,) = fleet.prewarm(small_spec)
+            drained = []
+
+            def drain():
+                try:
+                    drained.append(fleet.remove_shard("shard-0", timeout=TIMEOUT))
+                except ServiceError as exc:
+                    drained.append(exc)
+
+            drainer = threading.Thread(target=drain)
+            drainer.start()
+            assert wait_for(lambda: len(fleet._pending) == 3)
+            os.kill(pid, signal.SIGKILL)
+            with pytest.raises(ShardFailedError, match="prewarm"):
+                prewarm.result(TIMEOUT)
+            drainer.join(TIMEOUT)
+            assert isinstance(drained[0], ShardFailedError)
+            assert routed.result(TIMEOUT) == 0.01  # replayed on the respawn
+            assert fleet.report()["requests_replayed"] == 1
+            assert not fleet._pending
+
+    @pytest.mark.timeout(120)
+    def test_concurrent_flushes_replay_a_parked_request_once(self, tmp_path):
+        """The monitor and the collector both flush the park: a request
+        that both find parked is re-sent once, not once by each."""
+        with tiny_fleet(tmp_path, shards=1) as fleet:
+            handle = fleet.submit_occupancy("probe", 0.5, timeout=TIMEOUT)
+            (p,) = fleet._pending.values()
+            real_replay, replays = fleet._replay, []
+
+            def slow_replay(pending):
+                replays.append(pending)
+                time.sleep(0.1)  # room for the other flushes to overlap
+                real_replay(pending)
+
+            fleet._replay = slow_replay
+            p.parked = True  # what its writer does on a broken send
+            flushers = [threading.Thread(target=fleet._flush_park) for _ in range(2)]
+            for flusher in flushers:
+                flusher.start()
+            for flusher in flushers:
+                flusher.join(TIMEOUT)
+            assert handle.result(TIMEOUT) == 0.5
+            assert replays == [p] and p.attempts == 2
+            assert fleet.report()["requests_replayed"] == 1
 
     @pytest.mark.timeout(120)
     def test_no_deadline_request_fails_when_fleet_is_unrecoverable(

@@ -20,7 +20,9 @@ from repro.service import (
     DeadlineExpiredError,
     OperatorCache,
     OperatorSpec,
+    Request,
     RequestFailedError,
+    RequestHandle,
     ServiceClosedError,
     ServiceDrainingError,
     ServiceOverloadedError,
@@ -380,6 +382,108 @@ class TestShutdown:
         h.result(TIMEOUT)
         assert "done" in repr(h)
         svc.close()
+
+
+class TestOneRecordOneHandle:
+    """The contract a fleet shard relies on: the record it is sent is
+    the record the service runs, and the handle tells it when."""
+
+    def test_done_callback_fires_once_on_the_settling_thread(self):
+        handle, calls = RequestHandle(7, "solve"), []
+        handle.add_done_callback(
+            lambda h: calls.append((h, threading.current_thread()))
+        )
+        assert calls == []
+        settler = threading.Thread(target=handle.set_result, args=("x",))
+        settler.start()
+        settler.join(TIMEOUT)
+        handle.set_result("late")  # first completion wins, no second call
+        handle.set_exception(RuntimeError("later still"))
+        assert calls == [(handle, settler)]
+        assert handle.result(0) == "x"
+
+    def test_done_callback_on_a_settled_handle_runs_at_once(self):
+        handle, calls = RequestHandle(8, "logdet"), []
+        handle.set_exception(DeadlineExpiredError("too late"))
+        handle.add_done_callback(lambda h: calls.append(threading.current_thread()))
+        assert calls == [threading.current_thread()]
+
+    def test_pending_handle_times_out_with_the_builtin_timeout_error(
+        self, monkeypatch
+    ):
+        handle = RequestHandle(9, "solve")
+        for wait in (handle.result, handle.exception):
+            with pytest.raises(TimeoutError, match="request 9 still pending") as caught:
+                wait(timeout=0.01)
+            assert type(caught.value) is TimeoutError
+
+        # Before Python 3.11 a Future's timeout is a class of its own,
+        # which ``except TimeoutError`` does not catch: stand in for it
+        class FuturesOwnTimeout(Exception):
+            pass
+
+        monkeypatch.setattr("concurrent.futures._base.TimeoutError", FuturesOwnTimeout)
+        monkeypatch.setattr("repro.service.server.FutureTimeoutError", FuturesOwnTimeout)
+        for wait in (handle.result, handle.exception):
+            with pytest.raises(TimeoutError, match="request 9 still pending"):
+                wait(timeout=0.01)
+        # ... and a request that failed with one is not taken for pending
+        handle.set_exception(FuturesOwnTimeout("the request's own failure"))
+        with pytest.raises(FuturesOwnTimeout, match="own failure"):
+            handle.result(0)
+
+    def test_admitted_request_cannot_be_cancelled(self, small_spec, warm_cache, rhs):
+        """``Future.cancel`` would settle the handle while the request
+        still ran and still held its admission slot."""
+        with SolveService(cache=warm_cache, workers=1, start=False) as svc:
+            handle = svc.submit_solve(small_spec, rhs)
+            assert not handle.cancel() and not handle.cancelled()
+            assert svc.inflight == 1
+            svc.start()
+            assert np.isfinite(handle.result(TIMEOUT)).all()
+
+    def test_raising_callback_loses_neither_result_nor_worker(
+        self, small_spec, warm_cache, rhs
+    ):
+        """Callbacks run on the service's worker, outside its locks: one
+        that raises (or re-enters the service) must leave both intact."""
+        seen = []
+        with SolveService(cache=warm_cache, workers=1, start=False) as svc:
+            first = svc.submit_solve(small_spec, rhs)
+            first.add_done_callback(lambda h: 1 / 0)
+            first.add_done_callback(lambda h: seen.append(svc.draining))
+            svc.start()
+            assert np.isfinite(first.result(TIMEOUT)).all()
+            # the lane survived its callback and serves the next request
+            assert np.isfinite(svc.submit_logdet(small_spec).result(TIMEOUT))
+        assert seen == [False]  # took the service lock inside the callback
+
+    def test_submitted_record_keeps_its_id_and_deadline(
+        self, small_spec, warm_cache
+    ):
+        """What a front door stamped is what the service runs under."""
+        with SolveService(cache=warm_cache, workers=1, start=False) as svc:
+            req = Request(
+                "logdet", small_spec, deadline=time.monotonic() - 1.0, request_id=4242
+            )
+            handle = svc.submit(req)
+            assert handle is req.handle and handle.request_id == 4242
+            svc.start()
+            with pytest.raises(DeadlineExpiredError, match="4242"):
+                handle.result(TIMEOUT)
+            assert svc.metrics.counter("shed_take") == 1
+
+    def test_prewarm_and_occupancy_run_on_the_worker_lanes(self, small_spec):
+        with SolveService(workers=1) as svc:
+            t0 = time.monotonic()
+            held = svc.submit(Request("occupy", seconds=0.2))
+            warmed = svc.submit(Request("prewarm", small_spec))
+            assert warmed.result(TIMEOUT) == small_spec.fingerprint
+            # one lane: the prewarm waited out the occupancy
+            assert time.monotonic() - t0 >= 0.2 and held.result(0) == 0.2
+            assert svc.cache.builds == 1
+            events = {e.klass for e in svc.metrics.trace.events}
+            assert {"OCCUPY", "BUILD", "PREWARM"} <= events
 
 
 class TestAdmissionControl:
