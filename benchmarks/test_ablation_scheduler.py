@@ -9,7 +9,7 @@ makespans; the priority policy must be no worse than the naive ones.
 import numpy as np
 import pytest
 
-from repro.core import analyze_ranks, cholesky_tasks
+from repro.core import analyze_ranks, ptg_cholesky_tasks
 from repro.core.rank_model import SyntheticRankField, analyze_mask_fast
 from repro.distribution import TwoDBlockCyclic
 from repro.machine import SHAHEEN_II, DistributedSimulator
@@ -30,7 +30,7 @@ def build_problem():
         ranks[idx[sel] + d, idx[sel]] = max(2, int(field.rank_by_distance[d]))
     ana = analyze_ranks(ranks, nt)
     rank_of = lambda m, k: int(ranks[m, k]) if m != k else b
-    graph = build_graph(cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of))
+    graph = build_graph(ptg_cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of))
     return graph, b, rank_of
 
 

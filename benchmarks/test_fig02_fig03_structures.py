@@ -13,7 +13,7 @@ distribution's defining property on exactly that configuration.
 import numpy as np
 import pytest
 
-from repro.core import analyze_ranks, cholesky_tasks
+from repro.core import analyze_ranks, ptg_cholesky_tasks
 from repro.distribution import (
     BandDistribution,
     DiamondDistribution,
@@ -40,8 +40,8 @@ def fig2_counts():
             if rng.random() < 0.6:
                 ranks[m, k] = 5
     ana = analyze_ranks(ranks, NT)
-    g_full = build_graph(cholesky_tasks(NT))
-    g_trim = build_graph(cholesky_tasks(NT, ana))
+    g_full = build_graph(ptg_cholesky_tasks(NT))
+    g_trim = build_graph(ptg_cholesky_tasks(NT, ana))
     return g_full, g_trim, ana
 
 

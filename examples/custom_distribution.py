@@ -21,7 +21,7 @@ from repro import (
     DistributedSimulator,
 )
 from repro.core.rank_model import analyze_mask_fast
-from repro.core.trimming import cholesky_tasks
+from repro.core.trimming import ptg_cholesky_tasks
 from repro.distribution.base import Distribution, load_per_process
 from repro.runtime import build_graph
 
@@ -55,7 +55,7 @@ def main() -> None:
         ranks[idx[sel] + d, idx[sel]] = max(2, int(field.rank_by_distance[d]))
     rank_of = lambda m, k: int(ranks[m, k]) if m != k else b
     ana = analyze_ranks(ranks, nt)
-    graph = build_graph(cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of))
+    graph = build_graph(ptg_cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of))
     print(f"trimmed task graph: {len(graph)} tasks\n")
 
     # flop-weighted load balance per distribution, over the OFF-BAND

@@ -51,9 +51,10 @@ DEFAULT_SEED = 42
 # compression method and storage-precision policy defaults
 # ---------------------------------------------------------------------
 
-#: Default compression method for operator builds and GEMM rank
-#: rounding: ``"svd"`` (exact truncated SVD, the baseline) or
-#: ``"rand"`` (adaptive randomized range-finder, H2OPUS-TLR style).
+#: Default compression method for operator builds: ``"svd"`` (exact
+#: truncated SVD, the baseline) or ``"rand"`` (adaptive randomized
+#: range-finder, H2OPUS-TLR style).  The factorization's update
+#: rounding is the range-finder under either.
 #: Overridable per build and via ``$REPRO_COMPRESSION``.
 DEFAULT_COMPRESSION = "svd"
 

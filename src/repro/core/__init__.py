@@ -3,7 +3,8 @@
 * :mod:`repro.core.analysis` — Algorithm 1: the matrix analysis that
   identifies null tiles and fill-in for DAG trimming (Section VI).
 * :mod:`repro.core.trimming` — enumeration of the (optionally trimmed)
-  tile-Cholesky task graph.
+  tile-Cholesky task graphs: the left-looking one the driver runs and
+  the paper's right-looking PTG the simulator models.
 * :mod:`repro.core.tlr_cholesky` — the numeric factorization driver
   running that graph on the in-process runtime engine.
 * :mod:`repro.core.lorapo` / :mod:`repro.core.hicma_parsec` — the
@@ -15,7 +16,7 @@
 """
 
 from repro.core.analysis import TrimmingAnalysis, analyze_ranks
-from repro.core.trimming import cholesky_tasks
+from repro.core.trimming import cholesky_tasks, ptg_cholesky_tasks
 from repro.core.tlr_cholesky import FactorizationResult, tlr_cholesky
 from repro.core.solver import (
     logdet,
@@ -32,6 +33,7 @@ __all__ = [
     "TrimmingAnalysis",
     "analyze_ranks",
     "cholesky_tasks",
+    "ptg_cholesky_tasks",
     "FactorizationResult",
     "tlr_cholesky",
     "solve_cholesky",

@@ -1,8 +1,11 @@
 """Numeric TLR Cholesky driver over the in-process runtime engine.
 
-Builds the (optionally trimmed) task graph, registers the four TLR
-kernels against the matrix, and lets the engine execute the DAG under
-the chosen scheduler.  The factorization happens in place: on return
+Builds the (optionally trimmed) left-looking task graph, registers the
+four TLR kernels against the matrix, and lets the engine execute the
+DAG under the chosen scheduler.  Every target tile receives all of its
+updates from one task — ``SYRK(n)`` or ``GEMM(m, n)`` reads the tile's
+whole panel list — so an off-diagonal tile is rounded exactly once, on
+its way to its TRSM.  The factorization happens in place: on return
 the matrix's lower triangle holds the TLR Cholesky factor (diagonal
 tiles hold dense ``L[k,k]``; off-diagonal tiles hold compressed
 ``L[m,k]``).
@@ -21,12 +24,13 @@ from repro.core.trimming import cholesky_tasks
 from repro.runtime.checkpoint import Checkpoint, CheckpointManager, load_checkpoint
 from repro.linalg.kernels_dense import DiagonalShiftPolicy
 from repro.linalg.kernels_tlr import (
-    gemm_tile,
+    gemm_update,
     potrf_tile,
     potrf_tile_shifted,
-    syrk_tile,
+    syrk_update,
     trsm_tile,
 )
+from repro.linalg.lowrank import derive_tile_seed
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.runtime.dag import TaskGraph, build_graph
 from repro.runtime.engine import ExecutionEngine
@@ -92,7 +96,9 @@ def register_cholesky_kernels(
     The data store is the :class:`TLRMatrix` itself; kernels read and
     replace tiles through its accessors, so null-tile no-ops (in
     untrimmed runs) still pass through the runtime — that per-task
-    overhead is exactly what DAG trimming removes.
+    overhead is exactly what DAG trimming removes.  SYRK and GEMM are
+    the accumulating kernels: their operands are the task's read-only
+    accesses, in declared (ascending-panel) order.
 
     With a ``shift_policy``, a non-SPD diagonal tile is regularized by
     escalating diagonal shifts instead of aborting; nonzero shifts are
@@ -115,36 +121,33 @@ def register_cholesky_kernels(
         a.set_tile(m, k, trsm_tile(a.tile(k, k), a.tile(m, k)))
 
     def k_syrk(task: Task, a: TLRMatrix) -> None:
-        m, k = task.params
-        a.set_tile(m, m, syrk_tile(a.tile(m, m), a.tile(m, k)))
+        (n,) = task.params
+        panels = [a.tile(*key) for key in task.inputs]
+        a.set_tile(n, n, syrk_update(a.tile(n, n), panels))
 
     def k_gemm(task: Task, a: TLRMatrix) -> None:
-        m, n, k = task.params
-        # Randomized rank rounding draws its sample stream from the
-        # tile coordinates and the elimination step (generation k+1 —
-        # build-time compression is generation 0).  The DAG serializes
-        # all writes to tile (m, n), so the seed is a pure function of
-        # the task and the factor stays bitwise identical across the
+        m, n = task.params
+        # inputs are (m, k), (n, k) for each contributing k, ascending
+        operands = [a.tile(*key) for key in task.inputs]
+        # The one rounding of tile (m, n) draws its sample stream from
+        # the tile coordinates (generation 1 — build-time compression
+        # is generation 0), so the seed is a pure function of the task
+        # and the factor stays bitwise identical across the
         # serial/threaded/mp engines.  ``a`` is the TLRMatrix on the
         # in-process engines and the arena store under mp; both expose
-        # the build's compression policy (or None for svd builds).
+        # the build's compression policy (None for a hand-assembled
+        # matrix: seed root 0).
         policy = getattr(a, "compression", None)
-        seed = (
-            policy.tile_seed(m, n, gen=k + 1)
-            if policy is not None and policy.randomized
-            else 0
-        )
+        root = policy.seed_root if policy is not None else 0
         a.set_tile(
             m,
             n,
-            gemm_tile(
+            gemm_update(
                 a.tile(m, n),
-                a.tile(m, k),
-                a.tile(n, k),
+                zip(operands[0::2], operands[1::2]),
                 tol=a.accuracy,
                 max_rank=a.max_rank,
-                policy=policy,
-                seed=seed,
+                seed=derive_tile_seed(root, m, n, gen=1),
             ),
         )
 
@@ -169,13 +172,22 @@ def tlr_cholesky(
 ) -> FactorizationResult:
     """Factorize a TLR matrix in place: ``A = L L^T``.
 
+    Left-looking: tile ``(m, n)`` is produced by one ``GEMM(m, n)``
+    task that subtracts every contributing panel product in one dense
+    accumulation and rounds the result once (certified range-finder,
+    every discarded singular value ``<= a.accuracy`` whatever method
+    compressed the inputs), then by its ``TRSM(m, n)``; ``O(NT^2)``
+    tasks.
+
     Parameters
     ----------
     a:
         The compressed SPD operator (mutated into the factor).
     trim:
-        Run Algorithm 1 and trim the DAG (the paper's optimization);
-        ``False`` reproduces the baseline full dense DAG.
+        Run Algorithm 1 and trim the DAG (the paper's optimization):
+        panel lists hold only symbolically non-zero pairs and null
+        tiles get no task.  ``False`` reproduces the baseline full
+        dense DAG (every ``k < n``, every ``m > n``); same factor.
     scheduler:
         Ready-queue policy (default: priority, PaRSEC-like).
     workers:

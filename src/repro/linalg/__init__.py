@@ -12,7 +12,6 @@ from repro.linalg.lowrank import (
     compress_block,
     derive_tile_seed,
     randomized_compress,
-    randomized_recompress,
     recompress,
     resolve_compression,
     truncated_svd,
@@ -43,7 +42,6 @@ __all__ = [
     "resolve_compression",
     "derive_tile_seed",
     "randomized_compress",
-    "randomized_recompress",
     "StoragePolicy",
     "resolve_storage",
     "downcast_factor",

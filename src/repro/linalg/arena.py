@@ -25,14 +25,17 @@ pack the result back into the tile's slot.
 its worst admissible in-slot representation: diagonal / dense tiles
 reserve ``rows*cols`` elements, off-diagonal tiles reserve
 ``(rows+cols)*cap`` elements for a rank-``cap`` U/V pair (``cap`` is
-the matrix's maxrank).  GEMM rank growth up to the cap therefore
-rewrites in place.  A result that outgrows its reservation (a tile
-going dense past the maxrank fraction, or an uncapped matrix) takes
-the **spill path**: a bump allocator at the tail of the payload
-segment hands out a per-tile spill block under a cross-process lock;
-the block is remembered in the descriptor and reused by later rewrites
-that fit it, so repeated GEMM accumulation into an over-cap tile does
-not leak a fresh block per update.
+the matrix's maxrank).  The factorization rounds a tile once, after
+accumulating all of its updates in a private dense scratch, so what is
+written back is already at its final rank: up to the cap it rewrites
+in place, and no tile is ever stored inflated.  A result that outgrows
+its reservation (a tile going dense past the maxrank fraction, or an
+uncapped matrix) takes the **spill path**: a bump allocator at the
+tail of the payload segment hands out a per-tile spill block under a
+cross-process lock; the block is remembered in the descriptor and
+reused by later rewrites that fit it (the tile's TRSM, a retried
+task), so rewriting an over-cap tile does not leak a fresh block per
+write.
 
 **Bitwise reproducibility.**  The arena preserves each array's memory
 order (C vs Fortran) in the descriptor's order flags, because BLAS
@@ -194,7 +197,7 @@ class TileArena:
         self._payload_addr = self._elems.__array_interface__["data"][0]
         #: compression/storage policies mirrored from the source store
         #: (plain Python state inherited through fork): worker-side GEMM
-        #: reads ``compression`` to pick its rounding method and seeds.
+        #: reads ``compression.seed_root`` to seed its one rounding.
         self.compression = None
         self.storage = None
         # Last-resort leak defense: if the owning coordinator exits

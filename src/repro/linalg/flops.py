@@ -5,9 +5,19 @@ These formulas drive three things: the simulator's task-duration model
 Fig. 13, and the tile-size trade-off analysis of Fig. 5.  Dense counts
 follow the standard LAPACK accounting; TLR counts follow the HiCMA
 kernel decompositions (see kernels_tlr.py for the algebra).
+
+Two GEMM accountings coexist because two things are counted:
+``gemm_tlr_flops`` / ``gemm_tlr_flops_rand`` price the *modelled*
+HiCMA kernel — one ``(m, n, k)`` update with its own rounding, the
+task of the paper's right-looking PTG that the simulator replays —
+while :func:`gemm_accumulated_flops` counts what this repo's numeric
+kernel executes: all of a tile's updates in one dense product, rounded
+once.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 __all__ = [
     "potrf_flops",
@@ -18,9 +28,10 @@ __all__ = [
     "gemm_dense_flops",
     "gemm_tlr_flops",
     "gemm_tlr_flops_rand",
+    "gemm_accumulated_flops",
     "compression_flops",
     "randomized_compression_flops",
-    "randomized_recompress_flops",
+    "randomized_rounding_flops",
 ]
 
 
@@ -60,7 +71,7 @@ def gemm_dense_flops(b: int) -> float:
 
 
 def gemm_tlr_flops(b: int, ka: int, kb: int, kc: int) -> float:
-    """TLR GEMM with QR+SVD recompression.
+    """Modelled HiCMA TLR GEMM: one update, QR+SVD recompression.
 
     Product factors: ``W = Va^T Vb`` (``2 b ka kb``) plus folding W into
     the thinner side (``2 b ka kb``).  The accumulated factor pair has
@@ -81,11 +92,11 @@ def gemm_tlr_flops(b: int, ka: int, kb: int, kc: int) -> float:
 
 
 def gemm_tlr_flops_rand(b: int, ka: int, kb: int, kc: int) -> float:
-    """TLR GEMM with *randomized* rank rounding.
+    """Modelled TLR GEMM: one update with *randomized* rank rounding.
 
     Same product-factor cost as :func:`gemm_tlr_flops`, but the
     accumulated rank-``K`` pair is rounded by sampled range-finding
-    (:func:`randomized_recompress_flops` with detected rank ``~ kc``)
+    (:func:`randomized_rounding_flops` with detected rank ``~ kc``)
     instead of the exact ``O(b K^2)`` QR-QR-SVD pipeline.
     """
     if ka == 0 or kb == 0:
@@ -93,7 +104,36 @@ def gemm_tlr_flops_rand(b: int, ka: int, kb: int, kc: int) -> float:
     kp = min(ka, kb)
     product = 4.0 * b * ka * kb
     big_k = kc + kp
-    return product + randomized_recompress_flops(b, big_k, max(kc, 1))
+    return product + randomized_rounding_flops(b, big_k, max(kc, 1))
+
+
+def gemm_accumulated_flops(
+    b: int, pairs: Sequence[tuple[int, int]], kc: int
+) -> float:
+    """Left-looking update of one ``b x b`` tile, rounded once
+    (``linalg.kernels_tlr.gemm_update``).
+
+    ``pairs`` holds the operand ranks ``(ka, kb)`` of every
+    contributing panel.  Each non-null pair costs its product factor
+    (``4 b ka kb``: the ``Va^T Vb`` core and folding it into the
+    thinner side) and its share of the one dense application
+    ``D -= X Y^T`` (``2 b^2 min(ka, kb)``); two dense operands are a
+    dense GEMM.  The accumulated tile is then rounded once to rank
+    ``kc`` by the range-finder
+    (:func:`randomized_compression_flops`), unless it is stored dense
+    (``kc >= b``) or nothing contributed.
+    """
+    total = 0.0
+    for ka, kb in pairs:
+        if ka == 0 or kb == 0:
+            continue
+        if ka >= b and kb >= b:
+            total += gemm_dense_flops(b)
+        else:
+            total += 4.0 * b * ka * kb + 2.0 * b * b * min(ka, kb)
+    if total == 0.0 or kc >= b:
+        return total
+    return total + randomized_compression_flops(b, kc)
 
 
 def compression_flops(b: int, rank: int | None = None) -> float:
@@ -130,11 +170,13 @@ def randomized_compression_flops(
     return 8.0 * b * b * p + 26.0 * b * p * p + 2.0 * b * p * max(rank, 1)
 
 
-def randomized_recompress_flops(
+def randomized_rounding_flops(
     b: int, big_k: int, rank: int, oversample: int = 8
 ) -> float:
-    """Randomized rank rounding of an accumulated rank-``big_k`` factor
-    pair down to ``rank`` (``linalg.lowrank.randomized_recompress``).
+    """Modelled randomized rank rounding of an accumulated
+    rank-``big_k`` factor pair down to ``rank`` (the rounding inside
+    :func:`gemm_tlr_flops_rand`; no numeric kernel here rounds a
+    stacked pair by sampling).
 
     Sampling stays in factored form: each of the ``p = rank +
     oversample`` sampled columns costs ``O((m + n) K)`` for the

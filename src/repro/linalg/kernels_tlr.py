@@ -10,31 +10,42 @@ Algebra for the low-rank paths (``A = Ua Va^T``, ``B = Ub Vb^T``):
 * TRSM  ``A L^-T = Ua (L^-1 Va)^T``            — touches only V.
 * SYRK  ``C - A A^T = C - Ua (Va^T Va) Ua^T``   — small k×k core.
 * GEMM  ``A B^T = Ua (Va^T Vb) Ub^T``           — fold the core into
-  the thinner side, then accumulate into C's factors and recompress.
+  the thinner side.
+
+The two update kernels are *accumulating*: they take every panel that
+contributes to a target tile, stack the low-rank product factors and
+apply them as one dense product.  An off-diagonal target is then
+rounded **once**, by the certified range-finder — never per panel, and
+no tile is ever stored with an inflated rank.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 import scipy.linalg as sla
 
+from repro.config import DTYPE
 from repro.linalg.kernels_dense import DiagonalShiftPolicy, potrf_with_shift
-from repro.linalg.lowrank import (
-    CompressionPolicy,
-    LowRankFactor,
-    compress_block,
-    randomized_recompress,
-    recompress,
-)
-from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile
+from repro.linalg.lowrank import CompressionPolicy, LowRankFactor, compress_block
+from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile, as_tile
 
 __all__ = [
     "potrf_tile",
     "potrf_tile_shifted",
     "trsm_tile",
+    "syrk_update",
     "syrk_tile",
+    "gemm_update",
     "gemm_tile",
 ]
+
+#: How an accumulated update is rounded, whatever method compressed the
+#: input tiles: adaptive range-finder, explicit-residual stopping rule,
+#: exact truncation of the small core.  Both exact alternatives were
+#: measured and lose (DESIGN.md, "One rounding per target tile").
+_ROUNDING = CompressionPolicy(method="rand")
 
 
 def potrf_tile(a_kk: Tile) -> DenseTile:
@@ -89,16 +100,36 @@ def trsm_tile(l_kk: DenseTile, a_mk: Tile) -> Tile:
     return DenseTile(np.ascontiguousarray(new))
 
 
+def syrk_update(c_nn: DenseTile, panels: Iterable[Tile]) -> DenseTile:
+    """``C[n,n] <- C[n,n] - sum_k A[n,k] A[n,k]^T`` (diagonal stays dense).
+
+    One product over the panel list:
+    ``C -= [U_k (V_k^T V_k)]_k @ [U_k]_k^T``, a dense panel entering as
+    ``[A_k] @ [A_k]^T``.  Null panels contribute nothing; with no
+    contribution at all the target tile object is returned as is.
+    """
+    if not isinstance(c_nn, DenseTile):
+        raise TypeError(f"SYRK target must be dense, got {c_nn.kind.value}")
+    left, right = [], []
+    for a in panels:
+        if isinstance(a, NullTile):
+            continue
+        if isinstance(a, LowRankTile):
+            left.append(a.u @ (a.v.T @ a.v))  # k x k core folded into U
+            right.append(a.u)
+        else:
+            left.append(a.data)
+            right.append(a.data)
+    if not left:
+        return c_nn
+    return DenseTile(
+        c_nn.data - np.hstack(left, dtype=DTYPE) @ np.hstack(right, dtype=DTYPE).T
+    )
+
+
 def syrk_tile(c_mm: DenseTile, a_mk: Tile) -> DenseTile:
-    """``C[m,m] <- C[m,m] - A[m,k] A[m,k]^T`` (diagonal stays dense)."""
-    if not isinstance(c_mm, DenseTile):
-        raise TypeError(f"SYRK target must be dense, got {c_mm.kind.value}")
-    if isinstance(a_mk, NullTile):
-        return c_mm
-    if isinstance(a_mk, LowRankTile):
-        w = a_mk.v.T @ a_mk.v  # k x k core
-        return DenseTile(c_mm.data - (a_mk.u @ w) @ a_mk.u.T)
-    return DenseTile(c_mm.data - a_mk.data @ a_mk.data.T)
+    """:func:`syrk_update` with one panel."""
+    return syrk_update(c_mm, (a_mk,))
 
 
 def _product_factor(a: Tile, b: Tile) -> LowRankFactor | np.ndarray | None:
@@ -128,101 +159,73 @@ def _product_factor(a: Tile, b: Tile) -> LowRankFactor | np.ndarray | None:
     return a.data @ b.data.T
 
 
+def gemm_update(
+    c_mn: Tile,
+    pairs: Iterable[tuple[Tile, Tile]],
+    tol: float,
+    max_rank: int | None = None,
+    seed: int = 0,
+) -> Tile:
+    """``C[m,n] <- C[m,n] - sum_k A[m,k] @ B[n,k]^T``, rounded once.
+
+    ``pairs`` lists the operand tiles ``(A[m,k], B[n,k])`` in ascending
+    ``k``.  Every non-null pair's product factor is formed; the low-rank
+    ones are stacked and applied as one ``D -= X @ Y^T`` onto a dense
+    scratch that starts as C's dense form (zeros for a null C — this is
+    where *fill-in* happens), dense products subtract directly.  A
+    dense C stays dense and unrounded.  Otherwise the scratch is
+    rounded once: null certificate, then the range-finder seeded with
+    ``seed`` (callers derive it from the tile coordinates, so every
+    engine draws the same stream for the same tile), ``max_rank`` caps
+    the stored rank (HiCMA's maxrank; beyond it the tile is dense).
+    Pair order is fixed by the caller, so the summation order — hence
+    every bit of the result — is the same whichever engine runs the
+    task.  When no pair contributes the target tile object is returned
+    as is.
+    """
+    us, vs, dense_products = [], [], []
+    for a, b in pairs:
+        product = _product_factor(a, b)
+        if product is None:
+            continue
+        if isinstance(product, LowRankFactor):
+            us.append(product.u)
+            vs.append(product.v)
+        else:
+            dense_products.append(product)
+    if not us and not dense_products:
+        return c_mn  # nothing to subtract
+
+    if isinstance(c_mn, LowRankTile):
+        # promote fp32-stored factors: the update computes in DTYPE
+        acc = np.asarray(c_mn.u, dtype=DTYPE) @ np.asarray(c_mn.v, dtype=DTYPE).T
+    else:
+        acc = c_mn.to_dense()
+    if us:
+        acc -= np.hstack(us, dtype=DTYPE) @ np.hstack(vs, dtype=DTYPE).T
+    for product in dense_products:
+        acc -= product
+    if isinstance(c_mn, DenseTile):
+        return DenseTile(acc)
+    try:
+        rounded = compress_block(
+            acc, tol, max_rank=max_rank, policy=_ROUNDING, seed=seed
+        )
+    except np.linalg.LinAlgError:
+        # Degradation ladder: if rank rounding misbehaves (e.g. SVD
+        # non-convergence), hold the tile dense rather than aborting
+        # the factorization — exact arithmetic, just more bytes.
+        return DenseTile(acc)
+    return as_tile(rounded, acc.shape)
+
+
 def gemm_tile(
     c_mn: Tile,
     a_mk: Tile,
     b_nk: Tile,
     tol: float,
     max_rank: int | None = None,
-    policy: CompressionPolicy | None = None,
     seed: int = 0,
 ) -> Tile:
-    """``C[m,n] <- C[m,n] - A[m,k] @ B[n,k]^T`` with recompression.
-
-    This kernel is where *fill-in* happens: a null C becomes non-null
-    when both operands are non-null, and where rank growth is rounded
-    back by the ``tol`` threshold.  ``max_rank`` caps the stored rank
-    (HiCMA's maxrank); beyond it the tile is stored dense.
-
-    ``policy`` selects the rank-rounding method: under a randomized
-    policy the accumulated factors are rounded by sampled range-finding
-    seeded with ``seed`` — callers derive it from the tile coordinates
-    and the elimination step, so every engine draws the same stream for
-    the same task and factors stay bitwise identical.
-    """
-    product = _product_factor(a_mk, b_nk)
-    if product is None:
-        return c_mn  # nothing to subtract
-
-    shape = c_mn.shape
-    randomized = policy is not None and policy.randomized
-
-    if isinstance(product, np.ndarray):
-        # Dense product: materialize and recompress the result.
-        dense = c_mn.to_dense() - product if not isinstance(c_mn, NullTile) else -product
-        if isinstance(c_mn, DenseTile):
-            return DenseTile(dense)
-        return _compress_or_dense(dense, tol, max_rank, shape, policy)
-
-    if isinstance(c_mn, DenseTile):
-        return DenseTile(c_mn.data - product.u @ product.v.T)
-
-    if isinstance(c_mn, NullTile):
-        stacked = LowRankFactor(-product.u, product.v)
-    else:
-        stacked = LowRankFactor(
-            np.hstack([c_mn.u, -product.u]),
-            np.hstack([c_mn.v, product.v]),
-        )
-
-    if stacked.rank >= min(shape):
-        # Accumulated rank is no longer "low"; go through the dense path.
-        return _compress_or_dense(stacked.to_dense(), tol, max_rank, shape, policy)
-
-    try:
-        if randomized:
-            rounded = randomized_recompress(
-                stacked,
-                tol,
-                seed=seed,
-                sample_block=policy.sample_block,
-                oversample=policy.oversample,
-                crossover=policy.crossover,
-            )
-        else:
-            rounded = recompress(stacked, tol)
-    except np.linalg.LinAlgError:
-        # Degradation ladder: if rank rounding misbehaves (e.g. SVD
-        # non-convergence), hold the tile dense rather than aborting
-        # the factorization — exact arithmetic, just more bytes.
-        return DenseTile(stacked.to_dense())
-    if rounded is None:
-        return NullTile(shape)
-    if max_rank is not None and rounded.rank > max_rank:
-        return DenseTile(rounded.to_dense())
-    return LowRankTile(rounded)
-
-
-def _compress_or_dense(
-    dense: np.ndarray,
-    tol: float,
-    max_rank: int | None,
-    shape: tuple[int, int],
-    policy: CompressionPolicy | None = None,
-) -> Tile:
-    """Compress a materialized block, degrading to dense on failure.
-
-    The randomized policy is deliberately *not* forwarded here: this
-    path only fires when a GEMM materializes a dense product or the
-    accumulated rank stops being low — both signal a near-full-rank
-    block where sampling cannot win, so the exact SVD is the right
-    tool regardless of the build method.
-    """
-    from repro.linalg.tile import as_tile
-
-    del policy  # see docstring: dense-path blocks always go exact
-
-    try:
-        return as_tile(compress_block(dense, tol, max_rank=max_rank), shape)
-    except np.linalg.LinAlgError:
-        return DenseTile(np.ascontiguousarray(dense))
+    """:func:`gemm_update` with one pair."""
+    return gemm_update(c_mn, ((a_mk, b_nk),), tol, max_rank=max_rank, seed=seed)

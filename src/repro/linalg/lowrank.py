@@ -23,7 +23,8 @@ any decomposition — in the sparse regime that is most tiles.
 Randomized results are a pure function of ``(block, tol, seed)``: the
 Gaussian test matrices come from a ``PCG64`` stream seeded per tile
 (:func:`derive_tile_seed` — operator seed root + tile coordinates +
-update generation), so serial, threaded and process-pool engines draw
+generation: 0 for the build, 1 for the one rounding of the tile's
+accumulated update), so serial, threaded and process-pool engines draw
 identical samples and produce bitwise-identical factors.
 """
 
@@ -48,7 +49,6 @@ __all__ = [
     "randomized_compress",
     "compress_block",
     "recompress",
-    "randomized_recompress",
 ]
 
 
@@ -121,13 +121,12 @@ def derive_tile_seed(root: int, m: int, k: int, gen: int = 0) -> int:
     """Deterministic 64-bit seed for one tile's random sampling.
 
     ``root`` identifies the operator (e.g. its spec fingerprint),
-    ``(m, k)`` the tile, and ``gen`` the update generation: 0 for the
-    build-time compression, ``step + 1`` for the GEMM recompression at
-    elimination step ``step``.  The DAG serializes all writes to a
-    tile, so the generation sequence — and therefore every seed — is
-    identical no matter which engine or worker count executes the
-    graph.  Hash-based (BLAKE2b), so neighbouring tiles get unrelated
-    streams.
+    ``(m, k)`` the tile, and ``gen`` the generation: 0 for the
+    build-time compression, 1 for the rounding of the tile's
+    accumulated factorization update (a tile is rounded once).  The
+    seed is a pure function of the tile, so it is identical no matter
+    which engine or worker count executes the graph.  Hash-based
+    (BLAKE2b), so neighbouring tiles get unrelated streams.
     """
     h = hashlib.blake2b(f"{root}|{m}|{k}|{gen}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "little")
@@ -135,15 +134,17 @@ def derive_tile_seed(root: int, m: int, k: int, gen: int = 0) -> int:
 
 @dataclass(frozen=True)
 class CompressionPolicy:
-    """How dense blocks are compressed and accumulated factors rounded.
+    """How dense blocks are compressed.
 
     ``method="svd"`` is the exact baseline; ``method="rand"`` routes
-    both build-time compression and GEMM rank rounding through the
-    adaptive randomized paths below.  ``seed_root`` anchors the
-    deterministic per-tile seed derivation; ``sample_block`` is the
-    range-finder panel width, ``oversample`` the cushion past the
-    detected rank, and ``crossover`` the fraction of the short tile
-    dimension (or of the accumulated rank, for rounding) past which
+    compression through the adaptive randomized range-finder below.
+    The method selects how *input* tiles are built; the factorization
+    rounds every accumulated update with the range-finder regardless
+    (``linalg.kernels_tlr.gemm_update``).  ``seed_root`` anchors the
+    deterministic per-tile seed derivation (build and update rounding
+    alike); ``sample_block`` is the range-finder panel width,
+    ``oversample`` the cushion past the detected rank, and
+    ``crossover`` the fraction of the short tile dimension past which
     the randomized path cedes to the direct SVD.
     """
 
@@ -454,10 +455,11 @@ def recompress(
 ) -> LowRankFactor | None:
     """Round a (possibly inflated) low-rank factor back to minimal rank.
 
-    After a TLR GEMM the accumulated factors have rank
-    ``k_C + min(k_A, k_B)``; this rounding step restores the numerical
-    rank with QR factorizations of both factors followed by an SVD of
-    the small core — the standard low-rank rounding used by HiCMA.
+    A sum of low-rank terms stored as stacked factors (HiCMA's GEMM
+    leaves rank ``k_C + min(k_A, k_B)``; the TLR LU and ACA use it
+    here) carries more columns than its numerical rank; this rounding
+    step restores it with QR factorizations of both factors followed
+    by an SVD of the small core — the standard low-rank rounding.
 
     Cost: ``O((m+n) K^2 + K^3)`` for accumulated rank ``K``, versus
     ``O(m n min(m, n))`` for recompressing the dense block.  Two fast
@@ -491,101 +493,4 @@ def recompress(
     return LowRankFactor(
         np.ascontiguousarray(qu @ (u[:, :k] * s[:k])),
         np.ascontiguousarray(qv @ vt[:k].T),
-    )
-
-
-#: convergence slack for the stochastic residual estimator used by
-#: randomized rounding: stop only once the estimated residual is this
-#: fraction of the tolerance, absorbing the estimator's variance
-_RECOMPRESS_EST_SAFETY = 0.5
-
-
-def randomized_recompress(
-    factor: LowRankFactor,
-    tol: float,
-    seed: int = 0,
-    relative: bool = False,
-    sample_block: int = 16,
-    oversample: int = 8,
-    crossover: float = 0.5,
-) -> LowRankFactor | None:
-    """Randomized rank rounding of an accumulated factor pair.
-
-    After a TLR GEMM the stacked factors carry rank
-    ``K = k_C + min(k_A, k_B)`` but the numerical rank is usually close
-    to ``k_C``.  The exact QR-QR-SVD pipeline pays ``O((m+n) K^2)``
-    regardless; this path samples the product ``U V^T`` *in factored
-    form* — ``y = U (V^T omega) - Q (C (V^T omega))`` with
-    ``C = Q^T U`` maintained incrementally, ``O((m+n) K p)`` per
-    panel — so the cost scales with the detected rank ``k`` instead of
-    the accumulated rank ``K``.
-
-    Each fresh panel doubles as a stochastic residual estimator
-    (``E||R omega_i||^2 = ||R||_F^2``); sampling stops once the
-    estimate is safely below the threshold and the small SVD of
-    ``C V^T`` applies the standard truncation rule.  Factors whose
-    accumulated rank is already small, or whose detected rank crosses
-    ``crossover * K`` (where the exact pipeline is no longer more
-    expensive), are delegated to :func:`recompress` — same truncation
-    rule, exact arithmetic.
-
-    Deterministic: the sample stream is ``PCG64(seed)``, with ``seed``
-    derived per tile and generation, so every engine rounds every
-    accumulation identically.
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if factor.rank == 0:
-        return factor
-    m, n = factor.shape
-    big_k = factor.rank
-    # Small accumulations and not-actually-low ranks: the exact
-    # pipeline is as cheap (or cheaper) and needs no estimator slack.
-    if big_k <= sample_block or big_k >= max(1, min(m, n) // 2):
-        return recompress(factor, tol, relative=relative)
-
-    u = np.asarray(factor.u, dtype=DTYPE)
-    v = np.asarray(factor.v, dtype=DTYPE)
-    cap = max(1, int(math.ceil(crossover * big_k)))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    q_basis: np.ndarray | None = None
-    coeff: np.ndarray | None = None  # C = Q^T U, maintained incrementally
-    sampled = 0
-    converged = False
-    stop_scale: float | None = None  # ||A||_F estimate for relative mode
-    while sampled < cap:
-        p = min(sample_block, cap - sampled)
-        omega = rng.standard_normal((n, p))
-        t = v.T @ omega  # K x p — never materializes the m x n product
-        y = u @ t
-        if q_basis is not None:
-            y -= q_basis @ (coeff @ t)
-        # the fresh panel estimates the *current* residual norm:
-        # each column is R omega_i with E||R omega_i||^2 = ||R||_F^2
-        est = math.sqrt(float(np.mean(np.sum(y * y, axis=0))))
-        if stop_scale is None:
-            stop_scale = est  # first panel: R = A, so est ~ ||A||_F
-        stop = tol * stop_scale if relative else tol
-        if q_basis is not None:
-            y -= q_basis @ (q_basis.T @ y)
-        qj = sla.qr(y, mode="economic", check_finite=False)[0]
-        cj = qj.T @ u
-        q_basis = qj if q_basis is None else np.hstack([q_basis, qj])
-        coeff = cj if coeff is None else np.vstack([coeff, cj])
-        sampled += p
-        if est <= _RECOMPRESS_EST_SAFETY * stop and sampled > p:
-            converged = True
-            break
-    if not converged:
-        # detected rank crossed the crossover point: the economy
-        # QR-QR-SVD pipeline wins from here (identical truncation)
-        return recompress(factor, tol, relative=relative)
-    core = coeff @ v.T  # l x n
-    u2, s, vt = sla.svd(core, full_matrices=False, check_finite=False)
-    k = _truncation_rank(s, tol, relative)
-    if k == 0:
-        return None
-    return LowRankFactor(
-        np.ascontiguousarray(q_basis @ (u2[:, :k] * s[:k])),
-        np.ascontiguousarray(vt[:k].T),
     )

@@ -60,9 +60,10 @@ class TLRMatrix:
         self.tile_size = int(tile_size)
         self.accuracy = float(accuracy)
         self.max_rank = max_rank
-        #: compression policy the build used; GEMM rank rounding reads
-        #: it (via the store) to pick its method and derive seeds.
-        #: ``None`` (e.g. a hand-assembled matrix) means exact SVD.
+        #: compression policy the build used; the factorization's
+        #: update rounding reads its ``seed_root`` (via the store) to
+        #: derive per-tile seeds.  ``None`` (e.g. a hand-assembled
+        #: matrix) means seed root 0.
         self.compression = compression
         #: storage-precision policy the build used (``None`` = fp64)
         self.storage = storage

@@ -36,9 +36,8 @@ class CostModel:
 
     ``compression`` mirrors the library's build-time method knob
     (``"svd"`` or ``"rand"``): it selects which flop formula prices
-    tile compression and GEMM rank rounding, so the simulator and the
-    scheduler cost randomized builds the way the kernels actually run
-    them.
+    tile compression and the modelled per-update GEMM rank rounding of
+    the paper's right-looking PTG (``flops.gemm_tlr_flops*``).
     """
 
     machine: MachineModel

@@ -130,7 +130,7 @@ class DistributedSimulator:
         Parameters
         ----------
         graph:
-            The task graph (from :func:`repro.core.trimming.cholesky_tasks`
+            The task graph (from :func:`repro.core.trimming.ptg_cholesky_tasks`
             + :func:`repro.runtime.dag.build_graph`).
         tile_size, rank_of:
             Tile edge and rank lookup (stored rank estimate per tile;

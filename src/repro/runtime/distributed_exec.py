@@ -35,16 +35,18 @@ __all__ = ["DistributedExecutor", "DistributedRunResult"]
 # ----------------------------------------------------------------------
 
 
-def _rank_main(accuracy: float, max_rank, commands, replies) -> None:
-    """Rank loop: owns a local tile store, executes kernels on it, and
-    answers every command with one reply until told to stop (or the
-    coordinator is gone)."""
+def _rank_main(accuracy: float, max_rank, seed_root: int, commands, replies) -> None:
+    """Rank loop: owns a local tile store, executes the left-looking
+    kernels on it (the ones :func:`repro.core.tlr_cholesky` registers),
+    and answers every command with one reply until told to stop (or
+    the coordinator is gone)."""
     from repro.linalg.kernels_tlr import (
-        gemm_tile,
+        gemm_update,
         potrf_tile,
-        syrk_tile,
+        syrk_update,
         trsm_tile,
     )
+    from repro.linalg.lowrank import derive_tile_seed
 
     store: dict[tuple[int, int], Tile] = {}
     for msg in transport.frames(commands):
@@ -58,8 +60,9 @@ def _rank_main(accuracy: float, max_rank, commands, replies) -> None:
         elif op == "drop":
             store.pop(msg[1], None)
         elif op == "exec":
-            _, klass, params = msg
+            _, klass, params, inputs = msg
             try:
+                operands = [store[key] for key in inputs]
                 if klass == "POTRF":
                     (k,) = params
                     store[(k, k)] = potrf_tile(store[(k, k)])
@@ -67,13 +70,14 @@ def _rank_main(accuracy: float, max_rank, commands, replies) -> None:
                     m, k = params
                     store[(m, k)] = trsm_tile(store[(k, k)], store[(m, k)])
                 elif klass == "SYRK":
-                    m, k = params
-                    store[(m, m)] = syrk_tile(store[(m, m)], store[(m, k)])
+                    (n,) = params
+                    store[(n, n)] = syrk_update(store[(n, n)], operands)
                 elif klass == "GEMM":
-                    m, n, k = params
-                    store[(m, n)] = gemm_tile(
-                        store[(m, n)], store[(m, k)], store[(n, k)],
+                    m, n = params
+                    store[(m, n)] = gemm_update(
+                        store[(m, n)], zip(operands[0::2], operands[1::2]),
                         tol=accuracy, max_rank=max_rank,
+                        seed=derive_tile_seed(seed_root, m, n, gen=1),
                     )
                 else:
                     raise ValueError(f"unknown task class {klass!r}")
@@ -128,11 +132,12 @@ class DistributedExecutor:
         if data_dist.nproc != self.nproc:
             raise ValueError("distribution nproc != executor nproc")
         xd = exec_dist if exec_dist is not None else data_dist
+        seed_root = a.compression.seed_root if a.compression is not None else 0
         ranks = [
             transport.spawn(
                 mp.get_context("fork"),
                 _rank_main,
-                (a.accuracy, a.max_rank),
+                (a.accuracy, a.max_rank, seed_root),
                 f"tlr-rank-{p}",
             )
             for p in range(self.nproc)
@@ -185,7 +190,7 @@ class DistributedExecutor:
                 p = xd.owner(*out)
                 for d in task.reads:
                     ensure_at(d, p)
-                ask(p, "exec", task.klass, task.params)
+                ask(p, "exec", task.klass, task.params, task.inputs)
                 tasks_per_worker[p] += 1
                 # the write invalidates every other copy
                 stale = copies[out] - {p}

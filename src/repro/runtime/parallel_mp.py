@@ -2,7 +2,7 @@
 
 ``ParallelExecutionEngine`` (threads) loses most of the hardware on
 real numerics: the Python glue between BLAS calls — tile dispatch,
-recompression bookkeeping, trace records — serializes on the GIL.
+operand stacking, trace records — serializes on the GIL.
 This module replaces threads with *processes*, the asynchronous-runtime
 model of the fan-both Cholesky solvers: one-sided, message-driven task
 execution with no global lock.

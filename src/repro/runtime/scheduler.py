@@ -3,7 +3,7 @@
 The engine asks the scheduler for the next ready task; the policy
 determines the traversal of the DAG.  PaRSEC's default behaviour of
 advancing the panel factorization eagerly is captured by the priority
-scheduler with the Cholesky priority function (smaller panel index
+scheduler with the Cholesky priority function (smaller column index
 = deeper on the critical path = runs first).
 """
 
@@ -100,20 +100,23 @@ class PriorityScheduler(Scheduler):
 
 
 def cholesky_priority(task: Task, n_tiles: int) -> float:
-    """PaRSEC-style priority for tile Cholesky.
+    """Priority for the left-looking tile Cholesky.
 
-    Tasks of earlier panels are deeper on the critical path and must
-    run first; within a panel, POTRF > TRSM > SYRK > GEMM, and the
-    critical-path TRSM/SYRK (first subdiagonal) outrank the rest.
+    The column is the last parameter of every task class (``SYRK(n)``,
+    ``POTRF(n)``, ``GEMM(m, n)``, ``TRSM(m, n)``).  Earlier columns are
+    deeper on the critical path and run first; within a column
+    ``SYRK(n)`` feeds ``POTRF(n)`` directly and ranks above it, the
+    first-subdiagonal ``GEMM``/``TRSM`` (whose tile feeds the next
+    column's SYRK) outrank the other rows, and a row's TRSM outranks
+    the GEMMs of the rows still to be updated.
     """
-    k = task.params[-1] if task.klass != "POTRF" else task.params[0]
-    base = float((n_tiles - k) * 10)
+    n = task.params[-1]
+    base = float((n_tiles - n) * 10)
+    if task.klass == "SYRK":
+        return base + 9.5
     if task.klass == "POTRF":
         return base + 9.0
+    critical = task.params[0] == n + 1
     if task.klass == "TRSM":
-        m = task.params[0]
-        return base + (8.0 if m == k + 1 else 6.0)
-    if task.klass == "SYRK":
-        m = task.params[0]
-        return base + (7.0 if m == k + 1 else 4.0)
-    return base + 2.0  # GEMM
+        return base + (8.0 if critical else 6.0)
+    return base + (7.0 if critical else 2.0)  # GEMM

@@ -52,10 +52,11 @@ class Task:
     klass:
         Task-class name, e.g. ``"POTRF"``.
     params:
-        Class parameters, e.g. ``(k,)`` for POTRF or ``(m, n, k)`` for
+        Class parameters, e.g. ``(k,)`` for POTRF or ``(m, n)`` for
         GEMM — together with ``klass`` they uniquely identify the task.
     accesses:
-        Declared tile accesses; order is meaningful only for display.
+        Declared tile accesses.  The order of the read-only ones is the
+        operand order the task's kernel consumes (see :attr:`inputs`).
     priority:
         Larger runs earlier under the priority scheduler.
     flops:
@@ -80,6 +81,12 @@ class Task:
     @property
     def writes(self) -> tuple[DataKey, ...]:
         return tuple(a.key for a in self.accesses if a.mode.writes)
+
+    @property
+    def inputs(self) -> tuple[DataKey, ...]:
+        """Tiles the task only reads, in declared order — the operand
+        list of an accumulating kernel (``SYRK(n)``, ``GEMM(m, n)``)."""
+        return tuple(a.key for a in self.accesses if a.mode is AccessMode.READ)
 
     def __str__(self) -> str:
         args = ", ".join(map(str, self.params))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.mesh_deformation import RBFMeshDeformation
-from repro.core.trimming import _flops_for, cholesky_tasks
+from repro.core.trimming import _flops_for, _ptg_flops_for, cholesky_tasks
 from repro.geometry import fibonacci_sphere
 from repro.kernels.rbf import InverseMultiquadricRBF
 from repro.runtime.dag import build_graph
@@ -21,8 +21,12 @@ class TestFlopsForEdges:
         b = 64
         rank_of = lambda m, k: b  # everything dense
         assert _flops_for("TRSM", (1, 0), b, rank_of) == fl.trsm_dense_flops(b)
-        assert _flops_for("SYRK", (1, 0), b, rank_of) == fl.syrk_dense_flops(b)
-        assert _flops_for("GEMM", (2, 1, 0), b, rank_of) == fl.gemm_dense_flops(b)
+        assert _flops_for("SYRK", (2,), b, rank_of, (0, 1)) == 2 * fl.syrk_dense_flops(b)
+        assert _flops_for("GEMM", (2, 1), b, rank_of, (0,)) == fl.gemm_dense_flops(b)
+        # the right-looking PTG instances (simulator input)
+        assert _ptg_flops_for("TRSM", (1, 0), b, rank_of) == fl.trsm_dense_flops(b)
+        assert _ptg_flops_for("SYRK", (1, 0), b, rank_of) == fl.syrk_dense_flops(b)
+        assert _ptg_flops_for("GEMM", (2, 1, 0), b, rank_of) == fl.gemm_dense_flops(b)
 
     def test_rank_capped_at_tile_size(self):
         b = 64

@@ -48,8 +48,16 @@ class TestTrimmingEquivalence:
 
     def test_trimmed_task_count_matches_analysis(self, sparse_tlr):
         r = tlr_cholesky(sparse_tlr.copy(), trim=True)
-        assert r.analysis is not None
-        assert len(r.graph) == sum(r.analysis.task_counts().values())
+        ana = r.analysis
+        assert ana is not None
+        # left-looking: one POTRF per column, one TRSM per non-zero
+        # panel tile, one SYRK / GEMM per target with a non-empty list
+        assert r.graph.task_counts() == {
+            "POTRF": ana.nt,
+            "TRSM": sum(len(rows) for rows in ana.trsm),
+            "SYRK": sum(1 for panels in ana.syrk if panels),
+            "GEMM": len(ana.gemm),
+        }
 
     def test_untrimmed_has_no_analysis(self, sparse_tlr):
         r = tlr_cholesky(sparse_tlr.copy(), trim=False)

@@ -22,7 +22,7 @@ from repro import (
     solve_cholesky,
     virus_population,
 )
-from repro.core.trimming import cholesky_tasks
+from repro.core.trimming import ptg_cholesky_tasks
 from repro.runtime import build_graph
 
 
@@ -81,7 +81,7 @@ class TestFullPipeline:
         ana = analyze_ranks(ranks, field.nt)
         rank_of = lambda m, k: int(ranks[m, k]) if m != k else a.tile_size
         g = build_graph(
-            cholesky_tasks(field.nt, ana, tile_size=a.tile_size, rank_of=rank_of)
+            ptg_cholesky_tasks(field.nt, ana, tile_size=a.tile_size, rank_of=rank_of)
         )
         sim = DistributedSimulator(SHAHEEN_II, 4)
         res = sim.run(g, a.tile_size, rank_of, HICMA_PARSEC.data_distribution(4),

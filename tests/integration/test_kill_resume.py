@@ -46,7 +46,7 @@ class TestKillResume:
         # 2. a run killed mid-flight by an injected hard crash
         killed = run_cli(
             ["--checkpoint-dir", str(ck), "--checkpoint-every", "3",
-             "--inject-faults", "GEMM:crash:0.3", "--fault-seed", "2"],
+             "--inject-faults", "GEMM:crash:0.3", "--fault-seed", "1"],
             tmp_path,
         )
         assert killed.returncode == 137, (
@@ -77,6 +77,7 @@ class TestKillResume:
         ref = run_cli(["--save-factor", str(clean_path)], tmp_path)
         assert ref.returncode == 0, ref.stderr
 
+        kills = 0
         for seed in range(3):
             proc = run_cli(
                 ["--checkpoint-dir", str(ck), "--resume",
@@ -89,6 +90,7 @@ class TestKillResume:
             assert proc.returncode in (0, 137), proc.stderr
             if proc.returncode == 0:
                 break
+            kills += 1
         else:
             proc = run_cli(
                 ["--checkpoint-dir", str(ck), "--resume",
@@ -96,6 +98,7 @@ class TestKillResume:
                 tmp_path,
             )
             assert proc.returncode == 0, proc.stderr
+        assert kills > 0, "the crash plan killed no run"
 
         a = load_tlr(clean_path).to_dense(symmetrize=False)
         b = load_tlr(final_path).to_dense(symmetrize=False)

@@ -59,7 +59,7 @@ class TestMpKillResume:
         #    forked worker; the coordinator must mirror exit 137
         killed = run_cli(
             ["--checkpoint-dir", str(ck), "--checkpoint-every", "3",
-             "--inject-faults", "GEMM:crash:0.3", "--fault-seed", "2"],
+             "--inject-faults", "GEMM:crash:0.3", "--fault-seed", "1"],
             tmp_path,
         )
         assert killed.returncode == 137, (

@@ -2,11 +2,12 @@
 
 The repo's reproducibility contract says the factor is a pure function
 of the operator spec — independent of engine and worker count.  The
-randomized compression paths introduce sampling, so the contract now
+randomized compression paths introduce sampling, so the contract
 additionally rests on the deterministic per-tile seed derivation
-(seed root + tile coordinates + update generation).  These tests pin
-it end to end: rebuilds draw identical samples, and serial, threaded
-and process-pool executions of the GEMM rounding produce byte-equal
+(seed root + tile coordinates + generation: 0 for the build, 1 for the
+one rounding of the tile's accumulated update).  These tests pin it
+end to end: rebuilds draw identical samples, and serial, threaded and
+process-pool executions of the update rounding produce byte-equal
 factors, with fp64 and mixed-precision storage alike.
 """
 

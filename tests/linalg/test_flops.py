@@ -46,3 +46,36 @@ class TestTLRCounts:
         b = 500
         assert fl.compression_flops(b) > fl.gemm_dense_flops(b)
         assert fl.compression_flops(b) > fl.potrf_flops(b)
+
+
+class TestAccumulatedUpdateCounts:
+    """``gemm_accumulated_flops``: the left-looking GEMM(m, n) task."""
+
+    def test_matches_hand_count(self):
+        b, kc = 100, 7
+        pairs = [(4, 6), (10, 3), (0, 9), (100, 5)]
+        product = 4 * b * (4 * 6 + 10 * 3 + 100 * 5)
+        apply = 2 * b * b * (4 + 3 + 5)
+        p = kc + 8  # sampled columns: detected rank + oversample
+        rounding = 8 * b * b * p + 26 * b * p * p + 2 * b * p * kc
+        assert fl.gemm_accumulated_flops(b, pairs, kc) == product + apply + rounding
+        assert rounding == fl.randomized_compression_flops(b, kc)
+
+    def test_no_contribution_is_free(self):
+        assert fl.gemm_accumulated_flops(100, [], 5) == 0.0
+        assert fl.gemm_accumulated_flops(100, [(0, 9), (4, 0)], 5) == 0.0
+
+    def test_dense_pair_is_a_dense_gemm_and_dense_target_is_not_rounded(self):
+        b = 64
+        assert fl.gemm_accumulated_flops(b, [(b, b)], b) == fl.gemm_dense_flops(b)
+        lowrank_target = fl.gemm_accumulated_flops(b, [(b, b)], 3)
+        assert lowrank_target == fl.gemm_dense_flops(
+            b
+        ) + fl.randomized_compression_flops(b, 3)
+
+    def test_one_rounding_however_long_the_list(self):
+        b, pair, kc = 200, (20, 20), 20
+        one = fl.gemm_accumulated_flops(b, [pair], kc)
+        five = fl.gemm_accumulated_flops(b, [pair] * 5, kc)
+        rounding = fl.randomized_compression_flops(b, kc)
+        assert five - rounding == pytest.approx(5 * (one - rounding))

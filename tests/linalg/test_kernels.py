@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from repro.linalg import kernels_dense as kd
-from repro.linalg.kernels_tlr import gemm_tile, potrf_tile, syrk_tile, trsm_tile
-from repro.linalg.lowrank import truncated_svd
+from repro.linalg.kernels_tlr import (
+    gemm_tile,
+    gemm_update,
+    potrf_tile,
+    syrk_tile,
+    syrk_update,
+    trsm_tile,
+)
+from repro.linalg.lowrank import LowRankFactor, truncated_svd
+from repro.linalg.precision import downcast_factor
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile
 
 
@@ -96,8 +104,7 @@ class TestTrsmTile:
 class TestSyrkTile:
     def test_null_noop(self, rng):
         c = spd_tile(rng, 12)
-        out = syrk_tile(c, NullTile((12, 12)))
-        assert np.array_equal(out.data, c.data)
+        assert syrk_tile(c, NullTile((12, 12))) is c
 
     def test_low_rank(self, rng):
         c = spd_tile(rng, 12)
@@ -192,3 +199,183 @@ class TestGemmTile:
         assert np.array_equal(c.to_dense(), ca)
         assert np.array_equal(a.to_dense(), aa)
         assert np.array_equal(b.to_dense(), bb)
+
+
+def rect_lr(rng, rows, cols, k, scale=1.0):
+    """A rank-k ``rows x cols`` low-rank tile."""
+    block = scale * rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+    return LowRankTile(truncated_svd(block, tol=1e-12))
+
+
+def fp32(tile, solved=True):
+    """The tile as a ``storage="mixed"`` matrix holds it: both factors
+    fp32 as built, ``V`` back in fp64 once its TRSM ran (``solved``)."""
+    f = downcast_factor(tile.factor, np.float32)
+    return LowRankTile(LowRankFactor(f.u, tile.v) if solved else f)
+
+
+def dense64(tile):
+    """The tile's dense form, computed in fp64 from the stored values."""
+    if isinstance(tile, LowRankTile):
+        return tile.u.astype(np.float64) @ tile.v.astype(np.float64).T
+    return tile.to_dense()
+
+
+def same_tile(x, y):
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, NullTile):
+        return x.shape == y.shape
+    if isinstance(x, DenseTile):
+        return x.data.tobytes() == y.data.tobytes()
+    return x.u.tobytes() == y.u.tobytes() and x.v.tobytes() == y.v.tobytes()
+
+
+class TestGemmUpdate:
+    """The accumulating off-diagonal kernel: every panel of a target
+    tile in one product, rounded once."""
+
+    TOL = 1e-8
+    #: an uneven edge tile: target rows x cols, panels b wide
+    ROWS, COLS, B = 23, 32, 32
+
+    def _pairs(self, rng, mixed=False):
+        """Low-rank, dense, null and (optionally) fp32-stored operands
+        in one panel list; ``A_k`` is ROWS x B, ``B_k`` is COLS x B."""
+        a = [
+            rect_lr(rng, self.ROWS, self.B, 3),
+            DenseTile(rng.standard_normal((self.ROWS, self.B))),
+            NullTile((self.ROWS, self.B)),
+            rect_lr(rng, self.ROWS, self.B, 5),
+            DenseTile(rng.standard_normal((self.ROWS, self.B))),
+            rect_lr(rng, self.ROWS, self.B, 2),
+        ]
+        b = [
+            rect_lr(rng, self.COLS, self.B, 4),
+            rect_lr(rng, self.COLS, self.B, 2),
+            rect_lr(rng, self.COLS, self.B, 2),
+            DenseTile(rng.standard_normal((self.COLS, self.B))),
+            DenseTile(rng.standard_normal((self.COLS, self.B))),
+            NullTile((self.COLS, self.B)),
+        ]
+        if mixed:
+            a[0], b[0], b[1] = fp32(a[0]), fp32(b[0]), fp32(b[1])
+        return list(zip(a, b))
+
+    def _target(self, rng, kind):
+        if kind == "null":
+            return NullTile((self.ROWS, self.COLS))
+        if kind == "lr":
+            return rect_lr(rng, self.ROWS, self.COLS, 4)
+        return DenseTile(rng.standard_normal((self.ROWS, self.COLS)))
+
+    @staticmethod
+    def _reference(c, pairs):
+        return dense64(c) - sum(dense64(a) @ dense64(b).T for a, b in pairs)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["fp64", "mixed"])
+    @pytest.mark.parametrize("ck", ["null", "lr", "dense"])
+    def test_matches_dense_reference(self, rng, ck, mixed):
+        c = self._target(rng, ck)
+        if mixed and ck == "lr":
+            c = fp32(c, solved=False)  # a target is updated before its TRSM
+        pairs = self._pairs(rng, mixed)
+        out = gemm_update(c, pairs, tol=self.TOL, max_rank=self.ROWS)
+        assert out.shape == (self.ROWS, self.COLS)
+        assert out.to_dense().dtype == np.float64
+        err = np.linalg.norm(out.to_dense() - self._reference(c, pairs))
+        assert err <= 2 * self.TOL
+
+    def test_empty_list_and_null_operands_return_the_target(self, rng):
+        c = rect_lr(rng, self.ROWS, self.COLS, 4)
+        assert gemm_update(c, [], tol=self.TOL) is c
+        nulls = [
+            (NullTile((self.ROWS, self.B)), rect_lr(rng, self.COLS, self.B, 2)),
+            (rect_lr(rng, self.ROWS, self.B, 2), NullTile((self.COLS, self.B))),
+        ]
+        assert gemm_update(c, nulls, tol=self.TOL) is c
+
+    def test_null_target_fills_in(self, rng):
+        pairs = [(rect_lr(rng, self.ROWS, self.B, 3), rect_lr(rng, self.COLS, self.B, 3))]
+        out = gemm_update(NullTile((self.ROWS, self.COLS)), pairs, tol=self.TOL)
+        assert isinstance(out, LowRankTile) and out.rank == 3
+
+    def test_dense_target_stays_dense_and_unrounded(self, rng):
+        c = DenseTile(rng.standard_normal((self.ROWS, self.COLS)))
+        pairs = [(rect_lr(rng, self.ROWS, self.B, 1), rect_lr(rng, self.COLS, self.B, 1))]
+        out = gemm_update(c, pairs, tol=1.0)  # a tolerance that would null it
+        assert isinstance(out, DenseTile)
+        assert np.allclose(out.data, self._reference(c, pairs), atol=1e-12)
+
+    def test_accumulated_rank_is_rounded_once(self, rng):
+        """Five rank-2 updates of a rank-2 tile from one 4-dimensional
+        row space: stored rank is the numerical rank, not 2 + 5 * 2."""
+        basis = rng.standard_normal((self.ROWS, 4))
+        lr = lambda: LowRankTile(  # noqa: E731
+            LowRankFactor(basis @ rng.standard_normal((4, 2)), rng.standard_normal((self.B, 2)))
+        )
+        c = LowRankTile(
+            LowRankFactor(basis @ rng.standard_normal((4, 2)), rng.standard_normal((self.COLS, 2)))
+        )
+        pairs = [(lr(), rect_lr(rng, self.COLS, self.B, 2)) for _ in range(5)]
+        out = gemm_update(c, pairs, tol=self.TOL)
+        assert out.rank == 4
+
+    def test_over_max_rank_result_is_dense(self, rng):
+        c = rect_lr(rng, self.ROWS, self.COLS, 4)
+        pairs = [(rect_lr(rng, self.ROWS, self.B, 5), rect_lr(rng, self.COLS, self.B, 5))]
+        out = gemm_update(c, pairs, tol=1e-12, max_rank=3)
+        assert isinstance(out, DenseTile)
+        assert np.allclose(out.data, self._reference(c, pairs), atol=1e-10)
+
+    def test_seed_selects_the_sample_stream(self, rng):
+        c = rect_lr(rng, self.ROWS, self.COLS, 4)
+        # low rank throughout, so the range-finder (not the direct SVD
+        # past the crossover) produces the result
+        pairs = [(rect_lr(rng, self.ROWS, self.B, 2), rect_lr(rng, self.COLS, self.B, 3))]
+        one = gemm_update(c, pairs, tol=self.TOL, seed=1)
+        assert same_tile(one, gemm_update(c, pairs, tol=self.TOL, seed=1))
+        assert not same_tile(one, gemm_update(c, pairs, tol=self.TOL, seed=2))
+
+    @pytest.mark.parametrize("ck", ["null", "lr", "dense"])
+    def test_gemm_tile_is_the_one_pair_call(self, rng, ck):
+        c = self._target(rng, ck)
+        a, b = rect_lr(rng, self.ROWS, self.B, 3), rect_lr(rng, self.COLS, self.B, 2)
+        assert same_tile(
+            gemm_tile(c, a, b, tol=self.TOL, max_rank=9, seed=7),
+            gemm_update(c, [(a, b)], tol=self.TOL, max_rank=9, seed=7),
+        )
+
+
+class TestSyrkUpdate:
+    N, B = 19, 24
+
+    def _panels(self, rng):
+        return [
+            rect_lr(rng, self.N, self.B, 3),
+            NullTile((self.N, self.B)),
+            DenseTile(rng.standard_normal((self.N, self.B))),
+            fp32(rect_lr(rng, self.N, self.B, 2)),
+        ]
+
+    def test_matches_dense_reference(self, rng):
+        c = spd_tile(rng, self.N)
+        panels = self._panels(rng)
+        ref = c.data - sum(dense64(p) @ dense64(p).T for p in panels)
+        out = syrk_update(c, panels)
+        assert isinstance(out, DenseTile) and out.data.dtype == np.float64
+        assert np.allclose(out.data, ref, atol=1e-11)
+
+    def test_no_contribution_returns_the_target(self, rng):
+        c = spd_tile(rng, self.N)
+        assert syrk_update(c, []) is c
+        assert syrk_update(c, [NullTile((self.N, self.B))] * 2) is c
+
+    def test_syrk_tile_is_the_one_panel_call(self, rng):
+        c = spd_tile(rng, self.N)
+        for a in self._panels(rng):
+            assert same_tile(syrk_tile(c, a), syrk_update(c, [a]))
+
+    def test_rejects_non_dense_target(self, rng):
+        with pytest.raises(TypeError):
+            syrk_update(lr_tile(rng, 8, 2), [lr_tile(rng, 8, 2)])

@@ -11,11 +11,12 @@ from repro.linalg.lowrank import (
     compress_block,
     derive_tile_seed,
     randomized_compress,
-    randomized_recompress,
     recompress,
     resolve_compression,
     truncated_svd,
 )
+from repro.linalg.kernels_tlr import gemm_update
+from repro.linalg.tile import LowRankTile, NullTile
 
 
 def low_rank_block(rng, m, n, k, scale=1.0):
@@ -338,70 +339,58 @@ def stacked_factor(rng, m, n, ranks, tol=1e-12):
     )
 
 
+def as_pairs(factor, ranks):
+    """Operand pairs whose products are the stacked terms of ``factor``:
+    ``A_k = U_k Q_k^T`` and ``B_k = V_k Q_k^T`` with orthonormal
+    ``Q_k``, so ``A_k B_k^T = U_k V_k^T``."""
+    n = factor.shape[1]
+    pairs, at = [], 0
+    for k in ranks:
+        q = np.linalg.qr(np.random.default_rng(k).standard_normal((n, k)))[0]
+        u, v = factor.u[:, at : at + k], factor.v[:, at : at + k]
+        pairs.append(
+            (LowRankTile(LowRankFactor(u, q)), LowRankTile(LowRankFactor(v, q)))
+        )
+        at += k
+    return pairs
+
+
 class TestRandomizedRecompress:
+    """The one randomized rounding of an accumulated update
+    (``gemm_update``): a stacked sum of low-rank terms comes out at the
+    rank, and within the accuracy, of the exact QR-QR-SVD rounding."""
+
     def test_matches_exact_recompress(self, rng):
-        f = stacked_factor(rng, 120, 120, [6, 5, 4, 3])  # K = 18 > 16
+        ranks = [6, 5, 4, 3]  # K = 18 > one sample panel
+        f = stacked_factor(rng, 120, 120, ranks)
         exact = recompress(f, tol=1e-9)
-        sampled = randomized_recompress(f, tol=1e-9, seed=11)
-        assert sampled.rank == exact.rank == 18
-        assert np.allclose(sampled.to_dense(), exact.to_dense(), atol=1e-7)
+        out = gemm_update(NullTile((120, 120)), as_pairs(f, ranks), tol=1e-9, seed=11)
+        assert out.rank == exact.rank == 18
+        assert np.allclose(-out.to_dense(), exact.to_dense(), atol=1e-7)
 
     def test_rounds_redundant_rank(self, rng):
         base = truncated_svd(low_rank_block(rng, 100, 100, 9), tol=1e-12)
-        # duplicate the factors: stored rank 27, numerical rank 9
-        f = LowRankFactor(
-            np.hstack([base.u, base.u, base.u]),
-            np.hstack([base.v, base.v, base.v]) / 3.0,
-        )
-        rounded = randomized_recompress(f, tol=1e-9, seed=5)
-        assert rounded.rank == 9
-        assert np.allclose(rounded.to_dense(), base.to_dense(), atol=1e-7)
+        # the same term three times over: stacked rank 27, numerical rank 9
+        third = LowRankFactor(base.u, base.v / 3.0)
+        pairs = as_pairs(third, [9]) * 3
+        out = gemm_update(NullTile((100, 100)), pairs, tol=1e-9, seed=5)
+        assert out.rank == 9
+        assert np.allclose(-out.to_dense(), base.to_dense(), atol=1e-7)
 
     def test_bitwise_deterministic(self, rng):
-        f = stacked_factor(rng, 100, 100, [8, 7, 6])
-        a = randomized_recompress(f, tol=1e-9, seed=21)
-        b = randomized_recompress(f, tol=1e-9, seed=21)
+        ranks = [8, 7, 6]
+        pairs = as_pairs(stacked_factor(rng, 100, 100, ranks), ranks)
+        a = gemm_update(NullTile((100, 100)), pairs, tol=1e-9, seed=21)
+        b = gemm_update(NullTile((100, 100)), pairs, tol=1e-9, seed=21)
         assert a.u.tobytes() == b.u.tobytes()
         assert a.v.tobytes() == b.v.tobytes()
 
-    def test_small_rank_delegates_exactly(self, rng):
-        f = stacked_factor(rng, 60, 60, [3, 2])  # K = 5 <= sample_block
-        exact = recompress(f, tol=1e-9)
-        sampled = randomized_recompress(f, tol=1e-9, seed=1)
-        # delegated path: identical arithmetic, identical bytes
-        assert sampled.u.tobytes() == exact.u.tobytes()
-        assert sampled.v.tobytes() == exact.v.tobytes()
-
-    def test_high_rank_delegates_exactly(self, rng):
-        f = stacked_factor(rng, 40, 40, [10, 10])  # K = 20 >= 40 // 2
-        exact = recompress(f, tol=1e-9)
-        sampled = randomized_recompress(f, tol=1e-9, seed=1)
-        assert sampled.u.tobytes() == exact.u.tobytes()
-
     def test_cancellation_to_null(self, rng):
         base = truncated_svd(low_rank_block(rng, 80, 80, 9), tol=1e-12)
-        cancel = LowRankFactor(
-            np.hstack([base.u, -base.u]), np.hstack([base.v, base.v])
-        )
-        assert randomized_recompress(cancel, tol=1e-6, seed=0) is None
-
-    def test_relative_mode(self, rng):
-        f = stacked_factor(rng, 100, 100, [9, 8, 7], tol=1e-18)
-        scaled = LowRankFactor(1e-7 * f.u, f.v)
-        rel = randomized_recompress(scaled, tol=1e-6, relative=True, seed=2)
-        exact = recompress(scaled, tol=1e-6, relative=True)
-        assert rel is not None
-        assert rel.rank == exact.rank
-
-    def test_rank0_returned_untouched(self):
-        class EmptyFactor:
-            rank = 0
-            shape = (8, 8)
-
-        f = EmptyFactor()
-        assert randomized_recompress(f, tol=1e-8) is f
+        out = gemm_update(LowRankTile(base), as_pairs(base, [9]), tol=1e-6)
+        assert isinstance(out, NullTile)
 
     def test_rejects_nonpositive_tol(self, rng):
-        f = stacked_factor(rng, 30, 30, [2])
+        pairs = as_pairs(stacked_factor(rng, 30, 30, [2]), [2])
         with pytest.raises(ValueError):
-            randomized_recompress(f, tol=-1.0)
+            gemm_update(NullTile((30, 30)), pairs, tol=-1.0)

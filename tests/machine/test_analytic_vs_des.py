@@ -10,7 +10,7 @@ the analytic estimate stays within a bounded factor of the DES.
 import numpy as np
 import pytest
 
-from repro.core import analyze_ranks, cholesky_tasks
+from repro.core import analyze_ranks, ptg_cholesky_tasks
 from repro.core.hicma_parsec import HICMA_PARSEC, TRIM_ONLY
 from repro.core.lorapo import LORAPO
 from repro.core.rank_model import SyntheticRankField, analyze_mask_fast
@@ -43,7 +43,7 @@ def run_des(field, ranks, cfg, nproc=16, floor=0):
     )
     ana = analyze_ranks(ranks, nt) if cfg.trim else None
     graph = build_graph(
-        cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of_exec)
+        ptg_cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of_exec)
     )
     sim = DistributedSimulator(SHAHEEN_II, nproc)
     dd = cfg.data_distribution(nproc)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import analyze_ranks, cholesky_tasks, tlr_cholesky
+from repro.core import analyze_ranks, ptg_cholesky_tasks, tlr_cholesky
 from repro.core.rank_model import SyntheticRankField
 from repro.distribution import TwoDBlockCyclic
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile
@@ -50,7 +50,7 @@ class TestNumericFailures:
 
 class TestSimulatorEdgeCases:
     def test_single_tile_matrix(self):
-        graph = build_graph(cholesky_tasks(1, tile_size=64, rank_of=lambda m, k: 64))
+        graph = build_graph(ptg_cholesky_tasks(1, tile_size=64, rank_of=lambda m, k: 64))
         sim = DistributedSimulator(SHAHEEN_II, 1)
         res = sim.run(graph, 64, lambda m, k: 64, TwoDBlockCyclic(1, 1))
         assert res.n_tasks == 1
@@ -63,7 +63,7 @@ class TestSimulatorEdgeCases:
         np.fill_diagonal(ranks, 128)
         ana = analyze_ranks(ranks, nt)
         graph = build_graph(
-            cholesky_tasks(nt, ana, tile_size=128, rank_of=lambda m, k: ranks[m, k])
+            ptg_cholesky_tasks(nt, ana, tile_size=128, rank_of=lambda m, k: ranks[m, k])
         )
         assert len(graph) == nt  # POTRFs only
         sim = DistributedSimulator(SHAHEEN_II, 2)

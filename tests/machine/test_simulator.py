@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import analyze_ranks, cholesky_tasks
+from repro.core import analyze_ranks, ptg_cholesky_tasks
 from repro.distribution import (
     BandDistribution,
     DiamondDistribution,
@@ -26,7 +26,7 @@ def small_problem():
             ranks[m, k] = max(0, 40 // d if d <= 4 else 0)
     ana = analyze_ranks(ranks, nt)
     rank_of = lambda m, k: int(ranks[m, k])
-    tasks = cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of)
+    tasks = ptg_cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of)
     graph = build_graph(tasks)
     return nt, b, ranks, ana, graph, rank_of
 
@@ -131,7 +131,7 @@ class TestExecutionRemapping:
                 ranks[k + 1, k] = 30
         ana = analyze_ranks(ranks, nt)
         rank_of = lambda m, k: int(ranks[m, k])
-        graph = build_graph(cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of))
+        graph = build_graph(ptg_cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of))
         dd = TwoDBlockCyclic(2, 2)
         plain = DistributedSimulator(SHAHEEN_II, 4).run(graph, b, rank_of, dd)
         band = DistributedSimulator(SHAHEEN_II, 4).run(
@@ -147,8 +147,8 @@ class TestTrimmingEffect:
         ranks = sparse_tlr.rank_matrix()
         rank_of = lambda m, k: int(ranks[m, k])
         ana = analyze_ranks(sparse_tlr.rank_array(), nt)
-        g_full = build_graph(cholesky_tasks(nt, None, tile_size=b, rank_of=rank_of))
-        g_trim = build_graph(cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of))
+        g_full = build_graph(ptg_cholesky_tasks(nt, None, tile_size=b, rank_of=rank_of))
+        g_trim = build_graph(ptg_cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of))
         dd = square_grid(4)
         dist = TwoDBlockCyclic(*dd)
         full = DistributedSimulator(SHAHEEN_II, 4).run(g_full, b, rank_of, dist)

@@ -3,11 +3,13 @@ SPD operators: factorization residual and solve accuracy must track
 the compression tolerance; trimming must be semantically invisible."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.solver import solve_cholesky
 from repro.core.tlr_cholesky import tlr_cholesky
+from repro.geometry import min_spacing, virus_population
+from repro.kernels import RBFMatrixGenerator
 from repro.linalg.tile_matrix import TLRMatrix
 
 
@@ -60,3 +62,33 @@ class TestCholeskyProperties:
         x_true = rng.standard_normal(a.shape[0])
         x = solve_cholesky(res.factor, a @ x_true)
         assert np.allclose(x, x_true, atol=1e-6)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        shape_mult=st.sampled_from([100.0, 200.0, 400.0]),
+        acc=st.sampled_from([1e-6, 1e-8]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_every_tile_meets_the_accuracy(self, seed, shape_mult, acc):
+        """Per-tile backward error on a density-1 operator (every tile
+        low-rank, every target accumulates up to NT - 1 updates and is
+        rounded once): ``||(A - L L^T)_mn||_F <= 3 * accuracy`` for
+        every tile, not just in the global norm."""
+        b = 50
+        pts = virus_population(2, points_per_virus=200, seed=seed)
+        gen = RBFMatrixGenerator(
+            pts, 0.5 * min_spacing(pts) * shape_mult, tile_size=b, nugget=100 * acc
+        )
+        t = TLRMatrix.from_generator(gen, acc)
+        assume(t.density() == 1.0)
+        nt = t.n_tiles
+        assert nt >= 8
+        a = t.to_dense()
+        low = np.tril(tlr_cholesky(t).factor.to_dense(symmetrize=False))
+        err = a - low @ low.T
+        worst = max(
+            np.linalg.norm(err[m * b : (m + 1) * b, n * b : (n + 1) * b])
+            for n in range(nt)
+            for m in range(n, nt)
+        )
+        assert worst <= 3 * acc

@@ -19,7 +19,6 @@ from repro.linalg.lowrank import (
     LowRankFactor,
     compress_block,
     randomized_compress,
-    randomized_recompress,
     recompress,
     truncated_svd,
 )
@@ -148,7 +147,27 @@ class TestNullCertificateProperties:
             assert stats.screened_null == 1
 
 
+def rounded_sum(parts, tol, seed):
+    """``-sum_k U_k V_k^T`` through the factorization's accumulating
+    kernel: each term enters as the pair ``(U_k Q^T, V_k Q^T)`` with
+    orthonormal ``Q``, the target starts null, the sum is rounded once."""
+    from repro.linalg.kernels_tlr import gemm_update
+    from repro.linalg.tile import LowRankTile, NullTile
+
+    m = parts[0].shape[0]
+    pairs = []
+    for p in parts:
+        q = np.linalg.qr(np.random.default_rng(p.rank).standard_normal((m, p.rank)))[0]
+        pairs.append(
+            (LowRankTile(LowRankFactor(p.u, q)), LowRankTile(LowRankFactor(p.v, q)))
+        )
+    return gemm_update(NullTile((m, m)), pairs, tol=tol, seed=seed)
+
+
 class TestRandomizedRecompressProperties:
+    """The one randomized rounding of an accumulated update agrees with
+    the exact rounding of the same stacked sum."""
+
     @given(
         m=st.integers(80, 140),
         ks=st.lists(st.integers(2, 8), min_size=3, max_size=5),
@@ -169,9 +188,9 @@ class TestRandomizedRecompressProperties:
             np.hstack([p.u for p in parts]), np.hstack([p.v for p in parts])
         )
         exact = recompress(stacked, tol=1e-9)
-        sampled = randomized_recompress(stacked, tol=1e-9, seed=seed)
+        sampled = rounded_sum(parts, tol=1e-9, seed=seed)
         assert sampled.rank == exact.rank
-        assert np.allclose(sampled.to_dense(), exact.to_dense(), atol=1e-6)
+        assert np.allclose(-sampled.to_dense(), exact.to_dense(), atol=1e-6)
 
     @given(
         m=st.integers(80, 140),
@@ -187,10 +206,7 @@ class TestRandomizedRecompressProperties:
             rng.standard_normal((m, k)) @ rng.standard_normal((k, m)),
             tol=1e-12,
         )
-        stacked = LowRankFactor(
-            np.hstack([base.u] * copies),
-            np.hstack([base.v] * copies) / copies,
-        )
-        rounded = randomized_recompress(stacked, tol=1e-9, seed=seed)
+        part = LowRankFactor(base.u, base.v / copies)
+        rounded = rounded_sum([part] * copies, tol=1e-9, seed=seed)
         assert rounded.rank == k
-        assert np.allclose(rounded.to_dense(), base.to_dense(), atol=1e-6)
+        assert np.allclose(-rounded.to_dense(), base.to_dense(), atol=1e-6)

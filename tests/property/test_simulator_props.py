@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysis import analyze_ranks
-from repro.core.trimming import cholesky_tasks
+from repro.core.trimming import ptg_cholesky_tasks
 from repro.distribution import TwoDBlockCyclic
 from repro.machine import SHAHEEN_II, DistributedSimulator
 from repro.machine.simulator import _is_dense_kernel, _task_duration
@@ -39,7 +39,7 @@ def problems(draw):
     for m, k in ana.fill_in_tiles():
         ranks[m, k] = max(2, b // 16)
     rank_of = lambda m, k: int(ranks[m, k])
-    graph = build_graph(cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of))
+    graph = build_graph(ptg_cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of))
     p = draw(st.sampled_from([1, 2, 4]))
     q = draw(st.sampled_from([1, 2]))
     return graph, b, rank_of, p, q

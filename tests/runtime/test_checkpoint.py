@@ -214,11 +214,27 @@ class TestManagerValidation:
             CheckpointManager(tmp_path, keep=0)
 
     def test_graph_signature_mismatch_refuses_resume(self, tmp_path):
-        mgr = CheckpointManager(tmp_path, every_tasks=5)
-        tlr_cholesky(spd_tlr(), checkpoint=mgr)
+        from repro.core.trimming import ptg_cholesky_tasks
+        from repro.runtime.dag import build_graph
+
+        a = spd_tlr()
+        tlr_cholesky(a.copy(), checkpoint=CheckpointManager(tmp_path, every_tasks=5))
         # a different factorization (different size -> different graph)
         with pytest.raises(ValueError, match="refusing to resume"):
             tlr_cholesky(spd_tlr(n=96, tile=32), resume_from=tmp_path)
+        # the same operator, but a manifest written against the
+        # per-(m, n, k) right-looking graph: also a different
+        # factorization, and nothing of it is overlaid
+        old_graph = build_graph(ptg_cholesky_tasks(a.n_tiles))
+        assert any(len(t.params) == 3 for t in old_graph.tasks)
+        manifest = load_checkpoint(tmp_path).manifest_path
+        record = json.loads(manifest.read_text())
+        record["graph_signature"] = graph_signature(old_graph)
+        manifest.write_text(json.dumps(record))
+        fresh = a.copy()
+        with pytest.raises(ValueError, match="refusing to resume"):
+            tlr_cholesky(fresh, resume_from=manifest)
+        assert all(x is y for (_, x), (_, y) in zip(fresh, a)), "tiles were overlaid"
 
     def test_graph_signature_stability(self):
         from repro.core.trimming import cholesky_tasks

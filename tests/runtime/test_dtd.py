@@ -41,17 +41,20 @@ class TestTaskPool:
         with pytest.raises(RuntimeError):
             pool.insert_task("T", (1,), lambda t, d: None)
 
-    def test_matches_ptg_cholesky(self, sparse_tlr, sparse_dense_ref):
-        """Inserting the tile-Cholesky loop through DTD produces the
-        same DAG and the same factor as the PTG path."""
+    def test_matches_ptg_cholesky(self, sparse_tlr):
+        """Inserting the left-looking tile-Cholesky loop through DTD
+        produces the same DAG and the same factor, bitwise, as the
+        enumerated (PTG-style) path the driver runs."""
         from repro.core import analyze_ranks, tlr_cholesky
         from repro.core.trimming import cholesky_tasks
+        from repro.linalg.integrity import matrix_checksums
         from repro.linalg.kernels_tlr import (
-            gemm_tile,
+            gemm_update,
             potrf_tile,
-            syrk_tile,
+            syrk_update,
             trsm_tile,
         )
+        from repro.linalg.lowrank import derive_tile_seed
         from repro.runtime.dag import build_graph
 
         a = sparse_tlr.copy()
@@ -68,42 +71,45 @@ class TestTaskPool:
             mat.set_tile(m, k, trsm_tile(mat.tile(k, k), mat.tile(m, k)))
 
         def k_syrk(t, mat):
-            m, k = t.params
-            mat.set_tile(m, m, syrk_tile(mat.tile(m, m), mat.tile(m, k)))
+            (n,) = t.params
+            panels = [mat.tile(*key) for key in t.inputs]
+            mat.set_tile(n, n, syrk_update(mat.tile(n, n), panels))
 
         def k_gemm(t, mat):
-            m, n, k = t.params
+            m, n = t.params
+            ops = [mat.tile(*key) for key in t.inputs]
             mat.set_tile(
                 m, n,
-                gemm_tile(mat.tile(m, n), mat.tile(m, k), mat.tile(n, k),
-                          tol=mat.accuracy, max_rank=mat.max_rank),
+                gemm_update(
+                    mat.tile(m, n), zip(ops[0::2], ops[1::2]),
+                    tol=mat.accuracy, max_rank=mat.max_rank,
+                    seed=derive_tile_seed(mat.compression.seed_root, m, n, gen=1),
+                ),
             )
 
-        for k in range(nt):
-            pool.insert_task("POTRF", (k,), k_potrf, rw=[(k, k)])
-            for m in ana.trsm_rows(k):
-                pool.insert_task("TRSM", (m, k), k_trsm,
-                                 read=[(k, k)], rw=[(m, k)])
-            for m in ana.trsm_rows(k):
-                pool.insert_task("SYRK", (m, k), k_syrk,
-                                 read=[(m, k)], rw=[(m, m)])
-            rows = ana.trsm_rows(k)
-            for i in range(1, len(rows)):
-                for j in range(i):
-                    m, n = rows[i], rows[j]
-                    pool.insert_task("GEMM", (m, n, k), k_gemm,
-                                     read=[(m, k), (n, k)], rw=[(m, n)])
+        for n in range(nt):
+            if ana.syrk_panels(n):
+                pool.insert_task("SYRK", (n,), k_syrk,
+                                 read=[(n, k) for k in ana.syrk_panels(n)],
+                                 rw=[(n, n)])
+            pool.insert_task("POTRF", (n,), k_potrf, rw=[(n, n)])
+            for m in ana.trsm_rows(n):
+                ks = ana.gemm_panels(m, n)
+                if ks:
+                    pool.insert_task(
+                        "GEMM", (m, n), k_gemm,
+                        read=[key for k in ks for key in ((m, k), (n, k))],
+                        rw=[(m, n)],
+                    )
+                pool.insert_task("TRSM", (m, n), k_trsm,
+                                 read=[(n, n)], rw=[(m, n)])
 
-        # identical DAG shape as the PTG enumeration
+        # identical DAG shape as the enumeration the driver runs
         ptg = build_graph(cholesky_tasks(nt, ana))
         dtd = pool.finalize()
         assert len(dtd) == len(ptg)
         assert dtd.n_edges() == ptg.n_edges()
 
         pool.run(a)
-        l = np.tril(a.to_dense(symmetrize=False))
-        res = np.linalg.norm(sparse_dense_ref - l @ l.T) / np.linalg.norm(
-            sparse_dense_ref
-        )
-        ref = tlr_cholesky(sparse_tlr.copy(), trim=True).residual(sparse_dense_ref)
-        assert res == pytest.approx(ref, rel=1e-6)
+        ref = tlr_cholesky(sparse_tlr.copy(), trim=True).factor
+        assert matrix_checksums(a) == matrix_checksums(ref)

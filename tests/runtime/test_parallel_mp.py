@@ -61,7 +61,7 @@ def _general_operator(seed):
 
 
 def _big_operator(seed=3):
-    """Denser workload (~140 tasks incl. GEMMs) for fault/checkpoint
+    """Denser workload (80 tasks incl. 26 GEMMs) for fault/checkpoint
     tests — the small 2-virus operators trim down to a handful of
     tasks, too few to hit injection rates or checkpoint cadences."""
     pts = virus_population(4, points_per_virus=200, cube_edge=1.7, seed=seed)

@@ -48,17 +48,21 @@ class TestSchedulers:
         assert len(s) == 1 and s
 
     def test_cholesky_priority_ordering(self):
-        """Earlier panels outrank later; POTRF > critical TRSM > rest."""
+        """Earlier columns outrank later; within a column SYRK > POTRF
+        > critical GEMM/TRSM > the other rows."""
         nt = 10
-        potrf0 = make_task("POTRF", (0,))
+        syrk1 = make_task("SYRK", (1,))
         potrf1 = make_task("POTRF", (1,))
-        trsm_cp = make_task("TRSM", (1, 0))
-        trsm_off = make_task("TRSM", (5, 0))
-        gemm = make_task("GEMM", (5, 3, 0))
+        potrf2 = make_task("POTRF", (2,))
+        trsm_cp = make_task("TRSM", (2, 1))
+        gemm_cp = make_task("GEMM", (2, 1))
+        trsm_off = make_task("TRSM", (5, 1))
+        gemm_off = make_task("GEMM", (5, 1))
         p = lambda t: cholesky_priority(t, nt)
-        assert p(potrf0) > p(trsm_cp) > p(trsm_off) > p(gemm)
-        assert p(potrf0) > p(potrf1)
-        assert p(gemm) > p(potrf1)  # panel-0 work before panel-1 POTRF
+        assert p(syrk1) > p(potrf1) > p(trsm_cp) > p(gemm_cp)
+        assert p(gemm_cp) > p(trsm_off) > p(gemm_off)
+        assert p(potrf1) > p(potrf2)
+        assert p(gemm_off) > p(make_task("SYRK", (2,)))  # column 1 before column 2
 
 
 class TestEngine:

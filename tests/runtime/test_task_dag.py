@@ -92,16 +92,27 @@ class TestBuildGraph:
         assert nxg.number_of_edges() == 1
 
     def test_cholesky_dependency_pattern(self):
-        """Spot-check canonical tile-Cholesky dependencies on 3x3."""
+        """Spot-check left-looking tile-Cholesky dependencies on 3x3."""
         from repro.core import cholesky_tasks
 
         g = build_graph(cholesky_tasks(3))
         potrf0 = g.index_of(g.find("POTRF", (0,)))
         trsm10 = g.index_of(g.find("TRSM", (1, 0)))
-        syrk10 = g.index_of(g.find("SYRK", (1, 0)))
+        trsm20 = g.index_of(g.find("TRSM", (2, 0)))
+        syrk1 = g.index_of(g.find("SYRK", (1,)))
         potrf1 = g.index_of(g.find("POTRF", (1,)))
-        gemm210 = g.index_of(g.find("GEMM", (2, 1, 0)))
+        gemm21 = g.index_of(g.find("GEMM", (2, 1)))
+        trsm21 = g.index_of(g.find("TRSM", (2, 1)))
+        syrk2 = g.index_of(g.find("SYRK", (2,)))
         assert trsm10 in g.successors[potrf0]
-        assert syrk10 in g.successors[trsm10]
-        assert potrf1 in g.successors[syrk10]
-        assert gemm210 in g.successors[trsm10]
+        assert syrk1 in g.successors[trsm10]
+        assert potrf1 in g.successors[syrk1]
+        assert gemm21 in g.successors[trsm10]
+        assert gemm21 in g.successors[trsm20]
+        assert trsm21 in g.successors[gemm21]
+        # SYRK(2) accumulates both panels of row 2 in one task
+        assert g.tasks[syrk2].inputs == ((2, 0), (2, 1))
+        assert {trsm20, trsm21} <= set(g.predecessors[syrk2])
+        # column 0 has nothing to accumulate: no empty-list tasks
+        assert g.find("SYRK", (0,)) is None
+        assert g.find("GEMM", (1, 0)) is None
