@@ -55,12 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="DAG worker threads (default $REPRO_WORKERS or "
                         "serial; 0 = one per core)")
     f.add_argument("--engine", type=str, default=None,
-                   choices=["threads", "mp", "serial"],
-                   help="execution backend: 'threads' (GIL-bound glue, "
-                        "BLAS overlaps), 'mp' (shared-memory process "
-                        "pool, true parallelism), 'serial' (default "
-                        "$REPRO_ENGINE or threads); the factor is "
-                        "bitwise identical on all backends")
+                   choices=["threads", "serial"],
+                   help="executor at --workers > 1: 'threads' (default; "
+                        "GIL-bound glue, BLAS overlaps) or 'serial'; "
+                        "the factor is bitwise identical on both")
     f.add_argument("--compression", type=str, default=None,
                    choices=["svd", "rand"],
                    help="tile compression method: 'svd' (exact truncated "
@@ -154,10 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--factor-workers", type=int, default=None,
                     help="DAG worker threads for cache-miss "
                          "factorizations (0 = one per core)")
-    sv.add_argument("--factor-engine", type=str, default=None,
-                    choices=["threads", "mp", "serial"],
-                    help="execution backend for cache-miss "
-                         "factorizations (default $REPRO_ENGINE)")
     sv.add_argument("--backlog", type=int, default=256)
     sv.add_argument("--max-inflight", type=int, default=None,
                     help="admission-control cap on in-flight requests; "
@@ -463,7 +457,6 @@ def _cmd_serve(args) -> int:
         backlog=args.backlog,
         max_batch=args.max_batch,
         factor_workers=args.factor_workers,
-        factor_engine=args.factor_engine,
         max_inflight=args.max_inflight,
     ) as svc:
         handles = []

@@ -97,7 +97,7 @@ def default_shape_parameter(min_spacing: float) -> float:
 # environment knobs — the only ``os.environ`` reads in the library.
 # Each is the fallback for an explicit argument somewhere (the module
 # that owns the argument re-exports the reader), so CI can sweep whole
-# suites through another engine or policy without touching call sites.
+# suites through another policy without touching call sites.
 # ---------------------------------------------------------------------
 
 #: Switches on per-kernel operand checksum verification.
@@ -116,12 +116,6 @@ def workers_from_env() -> int | None:
     default to 1; ``<= 0`` means one per CPU core)."""
     env = _env("REPRO_WORKERS")
     return int(env) if env else None
-
-
-def engine_from_env() -> str | None:
-    """``$REPRO_ENGINE`` verbatim (``threads`` / ``mp`` / ``serial`` or
-    an alias), ``None`` when unset."""
-    return _env("REPRO_ENGINE") or None
 
 
 def debug_from_env() -> bool:

@@ -102,7 +102,7 @@ def hicma_parsec_factorize(
 
     ``shift_policy`` enables escalating-diagonal-shift degradation for
     borderline-SPD operators (see :func:`tlr_cholesky`); ``engine``
-    selects the execution backend (threads / mp / serial).
+    selects the executor (threads / serial).
     """
     return tlr_cholesky(
         a,

@@ -70,9 +70,6 @@ class FactorizationResult:
     checkpoints_written: int = 0
     #: corrupt tiles healed in place from last-known-good references
     tiles_healed: int = 0
-    #: replacement workers forked by the mp engine's supervisor after
-    #: real worker deaths or hangs (0 for in-process engines)
-    workers_respawned: int = 0
 
     @property
     def elapsed(self) -> float:
@@ -132,13 +129,10 @@ def register_cholesky_kernels(
         # The one rounding of tile (m, n) draws its sample stream from
         # the tile coordinates (generation 1 — build-time compression
         # is generation 0), so the seed is a pure function of the task
-        # and the factor stays bitwise identical across the
-        # serial/threaded/mp engines.  ``a`` is the TLRMatrix on the
-        # in-process engines and the arena store under mp; both expose
-        # the build's compression policy (None for a hand-assembled
-        # matrix: seed root 0).
-        policy = getattr(a, "compression", None)
-        root = policy.seed_root if policy is not None else 0
+        # and the factor stays bitwise identical across executors and
+        # worker counts.  The build's compression policy is None for a
+        # hand-assembled matrix: seed root 0.
+        root = a.compression.seed_root if a.compression is not None else 0
         a.set_tile(
             m,
             n,
@@ -231,10 +225,8 @@ def tlr_cholesky(
         (default: ``$REPRO_VERIFY_TILES``); see
         :class:`~repro.runtime.engine.ExecutionEngine`.
     engine:
-        Execution backend: ``"threads"`` (GIL-bound Python glue, BLAS
-        overlaps), ``"mp"`` (shared-memory process pool — true
-        parallelism), or ``"serial"``.  ``None`` defers to
-        ``$REPRO_ENGINE`` (else threads).  All backends produce
+        Executor at ``workers > 1``: ``"threads"`` (default; GIL-bound
+        Python glue, BLAS overlaps) or ``"serial"``.  Both produce
         bitwise-identical factors.
 
     Raises
@@ -284,10 +276,7 @@ def tlr_cholesky(
         verify_tiles=verify_tiles,
         engine=engine,
     )
-    # Engine-managed report dict: the process-pool backend mirrors
-    # worker-side writes (POTRF shifts happen in forked children) back
-    # into this same dict at task retirement.
-    shifts = eng.report_dict()
+    shifts: dict[int, float] = {}
     register_cholesky_kernels(
         eng, shift_policy=shift_policy, shift_report=shifts
     )
@@ -309,7 +298,4 @@ def tlr_cholesky(
             manager.checkpoints_written if manager is not None else 0
         ),
         tiles_healed=manager.tiles_healed if manager is not None else 0,
-        workers_respawned=getattr(eng, "last_run_supervision", {}).get(
-            "respawns", 0
-        ),
     )

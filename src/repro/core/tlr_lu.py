@@ -156,8 +156,7 @@ def tlr_lu(
     ``workers`` and ``engine`` follow the same conventions as
     :func:`~repro.core.tlr_cholesky.tlr_cholesky`: ``workers=None``
     defers to ``$REPRO_WORKERS`` (else serial), ``<= 0`` means one per
-    core; ``engine=None`` defers to ``$REPRO_ENGINE`` (``"threads"``,
-    ``"mp"``, or ``"serial"``).
+    core; ``engine`` is ``"threads"`` (default) or ``"serial"``.
     """
     t0 = time.perf_counter()
     nt = a.n_tiles

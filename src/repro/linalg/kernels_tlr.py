@@ -89,7 +89,7 @@ def trsm_tile(l_kk: DenseTile, a_mk: Tile) -> Tile:
         # copied: tiles are immutable (kernels build new tiles, never
         # mutate arrays in place), so aliasing is safe, and a copy
         # would also normalize the memory order — breaking bitwise
-        # reproducibility for arena-backed (possibly F-ordered) views.
+        # reproducibility for F-ordered factors (a reloaded operator's).
         new_v = sla.solve_triangular(
             l_kk.data, a_mk.v, lower=True, trans="N", check_finite=False
         )

@@ -24,7 +24,7 @@ Randomized results are a pure function of ``(block, tol, seed)``: the
 Gaussian test matrices come from a ``PCG64`` stream seeded per tile
 (:func:`derive_tile_seed` — operator seed root + tile coordinates +
 generation: 0 for the build, 1 for the one rounding of the tile's
-accumulated update), so serial, threaded and process-pool engines draw
+accumulated update), so the serial and threaded executors draw
 identical samples and produce bitwise-identical factors.
 """
 
@@ -62,10 +62,9 @@ class LowRankFactor:
 
     The arrays are stored as given — **no defensive copy, no layout
     normalization** — so factors can wrap views over external buffers
-    (e.g. the shared-memory tile arena) for free.  The flip side is an
-    immutability contract: holders must never mutate ``u``/``v`` in
-    place, and kernels that reuse an operand's factor share it rather
-    than copying.
+    for free.  The flip side is an immutability contract: holders must
+    never mutate ``u``/``v`` in place, and kernels that reuse an
+    operand's factor share it rather than copying.
     """
 
     u: np.ndarray
@@ -198,8 +197,8 @@ class CompressionStats:
     sampled-rank profile).
 
     Filled by :meth:`~repro.linalg.tile_matrix.TLRMatrix.compress` and
-    printed by ``repro factorize``; process-local (a forked worker's
-    counts stay in the worker), so treat the numbers as build-time
+    printed by ``repro factorize``; process-local (a fleet shard's
+    counts stay in the shard), so treat the numbers as build-time
     observability, not an exact global ledger.  ``bound_null`` counts
     tiles certified null from the generator's norm bound (never
     generated), ``screened_null`` those certified by their Frobenius

@@ -64,11 +64,11 @@ class DenseTile(Tile):
     """A tile stored as a full dense array.
 
     Construction is **zero-copy** for a DTYPE ndarray: ``np.asarray``
-    wraps the given buffer (including views over external storage such
-    as the shared-memory tile arena) without a defensive copy, and
-    without normalizing memory order — C- vs F-ordered operands round
-    differently through BLAS, so preserving the caller's layout is
-    part of the bitwise-reproducibility contract.  Tiles are treated
+    wraps the given buffer (including views over external storage)
+    without a defensive copy, and without normalizing memory order —
+    C- vs F-ordered operands round differently through BLAS, so
+    preserving the caller's layout is part of the
+    bitwise-reproducibility contract.  Tiles are treated
     as immutable everywhere (kernels build new tiles rather than
     mutating arrays in place), which is what makes sharing safe.
     """

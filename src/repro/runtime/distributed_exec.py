@@ -25,7 +25,6 @@ from repro.linalg.tile import Tile
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.runtime import transport
 from repro.runtime.dag import TaskGraph
-from repro.runtime.parallel_mp import WorkerCrashError
 
 __all__ = ["DistributedExecutor", "DistributedRunResult"]
 
@@ -152,7 +151,7 @@ class DistributedExecutor:
                     return reply
             ranks[p].process.join(timeout=1.0)
             held = msg[:2] if msg[0] == "put" else msg  # not the payload
-            raise WorkerCrashError(
+            raise transport.WorkerCrashError(
                 f"rank {p} (pid {ranks[p].pid}) died (exit "
                 f"{ranks[p].process.exitcode}) holding {held}"
             )

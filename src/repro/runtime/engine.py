@@ -8,20 +8,17 @@ body* varies (PaRSEC's shape in the source paper):
     The scheduling state of one ``run`` call, written once.  A passive
     monitor object: the executor calls ``pop`` / ``capture`` /
     ``release`` / ``finish`` from whatever thread it likes and supplies
-    its own mutual exclusion (none for the serial and mp executors, a
+    its own mutual exclusion (none for the serial executor, a
     condition variable for the threaded one).
 ``ExecutionEngine._dispatch``
     One task through fault injection, operand verification and
-    retry/rollback.  Runs unchanged in the caller, a worker thread or a
-    forked worker process.
+    retry/rollback.  Runs unchanged in the caller or a worker thread.
 ``ExecutionEngine``
     The serial executor: the caller's thread pops, dispatches and
     retires.  On one node this is a faithful (serialized) PaRSEC
     analogue, and its trace calibrates the distributed simulator.
 
-:mod:`repro.runtime.parallel` (threads) and
-:mod:`repro.runtime.parallel_mp` (forked processes over a shared-memory
-arena) are the other two executors.
+:mod:`repro.runtime.parallel` (threads) is the other executor.
 """
 
 from __future__ import annotations
@@ -62,20 +59,17 @@ def _verified(
 ) -> dict:
     """Checksum tiles against ``expected(key)``; heal or raise.
 
-    Returns the tile objects that hashed clean.  In-place stores (the
-    arena, whose ``tile`` views alias bytes a concurrent writer may
-    rewrite) expose ``materialize``; the private copy is what gets
-    hashed *and* returned, so "verified" and "consumed" can never
-    differ.  Keys without a recorded digest pass.
+    Returns the tile objects that hashed clean: the caller consumes
+    those, so "verified" and "consumed" can never differ.  Keys
+    without a recorded digest pass.
     """
-    fetch = getattr(store, "materialize", None) or store.tile
     clean = {}
     for key in sorted(keys):
-        tile = fetch(*key)
+        tile = store.tile(*key)
         want = expected(key)
         if want is not None and tile_checksum(tile) != want:
             if heal is not None and heal(key):
-                tile = fetch(*key)
+                tile = store.tile(*key)
             if tile_checksum(tile) != want:
                 raise TileCorruptionError(
                     f"{what}: tile {key} failed checksum verification — "
@@ -119,8 +113,8 @@ class _Run:
     """Scheduling state of one ``run`` call — the one copy of the DAG
     state machine.
 
-    Passive: it starts no thread and takes no lock.  Serial and mp
-    executors call it from a single thread; the threaded executor calls
+    Passive: it starts no thread and takes no lock.  The serial
+    executor calls it from a single thread; the threaded executor calls
     ``pop`` / ``release`` / ``fail`` under its condition variable and
     ``capture`` (which hashes tiles) outside it.
     """
@@ -178,15 +172,12 @@ class _Run:
             if checkpoint is not None
             else None
         )
-        #: copy-out hook for stores the kernels do not write directly
-        #: (the mp executor sets it to ``arena.materialize``)
-        self.materialize: Callable | None = None
 
         for i in range(n):
             if self.indegree[i] == 0 and graph.tasks[i].uid not in skipped:
                 self.scheduler.push(i, graph.tasks[i])
-        #: ``perf_counter`` stamps: run start, and the last retirement or
-        #: requeue (watchdog input; a pop always directly follows one)
+        #: ``perf_counter`` stamps: run start, and the last retirement
+        #: (watchdog input; a pop always directly follows one)
         self.t0 = self.last_progress = time.perf_counter()
 
     def _frontier(self) -> frozenset:
@@ -222,13 +213,6 @@ class _Run:
         self.in_flight[i] = worker
         return i
 
-    def requeue(self, i: int) -> None:
-        """Put an in-flight task back in the pool (its executor lost or
-        refused it and will run it again)."""
-        del self.in_flight[i]
-        self.scheduler.push(i, self.tasks[i])
-        self.last_progress = time.perf_counter()
-
     def capture(self, i: int) -> bool:
         """Record task ``i``'s outputs; True when a checkpoint is due.
 
@@ -238,12 +222,9 @@ class _Run:
         outputs.  Hashes tiles, so call it outside any lock.
         """
         task = self.tasks[i]
-        if self.materialize is not None or self.ledger is not None:
+        if self.ledger is not None:
             for key in set(task.writes):
-                if self.materialize is not None:
-                    self.data.set_tile(*key, self.materialize(*key))
-                if self.ledger is not None:
-                    self.ledger.record(key, self.data.tile(*key))
+                self.ledger.record(key, self.data.tile(*key))
         return self.checkpoint is not None and self.checkpoint.task_retired(
             task, self.data
         )
@@ -255,7 +236,6 @@ class _Run:
         start: float,
         end: float,
         worker: int = 0,
-        pid: int = 0,
     ) -> None:
         """Retire task ``i``: trace it, count it, publish its successors.
 
@@ -270,7 +250,6 @@ class _Run:
                 end - self.t0,
                 flops=task.flops,
                 worker=worker,
-                pid=pid,
             )
         )
         del self.in_flight[i]
@@ -282,18 +261,10 @@ class _Run:
             if self.indegree[j] == 0:
                 self.scheduler.push(j, self.tasks[j])
 
-    def retire(
-        self,
-        i: int,
-        attempts: int,
-        start: float,
-        end: float,
-        worker: int = 0,
-        pid: int = 0,
-    ) -> None:
-        """capture + release + due flush, for executors that hold no lock."""
+    def retire(self, i: int, attempts: int, start: float, end: float) -> None:
+        """capture + release + due flush, for an executor that holds no lock."""
         flush_due = self.capture(i)
-        self.release(i, attempts, start, end, worker, pid)
+        self.release(i, attempts, start, end)
         if flush_due:
             self.checkpoint.flush(self.data)
 
@@ -412,22 +383,6 @@ class ExecutionEngine:
         #: tasks skipped by the checkpoint frontier on the last run
         self.last_run_resumed = 0
         self._kernels: dict[str, Kernel] = {}
-        #: out-of-band result dicts (see :meth:`report_dict`)
-        self._reports: list[dict] = []
-
-    def report_dict(self) -> dict:
-        """A dict kernels may write side-channel results into.
-
-        On the in-process engines this is a plain dict (kernels mutate
-        it directly, e.g. the POTRF diagonal-shift report).  The
-        process-pool engine overrides nothing here but *mirrors*
-        worker-side writes back into the same registered dict, so
-        drivers can stay engine-agnostic: always obtain report dicts
-        through this method instead of creating literals.
-        """
-        d: dict = {}
-        self._reports.append(d)
-        return d
 
     def register(self, klass: str, kernel: Kernel) -> None:
         """Bind a task class name to its computational kernel."""
@@ -453,11 +408,7 @@ class ExecutionEngine:
         before each attempt every operand is checksummed — a corrupt
         one healed through ``heal(key)`` or failed as a transient
         :class:`TileCorruptionError` — and the kernel is handed the
-        very objects that hashed clean.  What differs between the
-        executors is passed in, not re-written: the in-process ones
-        look digests up in the ledger and heal in place; a forked
-        worker gets the digests on its task message and leaves healing
-        to the coordinator's redispatch.
+        very objects that hashed clean.
         """
         kernel = self._kernels[task.klass]
         injector = self.fault_injector

@@ -26,8 +26,7 @@ rolled-back inputs, not the whole factorization):
     The rollback primitive.  Tile kernels never mutate operand arrays
     in place (they build new tiles and ``set_tile`` them), so a
     snapshot is a dict of tile *references* — O(writes) bookkeeping,
-    no copies.  A store that rewrites slots in place (the shared-memory
-    arena) supplies its own byte-level ``snapshot`` / ``restore``.
+    no copies.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from repro.runtime.task import Task
 
 __all__ = [
     "FAULT_KINDS",
-    "PROCESS_FAULT_KINDS",
     "TransientKernelError",
     "TileCorruptionError",
     "InjectedCrashError",
@@ -57,21 +55,7 @@ __all__ = [
 ]
 
 #: Supported injected failure modes.
-FAULT_KINDS = (
-    "transient",
-    "delay",
-    "corrupt",
-    "crash",
-    "bitflip",
-    "worker_kill",
-    "worker_hang",
-)
-
-#: Kinds that end (or wedge) the executing *process* rather than fail
-#: the task.  Their decisions are re-drawn with the dispatch epoch (see
-#: :attr:`FaultInjector.epoch`), so a supervised replacement worker is
-#: not doomed to die on the same task forever.
-PROCESS_FAULT_KINDS = ("crash", "worker_kill", "worker_hang")
+FAULT_KINDS = ("transient", "delay", "corrupt", "crash", "bitflip")
 
 
 class TransientKernelError(RuntimeError):
@@ -124,9 +108,8 @@ class TaskFailedError(RuntimeError):
     def __reduce__(self):
         # __init__ takes a Task but the instance keeps only its string
         # form, so the default exception reduce (cls, self.args) cannot
-        # reconstruct one.  The process-pool engine ships these through
-        # a result queue, so pickling must round-trip with `.cause`
-        # intact (the coordinator's heal path inspects it).
+        # reconstruct one.  Exceptions cross process pipes (shards,
+        # ranks), so pickling must round-trip with `.cause` intact.
         return (
             _rebuild_task_failed,
             (self.task, self.klass, self.params, self.attempts, self.cause),
@@ -289,34 +272,11 @@ class FaultInjector:
       already-produced tile: a memory bit flip).  Nothing is raised —
       without checksum verification (``REPRO_VERIFY_TILES=1``) the
       corruption flows undetected into the factor.
-    * ``worker_kill`` — the executing *worker process* dies by real
-      ``SIGKILL`` (negative exit code, exactly what the OOM killer
-      produces) at dispatch, before the kernel runs.  Only acts when
-      ``in_worker`` is set (the process-pool engine's forked workers);
-      in-process engines ignore it — killing the caller would model
-      nothing.  Recovery is the supervisor's job: requeue, restore,
-      respawn.
-    * ``worker_hang`` — the worker wedges at dispatch (sleeps
-      indefinitely), modeling a livelocked kernel or a lost worker.
-      Detected by the supervisor's per-task hang budget and resolved
-      with a real ``SIGKILL``.  Like ``worker_kill``, a no-op outside
-      forked workers.
     """
 
     def __init__(self, plan: FaultPlan, hard_crash: bool = False) -> None:
         self.plan = plan
         self.hard_crash = bool(hard_crash)
-        #: set by the process-pool engine inside each forked worker —
-        #: gates the whole-worker fault kinds (worker_kill/worker_hang)
-        #: that make no sense in the coordinator or in-process engines.
-        self.in_worker = False
-        #: dispatch epoch of the task being invoked (the coordinator's
-        #: redispatch count, carried on the task message).  Process-fate
-        #: kinds re-draw their decision at ``attempt + epoch``: without
-        #: the shift, a deterministic plan would kill every respawned
-        #: replacement on the same task and supervision could never
-        #: converge.  Epoch 0 leaves every decision bitwise-unchanged.
-        self.epoch = 0
         self.counters: Counter[str] = Counter()
         self._lock = threading.Lock()
 
@@ -334,15 +294,6 @@ class FaultInjector:
         attempt: int = 0,
     ) -> None:
         faults = self.plan.decide(task, attempt)
-        if self.epoch:
-            # Re-draw only the process-fate kinds at the shifted
-            # attempt; every task-level decision (transient, corrupt,
-            # bitflip, delay) keeps its original, engine-independent
-            # sequence so retried runs stay bitwise-reproducible.
-            shifted = self.plan.decide(task, attempt + self.epoch)
-            faults = tuple(
-                r for r in faults if r.kind not in PROCESS_FAULT_KINDS
-            ) + tuple(r for r in shifted if r.kind in PROCESS_FAULT_KINDS)
         for rule in faults:
             if rule.kind == "delay":
                 self._count("delay", task.klass)
@@ -357,18 +308,6 @@ class FaultInjector:
                 raise InjectedCrashError(
                     f"injected process crash at {task} (attempt {attempt})"
                 )
-        if self.in_worker:
-            for rule in faults:
-                if rule.kind == "worker_kill":
-                    import os
-                    import signal
-
-                    self._count("worker_kill", task.klass)
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if rule.kind == "worker_hang":
-                    self._count("worker_hang", task.klass)
-                    while True:  # wedge until the supervisor SIGKILLs us
-                        time.sleep(60.0)
         for rule in faults:
             if rule.kind == "transient":
                 self._count("transient", task.klass)
@@ -504,14 +443,8 @@ def snapshot_writes(task: Task, data: object) -> dict | None:
     is then unavailable; retry still works for kernels that fail
     before publishing output).  Tiles are immutable by convention —
     kernels build new tiles rather than mutating operands — so
-    references are a complete snapshot.  The exception is a store
-    whose slots are rewritten in place (the arena): references would
-    alias the very bytes a retry must restore, so it brings its own
-    byte-level ``snapshot(keys)`` / ``restore(snapshot)``.
+    references are a complete snapshot.
     """
-    own = getattr(data, "snapshot", None)
-    if own is not None:
-        return own(task.writes)
     tile = getattr(data, "tile", None)
     set_tile = getattr(data, "set_tile", None)
     if tile is None or set_tile is None:
@@ -523,8 +456,5 @@ def restore_writes(task: Task, data: object, snapshot: dict | None) -> None:
     """Roll the tiles ``task`` writes back to their snapshot state."""
     if not snapshot:
         return
-    own = getattr(data, "restore", None)
-    if own is not None:
-        return own(snapshot)
     for (m, k), t in snapshot.items():
         data.set_tile(m, k, t)

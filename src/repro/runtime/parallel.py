@@ -32,10 +32,10 @@ from __future__ import annotations
 import os
 import threading
 import time
+import warnings
 
 from repro.config import (
     debug_from_env,
-    engine_from_env,
     stall_timeout_from_env,
     workers_from_env,
 )
@@ -56,17 +56,10 @@ __all__ = [
     "scaled_stall_timeout",
 ]
 
-#: Accepted backend names (with aliases) -> canonical form.
-_ENGINE_ALIASES = {
-    "threads": "threads",
-    "thread": "threads",
-    "threaded": "threads",
-    "mp": "mp",
-    "process": "mp",
-    "processes": "mp",
-    "multiprocess": "mp",
-    "serial": "serial",
-}
+#: Accepted executor names -> canonical form.  "mp" named the
+#: process-pool executor deleted in PR 23 (it never beat serial on real
+#: numerics); the frozen benchmark still spells it, so it runs threads.
+_ENGINE_ALIASES = {"threads": "threads", "serial": "serial", "mp": "threads"}
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -121,19 +114,23 @@ def scaled_stall_timeout(base: float | None, graph) -> float | None:
 
 
 def resolve_engine(engine: str | None = None) -> str:
-    """Resolve a backend name: explicit value > $REPRO_ENGINE > threads.
-
-    Returns one of ``"threads"``, ``"mp"``, ``"serial"`` (aliases like
-    ``"process"`` normalize); raises ``ValueError`` on anything else.
-    """
+    """Resolve an executor name (default threads) to ``"threads"`` or
+    ``"serial"``; raises ``ValueError`` on anything else."""
     if engine is None:
-        engine = engine_from_env() or "threads"
-    canonical = _ENGINE_ALIASES.get(str(engine).strip().lower())
+        return "threads"
+    name = str(engine).strip().lower()
+    canonical = _ENGINE_ALIASES.get(name)
     if canonical is None:
         raise ValueError(
             f"unknown execution backend {engine!r}; expected one of "
-            f"{sorted(set(_ENGINE_ALIASES.values()))} "
-            f"(aliases: {sorted(_ENGINE_ALIASES)})"
+            f"{sorted(set(_ENGINE_ALIASES.values()))}"
+        )
+    if canonical != name:
+        warnings.warn(
+            f"engine={engine!r}: the process-pool executor was removed in "
+            f"PR 23; running the {canonical!r} executor instead",
+            DeprecationWarning,
+            stacklevel=2,
         )
     return canonical
 
@@ -150,12 +147,9 @@ def engine_for(
 
     One worker gets the serial :class:`ExecutionEngine` (no locks, no
     threads); more get a :class:`ParallelExecutionEngine` (GIL-bound
-    Python glue, BLAS overlaps) or, with ``engine="mp"`` /
-    ``$REPRO_ENGINE=mp``, the shared-memory
-    :class:`~repro.runtime.parallel_mp.MultiprocessExecutionEngine`.
-    ``engine="serial"`` forces the serial engine at any worker count.
-    Fault injection, retry policy, and checksum verification are
-    threaded into all of them.
+    Python glue, BLAS overlaps).  ``engine="serial"`` forces the
+    serial engine at any worker count.  Fault injection, retry policy,
+    and checksum verification are threaded into both.
     """
     n = resolve_workers(workers)
     backend = resolve_engine(engine)
@@ -164,19 +158,6 @@ def engine_for(
             scheduler,
             fault_injector=fault_injector,
             retry=retry,
-            verify_tiles=verify_tiles,
-        )
-    if backend == "mp":
-        # Imported lazily: parallel_mp pulls in multiprocessing and
-        # the arena, neither of which the threaded path needs.
-        from repro.runtime.parallel_mp import MultiprocessExecutionEngine
-
-        return MultiprocessExecutionEngine(
-            scheduler,
-            workers=n,
-            fault_injector=fault_injector,
-            retry=retry,
-            stall_timeout=stall_timeout_from_env(),
             verify_tiles=verify_tiles,
         )
     return ParallelExecutionEngine(
@@ -379,7 +360,7 @@ class ParallelExecutionEngine(ExecutionEngine):
             threading.Thread(
                 target=worker, args=(lane,), name=f"tlr-worker-{lane}"
             )
-            for lane in range(min(self.workers, len(graph)))
+            for lane in range(min(self.workers, run.target))
         ]
         monitor = None
         if self.stall_timeout is not None:

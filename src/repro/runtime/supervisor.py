@@ -2,27 +2,21 @@
 
 The distributed runtimes this project models (PaRSEC, the fan-both
 solvers) treat node loss as an operating condition, not an exception,
-so every forked population here — the mp engine's worker lanes, the
-fleet's shards — is watched by one :class:`ProcessSupervisor`.  It
+so the fleet's shards are watched by a :class:`ProcessSupervisor`.  It
 owns the *policy*: which process is dead, which is wedged, and whether
-a replacement is still affordable.  The owners keep the recovery
-*mechanics* (re-forking, requeueing, state restoration), which need
-their internals.
+a replacement is still affordable.  The owner keeps the recovery
+*mechanics* (re-forking, replay, state restoration), which need its
+internals.
 
 A key is **armed** while its process owes a sign of life, and the
-supervisor only knows the time it was last armed:
-
-* the mp engine arms a lane when it dispatches a task to it and
-  disarms it when the task retires — an idle lane can never hang;
-* the fleet arms a shard when it attaches it (one full timeout of
-  grace: fork and cache recovery legitimately precede the first
-  heartbeat) and again on every beat — a shard must stay responsive
-  even when it holds no request at all.
-
-Either way a key armed for longer than ``timeout`` is SIGKILLed, which
+supervisor only knows the time it was last armed: the fleet arms a
+shard when it attaches it (one full timeout of grace: fork and cache
+recovery legitimately precede the first heartbeat) and again on every
+beat — a shard must stay responsive even when it holds no request at
+all.  A key armed for longer than ``timeout`` is SIGKILLed, which
 folds hangs into the one recovery path, death::
 
-    attached --arm--> armed --disarm--> idle --arm--> armed ...
+    attached --arm--> armed --arm--> armed ...
        |                |  \\
        |                |   +--timeout--> killed (SIGKILL)
        +---exit/killed--+---------------------+
@@ -45,9 +39,9 @@ __all__ = ["ProcessFailure", "ProcessSupervisor"]
 
 @dataclass(frozen=True)
 class ProcessFailure:
-    """One detected failure, as the owning engine or fleet consumes it."""
+    """One detected failure, as the owning fleet consumes it."""
 
-    #: the key the process was attached under (lane index, shard name)
+    #: the key the process was attached under (the shard name)
     key: object
     #: OS pid of the failed process
     pid: int
@@ -56,7 +50,7 @@ class ProcessFailure:
     exitcode: int | None
     #: True when the failure is a hang the supervisor resolved by kill
     hung: bool
-    #: seconds since the key was last armed (0.0 for an idle key)
+    #: seconds since the key was last armed (0.0 for one never armed)
     age: float
 
 
@@ -108,9 +102,6 @@ class ProcessSupervisor:
         """(Re)start ``key``'s hang timer."""
         self._armed[key] = self._clock()
 
-    def disarm(self, key) -> None:
-        self._armed.pop(key, None)
-
     def poll(self) -> list[ProcessFailure]:
         """Detect dead and hung processes (hung ones are killed here).
 
@@ -156,5 +147,5 @@ class ProcessSupervisor:
         self.respawns += 1
 
     def report(self) -> dict[str, int]:
-        """Counters so far (merged into engine and fleet reports)."""
+        """Counters so far (merged into the fleet's report)."""
         return {"respawns": self.respawns, "hung_killed": self.hung_killed}

@@ -27,9 +27,10 @@ class TraceEvent:
     end: float
     flops: float = 0.0
     worker: int = 0
-    #: OS process id of the executing worker; 0 = in-process engines.
-    #: Process-pool runs set it so the Chrome export can give every
-    #: worker process its own lane group.
+    #: OS process id the event was executed in; 0 = the recording
+    #: process (what both executors leave).  An event taken over from
+    #: another process carries its pid, so the Chrome export can give
+    #: every process its own lane group.
     pid: int = 0
 
     @property
@@ -117,10 +118,9 @@ class Trace:
             derived = {w: f"worker-{w}" for w in self.worker_lanes()}
             derived.update(thread_names or {})
             thread_names = derived
-        # Lane topology: in-process engines leave every event at pid 0
-        # (one process row, workers as threads); the process-pool engine
-        # stamps each event with the worker's OS pid, so each worker
-        # process gets its own row group in chrome://tracing.
+        # Lane topology: the executors leave every event at pid 0 (one
+        # process row, workers as threads); events stamped with another
+        # process's pid get a row group per process in chrome://tracing.
         lanes = sorted({(e.pid, e.worker) for e in self.events})
         pids = sorted({pid for pid, _ in lanes}) or [0]
         meta: list[dict] = []
@@ -142,7 +142,7 @@ class Trace:
                 }
             )
         for tid, label in (thread_names or {}).items():
-            # pid 0 keeps the pre-mp behavior (labels may name lanes
+            # pid 0 labels every named lane (labels may name lanes
             # that ran no tasks); nonzero pids label only lanes seen.
             targets = [p for p in pids if p != 0 and (p, tid) in lanes]
             if 0 in pids or not lanes:

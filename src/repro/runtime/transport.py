@@ -1,10 +1,10 @@
 """Supervised-child transport: the one forked-child pipe protocol.
 
-Three process populations — the mp engine's worker lanes, the fleet's
-shards and the distributed executor's ranks — are forked children that
-take frames from their parent and answer on pipes of their own.  They
-share this module instead of each writing the protocol out, because
-the protocol is only correct when *all four* of its rules hold:
+Two process populations — the fleet's shards and the distributed
+executor's ranks — are forked children that take frames from their
+parent and answer on pipes of their own.  They share this module
+instead of each writing the protocol out, because the protocol is
+only correct when *all four* of its rules hold:
 
 1. **The parent drops the child's pipe ends** right after the fork.
    Only the child then holds the write end of its reply pipes, so its
@@ -14,8 +14,8 @@ the protocol is only correct when *all four* of its rules hold:
    children forked before it: a later fork inherits the earlier
    children's ends, so only this module knows the full set.  The
    parent's death then reads as EOF in every child, which exits
-   instead of living on under init with the shared-memory segments it
-   maps.  (Close only its own ends and a sibling keeps the pipe open.)
+   instead of living on under init.  (Close only its own ends and a
+   sibling keeps the pipe open.)
 3. **An EOF'd pipe is retired only after its buffered frames drain**,
    and exactly once: frames a child raced out before dying are
    delivered in order first, and because an EOF'd connection is
@@ -27,9 +27,9 @@ the protocol is only correct when *all four* of its rules hold:
 
 Why single-writer pipes rather than one shared ``mp.Queue``: a queue's
 feeder thread takes a cross-process write lock around every put.  A
-SIGKILL landing inside that window — exactly what the worker- and
-shard-chaos suites inject — leaves the lock held forever and wedges
-every surviving child's replies.  A pipe whose write end lives in one
+SIGKILL landing inside that window — exactly what the shard-chaos
+suites inject — leaves the lock held forever and wedges every
+surviving child's replies.  A pipe whose write end lives in one
 process has no lock to orphan; ``spawn`` therefore gives each child
 its own reply pipes and the parent multiplexes them in
 :func:`recv_ready`, the only ``connection.wait`` in the package.
@@ -46,7 +46,7 @@ from multiprocessing import connection
 
 from repro.runtime.supervisor import ProcessSupervisor
 
-__all__ = ["Child", "frames", "recv_ready", "spawn", "stop"]
+__all__ = ["Child", "WorkerCrashError", "frames", "recv_ready", "spawn", "stop"]
 
 #: every transport pipe end this process holds: the parent-side ends of
 #: its children plus, in a child, its own ends (so that *its* children
@@ -64,6 +64,10 @@ def _close(conn) -> None:
     with _lock:
         _ends.discard(conn)
         conn.close()
+
+
+class WorkerCrashError(RuntimeError):
+    """A child process died holding work its parent cannot recover."""
 
 
 class Child:
@@ -100,8 +104,9 @@ def _bootstrap(target, args, mine) -> None:
     _ends.update(mine)
     _lock = threading.Lock()  # the forking thread held the old one
     # multiprocessing refuses a daemonic process children of its own,
-    # and a shard's factor engine forks workers.  The flag exists so
-    # that children do not outlive their parent: rule 2 sees to that.
+    # and a child may spawn in turn (rule 2 counts on it: ``mine``
+    # joins ``_ends``).  The flag exists so that children do not
+    # outlive their parent: rule 2 sees to that.
     multiprocessing.current_process().daemon = False
     target(*args, *mine)
 

@@ -116,9 +116,6 @@ class OperatorCache:
         means one per CPU core.  Parallel builds cut the most
         expensive cache outcome — the cold build — without changing
         the factor.
-    factor_engine:
-        Execution backend for those factorizations (``"threads"``,
-        ``"mp"``, ``"serial"``); ``None`` defers to ``$REPRO_ENGINE``.
     """
 
     def __init__(
@@ -127,7 +124,6 @@ class OperatorCache:
         directory: str | os.PathLike | None = None,
         metrics: ServiceMetrics | None = None,
         factor_workers: int | None = None,
-        factor_engine: str | None = None,
     ) -> None:
         if byte_budget is not None and byte_budget <= 0:
             raise ValueError(f"byte_budget must be positive, got {byte_budget}")
@@ -137,7 +133,6 @@ class OperatorCache:
             self.directory.mkdir(parents=True, exist_ok=True)
         self.metrics = metrics
         self.factor_workers = factor_workers
-        self.factor_engine = factor_engine
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._build_locks: dict[str, threading.Lock] = {}
@@ -179,9 +174,7 @@ class OperatorCache:
             if entry is None:
                 outcome = "build"
                 t0 = time.perf_counter()
-                built = spec.build(
-                    workers=self.factor_workers, engine=self.factor_engine
-                )
+                built = spec.build(workers=self.factor_workers)
                 entry = CacheEntry(
                     fingerprint=fp,
                     operator=built.operator,

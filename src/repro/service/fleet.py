@@ -35,8 +35,7 @@ router:
   Graceful leave runs the full drain protocol (stop admissions, flush,
   seal) and returns the same handoff payload.
 
-Process topology (children of :mod:`repro.runtime.transport`, like
-the mp execution engine's workers)::
+Process topology (children of :mod:`repro.runtime.transport`)::
 
     FleetService (front door: client threads, one writer thread per
       │           shard, one collector, one monitor)
@@ -308,8 +307,7 @@ class FleetService:
         ``None`` creates a private temporary directory for the fleet's
         lifetime — handoff still works, persistence across fleets
         doesn't.
-    workers_per_shard, backlog, max_batch, max_inflight,
-    factor_workers, factor_engine:
+    workers_per_shard, backlog, max_batch, max_inflight, factor_workers:
         Forwarded to each shard's ``SolveService``.
     byte_budget:
         Per-shard resident-bytes LRU budget (None = unbounded).
@@ -320,8 +318,7 @@ class FleetService:
         Seconds between periodic cache seals inside each shard — the
         bound the respawn-to-warm-serving time is measured against.
     max_respawns:
-        Fleet-lifetime shard respawn budget (default ``2*shards + 2``,
-        the worker-supervision convention).
+        Fleet-lifetime shard respawn budget (default ``2*shards + 2``).
     start:
         Spawn shards and block until all are serving.  ``False`` for
         tests that stage the fleet manually (call :meth:`start`).
@@ -338,7 +335,6 @@ class FleetService:
         max_batch: int = 32,
         max_inflight: int | None = None,
         factor_workers: int | None = None,
-        factor_engine: str | None = None,
         byte_budget: int | None = None,
         heartbeat_interval: float = 0.1,
         checkpoint_interval: float = 5.0,
@@ -373,7 +369,6 @@ class FleetService:
                 "max_batch": int(max_batch),
                 "max_inflight": max_inflight,
                 "factor_workers": factor_workers,
-                "factor_engine": factor_engine,
             },
             "heartbeat_interval": float(heartbeat_interval),
             "checkpoint_interval": float(checkpoint_interval),

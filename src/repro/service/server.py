@@ -204,10 +204,6 @@ class SolveService:
         DAG engine executes the build's task graph with this many
         threads (``<= 0`` = one per core).  ``None`` leaves the
         cache's own setting untouched.
-    factor_engine:
-        Execution backend for those factorizations (``"threads"``,
-        ``"mp"`` for the shared-memory process pool, or ``"serial"``).
-        ``None`` leaves the cache's own setting untouched.
     build_retries:
         Re-attempts of a failed cache-miss factorization (with capped
         exponential backoff starting at ``build_backoff`` seconds).
@@ -244,7 +240,6 @@ class SolveService:
         max_batch: int = 32,
         metrics: ServiceMetrics | None = None,
         factor_workers: int | None = None,
-        factor_engine: str | None = None,
         build_retries: int = 1,
         build_backoff: float = 0.05,
         breaker: CircuitBreaker | None = None,
@@ -267,8 +262,6 @@ class SolveService:
         self.cache.metrics = self.metrics
         if factor_workers is not None:
             self.cache.factor_workers = factor_workers
-        if factor_engine is not None:
-            self.cache.factor_engine = factor_engine
         self.build_retries = int(build_retries)
         self.build_backoff = float(build_backoff)
         self.breaker = breaker if breaker is not None else CircuitBreaker()

@@ -153,17 +153,14 @@ class OperatorSpec:
         h.update(self.points.tobytes())
         return h.hexdigest()
 
-    def build(
-        self, workers: int | None = None, engine: str | None = None
-    ) -> BuiltOperator:
+    def build(self, workers: int | None = None) -> BuiltOperator:
         """Generate, compress and factorize the operator (the cost a
         cache hit avoids).
 
-        ``workers`` workers execute the factorization DAG on the
-        ``engine`` backend (threads / mp / serial — see
+        ``workers`` worker threads execute the factorization DAG (see
         :func:`~repro.core.tlr_cholesky.tlr_cholesky`); the factor is
-        bitwise identical across worker counts and backends, so the
-        fingerprint stays a sound cache key.
+        bitwise identical across worker counts, so the fingerprint
+        stays a sound cache key.
         """
         from repro.core.hicma_parsec import hicma_parsec_factorize
         from repro.kernels.matgen import RBFMatrixGenerator
@@ -189,7 +186,7 @@ class OperatorSpec:
         )
         operator = a.copy()
         t1 = time.perf_counter()
-        factor = hicma_parsec_factorize(a, workers=workers, engine=engine).factor
+        factor = hicma_parsec_factorize(a, workers=workers).factor
         t2 = time.perf_counter()
         return BuiltOperator(
             operator=operator,

@@ -6,6 +6,8 @@ an uninterrupted run — serial and parallel, because resume replays
 exactly the unfinished tasks against the restored frontier state.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,31 @@ class TestCrashAndResume:
         resumed = tlr_cholesky(spd_tlr(), resume_from=tmp_path)
         assert resumed.resumed_tasks == len(resumed.graph)
         assert len(resumed.trace.events) == 0
+        assert np.array_equal(dense_factor(resumed), clean)
+
+    @pytest.mark.timeout(120)
+    def test_resume_sizes_the_pool_by_what_is_left(
+        self, clean, tmp_path, monkeypatch
+    ):
+        """One unfinished task starts one worker thread, not ``workers``."""
+        tlr_cholesky(
+            spd_tlr(), checkpoint=CheckpointManager(tmp_path, every_tasks=1)
+        )
+        # keep=2: the older surviving manifest is the frontier one short
+        one_short = load_checkpoint(sorted(tmp_path.glob("ckpt-*.json"))[0])
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recording)
+        resumed = tlr_cholesky(spd_tlr(), workers=4, resume_from=one_short)
+        assert len(resumed.trace.events) == 1
+        assert [n for n in started if n.startswith("tlr-worker-")] == [
+            "tlr-worker-0"
+        ]
         assert np.array_equal(dense_factor(resumed), clean)
 
     def test_resume_from_empty_directory_is_a_fresh_run(self, clean, tmp_path):

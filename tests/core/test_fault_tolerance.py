@@ -163,6 +163,10 @@ class TestDiagonalShiftDegradation:
         r = tlr_cholesky(borderline_spd_tlr(), trim=True, shift_policy=policy)
         assert r.diagonal_shifts, "expected at least one reported shift"
         assert all(s > 0 for s in r.diagonal_shifts.values())
+        threaded = tlr_cholesky(
+            borderline_spd_tlr(), trim=True, workers=2, shift_policy=policy
+        )
+        assert threaded.diagonal_shifts == r.diagonal_shifts
         factor = r.factor.to_dense(symmetrize=False)
         assert np.isfinite(factor).all()
 

@@ -43,13 +43,7 @@ class TestBitflipDefense:
         """The hazard this subsystem exists for: unverified bitflips
         flow straight into the factor."""
         injector = FaultInjector(FaultPlan.parse(PLAN, seed=1))
-        # Pinned to the in-process engines: the mp backend's workers
-        # corrupt only the engine-internal arena, and the coordinator
-        # materializes task *outputs* into the caller's matrix — a
-        # flip no later kernel consumes evaporates instead of being
-        # served, so the unverified-hazard demonstration is specific
-        # to shared-object stores.
-        result = tlr_cholesky(spd_tlr(), fault_injector=injector, engine="threads")
+        result = tlr_cholesky(spd_tlr(), fault_injector=injector)
         assert injector.counters.get("bitflip", 0) > 0
         assert not np.array_equal(
             result.factor.to_dense(symmetrize=False), clean
@@ -62,16 +56,9 @@ class TestBitflipDefense:
         a flip on a tile nothing re-reads is caught by the end-of-run
         sweep as a bare TileCorruptionError."""
         injector = FaultInjector(FaultPlan.parse(PLAN, seed=1))
-        # Pinned to the in-process engines: under the mp backend a
-        # flip is only *detectable* if some kernel reads the arena
-        # slot after the flip lands — otherwise it evaporates and the
-        # run completes with a correct factor (no raise).  The mp
-        # never-served-silently sweep lives in
-        # tests/runtime/test_parallel_mp.py.
         with pytest.raises((TaskFailedError, TileCorruptionError)) as exc_info:
             tlr_cholesky(
                 spd_tlr(),
-                engine="threads",
                 fault_injector=injector,
                 verify_tiles=True,
                 retry=RetryPolicy(max_retries=2, backoff_seconds=0.0),
@@ -88,16 +75,9 @@ class TestBitflipDefense:
         corrupted read is healed in place and the run lands bitwise
         identical to the fault-free factor."""
         injector = FaultInjector(FaultPlan.parse(PLAN, seed=1))
-        # Pinned to the in-process engines: whether an mp worker's
-        # arena flip is *detected* (and healed) depends on whether any
-        # reader consumes the slot afterwards — undetected flips
-        # evaporate at materialization, so tiles_healed > 0 is not
-        # guaranteed there (the mp seed-sweep contract lives in
-        # tests/runtime/test_parallel_mp.py).
         result = tlr_cholesky(
             spd_tlr(),
             workers=workers,
-            engine="threads",
             fault_injector=injector,
             verify_tiles=True,
             retry=RetryPolicy(max_retries=3, backoff_seconds=0.0),
@@ -114,6 +94,15 @@ class TestBitflipDefense:
         """Acceptance criterion: across a seed sweep, every injected
         corruption is either healed (identical factor) or detected
         (loud failure) — never served silently."""
+        self._seed_sweep(clean, tmp_path, workers=None)
+
+    @pytest.mark.timeout(300)
+    def test_seed_sweep_zero_silent_wrong_answers_threads(self, clean, tmp_path):
+        """The same sweep with flips landing under concurrent readers."""
+        self._seed_sweep(clean, tmp_path, workers=4)
+
+    @staticmethod
+    def _seed_sweep(clean, tmp_path, workers):
         injected = 0
         for seed in range(8):
             injector = FaultInjector(
@@ -123,6 +112,7 @@ class TestBitflipDefense:
             try:
                 result = tlr_cholesky(
                     spd_tlr(),
+                    workers=workers,
                     fault_injector=injector,
                     verify_tiles=True,
                     retry=RetryPolicy(max_retries=3, backoff_seconds=0.0),
@@ -156,11 +146,9 @@ class TestVerifyTilesEnv:
     def test_env_flag_enables_verification(self, clean, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_TILES", "1")
         injector = FaultInjector(FaultPlan.parse(PLAN, seed=1))
-        # engine pinned: see test_verification_detects_and_fails_loudly
         with pytest.raises((TaskFailedError, TileCorruptionError)):
             tlr_cholesky(
                 spd_tlr(),
-                engine="threads",
                 fault_injector=injector,
                 retry=RetryPolicy(max_retries=1, backoff_seconds=0.0),
             )

@@ -35,30 +35,44 @@ def run_cli(extra, cwd):
 @pytest.mark.timeout(600)
 class TestKillResume:
     def test_killed_run_resumes_bitwise_identical(self, tmp_path):
+        self._kill_and_resume(tmp_path, [])
+
+    def test_killed_threaded_run_resumes_bitwise(self, tmp_path):
+        """The crash lands in a worker thread: same exit, same resume.
+        It can beat the first flush (another worker is still writing
+        it — the whole run is shorter than one checkpoint write), and
+        the resume then starts over past a torn ``.npz``."""
+        self._kill_and_resume(tmp_path, ["--workers", "4"])
+
+    @staticmethod
+    def _kill_and_resume(tmp_path, workers):
         ck = tmp_path / "ck"
         clean_path = tmp_path / "clean.npz"
         resumed_path = tmp_path / "resumed.npz"
 
-        # 1. the uninterrupted reference
+        # 1. the uninterrupted (serial) reference
         ref = run_cli(["--save-factor", str(clean_path)], tmp_path)
         assert ref.returncode == 0, ref.stderr
 
         # 2. a run killed mid-flight by an injected hard crash
         killed = run_cli(
-            ["--checkpoint-dir", str(ck), "--checkpoint-every", "3",
-             "--inject-faults", "GEMM:crash:0.3", "--fault-seed", "1"],
+            workers
+            + ["--checkpoint-dir", str(ck), "--checkpoint-every", "3",
+               "--inject-faults", "GEMM:crash:0.3", "--fault-seed", "1"],
             tmp_path,
         )
         assert killed.returncode == 137, (
             f"expected SIGKILL-style exit, got {killed.returncode}:\n"
             f"{killed.stdout}\n{killed.stderr}"
         )
-        assert list(ck.glob("ckpt-*.json")), "crash left no checkpoint"
+        if not workers:
+            assert list(ck.glob("ckpt-*.json")), "crash left no checkpoint"
 
         # 3. resume in a fresh process and save the factor
         resumed = run_cli(
-            ["--checkpoint-dir", str(ck), "--resume",
-             "--save-factor", str(resumed_path)],
+            workers
+            + ["--checkpoint-dir", str(ck), "--resume",
+               "--save-factor", str(resumed_path)],
             tmp_path,
         )
         assert resumed.returncode == 0, resumed.stderr

@@ -15,7 +15,7 @@ from repro.distribution import (
 )
 from repro.runtime import build_graph
 from repro.runtime.distributed_exec import DistributedExecutor
-from repro.runtime.parallel_mp import WorkerCrashError
+from repro.runtime.transport import WorkerCrashError
 
 
 @pytest.fixture(scope="module")

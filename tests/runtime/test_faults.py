@@ -1,6 +1,7 @@
 """Tests for deterministic fault injection, retry/rollback, and the
 configurable stall watchdog."""
 
+import pickle
 import threading
 import time
 
@@ -53,6 +54,12 @@ class TestFaultRule:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultRule(klass="*", kind="explode", rate=0.5)
+
+    def test_process_pool_kinds_went_with_the_engine(self):
+        with pytest.raises(ValueError) as err:
+            FaultRule(klass="*", kind="worker_kill", rate=0.5)
+        assert FAULT_KINDS == ("transient", "delay", "corrupt", "crash", "bitflip")
+        assert str(FAULT_KINDS) in str(err.value)
 
     def test_rate_bounds(self):
         with pytest.raises(ValueError, match="rate"):
@@ -253,6 +260,10 @@ class TestEngineRetry:
         assert e.attempts == 3  # 1 first try + 2 retries
         assert isinstance(e.cause, TransientKernelError)
         assert "T(0)" in str(e) and "3 attempt" in str(e)
+        # exceptions cross process pipes: the cause must survive pickling
+        piped = pickle.loads(pickle.dumps(e))
+        assert (piped.klass, piped.params, piped.attempts) == ("T", (0,), 3)
+        assert isinstance(piped.cause, TransientKernelError) and str(piped) == str(e)
 
     @pytest.mark.timeout(60)
     def test_no_retry_policy_fails_fast(self, make_engine):

@@ -1,18 +1,20 @@
-"""The engine contract (serial / threads / mp) and the threaded executor.
+"""The engine contract (serial / threads) and the threaded executor.
 
-The three engines share one scheduling core, so the contract classes
+The two engines share one scheduling core, so the contract classes
 below are written once against ``self.engine()`` and re-collected for
-the other executors by the subclasses at the bottom of the file (the
+the serial executor by the subclasses at the bottom of the file (the
 un-suffixed classes are the threaded engine).
 """
 
 import json
+import multiprocessing
 import time
 
 import numpy as np
 import pytest
 
 from repro.core.tlr_cholesky import register_cholesky_kernels, tlr_cholesky
+from repro.linalg.integrity import matrix_checksums
 from repro.linalg.tile import NullTile
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.runtime.checkpoint import CheckpointManager, load_checkpoint
@@ -22,9 +24,9 @@ from repro.runtime.faults import TaskFailedError, TileCorruptionError
 from repro.runtime.parallel import (
     ParallelExecutionEngine,
     engine_for,
+    resolve_engine,
     resolve_workers,
 )
-from repro.runtime.parallel_mp import MultiprocessExecutionEngine
 from repro.runtime.scheduler import (
     FIFOScheduler,
     LIFOScheduler,
@@ -49,8 +51,7 @@ def noop(task, data):
 
 
 def ran(trace):
-    """Task params in retirement order — what a run did, observable on
-    every engine (a closure's log stays in the forked mp workers)."""
+    """Task params in retirement order — what a run did."""
     return [e.params for e in trace.events]
 
 
@@ -62,8 +63,6 @@ class EngineContract:
     def engine(self, scheduler=None, workers=2, **common):
         if self.kind == "serial":
             return ExecutionEngine(scheduler, **common)
-        if self.kind == "mp":
-            return MultiprocessExecutionEngine(scheduler, workers=workers, **common)
         return ParallelExecutionEngine(scheduler, workers=workers, **common)
 
 
@@ -90,9 +89,7 @@ class TestResolveWorkers:
         assert type(engine_for(1)) is ExecutionEngine
         assert type(engine_for(None)) is ExecutionEngine
 
-    def test_engine_for_picks_parallel(self, monkeypatch):
-        # the threads default, independent of any $REPRO_ENGINE sweep
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_engine_for_picks_parallel(self):
         e = engine_for(4)
         assert isinstance(e, ParallelExecutionEngine)
         assert e.workers == 4
@@ -100,6 +97,50 @@ class TestResolveWorkers:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             ParallelExecutionEngine(workers=0)
+        with pytest.raises(ValueError):
+            ParallelExecutionEngine(workers=2, stall_timeout=-1.0)
+
+
+class TestResolveEngine:
+    def test_names(self):
+        assert resolve_engine(None) == "threads"
+        assert resolve_engine("THREADS") == "threads"
+        assert resolve_engine("serial") == "serial"
+
+    def test_rejects_unknown(self):
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            resolve_engine("gpu")
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            resolve_engine("process")  # the mp engine's alias went with it
+
+    def test_mp_is_the_frozen_spelling_of_threads(self):
+        """The unedited benchmark calls ``engine="mp"``: it resolves to
+        the threaded executor, with exactly one DeprecationWarning."""
+        with pytest.warns(DeprecationWarning, match="PR 23") as caught:
+            assert resolve_engine("mp") == "threads"
+        assert len(caught) == 1
+        with pytest.warns(DeprecationWarning):
+            assert type(engine_for(4, engine="mp")) is ParallelExecutionEngine
+
+    @pytest.mark.timeout(120)
+    def test_mp_factor_is_bitwise_serial_forks_nothing(self, spd_matrix):
+        serial = tlr_cholesky(
+            TLRMatrix.from_dense(spd_matrix, 32, accuracy=1e-10), engine="serial"
+        )
+        with pytest.warns(DeprecationWarning):
+            aliased = tlr_cholesky(
+                TLRMatrix.from_dense(spd_matrix, 32, accuracy=1e-10),
+                engine="mp",
+                workers=2,
+            )
+        assert matrix_checksums(aliased.factor) == matrix_checksums(serial.factor)
+        assert multiprocessing.active_children() == []
+
+    def test_single_worker_stays_serial(self):
+        assert type(engine_for(1, engine="threads")) is ExecutionEngine
+
+    def test_serial_override(self):
+        assert type(engine_for(8, engine="serial")) is ExecutionEngine
 
 
 class TestParallelExecution(EngineContract):
@@ -226,7 +267,7 @@ class TestFailFast(EngineContract):
     @pytest.mark.timeout(60)
     def test_engine_reusable_after_failure(self):
         engine = self.engine()
-        poison = {"on": True}  # read at fork time by the mp workers
+        poison = {"on": True}
 
         def kernel(task, data):
             if poison["on"]:
@@ -372,9 +413,8 @@ class TestWorkerLanes:
         assert set(trace.worker_lanes()) == {0}
 
 
-# The same contract on the other two executors: re-collect the classes
+# The same contract on the serial executor: re-collect the classes
 # above under a suffixed name with ``kind`` overridden.
 for _cls in (TestParallelExecution, TestFailFast, TestStarvationDetection):
-    for _kind in ("serial", "mp"):
-        _name = _cls.__name__ + _kind.title()
-        globals()[_name] = type(_name, (_cls,), {"kind": _kind})
+    _name = _cls.__name__ + "Serial"
+    globals()[_name] = type(_name, (_cls,), {"kind": "serial"})

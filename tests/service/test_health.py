@@ -57,6 +57,8 @@ class TestLiveness:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="timeout"):
             ProcessSupervisor(timeout=0.0)
+        with pytest.raises(ValueError, match="max_respawns"):
+            ProcessSupervisor(max_respawns=-1)
 
     def test_quiet_fleet_reports_nothing(self, clock):
         sup = ProcessSupervisor(timeout=1.0, clock=clock)
@@ -105,6 +107,13 @@ class TestLiveness:
         assert len(failures) == 1
         assert not failures[0].hung and failures[0].exitcode == -9
         assert not proc.killed  # already dead, no SIGKILL needed
+        assert sup.poll() == []  # the corpse is forgotten, not re-reported
+
+    def test_never_armed_process_does_not_hang(self, clock):
+        sup = ProcessSupervisor(timeout=1.0, clock=clock)
+        sup.attach("shard-0", FakeProcess())
+        clock.advance(100.0)
+        assert sup.poll() == []
 
     def test_no_staleness_detection_when_disabled(self, clock):
         sup = ProcessSupervisor(timeout=None, clock=clock)

@@ -34,7 +34,6 @@ class TestConfig:
         "var, owner, unset, text, parsed",
         [
             ("REPRO_WORKERS", "runtime.parallel:resolve_workers", 1, "3", 3),
-            ("REPRO_ENGINE", "runtime.parallel:resolve_engine", "threads", "process", "mp"),
             ("REPRO_ENGINE_DEBUG", "runtime.parallel:debug_from_env", False, "1", True),
             ("REPRO_STALL_TIMEOUT", "runtime.parallel:stall_timeout_from_env", None, "2.5", 2.5),
             ("REPRO_VERIFY_TILES", "runtime.checkpoint:verify_tiles_from_env", False, "yes", True),
@@ -44,7 +43,7 @@ class TestConfig:
         ],
     )
     def test_env_knobs(self, monkeypatch, var, owner, unset, text, parsed):
-        """The eight knobs are read in config.py only, stay importable
+        """The seven knobs are read in config.py only, stay importable
         from the module that owns the explicit argument, and keep their
         defaults (empty and whitespace count as unset)."""
         module, name = owner.split(":")
