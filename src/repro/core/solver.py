@@ -1,97 +1,99 @@
 """Triangular solves with the TLR Cholesky factor.
 
-Forward/backward substitution by tile rows, exploiting each tile's
-representation: a low-rank tile applies ``U (V^T x)`` (two skinny
-GEMVs) instead of a dense ``b x b`` product, and null tiles are
-skipped entirely — the solve inherits the operator's data sparsity.
-Null-tile skipping uses the factor's cached per-column structure
-(:meth:`TLRMatrix.lower_column_structure`), so repeated solves against
-one factor — the serving hot path — avoid re-scanning all NT² tile
-slots on every call.
+Forward/backward substitution by tile index on the factor's packed form
+(:meth:`TLRMatrix.packed`, built at a factor's first solve): tile row
+``m``'s stored tiles side by side in one row panel ``U_m``, tile column
+``k``'s in one column panel ``V_k``, a coefficient buffer ``T`` between
+them.  A step is one product with each panel and one BLAS ``dtrsm`` on
+the diagonal tile, however many tiles the row and column hold; null
+tiles are in no panel (the operator's data sparsity carries over).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.blas import dtrsm
 
 from repro.config import DTYPE
-from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile
 from repro.linalg.tile_matrix import TLRMatrix
 
 __all__ = ["solve_lower", "solve_lower_transpose", "solve_cholesky", "logdet"]
 
 
-def _as_matrix(l: TLRMatrix, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """A private ``(n, k)`` copy of ``b`` for the substitutions to
-    overwrite, and whether the caller passed a vector."""
-    b = np.asarray(b, dtype=DTYPE)
+def _workspace(l: TLRMatrix, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A private F-ordered ``(n, k)`` fp64 copy of ``b`` for the
+    substitutions to overwrite, and whether the caller passed a vector."""
+    b = np.asarray(b)
     if b.ndim not in (1, 2):
         raise ValueError(f"rhs must be 1D or 2D, got shape {b.shape}")
     if b.shape[0] != l.n:
         raise ValueError(f"rhs has {b.shape[0]} rows, matrix order is {l.n}")
-    if b.ndim == 1:
-        return b[:, None].copy(), True
-    return b.copy(), False
+    x = np.array(b[:, None] if b.ndim == 1 else b, dtype=DTYPE, order="F")
+    return x, b.ndim == 1
 
 
-def _apply(tile: Tile, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """``tile @ x`` (or ``tile.T @ x``) using the cheap representation."""
-    if isinstance(tile, NullTile):
-        rows = tile.shape[1] if transpose else tile.shape[0]
-        return np.zeros((rows, x.shape[1]), dtype=DTYPE)
-    if isinstance(tile, LowRankTile):
-        if transpose:
-            return tile.v @ (tile.u.T @ x)
-        return tile.u @ (tile.v.T @ x)
-    data = tile.data
-    return (data.T if transpose else data) @ x
+def _trsm(triangle: tuple, xk: np.ndarray, transpose: int) -> None:
+    """``xk <- L_kk^-1 xk`` (``L_kk^-T`` if ``transpose``), in place."""
+    a, lower, trans = triangle
+    out = dtrsm(1.0, a, xk, lower=lower, trans_a=trans ^ transpose, overwrite_b=1)
+    if out is not xk:  # a strided row block (several columns): BLAS ran on a copy
+        xk[...] = out
 
 
-def _forward(l: TLRMatrix, y: np.ndarray) -> None:
-    """Overwrite ``y`` with the solution of ``L y = y``."""
+def _forward(l: TLRMatrix, x: np.ndarray) -> None:
+    """Overwrite the F-ordered ``x`` with the solution of ``L y = x``."""
+    diag, u, v, row, idx, dense, size, _ = l.packed()
+    t = np.empty((size, x.shape[1]), dtype=DTYPE, order="F")
     bs = l.tile_size
-    structure = l.lower_column_structure()
     for k in range(l.n_tiles):
-        lo, hi = k * bs, min((k + 1) * bs, l.n)
-        diag = l.tile(k, k)
-        if not isinstance(diag, DenseTile):
-            raise TypeError("diagonal factor tiles must be dense")
-        y[lo:hi] = sla.solve_triangular(
-            diag.data, y[lo:hi], lower=True, check_finite=False
-        )
-        for m in structure[k]:
-            tile = l.tile(m, k)
-            mlo, mhi = m * bs, min((m + 1) * bs, l.n)
-            y[mlo:mhi] -= _apply(tile, y[lo:hi])
+        xk = x[k * bs : (k + 1) * bs]
+        if u[k] is not None:
+            xk -= u[k] @ t[row[k]]
+        _trsm(diag[k], xk, 0)
+        if v[k] is not None:
+            t[idx[k]] = v[k].T @ xk
+        for rows in dense[k]:
+            t[rows] = xk
 
 
 def _backward(l: TLRMatrix, x: np.ndarray) -> None:
-    """Overwrite ``x`` with the solution of ``L^T x = x``."""
+    """Overwrite the F-ordered ``x`` with the solution of ``L^T y = x``."""
+    diag, u, v, row, idx, dense, size, _ = l.packed()
+    t = np.empty((size, x.shape[1]), dtype=DTYPE, order="F")
     bs = l.tile_size
-    structure = l.lower_column_structure()
     for k in range(l.n_tiles - 1, -1, -1):
-        lo, hi = k * bs, min((k + 1) * bs, l.n)
-        for m in structure[k]:
-            tile = l.tile(m, k)
-            mlo, mhi = m * bs, min((m + 1) * bs, l.n)
-            x[lo:hi] -= _apply(tile, x[mlo:mhi], transpose=True)
-        diag = l.tile(k, k)
-        x[lo:hi] = sla.solve_triangular(
-            diag.data, x[lo:hi], lower=True, trans="T", check_finite=False
-        )
+        xk = x[k * bs : (k + 1) * bs]
+        if v[k] is not None:
+            xk -= v[k] @ t[idx[k]]
+        for rows in dense[k]:
+            xk -= t[rows]
+        _trsm(diag[k], xk, 1)
+        if u[k] is not None:
+            t[row[k]] = u[k].T @ xk
+
+
+def _solve_columns(l: TLRMatrix, columns: list[np.ndarray]) -> np.ndarray:
+    """``solve_cholesky(l, np.stack(columns, axis=1))``, bitwise, with
+    the vectors written once, straight into the working buffer (the
+    service's coalesced batch; its columns are contiguous)."""
+    x = np.empty((l.n, len(columns)), dtype=DTYPE, order="F")
+    for j, column in enumerate(columns):
+        x[:, j] = column
+    _forward(l, x)
+    _backward(l, x)
+    return x
 
 
 def solve_lower(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``L y = b`` with the TLR lower factor (forward subst.)."""
-    y, squeeze = _as_matrix(l, b)
+    y, squeeze = _workspace(l, b)
     _forward(l, y)
     return y[:, 0] if squeeze else y
 
 
 def solve_lower_transpose(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``L^T x = b`` with the TLR lower factor (backward subst.)."""
-    x, squeeze = _as_matrix(l, b)
+    x, squeeze = _workspace(l, b)
     _backward(l, x)
     return x[:, 0] if squeeze else x
 
@@ -103,7 +105,7 @@ def solve_cholesky(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
     forward pass's buffer, bitwise the same as
     ``solve_lower_transpose(l, solve_lower(l, b))``.
     """
-    x, squeeze = _as_matrix(l, b)
+    x, squeeze = _workspace(l, b)
     _forward(l, x)
     _backward(l, x)
     return x[:, 0] if squeeze else x
@@ -116,13 +118,7 @@ def logdet(l: TLRMatrix) -> float:
     by the Gaussian log-likelihood in the spatial-statistics
     applications HiCMA originally targeted.
     """
-    total = 0.0
-    for k in range(l.n_tiles):
-        diag = l.tile(k, k)
-        if not isinstance(diag, DenseTile):
-            raise TypeError("diagonal factor tiles must be dense")
-        d = np.diag(diag.data)
-        if np.any(d <= 0.0):
-            raise ValueError("factor diagonal must be positive (is this a factor?)")
-        total += float(np.log(d).sum())
-    return 2.0 * total
+    half = l.packed().half_logdet
+    if half is None:
+        raise ValueError("factor diagonal must be positive (is this a factor?)")
+    return 2.0 * half

@@ -8,7 +8,9 @@ object Algorithm 1 analyzes for DAG trimming.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +28,34 @@ from repro.linalg.precision import (
     factor_significance,
     resolve_storage,
 )
-from repro.linalg.tile import DenseTile, NullTile, Tile, as_tile
+from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile, as_tile
 from repro.utils.validation import check_positive, check_square_matrix
 
 __all__ = ["TLRMatrix"]
+
+#: serializes first-solve packing (module-level: matrices stay picklable)
+_PACK_LOCK = threading.Lock()
+
+
+class PackedFactor(NamedTuple):
+    """The panels a triangular solve walks (F-ordered fp64) and where their
+    columns sit in its coefficient buffer ``T`` (``size`` rows, by tile row)."""
+
+    #: per k ``(triangle, lower, trans)``: the diagonal tile where it lies,
+    #: as ``dtrsm`` takes it (a C-ordered tile enters as its ``.T``)
+    diag: list[tuple[np.ndarray, int, int]]
+    #: per row m ``[U_mk]_k`` (a dense tile is its own block); per column
+    #: k ``[V_mk]_m`` over its low-rank tiles; None where there is none
+    u: list[np.ndarray | None]
+    v: list[np.ndarray | None]
+    #: the rows of ``T`` under ``u[m]``; under ``v[k]``; of each dense
+    #: tile of column k (those hold a copy of ``x_k``)
+    row: list[slice]
+    idx: list[np.ndarray | None]
+    dense: list[list[slice]]
+    size: int
+    #: ``sum_k sum(log(diag(L_kk)))``, None if a diagonal entry is <= 0
+    half_logdet: float | None
 
 
 class TLRMatrix:
@@ -74,6 +100,8 @@ class TLRMatrix:
         nt = self.n_tiles
         #: per-column cache of sub-diagonal non-null rows (None = stale)
         self._col_structure: list[list[int] | None] = [None] * nt
+        #: the solves' packed form (None = not built yet, or stale)
+        self._packed: PackedFactor | None = None
         for (m, k) in tiles:
             if not (0 <= k <= m < nt):
                 raise ValueError(f"tile index {(m, k)} outside lower triangle")
@@ -247,6 +275,7 @@ class TLRMatrix:
         # invalidate only column k's structure cache: a single-tile
         # write must not force a full NT^2 rescan on the next solve
         self._col_structure[k] = None
+        self._packed = None
 
     def lower_column_structure(self) -> list[list[int]]:
         """Per-column sorted lists of sub-diagonal non-null tile rows.
@@ -269,6 +298,71 @@ class TLRMatrix:
                     if not self._tiles[(m, k)].is_null
                 ]
         return cols
+
+    def packed(self) -> PackedFactor:
+        """The panels every triangular solve runs on: built at the first
+        call (once, also under concurrent ones), dropped by
+        :meth:`set_tile`, not carried over by :meth:`copy`.  Packing moves
+        the storage instead of doubling it: each fp64 off-diagonal tile is
+        replaced by an equal tile whose arrays are column blocks of the
+        panels, so :meth:`memory_bytes` and every checksum stay as they
+        were; fp32-stored factors are promoted into the panels and keep
+        their own arrays.  ``TypeError`` if a diagonal tile is not dense.
+        """
+        if self._packed is None:
+            with _PACK_LOCK:
+                if self._packed is None:
+                    self._packed = self._pack()
+        return self._packed
+
+    def _pack(self) -> PackedFactor:
+        nt, tiles = self.n_tiles, self._tiles
+
+        def panel(blocks):  # side by side in one F-ordered fp64 array
+            if not blocks:
+                return None
+            shape = (blocks[0].shape[0], sum(a.shape[1] for a in blocks))
+            return np.concatenate(blocks, axis=1, out=np.empty(shape, DTYPE, order="F"))
+
+        diag, entries, half_logdet = [], [], None
+        for k in range(nt):
+            if not isinstance(tiles[(k, k)], DenseTile):
+                raise TypeError("diagonal factor tiles must be dense")
+            d = tiles[(k, k)].data
+            diag.append((d, 1, 0) if d.flags.f_contiguous else (d.T, 0, 1))
+            entries.append(np.diag(d))
+        if not any(np.any(d <= 0.0) for d in entries):
+            half_logdet = sum(float(np.log(d).sum()) for d in entries)
+        structure = self.lower_column_structure()
+        u, row, at, size = [], [], {}, 0  # at[m, k]: tile (m, k)'s rows of T
+        for m in range(nt):
+            cols = [k for k in range(m) if m in structure[k]]
+            blocks = [tiles[(m, k)] for k in cols]
+            blocks = [t.u if isinstance(t, LowRankTile) else t.data for t in blocks]
+            u.append(panel(blocks))
+            start = size
+            for k, a in zip(cols, blocks):
+                at[m, k] = (size, size + a.shape[1])
+                size += a.shape[1]
+            row.append(slice(start, size))
+        v, idx, dense = [], [], []
+        for k, rows in enumerate(structure):
+            low = [m for m in rows if isinstance(tiles[(m, k)], LowRankTile)]
+            v.append(panel([tiles[(m, k)].v for m in low]))
+            spans = [np.arange(*at[m, k]) for m in low]
+            idx.append(np.concatenate(spans) if low else None)
+            dense.append([slice(*at[m, k]) for m in rows if m not in low])
+            off = 0
+            for m in rows:  # the tile becomes its blocks of the two panels
+                t, (lo, hi) = tiles[(m, k)], at[m, k]
+                ublock = u[m][:, lo - row[m].start : hi - row[m].start]
+                if isinstance(t, DenseTile):
+                    tiles[(m, k)] = DenseTile(ublock)
+                    continue
+                vblock, off = v[k][:, off : off + t.rank], off + t.rank
+                if t.u.dtype == t.v.dtype == DTYPE:  # fp32-stored: stays as it is
+                    tiles[(m, k)] = LowRankTile(LowRankFactor(ublock, vblock))
+        return PackedFactor(diag, u, v, row, idx, dense, size, half_logdet)
 
     def __iter__(self):
         """Iterate ``((m, k), tile)`` over the stored lower triangle."""

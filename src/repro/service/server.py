@@ -817,7 +817,7 @@ class SolveService:
     def _run_kind(
         self, live: list[Request], entry: CacheEntry | None, worker: int
     ) -> None:
-        from repro.core.solver import solve_cholesky
+        from repro.core.solver import _solve_columns, solve_cholesky
         from repro.linalg.matvec import refine_solve
 
         kind = live[0].kind
@@ -829,21 +829,21 @@ class SolveService:
             results = [value] * len(live)
             params: tuple[int, ...] = (len(live),)
         elif kind == "solve":
-            if len(live) == 1:
-                block = live[0].rhs
-            else:
-                block = np.stack([r.rhs for r in live], axis=1)
+            columns = [r.rhs for r in live]
             if live[0].refine:
+                block = columns[0] if len(live) == 1 else np.stack(columns, axis=1)
                 x = refine_solve(entry.operator, entry.factor, block).x
-            else:
-                x = solve_cholesky(entry.factor, block)
+            elif len(live) == 1:
+                x = solve_cholesky(entry.factor, columns[0])
+            else:  # one copy: the vectors go straight into the solve's buffer
+                x = _solve_columns(entry.factor, columns)
             if not np.all(np.isfinite(x)):
                 self._condemn(entry, kind)
             if len(live) == 1:
                 results = [x]
-            else:
+            else:  # no copy: a column of an F-ordered answer is contiguous
                 results = [np.ascontiguousarray(x[:, j]) for j in range(len(live))]
-            ncols = 1 if block.ndim == 1 else block.shape[1]
+            ncols = 1 if x.ndim == 1 else x.shape[1]
             params = (len(live), ncols)
             self.metrics.record_batch(ncols)
         elif kind == "prewarm":

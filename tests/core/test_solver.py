@@ -1,11 +1,17 @@
 """Tests for TLR triangular solves."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from repro.core.solver import solve_cholesky, solve_lower, solve_lower_transpose
+from repro.core.solver import logdet, solve_cholesky, solve_lower, solve_lower_transpose
 from repro.core.tlr_cholesky import tlr_cholesky
+from repro.linalg.integrity import matrix_checksums
+from repro.linalg.lowrank import LowRankFactor
+from repro.linalg.tile import DenseTile, LowRankTile
 from repro.linalg.tile_matrix import TLRMatrix
 
 
@@ -145,3 +151,147 @@ class TestRHSBatchingSemantics:
             # so GEMM-vs-GEMV summation order shows up at ~1e-11 rel.
             diff = np.linalg.norm(x_blocked[:, j] - x_single)
             assert diff <= 1e-9 * np.linalg.norm(x_single)
+
+
+@pytest.fixture()
+def mixed_factor(sparse_tlr):
+    """A fresh factor holding null, low-rank and dense off-diagonal
+    tiles (one low-rank tile swapped for its dense form)."""
+    l = tlr_cholesky(sparse_tlr.copy()).factor
+    m, k = next(idx for idx, t in l if isinstance(t, LowRankTile))
+    l.set_tile(m, k, DenseTile(l.tile(m, k).to_dense()))
+    return l
+
+
+def _panel_of(block, panels):
+    return any(p is not None and np.shares_memory(block, p) for p in panels)
+
+
+class TestPackedStorage:
+    """The first solve packs the factor's tiles into panels, and the
+    panels become the storage: nothing is resident twice, no digest
+    moves, and whatever replaces a tile drops them."""
+
+    def test_first_solve_moves_the_storage_into_the_panels(self, mixed_factor):
+        l = mixed_factor
+        nbytes, sums = l.memory_bytes(), matrix_checksums(l)
+        dense = l.to_dense(symmetrize=False)
+        b = np.random.default_rng(20).standard_normal(l.n)
+        x = solve_cholesky(l, b)
+        assert l.memory_bytes() == nbytes and matrix_checksums(l) == sums
+        packed = l.packed()
+        kinds = set()
+        for (m, k), t in l:
+            if m == k or t.is_null:
+                continue
+            kinds.add(type(t))
+            if isinstance(t, DenseTile):
+                assert _panel_of(t.data, packed.u)
+            elif t.u.dtype == np.float64:
+                assert _panel_of(t.u, packed.u) and _panel_of(t.v, packed.v)
+                assert t.u.flags.f_contiguous and t.v.flags.f_contiguous
+        assert kinds == {DenseTile, LowRankTile}
+        ref = sla.solve_triangular(
+            dense, sla.solve_triangular(dense, b, lower=True), lower=True, trans="T"
+        )
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_set_tile_after_a_solve_drops_the_panels(self, mixed_factor):
+        l = mixed_factor
+        b = np.random.default_rng(21).standard_normal(l.n)
+        before = solve_lower(l, b)
+        m, k = next(idx for idx, t in l if idx[0] != idx[1] and not t.is_null)
+        l.set_tile(m, k, DenseTile(np.full(l.tile(m, k).shape, 0.25)))
+        after = solve_lower(l, b)
+        dense = l.to_dense(symmetrize=False)
+        assert not np.allclose(after, before)
+        assert np.allclose(after, sla.solve_triangular(dense, b, lower=True), rtol=1e-10)
+
+    def test_copy_of_a_solved_factor_packs_on_its_own(self, mixed_factor):
+        l = mixed_factor
+        b = np.random.default_rng(22).standard_normal((l.n, 2))
+        x = solve_cholesky(l, b)
+        packed, tiles = l.packed(), dict(iter(l))
+        twin = l.copy()
+        assert np.array_equal(solve_cholesky(twin, b), x)
+        assert twin.packed() is not packed and l.packed() is packed
+        assert all(l.tile(*idx) is t for idx, t in tiles.items())
+        assert matrix_checksums(twin) == matrix_checksums(l)
+        assert np.array_equal(solve_cholesky(l, b), x)
+
+    def test_threads_racing_into_the_first_solve_pack_once(self, mixed_factor):
+        """Two service lanes (here four, more than the cores, on a
+        shortened switch interval) hitting one unsolved factor."""
+        l = mixed_factor
+        b = np.random.default_rng(23).standard_normal(l.n)
+        barrier, out = threading.Barrier(4, timeout=30), [None] * 4
+
+        def run(i):
+            barrier.wait()
+            out[i] = (solve_cholesky(l, b), l.packed())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(p is l.packed() for _, p in out)
+        assert all(np.array_equal(x, out[0][0]) for x, _ in out)
+        assert np.array_equal(out[0][0], solve_cholesky(l.copy(), b))
+
+
+class TestInputEdges:
+    def test_no_columns(self, factored):
+        l, _ = factored
+        for solve in (solve_lower, solve_lower_transpose, solve_cholesky):
+            assert solve(l, np.empty((l.n, 0))).shape == (l.n, 0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda b: np.asfortranarray(b),
+            lambda b: np.repeat(b, 2, axis=1)[:, ::2],
+            lambda b: np.repeat(b, 2, axis=0)[::2],
+            lambda b: b[:, 0],
+            lambda b: np.repeat(b, 2, axis=0)[::2, 0],
+        ],
+        ids=["fortran", "strided-columns", "strided-rows", "vector", "strided-vector"],
+    )
+    def test_memory_layout_of_the_rhs_does_not_matter(self, factored, make):
+        l, _ = factored
+        block = np.random.default_rng(30).standard_normal((l.n, 3))
+        b = make(block)
+        kept = b.copy()
+        expected = solve_cholesky(l, np.ascontiguousarray(b))
+        x = solve_cholesky(l, b)
+        assert x.shape == b.shape and np.array_equal(x, expected)
+        assert np.array_equal(b, kept) and not np.shares_memory(x, b)
+
+    def test_integer_rhs(self, factored):
+        l, _ = factored
+        b = np.arange(l.n * 2).reshape(l.n, 2) % 7
+        x = solve_cholesky(l, b)
+        assert x.dtype == np.float64 and b.dtype.kind == "i"
+        assert np.array_equal(x, solve_cholesky(l, b.astype(float)))
+
+    def test_non_dense_diagonal_is_a_type_error(self):
+        t = TLRMatrix.from_dense(np.eye(8), tile_size=4, accuracy=1e-12)
+        t._tiles[(1, 1)] = LowRankTile(LowRankFactor(np.eye(4), np.eye(4)))
+        for call in (lambda: solve_cholesky(t, np.ones(8)), lambda: logdet(t)):
+            with pytest.raises(TypeError, match="diagonal factor tiles must be dense"):
+                call()
+
+    def test_logdet_positivity_is_checked_once_and_kept(self):
+        t = TLRMatrix.from_dense(np.eye(8), tile_size=4, accuracy=1e-12)
+        t.set_tile(1, 1, DenseTile(-np.eye(4)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="factor diagonal must be positive"):
+                logdet(t)
+        # a solve does not care about the sign
+        assert np.array_equal(solve_lower(t, np.ones(8)), [1, 1, 1, 1, -1, -1, -1, -1])

@@ -1,0 +1,72 @@
+"""Property test for the packed triangular solves: on random tile grids
+mixing every stored representation they agree with dense triangular
+solves of the same lower factor."""
+
+import numpy as np
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.solver import solve_cholesky, solve_lower, solve_lower_transpose
+from repro.linalg.integrity import matrix_checksums
+from repro.linalg.lowrank import LowRankFactor
+from repro.linalg.tile import DenseTile, LowRankTile, NullTile
+from repro.linalg.tile_matrix import TLRMatrix
+
+
+@st.composite
+def random_factor(draw):
+    """A lower factor on an ``nt x nt`` grid with a ragged last tile:
+    null / low-rank / dense / fp32-stored off-diagonal tiles, C- and
+    F-ordered arrays, junk above the diagonal of the diagonal tiles."""
+    nt = draw(st.integers(1, 5))
+    b = draw(st.sampled_from([5, 8]))
+    last = draw(st.integers(1, b))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    order = lambda a: np.asfortranarray(a) if rng.integers(2) else a  # noqa: E731
+    height = lambda m: last if m == nt - 1 else b  # noqa: E731
+    tiles = {}
+    for k in range(nt):
+        d = 0.1 * rng.standard_normal((height(k), height(k)))
+        tiles[(k, k)] = DenseTile(order(d + 2.0 * np.eye(height(k))))
+        for m in range(k + 1, nt):
+            kind = draw(st.sampled_from(["null", "lowrank", "dense", "fp32"]))
+            if kind == "null":
+                tiles[(m, k)] = NullTile((height(m), b))
+            elif kind == "dense":
+                tiles[(m, k)] = DenseTile(order(0.1 * rng.standard_normal((height(m), b))))
+            else:
+                r = int(rng.integers(1, 4))
+                u = order(0.1 * rng.standard_normal((height(m), r)))
+                v = order(rng.standard_normal((b, r)))
+                if kind == "fp32":  # dyadic entries: u @ v.T is exact in fp32 too
+                    u = (np.round(40 * u) / 32).astype(np.float32)
+                    v = (np.round(4 * v) / 4).astype(np.float32)
+                tiles[(m, k)] = LowRankTile(LowRankFactor(u, v))
+    factor = TLRMatrix((nt - 1) * b + last, b, tiles, accuracy=1e-8)
+    cols = draw(st.sampled_from([None, 1, 3]))
+    rhs = rng.standard_normal(factor.n if cols is None else (factor.n, cols))
+    return factor, rhs
+
+
+def close(x, ref):
+    return np.linalg.norm(x - ref) <= 1e-10 * max(np.linalg.norm(ref), 1.0)
+
+
+@given(data=random_factor())
+@settings(max_examples=120, deadline=None)
+def test_packed_solves_equal_dense_triangular_solves(data):
+    factor, rhs = data
+    dense = factor.to_dense(symmetrize=False)
+    kept, sums, nbytes = rhs.copy(), matrix_checksums(factor), factor.memory_bytes()
+    y = solve_lower(factor, rhs)
+    z = solve_lower_transpose(factor, rhs)
+    x = solve_cholesky(factor, rhs)
+    assert x.shape == y.shape == z.shape == rhs.shape
+    assert np.array_equal(rhs, kept)
+    assert close(y, sla.solve_triangular(dense, rhs, lower=True))
+    assert close(z, sla.solve_triangular(dense, rhs, lower=True, trans="T"))
+    assert close(x, sla.solve_triangular(dense, y, lower=True, trans="T"))
+    assert np.array_equal(x, solve_lower_transpose(factor, y))
+    # packing moved the tiles into panels without changing a stored value
+    assert matrix_checksums(factor) == sums and factor.memory_bytes() == nbytes
