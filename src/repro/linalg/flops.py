@@ -158,16 +158,16 @@ def randomized_compression_flops(
     ``k`` (``linalg.lowrank.randomized_compress``).
 
     With ``p = k + oversample`` sampled columns: the sample product
-    ``A omega`` (``2 b^2 p``), the residual downdate ``Q (Q^T A)``
-    (``~4 b^2 p`` across panels), panel QRs (``~4 b p^2``), the core
-    projection ``Q^T A`` (``2 b^2 p``) plus its small SVD
-    (``~22 b p^2``) and the U rebuild (``2 b p k``).  Dominant term
-    ``O(b^2 p)`` — linear in the detected rank, versus the SVD's
-    ``O(b^3)``.
+    ``A omega`` (``2 b^2 p``), the panels' ``Q_j^T A`` (``2 b^2 p``,
+    which are also the rows of the core) and the residual downdate
+    ``Q_j (Q_j^T A)`` (``2 b^2 p``), panel QRs (``~4 b p^2``), the
+    core's small SVD (``~22 b p^2``) and the U rebuild (``2 b p k``).
+    Dominant term ``O(b^2 p)`` — linear in the detected rank, versus
+    the SVD's ``O(b^3)``.
     """
     p = max(rank, 1) + max(oversample, 0)
     b = float(b)
-    return 8.0 * b * b * p + 26.0 * b * p * p + 2.0 * b * p * max(rank, 1)
+    return 6.0 * b * b * p + 26.0 * b * p * p + 2.0 * b * p * max(rank, 1)
 
 
 def randomized_rounding_flops(

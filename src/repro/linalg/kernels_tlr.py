@@ -170,14 +170,14 @@ def gemm_update(
 
     ``pairs`` lists the operand tiles ``(A[m,k], B[n,k])`` in ascending
     ``k``.  Every non-null pair's product factor is formed; the low-rank
-    ones are stacked and applied as one ``D -= X @ Y^T`` onto a dense
-    scratch that starts as C's dense form (zeros for a null C — this is
-    where *fill-in* happens), dense products subtract directly.  A
-    dense C stays dense and unrounded.  Otherwise the scratch is
-    rounded once: null certificate, then the range-finder seeded with
-    ``seed`` (callers derive it from the tile coordinates, so every
-    engine draws the same stream for the same tile), ``max_rank`` caps
-    the stored rank (HiCMA's maxrank; beyond it the tile is dense).
+    ones, stacked as ``X @ Y^T``, are applied in one product:
+    ``[U_c | X] @ [V_c | -Y]^T`` for a low-rank C, else ``D -= X @ Y^T``
+    onto C's dense form (zeros for a null C — *fill-in*); dense products
+    subtract directly.  A dense C stays dense and unrounded.  Otherwise
+    the result is rounded once: null certificate, then the range-finder
+    seeded with ``seed`` (callers derive it from the tile coordinates,
+    so every engine draws the same stream for the same tile) and hinted
+    with C's rank; ``max_rank`` caps the stored rank (HiCMA's maxrank).
     Pair order is fixed by the caller, so the summation order — hence
     every bit of the result — is the same whichever engine runs the
     task.  When no pair contributes the target tile object is returned
@@ -197,19 +197,22 @@ def gemm_update(
         return c_mn  # nothing to subtract
 
     if isinstance(c_mn, LowRankTile):
-        # promote fp32-stored factors: the update computes in DTYPE
-        acc = np.asarray(c_mn.u, dtype=DTYPE) @ np.asarray(c_mn.v, dtype=DTYPE).T
+        # hstack promotes fp32-stored factors: the update computes in DTYPE
+        right = np.hstack([c_mn.v, *vs], dtype=DTYPE)
+        right[:, c_mn.rank :] *= -1.0
+        acc = np.hstack([c_mn.u, *us], dtype=DTYPE) @ right.T
     else:
         acc = c_mn.to_dense()
-    if us:
-        acc -= np.hstack(us, dtype=DTYPE) @ np.hstack(vs, dtype=DTYPE).T
+        if us:
+            acc -= np.hstack(us, dtype=DTYPE) @ np.hstack(vs, dtype=DTYPE).T
     for product in dense_products:
         acc -= product
     if isinstance(c_mn, DenseTile):
         return DenseTile(acc)
     try:
         rounded = compress_block(
-            acc, tol, max_rank=max_rank, policy=_ROUNDING, seed=seed
+            acc, tol, max_rank=max_rank, policy=_ROUNDING, seed=seed,
+            rank_hint=c_mn.rank,
         )
     except np.linalg.LinAlgError:
         # Degradation ladder: if rank rounding misbehaves (e.g. SVD

@@ -141,10 +141,10 @@ class CompressionPolicy:
     rounds every accumulated update with the range-finder regardless
     (``linalg.kernels_tlr.gemm_update``).  ``seed_root`` anchors the
     deterministic per-tile seed derivation (build and update rounding
-    alike); ``sample_block`` is the range-finder panel width,
-    ``oversample`` the cushion past the detected rank, and
-    ``crossover`` the fraction of the short tile dimension past which
-    the randomized path cedes to the direct SVD.
+    alike); ``sample_block`` sets the range-finder's later panel widths
+    (a rank hint may widen the first), ``oversample`` the cushion past
+    the detected rank, ``crossover`` the share of the short tile side
+    past which the randomized path cedes to the direct SVD.
     """
 
     method: str = DEFAULT_COMPRESSION
@@ -244,8 +244,8 @@ class CompressionStats:
 _NULL_MARGIN = 1.0e-10
 
 
-def _certified_null(block: np.ndarray, tol: float, relative: bool) -> bool:
-    """True when ``||A||_F`` proves that the block compresses to null.
+def _certified_null(fnorm: float, tol: float, relative: bool) -> bool:
+    """True when ``fnorm = ||A||_F`` proves the block compresses to null.
 
     ``sigma_1 <= ||A||_F``, so a Frobenius norm under the truncation
     cutoff (``tol``, or ``tol * sigma_1`` in relative mode, which only
@@ -254,9 +254,25 @@ def _certified_null(block: np.ndarray, tol: float, relative: bool) -> bool:
     over the block instead of a decomposition (H2OPUS-TLR's
     norm-driven early exit).
     """
-    fnorm = float(np.linalg.norm(block))
     cutoff = tol * fnorm if relative else tol
     return fnorm <= cutoff * (1.0 - _NULL_MARGIN)
+
+
+#: fetched once: at these sizes scipy's wrappers cost as much as LAPACK
+_GEQRF, _ORGQR, _GESDD = sla.get_lapack_funcs(("geqrf", "orgqr", "gesdd"), dtype=DTYPE)
+
+
+def _lapack(out: tuple) -> tuple:
+    """A raw LAPACK call's outputs without ``info``; ``info != 0`` raises."""
+    if out[-1] != 0:
+        raise np.linalg.LinAlgError(f"LAPACK returned info={out[-1]}")
+    return out[:-1]
+
+
+def _orthonormal(y: np.ndarray) -> np.ndarray:
+    """``Q`` of the economy QR of a tall ``y``, which it overwrites."""
+    qr, tau, _ = _lapack(_GEQRF(y, overwrite_a=1))
+    return _lapack(_ORGQR(qr, tau, overwrite_a=1))[0]
 
 
 def truncated_svd(
@@ -302,62 +318,69 @@ def randomized_compress(
     oversample: int = 8,
     crossover: float = 0.5,
     stats: CompressionStats | None = None,
+    rank_hint: int = 0,
+    fnorm: float | None = None,
 ) -> LowRankFactor | np.ndarray | None:
     """Compress a dense block with a blocked adaptive range-finder.
 
-    Gaussian panels of ``sample_block`` columns are drawn from a
-    ``PCG64(seed)`` stream, projected against the basis built so far,
-    and folded in until the explicit residual's Frobenius norm drops
-    below the threshold — at which point *every* remaining singular
-    value is below the SVD truncation cutoff, so the final small SVD
-    of ``Q^T A`` applies the exact HiCMA rule to a spectrum that
-    contains everything the full SVD would have kept.  Cost is
-    ``O(mn(k + p))`` for detected rank ``k``, versus
+    Gaussian panels are drawn from a ``PCG64(seed)`` stream, projected
+    against the basis built so far, and folded in until the explicit
+    residual's Frobenius norm drops below the threshold — at which
+    point *every* remaining singular value is below the SVD truncation
+    cutoff, so the final small SVD of ``Q^T A`` applies the exact HiCMA
+    rule to a spectrum that contains everything the full SVD would have
+    kept.  Panels are ``sample_block`` wide; the first is ``rank_hint +
+    oversample`` (``rank_hint``: the caller's expected rank) when that
+    is wider and under the cap below, which must hold two default
+    panels.  Each ``Q_j^T A`` is both a downdate and rows of the core.
+    Cost is ``O(mn(k + p))`` for detected rank ``k``, versus
     ``O(mn min(m, n))`` for the full SVD.
 
     Rank detection is capped: past ``max_rank + oversample`` columns
     the block is declared over-rank and returned dense (exact, no
     decomposition wasted); past ``crossover * min(m, n)`` columns the
     block is not meaningfully low-rank and the direct SVD takes over.
-
-    The result is a pure function of ``(block, tol, seed)`` — same
-    inputs, same factor, bitwise, on every execution engine.
+    ``fnorm`` is ``||A||_F`` if the caller has taken it.  The result is
+    a pure function of ``(block, tol, seed, rank_hint)`` — same inputs,
+    same factor, bitwise, on every execution engine.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     block = np.asarray(block, dtype=DTYPE)
     m, n = block.shape
-    short = min(m, n)
-    if _certified_null(block, tol, relative):
+    if fnorm is None:
+        fnorm = float(np.linalg.norm(block))
+    if _certified_null(fnorm, tol, relative):
         return None
-    stop = tol * float(np.linalg.norm(block)) if relative else tol
+    stop = tol * fnorm if relative else tol
 
-    cross_cap = max(1, int(math.ceil(crossover * short)))
-    cap = cross_cap
-    if max_rank is not None:
-        cap = min(cap, max_rank + oversample)
+    cross_cap = max(1, int(math.ceil(crossover * min(m, n))))
+    cap = cross_cap if max_rank is None else min(cross_cap, max_rank + oversample)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     q_basis: np.ndarray | None = None
-    resid = np.array(block, dtype=DTYPE, copy=True)
-    sampled = 0
-    converged = False
-    while sampled < cap:
-        p = min(sample_block, cap - sampled)
-        omega = rng.standard_normal((n, p))
-        y = resid @ omega
+    rows = []  # Q_j^T A of every panel: the core, row block by row block
+    resid = block
+    width = rank_hint + oversample
+    if not (sample_block < width < cap and 2 * sample_block <= cap):
+        width = sample_block
+    sampled, converged = 0, False
+    while not converged and sampled < cap:
+        p = min(width, cap - sampled)
+        width = sample_block
+        y = (rng.standard_normal((p, n)) @ resid.T).T  # F-ordered, for geqrf
         if q_basis is not None:
-            # re-orthogonalize against the accumulated basis (the
-            # explicit residual keeps this nearly orthogonal already;
-            # the projection mops up roundoff drift)
             y -= q_basis @ (q_basis.T @ y)
-        qj = sla.qr(y, mode="economic", check_finite=False)[0]
+        qj = _orthonormal(y)
+        if q_basis is not None:
+            # again: QR scales y's roundoff columns, basis parts too, to unit length
+            qj -= q_basis @ (q_basis.T @ qj)
+            qj = _orthonormal(qj)
         q_basis = qj if q_basis is None else np.hstack([q_basis, qj])
-        resid -= qj @ (qj.T @ block)
+        rows.append(qj.T @ block)
+        resid = resid - qj @ rows[-1]
         sampled += p
-        if float(np.linalg.norm(resid)) <= stop:
-            converged = True
-            break
+        converged = float(np.linalg.norm(resid)) <= stop
 
     if stats is not None:
         stats.record_sampled(sampled)
@@ -379,8 +402,8 @@ def randomized_compress(
             return np.asarray(block, dtype=DTYPE)
         return factor
 
-    core = q_basis.T @ block
-    u, s, vt = sla.svd(core, full_matrices=False, check_finite=False)
+    # SVD of the core's F-ordered tall transpose, core^T = W diag(s) Z^T
+    w, s, zt = _lapack(_GESDD(np.vstack(rows).T, full_matrices=0, overwrite_a=1))
     k = _truncation_rank(s, tol, relative)
     if k == 0:
         return None
@@ -389,8 +412,8 @@ def randomized_compress(
             stats.rand_dense += 1
         return np.asarray(block, dtype=DTYPE)
     return LowRankFactor(
-        np.ascontiguousarray(q_basis @ (u[:, :k] * s[:k])),
-        np.ascontiguousarray(vt[:k].T),
+        np.ascontiguousarray(q_basis @ (zt[:k].T * s[:k])),
+        np.ascontiguousarray(w[:, :k]),
     )
 
 
@@ -402,6 +425,7 @@ def compress_block(
     policy: CompressionPolicy | None = None,
     seed: int = 0,
     stats: CompressionStats | None = None,
+    rank_hint: int = 0,
 ) -> LowRankFactor | np.ndarray | None:
     """Compress a dense block, falling back to dense for high ranks.
 
@@ -413,8 +437,8 @@ def compress_block(
     Whatever the method, a block whose Frobenius norm certifies it null
     (:func:`_certified_null`) returns before any decomposition.
     ``policy`` then selects the method: randomized policies route
-    through :func:`randomized_compress` with the given per-tile
-    ``seed``; the default is the exact truncated SVD.
+    through :func:`randomized_compress` with the per-tile ``seed``,
+    ``rank_hint`` and that norm; the default is the exact truncated SVD.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -425,7 +449,8 @@ def compress_block(
             stats.rand_tiles += 1
         else:
             stats.svd_tiles += 1
-    if _certified_null(block, tol, relative):
+    fnorm = float(np.linalg.norm(block))
+    if _certified_null(fnorm, tol, relative):
         if stats is not None:
             stats.screened_null += 1
         return None
@@ -440,6 +465,8 @@ def compress_block(
             oversample=policy.oversample,
             crossover=policy.crossover,
             stats=stats,
+            rank_hint=rank_hint,
+            fnorm=fnorm,
         )
     factor = truncated_svd(block, tol, relative=relative)
     if factor is None:

@@ -94,7 +94,9 @@ class TestCrashAndResume:
     ):
         """One unfinished task starts one worker thread, not ``workers``."""
         tlr_cholesky(
-            spd_tlr(), checkpoint=CheckpointManager(tmp_path, every_tasks=1)
+            spd_tlr(),
+            workers=1,  # serial whatever $REPRO_WORKERS says: one task per capture
+            checkpoint=CheckpointManager(tmp_path, every_tasks=1),
         )
         # keep=2: the older surviving manifest is the frontier one short
         one_short = load_checkpoint(sorted(tmp_path.glob("ckpt-*.json"))[0])

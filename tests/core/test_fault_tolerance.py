@@ -196,6 +196,33 @@ class TestRecompressionFallback:
         assert isinstance(out, DenseTile)
         assert np.allclose(out.to_dense(), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("handle", ["_GESDD", "_GEQRF", "_ORGQR"])
+    def test_converged_rounding_lapack_failure_holds_tile_dense(
+        self, monkeypatch, handle
+    ):
+        """A rounding that converges runs the panel QR and the core SVD
+        through cached LAPACK handles; ``info > 0`` from either degrades
+        to a dense tile with exact arithmetic (the 16x16 case above only
+        reaches the ladder through the crossover fallback)."""
+        import repro.linalg.lowrank as lowrank
+
+        c = self._lr(1, n=64)
+        pairs = [(self._lr(2, n=64), self._lr(3, n=64))]
+        expected = c.to_dense() - pairs[0][0].to_dense() @ pairs[0][1].to_dense().T
+        assert gemm_update(c, pairs, tol=1e-8).rank == 6  # converges
+
+        real, calls = getattr(lowrank, handle), []
+
+        def failing(*args, **kwargs):
+            calls.append(handle)
+            return (*real(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(lowrank, handle, failing)
+        out = gemm_update(c, pairs, tol=1e-8)
+        assert calls
+        assert isinstance(out, DenseTile)
+        assert np.allclose(out.to_dense(), expected, atol=1e-12)
+
     def test_compress_failure_holds_tile_dense(self, monkeypatch):
         """The same ladder when the rounding entry point itself raises,
         on the fill-in path (null target)."""

@@ -57,7 +57,8 @@ class TestAccumulatedUpdateCounts:
         product = 4 * b * (4 * 6 + 10 * 3 + 100 * 5)
         apply = 2 * b * b * (4 + 3 + 5)
         p = kc + 8  # sampled columns: detected rank + oversample
-        rounding = 8 * b * b * p + 26 * b * p * p + 2 * b * p * kc
+        # sample, Q_j^T A (the core's rows), downdate; QR + core SVD; U
+        rounding = 6 * b * b * p + 26 * b * p * p + 2 * b * p * kc
         assert fl.gemm_accumulated_flops(b, pairs, kc) == product + apply + rounding
         assert rounding == fl.randomized_compression_flops(b, kc)
 

@@ -189,6 +189,24 @@ class TestRandomizedCompress:
         # one 16-column panel suffices for rank 4
         assert stats.sampled_rank_max == 16
 
+    @pytest.mark.parametrize("hint,sampled", [(0, 32), (20, 28)])
+    def test_first_panel_sized_by_rank_hint(self, rng, hint, sampled):
+        block = low_rank_block(rng, 100, 100, 20)
+        stats = CompressionStats()
+        out = randomized_compress(block, tol=1e-8, seed=4, rank_hint=hint, stats=stats)
+        assert out.rank == 20
+        # two 16-column panels without the hint, one of 20 + 8 with it
+        assert stats.sampled_rank_max == sampled
+
+    @pytest.mark.parametrize("b,hint", [(50, 12), (100, 45)])
+    def test_rank_hint_ignored_where_it_cannot_pay(self, rng, b, hint):
+        # b = 50: the crossover cap (25) holds under two default panels;
+        # b = 100: hint + oversample reaches the cap (50)
+        block = low_rank_block(rng, b, b, 4)
+        stats = CompressionStats()
+        randomized_compress(block, tol=1e-8, seed=0, rank_hint=hint, stats=stats)
+        assert stats.sampled_rank_max == 16
+
     def test_rejects_nonpositive_tol(self, rng):
         with pytest.raises(ValueError):
             randomized_compress(rng.standard_normal((8, 8)), tol=0.0)
@@ -208,6 +226,22 @@ class TestCompressBlockDispatch:
         assert out.rank == 3
         assert stats.rand_tiles == 1
         assert stats.svd_tiles == 0
+
+    def test_rand_route_takes_the_norm_once(self, rng, monkeypatch):
+        # one ||A||_F serves the null certificate and the stopping rule
+        block = low_rank_block(rng, 60, 60, 3)
+        real, seen = np.linalg.norm, []
+
+        def norm(x, *args, **kwargs):
+            seen.append(x is block)
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(lowrank.np.linalg, "norm", norm)
+        out = compress_block(
+            block, 1e-8, relative=True, policy=CompressionPolicy(method="rand")
+        )
+        assert out.rank == 3
+        assert seen.count(True) == 1
 
     def test_rand_dispatch_is_seeded(self, rng):
         block = low_rank_block(rng, 60, 60, 3)
@@ -384,6 +418,23 @@ class TestRandomizedRecompress:
         b = gemm_update(NullTile((100, 100)), pairs, tol=1e-9, seed=21)
         assert a.u.tobytes() == b.u.tobytes()
         assert a.v.tobytes() == b.v.tobytes()
+
+    def test_low_rank_target_above_result_rank(self, rng):
+        # C (rank 12) loses 6 of its terms and gains a rank-3 one: one
+        # product [U_c | X] @ [V_c | -Y]^T, first panel sized by rank 12
+        c = truncated_svd(low_rank_block(rng, 120, 120, 12), tol=1e-12)
+        gone = LowRankFactor(c.u[:, :6], c.v[:, :6])
+        extra = stacked_factor(rng, 120, 120, [3])
+        exact = recompress(
+            LowRankFactor(
+                np.hstack([c.u, gone.u, extra.u]), np.hstack([c.v, -gone.v, -extra.v])
+            ),
+            tol=1e-9,
+        )
+        pairs = as_pairs(gone, [6]) + as_pairs(extra, [3])
+        out = gemm_update(LowRankTile(c), pairs, tol=1e-9, seed=8)
+        assert out.rank == exact.rank == 9
+        assert np.allclose(out.to_dense(), exact.to_dense(), atol=1e-7)
 
     def test_cancellation_to_null(self, rng):
         base = truncated_svd(low_rank_block(rng, 80, 80, 9), tol=1e-12)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linalg import lowrank
+from repro.linalg.kernels_tlr import gemm_update
 from repro.linalg.lowrank import (
     CompressionPolicy,
     CompressionStats,
@@ -22,6 +23,7 @@ from repro.linalg.lowrank import (
     recompress,
     truncated_svd,
 )
+from repro.linalg.tile import LowRankTile, NullTile
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -147,21 +149,24 @@ class TestNullCertificateProperties:
             assert stats.screened_null == 1
 
 
+def as_pair(part):
+    """``(U Q^T, V Q^T)`` with orthonormal ``Q``: operands whose product
+    is the term ``U V^T``."""
+    m, k = part.u.shape
+    q = np.linalg.qr(np.random.default_rng(k).standard_normal((m, k)))[0]
+    return LowRankTile(LowRankFactor(part.u, q)), LowRankTile(LowRankFactor(part.v, q))
+
+
 def rounded_sum(parts, tol, seed):
     """``-sum_k U_k V_k^T`` through the factorization's accumulating
-    kernel: each term enters as the pair ``(U_k Q^T, V_k Q^T)`` with
-    orthonormal ``Q``, the target starts null, the sum is rounded once."""
-    from repro.linalg.kernels_tlr import gemm_update
-    from repro.linalg.tile import LowRankTile, NullTile
-
+    kernel: each term enters as an :func:`as_pair` operand pair, the
+    target starts null, the sum is rounded once."""
     m = parts[0].shape[0]
-    pairs = []
-    for p in parts:
-        q = np.linalg.qr(np.random.default_rng(p.rank).standard_normal((m, p.rank)))[0]
-        pairs.append(
-            (LowRankTile(LowRankFactor(p.u, q)), LowRankTile(LowRankFactor(p.v, q)))
-        )
-    return gemm_update(NullTile((m, m)), pairs, tol=tol, seed=seed)
+    return gemm_update(NullTile((m, m)), [as_pair(p) for p in parts], tol=tol, seed=seed)
+
+
+def low_rank(rng, m, k):
+    return truncated_svd(rng.standard_normal((m, k)) @ rng.standard_normal((k, m)), tol=1e-12)
 
 
 class TestRandomizedRecompressProperties:
@@ -177,13 +182,7 @@ class TestRandomizedRecompressProperties:
     @settings(max_examples=25, deadline=None)
     def test_matches_exact_rounding(self, m, ks, data_seed, seed):
         rng = np.random.default_rng(data_seed)
-        parts = [
-            truncated_svd(
-                rng.standard_normal((m, k)) @ rng.standard_normal((k, m)),
-                tol=1e-12,
-            )
-            for k in ks
-        ]
+        parts = [low_rank(rng, m, k) for k in ks]
         stacked = LowRankFactor(
             np.hstack([p.u for p in parts]), np.hstack([p.v for p in parts])
         )
@@ -202,11 +201,62 @@ class TestRandomizedRecompressProperties:
     @settings(max_examples=25, deadline=None)
     def test_redundant_rank_recovered(self, m, k, copies, data_seed, seed):
         rng = np.random.default_rng(data_seed)
-        base = truncated_svd(
-            rng.standard_normal((m, k)) @ rng.standard_normal((k, m)),
-            tol=1e-12,
-        )
+        base = low_rank(rng, m, k)
         part = LowRankFactor(base.u, base.v / copies)
         rounded = rounded_sum([part] * copies, tol=1e-9, seed=seed)
         assert rounded.rank == k
         assert np.allclose(-rounded.to_dense(), base.to_dense(), atol=1e-6)
+
+    @given(
+        m=st.integers(70, 140),
+        kc=st.integers(1, 12),
+        cancel=st.integers(0, 12),
+        ks=st.lists(st.integers(1, 6), min_size=0, max_size=3),
+        data_seed=st.integers(0, 2**16),
+        seed=SEEDS,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_low_rank_target_matches_exact_rounding(
+        self, m, kc, cancel, ks, data_seed, seed
+    ):
+        """A low-rank target C joins the update's one product and sizes
+        the first sample panel by its rank.  The update removes
+        ``cancel`` of C's own rank-one terms (so the result can fall
+        below C's rank, or to null) and adds terms of ranks ``ks``."""
+        rng = np.random.default_rng(data_seed)
+        c = low_rank(rng, m, kc)
+        cancel = min(cancel, kc)
+        parts = [LowRankFactor(c.u[:, :cancel], c.v[:, :cancel])] if cancel else []
+        parts += [low_rank(rng, m, k) for k in ks]
+        if not parts:
+            return  # nothing to round
+        exact = recompress(
+            LowRankFactor(
+                np.hstack([c.u] + [p.u for p in parts]),
+                np.hstack([c.v] + [-p.v for p in parts]),
+            ),
+            tol=1e-9,
+        )
+        pairs = [as_pair(p) for p in parts]
+        out = gemm_update(LowRankTile(c), pairs, tol=1e-9, seed=seed)
+        again = gemm_update(LowRankTile(c), pairs, tol=1e-9, seed=seed)
+        if exact is None:
+            assert isinstance(out, NullTile) and isinstance(again, NullTile)
+            return
+        assert out.rank == exact.rank
+        assert np.allclose(out.to_dense(), exact.to_dense(), atol=1e-6)
+        assert out.u.tobytes() == again.u.tobytes()
+        assert out.v.tobytes() == again.v.tobytes()
+
+    @given(
+        m=st.integers(70, 140),
+        kc=st.integers(2, 12),
+        data_seed=st.integers(0, 2**16),
+        seed=SEEDS,
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_low_rank_target_cancels_to_null(self, m, kc, data_seed, seed):
+        c = low_rank(np.random.default_rng(data_seed), m, kc)
+        halves = [LowRankFactor(c.u[:, s], c.v[:, s]) for s in (slice(0, 1), slice(1, kc))]
+        out = gemm_update(LowRankTile(c), [as_pair(p) for p in halves], tol=1e-9, seed=seed)
+        assert isinstance(out, NullTile)
