@@ -49,54 +49,6 @@ def main() -> None:
         print(f"  -> speedup vs Lorapo: {lo/hi:.2f}x ; "
               f"critical-path efficiency {eff:.1%}\n")
 
-    functional_demo()
-
-
-def functional_demo() -> None:
-    """Beyond simulation: actually execute a small factorization
-    across OS processes with per-worker tile ownership and real data
-    movement, and verify it matches the in-process factor."""
-    import numpy as np
-
-    from repro import (
-        BandDistribution,
-        DiamondDistribution,
-        RBFMatrixGenerator,
-        TLRMatrix,
-        TwoDBlockCyclic,
-        analyze_ranks,
-        hicma_parsec_factorize,
-        min_spacing,
-        virus_population,
-    )
-    from repro.core.trimming import cholesky_tasks
-    from repro.runtime import DistributedExecutor, build_graph
-
-    pts = virus_population(3, points_per_virus=300, seed=2)
-    gen = RBFMatrixGenerator(
-        pts, 0.5 * min_spacing(pts) * 30, tile_size=150, nugget=1e-4
-    )
-    a = TLRMatrix.compress(gen.tile, gen.n, 150, accuracy=1e-6)
-    ana = analyze_ranks(a.rank_array(), a.n_tiles)
-    graph = build_graph(cholesky_tasks(a.n_tiles, ana))
-    ref = hicma_parsec_factorize(a.copy()).factor
-
-    res = DistributedExecutor(4).run(
-        a.copy(),
-        graph,
-        TwoDBlockCyclic(2, 2),
-        BandDistribution(DiamondDistribution(2, 2)),
-    )
-    drift = np.abs(
-        res.factor.to_dense(symmetrize=False)
-        - ref.to_dense(symmetrize=False)
-    ).max()
-    print("=== functional distributed execution (4 OS processes) ===")
-    print(f"  tasks: {res.n_tasks} over workers {res.tasks_per_worker}")
-    print(f"  tile transfers: {res.n_transfers} "
-          f"({res.transfer_bytes/1e6:.2f} MB moved)")
-    print(f"  max |distributed - in-process| factor drift: {drift:.1e}")
-
 
 if __name__ == "__main__":
     main()

@@ -35,7 +35,6 @@ from repro.geometry import (
 from repro.kernels import GaussianRBF, RBFMatrixGenerator, dense_rbf_matrix
 from repro.linalg import (
     DenseTile,
-    GeneralTLRMatrix,
     LowRankFactor,
     LowRankTile,
     NullTile,
@@ -55,9 +54,7 @@ from repro.core import (
     logdet,
     lorapo_factorize,
     solve_cholesky,
-    solve_lu,
     tlr_cholesky,
-    tlr_lu,
 )
 from repro.core.hicma_parsec import BAND_ONLY, HICMA_PARSEC, TRIM_ONLY
 from repro.core.lorapo import LORAPO, FrameworkConfig
@@ -101,7 +98,6 @@ __all__ = [
     "LowRankTile",
     "NullTile",
     "TLRMatrix",
-    "GeneralTLRMatrix",
     "tlr_matvec",
     "refine_solve",
     "TrimmingAnalysis",
@@ -110,8 +106,6 @@ __all__ = [
     "FactorizationResult",
     "solve_cholesky",
     "logdet",
-    "tlr_lu",
-    "solve_lu",
     "lorapo_factorize",
     "hicma_parsec_factorize",
     "SyntheticRankField",

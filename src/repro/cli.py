@@ -13,6 +13,9 @@ Commands
     machine, node count and framework configuration.
 ``deform``
     End-to-end RBF mesh deformation demo.
+``tune``
+    Model-driven tile-size auto-tuning (:mod:`repro.machine.autotune`)
+    for a chosen machine, node count and matrix size.
 ``serve``
     In-process demo of the batched, cached solve-serving subsystem
     (:mod:`repro.service`); prints cache/batch/latency metrics.

@@ -24,7 +24,6 @@ from repro.core.solver import (
     solve_lower,
     solve_lower_transpose,
 )
-from repro.core.tlr_lu import analyze_ranks_lu, solve_lu, tlr_lu
 from repro.core.lorapo import lorapo_factorize
 from repro.core.hicma_parsec import hicma_parsec_factorize
 from repro.core.rank_model import SyntheticRankField, calibrate_rank_field
@@ -40,9 +39,6 @@ __all__ = [
     "solve_lower",
     "solve_lower_transpose",
     "logdet",
-    "tlr_lu",
-    "solve_lu",
-    "analyze_ranks_lu",
     "lorapo_factorize",
     "hicma_parsec_factorize",
     "SyntheticRankField",

@@ -14,7 +14,6 @@ from repro.distribution.block_cyclic import OneDBlockCyclic, TwoDBlockCyclic
 from repro.distribution.hybrid import HybridDistribution
 from repro.distribution.band import BandDistribution
 from repro.distribution.diamond import DiamondDistribution
-from repro.distribution.greedy import GreedyRankAware
 from repro.distribution.ascii_art import owner_map_ascii
 
 __all__ = [
@@ -26,6 +25,5 @@ __all__ = [
     "HybridDistribution",
     "BandDistribution",
     "DiamondDistribution",
-    "GreedyRankAware",
     "owner_map_ascii",
 ]

@@ -24,9 +24,6 @@ from repro.linalg.precision import (
 )
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile, TileKind
 from repro.linalg.tile_matrix import TLRMatrix
-from repro.linalg.aca import ACAGenerator, aca_partial
-from repro.linalg.general_matrix import GeneralTLRMatrix
-from repro.linalg.hodlr import HODLRMatrix, build_hodlr
 from repro.linalg.matvec import RefinementResult, refine_solve, tlr_matvec
 from repro.linalg import flops
 from repro.linalg import kernels_dense
@@ -52,11 +49,6 @@ __all__ = [
     "LowRankTile",
     "NullTile",
     "TLRMatrix",
-    "ACAGenerator",
-    "aca_partial",
-    "GeneralTLRMatrix",
-    "HODLRMatrix",
-    "build_hodlr",
     "tlr_matvec",
     "refine_solve",
     "RefinementResult",

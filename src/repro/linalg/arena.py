@@ -227,9 +227,8 @@ class TileArena:
         """Build an arena mirroring ``store`` (a tile matrix).
 
         ``store`` must expose ``tile``/``set_tile``, iteration over
-        ``((m, k), tile)``, and ``accuracy``/``max_rank`` — both
-        :class:`~repro.linalg.tile_matrix.TLRMatrix` and
-        :class:`~repro.linalg.general_matrix.GeneralTLRMatrix` qualify.
+        ``((m, k), tile)``, and ``accuracy``/``max_rank``, as
+        :class:`~repro.linalg.tile_matrix.TLRMatrix` does.
         """
         if spill_factor is None:
             spill_factor = spill_factor_from_env()

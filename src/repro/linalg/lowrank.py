@@ -482,10 +482,13 @@ def recompress(
     """Round a (possibly inflated) low-rank factor back to minimal rank.
 
     A sum of low-rank terms stored as stacked factors (HiCMA's GEMM
-    leaves rank ``k_C + min(k_A, k_B)``; the TLR LU and ACA use it
-    here) carries more columns than its numerical rank; this rounding
-    step restores it with QR factorizations of both factors followed
-    by an SVD of the small core — the standard low-rank rounding.
+    leaves rank ``k_C + min(k_A, k_B)``) carries more columns than its
+    numerical rank; this rounding step restores it with QR
+    factorizations of both factors followed by an SVD of the small
+    core — the standard low-rank rounding.  The factorization rounds
+    with :func:`randomized_compress`; this exact rounding stays as the
+    reference the property tests compare against (the benchmark times
+    it too).
 
     Cost: ``O((m+n) K^2 + K^3)`` for accumulated rank ``K``, versus
     ``O(m n min(m, n))`` for recompressing the dense block.  Two fast

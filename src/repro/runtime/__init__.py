@@ -38,8 +38,6 @@ from repro.runtime.parallel import (
     engine_for,
     resolve_workers,
 )
-from repro.runtime.dtd import TaskPool
-from repro.runtime.distributed_exec import DistributedExecutor, DistributedRunResult
 from repro.runtime.tracing import Trace, TraceEvent
 
 __all__ = [
@@ -69,9 +67,6 @@ __all__ = [
     "TaskFailedError",
     "TileCorruptionError",
     "TransientKernelError",
-    "TaskPool",
-    "DistributedExecutor",
-    "DistributedRunResult",
     "Trace",
     "TraceEvent",
 ]

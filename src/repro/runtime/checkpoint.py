@@ -80,7 +80,7 @@ def graph_signature(graph) -> str:
 
     Guards resume: a checkpoint taken against one factorization must
     not be replayed into a different one (another matrix size, a
-    different trimming outcome, an LU graph...).
+    different trimming outcome...).
     """
     h = hashlib.blake2b(digest_size=16)
     for uid in sorted(t.uid for t in graph.tasks):

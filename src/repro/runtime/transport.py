@@ -1,15 +1,14 @@
 """Supervised-child transport: the one forked-child pipe protocol.
 
-Two process populations — the fleet's shards and the distributed
-executor's ranks — are forked children that take frames from their
-parent and answer on pipes of their own.  They share this module
-instead of each writing the protocol out, because the protocol is
-only correct when *all four* of its rules hold:
+The fleet's shards are forked children that take frames from their
+parent and answer on pipes of their own.  The protocol lives here, in
+one place, because it is only correct when *all four* of its rules
+hold:
 
 1. **The parent drops the child's pipe ends** right after the fork.
    Only the child then holds the write end of its reply pipes, so its
    death — however abrupt — reads as EOF in the parent.  (Keep a copy
-   and a dead rank leaves the coordinator blocked in ``recv`` forever.)
+   and a dead shard leaves the parent blocked in ``recv`` forever.)
 2. **The child drops every parent-side end**, its own and those of all
    children forked before it: a later fork inherits the earlier
    children's ends, so only this module knows the full set.  The
@@ -46,7 +45,7 @@ from multiprocessing import connection
 
 from repro.runtime.supervisor import ProcessSupervisor
 
-__all__ = ["Child", "WorkerCrashError", "frames", "recv_ready", "spawn", "stop"]
+__all__ = ["Child", "frames", "recv_ready", "spawn", "stop"]
 
 #: every transport pipe end this process holds: the parent-side ends of
 #: its children plus, in a child, its own ends (so that *its* children
@@ -64,10 +63,6 @@ def _close(conn) -> None:
     with _lock:
         _ends.discard(conn)
         conn.close()
-
-
-class WorkerCrashError(RuntimeError):
-    """A child process died holding work its parent cannot recover."""
 
 
 class Child:

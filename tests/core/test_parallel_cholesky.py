@@ -1,4 +1,4 @@
-"""Serial/parallel equivalence of the factorization drivers.
+"""Serial/parallel equivalence of the factorization driver.
 
 The parallel engine must be *invisible* numerically: the DAG's
 RAW/WAR/WAW edges order every tile access, the kernels are
@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.tlr_cholesky import tlr_cholesky
-from repro.core.tlr_lu import tlr_lu
-from repro.linalg.general_matrix import GeneralTLRMatrix
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.runtime.scheduler import (
     FIFOScheduler,
@@ -107,26 +105,3 @@ class TestCholeskyEquivalence:
         assert len(r.trace) == len(r.graph)
         assert set(r.trace.worker_lanes()) <= {0, 1, 2}
 
-
-class TestLUEquivalence:
-    @pytest.fixture(scope="class")
-    def lu_operand(self, rng):
-        n = 160
-        a = rng.standard_normal((n, n)) * 0.01 + np.eye(n) * 4.0
-        return a
-
-    @pytest.mark.timeout(120)
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_lu_factor_matches_serial(self, lu_operand, workers):
-        m_ser = GeneralTLRMatrix.from_dense(
-            lu_operand, tile_size=40, accuracy=1e-10
-        )
-        m_par = GeneralTLRMatrix.from_dense(
-            lu_operand, tile_size=40, accuracy=1e-10
-        )
-        r_ser = tlr_lu(m_ser, trim=True)
-        r_par = tlr_lu(m_par, trim=True, workers=workers)
-        assert np.array_equal(
-            r_ser.factor.to_dense(), r_par.factor.to_dense()
-        )
-        assert r_par.residual(lu_operand) < 1e-6

@@ -1,72 +1,8 @@
-"""Tests for the greedy rank-aware distribution and ASCII rendering."""
+"""Tests for the ASCII owner-map rendering (paper Fig. 3)."""
 
-import numpy as np
 import pytest
 
-from repro.distribution import (
-    DiamondDistribution,
-    GreedyRankAware,
-    TwoDBlockCyclic,
-    load_per_process,
-    owner_map_ascii,
-)
-
-
-@pytest.fixture()
-def weights():
-    nt = 24
-    w = np.zeros((nt, nt))
-    for k in range(nt):
-        for m in range(k, nt):
-            w[m, k] = 1.0 / (1.0 + (m - k)) ** 2
-    return w
-
-
-class TestGreedyRankAware:
-    def test_valid_distribution(self, weights):
-        d = GreedyRankAware(2, 3, weights)
-        nt = weights.shape[0]
-        for k in range(nt):
-            for m in range(k, nt):
-                assert 0 <= d.owner(m, k) < 6
-
-    def test_column_group_preserved(self, weights):
-        """Tiles of panel column k stay on grid column k mod q."""
-        d = GreedyRankAware(2, 3, weights)
-        nt = weights.shape[0]
-        for k in range(nt):
-            for m in range(k, nt):
-                assert d.owner(m, k) % 3 == k % 3
-        assert all(len(d.column_group(k, nt)) <= 2 for k in range(6))
-
-    def test_balances_better_than_static(self, weights):
-        nt = weights.shape[0]
-        w = lambda m, k: weights[m, k]
-        imb = lambda dist: (
-            load_per_process(dist, nt, w).max()
-            / load_per_process(dist, nt, w).mean()
-        )
-        greedy = GreedyRankAware(2, 3, weights)
-        assert imb(greedy) <= imb(TwoDBlockCyclic(2, 3)) + 1e-9
-        assert imb(greedy) <= imb(DiamondDistribution(2, 3)) + 1e-9
-
-    def test_owner_vec(self, weights):
-        d = GreedyRankAware(2, 3, weights)
-        ms, ks = np.tril_indices(weights.shape[0])
-        vec = d.owner_vec(ms, ks)
-        ref = [d.owner(int(m), int(k)) for m, k in zip(ms, ks)]
-        assert np.array_equal(vec, ref)
-
-    def test_out_of_range(self, weights):
-        d = GreedyRankAware(2, 3, weights)
-        with pytest.raises(IndexError):
-            d.owner(0, 1)
-        with pytest.raises(IndexError):
-            d.owner(weights.shape[0], 0)
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            GreedyRankAware(2, 3, np.zeros((3, 4)))
+from repro.distribution import TwoDBlockCyclic, owner_map_ascii
 
 
 class TestOwnerMapAscii:

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core import solve_cholesky, tlr_cholesky
-from repro.core.tlr_lu import solve_lu, tlr_lu
-from repro.linalg.general_matrix import GeneralTLRMatrix
 from repro.linalg.matvec import tlr_matvec
 from repro.linalg.tile_matrix import TLRMatrix
 
@@ -52,15 +50,6 @@ class TestUnevenCholesky:
         )
 
 
-class TestUnevenLU:
-    def test_factorization_and_solve(self, uneven_spd):
-        a = uneven_spd + 0.1 * np.tri(len(uneven_spd), k=-1)
-        g = GeneralTLRMatrix.from_dense(a, 50, accuracy=1e-12)
-        r = tlr_lu(g)
-        assert r.residual(a) < 1e-12
-        x = solve_lu(r.factor, a @ np.ones(len(a)))
-        assert np.allclose(x, 1.0, atol=1e-10)
-
     def test_tiny_last_tile(self):
         """Extreme case: last tile is a single row/column."""
         rng = np.random.default_rng(1)
@@ -71,22 +60,3 @@ class TestUnevenLU:
         assert t.tile(3, 3).shape == (1, 1)
         r = tlr_cholesky(t)
         assert r.residual(a) < 1e-12
-
-
-class TestUnevenDistributedExecutor:
-    def test_distributed_matches(self, uneven_spd):
-        from repro.core import analyze_ranks
-        from repro.core.trimming import cholesky_tasks
-        from repro.distribution import TwoDBlockCyclic
-        from repro.runtime import DistributedExecutor, build_graph
-
-        t = TLRMatrix.from_dense(uneven_spd, 50, accuracy=1e-12)
-        ref = tlr_cholesky(t.copy()).factor
-        ana = analyze_ranks(t.rank_array(), t.n_tiles)
-        g = build_graph(cholesky_tasks(t.n_tiles, ana))
-        res = DistributedExecutor(2).run(t.copy(), g, TwoDBlockCyclic(1, 2))
-        assert np.allclose(
-            res.factor.to_dense(symmetrize=False),
-            ref.to_dense(symmetrize=False),
-            atol=1e-14,
-        )

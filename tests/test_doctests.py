@@ -4,13 +4,13 @@ import doctest
 
 import pytest
 
-import repro.runtime.dtd
+import repro
 import repro.utils.timing
 
 
 @pytest.mark.parametrize(
     "module",
-    [repro.runtime.dtd, repro.utils.timing],
+    [repro, repro.utils.timing],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):
