@@ -158,17 +158,15 @@ def analyze_ranks(
     if rank.ndim == 1:
         if rank.size != nt * nt:
             raise ValueError(f"1D rank array must have NT^2={nt*nt} entries")
-        rank2d = rank.reshape(nt, nt).T.copy()  # [k*NT+m] -> [m, k]
+        rank2d = rank.reshape(nt, nt).T  # [k*NT+m] -> [m, k]
     elif rank.shape == (nt, nt):
-        rank2d = rank.copy()
+        rank2d = rank
     else:
         raise ValueError(f"rank must be (NT*NT,) or (NT, NT), got {rank.shape}")
 
-    nonzero = np.zeros((nt, nt), dtype=bool)
-    for k in range(nt):
-        nonzero[k, k] = True  # diagonal tiles are dense, never trimmed
-        for m in range(k + 1, nt):
-            nonzero[m, k] = rank2d[m, k] > 0
+    # strict lower triangle by rank; diagonal tiles are dense, never trimmed
+    nonzero = np.tril(rank2d > 0, -1)
+    np.fill_diagonal(nonzero, True)
     initial = nonzero.copy()
 
     trsm: list[list[int]] = [[] for _ in range(nt)]
@@ -177,13 +175,11 @@ def analyze_ranks(
 
     for k in range(nt - 1):
         # Panel scan: rows needing TRSM, diagonal SYRK contributions.
-        for m in range(k + 1, nt):
-            if nonzero[m, k]:
-                trsm[k].append(m)
-                syrk[m].append(k)
+        trsm[k] = rows = (k + 1 + np.flatnonzero(nonzero[k + 1 :, k])).tolist()
+        for m in rows:
+            syrk[m].append(k)
         # Update scan: every pair of non-zero panel tiles spawns a GEMM
         # and marks the target non-zero (fill-in).
-        rows = trsm[k]
         for i in range(1, len(rows)):
             m = rows[i]
             for j in range(i):

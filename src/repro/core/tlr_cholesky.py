@@ -241,15 +241,14 @@ def tlr_cholesky(
     """
     t0 = time.perf_counter()
     nt = a.n_tiles
-    analysis: TrimmingAnalysis | None = None
-    if trim:
-        analysis = analyze_ranks(a.rank_array(), nt)
     ranks = a.rank_matrix()
+    analysis = analyze_ranks(ranks, nt) if trim else None
+    rows = ranks.tolist()  # Python ints: one list lookup per rank read
     tasks = cholesky_tasks(
         nt,
         analysis=analysis,
         tile_size=a.tile_size,
-        rank_of=lambda m, k: int(ranks[m, k]),
+        rank_of=lambda m, k: rows[m][k],
     )
     graph = build_graph(tasks)
 

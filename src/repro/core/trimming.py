@@ -26,17 +26,46 @@ instead of ``(m, n, k)`` triples; the analysis itself is unchanged.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import replace
 
 from repro.core.analysis import TrimmingAnalysis
 from repro.linalg import flops as fl
 from repro.runtime.scheduler import cholesky_priority
-from repro.runtime.task import Task, make_task
+from repro.runtime.task import AccessMode, DataAccess, Task, make_task
 
 __all__ = ["cholesky_tasks", "ptg_cholesky_tasks"]
 
 RankOf = Callable[[int, int], int]
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``."""
+
+    def __init__(self, make: Callable) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
+def _trsm_flops(b: int, rank: int) -> float:
+    """One left-looking TRSM on a tile of (capped) rank ``rank``."""
+    if rank == 0:
+        return 0.0
+    return fl.trsm_dense_flops(b) if rank >= b else fl.trsm_tlr_flops(b, rank)
+
+
+def _syrk_flops(b: int, ranks: Iterable[int]) -> float:
+    """One left-looking SYRK over panels of (capped) ranks ``ranks``."""
+    total = 0.0
+    for rank in ranks:
+        if rank >= b:
+            total += fl.syrk_dense_flops(b)
+        elif rank > 0:
+            total += fl.syrk_tlr_flops(b, rank)
+    return total
 
 
 def _flops_for(
@@ -48,29 +77,17 @@ def _flops_for(
 ) -> float:
     """Static flop estimate for one left-looking task from current
     rank estimates; ``panels`` is the task's k-list (SYRK and GEMM)."""
-    full = b
 
     def r(m: int, k: int) -> int:
-        return full if m == k else min(int(rank_of(m, k)), full)
+        return b if m == k else min(int(rank_of(m, k)), b)
 
     if klass == "POTRF":
         return fl.potrf_flops(b)
     if klass == "TRSM":
-        m, k = params
-        rk = r(m, k)
-        if rk == 0:
-            return 0.0
-        return fl.trsm_dense_flops(b) if rk >= full else fl.trsm_tlr_flops(b, rk)
+        return _trsm_flops(b, r(*params))
     if klass == "SYRK":
         (n,) = params
-        total = 0.0
-        for k in panels:
-            rk = r(n, k)
-            if rk >= full:
-                total += fl.syrk_dense_flops(b)
-            elif rk > 0:
-                total += fl.syrk_tlr_flops(b, rk)
-        return total
+        return _syrk_flops(b, [r(n, k) for k in panels])
     if klass == "GEMM":
         m, n = params
         return fl.gemm_accumulated_flops(
@@ -163,28 +180,35 @@ def cholesky_tasks(
     """
     _check(nt, analysis)
     estimate = tile_size is not None and rank_of is not None
-
-    def mk(klass: str, params: tuple[int, ...], panels=(), **kw) -> Task:
-        t = make_task(klass, params, **kw)
-        fls = _flops_for(klass, params, tile_size, rank_of, panels) if estimate else 0.0
-        return replace(t, priority=cholesky_priority(t, nt), flops=fls)
-
+    # Each task is built once: one access object per (tile, mode), shared
+    # (they are immutable), and one rank lookup per tile.  Without the
+    # estimate inputs, b = 0 and rank 0 make every formula read 0.0.
+    b = tile_size if estimate else 0
+    read = _Memo(lambda key: DataAccess(key, AccessMode.READ))
+    rw = _Memo(lambda key: DataAccess(key, AccessMode.RW))
+    r = _Memo(lambda key: min(int(rank_of(*key)), b) if estimate else 0)
     tasks: list[Task] = []
+
+    def add(klass: str, params: tuple[int, ...], accesses: tuple, flops: float) -> None:
+        tasks.append(Task(klass, params, accesses, cholesky_priority(klass, params, nt), flops))
+
     for n in range(nt):
         before = range(n)
+        diag = rw[n, n]
         panels = before if analysis is None else analysis.syrk_panels(n)
         if panels:
-            tasks.append(
-                mk("SYRK", (n,), panels, reads=[(n, k) for k in panels], rw=[(n, n)])
-            )
-        tasks.append(mk("POTRF", (n,), rw=[(n, n)]))
+            accesses = (*[read[n, k] for k in panels], diag)
+            add("SYRK", (n,), accesses, _syrk_flops(b, [r[n, k] for k in panels]))
+        add("POTRF", (n,), (diag,), fl.potrf_flops(b))
         rows = range(n + 1, nt) if analysis is None else analysis.trsm_rows(n)
         for m in rows:
+            target = rw[m, n]
             panels = before if analysis is None else analysis.gemm_panels(m, n)
             if panels:
-                reads = [key for k in panels for key in ((m, k), (n, k))]
-                tasks.append(mk("GEMM", (m, n), panels, reads=reads, rw=[(m, n)]))
-            tasks.append(mk("TRSM", (m, n), reads=[(n, n)], rw=[(m, n)]))
+                accesses = (*[a for k in panels for a in (read[m, k], read[n, k])], target)
+                pairs = [(r[m, k], r[n, k]) for k in panels]
+                add("GEMM", (m, n), accesses, fl.gemm_accumulated_flops(b, pairs, max(1, r[m, n])))
+            add("TRSM", (m, n), (read[n, n], target), _trsm_flops(b, r[m, n]))
     return tasks
 
 

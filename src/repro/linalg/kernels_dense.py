@@ -18,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "potrf",
     "potrf_with_shift",
     "DiagonalShiftPolicy",
     "trsm",
+    "trsm_left",
     "syrk",
     "gemm",
 ]
@@ -60,7 +62,8 @@ class DiagonalShiftPolicy:
 
 
 def potrf(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of an SPD block.
+    """Lower Cholesky factor of an SPD block (a new F-ordered array),
+    straight from LAPACK: at b = 50 scipy's wrapper costs as much.
 
     Raises
     ------
@@ -68,10 +71,12 @@ def potrf(a: np.ndarray) -> np.ndarray:
         If the block is not numerically positive definite (e.g. the
         accuracy threshold was too loose for this operator).
     """
-    try:
-        return sla.cholesky(a, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:  # normalize exception type for callers
-        raise np.linalg.LinAlgError(str(exc)) from exc
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square block, got shape {a.shape}")
+    l, info = dpotrf(a, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    return l
 
 
 def potrf_with_shift(
@@ -101,15 +106,25 @@ def potrf_with_shift(
     )
 
 
-def trsm(l_kk: np.ndarray, a_mk: np.ndarray) -> np.ndarray:
-    """Right triangular solve ``A[m,k] @ L[k,k]^-T``.
+def _check_triangular(l_kk: np.ndarray, n: int) -> None:
+    """``solve_triangular``'s checks: ``n x n`` and not singular."""
+    if l_kk.shape != (n, n):
+        raise ValueError(f"triangular factor {l_kk.shape} does not match {n} unknowns")
+    if not l_kk.diagonal().all():
+        raise np.linalg.LinAlgError("singular matrix: zero on the factor's diagonal")
 
-    Implemented as ``(L^-1 A^T)^T`` so SciPy's left-solve BLAS path is
-    used on contiguous data.
-    """
-    return sla.solve_triangular(
-        l_kk, a_mk.T, lower=True, trans="N", check_finite=False
-    ).T
+
+def trsm(l_kk: np.ndarray, a_mk: np.ndarray) -> np.ndarray:
+    """Right triangular solve ``A[m,k] @ L[k,k]^-T`` (new, F-ordered)."""
+    _check_triangular(l_kk, a_mk.shape[1])
+    return dtrsm(1.0, l_kk, a_mk, side=1, lower=1, trans_a=1)
+
+
+def trsm_left(l_kk: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Left triangular solve ``L[k,k]^-1 B`` (a new F-ordered array):
+    the V update of a low-rank TRSM."""
+    _check_triangular(l_kk, b.shape[0])
+    return dtrsm(1.0, l_kk, b, lower=1)
 
 
 def syrk(c_mm: np.ndarray, a_mk: np.ndarray) -> np.ndarray:

@@ -24,10 +24,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.config import DTYPE
-from repro.linalg.kernels_dense import DiagonalShiftPolicy, potrf_with_shift
+from repro.linalg.kernels_dense import DiagonalShiftPolicy, potrf, potrf_with_shift
+from repro.linalg.kernels_dense import trsm, trsm_left
 from repro.linalg.lowrank import CompressionPolicy, LowRankFactor, compress_block
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile, as_tile
 
@@ -48,17 +48,17 @@ __all__ = [
 _ROUNDING = CompressionPolicy(method="rand")
 
 
-def potrf_tile(a_kk: Tile) -> DenseTile:
-    """Cholesky of a diagonal tile (always dense in TLR Cholesky)."""
+def _diagonal(a_kk: Tile) -> np.ndarray:
     if not isinstance(a_kk, DenseTile):
         raise TypeError(
             f"diagonal tiles must be dense for POTRF, got {a_kk.kind.value}"
         )
-    try:
-        l_kk = sla.cholesky(a_kk.data, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise np.linalg.LinAlgError(str(exc)) from exc
-    return DenseTile(l_kk)
+    return a_kk.data
+
+
+def potrf_tile(a_kk: Tile) -> DenseTile:
+    """Cholesky of a diagonal tile (always dense in TLR Cholesky)."""
+    return DenseTile(potrf(_diagonal(a_kk)))
 
 
 def potrf_tile_shifted(
@@ -69,11 +69,7 @@ def potrf_tile_shifted(
     Returns ``(L_kk, shift)``; ``shift`` is 0.0 on the normal path.
     See :func:`repro.linalg.kernels_dense.potrf_with_shift`.
     """
-    if not isinstance(a_kk, DenseTile):
-        raise TypeError(
-            f"diagonal tiles must be dense for POTRF, got {a_kk.kind.value}"
-        )
-    l_kk, shift = potrf_with_shift(a_kk.data, policy)
+    l_kk, shift = potrf_with_shift(_diagonal(a_kk), policy)
     return DenseTile(l_kk), shift
 
 
@@ -90,14 +86,8 @@ def trsm_tile(l_kk: DenseTile, a_mk: Tile) -> Tile:
         # mutate arrays in place), so aliasing is safe, and a copy
         # would also normalize the memory order — breaking bitwise
         # reproducibility for F-ordered factors (a reloaded operator's).
-        new_v = sla.solve_triangular(
-            l_kk.data, a_mk.v, lower=True, trans="N", check_finite=False
-        )
-        return LowRankTile(LowRankFactor(a_mk.u, new_v))
-    new = sla.solve_triangular(
-        l_kk.data, a_mk.data.T, lower=True, trans="N", check_finite=False
-    ).T
-    return DenseTile(np.ascontiguousarray(new))
+        return LowRankTile(LowRankFactor(a_mk.u, trsm_left(l_kk.data, a_mk.v)))
+    return DenseTile(trsm(l_kk.data, a_mk.data))
 
 
 def syrk_update(c_nn: DenseTile, panels: Iterable[Tile]) -> DenseTile:

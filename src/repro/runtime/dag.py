@@ -32,13 +32,13 @@ class TaskGraph:
         self.successors: dict[int, tuple[int, ...]] = {
             i: tuple(sorted(s)) for i, s in edges.items()
         }
-        preds: dict[int, set[int]] = defaultdict(set)
-        for src, dsts in edges.items():
-            for dst in dsts:
-                preds[dst].add(src)
+        preds: dict[int, list[int]] = defaultdict(list)
+        for src in sorted(self.successors):  # ascending: lists come out sorted
+            for dst in self.successors[src]:
+                preds[dst].append(src)
         #: predecessor indices per task index
         self.predecessors: dict[int, tuple[int, ...]] = {
-            i: tuple(sorted(p)) for i, p in preds.items()
+            i: tuple(p) for i, p in preds.items()
         }
         self._by_uid = {t.uid: i for i, t in enumerate(tasks)}
         if len(self._by_uid) != len(tasks):
@@ -69,9 +69,6 @@ class TaskGraph:
         for t in self.tasks:
             counts[t.klass] += 1
         return dict(counts)
-
-    def total_flops(self) -> float:
-        return sum(t.flops for t in self.tasks)
 
     # ------------------------------------------------------------------
 
@@ -140,11 +137,10 @@ def build_graph(tasks: Iterable[Task]) -> TaskGraph:
     edges: dict[int, set[int]] = defaultdict(set)
 
     for i, t in enumerate(tasks):
-        reads = set(t.reads)
-        writes = set(t.writes)
-        for d in reads:
+        writes = t.writes
+        for d in t.reads:
             w = last_writer.get(d)
-            if w is not None and w != i:
+            if w is not None:
                 edges[w].add(i)
             if d not in writes:
                 readers_since[d].append(i)
@@ -152,9 +148,8 @@ def build_graph(tasks: Iterable[Task]) -> TaskGraph:
             w = last_writer.get(d)
             if w is not None and w != i:
                 edges[w].add(i)
-            for r in readers_since[d]:
-                if r != i:
-                    edges[r].add(i)
-            readers_since[d] = []
+            # never holds i: a task reads-only what it does not write
+            for r in readers_since.pop(d, ()):
+                edges[r].add(i)
             last_writer[d] = i
     return TaskGraph(tasks, edges)

@@ -99,8 +99,8 @@ class PriorityScheduler(Scheduler):
         return len(self._heap)
 
 
-def cholesky_priority(task: Task, n_tiles: int) -> float:
-    """Priority for the left-looking tile Cholesky.
+def cholesky_priority(klass: str, params: tuple[int, ...], n_tiles: int) -> float:
+    """Priority of the left-looking tile-Cholesky task ``klass(*params)``.
 
     The column is the last parameter of every task class (``SYRK(n)``,
     ``POTRF(n)``, ``GEMM(m, n)``, ``TRSM(m, n)``).  Earlier columns are
@@ -110,13 +110,13 @@ def cholesky_priority(task: Task, n_tiles: int) -> float:
     column's SYRK) outrank the other rows, and a row's TRSM outranks
     the GEMMs of the rows still to be updated.
     """
-    n = task.params[-1]
+    n = params[-1]
     base = float((n_tiles - n) * 10)
-    if task.klass == "SYRK":
+    if klass == "SYRK":
         return base + 9.5
-    if task.klass == "POTRF":
+    if klass == "POTRF":
         return base + 9.0
-    critical = task.params[0] == n + 1
-    if task.klass == "TRSM":
+    critical = params[0] == n + 1
+    if klass == "TRSM":
         return base + (8.0 if critical else 6.0)
     return base + (7.0 if critical else 2.0)  # GEMM

@@ -11,7 +11,7 @@ implicit — derived from dependencies — as in PaRSEC.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 __all__ = ["AccessMode", "DataAccess", "Task"]
 
@@ -33,6 +33,10 @@ class AccessMode(enum.Enum):
     @property
     def writes(self) -> bool:
         return self in (AccessMode.WRITE, AccessMode.RW)
+
+
+#: bound once: an enum member lookup per access would dominate Task()
+_READ, _WRITE = AccessMode.READ, AccessMode.WRITE
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,10 @@ class Task:
         Larger runs earlier under the priority scheduler.
     flops:
         Estimated floating-point work (cost-model input); 0 if unknown.
+    uid, reads, writes, inputs:
+        Derived once, at construction; no part of equality, hashing or
+        pickling.  ``inputs`` are the read-only keys in declared order:
+        an accumulating kernel's operand list.
     """
 
     klass: str
@@ -68,25 +76,28 @@ class Task:
     accesses: tuple[DataAccess, ...]
     priority: float = 0.0
     flops: float = 0.0
+    uid: tuple[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    reads: tuple[DataKey, ...] = field(init=False, repr=False, compare=False)
+    writes: tuple[DataKey, ...] = field(init=False, repr=False, compare=False)
+    inputs: tuple[DataKey, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def uid(self) -> tuple[str, tuple[int, ...]]:
-        """Unique identifier within a graph."""
-        return (self.klass, self.params)
+    def __post_init__(self) -> None:
+        reads, writes, inputs = [], [], []
+        for a in self.accesses:
+            (inputs if a.mode is _READ else writes).append(a.key)
+            if a.mode is not _WRITE:
+                reads.append(a.key)
+        vars(self).update(  # frozen: through the instance dict
+            uid=(self.klass, self.params), reads=tuple(reads), writes=tuple(writes),
+            inputs=tuple(inputs))
 
-    @property
-    def reads(self) -> tuple[DataKey, ...]:
-        return tuple(a.key for a in self.accesses if a.mode.reads)
+    def __getstate__(self) -> dict:
+        # the declared fields only: a pickle is the same bytes as one of
+        # a task that derives nothing, so either loads into the other
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
-    @property
-    def writes(self) -> tuple[DataKey, ...]:
-        return tuple(a.key for a in self.accesses if a.mode.writes)
-
-    @property
-    def inputs(self) -> tuple[DataKey, ...]:
-        """Tiles the task only reads, in declared order — the operand
-        list of an accumulating kernel (``SYRK(n)``, ``GEMM(m, n)``)."""
-        return tuple(a.key for a in self.accesses if a.mode is AccessMode.READ)
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
 
     def __str__(self) -> str:
         args = ", ".join(map(str, self.params))

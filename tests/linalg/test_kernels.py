@@ -4,12 +4,15 @@ combinations (the paper's mixture of data structures)."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from repro.linalg import kernels_dense as kd
+from repro.linalg.kernels_dense import DiagonalShiftPolicy
 from repro.linalg.kernels_tlr import (
     gemm_tile,
     gemm_update,
     potrf_tile,
+    potrf_tile_shifted,
     syrk_tile,
     syrk_update,
     trsm_tile,
@@ -69,6 +72,15 @@ class TestPotrfTile:
             potrf_tile(lr_tile(rng, 8, 2))
         with pytest.raises(TypeError):
             potrf_tile(NullTile((8, 8)))
+
+    def test_non_spd_raises_without_policy_and_shifts_with_one(self):
+        a = DenseTile(np.diag([1.0, 1.0, -1e-10]))
+        with pytest.raises(np.linalg.LinAlgError):
+            potrf_tile(a)
+        policy = DiagonalShiftPolicy(max_attempts=5, initial_relative=1e-12, growth=10.0)
+        l, shift = potrf_tile_shifted(a, policy)
+        assert shift > 0.0
+        assert np.allclose(l.data @ l.data.T, a.data + shift * np.eye(3), atol=1e-12)
 
 
 class TestTrsmTile:
@@ -379,3 +391,66 @@ class TestSyrkUpdate:
     def test_rejects_non_dense_target(self, rng):
         with pytest.raises(TypeError):
             syrk_update(lr_tile(rng, 8, 2), [lr_tile(rng, 8, 2)])
+
+
+def _image(*arrays):
+    """Every byte, the layout and the dtype of each array."""
+    return [(a.dtype.str, a.shape, a.strides, a.tobytes(order="A")) for a in arrays]
+
+
+def _close(x, ref):
+    return np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+class TestHandleKernels:
+    """POTRF and TRSM call LAPACK/BLAS directly: they agree with
+    ``scipy.linalg`` to 1e-13 relative on every layout and storage a
+    factorization meets, and leave every operand array byte-identical
+    (tiles are immutable; the checksum ledger and the checkpoint hold
+    references to them)."""
+
+    B, RAGGED = 24, 17
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [B, RAGGED])
+    def test_potrf(self, rng, order, n):
+        a = np.array(spd_tile(rng, n).data, order=order)
+        before = _image(a)
+        l = potrf_tile(DenseTile(a)).data
+        assert _image(a) == before
+        assert _close(l, sla.cholesky(a, lower=True))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows,cols", [(B, B), (B, RAGGED), (RAGGED, B)])
+    @pytest.mark.parametrize("kind", ["dense", "lowrank", "rank1", "fp32"])
+    def test_trsm(self, rng, order, rows, cols, kind):
+        l = np.array(potrf_tile(spd_tile(rng, cols)).data, order=order)
+        if kind == "dense":
+            a = DenseTile(np.array(rng.standard_normal((rows, cols)), order=order))
+            operands = (l, a.data)
+        else:
+            t = rect_lr(rng, rows, cols, 1 if kind == "rank1" else 4)
+            if kind == "fp32":
+                t = fp32(t, solved=False)
+            u, v = np.array(t.u, order=order), np.array(t.v, order=order)
+            a = LowRankTile(LowRankFactor(u, v))
+            operands = (l, u, v)
+        before = _image(*operands)
+        out = trsm_tile(DenseTile(l), a)
+        assert _image(*operands) == before
+        if kind == "dense":
+            assert isinstance(out, DenseTile)
+            assert _close(out.data, sla.solve_triangular(l, a.data.T, lower=True).T)
+        else:
+            assert out.u is a.u  # shared with the operand, not copied
+            assert out.v.dtype == np.float64
+            assert _close(out.v, sla.solve_triangular(l, a.v, lower=True))
+
+    def test_refuses_a_singular_or_mismatched_factor(self, rng):
+        a = DenseTile(rng.standard_normal((4, 4)))
+        with pytest.raises(np.linalg.LinAlgError):
+            trsm_tile(DenseTile(np.diag([1.0, 0.0, 1.0, 1.0])), a)
+        with pytest.raises(ValueError):
+            trsm_tile(DenseTile(np.eye(3)), a)
+        with pytest.raises(ValueError):
+            potrf_tile(DenseTile(np.ones((3, 4))))

@@ -246,6 +246,19 @@ class TestManagerValidation:
         assert graph_signature(g1) == graph_signature(g2)
         assert graph_signature(g1) != graph_signature(g3)
 
+    def test_graph_signature_is_pinned(self):
+        """A checkpoint written before tasks were built in one pass names
+        the same graph, so it still resumes."""
+        from repro.core.analysis import analyze_ranks
+        from repro.core.trimming import cholesky_tasks
+        from repro.runtime.dag import build_graph
+
+        ranks = np.array([[50, 0, 0, 0], [5, 50, 0, 0], [0, 7, 50, 0], [3, 4, 0, 50]])
+        full = build_graph(cholesky_tasks(4))
+        trimmed = build_graph(cholesky_tasks(4, analyze_ranks(ranks, 4)))
+        assert graph_signature(full) == "345e1d40cc8972b2ba669edfaad425c4"
+        assert graph_signature(trimmed) == "fa92ec60e9bdf5df2233906cbbff547e"
+
     def test_sequence_numbers_continue_across_managers(self, tmp_path):
         mgr = CheckpointManager(tmp_path, every_tasks=5)
         tlr_cholesky(spd_tlr(), checkpoint=mgr)

@@ -58,7 +58,7 @@ class TestSchedulers:
         gemm_cp = make_task("GEMM", (2, 1))
         trsm_off = make_task("TRSM", (5, 1))
         gemm_off = make_task("GEMM", (5, 1))
-        p = lambda t: cholesky_priority(t, nt)
+        p = lambda t: cholesky_priority(t.klass, t.params, nt)
         assert p(syrk1) > p(potrf1) > p(trsm_cp) > p(gemm_cp)
         assert p(gemm_cp) > p(trsm_off) > p(gemm_off)
         assert p(potrf1) > p(potrf2)

@@ -1,5 +1,7 @@
 """Tests for tasks and DAG construction from data accesses."""
 
+import pickle
+
 import pytest
 
 from repro.runtime.dag import build_graph
@@ -13,6 +15,19 @@ class TestTask:
         assert t.writes == ((2, 1),)
         assert t.uid == ("GEMM", (2, 1, 0))
         assert str(t) == "GEMM(2, 1, 0)"
+
+    def test_pickles_as_its_declared_fields(self):
+        """The derived tuples stay out of the pickle: its bytes are those
+        of a task that derives nothing, and such a pickle loads with
+        them rebuilt."""
+        t = make_task("GEMM", (2, 1), reads=[(2, 0), (1, 0)], rw=[(2, 1)], priority=3.0, flops=5.0)
+        state = t.__reduce_ex__(2)[2]
+        assert list(state) == ["klass", "params", "accesses", "priority", "flops"]
+        bare = Task.__new__(Task)
+        bare.__setstate__(state)
+        for u in (pickle.loads(pickle.dumps(t)), bare):
+            assert u == t and hash(u) == hash(t)
+            assert (u.uid, u.reads, u.writes, u.inputs) == (t.uid, t.reads, t.writes, t.inputs)
 
     def test_access_modes(self):
         assert AccessMode.READ.reads and not AccessMode.READ.writes
