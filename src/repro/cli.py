@@ -69,12 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "deterministically seeded — bitwise identical "
                         "across engines); default $REPRO_COMPRESSION or "
                         "svd")
-    f.add_argument("--storage-precision", type=str, default=None,
-                   choices=["fp64", "mixed"],
-                   help="tile storage precision: 'fp64' or 'mixed' (fp32 "
-                        "for low-significance off-band low-rank tiles; "
-                        "compute stays fp64); default "
-                        "$REPRO_STORAGE_PRECISION or fp64")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--trace", type=str, default=None,
                    help="write a Chrome trace JSON of the execution "
@@ -176,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["svd", "rand"],
                     help="compression method for cache-miss operator "
                          "builds (part of the cache fingerprint)")
-    sv.add_argument("--storage-precision", type=str, default=None,
-                    choices=["fp64", "mixed"],
-                    help="tile storage precision for cache-miss builds")
     sv.add_argument("--trace", type=str, default=None,
                     help="write a Chrome trace JSON of the serving run")
     sv.add_argument("--seed", type=int, default=0)
@@ -253,7 +244,6 @@ def _cmd_factorize(args) -> int:
         gen,
         args.accuracy,
         compression=args.compression,
-        storage=args.storage_precision,
         seed_root=args.seed,
     )
     stats = a.off_diagonal_rank_stats()
@@ -266,7 +256,7 @@ def _cmd_factorize(args) -> int:
               f"screened-null={cs['screened_null']} "
               f"bound-null={cs['bound_null']} "
               f"sampled-rank avg/max {cs['sampled_rank_avg']:.1f}/"
-              f"{cs['sampled_rank_max']} fp32-tiles={cs['fp32_tiles']}")
+              f"{cs['sampled_rank_max']}")
     from repro.runtime.faults import (
         FaultInjector,
         FaultPlan,
@@ -445,7 +435,6 @@ def _cmd_serve(args) -> int:
                 accuracy=args.accuracy,
                 nugget=1e-4,
                 compression=args.compression,
-                storage_precision=args.storage_precision,
                 label=f"op-{i}",
             )
         )

@@ -15,11 +15,6 @@ import numpy as np
 #: Floating-point dtype used for all matrix data (paper: double precision).
 DTYPE = np.float64
 
-#: Reduced-precision storage dtype for low-significance off-band tiles
-#: under the ``"mixed"`` storage policy (compute stays DTYPE: kernels
-#: promote on contact with fp64 operands).
-STORAGE_DTYPE_SINGLE = np.float32
-
 #: Default TLR accuracy threshold (paper Sec. VIII-A: 1e-4 unless noted).
 DEFAULT_ACCURACY = 1.0e-4
 
@@ -48,7 +43,7 @@ RESIDUAL_SLACK = 50.0
 DEFAULT_SEED = 42
 
 # ---------------------------------------------------------------------
-# compression method and storage-precision policy defaults
+# compression method default
 # ---------------------------------------------------------------------
 
 #: Default compression method for operator builds: ``"svd"`` (exact
@@ -61,26 +56,6 @@ DEFAULT_COMPRESSION = "svd"
 #: Environment variable overriding :data:`DEFAULT_COMPRESSION` when a
 #: build does not pin the method explicitly.
 COMPRESSION_ENV = "REPRO_COMPRESSION"
-
-#: Default tile-storage precision policy: ``"fp64"`` stores every tile
-#: in DTYPE; ``"mixed"`` stores low-significance off-band low-rank
-#: tiles in fp32 (diagonal, band and dense tiles always stay fp64).
-#: Overridable per build and via ``$REPRO_STORAGE_PRECISION``.
-DEFAULT_STORAGE_PRECISION = "fp64"
-
-#: Environment variable overriding :data:`DEFAULT_STORAGE_PRECISION`.
-STORAGE_PRECISION_ENV = "REPRO_STORAGE_PRECISION"
-
-#: Band half-width (in tiles) always kept fp64 under ``"mixed"``
-#: storage: tiles with ``|m - k| <= band`` carry the numerically
-#: significant near-field and feed the diagonal updates directly.
-MIXED_PRECISION_BAND = 1
-
-#: Safety margin for the per-tile significance test: a low-rank tile
-#: is stored fp32 only when ``||tile||_2 * eps_fp32 <= margin * eps``
-#: (``eps`` the compression accuracy), i.e. when the cast perturbation
-#: is provably below the truncation error already accepted.
-MIXED_PRECISION_MARGIN = 0.5
 
 
 def default_shape_parameter(min_spacing: float) -> float:
@@ -148,8 +123,3 @@ def spill_factor_from_env() -> float:
 def compression_from_env() -> str:
     """``$REPRO_COMPRESSION``, else :data:`DEFAULT_COMPRESSION`."""
     return _env(COMPRESSION_ENV) or DEFAULT_COMPRESSION
-
-
-def storage_precision_from_env() -> str:
-    """``$REPRO_STORAGE_PRECISION``, else :data:`DEFAULT_STORAGE_PRECISION`."""
-    return _env(STORAGE_PRECISION_ENV) or DEFAULT_STORAGE_PRECISION

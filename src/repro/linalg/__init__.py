@@ -16,12 +16,6 @@ from repro.linalg.lowrank import (
     resolve_compression,
     truncated_svd,
 )
-from repro.linalg.precision import (
-    StoragePolicy,
-    downcast_factor,
-    factor_significance,
-    resolve_storage,
-)
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile, TileKind
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.linalg.matvec import RefinementResult, refine_solve, tlr_matvec
@@ -39,10 +33,6 @@ __all__ = [
     "resolve_compression",
     "derive_tile_seed",
     "randomized_compress",
-    "StoragePolicy",
-    "resolve_storage",
-    "downcast_factor",
-    "factor_significance",
     "Tile",
     "TileKind",
     "DenseTile",

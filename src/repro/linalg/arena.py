@@ -62,7 +62,6 @@ import numpy as np
 from repro.config import (
     DTYPE,
     SPILL_FACTOR_ENV,
-    STORAGE_DTYPE_SINGLE,
     spill_factor_from_env,
 )
 from repro.linalg.lowrank import LowRankFactor
@@ -73,7 +72,7 @@ __all__ = ["ArenaError", "TileArena", "SPILL_FACTOR_ENV"]
 _ITEM = np.dtype(DTYPE).itemsize
 
 _DT_DOUBLE = np.dtype(DTYPE)
-_DT_SINGLE = np.dtype(STORAGE_DTYPE_SINGLE)
+_DT_SINGLE = np.dtype(np.float32)
 
 # ---------------------------------------------------------------------
 # descriptor table layout (one int64 row per tile slot)
@@ -195,11 +194,10 @@ class TileArena:
             (payload.size // _ITEM,), dtype=DTYPE, buffer=payload.buf
         )
         self._payload_addr = self._elems.__array_interface__["data"][0]
-        #: compression/storage policies mirrored from the source store
+        #: compression policy mirrored from the source store
         #: (plain Python state inherited through fork): worker-side GEMM
         #: reads ``compression.seed_root`` to seed its one rounding.
         self.compression = None
-        self.storage = None
         # Last-resort leak defense: if the owning coordinator exits
         # abnormally (unhandled exception, sys.exit) without reaching
         # its `finally: arena.unlink()`, this finalizer unlinks the
@@ -272,7 +270,6 @@ class TileArena:
             owner=True,
         )
         arena.compression = getattr(store, "compression", None)
-        arena.storage = getattr(store, "storage", None)
         arena._header[_H_SPILL_CUR] = cursor
         arena._header[_H_SPILL_END] = total
         arena._table[:, F_SPILL_OFF] = -1

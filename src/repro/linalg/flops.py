@@ -7,12 +7,12 @@ follow the standard LAPACK accounting; TLR counts follow the HiCMA
 kernel decompositions (see kernels_tlr.py for the algebra).
 
 Two GEMM accountings coexist because two things are counted:
-``gemm_tlr_flops`` / ``gemm_tlr_flops_rand`` price the *modelled*
-HiCMA kernel — one ``(m, n, k)`` update with its own rounding, the
-task of the paper's right-looking PTG that the simulator replays —
-while :func:`gemm_accumulated_flops` counts what this repo's numeric
-kernel executes: all of a tile's updates in one dense product, rounded
-once.
+:func:`gemm_tlr_flops` prices the *modelled* HiCMA kernel — one
+``(m, n, k)`` update with its own QR+SVD rounding, the task of the
+paper's right-looking PTG that the simulator replays — while
+:func:`gemm_accumulated_flops` counts what this repo's numeric kernel
+executes: all of a tile's updates in one dense product, rounded once
+by the range-finder.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ __all__ = [
     "syrk_tlr_flops",
     "gemm_dense_flops",
     "gemm_tlr_flops",
-    "gemm_tlr_flops_rand",
     "gemm_accumulated_flops",
     "compression_flops",
     "randomized_compression_flops",
-    "randomized_rounding_flops",
 ]
 
 
@@ -89,22 +87,6 @@ def gemm_tlr_flops(b: int, ka: int, kb: int, kc: int) -> float:
     svd = 22.0 * float(big_k) ** 3
     rebuild = 2.0 * 2.0 * b * big_k * max(kc, 1)
     return product + qr + svd + rebuild
-
-
-def gemm_tlr_flops_rand(b: int, ka: int, kb: int, kc: int) -> float:
-    """Modelled TLR GEMM: one update with *randomized* rank rounding.
-
-    Same product-factor cost as :func:`gemm_tlr_flops`, but the
-    accumulated rank-``K`` pair is rounded by sampled range-finding
-    (:func:`randomized_rounding_flops` with detected rank ``~ kc``)
-    instead of the exact ``O(b K^2)`` QR-QR-SVD pipeline.
-    """
-    if ka == 0 or kb == 0:
-        return 0.0
-    kp = min(ka, kb)
-    product = 4.0 * b * ka * kb
-    big_k = kc + kp
-    return product + randomized_rounding_flops(b, big_k, max(kc, 1))
 
 
 def gemm_accumulated_flops(
@@ -168,25 +150,3 @@ def randomized_compression_flops(
     p = max(rank, 1) + max(oversample, 0)
     b = float(b)
     return 6.0 * b * b * p + 26.0 * b * p * p + 2.0 * b * p * max(rank, 1)
-
-
-def randomized_rounding_flops(
-    b: int, big_k: int, rank: int, oversample: int = 8
-) -> float:
-    """Modelled randomized rank rounding of an accumulated
-    rank-``big_k`` factor pair down to ``rank`` (the rounding inside
-    :func:`gemm_tlr_flops_rand`; no numeric kernel here rounds a
-    stacked pair by sampling).
-
-    Sampling stays in factored form: each of the ``p = rank +
-    oversample`` sampled columns costs ``O((m + n) K)`` for the
-    ``V^T omega`` / ``U t`` products (``~4 b K p`` total on ``b x b``
-    tiles), plus panel QRs (``~4 b p^2``), the ``C V^T`` core build
-    (``2 b K p``), its SVD (``~22 b p^2``) and the U rebuild
-    (``2 b p rank``).  Linear in ``K``, versus the exact QR-QR-SVD
-    pipeline's ``O(b K^2)``.
-    """
-    p = max(rank, 1) + max(oversample, 0)
-    b = float(b)
-    k_big = float(max(big_k, 1))
-    return 6.0 * b * k_big * p + 26.0 * b * p * p + 2.0 * b * p * max(rank, 1)

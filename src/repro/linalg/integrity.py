@@ -46,20 +46,6 @@ def _array_bytes(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
-def _dtype_tag(*arrays: np.ndarray) -> str:
-    """Header tag naming non-default storage dtypes.
-
-    Empty for all-float64 tiles — their digests are unchanged from
-    before mixed precision existed — and an explicit ``|f4...`` marker
-    otherwise, so an fp32/fp64 byte-stream split ambiguity (square
-    tiles: ``4mk + 8nk == 8mk + 4nk`` when ``m == n``) can never make
-    two different tiles hash alike.
-    """
-    if all(a.dtype == np.float64 for a in arrays):
-        return ""
-    return "|" + "x".join(a.dtype.str for a in arrays)
-
-
 def tile_checksum(tile: Tile) -> str:
     """Hex BLAKE2b digest of the tile's canonical byte image."""
     h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
@@ -67,13 +53,11 @@ def tile_checksum(tile: Tile) -> str:
     if isinstance(tile, NullTile):
         h.update(f"null|{rows}x{cols}".encode())
     elif isinstance(tile, LowRankTile):
-        tag = _dtype_tag(tile.u, tile.v)
-        h.update(f"lowrank|{rows}x{cols}|{tile.rank}{tag}".encode())
+        h.update(f"lowrank|{rows}x{cols}|{tile.rank}".encode())
         h.update(_array_bytes(tile.u))
         h.update(_array_bytes(tile.v))
     elif isinstance(tile, DenseTile):
-        tag = _dtype_tag(tile.data)
-        h.update(f"dense|{rows}x{cols}{tag}".encode())
+        h.update(f"dense|{rows}x{cols}".encode())
         h.update(_array_bytes(tile.data))
     else:  # pragma: no cover - future tile kinds must opt in explicitly
         raise TypeError(f"cannot checksum tile of type {type(tile)!r}")

@@ -25,7 +25,6 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.config import DTYPE
 from repro.linalg.kernels_dense import DiagonalShiftPolicy, potrf, potrf_with_shift
 from repro.linalg.kernels_dense import trsm, trsm_left
 from repro.linalg.lowrank import CompressionPolicy, LowRankFactor, compress_block
@@ -113,7 +112,7 @@ def syrk_update(c_nn: DenseTile, panels: Iterable[Tile]) -> DenseTile:
     if not left:
         return c_nn
     return DenseTile(
-        c_nn.data - np.hstack(left, dtype=DTYPE) @ np.hstack(right, dtype=DTYPE).T
+        c_nn.data - np.hstack(left) @ np.hstack(right).T
     )
 
 
@@ -187,14 +186,13 @@ def gemm_update(
         return c_mn  # nothing to subtract
 
     if isinstance(c_mn, LowRankTile):
-        # hstack promotes fp32-stored factors: the update computes in DTYPE
-        right = np.hstack([c_mn.v, *vs], dtype=DTYPE)
+        right = np.hstack([c_mn.v, *vs])
         right[:, c_mn.rank :] *= -1.0
-        acc = np.hstack([c_mn.u, *us], dtype=DTYPE) @ right.T
+        acc = np.hstack([c_mn.u, *us]) @ right.T
     else:
         acc = c_mn.to_dense()
         if us:
-            acc -= np.hstack(us, dtype=DTYPE) @ np.hstack(vs, dtype=DTYPE).T
+            acc -= np.hstack(us) @ np.hstack(vs).T
     for product in dense_products:
         acc -= product
     if isinstance(c_mn, DenseTile):

@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 
+#: the storage dtype as a descriptor (an identity test on the hot path)
+_DTYPE = np.dtype(DTYPE)
+
+
 @dataclass(frozen=True)
 class LowRankFactor:
     """Factor pair representing ``block = u @ v.T``.
@@ -60,17 +64,23 @@ class LowRankFactor:
     ``k >= 1``; rank-0 blocks are represented by ``None`` elsewhere,
     never by an empty factor.
 
-    The arrays are stored as given — **no defensive copy, no layout
+    The arrays are stored as DTYPE ndarrays the way
+    :class:`~repro.linalg.tile.DenseTile` stores its data: a DTYPE
+    array is kept as given — **no defensive copy, no layout
     normalization** — so factors can wrap views over external buffers
-    for free.  The flip side is an immutability contract: holders must
-    never mutate ``u``/``v`` in place, and kernels that reuse an
-    operand's factor share it rather than copying.
+    for free; any other dtype is converted, keeping the memory order.
+    The flip side is an immutability contract: holders must never
+    mutate ``u``/``v`` in place, and kernels that reuse an operand's
+    factor share it rather than copying.
     """
 
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.u.dtype is not _DTYPE or self.v.dtype is not _DTYPE:
+            object.__setattr__(self, "u", np.asarray(self.u, dtype=DTYPE))
+            object.__setattr__(self, "v", np.asarray(self.v, dtype=DTYPE))
         if self.u.ndim != 2 or self.v.ndim != 2:
             raise ValueError("u and v must be 2D arrays")
         if self.u.shape[1] != self.v.shape[1]:
@@ -141,35 +151,17 @@ class CompressionPolicy:
     rounds every accumulated update with the range-finder regardless
     (``linalg.kernels_tlr.gemm_update``).  ``seed_root`` anchors the
     deterministic per-tile seed derivation (build and update rounding
-    alike); ``sample_block`` sets the range-finder's later panel widths
-    (a rank hint may widen the first), ``oversample`` the cushion past
-    the detected rank, ``crossover`` the share of the short tile side
-    past which the randomized path cedes to the direct SVD.
+    alike).
     """
 
     method: str = DEFAULT_COMPRESSION
     seed_root: int = 0
-    sample_block: int = 16
-    oversample: int = 8
-    crossover: float = 0.5
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(
                 f"compression method must be one of {_METHODS}, "
                 f"got {self.method!r}"
-            )
-        if self.sample_block < 1:
-            raise ValueError(
-                f"sample_block must be >= 1, got {self.sample_block}"
-            )
-        if self.oversample < 0:
-            raise ValueError(
-                f"oversample must be >= 0, got {self.oversample}"
-            )
-        if not 0.0 < self.crossover <= 1.0:
-            raise ValueError(
-                f"crossover must be in (0, 1], got {self.crossover}"
             )
 
     @property
@@ -215,7 +207,6 @@ class CompressionStats:
         "sampled_tiles",
         "sampled_rank_sum",
         "sampled_rank_max",
-        "fp32_tiles",
     )
 
     def __init__(self) -> None:
@@ -461,9 +452,6 @@ def compress_block(
             relative=relative,
             max_rank=max_rank,
             seed=seed,
-            sample_block=policy.sample_block,
-            oversample=policy.oversample,
-            crossover=policy.crossover,
             stats=stats,
             rank_hint=rank_hint,
             fnorm=fnorm,
@@ -506,14 +494,8 @@ def recompress(
     short_side = min(factor.shape)
     if factor.rank >= max(1, short_side // 2):
         return truncated_svd(factor.to_dense(), tol, relative=relative)
-    # promote fp32-stored factors: rounding always computes in DTYPE
-    # (no-op, no copy, for the usual fp64 inputs)
-    qu, ru = sla.qr(
-        np.asarray(factor.u, dtype=DTYPE), mode="economic", check_finite=False
-    )
-    qv, rv = sla.qr(
-        np.asarray(factor.v, dtype=DTYPE), mode="economic", check_finite=False
-    )
+    qu, ru = sla.qr(factor.u, mode="economic", check_finite=False)
+    qv, rv = sla.qr(factor.v, mode="economic", check_finite=False)
     core = ru @ rv.T
     u, s, vt = sla.svd(core, full_matrices=False, check_finite=False)
     k = _truncation_rank(s, tol, relative)

@@ -18,9 +18,8 @@ Robustness guarantees (format version 2):
   instead of flowing silently into a factorization or a served solve.
 
 Version-1 files (no checksum block) still load; they simply skip
-verification.  Version 3 marks files holding mixed-precision (fp32)
-low-rank factors — written only when such tiles are present, so
-all-fp64 matrices keep producing version-2 files older readers accept.
+verification.  Version 3 held single-precision low-rank factors, a
+storage mode that no longer exists: such files are refused.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from repro.utils.atomic import atomic_write_via
 __all__ = ["save_tlr", "load_tlr", "pack_tiles", "unpack_tiles"]
 
 _FORMAT_VERSION = 2
-_MIXED_FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
+_SUPPORTED_VERSIONS = (1, 2)
 
 
 def pack_tiles(tiles) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -82,11 +80,9 @@ def unpack_tiles(data, null_shape=None) -> dict[tuple[int, int], Tile]:
             )
         elif kind == 1:
             # np.asarray (not ascontiguousarray): the npy format keeps
-            # Fortran order and the stored dtype, and both must survive
-            # the round-trip — BLAS rounds differently for C- vs
-            # F-ordered operands (reloaded factors must behave bitwise
-            # like freshly built ones), and a dtype cast would break
-            # the checksum of fp32-stored (v3) factors.
+            # Fortran order, and it must survive the round-trip — BLAS
+            # rounds differently for C- vs F-ordered operands (reloaded
+            # factors must behave bitwise like freshly built ones).
             tiles[(m, k)] = LowRankTile(
                 LowRankFactor(
                     np.asarray(data[f"u_{key}"]), np.asarray(data[f"v_{key}"])
@@ -109,17 +105,12 @@ def save_tlr(a: TLRMatrix, path, compressed: bool = True) -> None:
     """
     tiles = sorted(a, key=lambda it: it[0])
     payloads, kinds = pack_tiles(tiles)
-    mixed = any(
-        arr.dtype != np.float64
-        for name, arr in payloads.items()
-        if not name.startswith("d_")
-    )
     arrays = {
         "accuracy": np.array([a.accuracy], dtype=np.float64),
         **payloads,
         "header": np.array(
             [
-                _MIXED_FORMAT_VERSION if mixed else _FORMAT_VERSION,
+                _FORMAT_VERSION,
                 a.n,
                 a.tile_size,
                 a.max_rank if a.max_rank is not None else -1,

@@ -22,12 +22,6 @@ from repro.linalg.lowrank import (
     compress_block,
     resolve_compression,
 )
-from repro.linalg.precision import (
-    StoragePolicy,
-    downcast_factor,
-    factor_significance,
-    resolve_storage,
-)
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile, as_tile
 from repro.utils.validation import check_positive, check_square_matrix
 
@@ -76,7 +70,6 @@ class TLRMatrix:
         max_rank: int | None = None,
         *,
         compression: CompressionPolicy | None = None,
-        storage: StoragePolicy | None = None,
         compression_stats: CompressionStats | None = None,
     ) -> None:
         check_positive("n", n)
@@ -91,15 +84,11 @@ class TLRMatrix:
         #: derive per-tile seeds.  ``None`` (e.g. a hand-assembled
         #: matrix) means seed root 0.
         self.compression = compression
-        #: storage-precision policy the build used (``None`` = fp64)
-        self.storage = storage
         #: build-time method/rank counters (``None`` when not built
         #: through :meth:`compress`)
         self.compression_stats = compression_stats
         self._tiles = tiles
         nt = self.n_tiles
-        #: per-column cache of sub-diagonal non-null rows (None = stale)
-        self._col_structure: list[list[int] | None] = [None] * nt
         #: the solves' packed form (None = not built yet, or stale)
         self._packed: PackedFactor | None = None
         for (m, k) in tiles:
@@ -122,7 +111,7 @@ class TLRMatrix:
         accuracy: float,
         max_rank: int | None = None,
         compression: CompressionPolicy | str | None = None,
-        storage: StoragePolicy | str | None = None,
+        storage: str | None = None,
         seed_root: int = 0,
         norm_bound: Callable[[int, int], float] | None = None,
     ) -> "TLRMatrix":
@@ -139,10 +128,7 @@ class TLRMatrix:
         full :class:`~repro.linalg.lowrank.CompressionPolicy`; default
         honors ``$REPRO_COMPRESSION``), with per-tile sampling seeds
         derived from ``seed_root`` — pass the operator's fingerprint so
-        rebuilds of the same spec are bitwise identical.  ``storage``
-        selects the tile-storage precision (``"fp64"``/``"mixed"`` or a
-        :class:`~repro.linalg.precision.StoragePolicy`; default honors
-        ``$REPRO_STORAGE_PRECISION``).
+        rebuilds of the same spec are bitwise identical.
 
         ``norm_bound(i, j)``, when given, must be an upper bound on the
         Frobenius norm of ``tile_source(i, j)``: an off-diagonal tile
@@ -153,8 +139,10 @@ class TLRMatrix:
         check_positive("tile_size", tile_size)
         if max_rank is None:
             max_rank = max(1, int(DENSE_RANK_FRACTION * tile_size))
+        # tiles are stored fp64 only; "fp64" is still accepted by name
+        if storage not in (None, "fp64"):
+            raise ValueError(f"storage must be 'fp64', got {storage!r}")
         policy = resolve_compression(compression, seed_root=seed_root)
-        storage_policy = resolve_storage(storage)
         stats = CompressionStats()
         nt = -(-n // tile_size)
         tiles: dict[tuple[int, int], Tile] = {}
@@ -177,13 +165,6 @@ class TLRMatrix:
                     seed=policy.tile_seed(m, k, gen=0),
                     stats=stats,
                 )
-                if isinstance(result, LowRankFactor):
-                    dtype = storage_policy.storage_dtype(
-                        m, k, factor_significance(result), accuracy
-                    )
-                    if dtype != np.dtype(DTYPE):
-                        result = downcast_factor(result, dtype)
-                        stats.fp32_tiles += 1
                 tiles[(m, k)] = as_tile(result, block.shape)
         return cls(
             n,
@@ -192,7 +173,6 @@ class TLRMatrix:
             accuracy,
             max_rank,
             compression=policy,
-            storage=storage_policy,
             compression_stats=stats,
         )
 
@@ -221,7 +201,6 @@ class TLRMatrix:
         accuracy: float,
         max_rank: int | None = None,
         compression: CompressionPolicy | str | None = None,
-        storage: StoragePolicy | str | None = None,
         seed_root: int = 0,
     ) -> "TLRMatrix":
         """Compress an explicit dense symmetric matrix."""
@@ -239,7 +218,6 @@ class TLRMatrix:
             accuracy,
             max_rank,
             compression=compression,
-            storage=storage,
             seed_root=seed_root,
         )
 
@@ -272,42 +250,16 @@ class TLRMatrix:
                 f"tile ({m}, {k}) shape {tile.shape} != expected {expected}"
             )
         self._tiles[(m, k)] = tile
-        # invalidate only column k's structure cache: a single-tile
-        # write must not force a full NT^2 rescan on the next solve
-        self._col_structure[k] = None
         self._packed = None
-
-    def lower_column_structure(self) -> list[list[int]]:
-        """Per-column sorted lists of sub-diagonal non-null tile rows.
-
-        ``structure[k]`` holds every ``m > k`` with a non-null stored
-        tile ``(m, k)`` — the only tiles a triangular solve must touch
-        in column ``k``.  Cached per column; :meth:`set_tile`
-        invalidates only the written tile's column, so a factor that
-        is solved against many times (the serving hot path) pays each
-        column's O(NT) scan once, and a single-tile update rescans one
-        column instead of the whole NT² grid.
-        """
-        nt = self.n_tiles
-        cols = self._col_structure
-        for k in range(nt):
-            if cols[k] is None:
-                cols[k] = [
-                    m
-                    for m in range(k + 1, nt)
-                    if not self._tiles[(m, k)].is_null
-                ]
-        return cols
 
     def packed(self) -> PackedFactor:
         """The panels every triangular solve runs on: built at the first
         call (once, also under concurrent ones), dropped by
         :meth:`set_tile`, not carried over by :meth:`copy`.  Packing moves
-        the storage instead of doubling it: each fp64 off-diagonal tile is
+        the storage instead of doubling it: each off-diagonal tile is
         replaced by an equal tile whose arrays are column blocks of the
         panels, so :meth:`memory_bytes` and every checksum stay as they
-        were; fp32-stored factors are promoted into the panels and keep
-        their own arrays.  ``TypeError`` if a diagonal tile is not dense.
+        were.  ``TypeError`` if a diagonal tile is not dense.
         """
         if self._packed is None:
             with _PACK_LOCK:
@@ -333,10 +285,15 @@ class TLRMatrix:
             entries.append(np.diag(d))
         if not any(np.any(d <= 0.0) for d in entries):
             half_logdet = sum(float(np.log(d).sum()) for d in entries)
-        structure = self.lower_column_structure()
+        # one scan: the non-null off-diagonal tiles of each row and column
+        in_row, in_col = [[] for _ in range(nt)], [[] for _ in range(nt)]
+        for k in range(nt):
+            for m in range(k + 1, nt):
+                if not tiles[(m, k)].is_null:
+                    in_row[m].append(k)
+                    in_col[k].append(m)
         u, row, at, size = [], [], {}, 0  # at[m, k]: tile (m, k)'s rows of T
-        for m in range(nt):
-            cols = [k for k in range(m) if m in structure[k]]
+        for m, cols in enumerate(in_row):
             blocks = [tiles[(m, k)] for k in cols]
             blocks = [t.u if isinstance(t, LowRankTile) else t.data for t in blocks]
             u.append(panel(blocks))
@@ -346,12 +303,14 @@ class TLRMatrix:
                 size += a.shape[1]
             row.append(slice(start, size))
         v, idx, dense = [], [], []
-        for k, rows in enumerate(structure):
+        for k, rows in enumerate(in_col):
             low = [m for m in rows if isinstance(tiles[(m, k)], LowRankTile)]
             v.append(panel([tiles[(m, k)].v for m in low]))
             spans = [np.arange(*at[m, k]) for m in low]
             idx.append(np.concatenate(spans) if low else None)
-            dense.append([slice(*at[m, k]) for m in rows if m not in low])
+            dense.append(
+                [slice(*at[m, k]) for m in rows if isinstance(tiles[(m, k)], DenseTile)]
+            )
             off = 0
             for m in rows:  # the tile becomes its blocks of the two panels
                 t, (lo, hi) = tiles[(m, k)], at[m, k]
@@ -360,8 +319,7 @@ class TLRMatrix:
                     tiles[(m, k)] = DenseTile(ublock)
                     continue
                 vblock, off = v[k][:, off : off + t.rank], off + t.rank
-                if t.u.dtype == t.v.dtype == DTYPE:  # fp32-stored: stays as it is
-                    tiles[(m, k)] = LowRankTile(LowRankFactor(ublock, vblock))
+                tiles[(m, k)] = LowRankTile(LowRankFactor(ublock, vblock))
         return PackedFactor(diag, u, v, row, idx, dense, size, half_logdet)
 
     def __iter__(self):
@@ -469,7 +427,6 @@ class TLRMatrix:
             self.accuracy,
             self.max_rank,
             compression=self.compression,
-            storage=self.storage,
             compression_stats=self.compression_stats,
         )
 

@@ -80,12 +80,14 @@ class AnalyticResult:
 class AnalyticModel:
     """Performance model for one (machine, nodes, framework) setup."""
 
+    #: nested-parallelism efficiency of critical-path kernels
+    cp_parallel_efficiency = 0.75
+
     def __init__(
         self,
         machine: MachineModel,
         n_nodes: int,
         config: FrameworkConfig,
-        cp_parallel_efficiency: float = 0.75,
         pair_budget: int = _PAIR_BUDGET,
     ) -> None:
         if n_nodes < 1:
@@ -97,8 +99,6 @@ class AnalyticModel:
         self.nproc = int(n_nodes)  # one process per node (paper setup)
         self.config = config
         self.cost = CostModel(machine)
-        #: nested-parallelism efficiency of critical-path kernels
-        self.cp_parallel_efficiency = cp_parallel_efficiency
         self.data_dist = config.data_distribution(self.nproc)
         self.exec_dist = (
             config.exec_distribution(self.nproc)

@@ -34,25 +34,12 @@ _ITEM = 8  # bytes per float64
 class CostModel:
     """Maps (kernel, tile size, ranks) to seconds, and bytes to seconds.
 
-    ``compression`` mirrors the library's build-time method knob
-    (``"svd"`` or ``"rand"``): it selects which flop formula prices
-    tile compression and the modelled per-update GEMM rank rounding of
-    the paper's right-looking PTG (``flops.gemm_tlr_flops*``).
+    GEMM is priced as the modelled HiCMA kernel of the paper's
+    right-looking PTG, one update with its own QR+SVD rounding
+    (``flops.gemm_tlr_flops``).
     """
 
     machine: MachineModel
-    compression: str = "svd"
-
-    def __post_init__(self) -> None:
-        if self.compression not in ("svd", "rand"):
-            raise ValueError(
-                f"compression must be 'svd' or 'rand', "
-                f"got {self.compression!r}"
-            )
-
-    @property
-    def randomized(self) -> bool:
-        return self.compression == "rand"
 
     # ------------------------------------------------------------------
     # kernel timing
@@ -115,28 +102,15 @@ class CostModel:
             return self._exec_seconds(fl.gemm_dense_flops(b), _ITEM * 3 * b * b)
         kc = max(1, kc)
         touched = _ITEM * 2 * b * (ka + kb + 2 * kc)
-        gemm_flops = (
-            fl.gemm_tlr_flops_rand if self.randomized else fl.gemm_tlr_flops
-        )
         return self._exec_seconds(
-            gemm_flops(b, ka, kb, kc),
+            fl.gemm_tlr_flops(b, ka, kb, kc),
             touched,
             self.machine.tlr_kernel_efficiency,
         )
 
     def compression_time(self, b: int, rank: int | None = None) -> float:
-        """Compression of one dense tile (Fig. 11's dominant part).
-
-        Under ``compression="svd"``: rank-revealing QR to ``rank`` when
-        given, full SVD otherwise.  Under ``"rand"``: the adaptive
-        range-finder priced by the detected rank (falling back to the
-        full-SVD count when no rank is known — the adaptive sampler
-        cannot be priced without one).
-        """
-        if self.randomized and rank is not None:
-            return self._exec_seconds(
-                fl.randomized_compression_flops(b, rank), _ITEM * 3 * b * b
-            )
+        """Compression of one dense tile (Fig. 11's dominant part):
+        rank-revealing QR to ``rank`` when given, full SVD otherwise."""
         return self._exec_seconds(
             fl.compression_flops(b, rank), _ITEM * 3 * b * b
         )
@@ -201,22 +175,12 @@ class CostModel:
         kc = np.maximum(np.asarray(kc, dtype=np.float64), 1.0)
         kp = np.minimum(ka, kb)
         big = kc + kp
-        if self.randomized:
-            # vectorized gemm_tlr_flops_rand (p = detected rank + 8)
-            p = kc + 8.0
-            tlr_f = (
-                4.0 * b * ka * kb
-                + 6.0 * b * big * p
-                + 26.0 * b * p**2
-                + 2.0 * b * p * kc
-            )
-        else:
-            tlr_f = (
-                4.0 * b * ka * kb
-                + 4.0 * b * big**2
-                + 22.0 * big**3
-                + 4.0 * b * big * kc
-            )
+        tlr_f = (
+            4.0 * b * ka * kb
+            + 4.0 * b * big**2
+            + 22.0 * big**3
+            + 4.0 * b * big * kc
+        )
         dense = (ka >= b) & (kb >= b)
         f = np.where(dense, fl.gemm_dense_flops(b), tlr_f)
         v = _ITEM * np.where(dense, 3.0 * b * b, 2.0 * b * (ka + kb + 2.0 * kc))

@@ -92,7 +92,16 @@ def _task_duration(
 
 
 class DistributedSimulator:
-    """Event-driven simulation of one task graph on a machine model."""
+    """Event-driven simulation of one task graph on a machine model.
+
+    Dense tile kernels (POTRF and dense TRSM/SYRK/GEMM) and any
+    sizeable kernel run over all the node's cores at
+    ``cp_parallel_efficiency``, as HiCMA-PaRSEC's nested parallelism
+    does (optimization inherited from Cao et al. [10]).
+    """
+
+    #: nested-parallelism efficiency of the node-wide kernels
+    cp_parallel_efficiency = 0.75
 
     def __init__(
         self,
@@ -100,8 +109,6 @@ class DistributedSimulator:
         n_processes: int,
         cost_model: CostModel | None = None,
         record_events: bool = False,
-        nested_parallelism: bool = True,
-        cp_parallel_efficiency: float = 0.75,
     ) -> None:
         if n_processes < 1:
             raise ValueError(f"n_processes must be >= 1, got {n_processes}")
@@ -109,11 +116,6 @@ class DistributedSimulator:
         self.nproc = int(n_processes)
         self.cost = cost_model if cost_model is not None else CostModel(machine)
         self.record_events = record_events
-        #: run dense tile kernels (POTRF and dense TRSM/SYRK/GEMM) over
-        #: all the node's cores, as HiCMA-PaRSEC's nested parallelism
-        #: does (optimization inherited from Cao et al. [10])
-        self.nested_parallelism = nested_parallelism
-        self.cp_parallel_efficiency = cp_parallel_efficiency
 
     # ------------------------------------------------------------------
 
@@ -162,9 +164,7 @@ class DistributedSimulator:
             proc_of[i] = xd.owner(*w)
             dur[i] = _task_duration(cm, t, b, rank_of)
             out_bytes[i] = cm.tile_bytes(b, rank_of(*w))
-            if self.nested_parallelism and (
-                _is_dense_kernel(t, b, rank_of) or dur[i] > 0.01
-            ):
+            if _is_dense_kernel(t, b, rank_of) or dur[i] > 0.01:
                 # dense kernels and any sizeable kernel run with
                 # nested parallelism over the node's cores ([10])
                 dur[i] /= cp_speed

@@ -72,8 +72,7 @@ class OperatorSpec:
     #: method at construction, so the fingerprint and the build can
     #: never disagree about what an env-selected default meant.
     compression: str | None = None
-    #: tile-storage precision (``"fp64"``/``"mixed"``); None defers to
-    #: ``$REPRO_STORAGE_PRECISION``, pinned like ``compression``.
+    #: tiles are stored fp64 only; "fp64" is still accepted by name
     storage_precision: str | None = None
     label: str = field(default="", compare=False)
 
@@ -92,18 +91,17 @@ class OperatorSpec:
             )
         if self.nugget < 0.0:
             raise ValueError(f"nugget must be >= 0, got {self.nugget}")
-        # pin env-resolved policy names (also fails fast on typos)
+        # pin the env-resolved method name (also fails fast on typos)
         from repro.linalg.lowrank import resolve_compression
-        from repro.linalg.precision import resolve_storage
 
         object.__setattr__(
             self, "compression", resolve_compression(self.compression).method
         )
-        object.__setattr__(
-            self,
-            "storage_precision",
-            resolve_storage(self.storage_precision).mode,
-        )
+        if self.storage_precision not in (None, "fp64"):
+            raise ValueError(
+                f"storage_precision must be 'fp64', got {self.storage_precision!r}"
+            )
+        object.__setattr__(self, "storage_precision", "fp64")
 
     def __setstate__(self, state: dict) -> None:
         # unpickled arrays come back writable; the fingerprint memo
@@ -143,12 +141,10 @@ class OperatorSpec:
             f"|maxrank={self.max_rank if self.max_rank is None else int(self.max_rank)}"
             f"|n={self.n}|"
         )
-        # non-default policies extend the header; the default build
+        # a non-default method extends the header; the default build
         # keeps its pre-existing fingerprint (cache entries survive)
         if self.compression != "svd":
             header += f"comp={self.compression}|"
-        if self.storage_precision != "fp64":
-            header += f"prec={self.storage_precision}|"
         h.update(header.encode())
         h.update(self.points.tobytes())
         return h.hexdigest()
@@ -179,7 +175,6 @@ class OperatorSpec:
             self.accuracy,
             max_rank=self.max_rank,
             compression=self.compression,
-            storage=self.storage_precision,
             # anchor the per-tile sampling seeds to the operator
             # identity: rebuilds of the same spec are bitwise identical
             seed_root=int(self.fingerprint[:16], 16),

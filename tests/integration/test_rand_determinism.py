@@ -7,8 +7,7 @@ additionally rests on the deterministic per-tile seed derivation
 (seed root + tile coordinates + generation: 0 for the build, 1 for the
 one rounding of the tile's accumulated update).  These tests pin it
 end to end: rebuilds draw identical samples, and serial and threaded
-executions of the update rounding produce byte-equal factors, with
-fp64 and mixed-precision storage alike.
+executions of the update rounding produce byte-equal factors.
 """
 
 import numpy as np
@@ -35,7 +34,7 @@ def _generator():
     )
 
 
-def _operator(storage=None):
+def _operator():
     gen = _generator()
     return TLRMatrix.compress(
         gen.tile,
@@ -44,7 +43,6 @@ def _operator(storage=None):
         ACCURACY,
         max_rank=40,
         compression="rand",
-        storage=storage,
         seed_root=SEED_ROOT,
     )
 
@@ -70,11 +68,6 @@ def _tile_bytes(a):
 class TestRebuildDeterminism:
     def test_two_builds_are_byte_identical(self):
         assert _tile_bytes(_operator()) == _tile_bytes(_operator())
-
-    def test_mixed_storage_builds_are_byte_identical(self):
-        a = _operator(storage="mixed")
-        b = _operator(storage="mixed")
-        assert _tile_bytes(a) == _tile_bytes(b)
 
     def test_seed_root_changes_samples_not_structure(self):
         gen = _generator()
@@ -107,17 +100,4 @@ class TestCrossEngineBitwise:
         )
         assert np.array_equal(
             r.factor.to_dense(symmetrize=False), serial_factor
-        )
-
-    @pytest.mark.timeout(180)
-    def test_mixed_storage_factor_matches_serial(self):
-        ser = tlr_cholesky(
-            _operator(storage="mixed"), trim=True, engine="serial"
-        )
-        par = tlr_cholesky(
-            _operator(storage="mixed"), trim=True, engine="threads", workers=4
-        )
-        assert np.array_equal(
-            ser.factor.to_dense(symmetrize=False),
-            par.factor.to_dense(symmetrize=False),
         )

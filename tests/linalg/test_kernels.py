@@ -18,7 +18,6 @@ from repro.linalg.kernels_tlr import (
     trsm_tile,
 )
 from repro.linalg.lowrank import LowRankFactor, truncated_svd
-from repro.linalg.precision import downcast_factor
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile
 
 
@@ -219,20 +218,6 @@ def rect_lr(rng, rows, cols, k, scale=1.0):
     return LowRankTile(truncated_svd(block, tol=1e-12))
 
 
-def fp32(tile, solved=True):
-    """The tile as a ``storage="mixed"`` matrix holds it: both factors
-    fp32 as built, ``V`` back in fp64 once its TRSM ran (``solved``)."""
-    f = downcast_factor(tile.factor, np.float32)
-    return LowRankTile(LowRankFactor(f.u, tile.v) if solved else f)
-
-
-def dense64(tile):
-    """The tile's dense form, computed in fp64 from the stored values."""
-    if isinstance(tile, LowRankTile):
-        return tile.u.astype(np.float64) @ tile.v.astype(np.float64).T
-    return tile.to_dense()
-
-
 def same_tile(x, y):
     if type(x) is not type(y):
         return False
@@ -251,9 +236,9 @@ class TestGemmUpdate:
     #: an uneven edge tile: target rows x cols, panels b wide
     ROWS, COLS, B = 23, 32, 32
 
-    def _pairs(self, rng, mixed=False):
-        """Low-rank, dense, null and (optionally) fp32-stored operands
-        in one panel list; ``A_k`` is ROWS x B, ``B_k`` is COLS x B."""
+    def _pairs(self, rng):
+        """Low-rank, dense and null operands in one panel list; ``A_k``
+        is ROWS x B, ``B_k`` is COLS x B."""
         a = [
             rect_lr(rng, self.ROWS, self.B, 3),
             DenseTile(rng.standard_normal((self.ROWS, self.B))),
@@ -270,8 +255,6 @@ class TestGemmUpdate:
             DenseTile(rng.standard_normal((self.COLS, self.B))),
             NullTile((self.COLS, self.B)),
         ]
-        if mixed:
-            a[0], b[0], b[1] = fp32(a[0]), fp32(b[0]), fp32(b[1])
         return list(zip(a, b))
 
     def _target(self, rng, kind):
@@ -283,15 +266,12 @@ class TestGemmUpdate:
 
     @staticmethod
     def _reference(c, pairs):
-        return dense64(c) - sum(dense64(a) @ dense64(b).T for a, b in pairs)
+        return c.to_dense() - sum(a.to_dense() @ b.to_dense().T for a, b in pairs)
 
-    @pytest.mark.parametrize("mixed", [False, True], ids=["fp64", "mixed"])
     @pytest.mark.parametrize("ck", ["null", "lr", "dense"])
-    def test_matches_dense_reference(self, rng, ck, mixed):
+    def test_matches_dense_reference(self, rng, ck):
         c = self._target(rng, ck)
-        if mixed and ck == "lr":
-            c = fp32(c, solved=False)  # a target is updated before its TRSM
-        pairs = self._pairs(rng, mixed)
+        pairs = self._pairs(rng)
         out = gemm_update(c, pairs, tol=self.TOL, max_rank=self.ROWS)
         assert out.shape == (self.ROWS, self.COLS)
         assert out.to_dense().dtype == np.float64
@@ -367,13 +347,13 @@ class TestSyrkUpdate:
             rect_lr(rng, self.N, self.B, 3),
             NullTile((self.N, self.B)),
             DenseTile(rng.standard_normal((self.N, self.B))),
-            fp32(rect_lr(rng, self.N, self.B, 2)),
+            rect_lr(rng, self.N, self.B, 2),
         ]
 
     def test_matches_dense_reference(self, rng):
         c = spd_tile(rng, self.N)
         panels = self._panels(rng)
-        ref = c.data - sum(dense64(p) @ dense64(p).T for p in panels)
+        ref = c.data - sum(p.to_dense() @ p.to_dense().T for p in panels)
         out = syrk_update(c, panels)
         assert isinstance(out, DenseTile) and out.data.dtype == np.float64
         assert np.allclose(out.data, ref, atol=1e-11)
@@ -422,7 +402,7 @@ class TestHandleKernels:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("rows,cols", [(B, B), (B, RAGGED), (RAGGED, B)])
-    @pytest.mark.parametrize("kind", ["dense", "lowrank", "rank1", "fp32"])
+    @pytest.mark.parametrize("kind", ["dense", "lowrank", "rank1"])
     def test_trsm(self, rng, order, rows, cols, kind):
         l = np.array(potrf_tile(spd_tile(rng, cols)).data, order=order)
         if kind == "dense":
@@ -430,8 +410,6 @@ class TestHandleKernels:
             operands = (l, a.data)
         else:
             t = rect_lr(rng, rows, cols, 1 if kind == "rank1" else 4)
-            if kind == "fp32":
-                t = fp32(t, solved=False)
             u, v = np.array(t.u, order=order), np.array(t.v, order=order)
             a = LowRankTile(LowRankFactor(u, v))
             operands = (l, u, v)

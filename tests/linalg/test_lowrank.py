@@ -45,6 +45,18 @@ class TestLowRankFactor:
         with pytest.raises(ValueError):
             LowRankFactor(np.zeros(4), np.zeros(4))
 
+    def test_stores_fp64_copying_only_other_dtypes(self, rng):
+        """Like a dense tile: fp32 input is converted (memory order
+        kept), fp64 input is the same object, not a copy."""
+        u = np.asfortranarray(rng.standard_normal((6, 2)))
+        v = rng.standard_normal((5, 2))
+        f = LowRankFactor(u, v)
+        assert f.u is u and f.v is v
+        g = LowRankFactor(u.astype(np.float32), v.astype(np.float32))
+        assert g.u.dtype == g.v.dtype == np.float64
+        assert g.u.flags.f_contiguous and g.v.flags.c_contiguous
+        assert np.array_equal(g.u, u.astype(np.float32))
+
 
 class TestTruncatedSVD:
     def test_recovers_exact_rank(self, rng):

@@ -8,11 +8,8 @@ from repro.linalg.matvec import refine_solve, tlr_matvec
 from repro.linalg.tile_matrix import TLRMatrix
 
 
-def matvec_atol(a: TLRMatrix) -> float:
-    """fp64 tiles agree with the dense product to roundoff; a factor
-    stored in fp32 ($REPRO_STORAGE_PRECISION=mixed) multiplies in
-    single precision, the dense reference in double."""
-    return 1e-5 if a.compression_stats.fp32_tiles else 1e-10
+#: fp64 tiles agree with the dense product to roundoff
+MATVEC_ATOL = 1e-10
 
 
 class TestTLRMatvec:
@@ -20,7 +17,7 @@ class TestTLRMatvec:
         x = rng.standard_normal(sparse_tlr.n)
         y = tlr_matvec(sparse_tlr, x)
         assert np.allclose(
-            y, sparse_tlr.to_dense() @ x, atol=matvec_atol(sparse_tlr)
+            y, sparse_tlr.to_dense() @ x, atol=MATVEC_ATOL
         )
 
     def test_multi_rhs(self, sparse_tlr, rng):
@@ -28,7 +25,7 @@ class TestTLRMatvec:
         y = tlr_matvec(sparse_tlr, x)
         assert y.shape == x.shape
         assert np.allclose(
-            y, sparse_tlr.to_dense() @ x, atol=matvec_atol(sparse_tlr)
+            y, sparse_tlr.to_dense() @ x, atol=MATVEC_ATOL
         )
 
     def test_identity_like(self, spd_matrix):

@@ -58,16 +58,7 @@ class TestCompressionPolicy:
         assert a.tile_seed(3, 1) != b.tile_seed(3, 1)
         assert a.tile_seed(3, 1) == derive_tile_seed(1, 3, 1, 0)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"method": "qr"},
-            {"sample_block": 0},
-            {"oversample": -1},
-            {"crossover": 0.0},
-            {"crossover": 1.5},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"method": "qr"}])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             CompressionPolicy(**kwargs)

@@ -64,6 +64,28 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="version"):
             load_tlr(path)
 
+    def test_fp64_file_stays_version_2(self, sparse_tlr, tmp_path):
+        path = tmp_path / "a.npz"
+        save_tlr(sparse_tlr, path)
+        with np.load(path) as data:
+            assert int(data["header"][0]) == 2
+
+    def test_version_3_file_is_refused(self, sparse_tlr, tmp_path):
+        """Version 3 held single-precision low-rank factors, a storage
+        mode that is gone: such a file is refused by its version."""
+        path = tmp_path / "a.npz"
+        save_tlr(sparse_tlr, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "checksums"}
+        for key in arrays:
+            if key[:2] in ("u_", "v_"):
+                arrays[key] = arrays[key].astype(np.float32)
+        arrays["header"] = arrays["header"].copy()
+        arrays["header"][0] = 3
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="version 3"):
+            load_tlr(path)
+
 
 class TestIntegrity:
     """Atomic writes + embedded checksums (format v2 robustness)."""

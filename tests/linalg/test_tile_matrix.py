@@ -6,7 +6,7 @@ import pytest
 from repro.geometry import min_spacing, virus_population
 from repro.kernels import RBFMatrixGenerator
 from repro.linalg.integrity import matrix_checksums
-from repro.linalg.tile import DenseTile, NullTile, TileKind
+from repro.linalg.tile import DenseTile, LowRankTile, NullTile, TileKind
 from repro.linalg.tile_matrix import TLRMatrix
 
 
@@ -55,6 +55,18 @@ class TestCompression:
         assert t.tile(2, 0).shape == (30, 50)
         assert np.allclose(t.to_dense(), a, atol=1e-7)
 
+    def test_fp64_mode_stores_no_fp32(self, sparse_generator):
+        g = sparse_generator
+        t = TLRMatrix.compress(g.tile, g.n, g.tile_size, 1e-6, storage="fp64")
+        for _, tile in t:
+            for arr in (tile.u, tile.v) if isinstance(tile, LowRankTile) else ():
+                assert arr.dtype == np.float64
+
+    def test_other_storage_is_refused(self, sparse_generator):
+        g = sparse_generator
+        with pytest.raises(ValueError, match="fp64"):
+            TLRMatrix.compress(g.tile, g.n, g.tile_size, 1e-6, storage="mixed")
+
 
 class CountingGenerator:
     """A generator that records which tiles were asked for."""
@@ -82,22 +94,17 @@ def ragged_sparse_generator():
 class TestFromGenerator:
     """The generator's norm bound spares null tiles their generation."""
 
-    @pytest.mark.parametrize("storage", ["fp64", "mixed"])
     @pytest.mark.parametrize("compression", ["svd", "rand"])
-    def test_same_operator_as_compress(
-        self, ragged_sparse_generator, compression, storage
-    ):
+    def test_same_operator_as_compress(self, ragged_sparse_generator, compression):
         g = ragged_sparse_generator
-        kw = dict(compression=compression, storage=storage, seed_root=7)
+        kw = dict(compression=compression, seed_root=7)
         a = TLRMatrix.from_generator(g, 1e-6, **kw)
         b = TLRMatrix.compress(g.tile, g.n, g.tile_size, 1e-6, **kw)
         assert a.compression_stats.bound_null > 0
         assert b.compression_stats.bound_null == 0
         assert matrix_checksums(a) == matrix_checksums(b)
         assert a.tile(15, 0).shape == b.tile(15, 0).shape == (35, 50)
-        assert (a.max_rank, a.compression, a.storage) == (
-            b.max_rank, b.compression, b.storage
-        )
+        assert (a.max_rank, a.compression) == (b.max_rank, b.compression)
 
     def test_bound_certified_tiles_are_never_generated(
         self, ragged_sparse_generator
@@ -207,34 +214,28 @@ class TestValidation:
             TLRMatrix(10, 5, tiles, accuracy=1e-4)
 
 
-class TestColumnStructureCache:
+class TestPackedStructure:
     def test_matches_brute_force(self, sparse_tlr):
-        structure = sparse_tlr.lower_column_structure()
-        nt = sparse_tlr.n_tiles
-        for k in range(nt):
-            expected = [
-                m for m in range(k + 1, nt)
-                if not sparse_tlr.tile(m, k).is_null
-            ]
-            assert structure[k] == expected
-
-    def test_cached_until_invalidated(self, sparse_tlr):
+        """Each non-null tile's rows of the solves' buffer, laid out row
+        by row in column order, against a scan of every tile."""
         a = sparse_tlr.copy()
-        first = [list(col) for col in a.lower_column_structure()]
-        columns_before = list(a.lower_column_structure())
-
-        # turn one non-null off-diagonal tile into a null: only the
-        # written column's structure is recomputed (and drops the
-        # entry); every other column keeps its cached list
-        target = next(
-            (m, k) for (m, k), t in a if m != k and not t.is_null
-        )
-        m, k = target
-        a.set_tile(m, k, NullTile(a.tile(m, k).shape))
-        updated = a.lower_column_structure()
-        assert m in first[k] and m not in updated[k]
-        for j, col in enumerate(updated):
-            if j == k:
-                assert col is not columns_before[j]  # rescanned
-            else:
-                assert col is columns_before[j]  # untouched cache
+        m0, k0 = next((m, k) for (m, k), t in a if isinstance(t, LowRankTile))
+        a.set_tile(m0, k0, DenseTile(a.tile(m0, k0).to_dense()))
+        nt, rows, size = a.n_tiles, {}, 0
+        for m in range(nt):
+            for k in range(m):
+                t = a.tile(m, k)
+                if not t.is_null:
+                    width = t.rank if isinstance(t, LowRankTile) else t.shape[1]
+                    rows[m, k] = list(range(size, size + width))
+                    size += width
+        kind = {key: type(a.tile(*key)) for key in rows}
+        p = a.packed()
+        assert p.size == size
+        for k in range(nt):
+            below = [m for m in range(k + 1, nt) if (m, k) in rows]
+            low = [r for m in below if kind[m, k] is LowRankTile for r in rows[m, k]]
+            dense = [rows[m, k] for m in below if kind[m, k] is DenseTile]
+            assert (list(p.idx[k]) if low else p.idx[k]) == (low or None)
+            assert [list(range(s.start, s.stop)) for s in p.dense[k]] == dense
+        assert any(p.dense)  # the tile made dense above is covered

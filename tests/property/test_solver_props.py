@@ -17,7 +17,7 @@ from repro.linalg.tile_matrix import TLRMatrix
 @st.composite
 def random_factor(draw):
     """A lower factor on an ``nt x nt`` grid with a ragged last tile:
-    null / low-rank / dense / fp32-stored off-diagonal tiles, C- and
+    null / low-rank / dense off-diagonal tiles, C- and
     F-ordered arrays, junk above the diagonal of the diagonal tiles."""
     nt = draw(st.integers(1, 5))
     b = draw(st.sampled_from([5, 8]))
@@ -30,7 +30,7 @@ def random_factor(draw):
         d = 0.1 * rng.standard_normal((height(k), height(k)))
         tiles[(k, k)] = DenseTile(order(d + 2.0 * np.eye(height(k))))
         for m in range(k + 1, nt):
-            kind = draw(st.sampled_from(["null", "lowrank", "dense", "fp32"]))
+            kind = draw(st.sampled_from(["null", "lowrank", "dense"]))
             if kind == "null":
                 tiles[(m, k)] = NullTile((height(m), b))
             elif kind == "dense":
@@ -39,9 +39,6 @@ def random_factor(draw):
                 r = int(rng.integers(1, 4))
                 u = order(0.1 * rng.standard_normal((height(m), r)))
                 v = order(rng.standard_normal((b, r)))
-                if kind == "fp32":  # dyadic entries: u @ v.T is exact in fp32 too
-                    u = (np.round(40 * u) / 32).astype(np.float32)
-                    v = (np.round(4 * v) / 4).astype(np.float32)
                 tiles[(m, k)] = LowRankTile(LowRankFactor(u, v))
     factor = TLRMatrix((nt - 1) * b + last, b, tiles, accuracy=1e-8)
     cols = draw(st.sampled_from([None, 1, 3]))

@@ -155,10 +155,8 @@ class TestColdPathParity:
         ).fingerprint == (
             "55f258fe2ebe1f97ccaaee13ab54e72f55618db4a133c131e4d1c182d9b249d0"
         )
-        assert OperatorSpec(
-            compression="rand", storage_precision="mixed", **kw
-        ).fingerprint == (
-            "58bbaa305341cee8c6808a8fca7c5c682cbfe1e5bfbde91e0f2bdebd4c662e91"
+        assert OperatorSpec(compression="rand", **kw).fingerprint == (
+            "96d2cdd7edf37297af7f5e53240eb211e969cdcd254995e413b35d049f5965d2"
         )
 
     @pytest.mark.parametrize("compression", ["svd", "rand"])
@@ -200,7 +198,6 @@ class TestPolicyKnobs:
         # the svd/fp64 defaults keep the pre-existing fingerprint, so
         # cache entries built before the knobs existed stay valid
         monkeypatch.delenv("REPRO_COMPRESSION", raising=False)
-        monkeypatch.delenv("REPRO_STORAGE_PRECISION", raising=False)
         default = clone(small_spec)
         assert default.compression == "svd"
         assert default.storage_precision == "fp64"
@@ -215,24 +212,19 @@ class TestPolicyKnobs:
             != clone(small_spec, compression="svd").fingerprint
         )
 
-    def test_storage_precision_changes_fingerprint(self, small_spec):
-        assert (
-            clone(small_spec, storage_precision="mixed").fingerprint
-            != clone(small_spec, storage_precision="fp64").fingerprint
-        )
+    def test_storage_precision_other_than_fp64_is_refused(self, small_spec):
+        with pytest.raises(ValueError, match="fp64"):
+            clone(small_spec, storage_precision="mixed")
 
     def test_env_default_is_pinned_at_construction(
         self, small_spec, monkeypatch
     ):
         monkeypatch.setenv("REPRO_COMPRESSION", "rand")
-        monkeypatch.setenv("REPRO_STORAGE_PRECISION", "mixed")
         spec = clone(small_spec)
         assert spec.compression == "rand"
-        assert spec.storage_precision == "mixed"
         fp = spec.fingerprint
         # the env can change later; the spec's identity cannot
         monkeypatch.delenv("REPRO_COMPRESSION")
-        monkeypatch.delenv("REPRO_STORAGE_PRECISION")
         assert spec.fingerprint == fp
         default = clone(
             small_spec, compression="svd", storage_precision="fp64"

@@ -39,11 +39,10 @@ class TestConfig:
             ("REPRO_VERIFY_TILES", "runtime.checkpoint:verify_tiles_from_env", False, "yes", True),
             ("REPRO_ARENA_SPILL", "linalg.arena:spill_factor_from_env", 1.5, "0.25", 0.25),
             ("REPRO_COMPRESSION", "linalg.lowrank:resolve_compression", "svd", "rand", "rand"),
-            ("REPRO_STORAGE_PRECISION", "linalg.precision:resolve_storage", "fp64", "mixed", "mixed"),
         ],
     )
     def test_env_knobs(self, monkeypatch, var, owner, unset, text, parsed):
-        """The seven knobs are read in config.py only, stay importable
+        """The six knobs are read in config.py only, stay importable
         from the module that owns the explicit argument, and keep their
         defaults (empty and whitespace count as unset)."""
         module, name = owner.split(":")
@@ -51,8 +50,8 @@ class TestConfig:
         args = (None,) if inspect.signature(reader).parameters else ()
 
         def value():
-            out = reader(*args)  # resolve_* return policy objects
-            return getattr(out, "method", getattr(out, "mode", out))
+            out = reader(*args)  # resolve_compression returns a policy
+            return getattr(out, "method", out)
 
         for blank in (None, "", "  "):
             monkeypatch.delenv(var, raising=False)
