@@ -64,11 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "the factor is bitwise identical on both")
     f.add_argument("--compression", type=str, default=None,
                    choices=["svd", "rand"],
-                   help="tile compression method: 'svd' (exact truncated "
-                        "SVD) or 'rand' (adaptive randomized range-finder, "
-                        "deterministically seeded — bitwise identical "
-                        "across engines); default $REPRO_COMPRESSION or "
-                        "svd")
+                   help="tile compression method: 'svd' (exact-rank "
+                        "truncated SVD: certified range-finder, gesdd "
+                        "fallback) or 'rand' (adaptive randomized "
+                        "range-finder); both deterministically seeded — "
+                        "bitwise identical across engines; default "
+                        "$REPRO_COMPRESSION or svd")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--trace", type=str, default=None,
                    help="write a Chrome trace JSON of the execution "
@@ -252,7 +253,8 @@ def _cmd_factorize(args) -> int:
     if a.compression_stats is not None:
         cs = a.compression_stats.to_dict()
         print(f"compression: method={a.compression.method} "
-              f"svd={cs['svd_tiles']} rand={cs['rand_tiles']} "
+              f"svd={cs['svd_tiles']} svd-fallback={cs['svd_fallback']} "
+              f"rand={cs['rand_tiles']} "
               f"screened-null={cs['screened_null']} "
               f"bound-null={cs['bound_null']} "
               f"sampled-rank avg/max {cs['sampled_rank_avg']:.1f}/"

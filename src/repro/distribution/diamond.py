@@ -58,21 +58,5 @@ class DiamondDistribution(Distribution):
         k = np.asarray(k, dtype=np.int64)
         return ((m - k + k // self.q) % self.p) * self.q + (k % self.q)
 
-    def balance_ratio(
-        self, n_tiles: int, weights: np.ndarray | None = None
-    ) -> float:
-        """max/mean per-process load; 1.0 is perfect balance.
-
-        ``weights`` is an optional ``(NT, NT)`` per-tile work estimate
-        (e.g. from the rank model); defaults to unit tile counts.
-        """
-        load = np.zeros(self.nproc)
-        for k in range(n_tiles):
-            for m in range(k, n_tiles):
-                w = 1.0 if weights is None else float(weights[m, k])
-                load[self.owner(m, k)] += w
-        mean = load.mean()
-        return float(load.max() / mean) if mean > 0 else 1.0
-
     def __repr__(self) -> str:
         return f"DiamondDistribution(p={self.p}, q={self.q})"

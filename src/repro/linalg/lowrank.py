@@ -7,20 +7,21 @@ threshold; a tile whose largest singular value falls below the
 threshold *disappears* (rank 0 → null), which is the data sparsity the
 paper exploits.
 
-Two compression methods coexist behind :class:`CompressionPolicy`:
+Two compression methods coexist behind :class:`CompressionPolicy`,
+both on one blocked adaptive range-finder (H2OPUS-TLR style) whose
+cost scales with the *detected* rank instead of the tile size:
 
-* ``"svd"`` — exact truncated SVD (the baseline);
-* ``"rand"`` — blocked adaptive randomized range-finder
-  (H2OPUS-TLR style): cost scales with the *detected* rank instead of
-  the tile size, with incremental rank detection against the same
-  absolute/relative tolerance and a direct-SVD fallback once the
-  sampled rank crosses the crossover point.
+* ``"svd"`` — exact-rank truncated SVD: certified range-finder, gesdd
+  fallback.  Sampling stops on a proof that gesdd's rank is kept;
+  small tiles, relative cutoffs and uncertified tiles run gesdd;
+* ``"rand"`` — the range-finder stopped by its residual alone, with
+  a direct-SVD fallback once the sampled rank crosses the crossover.
 
 Both sit behind one null certificate (:func:`compress_block`): a block
 with ``||A||_F <= tol`` has ``sigma_1 <= tol``, so it is null without
 any decomposition — in the sparse regime that is most tiles.
 
-Randomized results are a pure function of ``(block, tol, seed)``: the
+Sampled results are a pure function of ``(block, tol, seed)``: the
 Gaussian test matrices come from a ``PCG64`` stream seeded per tile
 (:func:`derive_tile_seed` — operator seed root + tile coordinates +
 generation: 0 for the build, 1 for the one rounding of the tile's
@@ -145,8 +146,9 @@ def derive_tile_seed(root: int, m: int, k: int, gen: int = 0) -> int:
 class CompressionPolicy:
     """How dense blocks are compressed.
 
-    ``method="svd"`` is the exact baseline; ``method="rand"`` routes
-    compression through the adaptive randomized range-finder below.
+    ``method="svd"`` is the exact-rank truncated SVD (certified
+    range-finder, gesdd fallback); ``method="rand"`` stops the
+    range-finder on its residual alone.
     The method selects how *input* tiles are built; the factorization
     rounds every accumulated update with the range-finder regardless
     (``linalg.kernels_tlr.gemm_update``).  ``seed_root`` anchors the
@@ -192,9 +194,9 @@ class CompressionStats:
     printed by ``repro factorize``; process-local (a fleet shard's
     counts stay in the shard), so treat the numbers as build-time
     observability, not an exact global ledger.  ``bound_null`` counts
-    tiles certified null from the generator's norm bound (never
-    generated), ``screened_null`` those certified by their Frobenius
-    norm (generated, never decomposed).
+    tiles certified null by the generator's norm bound (never
+    generated), ``screened_null`` by their Frobenius norm (generated,
+    never decomposed), ``svd_fallback`` svd tiles sampled, then gesdd.
     """
 
     __slots__ = (
@@ -202,6 +204,7 @@ class CompressionStats:
         "rand_tiles",
         "rand_dense",
         "rand_svd_fallback",
+        "svd_fallback",
         "screened_null",
         "bound_null",
         "sampled_tiles",
@@ -269,7 +272,7 @@ def _orthonormal(y: np.ndarray) -> np.ndarray:
 def truncated_svd(
     block: np.ndarray, tol: float, relative: bool = False
 ) -> LowRankFactor | None:
-    """Compress a dense block by truncated SVD.
+    """Compress a dense block by truncated SVD (LAPACK ``gesdd``).
 
     Parameters
     ----------
@@ -284,12 +287,12 @@ def truncated_svd(
     -------
     A :class:`LowRankFactor` absorbing the singular values into ``u``
     (``u = U_k * s_k``, ``v = V_k``), or ``None`` if every singular
-    value is below the threshold (the tile *disappears*).
+    value is below the threshold (the tile *disappears*).  A failed
+    ``gesdd`` raises ``LinAlgError``.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    block = np.asarray(block, dtype=DTYPE)
-    u, s, vt = sla.svd(block, full_matrices=False, check_finite=False)
+    u, s, vt = _lapack(_GESDD(np.asarray(block, dtype=DTYPE), full_matrices=0))
     k = _truncation_rank(s, tol, relative)
     if k == 0:
         return None
@@ -297,6 +300,102 @@ def truncated_svd(
         np.ascontiguousarray(u[:, :k] * s[:k]),
         np.ascontiguousarray(vt[:k].T),
     )
+
+
+def _svd_or_dense(block, tol, relative, max_rank):
+    """:func:`truncated_svd`, keeping the block itself over ``max_rank``."""
+    factor = truncated_svd(block, tol, relative=relative)
+    if factor is not None and max_rank is not None and factor.rank > max_rank:
+        return block
+    return factor
+
+
+#: the svd policy samples tiles of at least this short side (gesdd wins
+#: below it), in panels this wide, up to this fraction of the short side
+_CERTIFY_MIN_SIDE, _CERTIFY_PANELS, _CERTIFY_CROSSOVER = 150, (32, 16), 0.75
+#: singular-value rounding, per unit of ``max(m, n) * ||A||_F``, that
+#: both the sampled core's SVD and gesdd stay well inside
+_ROUNDOFF = 4.0 * np.finfo(DTYPE).eps
+_MISSED = object()
+
+
+def _certified(s, resid: float, tol: float, slack: float, max_rank) -> bool:
+    """True when the singular values ``s`` of the core ``Q^T A`` and
+    ``resid = ||A - Q Q^T A||_F`` prove gesdd's verdict on ``A``.
+
+    Interlacing (``sigma_i(A) >= s_i``): ``max_rank + 1`` values over
+    ``tol`` prove the block dense.  Weyl (``sigma_{k+1}(A) <= s_{k+1} +
+    resid``): with ``k`` values over ``tol``, ``s_{k+1} + resid <= tol``
+    proves rank ``k`` and ``||A - Q B_k||_2 <= tol``.  Ties within
+    ``slack`` (rounding) of ``tol`` are left to gesdd.
+    """
+    if max_rank is not None and np.count_nonzero(s > tol + slack) > max_rank:
+        return True
+    k = int(np.count_nonzero(s > tol))
+    tail = s[k] if k < len(s) else 0.0
+    return (k == 0 or s[k - 1] > tol + slack) and tail + resid <= tol - slack
+
+
+def _range_finder(
+    block, fnorm, tol, relative, max_rank, seed, cap, widths, *, exact, stats
+):
+    """The blocked adaptive range-finder of both methods.
+
+    Gaussian panels (``widths[0]``, then ``widths[1]`` columns) from a
+    ``PCG64(seed)`` stream are projected against the basis so far and
+    folded in; each ``Q_j^T A`` downdates the residual and is rows of
+    the core.  Sampling stops when the residual's Frobenius norm is
+    under the cutoff (so is every singular value left out) or, if
+    ``exact``, when :func:`_certified` holds.  Returns ``None``, a
+    factor, the block (over ``max_rank``) or ``_MISSED`` (at ``cap``).
+    """
+    m, n = block.shape
+    slack = tol * _NULL_MARGIN + _ROUNDOFF * max(m, n) * fnorm
+    stop = tol - slack if exact else tol * fnorm if relative else tol
+    # the certificate may prove a block dense before its residual falls
+    probe = max_rank if exact and max_rank is not None else cap
+    out = _MISSED
+    rng = np.random.Generator(np.random.PCG64(seed))
+    q_basis: np.ndarray | None = None
+    rows = []  # Q_j^T A of every panel: the core, row block by row block
+    resid = block
+    width, sampled = widths[0], 0
+    while sampled < cap:
+        p = min(width, cap - sampled)
+        width = widths[1]
+        y = (rng.standard_normal((p, n)) @ resid.T).T  # F-ordered, for geqrf
+        if q_basis is not None:
+            y -= q_basis @ (q_basis.T @ y)
+        qj = _orthonormal(y)
+        if q_basis is not None:
+            # again: QR scales y's roundoff columns, basis parts too, to unit length
+            qj -= q_basis @ (q_basis.T @ qj)
+            qj = _orthonormal(qj)
+        q_basis = qj if q_basis is None else np.hstack([q_basis, qj])
+        rows.append(qj.T @ block)
+        resid = resid - qj @ rows[-1]
+        sampled += p
+        r = float(np.linalg.norm(resid))
+        if r > stop and sampled <= probe:
+            continue
+        # SVD of the core's F-ordered tall transpose, core^T = W diag(s) Z^T
+        w, s, zt = _lapack(_GESDD(np.vstack(rows).T, full_matrices=0, overwrite_a=1))
+        if exact and not _certified(s, r, tol, slack, max_rank):
+            continue
+        k = _truncation_rank(s, tol, relative)
+        if k == 0:
+            out = None
+        elif max_rank is not None and k > max_rank:
+            out = block
+        else:
+            out = LowRankFactor(
+                np.ascontiguousarray(q_basis @ (zt[:k].T * s[:k])),
+                np.ascontiguousarray(w[:, :k]),
+            )
+        break
+    if stats is not None:
+        stats.record_sampled(sampled)
+    return out
 
 
 def randomized_compress(
@@ -312,19 +411,13 @@ def randomized_compress(
     rank_hint: int = 0,
     fnorm: float | None = None,
 ) -> LowRankFactor | np.ndarray | None:
-    """Compress a dense block with a blocked adaptive range-finder.
+    """Compress a dense block with the range-finder (:func:`_range_finder`)
+    stopped by its residual.
 
-    Gaussian panels are drawn from a ``PCG64(seed)`` stream, projected
-    against the basis built so far, and folded in until the explicit
-    residual's Frobenius norm drops below the threshold — at which
-    point *every* remaining singular value is below the SVD truncation
-    cutoff, so the final small SVD of ``Q^T A`` applies the exact HiCMA
-    rule to a spectrum that contains everything the full SVD would have
-    kept.  Panels are ``sample_block`` wide; the first is ``rank_hint +
+    Panels are ``sample_block`` wide; the first is ``rank_hint +
     oversample`` (``rank_hint``: the caller's expected rank) when that
     is wider and under the cap below, which must hold two default
-    panels.  Each ``Q_j^T A`` is both a downdate and rows of the core.
-    Cost is ``O(mn(k + p))`` for detected rank ``k``, versus
+    panels.  Cost is ``O(mn(k + p))`` for detected rank ``k``, versus
     ``O(mn min(m, n))`` for the full SVD.
 
     Rank detection is capped: past ``max_rank + oversample`` columns
@@ -343,69 +436,27 @@ def randomized_compress(
         fnorm = float(np.linalg.norm(block))
     if _certified_null(fnorm, tol, relative):
         return None
-    stop = tol * fnorm if relative else tol
 
     cross_cap = max(1, int(math.ceil(crossover * min(m, n))))
     cap = cross_cap if max_rank is None else min(cross_cap, max_rank + oversample)
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    q_basis: np.ndarray | None = None
-    rows = []  # Q_j^T A of every panel: the core, row block by row block
-    resid = block
     width = rank_hint + oversample
     if not (sample_block < width < cap and 2 * sample_block <= cap):
         width = sample_block
-    sampled, converged = 0, False
-    while not converged and sampled < cap:
-        p = min(width, cap - sampled)
-        width = sample_block
-        y = (rng.standard_normal((p, n)) @ resid.T).T  # F-ordered, for geqrf
-        if q_basis is not None:
-            y -= q_basis @ (q_basis.T @ y)
-        qj = _orthonormal(y)
-        if q_basis is not None:
-            # again: QR scales y's roundoff columns, basis parts too, to unit length
-            qj -= q_basis @ (q_basis.T @ qj)
-            qj = _orthonormal(qj)
-        q_basis = qj if q_basis is None else np.hstack([q_basis, qj])
-        rows.append(qj.T @ block)
-        resid = resid - qj @ rows[-1]
-        sampled += p
-        converged = float(np.linalg.norm(resid)) <= stop
-
-    if stats is not None:
-        stats.record_sampled(sampled)
-    if not converged:
-        if max_rank is not None and cap < cross_cap:
-            # over the rank budget before the crossover: the dense
-            # fallback is exact, so skip any decomposition entirely
-            if stats is not None:
-                stats.rand_dense += 1
-            return np.asarray(block, dtype=DTYPE)
-        # not meaningfully low-rank: direct SVD decides (and applies
-        # the identical truncation rule)
+    out = _range_finder(
+        block, fnorm, tol, relative, max_rank, seed, cap, (width, sample_block),
+        exact=False, stats=stats,
+    )
+    if out is _MISSED and cap == cross_cap:
+        # not meaningfully low-rank: direct SVD decides, same truncation
         if stats is not None:
             stats.rand_svd_fallback += 1
-        factor = truncated_svd(block, tol, relative=relative)
-        if factor is None:
-            return None
-        if max_rank is not None and factor.rank > max_rank:
-            return np.asarray(block, dtype=DTYPE)
-        return factor
-
-    # SVD of the core's F-ordered tall transpose, core^T = W diag(s) Z^T
-    w, s, zt = _lapack(_GESDD(np.vstack(rows).T, full_matrices=0, overwrite_a=1))
-    k = _truncation_rank(s, tol, relative)
-    if k == 0:
-        return None
-    if max_rank is not None and k > max_rank:
+        return _svd_or_dense(block, tol, relative, max_rank)
+    if out is _MISSED or out is block:
+        # over the rank budget (before the crossover: no decomposition)
         if stats is not None:
             stats.rand_dense += 1
-        return np.asarray(block, dtype=DTYPE)
-    return LowRankFactor(
-        np.ascontiguousarray(q_basis @ (zt[:k].T * s[:k])),
-        np.ascontiguousarray(w[:, :k]),
-    )
+        return block
+    return out
 
 
 def compress_block(
@@ -429,7 +480,8 @@ def compress_block(
     (:func:`_certified_null`) returns before any decomposition.
     ``policy`` then selects the method: randomized policies route
     through :func:`randomized_compress` with the per-tile ``seed``,
-    ``rank_hint`` and that norm; the default is the exact truncated SVD.
+    ``rank_hint`` and that norm; the default, exact-rank truncated SVD
+    samples with ``seed`` until :func:`_certified` proves gesdd's rank.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -447,21 +499,19 @@ def compress_block(
         return None
     if randomized:
         return randomized_compress(
-            block,
-            tol,
-            relative=relative,
-            max_rank=max_rank,
-            seed=seed,
-            stats=stats,
-            rank_hint=rank_hint,
-            fnorm=fnorm,
+            block, tol, relative=relative, max_rank=max_rank, seed=seed,
+            stats=stats, rank_hint=rank_hint, fnorm=fnorm,
         )
-    factor = truncated_svd(block, tol, relative=relative)
-    if factor is None:
-        return None
-    if max_rank is not None and factor.rank > max_rank:
-        return block
-    return factor
+    short = min(block.shape)
+    if not relative and short >= _CERTIFY_MIN_SIDE:
+        cap = math.ceil(_CERTIFY_CROSSOVER * short)
+        out = _range_finder(block, fnorm, tol, False, max_rank, seed, cap,
+                            _CERTIFY_PANELS, exact=True, stats=stats)
+        if out is not _MISSED:
+            return out
+        if stats is not None:
+            stats.svd_fallback += 1
+    return _svd_or_dense(block, tol, relative, max_rank)
 
 
 def recompress(

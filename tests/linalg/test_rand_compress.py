@@ -288,6 +288,8 @@ class TestNullCertificate:
 
         monkeypatch.setattr(lowrank.sla, "svd", boom)
         monkeypatch.setattr(lowrank.sla, "qr", boom)
+        monkeypatch.setattr(lowrank, "_GESDD", boom)
+        monkeypatch.setattr(lowrank, "_GEQRF", boom)
         stats = CompressionStats()
         block = low_rank_block(rng, 40, 50, 3, scale=1e-9)
         assert compress_block(block, 1e-6, policy=policy, stats=stats) is None

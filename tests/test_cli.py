@@ -39,6 +39,7 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "residual" in out
+        assert "svd-fallback=0 " in out  # b = 100 tiles run gesdd itself
         # valid Chrome trace JSON: worker-lane metadata + duration events
         data = json.loads(trace.read_text())
         assert data["traceEvents"]
