@@ -209,12 +209,6 @@ class SyntheticRankField:
 
     # ------------------------------------------------------------------
 
-    def rank_of(self, m: int, k: int) -> int:
-        """Deterministic rank estimate for tile ``(m, k)`` (0 if null
-        under the sampled occupancy mask is not consulted here — use
-        the mask for occupancy, this for conditional rank)."""
-        return int(self.rank_lookup(np.array([m]), np.array([k]))[0])
-
     def rank_lookup(self, m: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Vectorized conditional rank of tiles ``(m, k)``.
 

@@ -13,8 +13,6 @@ from repro.kernels.rbf import (
     InverseMultiquadricRBF,
     MultiquadricRBF,
     RadialBasisFunction,
-    ThinPlateSplineRBF,
-    WendlandC2RBF,
 )
 
 __all__ = [
@@ -22,8 +20,6 @@ __all__ = [
     "GaussianRBF",
     "MultiquadricRBF",
     "InverseMultiquadricRBF",
-    "ThinPlateSplineRBF",
-    "WendlandC2RBF",
     "RBFMatrixGenerator",
     "dense_rbf_matrix",
     "MaternKernel",

@@ -6,10 +6,8 @@ The paper focuses on the *globally supported* Gaussian RBF
 formally dense; the shape parameter controls correlation strength and
 thus the compressed operator's density (Fig. 1, Fig. 4).
 
-Additional classic kernels are provided for completeness and for
-ablation: multiquadric / inverse multiquadric / thin-plate spline
-(global support) and Wendland C2 (compact support — exactly zero
-outside the support radius, giving a *sparse* operator directly).
+The multiquadric and inverse multiquadric kernels (global support)
+are the service's other operator choices (``service/spec.py``).
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ __all__ = [
     "GaussianRBF",
     "MultiquadricRBF",
     "InverseMultiquadricRBF",
-    "ThinPlateSplineRBF",
-    "WendlandC2RBF",
 ]
 
 
@@ -35,9 +31,6 @@ class RadialBasisFunction(ABC):
     #: True if phi is positive definite, i.e. the pure RBF matrix is SPD
     #: and Cholesky applies without polynomial augmentation.
     positive_definite: bool = False
-
-    #: True if phi has compact support (zero beyond the support radius).
-    compact_support: bool = False
 
     #: True if phi is non-negative and non-increasing on ``[0, inf)``,
     #: so ``|phi(r)| <= phi(d)`` for every ``r >= d``: a lower bound on
@@ -89,31 +82,3 @@ class InverseMultiquadricRBF(RadialBasisFunction):
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
         return 1.0 / np.sqrt(1.0 + r * r)
-
-
-@dataclass(frozen=True)
-class ThinPlateSplineRBF(RadialBasisFunction):
-    """Thin-plate spline ``r^2 log r`` (conditionally positive definite)."""
-
-    positive_definite = False
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        out = np.zeros_like(r)
-        nz = r > 0.0
-        out[nz] = r[nz] * r[nz] * np.log(r[nz])
-        return out
-
-
-@dataclass(frozen=True)
-class WendlandC2RBF(RadialBasisFunction):
-    """Wendland C2 ``(1-r)^4_+ (4r+1)`` — compactly supported, SPD in 3D."""
-
-    positive_definite = True
-    compact_support = True
-    decreasing = True
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        base = np.maximum(0.0, 1.0 - r)
-        return base**4 * (4.0 * r + 1.0)

@@ -1,10 +1,13 @@
 """Floating-point operation counts for dense and TLR tile kernels.
 
-These formulas drive three things: the simulator's task-duration model
-(:mod:`repro.machine.costmodel`), the critical-path roofline of
-Fig. 13, and the tile-size trade-off analysis of Fig. 5.  Dense counts
-follow the standard LAPACK accounting; TLR counts follow the HiCMA
-kernel decompositions (see kernels_tlr.py for the algebra).
+The task graph (``core/trimming.py``) records each task's flops, which
+the engines sum.  The performance model has one consumer of the model
+counts, :class:`~repro.machine.costmodel.CostModel`: it turns them into
+the task seconds the simulator and the analytic model compose (Figs.
+4-14).  The TLR counts take a scalar rank or an array of ranks and
+return the same shape.  Dense counts follow the standard LAPACK
+accounting; TLR counts follow the HiCMA kernel decompositions (see
+kernels_tlr.py for the algebra).
 
 Two GEMM accountings coexist because two things are counted:
 :func:`gemm_tlr_flops` prices the *modelled* HiCMA kernel — one
@@ -18,6 +21,8 @@ by the range-finder.
 from __future__ import annotations
 
 from collections.abc import Sequence
+
+import numpy as np
 
 __all__ = [
     "potrf_flops",
@@ -44,9 +49,9 @@ def trsm_dense_flops(b: int, ncols: int | None = None) -> float:
     return float(b * b * n)
 
 
-def trsm_tlr_flops(b: int, k: int) -> float:
+def trsm_tlr_flops(b: int, k):
     """TLR TRSM touches only the ``b x k`` V factor."""
-    return float(b * b * k)
+    return float(b * b) * k
 
 
 def syrk_dense_flops(b: int) -> float:
@@ -54,13 +59,13 @@ def syrk_dense_flops(b: int) -> float:
     return float(b * b * (b + 1))
 
 
-def syrk_tlr_flops(b: int, k: int) -> float:
+def syrk_tlr_flops(b: int, k):
     """TLR SYRK ``C - U (V^T V) U^T``.
 
     ``V^T V`` costs ``2 b k^2``; ``U W`` costs ``2 b k^2``;
     ``(U W) U^T`` costs ``2 b^2 k``.
     """
-    return 4.0 * b * k * k + 2.0 * b * b * k
+    return 4.0 * b * k**2 + 2.0 * b * b * k
 
 
 def gemm_dense_flops(b: int) -> float:
@@ -68,7 +73,7 @@ def gemm_dense_flops(b: int) -> float:
     return 2.0 * float(b) ** 3
 
 
-def gemm_tlr_flops(b: int, ka: int, kb: int, kc: int) -> float:
+def gemm_tlr_flops(b: int, ka, kb, kc):
     """Modelled HiCMA TLR GEMM: one update, QR+SVD recompression.
 
     Product factors: ``W = Va^T Vb`` (``2 b ka kb``) plus folding W into
@@ -76,17 +81,16 @@ def gemm_tlr_flops(b: int, ka: int, kb: int, kc: int) -> float:
     rank ``K = kc + min(ka, kb)``; rounding costs two economy QRs
     (``~2 b K^2`` each, keeping the dominant term), one small SVD
     (``~22 K^3``) and two factor rebuilds (``~2 b K k_new`` each, with
-    ``k_new ~ kc``).
+    ``k_new ~ kc``).  A null operand (``ka`` or ``kb`` 0) costs 0.
     """
-    if ka == 0 or kb == 0:
-        return 0.0
-    kp = min(ka, kb)
-    product = 4.0 * b * ka * kb
-    big_k = kc + kp
-    qr = 2.0 * 2.0 * b * big_k * big_k
-    svd = 22.0 * float(big_k) ** 3
-    rebuild = 2.0 * 2.0 * b * big_k * max(kc, 1)
-    return product + qr + svd + rebuild
+    big_k = kc + np.minimum(ka, kb)
+    total = (
+        4.0 * b * ka * kb
+        + 4.0 * b * big_k**2
+        + 22.0 * big_k**3
+        + 4.0 * b * big_k * np.maximum(kc, 1)
+    )
+    return np.where((ka == 0) | (kb == 0), 0.0, total)[()]  # 0-d -> scalar
 
 
 def gemm_accumulated_flops(

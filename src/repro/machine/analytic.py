@@ -41,11 +41,6 @@ __all__ = ["AnalyticModel", "AnalyticResult"]
 #: strided-sampled and contributions rescaled.
 _PAIR_BUDGET = 20_000_000
 
-#: Kernels whose single-core time exceeds this run with nested
-#: parallelism over the node's cores (HiCMA-PaRSEC inherits this for
-#: its large kernels from Cao et al. [10]).
-NESTED_THRESHOLD_S = 0.01
-
 
 @dataclass
 class AnalyticResult:
@@ -78,10 +73,11 @@ class AnalyticResult:
 
 
 class AnalyticModel:
-    """Performance model for one (machine, nodes, framework) setup."""
+    """Performance model for one (machine, nodes, framework) setup.
 
-    #: nested-parallelism efficiency of critical-path kernels
-    cp_parallel_efficiency = 0.75
+    Every task and message is priced by :class:`CostModel`; this class
+    only composes those prices.
+    """
 
     def __init__(
         self,
@@ -159,12 +155,12 @@ class AnalyticModel:
 
         # --- critical path -------------------------------------------
         sub_rank = int(rank_d[1]) if nt > 1 else b
-        cp_speed = max(1.0, m.cores_per_node * self.cp_parallel_efficiency)
+        # the panel chain always runs nested over the node's cores
         t_panel = (
             cm.potrf_time(b)
             + cm.trsm_time(b, sub_rank)
             + cm.syrk_time(b, sub_rank)
-        ) / cp_speed
+        ) / cm.nested_speed
         # Column-broadcast participants: with trimming only processes
         # owning non-null panel tiles join; otherwise the full column
         # process group.  The tree depth delays the critical TRSM.
@@ -239,21 +235,15 @@ class AnalyticModel:
                 continue
 
             # TRSM / SYRK tasks of panel k.
-            trsm_owners = _owners(self.exec_dist, rows, np.full_like(rows, k))
-            syrk_owners = _owners(self.exec_dist, rows, rows)
-            syrk_times = cm.syrk_time_vec(b, r_rows)
-            np.add.at(work, trsm_owners, cm.trsm_time_vec(b, r_rows))
-            np.add.at(work, syrk_owners, syrk_times)
+            trsm_owners = self.exec_dist.owner_vec(rows, np.full_like(rows, k))
+            syrk_owners = self.exec_dist.owner_vec(rows, rows)
+            np.add.at(work, trsm_owners, cm.trsm_time(b, r_rows))
+            np.add.at(work, syrk_owners, cm.syrk_time(b, r_rows))
             n_tasks += 2 * len(rows) + len(rows) * (len(rows) - 1) // 2
-            # Diagonal accumulation chains (real contributions only).
-            # Sizeable SYRKs run with nested parallelism ([10]), so
-            # the serialized chain advances at the parallel rate.
+            # Diagonal accumulation chains (real contributions only),
+            # advancing at each SYRK's node time.
             live = r_rows > 0
-            chain_t = np.where(
-                syrk_times > NESTED_THRESHOLD_S,
-                syrk_times / cp_speed,
-                syrk_times,
-            )
+            chain_t, _ = cm.node_time("SYRK", b, r_rows)
             np.add.at(diag_chain, rows[live], chain_t[live])
             np.minimum.at(first_contrib, rows[live], k)
 
@@ -276,8 +266,8 @@ class AnalyticModel:
                     np.maximum(field.rank_lookup(gm, gn), 2),
                     floor if floor > 0 else 1.0,
                 )
-                towners = _owners(self.exec_dist, gm, gn)
-                tt = cm.gemm_time_vec(b, ka, kb, kc)
+                towners = self.exec_dist.owner_vec(gm, gn)
+                tt = cm.gemm_time(b, ka, kb, kc)
                 np.add.at(work, towners, tt * scale)
                 if not trim and floor == 0.0:
                     n_null += int(np.count_nonzero((ka == 0) | (kb == 0)) * scale)
@@ -286,7 +276,7 @@ class AnalyticModel:
                 for op_rows, op_ranks in ((gm, ka), (gn, kb)):
                     key = op_rows.astype(np.int64) * self.nproc + towners
                     uniq, first = np.unique(key, return_index=True)
-                    ob = cm.tile_bytes_vec(b, op_ranks[first])
+                    ob = cm.tile_bytes(b, op_ranks[first])
                     dest = (uniq % self.nproc).astype(np.int64)
                     np.add.at(recv, dest, ob * scale)
                     np.add.at(msgs, dest, 1.0 * scale)
@@ -294,14 +284,14 @@ class AnalyticModel:
         # Remapped execution: off-band tiles fetched/written back at
         # most twice (Section VII-B); spread uniformly.
         if self.exec_dist is not self.data_dist:
-            moved = 0.0
-            for d in range(2, nt):
-                moved += (
-                    2
-                    * cm.tile_bytes(b, int(rank_d[d]))
-                    * (nt - d)
-                    * float(field.density_by_distance[d])
-                )
+            d = np.arange(2, nt)
+            per_d = (
+                2
+                * cm.tile_bytes(b, rank_d[2:nt].astype(np.int64))
+                * (nt - d)
+                * field.density_by_distance[2:nt]
+            )
+            moved = sum(per_d.tolist(), 0.0)  # in d order, as summed per tile
             recv += moved / self.nproc
             msgs += (2 * nt) / self.nproc
 
@@ -376,11 +366,6 @@ class AnalyticModel:
         d = field.initial_density()
         ops = max(nt * nt, (d * nt) ** 2 * nt)
         return 8.0 * ops / self.machine.core_mem_bandwidth / self.nproc
-
-
-def _owners(dist, m_arr: np.ndarray, k_arr: np.ndarray) -> np.ndarray:
-    """Vectorized owner lookup."""
-    return np.asarray(dist.owner_vec(m_arr, k_arr), dtype=np.int64)
 
 
 def _has_band(dist) -> bool:

@@ -51,10 +51,6 @@ class MachineModel:
     #: intensity Section V highlights; HiCMA reports similar ratios)
     tlr_kernel_efficiency: float = 0.30
 
-    @property
-    def node_gemm_flops(self) -> float:
-        return self.cores_per_node * self.core_gemm_flops
-
 
 #: Cray XC40: Haswell 2.3 GHz, 16 DP flops/cycle -> 36.8 Gflop/s peak
 #: per core; ~80% dgemm efficiency. DDR4: ~120 GB/s per node.

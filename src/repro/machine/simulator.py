@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,77 +45,32 @@ class SimulationResult:
     busy_per_process: np.ndarray
     time_by_class: dict[str, float]
     writeback_bytes: float
-    cores_per_node: int = 1
-    events: list[tuple[str, tuple[int, ...], int, float, float]] = field(
-        default_factory=list
-    )
-
-    @property
-    def avg_utilization(self) -> float:
-        """Mean core busy fraction over the makespan."""
-        if self.makespan <= 0.0:
-            return 0.0
-        return float(
-            self.busy_per_process.mean() / (self.makespan * self.cores_per_node)
-        )
 
 
-def _is_dense_kernel(
-    task: Task, b: int, rank_of: Callable[[int, int], int]
-) -> bool:
-    """True for kernels operating on full dense tiles (POTRF and dense
-    TRSM/SYRK/GEMM), which HiCMA-PaRSEC runs with nested parallelism."""
-    if task.klass == "POTRF":
-        return True
-    if task.klass in ("TRSM", "SYRK"):
-        m, k = task.params
-        return rank_of(m, k) >= b
-    m, n, k = task.params
-    return rank_of(m, k) >= b and rank_of(n, k) >= b
-
-
-def _task_duration(
-    cm: CostModel, task: Task, b: int, rank_of: Callable[[int, int], int]
-) -> float:
-    if task.klass == "POTRF":
-        return cm.potrf_time(b)
-    if task.klass == "TRSM":
-        m, k = task.params
-        return cm.trsm_time(b, rank_of(m, k))
-    if task.klass == "SYRK":
-        m, k = task.params
-        return cm.syrk_time(b, rank_of(m, k))
+def operand_ranks(task: Task, rank_of: Callable[[int, int], int]) -> tuple[int, ...]:
+    """The ranks ``task`` is priced at (:meth:`CostModel.node_time`):
+    none for POTRF, tile ``(m, k)`` for TRSM/SYRK, and ``(m, k)``,
+    ``(n, k)``, the target ``(m, n)`` for GEMM."""
     if task.klass == "GEMM":
         m, n, k = task.params
-        return cm.gemm_time(b, rank_of(m, k), rank_of(n, k), rank_of(m, n))
-    raise ValueError(f"unknown task class {task.klass!r}")
+        return rank_of(m, k), rank_of(n, k), rank_of(m, n)
+    return () if task.klass == "POTRF" else (rank_of(*task.params),)
 
 
 class DistributedSimulator:
     """Event-driven simulation of one task graph on a machine model.
 
-    Dense tile kernels (POTRF and dense TRSM/SYRK/GEMM) and any
-    sizeable kernel run over all the node's cores at
-    ``cp_parallel_efficiency``, as HiCMA-PaRSEC's nested parallelism
-    does (optimization inherited from Cao et al. [10]).
+    Task durations and the cores a task holds come from
+    :meth:`CostModel.node_time` (nested parallelism of dense and
+    sizeable kernels, as HiCMA-PaRSEC runs them).
     """
 
-    #: nested-parallelism efficiency of the node-wide kernels
-    cp_parallel_efficiency = 0.75
-
-    def __init__(
-        self,
-        machine: MachineModel,
-        n_processes: int,
-        cost_model: CostModel | None = None,
-        record_events: bool = False,
-    ) -> None:
+    def __init__(self, machine: MachineModel, n_processes: int) -> None:
         if n_processes < 1:
             raise ValueError(f"n_processes must be >= 1, got {n_processes}")
         self.machine = machine
         self.nproc = int(n_processes)
-        self.cost = cost_model if cost_model is not None else CostModel(machine)
-        self.record_events = record_events
+        self.cost = CostModel(machine)
 
     # ------------------------------------------------------------------
 
@@ -153,22 +108,21 @@ class DistributedSimulator:
         n = len(graph)
         cores = self.machine.cores_per_node
 
-        # --- static task properties ---------------------------------
-        proc_of = np.empty(n, dtype=np.int64)
+        # --- static task properties: one pricing call per class ------
+        proc_of = np.array([xd.owner(*t.writes[0]) for t in graph.tasks], np.int64)
         dur = np.empty(n, dtype=np.float64)
-        need = np.ones(n, dtype=np.int64)  # cores required
-        out_bytes = np.empty(n, dtype=np.float64)
-        cp_speed = max(1.0, cores * self.cp_parallel_efficiency)
+        need = np.empty(n, dtype=np.int64)  # cores held
+        members: dict[str, list[int]] = {}
         for i, t in enumerate(graph.tasks):
-            w = t.writes[0]
-            proc_of[i] = xd.owner(*w)
-            dur[i] = _task_duration(cm, t, b, rank_of)
-            out_bytes[i] = cm.tile_bytes(b, rank_of(*w))
-            if _is_dense_kernel(t, b, rank_of) or dur[i] > 0.01:
-                # dense kernels and any sizeable kernel run with
-                # nested parallelism over the node's cores ([10])
-                dur[i] /= cp_speed
-                need[i] = cores
+            members.setdefault(t.klass, []).append(i)
+        for klass, idx in members.items():
+            ranks = np.array([operand_ranks(graph.tasks[i], rank_of) for i in idx])
+            dur[idx], need[idx] = cm.node_time(klass, b, *ranks.T)
+        # wire size of every tile the graph touches, in one call
+        tiles = list({d for t in graph.tasks for d in (*t.reads, *t.writes)})
+        sizes = cm.tile_bytes(b, np.array([rank_of(*d) for d in tiles]))
+        tile_bytes = dict(zip(tiles, sizes.tolist()))
+        out_bytes = [tile_bytes[t.writes[0]] for t in graph.tasks]
 
         # --- initial data fetches ------------------------------------
         # A read with no earlier writer consumes the tile's initial
@@ -191,7 +145,7 @@ class DistributedSimulator:
                     continue
                 key = (d, p)
                 if key not in initial_fetch:
-                    size = cm.tile_bytes(b, rank_of(*d))
+                    size = tile_bytes[d]
                     start = link_free[owner]
                     link_free[owner] = start + size / self.machine.network_bandwidth
                     initial_fetch[key] = (
@@ -219,7 +173,6 @@ class DistributedSimulator:
         n_messages = fetch_msgs
         busy = np.zeros(self.nproc, dtype=np.float64)
         time_by_class: dict[str, float] = {}
-        rec: list[tuple[str, tuple[int, ...], int, float, float]] = []
 
         for i in range(n):
             if remaining[i] == 0:
@@ -240,8 +193,6 @@ class DistributedSimulator:
                 busy[p] += dur[i] * need[i]
                 t = graph.tasks[i]
                 time_by_class[t.klass] = time_by_class.get(t.klass, 0.0) + dur[i]
-                if self.record_events:
-                    rec.append((t.klass, t.params, p, now, end))
                 heapq.heappush(events, (end, next(seq), _DONE, i))
             for entry in skipped:
                 heapq.heappush(ready_q[p], entry)
@@ -299,7 +250,7 @@ class DistributedSimulator:
                 continue
             seen_wb.add(w)
             if data_dist.owner(*w) != int(proc_of[i]):
-                writeback += cm.tile_bytes(b, rank_of(*w))
+                writeback += tile_bytes[w]
 
         return SimulationResult(
             makespan=makespan,
@@ -309,6 +260,4 @@ class DistributedSimulator:
             busy_per_process=busy,
             time_by_class=time_by_class,
             writeback_bytes=writeback,
-            cores_per_node=cores,
-            events=rec,
         )

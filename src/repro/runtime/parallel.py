@@ -78,11 +78,16 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-#: Safety multiplier applied to the cost model's longest-kernel
-#: estimate when scaling the stall timeout.  Generous on purpose: the
-#: model is a compute-bound floor calibrated for Shaheen-II cores, and
-#: CI machines are slower and noisier.
+#: Safety multiplier applied to the longest-kernel estimate when
+#: scaling the stall timeout.  Generous on purpose: the estimate is a
+#: compute-bound floor calibrated for Shaheen-II cores, and CI machines
+#: are slower and noisier.
 _STALL_SAFETY = 25.0
+
+#: The estimate's kernel, one Shaheen II core: 4 us of task overhead,
+#: then the flops at the TLR kernel rate (30 % of 29 Gflop/s dgemm).
+#: The roofline's memory term would only lengthen it, so it is left out.
+_KERNEL_OVERHEAD_S, _KERNEL_FLOP_RATE = 4.0e-6, 29.0e9 * 0.30
 
 
 def scaled_stall_timeout(base: float | None, graph) -> float | None:
@@ -92,8 +97,8 @@ def scaled_stall_timeout(base: float | None, graph) -> float | None:
     on large-tile POTRF/GEMM tasks that are still making progress —
     the watchdog only sees "no retirement in T seconds", and a single
     8192-tile POTRF legitimately takes that long.  The fix: never let
-    the effective timeout drop below ``_STALL_SAFETY`` times the cost
-    model's estimate for the most expensive single task in the graph.
+    the effective timeout drop below ``_STALL_SAFETY`` times the
+    estimate for the most expensive single task in the graph.
 
     ``base is None`` (watchdog disabled) stays ``None``; the scaled
     value is never *smaller* than ``base``, so tightening is
@@ -105,11 +110,8 @@ def scaled_stall_timeout(base: float | None, graph) -> float | None:
     tasks = getattr(graph, "tasks", None)
     if not tasks:
         return base
-    from repro.machine.costmodel import CostModel
-    from repro.machine.models import SHAHEEN_II
-
-    model = CostModel(SHAHEEN_II)
-    longest = max(model.kernel_seconds(t.flops) for t in tasks)
+    flops = max(max(float(t.flops) for t in tasks), 0.0)
+    longest = _KERNEL_OVERHEAD_S + flops / _KERNEL_FLOP_RATE
     return max(base, _STALL_SAFETY * longest)
 
 

@@ -394,11 +394,6 @@ class OperatorCache:
             sealed += 1
         return sealed
 
-    def fingerprints(self) -> list[str]:
-        """Resident fingerprints, least- to most-recently used."""
-        with self._lock:
-            return list(self._entries)
-
     def disk_fingerprints(self) -> list[str]:
         """Fingerprints sealed on disk (manifest present), sorted.
 

@@ -82,9 +82,6 @@ class ConsistentHashRing:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def __contains__(self, node: str) -> bool:
-        return node in self._nodes
-
     def add(self, node: str) -> None:
         """Insert ``node`` at its ``vnodes`` ring points (idempotent)."""
         if node in self._nodes:

@@ -1,8 +1,7 @@
-"""Shared utilities: space-filling-curve orderings, timing, validation."""
+"""Shared utilities: space-filling-curve orderings, validation."""
 
 from repro.utils.hilbert import hilbert_index_3d, hilbert_order
 from repro.utils.morton import morton_index_3d, morton_order
-from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_positive,
     check_square_matrix,
@@ -14,7 +13,6 @@ __all__ = [
     "hilbert_order",
     "morton_index_3d",
     "morton_order",
-    "Timer",
     "check_positive",
     "check_square_matrix",
     "check_symmetric",

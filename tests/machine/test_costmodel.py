@@ -52,18 +52,33 @@ class TestKernelTimes:
         assert rate_tlr < rate_dense
 
     def test_vectorized_match_scalar(self, cm):
+        """One array call prices exactly like the scalar calls."""
         b = 1500
-        ranks = np.array([0, 1, 17, 300, b, 2 * b])
-        tv = cm.trsm_time_vec(b, ranks)
-        sv = cm.syrk_time_vec(b, ranks)
+        ranks = np.array([0, 1, 17, b - 1, b, 2 * b])
+        tv = cm.trsm_time(b, ranks)
+        sv = cm.syrk_time(b, ranks)
         for i, r in enumerate(ranks):
-            assert tv[i] == pytest.approx(cm.trsm_time(b, int(r)))
-            assert sv[i] == pytest.approx(cm.syrk_time(b, int(r)))
-        gv = cm.gemm_time_vec(b, ranks, ranks, np.maximum(ranks, 1))
-        for i, r in enumerate(ranks):
-            assert gv[i] == pytest.approx(
-                cm.gemm_time(b, int(r), int(r), max(int(r), 1)), rel=1e-6
+            assert tv[i] == cm.trsm_time(b, int(r))
+            assert sv[i] == cm.syrk_time(b, int(r))
+        ka, kb, kc = np.meshgrid(ranks, ranks, ranks, indexing="ij")
+        gv = cm.gemm_time(b, ka, kb, kc)
+        assert gv.shape == ka.shape
+        for idx in np.ndindex(ka.shape):
+            assert gv[idx] == cm.gemm_time(
+                b, int(ka[idx]), int(kb[idx]), int(kc[idx])
             )
+
+    def test_node_time_nests_dense_and_long_kernels(self, cm):
+        cores = cm.machine.cores_per_node
+        b = 1000
+        t, held = cm.node_time("POTRF", b)
+        assert (t, held) == (cm.potrf_time(b) / cm.nested_speed, cores)
+        t, held = cm.node_time("TRSM", b, 4)  # short low-rank kernel
+        assert (t, held) == (cm.trsm_time(b, 4), 1)
+        t, held = cm.node_time("GEMM", b, np.array([b, 4]), np.array([b, 4]), 4)
+        assert held.tolist() == [cores, 1]
+        with pytest.raises(ValueError):
+            cm.node_time("GETRF", b)
 
     def test_compression_most_expensive_per_tile(self, cm):
         b = 2000
@@ -81,8 +96,8 @@ class TestMessageTimes:
 
     def test_tile_bytes_vec_matches(self, cm):
         b = 1000
-        ranks = np.array([0, 3, 500, 1000, 1500])
-        vec = cm.tile_bytes_vec(b, ranks)
+        ranks = np.array([0, 1, 17, b - 1, b, 2 * b])
+        vec = cm.tile_bytes(b, ranks)
         for i, r in enumerate(ranks):
             assert vec[i] == cm.tile_bytes(b, int(r))
 
@@ -91,9 +106,3 @@ class TestMessageTimes:
         assert cm.transfer_time(0.0) == pytest.approx(
             m.message_overhead + m.network_latency
         )
-
-    def test_broadcast_log_scaling(self, cm):
-        one = cm.broadcast_time(1e6, 1)
-        many = cm.broadcast_time(1e6, 15)
-        assert many == pytest.approx(4 * one)  # ceil(log2(16)) = 4
-        assert cm.broadcast_time(1e6, 0) == 0.0

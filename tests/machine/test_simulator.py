@@ -52,15 +52,10 @@ class TestBasics:
         cm = CostModel(SHAHEEN_II)
         sim = DistributedSimulator(SHAHEEN_II, 4)
         res = sim.run(graph, b, rank_of, TwoDBlockCyclic(2, 2))
-        from repro.machine.simulator import _is_dense_kernel, _task_duration
-
-        cp_speed = SHAHEEN_II.cores_per_node * sim.cp_parallel_efficiency
+        from repro.machine.simulator import operand_ranks
 
         def w(t):
-            d = _task_duration(cm, t, b, rank_of)
-            if _is_dense_kernel(t, b, rank_of) or d > 0.01:
-                return d / cp_speed
-            return d
+            return cm.node_time(t.klass, b, *operand_ranks(t, rank_of))[0]
 
         cp_len, _ = graph.critical_path(weight=w)
         assert res.makespan >= cp_len * (1 - 1e-9)
@@ -93,15 +88,6 @@ class TestBasics:
             graph, b, rank_of, TwoDBlockCyclic(2, 2)
         ).makespan
         assert a == b_
-
-    def test_record_events(self, small_problem):
-        nt, b, ranks, ana, graph, rank_of = small_problem
-        sim = DistributedSimulator(SHAHEEN_II, 2, record_events=True)
-        res = sim.run(graph, b, rank_of, TwoDBlockCyclic(1, 2))
-        assert len(res.events) == len(graph)
-        for klass, params, proc, start, end in res.events:
-            assert end >= start >= 0.0
-            assert 0 <= proc < 2
 
     def test_nproc_mismatch_raises(self, small_problem):
         nt, b, ranks, ana, graph, rank_of = small_problem

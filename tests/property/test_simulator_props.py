@@ -16,7 +16,7 @@ from repro.core.analysis import analyze_ranks
 from repro.core.trimming import ptg_cholesky_tasks
 from repro.distribution import TwoDBlockCyclic
 from repro.machine import SHAHEEN_II, DistributedSimulator
-from repro.machine.simulator import _is_dense_kernel, _task_duration
+from repro.machine.simulator import operand_ranks
 from repro.machine.costmodel import CostModel
 from repro.runtime.dag import build_graph
 
@@ -61,13 +61,9 @@ class TestSimulatorProperties:
 
         # critical-path bound under the same duration model
         cm = CostModel(SHAHEEN_II)
-        cp_speed = SHAHEEN_II.cores_per_node * sim.cp_parallel_efficiency
 
         def w(t):
-            d = _task_duration(cm, t, b, rank_of)
-            if _is_dense_kernel(t, b, rank_of) or d > 0.01:
-                return d / cp_speed
-            return d
+            return cm.node_time(t.klass, b, *operand_ranks(t, rank_of))[0]
 
         cp, _ = graph.critical_path(weight=w)
         assert res.makespan >= cp - 1e-12

@@ -26,6 +26,7 @@ from repro.runtime.parallel import (
     engine_for,
     resolve_engine,
     resolve_workers,
+    scaled_stall_timeout,
 )
 from repro.runtime.scheduler import (
     FIFOScheduler,
@@ -99,6 +100,28 @@ class TestResolveWorkers:
             ParallelExecutionEngine(workers=0)
         with pytest.raises(ValueError):
             ParallelExecutionEngine(workers=2, stall_timeout=-1.0)
+
+
+class TestStallTimeout:
+    """The watchdog's timeout never drops below 25x the longest kernel,
+    priced at one Shaheen II core's TLR rate (pinned values)."""
+
+    @pytest.fixture
+    def graph(self):
+        from repro.linalg.flops import potrf_flops
+
+        return build_graph([
+            make_task("POTRF", (0,), rw=[(0, 0)], flops=potrf_flops(8192)),
+            make_task("TRSM", (1, 0), reads=[(0, 0)], rw=[(1, 0)], flops=1e9),
+        ])
+
+    def test_scales_to_longest_kernel(self, graph):
+        assert scaled_stall_timeout(1.0, graph) == 526.6825533333334
+        assert scaled_stall_timeout(1e6, graph) == 1e6  # never tightens
+
+    def test_disabled_and_empty(self, graph):
+        assert scaled_stall_timeout(None, graph) is None
+        assert scaled_stall_timeout(2.5, build_graph([])) == 2.5
 
 
 class TestResolveEngine:

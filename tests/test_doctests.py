@@ -5,12 +5,11 @@ import doctest
 import pytest
 
 import repro
-import repro.utils.timing
 
 
 @pytest.mark.parametrize(
     "module",
-    [repro, repro.utils.timing],
+    [repro],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):

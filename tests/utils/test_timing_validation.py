@@ -1,43 +1,13 @@
-"""Tests for timing and validation helpers."""
+"""Tests for the validation helpers."""
 
 import numpy as np
 import pytest
 
-from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_positive,
     check_square_matrix,
     check_symmetric,
 )
-
-
-class TestTimer:
-    def test_context_manager_accumulates(self):
-        t = Timer()
-        with t:
-            pass
-        with t:
-            pass
-        assert t.elapsed >= 0.0
-        assert len(t.laps) == 2
-
-    def test_double_start_raises(self):
-        t = Timer().start()
-        with pytest.raises(RuntimeError):
-            t.start()
-        t.stop()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
-        assert t.laps == []
 
 
 class TestValidation:
