@@ -32,7 +32,7 @@ from repro.geometry import (
     synthetic_virus,
     virus_population,
 )
-from repro.kernels import GaussianRBF, RBFMatrixGenerator, dense_rbf_matrix
+from repro.kernels import GaussianRBF, RBFMatrixGenerator
 from repro.linalg import (
     DenseTile,
     LowRankFactor,
@@ -90,7 +90,6 @@ __all__ = [
     "min_spacing",
     "GaussianRBF",
     "RBFMatrixGenerator",
-    "dense_rbf_matrix",
     "LowRankFactor",
     "truncated_svd",
     "compress_block",

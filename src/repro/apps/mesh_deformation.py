@@ -164,18 +164,14 @@ class RBFMeshDeformation:
         coefficients: np.ndarray,
         chunk: int = 2048,
     ) -> np.ndarray:
-        """Evaluate the RBF field at volume nodes (chunked GEMV)."""
+        """Evaluate the RBF field at volume nodes (chunked GEMM + GEMV)."""
         v = np.asarray(volume_points, dtype=DTYPE)
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError(f"volume_points must have shape (n, 3), got {v.shape}")
         out = np.empty((len(v), 3), dtype=DTYPE)
-        delta = self.generator.shape_parameter
-        kern = self.generator.kernel
         for lo in range(0, len(v), chunk):
-            hi = min(lo + chunk, len(v))
-            diff = v[lo:hi, None, :] - self.points[None, :, :]
-            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            out[lo:hi] = kern.scaled(dist, delta) @ coefficients
+            rows = self.generator.kernel_rows(v[lo : lo + chunk])
+            out[lo : lo + chunk] = rows @ coefficients
         return out
 
     def deform(

@@ -168,8 +168,8 @@ def tlr_cholesky(
 
     Left-looking: tile ``(m, n)`` is produced by one ``GEMM(m, n)``
     task that subtracts every contributing panel product in one dense
-    accumulation and rounds the result once (certified range-finder,
-    every discarded singular value ``<= a.accuracy`` whatever method
+    accumulation and rounds the result once (residual-stop range-finder,
+    the discarded part's norm ``<= a.accuracy`` whatever method
     compressed the inputs), then by its ``TRSM(m, n)``; ``O(NT^2)``
     tasks.
 

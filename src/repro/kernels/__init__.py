@@ -7,7 +7,7 @@ from repro.kernels.covariance import (
     matern_half,
     matern_three_half,
 )
-from repro.kernels.matgen import RBFMatrixGenerator, dense_rbf_matrix
+from repro.kernels.matgen import RBFMatrixGenerator
 from repro.kernels.rbf import (
     GaussianRBF,
     InverseMultiquadricRBF,
@@ -21,7 +21,6 @@ __all__ = [
     "MultiquadricRBF",
     "InverseMultiquadricRBF",
     "RBFMatrixGenerator",
-    "dense_rbf_matrix",
     "MaternKernel",
     "matern_half",
     "matern_three_half",

@@ -34,12 +34,12 @@ class MaternKernel(RadialBasisFunction):
     positive_definite = True
     decreasing = True
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
+    def of_squared(self, s: np.ndarray) -> np.ndarray:
         if self.nu <= 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
+        r = np.sqrt(s, out=s)
         if self.nu == 0.5:
-            return np.exp(-r)
+            return np.exp(np.negative(r, out=r), out=r)
         if self.nu == 1.5:
             c = np.sqrt(3.0) * r
             return (1.0 + c) * np.exp(-c)

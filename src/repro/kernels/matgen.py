@@ -5,6 +5,13 @@ generated on demand (per task) and compressed immediately.  The
 generator here mirrors that: ``tile(i, j)`` produces the ``b x b``
 dense block of pairwise kernel evaluations between two point ranges.
 
+Tiles come from coordinates prepared once, ``y = (x - centroid) / delta``:
+one ``k = 5`` GEMM of rows ``[y_a, |y_a|^2, 1]`` by ``[-2 y_b, 1, |y_b|^2]``
+gives the scaled squared distances, and the kernel is applied in place.
+Centring confines the cancellation to the cloud's extent, wherever it
+sits.  Upper tiles are their lower twins transposed and diagonal tiles
+mirror their lower triangle, so ``tile(i, j) == tile(j, i).T`` bitwise.
+
 An SPD safeguard: Gaussian RBF matrices are symmetric positive
 definite in exact arithmetic, but for large shape parameters they are
 numerically near-singular.  Like practical RBF solvers we add a small
@@ -25,27 +32,15 @@ from repro.config import DTYPE
 from repro.kernels.rbf import GaussianRBF, RadialBasisFunction
 from repro.utils.validation import check_positive
 
-__all__ = ["RBFMatrixGenerator", "dense_rbf_matrix"]
+__all__ = ["RBFMatrixGenerator"]
 
 #: rounding head-room of :meth:`RBFMatrixGenerator.tile_norm_bound`:
-#: relative slack on every computed length (sphere distances, and the
-#: cancellation in ``_pairwise_distances``, which scales with the
-#: squared point norms), and on the kernel value itself
-_LENGTH_SLACK = 64.0 * np.finfo(DTYPE).eps
+#: relative on the sphere lengths (a few eps each), and per unit of
+#: ``q_a + q_b`` on a computed ``s`` (a 5-term dot product, within
+#: ``(2 gamma_5 + gamma_3)(q_a + q_b) ~ 6.5 eps (q_a + q_b)`` of exact;
+#: DESIGN.md, level 0); then relative on the kernel value
+_LENGTH_SLACK = 16.0 * np.finfo(DTYPE).eps
 _VALUE_SLACK = 1.0e-9
-
-
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between point sets ``a`` and ``b``.
-
-    Uses the expanded-square formulation (one GEMM) rather than
-    broadcasting the full ``(m, n, 3)`` difference tensor.
-    """
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
-    sq = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq, out=sq)
 
 
 @dataclass
@@ -83,6 +78,10 @@ class RBFMatrixGenerator:
         check_positive("tile_size", self.tile_size)
         if self.nugget < 0.0:
             raise ValueError(f"nugget must be >= 0, got {self.nugget}")
+        self._centroid = self.points.mean(axis=0)
+        self._left = self._lift(self.points)
+        y, q = self._left[:, :3], self._left[:, 3]
+        self._right = np.column_stack((-2.0 * y, np.ones(self.n), q)).T.copy()
 
     @property
     def n(self) -> int:
@@ -101,29 +100,54 @@ class RBFMatrixGenerator:
         lo = i * self.tile_size
         return lo, min(lo + self.tile_size, self.n)
 
+    def _lift(self, x: np.ndarray) -> np.ndarray:
+        """Rows ``[y, |y|^2, 1]`` of ``y = (x - centroid) / delta``."""
+        y = (x - self._centroid) / self.shape_parameter
+        return np.column_stack((y, np.einsum("ij,ij->i", y, y), np.ones(len(y))))
+
+    def _phi(self, s: np.ndarray) -> np.ndarray:
+        """The kernel on scaled squared distances, in place (rounding
+        below zero clamped)."""
+        return self.kernel.of_squared(np.maximum(s, 0.0, out=s))
+
+    def _block(self, rows: slice, cols: slice) -> np.ndarray:
+        """Kernel block of ``rows`` below ``cols``, or of one range with
+        it: mirrored exactly, zero self-distance, nugget added."""
+        s = self._left[rows] @ self._right[:, cols]
+        if rows != cols:
+            return self._phi(s)
+        np.copyto(s, s.T, where=np.tri(len(s), k=-1, dtype=bool).T)
+        np.fill_diagonal(s, 0.0)
+        a = self._phi(s)
+        a[np.diag_indices_from(a)] += self.nugget
+        return a
+
     def tile(self, i: int, j: int) -> np.ndarray:
         """Dense ``b x b`` tile ``A[i*b:(i+1)*b, j*b:(j+1)*b]``."""
-        ri = slice(*self.tile_range(i))
-        rj = slice(*self.tile_range(j))
-        dist = _pairwise_distances(self.points[ri], self.points[rj])
-        block = self.kernel.scaled(dist, self.shape_parameter)
-        if i == j and self.nugget > 0.0:
-            block[np.diag_indices_from(block)] += self.nugget
-        return np.ascontiguousarray(block, dtype=DTYPE)
+        if i < j:
+            return self.tile(j, i).T.copy()
+        return self._block(slice(*self.tile_range(i)), slice(*self.tile_range(j)))
+
+    def kernel_rows(self, x: np.ndarray) -> np.ndarray:
+        """``phi(||x_a - x_b|| / delta)`` between arbitrary points ``x``
+        and the generator's points, through the tiles' GEMM (no nugget)."""
+        return self._phi(self._lift(np.asarray(x, dtype=DTYPE)) @ self._right)
 
     @cached_property
     def _tile_spheres(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per tile: bounding-sphere centre and radius, and the largest
-        squared point norm (one ``O(n)`` pass, on first use)."""
+        """Per tile, in the prepared coordinates: bounding-sphere centre
+        and radius, and the largest squared norm (one ``O(n)`` pass, on
+        first use)."""
         nt = self.n_tiles
         centers = np.empty((nt, 3), dtype=DTYPE)
         radii = np.empty(nt, dtype=DTYPE)
         sqnorms = np.empty(nt, dtype=DTYPE)
         for i in range(nt):
-            pts = self.points[slice(*self.tile_range(i))]
-            centers[i] = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-            radii[i] = np.sqrt(((pts - centers[i]) ** 2).sum(axis=1).max())
-            sqnorms[i] = (pts * pts).sum(axis=1).max()
+            rows = self._left[slice(*self.tile_range(i))]  # [y, |y|^2, 1]
+            y = rows[:, :3]
+            centers[i] = 0.5 * (y.min(axis=0) + y.max(axis=0))
+            radii[i] = np.sqrt(((y - centers[i]) ** 2).sum(axis=1).max())
+            sqnorms[i] = rows[:, 3].max()
         return centers, radii, sqnorms
 
     def tile_norm_bound(self, i: int, j: int) -> float:
@@ -146,9 +170,8 @@ class RBFMatrixGenerator:
         apart = float(np.linalg.norm(centers[i] - centers[j]))
         reach = float(radii[i] + radii[j])
         gap = apart * (1.0 - _LENGTH_SLACK) - reach * (1.0 + _LENGTH_SLACK)
-        sq = max(gap, 0.0) ** 2 - _LENGTH_SLACK * float(sqnorms[i] + sqnorms[j])
-        d_min = math.sqrt(max(sq, 0.0))
-        peak = float(self.kernel.scaled(d_min, self.shape_parameter))
+        s = max(gap, 0.0) ** 2 - _LENGTH_SLACK * float(sqnorms[i] + sqnorms[j])
+        peak = float(self._phi(np.array(s)))
         if i == j:
             peak += self.nugget
         size = (hi_i - lo_i) * (hi_j - lo_j)
@@ -156,25 +179,4 @@ class RBFMatrixGenerator:
 
     def dense(self) -> np.ndarray:
         """The full dense operator (laptop-scale validation only)."""
-        dist = _pairwise_distances(self.points, self.points)
-        a = self.kernel.scaled(dist, self.shape_parameter)
-        if self.nugget > 0.0:
-            a[np.diag_indices_from(a)] += self.nugget
-        return np.ascontiguousarray(a, dtype=DTYPE)
-
-
-def dense_rbf_matrix(
-    points: np.ndarray,
-    shape_parameter: float,
-    kernel: RadialBasisFunction | None = None,
-    nugget: float = 1.0e-8,
-) -> np.ndarray:
-    """Convenience wrapper: the full dense RBF operator."""
-    gen = RBFMatrixGenerator(
-        points=np.asarray(points),
-        shape_parameter=shape_parameter,
-        tile_size=max(1, len(points)),
-        kernel=kernel if kernel is not None else GaussianRBF(),
-        nugget=nugget,
-    )
-    return gen.dense()
+        return self._block(slice(0, self.n), slice(0, self.n))

@@ -39,8 +39,14 @@ class RadialBasisFunction(ABC):
     decreasing: bool = False
 
     @abstractmethod
+    def of_squared(self, s: np.ndarray) -> np.ndarray:
+        """``phi(sqrt(s))`` on squared distances ``s >= 0`` (a float64
+        array), in place: ``s`` is overwritten unless the form allocates."""
+
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Evaluate ``phi`` elementwise on non-negative distances."""
+        r = np.array(r, dtype=np.float64)
+        return self.of_squared(np.square(r, out=r))
 
     def scaled(self, r: np.ndarray, delta: float) -> np.ndarray:
         """The scaled kernel ``phi_delta(r) = phi(r / delta)``."""
@@ -56,9 +62,8 @@ class GaussianRBF(RadialBasisFunction):
     positive_definite = True
     decreasing = True
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        return np.exp(-(r * r))
+    def of_squared(self, s: np.ndarray) -> np.ndarray:
+        return np.exp(np.negative(s, out=s), out=s)
 
 
 @dataclass(frozen=True)
@@ -67,9 +72,8 @@ class MultiquadricRBF(RadialBasisFunction):
 
     positive_definite = False
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        return np.sqrt(1.0 + r * r)
+    def of_squared(self, s: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.add(s, 1.0, out=s), out=s)
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,5 @@ class InverseMultiquadricRBF(RadialBasisFunction):
     positive_definite = True
     decreasing = True
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        return 1.0 / np.sqrt(1.0 + r * r)
+    def of_squared(self, s: np.ndarray) -> np.ndarray:
+        return np.divide(1.0, np.sqrt(np.add(s, 1.0, out=s), out=s), out=s)

@@ -15,8 +15,11 @@ Algebra for the low-rank paths (``A = Ua Va^T``, ``B = Ub Vb^T``):
 The two update kernels are *accumulating*: they take every panel that
 contributes to a target tile, stack the low-rank product factors and
 apply them as one dense product.  An off-diagonal target is then
-rounded **once**, by the certified range-finder — never per panel, and
-no tile is ever stored with an inflated rank.
+rounded **once**, by the residual-stop range-finder (``_ROUNDING``: it
+stops once the explicit residual is within the threshold and truncates
+the small core exactly, so its rank can differ from ``gesdd``'s by one;
+the build's certified exact-rank ``svd`` is not used here) — never per
+panel, and no tile is ever stored with an inflated rank.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.deformation_field import rigid_rotation, translation
 from repro.apps.mesh_deformation import RBFMeshDeformation
 from repro.geometry import fibonacci_sphere, synthetic_virus
-from repro.kernels import dense_rbf_matrix
+from repro.kernels import RBFMatrixGenerator
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ class TestDeformation:
         s = RBFMeshDeformation(boundary, accuracy=1e-8, tile_size=128, nugget=1e-6)
         d_b = rigid_rotation(boundary, angle=0.02)
         alpha_tlr = s.solve_coefficients(d_b)
-        a = dense_rbf_matrix(s.points, s.shape_parameter, nugget=1e-6)
+        a = RBFMatrixGenerator(s.points, s.shape_parameter, 128, nugget=1e-6).dense()
         alpha_ref = np.linalg.solve(a, d_b[s._perm])
         # compare the resulting fields at probe points, not raw
         # coefficients (the system is ill-conditioned)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.kernels.covariance import MaternKernel
-from repro.kernels.matgen import RBFMatrixGenerator, dense_rbf_matrix
+from repro.kernels.matgen import RBFMatrixGenerator
 from repro.kernels.rbf import (
     GaussianRBF,
     InverseMultiquadricRBF,
     MultiquadricRBF,
 )
+
+
+KERNELS = [GaussianRBF(), MultiquadricRBF(), InverseMultiquadricRBF(), MaternKernel()]
 
 
 @pytest.fixture()
@@ -36,7 +39,12 @@ class TestRBFMatrixGenerator:
                 assert np.allclose(tile, dense[lo_i:hi_i, lo_j:hi_j])
 
     def test_symmetry(self, gen):
-        assert np.allclose(gen.tile(0, 1), gen.tile(1, 0).T)
+        """Exact, by construction: an upper tile is its lower twin
+        transposed and a diagonal tile mirrors its lower triangle."""
+        assert gen.tile_range(2) == (100, 130)  # ragged last tile
+        for i in range(gen.n_tiles):
+            for j in range(gen.n_tiles):
+                assert np.array_equal(gen.tile(i, j), gen.tile(j, i).T), (i, j)
 
     def test_unit_diagonal_plus_nugget(self, gen):
         diag = np.diag(gen.tile(0, 0))
@@ -54,13 +62,22 @@ class TestRBFMatrixGenerator:
         g = RBFMatrixGenerator(pts, 0.5, 40, nugget=1e-8)
         np.linalg.cholesky(g.dense())  # must not raise
 
-    def test_entries_match_kernel_formula(self, rng):
-        pts = rng.random((20, 3))
-        g = RBFMatrixGenerator(pts, 0.25, 20, nugget=0.0)
-        a = g.tile(0, 0)
-        i, j = 3, 7
-        r = np.linalg.norm(pts[i] - pts[j])
-        assert a[i, j] == pytest.approx(np.exp(-((r / 0.25) ** 2)))
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("shift", [0.0, 1.0e2, 1.0e4])
+    def test_entries_match_kernel_formula(self, rng, kernel, shift):
+        """Every entry is phi(||x - y|| / delta) from coordinate
+        differences to 1e-12 relative, wherever the cloud sits: the
+        expanded square cancels only against the centred norms."""
+        pts = rng.random((70, 3)) + shift
+        g = RBFMatrixGenerator(pts, 0.25, 30, kernel=kernel, nugget=0.0)
+        exact = kernel(np.linalg.norm(pts[:, None] - pts[None, :], axis=2) / 0.25)
+        for i in range(g.n_tiles):
+            for j in range(g.n_tiles):
+                (lo_i, hi_i), (lo_j, hi_j) = g.tile_range(i), g.tile_range(j)
+                ref = exact[lo_i:hi_i, lo_j:hi_j]
+                big = ref > 1e-300
+                err = np.abs(g.tile(i, j) - ref)[big] / ref[big]
+                assert err.max() <= 1e-12, (i, j)
 
     def test_out_of_range_tile_raises(self, gen):
         with pytest.raises(IndexError):
@@ -154,14 +171,3 @@ class TestTileNormBound:
         with pytest.raises(IndexError):
             gen.tile_norm_bound(3, 0)
 
-
-class TestDenseRBFMatrix:
-    def test_matches_generator(self, rng):
-        pts = rng.random((40, 3))
-        a = dense_rbf_matrix(pts, 0.3)
-        g = RBFMatrixGenerator(pts, 0.3, 40)
-        assert np.allclose(a, g.dense())
-
-    def test_shape(self, rng):
-        pts = rng.random((25, 3))
-        assert dense_rbf_matrix(pts, 0.2).shape == (25, 25)
