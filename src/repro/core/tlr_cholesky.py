@@ -212,7 +212,7 @@ def tlr_cholesky(
         resumed.
     resume_from:
         A loaded :class:`~repro.runtime.checkpoint.Checkpoint` or a
-        path to a checkpoint directory/manifest.  ``a`` must be the
+        path to a checkpoint directory/file.  ``a`` must be the
         *pristine* operator, rebuilt exactly as the interrupted run
         built it; the checkpoint's tiles are overlaid and only
         unfinished tasks execute, so the resumed factor is bitwise
@@ -263,7 +263,7 @@ def tlr_cholesky(
         if manager is None:
             # Resuming without a manager still needs frontier/heal
             # bookkeeping; keep writing alongside the old checkpoints.
-            manager = CheckpointManager(resume_from.manifest_path.parent)
+            manager = CheckpointManager(resume_from.path.parent)
         manager.bind(graph, a, resume=resume_from)
     setup = time.perf_counter() - t0
 

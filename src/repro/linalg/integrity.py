@@ -31,7 +31,6 @@ __all__ = [
     "TileIntegrityError",
     "tile_checksum",
     "matrix_checksums",
-    "verify_matrix",
 ]
 
 #: Digest size in bytes (128-bit digests render as 32 hex chars).
@@ -39,7 +38,8 @@ _DIGEST_SIZE = 16
 
 
 class TileIntegrityError(ValueError):
-    """A tile's content no longer matches its recorded checksum."""
+    """Tiles that cannot be trusted: a content checksum mismatch, or a
+    tile file that fails to decode or verify."""
 
 
 def _array_bytes(a: np.ndarray) -> bytes:
@@ -68,21 +68,3 @@ def matrix_checksums(a) -> dict[tuple[int, int], str]:
     """Checksum every stored tile of a TLR matrix, keyed by index."""
     return {key: tile_checksum(tile) for key, tile in a}
 
-
-def verify_matrix(
-    a, checksums: dict[tuple[int, int], str], context: str = "matrix"
-) -> None:
-    """Raise :class:`TileIntegrityError` on the first mismatching tile.
-
-    Only the tiles named in ``checksums`` are checked, so a partial
-    ledger (e.g. a checkpoint's dirty set) verifies exactly its own
-    coverage.
-    """
-    for (m, k), expected in checksums.items():
-        actual = tile_checksum(a.tile(m, k))
-        if actual != expected:
-            raise TileIntegrityError(
-                f"{context}: tile ({m}, {k}) checksum mismatch "
-                f"(expected {expected}, got {actual}) — "
-                "content corrupted since it was recorded"
-            )

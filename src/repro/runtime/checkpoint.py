@@ -19,12 +19,12 @@ execution engines plug into:
     until the engine publishes its successors, so capturing the tile
     *references* at retirement (tiles are immutable by convention)
     yields a frontier-consistent snapshot even under the parallel
-    engine.  Checkpoints are written atomically (temp + fsync +
-    rename) as an ``.npz`` payload plus a JSON sidecar manifest
-    carrying the payload digest, per-tile checksums, the completed
-    task list, and a graph signature; torn or tampered checkpoints are
-    detected at load and quarantined, falling back to the previous
-    one.
+    engine.  Each generation is one sealed tile file,
+    ``ckpt-{seq:06d}.npz`` (:mod:`repro.linalg.serialization`): the
+    dirty tiles with the digests recorded at their retirement, and
+    metadata holding the completed task list, the graph signature and
+    the matrix grid.  Torn or tampered checkpoints are refused at load
+    and quarantined, falling back to the previous one.
 
 ``load_checkpoint`` / resume
     A restarted run rebuilds its pristine operator (the spec is
@@ -42,21 +42,17 @@ path exercised by the ``bitflip`` fault kind.
 from __future__ import annotations
 
 import hashlib
-import io
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.config import VERIFY_TILES_ENV, verify_tiles_from_env
-from repro.linalg.integrity import tile_checksum
-from repro.linalg.serialization import pack_tiles, unpack_tiles
+from repro.linalg.integrity import TileIntegrityError, tile_checksum
+from repro.linalg.serialization import matrix_meta, read, write
 from repro.linalg.tile import Tile
-from repro.utils.atomic import atomic_write_bytes, quarantine
+from repro.utils.atomic import quarantine
 
 __all__ = [
     "VERIFY_TILES_ENV",
@@ -68,10 +64,9 @@ __all__ = [
     "load_checkpoint",
 ]
 
-_MANIFEST_VERSION = 1
 _CKPT_PREFIX = "ckpt-"
 
-#: task uid as stored in the manifest: (klass, params tuple)
+#: task uid as stored in a checkpoint: (klass, params tuple)
 TaskUid = tuple[str, tuple[int, ...]]
 
 
@@ -120,10 +115,6 @@ class ChecksumLedger:
         with self._lock:
             return list(self._sums)
 
-    def snapshot(self) -> dict[tuple[int, int], str]:
-        with self._lock:
-            return dict(self._sums)
-
 
 # ----------------------------------------------------------------------
 # checkpoint files
@@ -135,79 +126,41 @@ class Checkpoint:
     """One loaded, validated checkpoint."""
 
     seq: int
-    completed: frozenset[TaskUid]
-    tiles: dict[tuple[int, int], Tile]
-    checksums: dict[tuple[int, int], str]
+    completed: frozenset[TaskUid] = field(repr=False)
+    tiles: dict[tuple[int, int], Tile] = field(repr=False)
+    checksums: dict[tuple[int, int], str] = field(repr=False)
     graph_signature: str
     matrix_meta: dict
-    manifest_path: Path
+    path: Path
 
-    def __repr__(self) -> str:
-        return (
-            f"Checkpoint(seq={self.seq}, completed={len(self.completed)} "
-            f"tasks, dirty={len(self.tiles)} tiles)"
+
+def _load_one(path: Path) -> Checkpoint:
+    """Load + validate one checkpoint file; raises on any inconsistency."""
+    file = read(path)
+    meta = file.meta
+    try:
+        return Checkpoint(
+            seq=int(meta["seq"]),
+            completed=frozenset(
+                (str(klass), tuple(int(p) for p in params))
+                for klass, params in meta["completed"]
+            ),
+            tiles=file.groups["tiles"],
+            checksums=file.checksums["tiles"],
+            graph_signature=str(meta["graph_signature"]),
+            matrix_meta=dict(meta["matrix"]),
+            path=path,
         )
-
-
-def _payload_digest(payload: bytes) -> str:
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
-
-
-def _load_one(manifest_path: Path) -> Checkpoint:
-    """Load + validate one checkpoint; raises on any inconsistency."""
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("version") != _MANIFEST_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint manifest version "
-            f"{manifest.get('version')!r}"
-        )
-    payload_path = manifest_path.parent / manifest["payload"]
-    payload = payload_path.read_bytes()
-    digest = _payload_digest(payload)
-    if digest != manifest["payload_blake2b"]:
-        raise ValueError(
-            f"checkpoint payload {payload_path.name} digest mismatch "
-            f"(manifest {manifest['payload_blake2b']}, file {digest}) — "
-            "torn or tampered write"
-        )
-    with np.load(io.BytesIO(payload)) as data:
-        tiles = unpack_tiles(data)
-    checksums: dict[tuple[int, int], str] = {}
-    for key_str, expected in manifest["tile_checksums"].items():
-        m_str, k_str = key_str.split("_")
-        key = (int(m_str), int(k_str))
-        if key not in tiles:
-            raise ValueError(f"manifest names tile {key} absent from payload")
-        actual = tile_checksum(tiles[key])
-        if actual != expected:
-            raise ValueError(
-                f"checkpoint tile {key} checksum mismatch "
-                f"(expected {expected}, got {actual})"
-            )
-        checksums[key] = expected
-    if set(checksums) != set(tiles):
-        raise ValueError("payload holds tiles the manifest does not cover")
-    completed = frozenset(
-        (str(klass), tuple(int(p) for p in params))
-        for klass, params in manifest["completed"]
-    )
-    return Checkpoint(
-        seq=int(manifest["seq"]),
-        completed=completed,
-        tiles=tiles,
-        checksums=checksums,
-        graph_signature=str(manifest["graph_signature"]),
-        matrix_meta=dict(manifest["matrix"]),
-        manifest_path=manifest_path,
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TileIntegrityError(f"{path}: not a checkpoint ({exc!r})") from exc
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint | None:
     """Load the newest valid checkpoint under ``path``.
 
     ``path`` may be a checkpoint directory (newest-first scan over
-    ``ckpt-*.json``; corrupt candidates are quarantined and the scan
-    falls back to the previous one) or one specific manifest file
+    ``ckpt-*.npz``; corrupt candidates are quarantined and the scan
+    falls back to the previous one) or one specific checkpoint file
     (corruption then raises instead of silently starting over).
     Returns ``None`` when the directory holds no usable checkpoint.
     """
@@ -216,13 +169,11 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint | None:
         return _load_one(path)
     if not path.is_dir():
         return None
-    candidates = sorted(path.glob(f"{_CKPT_PREFIX}*.json"), reverse=True)
-    for manifest_path in candidates:
+    for candidate in sorted(path.glob(f"{_CKPT_PREFIX}*.npz"), reverse=True):
         try:
-            return _load_one(manifest_path)
-        except (ValueError, OSError, KeyError, json.JSONDecodeError):
-            quarantine(manifest_path.parent / (manifest_path.stem + ".npz"))
-            quarantine(manifest_path)
+            return _load_one(candidate)
+        except (TileIntegrityError, OSError):
+            quarantine(candidate)
     return None
 
 
@@ -237,8 +188,7 @@ class CheckpointManager:
     Parameters
     ----------
     directory:
-        Where checkpoint payloads and manifests live (created on
-        demand).
+        Where checkpoint files live (created on demand).
     every_tasks:
         Write a checkpoint after this many retired tasks (``None``
         disables the task-count trigger).
@@ -306,13 +256,9 @@ class CheckpointManager:
     # ------------------------------------------------------------------
 
     def _existing_seq(self) -> int:
-        seqs = []
-        for p in self.directory.glob(f"{_CKPT_PREFIX}*.json"):
-            try:
-                seqs.append(int(p.stem[len(_CKPT_PREFIX):]))
-            except ValueError:
-                continue
-        return max(seqs, default=0)
+        files = self.directory.glob(f"{_CKPT_PREFIX}*.npz")
+        seqs = (p.stem[len(_CKPT_PREFIX):] for p in files)
+        return max((int(seq) for seq in seqs if seq.isdigit()), default=0)
 
     def bind(self, graph, data, resume: Checkpoint | None = None) -> int:
         """Attach to one run: reset state, optionally apply a resume.
@@ -330,14 +276,7 @@ class CheckpointManager:
             if self._signature == signature:
                 return self.resumed_tasks
             self._signature = signature
-            self._matrix_meta = {
-                "n": int(data.n),
-                "tile_size": int(data.tile_size),
-                "accuracy": float(data.accuracy),
-                "max_rank": (
-                    None if data.max_rank is None else int(data.max_rank)
-                ),
-            }
+            self._matrix_meta = matrix_meta(data)
             self._completed = set()
             self._dirty = {}
             self._refs = {}
@@ -494,43 +433,27 @@ class CheckpointManager:
         signature: str,
         matrix_meta: dict,
     ) -> Path:
-        stem = f"{_CKPT_PREFIX}{seq:06d}"
-        arrays, kinds = pack_tiles(
-            (key, tile) for key, (tile, _) in sorted(dirty.items())
-        )
-        buf = io.BytesIO()
-        # uncompressed: checkpoints are hot-path
-        np.savez(buf, **arrays, kinds=kinds)
-        payload = buf.getvalue()
-        manifest = {
-            "version": _MANIFEST_VERSION,
+        meta = {
             "seq": seq,
-            "payload": f"{stem}.npz",
-            "payload_blake2b": _payload_digest(payload),
+            "completed": [[klass, list(params)] for klass, params in completed],
             "graph_signature": signature,
             "matrix": matrix_meta,
-            "completed": [[klass, list(params)] for klass, params in completed],
-            "tile_checksums": {
-                f"{m}_{k}": checksum
-                for (m, k), (_, checksum) in sorted(dirty.items())
-            },
-            "created_at": time.time(),
         }
-        # Payload first, manifest last: a manifest on disk implies its
-        # payload is complete, so readers trust manifest-then-payload.
-        atomic_write_bytes(self.directory / f"{stem}.npz", payload)
-        return atomic_write_bytes(
-            self.directory / f"{stem}.json",
-            json.dumps(manifest, indent=1).encode(),
+        # uncompressed: checkpoints are hot-path.  The digests are the
+        # ones recorded at retirement, so a tile corrupted in memory
+        # since then is refused at load.
+        return write(
+            self.directory / f"{_CKPT_PREFIX}{seq:06d}.npz",
+            {"tiles": ((key, tile) for key, (tile, _) in dirty.items())},
+            meta,
+            compressed=False,
+            checksums={"tiles": {key: digest for key, (_, digest) in dirty.items()}},
         )
 
     def _prune(self) -> None:
-        manifests = sorted(self.directory.glob(f"{_CKPT_PREFIX}*.json"))
-        for manifest_path in manifests[: -self.keep or None]:
-            (self.directory / (manifest_path.stem + ".npz")).unlink(
-                missing_ok=True
-            )
-            manifest_path.unlink(missing_ok=True)
+        files = sorted(self.directory.glob(f"{_CKPT_PREFIX}*.npz"))
+        for path in files[: -self.keep or None]:
+            path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
 

@@ -152,8 +152,8 @@ class _Run:
         self.in_flight: dict[int, int] = {}
         self.failure: BaseException | None = None
 
-        # A checkpoint manager always brings its ledger (its manifests
-        # embed the checksums); verification without one gets a
+        # A checkpoint manager always brings its ledger (its files
+        # carry the recorded checksums); verification without one gets a
         # run-local ledger seeded from the operator's initial tiles.
         verify = engine.verify_tiles
         verify = verify_tiles_from_env() if verify is None else bool(verify)

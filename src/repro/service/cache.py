@@ -18,52 +18,36 @@ Lookup outcomes, from cheapest to most expensive:
 ``miss``
     Full build via :meth:`OperatorSpec.build`.
 
-Disk entries are crash-safe: payloads are written atomically
-(temp + fsync + rename, via :func:`repro.linalg.serialization.save_tlr`)
-and sealed by a sidecar JSON manifest recording each file's size and
-BLAKE2b digest — written *last*, so a manifest on disk implies its
-payloads are complete.  Startup runs :meth:`OperatorCache.recover`:
-stray temp files are deleted and torn/corrupt entries are quarantined
-(renamed ``*.corrupt``) rather than trusted.  A reload that still
-fails — bit rot under a valid-looking manifest, a truncated legacy
-file — is caught, quarantined, counted (``disk_corrupt``), and falls
-through to a fresh build: the cache never serves a factor it cannot
-verify.
+Each disk entry is one sealed tile file, ``{fingerprint}.npz``, holding
+an ``operator`` and a ``factor`` group (:mod:`repro.linalg.serialization`
+writes and verifies it).  The atomic temp + fsync + rename of that one
+file is the seal: a crash leaves the old entry or none, and shards
+sharing the directory cannot interleave one entry's parts.  Startup
+runs :meth:`OperatorCache.recover`: stray temp files are deleted, and
+every entry is checked with the reader the load path uses; a corrupt
+one is quarantined (renamed ``*.corrupt``) rather than trusted.  A
+reload that still fails — bit rot since startup — is quarantined,
+counted (``disk_corrupt``), and falls through to a fresh build: the
+cache never serves a factor it cannot verify.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import threading
 import time
-import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.linalg.serialization import load_tlr, save_tlr
+from repro.linalg.integrity import TileIntegrityError
+from repro.linalg.serialization import load_matrices, save_matrices
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.service.metrics import ServiceMetrics
 from repro.service.spec import OperatorSpec
-from repro.utils.atomic import atomic_write_bytes, quarantine
+from repro.utils.atomic import quarantine
 
 __all__ = ["CacheEntry", "OperatorCache"]
-
-_MANIFEST_VERSION = 1
-
-#: Exceptions a corrupt/torn disk entry can surface as during reload.
-_DISK_CORRUPTION_ERRORS = (ValueError, OSError, KeyError, zipfile.BadZipFile)
-
-
-def _file_digest(path: Path) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
 
 @dataclass
 class CacheEntry:
@@ -204,117 +188,74 @@ class OperatorCache:
     # persistence
     # ------------------------------------------------------------------
 
-    def _paths(self, fp: str) -> tuple[Path, Path]:
+    def _path(self, fp: str) -> Path:
         assert self.directory is not None
-        return (
-            self.directory / f"{fp}.operator.npz",
-            self.directory / f"{fp}.factor.npz",
-        )
+        return self.directory / f"{fp}.npz"
 
-    def _manifest_path(self, fp: str) -> Path:
+    def _sealed_paths(self) -> list[Path]:
+        """Every entry file, sorted: ``{fp}.npz`` with a dotless stem."""
         assert self.directory is not None
-        return self.directory / f"{fp}.manifest.json"
+        return sorted(p for p in self.directory.glob("*.npz") if "." not in p.stem)
 
     def _persist(self, entry: CacheEntry) -> None:
         if self.directory is None:
             return
-        op_path, f_path = self._paths(entry.fingerprint)
         # uncompressed: warm reload speed matters more than disk bytes
-        save_tlr(entry.operator, op_path, compressed=False)
-        save_tlr(entry.factor, f_path, compressed=False)
-        # Manifest last: its presence certifies both payloads landed
-        # complete, so a crash between the writes leaves a pair that
-        # recover() treats as unsealed, never a sealed torn entry.
-        manifest = {
-            "version": _MANIFEST_VERSION,
-            "fingerprint": entry.fingerprint,
-            "files": {
-                p.name: {"bytes": p.stat().st_size, "blake2b": _file_digest(p)}
-                for p in (op_path, f_path)
-            },
-            "created_at": time.time(),
-        }
-        atomic_write_bytes(
-            self._manifest_path(entry.fingerprint),
-            json.dumps(manifest, indent=1).encode(),
+        save_matrices(
+            self._path(entry.fingerprint),
+            {"operator": entry.operator, "factor": entry.factor},
+            compressed=False,
+            fingerprint=entry.fingerprint,
         )
 
     def _quarantine_entry(self, fp: str) -> None:
-        op_path, f_path = self._paths(fp)
-        moved = 0
-        for p in (op_path, f_path, self._manifest_path(fp)):
-            if p.exists():
-                quarantine(p)
-                moved += 1
-        if moved:
+        path = self._path(fp)
+        if path.exists():
+            quarantine(path)
             self._count("disk_corrupt")
 
-    def _load_from_disk(self, fp: str) -> CacheEntry | None:
-        if self.directory is None:
-            return None
-        op_path, f_path = self._paths(fp)
-        if not (op_path.exists() and f_path.exists()):
+    def _read(self, fp: str) -> CacheEntry | None:
+        """The verified entry on disk, or ``None``.  A torn, truncated
+        or rotten entry is quarantined, and the caller falls through to
+        a clean rebuild: never serve what we cannot verify, never crash
+        the server over a bad disk file."""
+        path = self._path(fp)
+        if not path.exists():
             return None
         try:
-            # load_tlr re-verifies every tile against its embedded
-            # BLAKE2b checksum, so bit rot raises instead of loading.
-            entry = CacheEntry(
-                fingerprint=fp,
-                operator=load_tlr(op_path),
-                factor=load_tlr(f_path),
-            )
-        except _DISK_CORRUPTION_ERRORS:
-            # Torn, truncated, or rotten entry: quarantine it and fall
-            # through to a clean rebuild — never serve what we cannot
-            # verify, never crash the server over a bad disk file.
+            matrices, meta = load_matrices(path)
+            if meta.get("fingerprint") != fp or set(matrices) != {"operator", "factor"}:
+                raise TileIntegrityError(f"{path}: not the entry of {fp}")
+        except (TileIntegrityError, OSError):
             self._quarantine_entry(fp)
             return None
-        self._count("disk_hits")
+        return CacheEntry(fingerprint=fp, **matrices)
+
+    def _load_from_disk(self, fp: str) -> CacheEntry | None:
+        entry = None if self.directory is None else self._read(fp)
+        if entry is not None:
+            self._count("disk_hits")
         return entry
 
     def recover(self) -> dict[str, int]:
         """Startup scan of the persistence directory.
 
-        Deletes stray atomic-write temp files (a crash mid-rename),
-        validates every *sealed* entry (manifest present) against the
-        manifest's sizes and digests, and quarantines entries that
-        fail — a truncated payload, a missing file, a flipped bit, an
-        unreadable manifest.  Unsealed payload pairs (legacy entries
-        written before manifests existed) are left for lazy validation
-        at reload time via their embedded tile checksums.
+        Deletes stray atomic-write temp files (a crash mid-rename) and
+        reads every entry as a reload would, quarantining each that
+        fails: a truncated file, a flipped bit, another format version.
 
         Returns ``{"checked": ..., "quarantined": ..., "tmp_removed": ...}``.
         """
         if self.directory is None:
             return {"checked": 0, "quarantined": 0, "tmp_removed": 0}
-        tmp_removed = 0
-        for tmp in self.directory.glob(".*.tmp"):
+        tmps = list(self.directory.glob(".*.tmp"))
+        for tmp in tmps:
             tmp.unlink(missing_ok=True)
-            tmp_removed += 1
-        checked = quarantined = 0
-        for manifest_path in sorted(self.directory.glob("*.manifest.json")):
-            checked += 1
-            fp = manifest_path.name[: -len(".manifest.json")]
-            try:
-                manifest = json.loads(manifest_path.read_text())
-                if manifest.get("version") != _MANIFEST_VERSION:
-                    raise ValueError("unsupported manifest version")
-                files = manifest["files"]
-                if not files:
-                    raise ValueError("manifest lists no files")
-                for name, meta in files.items():
-                    p = self.directory / name
-                    if p.stat().st_size != int(meta["bytes"]):
-                        raise ValueError(f"{name}: size mismatch")
-                    if _file_digest(p) != meta["blake2b"]:
-                        raise ValueError(f"{name}: digest mismatch")
-            except _DISK_CORRUPTION_ERRORS:
-                self._quarantine_entry(fp)
-                quarantined += 1
+        paths = self._sealed_paths()
         return {
-            "checked": checked,
-            "quarantined": quarantined,
-            "tmp_removed": tmp_removed,
+            "checked": len(paths),
+            "quarantined": sum(self._read(p.stem) is None for p in paths),
+            "tmp_removed": len(tmps),
         }
 
     # ------------------------------------------------------------------
@@ -388,14 +329,14 @@ class OperatorCache:
             entries = list(self._entries.values())
         sealed = 0
         for entry in entries:
-            if self._manifest_path(entry.fingerprint).exists():
+            if self._path(entry.fingerprint).exists():
                 continue
             self._persist(entry)
             sealed += 1
         return sealed
 
     def disk_fingerprints(self) -> list[str]:
-        """Fingerprints sealed on disk (manifest present), sorted.
+        """Fingerprints sealed on disk, sorted.
 
         The fleet's warm-handoff inventory: a respawned shard pointed
         at this directory serves exactly these operators from disk
@@ -404,11 +345,7 @@ class OperatorCache:
         """
         if self.directory is None:
             return []
-        suffix = ".manifest.json"
-        return sorted(
-            p.name[: -len(suffix)]
-            for p in self.directory.glob(f"*{suffix}")
-        )
+        return [p.stem for p in self._sealed_paths()]
 
     def clear(self) -> None:
         """Drop resident entries (disk persistence is left intact)."""

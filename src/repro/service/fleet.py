@@ -27,10 +27,10 @@ router:
   replayed solve is checked bitwise against the winner — replicas must
   agree with the shard they replaced, by construction of the
   deterministic build (`OperatorSpec.build` is bitwise reproducible);
-* **warm handoff** — the shards share one sealed disk cache
-  (crash-safe manifests, content-addressed filenames, atomic writes),
-  so a respawned shard reloads factors instead of rebuilding, and each
-  heartbeat piggybacks the shard's breaker/retry-budget state so even
+* **warm handoff** — the shards share one disk cache of sealed
+  entries (one content-addressed file per operator, written
+  atomically and verified on reload), so a respawned shard reloads
+  factors instead of rebuilding, and each heartbeat piggybacks the shard's breaker/retry-budget state so even
   a *crash* hands off warm (:meth:`SolveService.export_handoff`).
   Graceful leave runs the full drain protocol (stop admissions, flush,
   seal) and returns the same handoff payload.

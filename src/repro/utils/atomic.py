@@ -17,7 +17,7 @@ import tempfile
 from collections.abc import Callable
 from pathlib import Path
 
-__all__ = ["atomic_write_bytes", "atomic_write_via", "quarantine"]
+__all__ = ["atomic_write_via", "quarantine"]
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -60,11 +60,6 @@ def atomic_write_via(
         raise
     _fsync_dir(path.parent)
     return path
-
-
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> Path:
-    """Atomically replace ``path`` with ``data``."""
-    return atomic_write_via(path, lambda f: f.write(data))
 
 
 def quarantine(path: Path) -> None:

@@ -98,8 +98,8 @@ class TestCrashAndResume:
             workers=1,  # serial whatever $REPRO_WORKERS says: one task per capture
             checkpoint=CheckpointManager(tmp_path, every_tasks=1),
         )
-        # keep=2: the older surviving manifest is the frontier one short
-        one_short = load_checkpoint(sorted(tmp_path.glob("ckpt-*.json"))[0])
+        # keep=2: the older surviving checkpoint is the frontier one short
+        one_short = load_checkpoint(sorted(tmp_path.glob("ckpt-*.npz"))[0])
         started = []
 
         class Recording(threading.Thread):

@@ -66,7 +66,7 @@ class TestKillResume:
             f"{killed.stdout}\n{killed.stderr}"
         )
         if not workers:
-            assert list(ck.glob("ckpt-*.json")), "crash left no checkpoint"
+            assert list(ck.glob("ckpt-*.npz")), "crash left no checkpoint"
 
         # 3. resume in a fresh process and save the factor
         resumed = run_cli(

@@ -1,8 +1,13 @@
 """Tests for TLR matrix persistence."""
 
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.linalg.integrity import TileIntegrityError
 from repro.linalg.serialization import load_tlr, save_tlr
 from repro.linalg.tile import TileKind
 
@@ -64,11 +69,23 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="version"):
             load_tlr(path)
 
-    def test_fp64_file_stays_version_2(self, sparse_tlr, tmp_path):
+    def test_file_is_version_4(self, sparse_tlr, tmp_path):
         path = tmp_path / "a.npz"
         save_tlr(sparse_tlr, path)
         with np.load(path) as data:
-            assert int(data["header"][0]) == 2
+            assert int(data["header"][0]) == 4
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_unsealed_versions_are_refused(self, sparse_tlr, tmp_path, version):
+        """Versions 1 and 2 predate the seal: refused by their version."""
+        path = tmp_path / "a.npz"
+        save_tlr(sparse_tlr, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "seal"}
+        arrays["header"] = np.array([version, sparse_tlr.n, sparse_tlr.tile_size, -1])
+        np.savez(path, **arrays)
+        with pytest.raises(TileIntegrityError, match=f"version {version}"):
+            load_tlr(path)
 
     def test_version_3_file_is_refused(self, sparse_tlr, tmp_path):
         """Version 3 held single-precision low-rank factors, a storage
@@ -88,15 +105,13 @@ class TestRoundtrip:
 
 
 class TestIntegrity:
-    """Atomic writes + embedded checksums (format v2 robustness)."""
+    """Atomic writes, per-tile checksums and the seal."""
 
     def test_save_leaves_no_temp_files(self, sparse_tlr, tmp_path):
         save_tlr(sparse_tlr, tmp_path / "a.npz")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npz"]
 
     def test_corrupted_tile_payload_raises(self, sparse_tlr, tmp_path):
-        from repro.linalg.integrity import TileIntegrityError
-
         path = tmp_path / "a.npz"
         save_tlr(sparse_tlr, path)
         with np.load(path) as data:
@@ -109,31 +124,14 @@ class TestIntegrity:
         with pytest.raises(TileIntegrityError, match="checksum mismatch"):
             load_tlr(path)
 
-    def test_verify_false_skips_checksum_check(self, sparse_tlr, tmp_path):
+    def test_stripped_digest_block_is_refused(self, sparse_tlr, tmp_path):
         path = tmp_path / "a.npz"
         save_tlr(sparse_tlr, path)
         with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        key = next(k for k in arrays if k[0] in "du")
-        arr = arrays[key].copy()
-        arr.reshape(-1)[0] += 1e-13
-        arrays[key] = arr
-        np.savez_compressed(path, **arrays)
-        assert load_tlr(path, verify=False) is not None  # caller's risk
-
-    def test_v1_file_without_checksums_loads(self, sparse_tlr, tmp_path):
-        """Files written before the checksum block exist; they load
-        (unverified) rather than failing."""
-        path = tmp_path / "a.npz"
-        save_tlr(sparse_tlr, path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        del arrays["checksums"]
-        arrays["header"] = arrays["header"].copy()
-        arrays["header"][0] = 1
-        np.savez_compressed(path, **arrays)
-        back = load_tlr(path)
-        assert np.array_equal(back.to_dense(), sparse_tlr.to_dense())
+            arrays = {k: data[k] for k in data.files if k != "checksums"}
+        np.savez(path, **arrays)
+        with pytest.raises(TileIntegrityError, match="checksums"):
+            load_tlr(path)
 
     def test_checksum_count_mismatch_raises(self, sparse_tlr, tmp_path):
         path = tmp_path / "a.npz"
@@ -220,3 +218,100 @@ class TestFactorRoundtripSolve:
         save_tlr(sparse_tlr, p2, compressed=False)
         assert np.array_equal(load_tlr(p1).to_dense(), load_tlr(p2).to_dense())
         assert p2.stat().st_size >= p1.stat().st_size
+
+
+def small_tlr(seed=5):
+    """A 4 x 4-tile operator with null, low-rank and dense tiles."""
+    from repro.linalg.tile import NullTile
+    from repro.linalg.tile_matrix import TLRMatrix
+
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.random(64))
+    a = np.exp(-np.abs(x[:, None] - x[None, :]) / 0.05) + 64 * np.eye(64)
+    t = TLRMatrix.from_dense(a, 16, accuracy=1e-8)
+    t.set_tile(3, 0, NullTile((16, 16)))
+    return t
+
+
+class TestSealedFile:
+    """Properties of the one tile format: never trust a damaged file,
+    and the same content always gives the same bytes."""
+
+    @pytest.fixture(scope="class")
+    def sealed(self, tmp_path_factory):
+        from repro.linalg.serialization import save_matrices
+
+        path = tmp_path_factory.mktemp("sealed") / "entry.npz"
+        a = small_tlr()
+        kinds = {t.kind for _, t in a}
+        assert kinds == set(TileKind)  # every tile kind is covered
+        save_matrices(path, {"operator": a, "factor": small_tlr(6)}, compressed=False, tag="x")
+        return path
+
+    @given(
+        damage=st.one_of(
+            st.tuples(st.just("flip"), st.integers(0, 1 << 30), st.integers(1, 255)),
+            st.tuples(st.just("truncate"), st.integers(0, 1 << 30), st.just(0)),
+        )
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_damaged_file_is_refused_or_unchanged(self, sealed, tmp_path_factory, damage):
+        from repro.linalg.serialization import read
+
+        original = read(sealed)
+        raw = bytearray(sealed.read_bytes())
+        how, offset, mask = damage
+        offset %= len(raw)
+        if how == "flip":
+            raw[offset] ^= mask
+        else:
+            del raw[offset:]
+        path = tmp_path_factory.mktemp("damaged") / "entry.npz"
+        path.write_bytes(bytes(raw))
+        try:
+            back = read(path)
+        except TileIntegrityError:
+            return
+        assert back.meta == original.meta
+        assert back.checksums == original.checksums
+        for group, tiles in original.groups.items():
+            for key, tile in tiles.items():
+                got = back.groups[group][key]
+                assert got.kind is tile.kind and got.shape == tile.shape
+                assert np.array_equal(got.to_dense(), tile.to_dense())
+
+    def test_byte_265_flip_is_refused(self, sealed, tmp_path):
+        """Bit 6 of byte 265 lies inside an ``.npy`` header; numpy fails
+        to parse it with an error of its own, which the reader turns
+        into a refusal."""
+        from repro.linalg.serialization import read
+
+        raw = bytearray(sealed.read_bytes())
+        raw[265] ^= 0x40
+        path = tmp_path / "entry.npz"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(TileIntegrityError):
+            read(path)
+
+    def test_serial_and_threads_factors_write_identical_bytes(self, tmp_path):
+        from repro.core.tlr_cholesky import tlr_cholesky
+
+        paths = []
+        for engine in ("serial", "threads"):
+            factor = tlr_cholesky(small_tlr(), engine=engine, workers=2).factor
+            paths.append(tmp_path / f"{engine}.npz")
+            save_tlr(factor, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        with zipfile.ZipFile(paths[0]) as zf:
+            assert {i.date_time for i in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+    def test_meta_edit_breaks_the_seal(self, sealed, tmp_path):
+        from repro.linalg.serialization import read
+
+        with np.load(sealed) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["meta"] = np.frombuffer(b'{"n": 64, "tag": "y"}', np.uint8)
+        path = tmp_path / "entry.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(TileIntegrityError, match="seal"):
+            read(path)

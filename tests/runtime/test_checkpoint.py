@@ -1,4 +1,4 @@
-"""Checkpoint machinery: ledger, atomic manifests, recovery fallback.
+"""Checkpoint machinery: ledger, sealed checkpoint files, recovery fallback.
 
 The persistence-layer half of the checkpoint/restart story — what ends
 up on disk, how corruption is detected at load, and how the loader
@@ -6,7 +6,6 @@ falls back — separate from the engine-integration tests in
 ``tests/core/test_checkpoint_resume.py``.
 """
 
-import json
 import threading
 import time
 
@@ -14,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core.tlr_cholesky import tlr_cholesky
-from repro.linalg.integrity import tile_checksum
+from repro.linalg.integrity import TileIntegrityError, tile_checksum
+from repro.linalg.serialization import read, write
 from repro.linalg.tile import DenseTile
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.runtime.checkpoint import (
@@ -63,11 +63,11 @@ class TestCheckpointFiles:
         return tmp_path, result
 
     def test_manifest_and_payload_pair_per_checkpoint(self, written):
+        """One sealed file per generation, nothing beside it."""
         directory, result = written
-        manifests = sorted(directory.glob("ckpt-*.json"))
-        payloads = sorted(directory.glob("ckpt-*.npz"))
-        assert len(manifests) == result.checkpoints_written
-        assert [p.stem for p in manifests] == [p.stem for p in payloads]
+        files = sorted(directory.glob("ckpt-*.npz"))
+        assert len(files) == result.checkpoints_written
+        assert sorted(directory.iterdir()) == files
 
     def test_no_stray_temp_files(self, written):
         directory, _ = written
@@ -77,7 +77,7 @@ class TestCheckpointFiles:
         directory, _ = written
         ck = load_checkpoint(directory)
         seqs = sorted(
-            int(p.stem.split("-")[1]) for p in directory.glob("ckpt-*.json")
+            int(p.stem.split("-")[1]) for p in directory.glob("ckpt-*.npz")
         )
         assert ck is not None and ck.seq == seqs[-1]
 
@@ -92,51 +92,67 @@ class TestCheckpointFiles:
         assert load_checkpoint(tmp_path / "does-not-exist") is None
 
     def test_torn_payload_quarantined_and_falls_back(self, written):
-        """Truncating the newest payload must fall back to the previous
-        checkpoint and quarantine the torn files."""
+        """Truncating the newest checkpoint must fall back to the
+        previous one and quarantine the torn file."""
         directory, _ = written
-        manifests = sorted(directory.glob("ckpt-*.json"))
-        newest = manifests[-1]
-        payload = directory / (newest.stem + ".npz")
-        payload.write_bytes(payload.read_bytes()[:100])
+        files = sorted(directory.glob("ckpt-*.npz"))
+        newest = files[-1]
+        newest.write_bytes(newest.read_bytes()[:100])
         ck = load_checkpoint(directory)
         assert ck is not None
-        assert ck.seq == int(manifests[-2].stem.split("-")[1])
+        assert ck.seq == int(files[-2].stem.split("-")[1])
         assert (directory / (newest.name + ".corrupt")).exists()
-        assert (directory / (payload.name + ".corrupt")).exists()
 
     def test_flipped_payload_bit_detected(self, written):
         directory, _ = written
-        manifests = sorted(directory.glob("ckpt-*.json"))
-        payload = directory / (manifests[-1].stem + ".npz")
+        files = sorted(directory.glob("ckpt-*.npz"))
+        payload = files[-1]
         raw = bytearray(payload.read_bytes())
         raw[len(raw) // 2] ^= 0x10
         payload.write_bytes(bytes(raw))
         ck = load_checkpoint(directory)
         # newest quarantined, fell back
-        assert ck is None or ck.seq < int(manifests[-1].stem.split("-")[1])
+        assert ck is None or ck.seq < int(files[-1].stem.split("-")[1])
 
     def test_unreadable_manifest_quarantined(self, written):
         directory, _ = written
-        manifests = sorted(directory.glob("ckpt-*.json"))
-        manifests[-1].write_text("{not json")
+        files = sorted(directory.glob("ckpt-*.npz"))
+        with np.load(files[-1]) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["meta"] = np.frombuffer(b"{not json", np.uint8)
+        np.savez(files[-1], **arrays)
         ck = load_checkpoint(directory)
         assert ck is not None  # fell back to an older one
-        assert (directory / (manifests[-1].name + ".corrupt")).exists()
+        assert (directory / (files[-1].name + ".corrupt")).exists()
 
     def test_explicit_manifest_path_raises_on_corruption(self, written):
-        """A *specific* manifest must fail loudly, not silently restart."""
+        """A *specific* checkpoint must fail loudly, not silently restart."""
         directory, _ = written
-        manifests = sorted(directory.glob("ckpt-*.json"))
-        payload = directory / (manifests[-1].stem + ".npz")
-        payload.write_bytes(b"garbage")
+        files = sorted(directory.glob("ckpt-*.npz"))
+        files[-1].write_bytes(b"garbage")
         with pytest.raises(ValueError):
-            load_checkpoint(manifests[-1])
+            load_checkpoint(files[-1])
+
+    def test_tile_corrupted_after_retirement_is_refused(self, tmp_path):
+        """The file carries the digest recorded when the task retired,
+        not one taken at flush time: a tile corrupted in memory in
+        between is written, but never loaded back."""
+        data = spd_tlr()
+        graph = tlr_cholesky(spd_tlr()).graph
+        task = next(t for t in graph.tasks if t.klass == "POTRF")
+        mgr = CheckpointManager(tmp_path, every_tasks=100)
+        mgr.bind(graph, data)
+        mgr.task_retired(task, data)
+        block = data.tile(*task.writes[0]).data
+        block[0, 0] = np.nextafter(block[0, 0], np.inf)  # a bit flip in RAM
+        path = mgr.flush(data, force=True)
+        with pytest.raises(TileIntegrityError, match="checksum mismatch"):
+            load_checkpoint(path)
+        assert load_checkpoint(tmp_path) is None  # quarantined, no fallback
 
     def test_keep_prunes_old_generations(self, tmp_path):
         mgr = CheckpointManager(tmp_path, every_tasks=3, keep=2)
         tlr_cholesky(spd_tlr(), checkpoint=mgr)
-        assert len(list(tmp_path.glob("ckpt-*.json"))) <= 2
         assert len(list(tmp_path.glob("ckpt-*.npz"))) <= 2
         # and the survivors still load
         assert load_checkpoint(tmp_path) is not None
@@ -222,18 +238,18 @@ class TestManagerValidation:
         # a different factorization (different size -> different graph)
         with pytest.raises(ValueError, match="refusing to resume"):
             tlr_cholesky(spd_tlr(n=96, tile=32), resume_from=tmp_path)
-        # the same operator, but a manifest written against the
+        # the same operator, but a checkpoint written against the
         # per-(m, n, k) right-looking graph: also a different
         # factorization, and nothing of it is overlaid
         old_graph = build_graph(ptg_cholesky_tasks(a.n_tiles))
         assert any(len(t.params) == 3 for t in old_graph.tasks)
-        manifest = load_checkpoint(tmp_path).manifest_path
-        record = json.loads(manifest.read_text())
-        record["graph_signature"] = graph_signature(old_graph)
-        manifest.write_text(json.dumps(record))
+        ckpt = load_checkpoint(tmp_path).path
+        sealed = read(ckpt)
+        record = dict(sealed.meta, graph_signature=graph_signature(old_graph))
+        write(ckpt, {g: t.items() for g, t in sealed.groups.items()}, record)
         fresh = a.copy()
         with pytest.raises(ValueError, match="refusing to resume"):
-            tlr_cholesky(fresh, resume_from=manifest)
+            tlr_cholesky(fresh, resume_from=ckpt)
         assert all(x is y for (_, x), (_, y) in zip(fresh, a)), "tiles were overlaid"
 
     def test_graph_signature_stability(self):
@@ -263,13 +279,13 @@ class TestManagerValidation:
         mgr = CheckpointManager(tmp_path, every_tasks=5)
         tlr_cholesky(spd_tlr(), checkpoint=mgr)
         first = max(
-            int(p.stem.split("-")[1]) for p in tmp_path.glob("ckpt-*.json")
+            int(p.stem.split("-")[1]) for p in tmp_path.glob("ckpt-*.npz")
         )
         # a new manager (a restarted process) must not overwrite
         mgr2 = CheckpointManager(tmp_path, every_tasks=5)
         tlr_cholesky(spd_tlr(), checkpoint=mgr2, resume_from=tmp_path)
         newest = max(
-            int(p.stem.split("-")[1]) for p in tmp_path.glob("ckpt-*.json")
+            int(p.stem.split("-")[1]) for p in tmp_path.glob("ckpt-*.npz")
         )
         assert newest >= first
 

@@ -1,44 +1,46 @@
 """Crash-safe cache persistence: sealing, recovery, quarantine.
 
 The disk tier of :class:`~repro.service.cache.OperatorCache` must never
-turn a torn or rotten file into a served answer.  Entries are sealed by
-a manifest written after the payloads; startup ``recover()`` validates
-sealed entries and quarantines failures; a reload that still blows up
+turn a torn or rotten file into a served answer.  An entry is one
+sealed tile file, written atomically; startup ``recover()`` verifies
+every entry and quarantines failures; a reload that still blows up
 falls through to a rebuild and bumps ``disk_corrupt``.
 """
-
-import json
 
 import numpy as np
 import pytest
 
+from repro.linalg.serialization import read
 from repro.service import CorruptResultError, OperatorCache, SolveService
 
 TIMEOUT = 60.0
 
 
-def _entry_files(cache, spec):
-    fp = spec.fingerprint
-    d = cache.directory
-    return (
-        d / f"{fp}.operator.npz",
-        d / f"{fp}.factor.npz",
-        d / f"{fp}.manifest.json",
-    )
+def _entry_file(cache, spec):
+    return cache.directory / f"{spec.fingerprint}.npz"
+
+
+def _rewrite(path, edit):
+    """Re-save ``path`` with ``edit(arrays)`` applied (no re-sealing)."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    edit(arrays)
+    np.savez(path, **arrays)
 
 
 class TestSealing:
     def test_persist_writes_manifest_with_digests(self, small_spec, tmp_path):
+        """One file per entry: its metadata names the fingerprint, and
+        it carries a digest per tile of both groups."""
         cache = OperatorCache(directory=tmp_path)
         cache.get_or_build(small_spec)
-        op, fac, man = _entry_files(cache, small_spec)
-        assert op.exists() and fac.exists() and man.exists()
-        manifest = json.loads(man.read_text())
-        assert manifest["fingerprint"] == small_spec.fingerprint
-        for name, meta in manifest["files"].items():
-            p = tmp_path / name
-            assert p.stat().st_size == meta["bytes"]
-            assert len(meta["blake2b"]) == 32  # 128-bit hex digest
+        entry = _entry_file(cache, small_spec)
+        assert sorted(tmp_path.iterdir()) == [entry]
+        sealed = read(entry)
+        assert sealed.meta["fingerprint"] == small_spec.fingerprint
+        assert set(sealed.checksums) == {"operator", "factor"}
+        for digests in sealed.checksums.values():
+            assert all(len(d) == 32 for d in digests.values())  # 128-bit hex
 
     def test_no_stray_temp_files_after_persist(self, small_spec, tmp_path):
         cache = OperatorCache(directory=tmp_path)
@@ -61,11 +63,11 @@ class TestStartupRecovery:
     def test_torn_payload_quarantined_at_startup(self, small_spec, tmp_path):
         first = OperatorCache(directory=tmp_path)
         first.get_or_build(small_spec)
-        _, fac, man = _entry_files(first, small_spec)
+        fac = _entry_file(first, small_spec)
         fac.write_bytes(fac.read_bytes()[:200])  # torn write
         second = OperatorCache(directory=tmp_path)
         assert second.disk_corrupt == 1
-        assert not fac.exists() and not man.exists()
+        assert not fac.exists()
         assert (tmp_path / (fac.name + ".corrupt")).exists()
         # the poisoned entry rebuilds instead of loading
         _, outcome = second.acquire(small_spec)
@@ -74,7 +76,7 @@ class TestStartupRecovery:
     def test_flipped_bit_quarantined_at_startup(self, small_spec, tmp_path):
         first = OperatorCache(directory=tmp_path)
         first.get_or_build(small_spec)
-        _, fac, _ = _entry_files(first, small_spec)
+        fac = _entry_file(first, small_spec)
         raw = bytearray(fac.read_bytes())
         raw[len(raw) // 2] ^= 0x04  # same size, different content
         fac.write_bytes(bytes(raw))
@@ -88,16 +90,24 @@ class TestStartupRecovery:
     ):
         first = OperatorCache(directory=tmp_path)
         first.get_or_build(small_spec)
-        op, _, _ = _entry_files(first, small_spec)
-        op.unlink()
+        entry = _entry_file(first, small_spec)
+
+        def drop_a_payload(arrays):
+            del arrays[next(k for k in arrays if k.startswith("u_operator_"))]
+
+        _rewrite(entry, drop_a_payload)
         second = OperatorCache(directory=tmp_path)
         assert second.disk_corrupt == 1
 
     def test_unreadable_manifest_quarantined(self, small_spec, tmp_path):
         first = OperatorCache(directory=tmp_path)
         first.get_or_build(small_spec)
-        _, _, man = _entry_files(first, small_spec)
-        man.write_text("{definitely not json")
+        man = _entry_file(first, small_spec)
+
+        def garble_meta(arrays):
+            arrays["meta"] = np.frombuffer(b"{definitely not json", np.uint8)
+
+        _rewrite(man, garble_meta)
         second = OperatorCache(directory=tmp_path)
         assert second.disk_corrupt == 1
         assert (tmp_path / (man.name + ".corrupt")).exists()
@@ -116,22 +126,22 @@ class TestLazyQuarantine:
     def test_unsealed_corrupt_entry_rebuilds_on_acquire(
         self, small_spec, tmp_path
     ):
-        """Legacy entries (no manifest) skip the startup scan; the
-        embedded tile checksums still catch the corruption at reload
-        and the acquire falls through to a rebuild."""
+        """Corruption after the startup scan: the per-tile checksums
+        still catch it at reload and the acquire falls through to a
+        rebuild."""
         first = OperatorCache(directory=tmp_path)
         first.get_or_build(small_spec)
-        _, fac, man = _entry_files(first, small_spec)
-        man.unlink()  # make it look legacy/unsealed
-        with np.load(fac) as data:
-            arrays = {k: data[k] for k in data.files}
-        key = next(k for k in arrays if k[0] in "du")  # a tile payload
-        arr = arrays[key].copy()
-        arr.reshape(-1)[0] = np.nextafter(arr.reshape(-1)[0], np.inf)
-        arrays[key] = arr
-        np.savez(fac, **arrays)  # checksums block kept stale on purpose
+        fac = _entry_file(first, small_spec)
         second = OperatorCache(directory=tmp_path)
-        assert second.disk_corrupt == 0  # startup saw nothing sealed
+        assert second.disk_corrupt == 0  # startup saw a healthy entry
+
+        def nudge_a_tile(arrays):
+            key = next(k for k in arrays if k[0] in "du")  # a tile payload
+            arr = arrays[key].copy()
+            arr.reshape(-1)[0] = np.nextafter(arr.reshape(-1)[0], np.inf)
+            arrays[key] = arr
+
+        _rewrite(fac, nudge_a_tile)  # checksums block kept stale on purpose
         entry, outcome = second.acquire(small_spec)
         assert outcome == "build"
         assert second.disk_corrupt == 1
@@ -139,14 +149,40 @@ class TestLazyQuarantine:
         # the rebuilt entry is healthy
         assert np.all(np.isfinite(entry.factor.to_dense()))
 
+    def test_npy_header_bit_flip_rebuilds_on_acquire(self, small_spec, tmp_path):
+        """Bit 6 of byte 265 falls inside an ``.npy`` header, where numpy
+        fails with errors of its own (``tokenize.TokenError`` among
+        them).  The reader refuses the file like any other corruption:
+        quarantined, counted, rebuilt."""
+        OperatorCache(directory=tmp_path).get_or_build(small_spec)
+        second = OperatorCache(directory=tmp_path)
+        entry = _entry_file(second, small_spec)
+        raw = bytearray(entry.read_bytes())
+        raw[265] ^= 1 << 6
+        entry.write_bytes(bytes(raw))
+        _, outcome = second.acquire(small_spec)
+        assert outcome == "build"
+        assert second.disk_corrupt == 1
+        assert (tmp_path / (entry.name + ".corrupt")).exists()
+
+    def test_foreign_npz_files_are_not_entries(self, small_spec, tmp_path):
+        """Only ``{fingerprint}.npz`` is an entry: a file of another
+        layout (here ``{fp}.factor.npz``) is neither read nor counted."""
+        stray = tmp_path / f"{small_spec.fingerprint}.factor.npz"
+        stray.write_bytes(b"not a sealed file")
+        cache = OperatorCache(directory=tmp_path)
+        assert cache.recover()["checked"] == 0 and cache.disk_corrupt == 0
+        assert cache.disk_fingerprints() == []
+        _, outcome = cache.acquire(small_spec)
+        assert outcome == "build" and stray.exists()
+
     def test_invalidate_drops_memory_and_disk(self, small_spec, tmp_path):
         cache = OperatorCache(directory=tmp_path)
         cache.get_or_build(small_spec)
         assert small_spec in cache
         cache.invalidate(small_spec.fingerprint)
         assert small_spec not in cache
-        op, fac, man = _entry_files(cache, small_spec)
-        assert not op.exists() and not fac.exists() and not man.exists()
+        assert not _entry_file(cache, small_spec).exists()
         _, outcome = cache.acquire(small_spec)
         assert outcome == "build"
 

@@ -215,7 +215,7 @@ class TestChaos:
             fleet.submit_solve(small_spec, rhs, timeout=TIMEOUT).result(TIMEOUT)
             # wait for a checkpoint seal so the factor is on disk
             assert wait_for(
-                lambda: any((tmp_path / "cache").glob("*.manifest.json"))
+                lambda: any((tmp_path / "cache").glob("*.npz"))
             )
             target = fleet._router.route(
                 small_spec.fingerprint, count=False

@@ -140,7 +140,7 @@ class TestCheckpointFlags:
         assert rc == 0
         out = capsys.readouterr().out
         assert "checkpoints:" in out
-        assert list(ck.glob("ckpt-*.json"))
+        assert list(ck.glob("ckpt-*.npz"))
 
     def test_resume_requires_checkpoint_dir(self, capsys):
         rc = main(self.ARGS + ["--resume"])
