@@ -12,8 +12,9 @@ both on one blocked adaptive range-finder (H2OPUS-TLR style) whose
 cost scales with the *detected* rank instead of the tile size:
 
 * ``"svd"`` — exact-rank truncated SVD: certified range-finder, gesdd
-  fallback.  Sampling stops on a proof that gesdd's rank is kept;
-  small tiles, relative cutoffs and uncertified tiles run gesdd;
+  fallback.  Sampling stops on a proof (Weyl's bound in quadrature)
+  that gesdd's rank is kept; small tiles, relative cutoffs and
+  uncertified tiles run gesdd;
 * ``"rand"`` — the range-finder stopped by its residual alone, with
   a direct-SVD fallback once the sampled rank crosses the crossover.
 
@@ -21,16 +22,19 @@ Both sit behind one null certificate (:func:`compress_block`): a block
 with ``||A||_F <= tol`` has ``sigma_1 <= tol``, so it is null without
 any decomposition — in the sparse regime that is most tiles.
 
-Sampled results are a pure function of ``(block, tol, seed)``: the
-Gaussian test matrices come from a ``PCG64`` stream seeded per tile
-(:func:`derive_tile_seed` — operator seed root + tile coordinates +
-generation: 0 for the build, 1 for the one rounding of the tile's
-accumulated update), so the serial and threaded executors draw
-identical samples and produce bitwise-identical factors.
+Sampled results are bitwise repeatable on every engine.  The certified
+path reads one fixed Gaussian test matrix per tile width
+(:func:`_test_matrix`), so its result is a pure function of
+``(block, tol)``.  The residual-stopped range-finder (``"rand"`` and
+the factorization's rounding) draws from a ``PCG64`` stream seeded per
+tile (:func:`derive_tile_seed` — operator seed root + tile coordinates
++ generation: 0 for the build, 1 for the one rounding of the tile's
+accumulated update), a pure function of ``(block, tol, seed)``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -152,8 +156,9 @@ class CompressionPolicy:
     The method selects how *input* tiles are built; the factorization
     rounds every accumulated update with the range-finder regardless
     (``linalg.kernels_tlr.gemm_update``).  ``seed_root`` anchors the
-    deterministic per-tile seed derivation (build and update rounding
-    alike).
+    deterministic per-tile seed derivation of the residual-stopped
+    range-finder: the update rounding and ``"rand"`` builds (the svd
+    build's certified path reads one fixed test matrix instead).
     """
 
     method: str = DEFAULT_COMPRESSION
@@ -320,20 +325,34 @@ _MISSED = object()
 
 
 def _certified(s, resid: float, tol: float, slack: float, max_rank) -> bool:
-    """True when the singular values ``s`` of the core ``Q^T A`` and
-    ``resid = ||A - Q Q^T A||_F`` prove gesdd's verdict on ``A``.
+    """True when the singular values ``s`` of the core ``B = Q^T A`` and
+    ``resid = ||R||_F``, ``R = A - Q B``, prove gesdd's verdict on ``A``.
 
     Interlacing (``sigma_i(A) >= s_i``): ``max_rank + 1`` values over
-    ``tol`` prove the block dense.  Weyl (``sigma_{k+1}(A) <= s_{k+1} +
-    resid``): with ``k`` values over ``tol``, ``s_{k+1} + resid <= tol``
-    proves rank ``k`` and ``||A - Q B_k||_2 <= tol``.  Ties within
-    ``slack`` (rounding) of ``tol`` are left to gesdd.
+    ``tol`` prove the block dense.  Weyl in quadrature: ``Q^T R = 0``
+    gives ``A^T A = B^T B + R^T R``, a sum of two PSD matrices, so
+    ``sigma_{k+1}(A)^2 <= s_{k+1}^2 + resid^2``; with ``k`` values over
+    ``tol``, ``hypot(s_{k+1}, resid) <= tol`` proves rank ``k`` and
+    ``||A - Q B_k||_2 <= tol``.  Ties within ``slack`` (rounding,
+    including ``R``'s ``O(eps ||A||)`` part inside ``range(Q)``) of
+    ``tol`` are left to gesdd.
     """
     if max_rank is not None and np.count_nonzero(s > tol + slack) > max_rank:
         return True
     k = int(np.count_nonzero(s > tol))
     tail = s[k] if k < len(s) else 0.0
-    return (k == 0 or s[k - 1] > tol + slack) and tail + resid <= tol - slack
+    return (k == 0 or s[k - 1] > tol + slack) and math.hypot(tail, resid) <= tol - slack
+
+
+@functools.lru_cache(maxsize=8)
+def _test_matrix(n: int) -> np.ndarray:
+    """The certified path's fixed Gaussian test matrix for width ``n``:
+    ``ceil(0.75 n)`` rows, one per column the certificate may sample,
+    drawn once from a fixed stream and read-only."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    omega = rng.standard_normal((math.ceil(_CERTIFY_CROSSOVER * n), n))
+    omega.setflags(write=False)
+    return omega
 
 
 def _range_finder(
@@ -341,13 +360,16 @@ def _range_finder(
 ):
     """The blocked adaptive range-finder of both methods.
 
-    Gaussian panels (``widths[0]``, then ``widths[1]`` columns) from a
-    ``PCG64(seed)`` stream are projected against the basis so far and
-    folded in; each ``Q_j^T A`` downdates the residual and is rows of
-    the core.  Sampling stops when the residual's Frobenius norm is
-    under the cutoff (so is every singular value left out) or, if
-    ``exact``, when :func:`_certified` holds.  Returns ``None``, a
-    factor, the block (over ``max_rank``) or ``_MISSED`` (at ``cap``).
+    Gaussian panels (``widths[0]``, then ``widths[1]`` columns) are
+    projected against the basis so far and folded in; each ``Q_j^T A``
+    downdates the residual and is rows of the core.  Sampling stops
+    when the residual's Frobenius norm is under the cutoff (so is every
+    singular value left out) or, if ``exact``, when :func:`_certified`
+    holds.  The residual stop draws its panels from a ``PCG64(seed)``
+    stream; the certified path reads row slices of the fixed
+    :func:`_test_matrix` and ignores ``seed`` (its rank is proven
+    whatever the sample).  Returns ``None``, a factor, the block (over
+    ``max_rank``) or ``_MISSED`` (at ``cap``).
     """
     m, n = block.shape
     slack = tol * _NULL_MARGIN + _ROUNDOFF * max(m, n) * fnorm
@@ -355,7 +377,10 @@ def _range_finder(
     # the certificate may prove a block dense before its residual falls
     probe = max_rank if exact and max_rank is not None else cap
     out = _MISSED
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if exact:
+        omega = _test_matrix(n)
+    else:
+        rng = np.random.Generator(np.random.PCG64(seed))
     q_basis: np.ndarray | None = None
     rows = []  # Q_j^T A of every panel: the core, row block by row block
     resid = block
@@ -363,7 +388,8 @@ def _range_finder(
     while sampled < cap:
         p = min(width, cap - sampled)
         width = widths[1]
-        y = (rng.standard_normal((p, n)) @ resid.T).T  # F-ordered, for geqrf
+        panel = omega[sampled : sampled + p] if exact else rng.standard_normal((p, n))
+        y = (panel @ resid.T).T  # F-ordered, for geqrf
         if q_basis is not None:
             y -= q_basis @ (q_basis.T @ y)
         qj = _orthonormal(y)
@@ -476,12 +502,14 @@ def compress_block(
     ``max_rank``, and the original dense block otherwise — mirroring
     HiCMA's maxrank convention (config ``DENSE_RANK_FRACTION``).
 
-    Whatever the method, a block whose Frobenius norm certifies it null
-    (:func:`_certified_null`) returns before any decomposition.
-    ``policy`` then selects the method: randomized policies route
-    through :func:`randomized_compress` with the per-tile ``seed``,
-    ``rank_hint`` and that norm; the default, exact-rank truncated SVD
-    samples with ``seed`` until :func:`_certified` proves gesdd's rank.
+    Whatever the method, a block whose Frobenius norm is not finite
+    raises ``LinAlgError`` before any LAPACK call, and one whose norm
+    certifies it null (:func:`_certified_null`) returns before any
+    decomposition.  ``policy`` then selects the method: randomized
+    policies route through :func:`randomized_compress` with the
+    per-tile ``seed``, ``rank_hint`` and that norm; the default,
+    exact-rank truncated SVD samples the fixed test matrix (``seed`` is
+    not read) until :func:`_certified` proves gesdd's rank.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -493,6 +521,8 @@ def compress_block(
         else:
             stats.svd_tiles += 1
     fnorm = float(np.linalg.norm(block))
+    if not math.isfinite(fnorm):
+        raise np.linalg.LinAlgError(f"block has a non-finite Frobenius norm ({fnorm})")
     if _certified_null(fnorm, tol, relative):
         if stats is not None:
             stats.screened_null += 1
@@ -505,7 +535,7 @@ def compress_block(
     short = min(block.shape)
     if not relative and short >= _CERTIFY_MIN_SIDE:
         cap = math.ceil(_CERTIFY_CROSSOVER * short)
-        out = _range_finder(block, fnorm, tol, False, max_rank, seed, cap,
+        out = _range_finder(block, fnorm, tol, False, max_rank, None, cap,
                             _CERTIFY_PANELS, exact=True, stats=stats)
         if out is not _MISSED:
             return out

@@ -126,9 +126,11 @@ class TLRMatrix:
 
         ``compression`` picks the method (``"svd"``/``"rand"`` or a
         full :class:`~repro.linalg.lowrank.CompressionPolicy`; default
-        honors ``$REPRO_COMPRESSION``), with per-tile sampling seeds
-        derived from ``seed_root`` — pass the operator's fingerprint so
-        rebuilds of the same spec are bitwise identical.
+        honors ``$REPRO_COMPRESSION``).  Rebuilds are bitwise identical:
+        the svd policy's certified path samples one fixed test matrix,
+        and ``"rand"`` and the factorization's update rounding derive
+        per-tile sampling seeds from ``seed_root`` (pass the operator's
+        fingerprint).
 
         ``norm_bound(i, j)``, when given, must be an upper bound on the
         Frobenius norm of ``tile_source(i, j)``: an off-diagonal tile

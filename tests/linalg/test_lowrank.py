@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.linalg import lowrank
+from repro.linalg.kernels_tlr import gemm_update
 from repro.linalg.lowrank import (
+    CompressionPolicy,
     LowRankFactor,
     compress_block,
     recompress,
     truncated_svd,
 )
+from repro.linalg.tile import DenseTile, LowRankTile
 
 
 def low_rank_block(rng, m, n, k, scale=1.0):
@@ -111,6 +115,30 @@ class TestCompressBlock:
 
     def test_null(self, rng):
         assert compress_block(np.zeros((10, 10)), tol=1e-4) is None
+
+    @pytest.mark.parametrize("policy", [None, CompressionPolicy(method="rand")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", [50, 100, 200])
+    def test_non_finite_block_raises_before_lapack(
+        self, rng, monkeypatch, side, bad, policy
+    ):
+        # one outcome at every tile size, whether or not it is sampled
+        block = low_rank_block(rng, side, side, 3)
+        block[side // 3, side // 2] = bad
+        monkeypatch.setattr(lowrank, "_GESDD", pytest.fail)
+        monkeypatch.setattr(lowrank, "_GEQRF", pytest.fail)
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite Frobenius norm"):
+            compress_block(block, tol=1e-8, max_rank=side // 2, policy=policy)
+
+    def test_non_finite_update_is_held_dense(self, rng):
+        c = LowRankTile(
+            LowRankFactor(rng.standard_normal((40, 2)), rng.standard_normal((40, 2)))
+        )
+        a = DenseTile(rng.standard_normal((40, 40)))
+        b = DenseTile(rng.standard_normal((40, 40)))
+        a.data[3, 5] = np.inf
+        out = gemm_update(c, [(a, b)], tol=1e-8)
+        assert isinstance(out, DenseTile) and not np.isfinite(out.data).all()
 
 
 class TestRecompress:

@@ -3,10 +3,12 @@ gesdd's rank exactly.
 
 On tiles of short side ``_CERTIFY_MIN_SIDE`` or more, ``compress_block``
 under the default svd policy samples a basis and stops only on a proof
-(interlacing + Weyl) that the truncated SVD of the full block keeps the
-same rank.  Whatever the spectrum, its outcome — null, rank ``k`` or
-dense — must equal the full gesdd's, with the truncated SVD's error
-bound, bitwise repeatably for a seed.
+(interlacing + Weyl in quadrature, ``sigma_{k+1}^2 <= s_{k+1}^2 +
+||R||^2``) that the truncated SVD of the full block keeps the same
+rank.  Whatever the spectrum, its outcome — null, rank ``k`` or dense —
+must equal the full gesdd's, with the truncated SVD's error bound,
+bitwise repeatably (the sample is one fixed test matrix, so the seed
+does not matter).
 """
 
 import numpy as np
@@ -145,6 +147,38 @@ class TestExactRank:
         block = with_spectrum(m, n, np.sort(sigma)[::-1][: min(m, n)], data_seed)
         check_exact(block, TOL, max_rank, seed)
 
+    @given(
+        m=SIDES,
+        n=SIDES,
+        above=st.integers(1, 40),
+        just_over=st.integers(0, 3),
+        u=st.floats(0.5, 0.999),
+        tail=st.integers(0, 80),
+        level=st.floats(0.01, 0.3),
+        data_seed=st.integers(0, 2**16),
+        seed=SEEDS,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_largest_dropped_value_in_the_quadrature_band(
+        self, m, n, above, just_over, u, tail, level, data_seed, seed
+    ):
+        # s_{k+1} + r > tol >= hypot(s_{k+1}, r) is where the two Weyl
+        # bounds disagree: the largest dropped value at tol * u under
+        # a residual tail, so that only the quadrature bound certifies,
+        # with a few kept values just over tol that a looser bound
+        # would stop before catching
+        rng = np.random.default_rng(data_seed)
+        sigma = np.concatenate(
+            [
+                10.0 ** rng.uniform(-4, 0, above),
+                TOL * (1.0 + 10.0 ** rng.uniform(-4, -1, just_over)),
+                [TOL * u],
+                TOL * level * rng.uniform(0.5, 1.0, tail),
+            ]
+        )
+        block = with_spectrum(m, n, np.sort(sigma)[::-1][: min(m, n)], data_seed)
+        check_exact(block, TOL, min(m, n) // 2, seed)
+
     @pytest.mark.parametrize(
         "which", ["zero", "below", 1, "max_rank", "max_rank+1", "full"]
     )
@@ -226,6 +260,35 @@ class TestCertificateBoundaries:
         out = compress_block(block, TOL, max_rank=100, seed=2, stats=stats)
         assert out.rank == reference(block, TOL, 100)
         assert stats.svd_fallback == 0 and stats.sampled_rank_max < 150
+
+    def test_quadrature_bound_certifies_where_the_sum_cannot(self, monkeypatch):
+        # at 48 columns s_31 ~ 0.6 tol and r ~ 0.65 tol: s_31 + r > tol
+        # would sample on, hypot(s_31, r) ~ 0.88 tol proves rank 30
+        sigma = np.concatenate(
+            [np.logspace(0, -4, 30), [0.6 * TOL], np.full(40, 0.08 * TOL)]
+        )
+        block = with_spectrum(200, 200, sigma, 0)
+        calls = []
+        gesdd = lowrank._GESDD
+        monkeypatch.setattr(
+            lowrank, "_GESDD", lambda *a, **kw: calls.append(1) or gesdd(*a, **kw)
+        )
+        stats = CompressionStats()
+        out = compress_block(block, TOL, stats=stats)
+        assert len(calls) == 1  # one core SVD, no gesdd of the block
+        monkeypatch.setattr(lowrank, "_GESDD", gesdd)
+        assert outcome(out) == reference(block, TOL, None) == 30
+        assert stats.sampled_rank_max == 48 and stats.svd_fallback == 0
+
+    def test_certified_path_ignores_the_seed(self):
+        rng = np.random.default_rng(4)
+        block = with_spectrum(200, 200, 10.0 ** rng.uniform(-5, 0, 40), 4)
+        one = compress_block(block, TOL, max_rank=100, seed=1)
+        two = compress_block(block, TOL, max_rank=100, seed=2)
+        assert one.u.tobytes() == two.u.tobytes()
+        assert one.v.tobytes() == two.v.tobytes()
+        # (the update rounding still reads its seed: test_kernels.py,
+        # test_seed_selects_the_sample_stream)
 
     def test_small_tiles_run_gesdd(self):
         side = lowrank._CERTIFY_MIN_SIDE - 1
