@@ -4,18 +4,20 @@ Forward/backward substitution by tile index on the factor's packed form
 (:meth:`TLRMatrix.packed`, built at a factor's first solve): tile row
 ``m``'s stored tiles side by side in one row panel ``U_m``, tile column
 ``k``'s in one column panel ``V_k``, a coefficient buffer ``T`` between
-them.  A step is one product with each panel and one BLAS ``dtrsm`` on
-the diagonal tile, however many tiles the row and column hold; null
-tiles are in no panel (the operator's data sparsity carries over).
+them.  A step is one product with each panel and one BLAS solve on the
+diagonal tile (``dtrsv`` for one column, ``dtrsm`` for several), however
+many tiles the row and column hold; null tiles are in no panel (the
+operator's data sparsity carries over).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dtrsm, dtrsv
 
 from repro.config import DTYPE
 from repro.linalg.tile_matrix import TLRMatrix
+from repro.utils.validation import as_real
 
 __all__ = ["solve_lower", "solve_lower_transpose", "solve_cholesky", "logdet"]
 
@@ -23,7 +25,7 @@ __all__ = ["solve_lower", "solve_lower_transpose", "solve_cholesky", "logdet"]
 def _workspace(l: TLRMatrix, b: np.ndarray) -> tuple[np.ndarray, bool]:
     """A private F-ordered ``(n, k)`` fp64 copy of ``b`` for the
     substitutions to overwrite, and whether the caller passed a vector."""
-    b = np.asarray(b)
+    b = as_real("rhs", b)
     if b.ndim not in (1, 2):
         raise ValueError(f"rhs must be 1D or 2D, got shape {b.shape}")
     if b.shape[0] != l.n:
@@ -33,10 +35,15 @@ def _workspace(l: TLRMatrix, b: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _trsm(triangle: tuple, xk: np.ndarray, transpose: int) -> None:
-    """``xk <- L_kk^-1 xk`` (``L_kk^-T`` if ``transpose``), in place."""
+    """``xk <- L_kk^-1 xk`` (``L_kk^-T`` if ``transpose``), in place: ``dtrsv``
+    on a one-column block (a vector and its ``(n, 1)`` form alike), else ``dtrsm``."""
     a, lower, trans = triangle
-    out = dtrsm(1.0, a, xk, lower=lower, trans_a=trans ^ transpose, overwrite_b=1)
-    if out is not xk:  # a strided row block (several columns): BLAS ran on a copy
+    if xk.shape[1] == 1:
+        xk = xk[:, 0]
+        out = dtrsv(a, xk, lower=lower, trans=trans ^ transpose, overwrite_x=1)
+    else:
+        out = dtrsm(1.0, a, xk, lower=lower, trans_a=trans ^ transpose, overwrite_b=1)
+    if out is not xk:  # a strided block: BLAS ran on a copy
         xk[...] = out
 
 

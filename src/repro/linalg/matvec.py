@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DTYPE
 from repro.linalg.tile import LowRankTile, NullTile
 from repro.linalg.tile_matrix import TLRMatrix
+from repro.utils.validation import as_real
 
 __all__ = ["tlr_matvec", "refine_solve", "RefinementResult"]
 
@@ -32,7 +32,7 @@ def tlr_matvec(a: TLRMatrix, x: np.ndarray) -> np.ndarray:
     contributes both ``A[m,k] x_k`` to ``y_m`` and ``A[m,k]^T x_m``
     to ``y_k``.
     """
-    x = np.asarray(x, dtype=DTYPE)
+    x = as_real("x", x)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[:, None]
@@ -96,7 +96,7 @@ def refine_solve(
 
     if rtol is None:
         rtol = 10.0 * a.accuracy
-    b_arr = np.asarray(b_rhs, dtype=DTYPE)
+    b_arr = as_real("rhs", b_rhs)
     norm_b = float(np.linalg.norm(b_arr))
     if norm_b == 0.0:
         return RefinementResult(np.zeros_like(b_arr), [0.0], True)

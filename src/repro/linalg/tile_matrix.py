@@ -36,7 +36,7 @@ class PackedFactor(NamedTuple):
     columns sit in its coefficient buffer ``T`` (``size`` rows, by tile row)."""
 
     #: per k ``(triangle, lower, trans)``: the diagonal tile where it lies,
-    #: as ``dtrsm`` takes it (a C-ordered tile enters as its ``.T``)
+    #: as BLAS takes it (a C-ordered tile enters as its ``.T``)
     diag: list[tuple[np.ndarray, int, int]]
     #: per row m ``[U_mk]_k`` (a dense tile is its own block); per column
     #: k ``[V_mk]_m`` over its low-rank tiles; None where there is none

@@ -76,6 +76,7 @@ from repro.service.errors import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.spec import OperatorSpec
+from repro.utils.validation import as_real
 
 __all__ = ["Request", "RequestHandle", "SolveService", "deadline_after"]
 
@@ -349,7 +350,7 @@ class SolveService:
         weight matrix (one blocked 3-RHS solve).
         """
         try:
-            d_b = np.asarray(boundary_displacements, dtype=DTYPE)
+            d_b = as_real("displacements", boundary_displacements)
         except (TypeError, ValueError) as exc:
             raise RequestFailedError(
                 f"displacements are not convertible to "
@@ -480,7 +481,7 @@ class SolveService:
     def _validate_rhs(spec: OperatorSpec, rhs) -> np.ndarray:
         """Reject malformed right-hand sides before they are enqueued."""
         try:
-            rhs = np.asarray(rhs, dtype=DTYPE)
+            rhs = as_real("rhs", rhs)
         except (TypeError, ValueError) as exc:
             raise RequestFailedError(
                 f"rhs is not convertible to {np.dtype(DTYPE).name}: {exc}"

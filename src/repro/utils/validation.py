@@ -4,7 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_positive", "check_square_matrix", "check_symmetric"]
+from repro.config import DTYPE
+
+__all__ = ["as_real", "check_positive", "check_square_matrix", "check_symmetric"]
+
+
+def as_real(name: str, x) -> np.ndarray:
+    """``x`` as an fp64 array; a complex ``x`` raises ``TypeError`` (the
+    plain cast would keep its real part, with only a warning)."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise TypeError(f"{name} has complex dtype {x.dtype}; the operator is real")
+    return x.astype(DTYPE, copy=False)
 
 
 def check_positive(name: str, value: float | int) -> None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from repro.core import solver
 from repro.core.solver import logdet, solve_cholesky, solve_lower, solve_lower_transpose
 from repro.core.tlr_cholesky import tlr_cholesky
 from repro.linalg.integrity import matrix_checksums
@@ -138,6 +139,33 @@ class TestRHSBatchingSemantics:
             assert np.array_equal(x, solve_lower_transpose(l, solve_lower(l, b)))
             assert np.array_equal(b, kept) and not np.shares_memory(x, b)
 
+    def test_a_lone_column_goes_through_dtrsv(self, factored, monkeypatch):
+        """One column (a vector, an ``(n, 1)`` block, or the service's
+        coalesced batch of one) solves each diagonal tile with level-2
+        ``dtrsv``, all bitwise alike; several columns keep ``dtrsm``."""
+        l, _ = factored
+        rng = np.random.default_rng(15)
+        b, block = rng.standard_normal(l.n), rng.standard_normal((l.n, 3))
+        expected = {
+            solve: (solve(l, b), solve(l, block))
+            for solve in (solve_lower, solve_lower_transpose, solve_cholesky)
+        }
+
+        def unused(*args, **kwargs):
+            raise AssertionError("wrong BLAS routine for this column count")
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "dtrsm", unused)
+            for solve, (x1, _) in expected.items():
+                assert np.array_equal(solve(l, b), x1)
+                assert np.array_equal(solve(l, b[:, None])[:, 0], x1)
+            x = solver._solve_columns(l, [b])
+            assert np.array_equal(x[:, 0], expected[solve_cholesky][0])
+        with monkeypatch.context() as m:
+            m.setattr(solver, "dtrsv", unused)
+            for solve, (_, x3) in expected.items():
+                assert np.array_equal(solve(l, block), x3)
+
     def test_blocked_sparse_factor_with_null_tiles(self, sparse_tlr):
         """Multi-RHS agreement holds on a factor containing null tiles
         (the structure-cache fast path)."""
@@ -148,7 +176,8 @@ class TestRHSBatchingSemantics:
         for j in range(block.shape[1]):
             x_single = solve_cholesky(result.factor, block[:, j])
             # the sparse operator is ill-conditioned (solutions ~1e4),
-            # so GEMM-vs-GEMV summation order shows up at ~1e-11 rel.
+            # so the block's GEMM + TRSM summation order against the
+            # lone column's GEMV + TRSV shows up at ~1e-11 rel.
             diff = np.linalg.norm(x_blocked[:, j] - x_single)
             assert diff <= 1e-9 * np.linalg.norm(x_single)
 
@@ -279,6 +308,16 @@ class TestInputEdges:
         x = solve_cholesky(l, b)
         assert x.dtype == np.float64 and b.dtype.kind == "i"
         assert np.array_equal(x, solve_cholesky(l, b.astype(float)))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_complex_rhs_is_a_type_error(self, factored, dtype):
+        """A cast would solve the real part and only warn: refused, by dtype."""
+        l, _ = factored
+        for solve in (solve_lower, solve_lower_transpose, solve_cholesky):
+            for shape in ((l.n,), (l.n, 2)):
+                b = np.ones(shape, dtype=dtype) * (1 + 2j)
+                with pytest.raises(TypeError, match=f"complex dtype {np.dtype(dtype)}"):
+                    solve(l, b)
 
     def test_non_dense_diagonal_is_a_type_error(self):
         t = TLRMatrix.from_dense(np.eye(8), tile_size=4, accuracy=1e-12)

@@ -37,6 +37,10 @@ class TestTLRMatvec:
         with pytest.raises(ValueError):
             tlr_matvec(sparse_tlr, np.ones(sparse_tlr.n + 1))
 
+    def test_complex_x_is_a_type_error(self, sparse_tlr):
+        with pytest.raises(TypeError, match="complex dtype complex128"):
+            tlr_matvec(sparse_tlr, np.ones(sparse_tlr.n) * 1j)
+
 
 class TestRefineSolve:
     def test_refinement_reduces_residual(self, sparse_tlr, rng):
@@ -62,6 +66,11 @@ class TestRefineSolve:
         res = refine_solve(a, factor, np.zeros(a.n))
         assert res.converged
         assert np.allclose(res.x, 0.0)
+
+    def test_complex_rhs_is_a_type_error(self, sparse_tlr):
+        a = sparse_tlr.copy()
+        with pytest.raises(TypeError, match="complex dtype complex128"):
+            refine_solve(a, a, np.full(a.n, 1 + 1j))
 
     def test_multi_rhs_refinement(self, sparse_tlr, rng):
         a = sparse_tlr.copy()

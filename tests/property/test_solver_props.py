@@ -1,6 +1,7 @@
 """Property test for the packed triangular solves: on random tile grids
 mixing every stored representation they agree with dense triangular
-solves of the same lower factor."""
+solves of the same lower factor, and the one-column path (``dtrsv``)
+agrees with the several-column one (``dtrsm``)."""
 
 import numpy as np
 import scipy.linalg as sla
@@ -43,7 +44,7 @@ def random_factor(draw):
     factor = TLRMatrix((nt - 1) * b + last, b, tiles, accuracy=1e-8)
     cols = draw(st.sampled_from([None, 1, 3]))
     rhs = rng.standard_normal(factor.n if cols is None else (factor.n, cols))
-    return factor, rhs
+    return factor, rhs, rng.standard_normal((factor.n, 3))
 
 
 def close(x, ref):
@@ -53,7 +54,7 @@ def close(x, ref):
 @given(data=random_factor())
 @settings(max_examples=120, deadline=None)
 def test_packed_solves_equal_dense_triangular_solves(data):
-    factor, rhs = data
+    factor, rhs, block = data
     dense = factor.to_dense(symmetrize=False)
     kept, sums, nbytes = rhs.copy(), matrix_checksums(factor), factor.memory_bytes()
     y = solve_lower(factor, rhs)
@@ -67,3 +68,12 @@ def test_packed_solves_equal_dense_triangular_solves(data):
     assert np.array_equal(x, solve_lower_transpose(factor, y))
     # packing moved the tiles into panels without changing a stored value
     assert matrix_checksums(factor) == sums and factor.memory_bytes() == nbytes
+    # one column: the same path as a vector, bitwise; a wrong ``lower`` or
+    # ``trans`` flag on it would still be finite, so each column of the
+    # blocked solve must agree with it
+    for solve in (solve_lower, solve_lower_transpose, solve_cholesky):
+        blocked = solve(factor, block)
+        for j in range(block.shape[1]):
+            single = solve(factor, block[:, j])
+            assert np.array_equal(solve(factor, block[:, j : j + 1])[:, 0], single)
+            assert close(blocked[:, j], single)

@@ -53,7 +53,7 @@ class TestCorrectness:
         """Staged concurrent submits coalesce into one blocked solve
         whose per-request answers match individual solves — and are
         bitwise the columns of that blocked solve done directly (alone,
-        a column goes through GEMV instead of GEMM kernels, so it
+        a column goes through GEMV + TRSV instead of GEMM + TRSM, so it
         agrees to rounding, not to the bit)."""
         entry = warm_cache.get_or_build(small_spec)
         rng = np.random.default_rng(5)

@@ -46,6 +46,13 @@ class TestSolveValidation:
         with pytest.raises(RequestFailedError, match="not convertible"):
             svc.submit_solve(small_spec, ["not", "a", "vector"])
 
+    def test_complex_rhs_rejected(self, svc, small_spec):
+        # a cast to fp64 would keep the real part with only a warning
+        for rhs in (np.ones(small_spec.n) + 1j, [1j] * small_spec.n):
+            with pytest.raises(RequestFailedError, match="complex dtype complex128"):
+                svc.submit_solve(small_spec, rhs)
+        assert svc.inflight == 0
+
     def test_rejection_never_enqueues(self, svc, small_spec):
         with pytest.raises(RequestFailedError):
             svc.submit_solve(small_spec, np.full(small_spec.n, np.nan))
@@ -74,6 +81,12 @@ class TestDeformationValidation:
     def test_unconvertible_displacements_rejected(self, svc, small_spec):
         with pytest.raises(RequestFailedError, match="not convertible"):
             svc.submit_deformation(small_spec, [["x", "y", "z"]])
+
+    def test_complex_displacements_rejected(self, svc, small_spec):
+        d_b = np.ones((small_spec.n, 3), dtype=np.complex64)
+        with pytest.raises(RequestFailedError, match="complex dtype complex64"):
+            svc.submit_deformation(small_spec, d_b)
+        assert svc.inflight == 0
 
     def test_nan_displacements_rejected(self, svc, small_spec):
         bad = np.ones((small_spec.n, 3))
