@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.validation import as_points
+
 __all__ = ["rigid_rotation", "translation", "bending", "radial_expansion"]
-
-
-def _check_points(points: np.ndarray) -> np.ndarray:
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must have shape (n, 3), got {points.shape}")
-    return points
 
 
 def rigid_rotation(
@@ -32,7 +27,7 @@ def rigid_rotation(
     Rodrigues' formula about ``axis`` through ``center`` (defaults to
     the centroid).
     """
-    points = _check_points(points)
+    points = as_points("points", points)
     axis = np.asarray(axis, dtype=np.float64)
     norm = np.linalg.norm(axis)
     if norm == 0.0:
@@ -51,7 +46,7 @@ def rigid_rotation(
 
 def translation(points: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """Uniform translation by ``vector``."""
-    points = _check_points(points)
+    points = as_points("points", points)
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != (3,):
         raise ValueError(f"vector must have shape (3,), got {vector.shape}")
@@ -64,7 +59,7 @@ def bending(
     """Quadratic bending: displacement along ``out_axis`` grows with
     the squared (normalized) coordinate along ``axis`` — a cantilever-
     like deflection."""
-    points = _check_points(points)
+    points = as_points("points", points)
     if axis == out_axis:
         raise ValueError("bending axis and output axis must differ")
     x = points[:, axis]
@@ -80,6 +75,6 @@ def radial_expansion(
 ) -> np.ndarray:
     """Radial inflation: each point moves away from ``center`` so that
     distances scale by ``1 + factor``."""
-    points = _check_points(points)
+    points = as_points("points", points)
     c = points.mean(axis=0) if center is None else np.asarray(center, float)
     return factor * (points - c)

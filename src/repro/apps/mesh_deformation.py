@@ -27,6 +27,7 @@ from repro.kernels.matgen import RBFMatrixGenerator
 from repro.kernels.rbf import GaussianRBF, RadialBasisFunction
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.utils.hilbert import hilbert_order
+from repro.utils.validation import as_points, as_real
 
 __all__ = ["RBFMeshDeformation", "MeshDeformationResult"]
 
@@ -82,11 +83,7 @@ class RBFMeshDeformation:
         trim: bool = True,
         reorder: bool = True,
     ) -> None:
-        pts = np.asarray(boundary_points, dtype=DTYPE)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(
-                f"boundary_points must have shape (n, 3), got {pts.shape}"
-            )
+        pts = as_points("boundary_points", boundary_points)
         if len(pts) < 4:
             raise ValueError("need at least 4 boundary points")
         self._perm = hilbert_order(pts) if reorder else np.arange(len(pts))
@@ -145,7 +142,7 @@ class RBFMeshDeformation:
         point order; the returned coefficients are in solver order
         (used by :meth:`interpolate`).
         """
-        d = np.asarray(boundary_displacements, dtype=DTYPE)
+        d = as_real("boundary_displacements", boundary_displacements)
         if d.shape != (self.n_boundary, 3):
             raise ValueError(
                 f"displacements must have shape ({self.n_boundary}, 3), "
@@ -165,9 +162,7 @@ class RBFMeshDeformation:
         chunk: int = 2048,
     ) -> np.ndarray:
         """Evaluate the RBF field at volume nodes (chunked GEMM + GEMV)."""
-        v = np.asarray(volume_points, dtype=DTYPE)
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise ValueError(f"volume_points must have shape (n, 3), got {v.shape}")
+        v = as_points("volume_points", volume_points)
         out = np.empty((len(v), 3), dtype=DTYPE)
         for lo in range(0, len(v), chunk):
             rows = self.generator.kernel_rows(v[lo : lo + chunk])
@@ -191,7 +186,7 @@ class RBFMeshDeformation:
         vol = self.interpolate(volume_points, alpha)
         self.timings["interpolation"] = time.perf_counter() - t0
         at_boundary = self.interpolate(self.points, alpha)
-        d_sorted = np.asarray(boundary_displacements, dtype=DTYPE)[self._perm]
+        d_sorted = as_real("boundary_displacements", boundary_displacements)[self._perm]
         err = float(np.max(np.abs(at_boundary - d_sorted)))
         return MeshDeformationResult(
             volume_displacements=vol,

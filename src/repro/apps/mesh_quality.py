@@ -13,18 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
+
+from repro.utils.validation import as_points, as_real
 
 __all__ = ["tetrahedralize", "cell_volumes", "quality_report", "QualityReport"]
 
 
 def tetrahedralize(points: np.ndarray) -> np.ndarray:
     """Delaunay tetrahedra of a 3D point cloud: ``(m, 4)`` indices."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must have shape (n, 3), got {points.shape}")
+    points = as_points("points", points)
     if len(points) < 4:
         raise ValueError("need at least 4 points to tetrahedralize")
+    from scipy.spatial import Delaunay
+
     return Delaunay(points).simplices
 
 
@@ -67,8 +68,8 @@ def quality_report(
     explicitly) and re-evaluated on the deformed coordinates —
     detecting inversion and extreme compression/expansion of cells.
     """
-    points = np.asarray(points, dtype=np.float64)
-    d = np.asarray(displacements, dtype=np.float64)
+    points = as_points("points", points)
+    d = as_real("displacements", displacements)
     if d.shape != points.shape:
         raise ValueError(
             f"displacements shape {d.shape} != points shape {points.shape}"

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DTYPE
 from repro.core.solver import logdet, solve_lower
 from repro.core.tlr_cholesky import tlr_cholesky
 from repro.kernels.covariance import MaternKernel
 from repro.kernels.matgen import RBFMatrixGenerator
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.utils.hilbert import hilbert_order
+from repro.utils.validation import as_points, as_real
 
 __all__ = ["GaussianLogLikelihood", "LikelihoodResult"]
 
@@ -60,9 +60,7 @@ class GaussianLogLikelihood:
         tile_size: int | None = None,
         nugget: float = 1e-4,
     ) -> None:
-        pts = np.asarray(locations, dtype=DTYPE)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"locations must have shape (n, 3), got {pts.shape}")
+        pts = as_points("locations", locations)
         self._perm = hilbert_order(pts)
         self.points = pts[self._perm]
         self.nu = float(nu)
@@ -76,7 +74,7 @@ class GaussianLogLikelihood:
         self, z: np.ndarray, length_scale: float
     ) -> LikelihoodResult:
         """Evaluate ``l(length_scale)`` for observations ``z``."""
-        z = np.asarray(z, dtype=DTYPE)
+        z = as_real("z", z)
         if z.shape != (len(self.points),):
             raise ValueError(
                 f"z must have shape ({len(self.points)},), got {z.shape}"

@@ -8,11 +8,13 @@ generators return ``(n, 3)`` float64 arrays.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import as_points, check_positive
 
 __all__ = ["fibonacci_sphere", "regular_grid", "random_cloud", "min_spacing"]
+
+#: ``min_spacing``'s sort direction: no lattice plane is normal to it
+_DIRECTION = np.array([1.0, 2.0**0.5, 3.0**0.5])
 
 
 def fibonacci_sphere(
@@ -56,21 +58,58 @@ def random_cloud(
     return extent * rng.random((n, 3))
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise distances, rounded as ``cKDTree`` rounds them."""
+    d = a - b
+    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+
+
+def _adjacent_ranks(c: np.ndarray) -> np.ndarray:
+    """Cell coordinates from 1 with gaps cut to 2 (neighbours stay 1 apart)."""
+    u, inv = np.unique(c, return_inverse=True)
+    return np.cumsum(np.concatenate(([1], np.minimum(np.diff(u), 2))))[inv]
+
+
 def min_spacing(points: np.ndarray) -> float:
-    """Minimum pairwise distance, computed via a k-d tree in O(n log n).
+    """Minimum pairwise distance, bitwise the minimum that
+    ``scipy.spatial.cKDTree(points).query(points, k=2)`` returns.
 
     The paper's shape-parameter rule (Sec. IV-C) scales the Gaussian
-    RBF by half this distance.
+    RBF by half this distance.  A bound ``h`` (each point to its next
+    three along a fixed generic direction) sets cells of side ``h`` plus
+    ``2**-48`` of the extent, a margin that covers the binning's
+    rounding: every closer pair shares a cell or sits in one of its 13
+    half-neighbours, five index ranges per point once sorted by cell.
+    Cells are ranked per axis and per column, never multiplied out.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must have shape (n, 3), got {points.shape}")
-    if len(points) < 2:
+    points = as_points("points", points)
+    n = len(points)
+    if n < 2:
         raise ValueError("need at least two points")
-    tree = cKDTree(points)
-    dist, _ = tree.query(points, k=2)
-    nearest = dist[:, 1]
-    d = float(nearest.min())
-    if d == 0.0:
+    q = points[np.argsort(points @ _DIRECTION)]
+    h = min(_distances(q[:-k], q[k:]).min() for k in range(1, min(4, n)))
+    if h == 0.0:
         raise ValueError("point cloud contains duplicate points")
-    return d
+    lo = points.min(axis=0)
+    side = h + float((points.max(axis=0) - lo).max()) * 2.0**-48
+    cells = np.floor((points - lo) / side).astype(np.int64)
+    cx, cy, cz = (_adjacent_ranks(c) for c in cells.T)
+    ry, rz = cy.max() + 2, cz.max() + 2
+    cols, col = np.unique(cx * ry + cy, return_inverse=True)
+    key = col * rz + cz
+    order = np.argsort(key)
+    points, key, col, cz = points[order], key[order], col[order], cz[order]
+    # the columns at (x, y + 1) and (x + 1, y - 1 .. y + 1); -1 if empty
+    step = cols + np.array([[1], [ry - 1], [ry], [ry + 1]])
+    ci = np.minimum(np.searchsorted(cols, step), len(cols) - 1)
+    base = np.where(cols[ci] == step, ci, -1)[:, col] * rz + cz
+    # partners of point i: the rest of its cell and the cell above, then
+    # the cells at z - 1 .. z + 1 in each of those columns
+    first = np.vstack((np.arange(1, n + 1), np.searchsorted(key, base - 1)))
+    end = np.vstack((np.searchsorted(key, key + 1, "right"),
+                     np.searchsorted(key, base + 1, "right")))
+    for start, cnt in zip(first, end - first):
+        i = np.repeat(np.arange(n), cnt)
+        j = np.arange(len(i)) + np.repeat(start - np.cumsum(cnt) + cnt, cnt)
+        h = np.min(_distances(points[i], points[j]), initial=h)
+    return float(h)

@@ -78,15 +78,15 @@ def synthetic_virus(
         anchors += 0.05 * rng.standard_normal(anchors.shape)
         anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
 
-        per_spike = np.full(n_spikes, n_spike_pts_total // n_spikes)
-        per_spike[: n_spike_pts_total % n_spikes] += 1
+        # the first ``extra`` spikes carry one point more; each head size's
+        # lattice is built once and shifted to every tip in one broadcast
+        per_spike, extra = divmod(n_spike_pts_total, n_spikes)
         head_r = spike_head_frac * radius
         tip = radius * (1.0 + spike_height_frac)
-        for direction, m in zip(anchors, per_spike):
-            if m == 0:
-                continue
-            head = fibonacci_sphere(int(m), radius=head_r, center=tip * direction)
-            parts.append(head)
+        for m, dirs in ((per_spike + 1, anchors[:extra]), (per_spike, anchors[extra:])):
+            if m > 0:
+                heads = fibonacci_sphere(m, radius=head_r) + tip * dirs[:, None, :]
+                parts.append(heads.reshape(-1, 3))
 
     pts = np.vstack(parts)
     if center is not None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, kv
 
 from repro.kernels.rbf import RadialBasisFunction
 
@@ -46,6 +45,8 @@ class MaternKernel(RadialBasisFunction):
         if self.nu == 2.5:
             c = np.sqrt(5.0) * r
             return (1.0 + c + c * c / 3.0) * np.exp(-c)
+        from scipy.special import gamma, kv
+
         zero = r == 0.0
         arg = np.sqrt(2.0 * self.nu) * np.where(zero, 1.0, r)
         coef = 2.0 ** (1.0 - self.nu) / gamma(self.nu)

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.config import DTYPE
 from repro.kernels.rbf import GaussianRBF, RadialBasisFunction
-from repro.utils.validation import check_positive
+from repro.utils.validation import as_points, check_positive
 
 __all__ = ["RBFMatrixGenerator"]
 
@@ -69,11 +69,7 @@ class RBFMatrixGenerator:
     nugget: float = 1.0e-8
 
     def __post_init__(self) -> None:
-        self.points = np.ascontiguousarray(self.points, dtype=DTYPE)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ValueError(
-                f"points must have shape (n, 3), got {self.points.shape}"
-            )
+        self.points = np.ascontiguousarray(as_points("points", self.points))
         check_positive("shape_parameter", self.shape_parameter)
         check_positive("tile_size", self.tile_size)
         if self.nugget < 0.0:

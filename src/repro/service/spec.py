@@ -18,14 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.config import DTYPE
 from repro.kernels.rbf import (
     GaussianRBF,
     InverseMultiquadricRBF,
     MultiquadricRBF,
     RadialBasisFunction,
 )
-from repro.utils.validation import check_positive
+from repro.utils.validation import as_points, check_positive
 
 __all__ = ["OperatorSpec", "BuiltOperator", "KERNELS"]
 
@@ -77,9 +76,7 @@ class OperatorSpec:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        pts = np.ascontiguousarray(self.points, dtype=DTYPE)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must have shape (n, 3), got {pts.shape}")
+        pts = np.ascontiguousarray(as_points("points", self.points))
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         check_positive("shape_parameter", self.shape_parameter)

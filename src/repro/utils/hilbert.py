@@ -17,9 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.validation import as_points
+
 __all__ = ["hilbert_index_3d", "hilbert_order"]
 
 _NDIM = 3
+#: (shift, mask) steps that move bit k of a 21-bit value to bit 3k
+_SPREAD = [(np.uint64(s), np.uint64(m)) for s, m in (
+    (32, 0x1F00000000FFFF), (16, 0x1F0000FF0000FF), (8, 0x100F00F00F00F00F),
+    (4, 0x10C30C30C30C30C3), (2, 0x1249249249249249))]
 
 
 def hilbert_index_3d(coords: np.ndarray, bits: int = 16) -> np.ndarray:
@@ -46,43 +52,37 @@ def hilbert_index_3d(coords: np.ndarray, bits: int = 16) -> np.ndarray:
     if np.any(coords < 0) or np.any(coords >= (1 << bits)):
         raise ValueError(f"coordinates out of range [0, 2**{bits})")
 
-    x = coords.astype(np.uint64).copy()
+    x = list(coords.astype(np.uint64).T)
 
     # --- axes -> transposed Hilbert representation (Skilling, inverse) ---
+    # whole columns: each row's "invert" or "exchange" branch is an XOR mask
     m = np.uint64(1) << np.uint64(bits - 1)
     q = m
     while q > np.uint64(1):
         p = q - np.uint64(1)
         for i in range(_NDIM):
-            hi = (x[:, i] & q) != 0
-            # invert x[:,0] where bit set
-            x[hi, 0] ^= p
-            # exchange low bits of x[:,0] and x[:,i] elsewhere
-            lo = ~hi
-            t = (x[lo, 0] ^ x[lo, i]) & p
-            x[lo, 0] ^= t
-            x[lo, i] ^= t
+            hi = (x[i] & q) != 0
+            t = np.where(hi, 0, (x[0] ^ x[i]) & p)
+            x[0] = x[0] ^ np.where(hi, p, t)
+            x[i] = x[i] ^ t
         q >>= np.uint64(1)
 
     # Gray encode
     for i in range(1, _NDIM):
-        x[:, i] ^= x[:, i - 1]
-    t = np.zeros(len(x), dtype=np.uint64)
+        x[i] = x[i] ^ x[i - 1]
+    t = np.zeros(len(coords), dtype=np.uint64)
     q = m
     while q > np.uint64(1):
-        mask = (x[:, _NDIM - 1] & q) != 0
-        t[mask] ^= q - np.uint64(1)
+        t ^= np.where((x[_NDIM - 1] & q) != 0, q - np.uint64(1), 0)
         q >>= np.uint64(1)
-    for i in range(_NDIM):
-        x[:, i] ^= t
 
     # --- interleave transposed bits into a single key ---
     # Key layout (most significant first): X0[b-1] X1[b-1] X2[b-1] X0[b-2] ...
-    key = np.zeros(len(x), dtype=np.uint64)
-    for bit in range(bits - 1, -1, -1):
-        for i in range(_NDIM):
-            key = (key << np.uint64(1)) | ((x[:, i] >> np.uint64(bit)) & np.uint64(1))
-    return key
+    for i in range(_NDIM):
+        x[i] = x[i] ^ t
+        for shift, mask in _SPREAD:
+            x[i] = (x[i] | (x[i] << shift)) & mask
+    return (x[0] << np.uint64(2)) | (x[1] << np.uint64(1)) | x[2]
 
 
 def hilbert_order(points: np.ndarray, bits: int = 16) -> np.ndarray:
@@ -101,9 +101,7 @@ def hilbert_order(points: np.ndarray, bits: int = 16) -> np.ndarray:
     ``(n,)`` integer permutation ``perm`` such that ``points[perm]``
     walks the Hilbert curve.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != _NDIM:
-        raise ValueError(f"points must have shape (n, 3), got {points.shape}")
+    points = as_points("points", points)
     lo = points.min(axis=0)
     span = points.max(axis=0) - lo
     span[span == 0.0] = 1.0

@@ -90,3 +90,23 @@ class TestDeformation:
         assert np.allclose(
             a.volume_displacements, b.volume_displacements, atol=1e-10
         )
+
+
+class TestComplexInputs:
+    """A complex input used to be solved or evaluated as its real part,
+    with only a ComplexWarning: each entry point refuses it by dtype."""
+
+    def test_solve_coefficients(self, solver):
+        d = (1 + 1j) * np.ones((solver.n_boundary, 3))
+        with pytest.raises(TypeError, match="boundary_displacements has complex dtype"):
+            solver.solve_coefficients(d)
+
+    def test_interpolate(self, solver):
+        alpha = solver.solve_coefficients(np.ones((solver.n_boundary, 3)))
+        with pytest.raises(TypeError, match="volume_points has complex dtype"):
+            solver.interpolate((1 + 1j) * np.ones((4, 3)), alpha)
+
+    def test_deform(self, solver):
+        d = (1 + 1j) * np.ones((solver.n_boundary, 3))
+        with pytest.raises(TypeError, match="complex dtype"):
+            solver.deform(np.zeros((4, 3)), d)

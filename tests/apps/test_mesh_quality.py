@@ -67,6 +67,11 @@ class TestQualityReport:
         with pytest.raises(ValueError):
             quality_report(cloud, np.zeros((5, 3)))
 
+    def test_complex_displacements_rejected(self, cloud):
+        """Their imaginary part used to be dropped with only a warning."""
+        with pytest.raises(TypeError, match="displacements has complex dtype"):
+            quality_report(cloud, (1 + 1j) * np.zeros(cloud.shape))
+
     def test_rbf_deformation_produces_valid_mesh(self):
         """End-to-end: an RBF-interpolated small rotation must not
         fold the volume mesh — the application-level guarantee."""

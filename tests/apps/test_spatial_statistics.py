@@ -69,3 +69,10 @@ class TestLogLikelihood:
             )
             res = gl.evaluate(z, 0.2)
             assert np.isfinite(res.log_likelihood)
+
+
+def test_complex_observations_are_a_type_error(sites):
+    """``evaluate`` used to take the real part of a complex ``z``."""
+    gl = GaussianLogLikelihood(sites, nu=0.5, tile_size=100)
+    with pytest.raises(TypeError, match="z has complex dtype"):
+        gl.evaluate((1 + 1j) * np.ones(len(sites)), 0.3)

@@ -69,6 +69,18 @@ class TestMinSpacing:
         with pytest.raises(ValueError):
             min_spacing(np.zeros((1, 3)))
 
+    def test_complex_points_are_a_type_error(self):
+        """The cast used to keep the real part's spacing, with a warning."""
+        pts = regular_grid(3) * (1 + 1j)
+        with pytest.raises(TypeError, match="complex dtype"):
+            min_spacing(pts)
+
+    def test_non_finite_point_is_a_value_error(self):
+        pts = regular_grid(3)
+        pts[5, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            min_spacing(pts)
+
 
 class TestSyntheticVirus:
     def test_point_count_exact(self):

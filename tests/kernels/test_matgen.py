@@ -96,6 +96,16 @@ class TestRBFMatrixGenerator:
         with pytest.raises(ValueError):
             RBFMatrixGenerator(rng.random((10, 2)), 0.1, 5)
 
+    def test_rejects_complex_and_non_finite_points(self, rng):
+        """A complex cloud used to lose its imaginary part with only a
+        ComplexWarning, and a NaN point built NaN tiles."""
+        pts = rng.random((10, 3))
+        with pytest.raises(TypeError, match="complex dtype"):
+            RBFMatrixGenerator(pts * (1 + 1j), 0.1, 5)
+        pts[2, 1] = np.nan
+        with pytest.raises(ValueError, match="1 non-finite"):
+            RBFMatrixGenerator(pts, 0.1, 5)
+
 
 DECREASING_KERNELS = [
     GaussianRBF(),

@@ -108,6 +108,27 @@ class TestValidation:
                 kernel="sinc",
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_refused(self, small_points, bad):
+        """Such a spec used to be fingerprinted and admitted, and only
+        failed inside the build, after the retries and the breaker."""
+        pts = small_points.copy()
+        pts[[3, 8], [0, 2]] = bad
+        with pytest.raises(ValueError, match="2 non-finite"):
+            OperatorSpec(points=pts, shape_parameter=0.1, tile_size=60, accuracy=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_complex_points_are_refused(self, small_points, dtype):
+        """A complex cloud used to be reduced to its real part with only
+        a ComplexWarning."""
+        with pytest.raises(TypeError, match=f"complex dtype {np.dtype(dtype)}"):
+            OperatorSpec(
+                points=small_points.astype(dtype) * (1 + 1j),
+                shape_parameter=0.1,
+                tile_size=60,
+                accuracy=1e-6,
+            )
+
     def test_kernel_registry_names(self):
         assert "gaussian" in KERNELS
 

@@ -6,6 +6,33 @@ import pytest
 from repro.utils.hilbert import hilbert_index_3d, hilbert_order
 
 
+def skilling_key(coord, bits):
+    """One point's key, straight from Skilling's scalar algorithm."""
+    x = [int(c) for c in coord]
+    q = 1 << (bits - 1)
+    while q > 1:
+        for i in range(3):
+            if x[i] & q:
+                x[0] ^= q - 1
+            else:
+                t = (x[0] ^ x[i]) & (q - 1)
+                x[0] ^= t
+                x[i] ^= t
+        q >>= 1
+    for i in range(1, 3):
+        x[i] ^= x[i - 1]
+    t, q = 0, 1 << (bits - 1)
+    while q > 1:
+        if x[2] & q:
+            t ^= q - 1
+        q >>= 1
+    key = 0
+    for bit in range(bits - 1, -1, -1):
+        for i in range(3):
+            key = (key << 1) | (((x[i] ^ t) >> bit) & 1)
+    return key
+
+
 class TestHilbertIndex:
     def test_bijective_on_small_grid(self):
         """Every cell of a 2^3-per-side grid gets a distinct key."""
@@ -31,6 +58,16 @@ class TestHilbertIndex:
         walk = coords[order]
         steps = np.abs(np.diff(walk, axis=0)).sum(axis=1)
         assert np.all(steps == 1), "Hilbert walk must move one cell at a time"
+
+    @pytest.mark.parametrize("bits", [1, 2, 5, 16, 21])
+    def test_matches_scalar_skilling(self, bits):
+        """The whole-column passes and the magic-mask interleave give
+        the scalar algorithm's key, bit for bit, up to 63-bit keys."""
+        coords = np.random.default_rng(bits).integers(0, 1 << bits, (300, 3))
+        coords[:2] = [[0, 0, 0], [(1 << bits) - 1] * 3]
+        keys = hilbert_index_3d(coords, bits=bits)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [skilling_key(c, bits) for c in coords]
 
     def test_single_point(self):
         keys = hilbert_index_3d(np.array([[0, 0, 0]]), bits=4)
@@ -81,3 +118,16 @@ class TestHilbertOrder:
         pts[:, 2] = 0.5
         perm = hilbert_order(pts)
         assert sorted(perm) == list(range(50))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_is_a_value_error(self, bad):
+        """One NaN used to warn in the integer cast and return an
+        arbitrary permutation."""
+        pts = np.random.default_rng(0).random((20, 3))
+        pts[4, 1] = bad
+        with pytest.raises(ValueError, match="1 non-finite"):
+            hilbert_order(pts)
+
+    def test_complex_points_are_a_type_error(self):
+        with pytest.raises(TypeError, match="complex"):
+            hilbert_order(np.ones((5, 3), dtype=complex))
