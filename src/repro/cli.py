@@ -62,14 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="executor at --workers > 1: 'threads' (default; "
                         "GIL-bound glue, BLAS overlaps) or 'serial'; "
                         "the factor is bitwise identical on both")
-    f.add_argument("--compression", type=str, default=None,
-                   choices=["svd", "rand"],
-                   help="tile compression method: 'svd' (exact-rank "
-                        "truncated SVD: certified range-finder, gesdd "
-                        "fallback) or 'rand' (adaptive randomized "
-                        "range-finder); both deterministically seeded — "
-                        "bitwise identical across engines; default "
-                        "$REPRO_COMPRESSION or svd")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--trace", type=str, default=None,
                    help="write a Chrome trace JSON of the execution "
@@ -167,10 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="resident-bytes LRU budget (default: unbounded)")
     sv.add_argument("--cache-dir", type=str, default=None,
                     help="disk persistence directory for built factors")
-    sv.add_argument("--compression", type=str, default=None,
-                    choices=["svd", "rand"],
-                    help="compression method for cache-miss operator "
-                         "builds (part of the cache fingerprint)")
     sv.add_argument("--trace", type=str, default=None,
                     help="write a Chrome trace JSON of the serving run")
     sv.add_argument("--seed", type=int, default=0)
@@ -241,20 +229,14 @@ def _cmd_factorize(args) -> int:
     gen = RBFMatrixGenerator(
         pts, delta, tile_size=args.tile_size, nugget=100 * args.accuracy
     )
-    a = TLRMatrix.from_generator(
-        gen,
-        args.accuracy,
-        compression=args.compression,
-        seed_root=args.seed,
-    )
+    a = TLRMatrix.from_generator(gen, args.accuracy)
     stats = a.off_diagonal_rank_stats()
     print(f"N={gen.n}, NT={a.n_tiles}, density={a.density():.3f}, "
           f"ranks max/avg {stats['max']:.0f}/{stats['avg']:.1f}")
     if a.compression_stats is not None:
         cs = a.compression_stats.to_dict()
-        print(f"compression: method={a.compression.method} "
-              f"svd={cs['svd_tiles']} svd-fallback={cs['svd_fallback']} "
-              f"rand={cs['rand_tiles']} "
+        print(f"compression: svd={cs['svd_tiles']} "
+              f"svd-fallback={cs['svd_fallback']} "
               f"screened-null={cs['screened_null']} "
               f"bound-null={cs['bound_null']} "
               f"sampled-rank avg/max {cs['sampled_rank_avg']:.1f}/"
@@ -436,7 +418,6 @@ def _cmd_serve(args) -> int:
                 tile_size=args.tile_size,
                 accuracy=args.accuracy,
                 nugget=1e-4,
-                compression=args.compression,
                 label=f"op-{i}",
             )
         )

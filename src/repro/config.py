@@ -42,22 +42,6 @@ RESIDUAL_SLACK = 50.0
 #: Seed used by deterministic test fixtures and examples.
 DEFAULT_SEED = 42
 
-# ---------------------------------------------------------------------
-# compression method default
-# ---------------------------------------------------------------------
-
-#: Default compression method for operator builds: ``"svd"`` (exact
-#: truncated SVD, the baseline) or ``"rand"`` (adaptive randomized
-#: range-finder, H2OPUS-TLR style).  The factorization's update
-#: rounding is the range-finder under either.
-#: Overridable per build and via ``$REPRO_COMPRESSION``.
-DEFAULT_COMPRESSION = "svd"
-
-#: Environment variable overriding :data:`DEFAULT_COMPRESSION` when a
-#: build does not pin the method explicitly.
-COMPRESSION_ENV = "REPRO_COMPRESSION"
-
-
 def default_shape_parameter(min_spacing: float) -> float:
     """Shape parameter from the paper's rule: half the minimum spacing.
 
@@ -119,7 +103,3 @@ def spill_factor_from_env() -> float:
         raise ValueError(f"{SPILL_FACTOR_ENV} must be >= 0, got {env!r}")
     return factor
 
-
-def compression_from_env() -> str:
-    """``$REPRO_COMPRESSION``, else :data:`DEFAULT_COMPRESSION`."""
-    return _env(COMPRESSION_ENV) or DEFAULT_COMPRESSION

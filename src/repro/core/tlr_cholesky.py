@@ -30,7 +30,6 @@ from repro.linalg.kernels_tlr import (
     syrk_update,
     trsm_tile,
 )
-from repro.linalg.lowrank import derive_tile_seed
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.runtime.dag import TaskGraph, build_graph
 from repro.runtime.engine import ExecutionEngine
@@ -126,13 +125,6 @@ def register_cholesky_kernels(
         m, n = task.params
         # inputs are (m, k), (n, k) for each contributing k, ascending
         operands = [a.tile(*key) for key in task.inputs]
-        # The one rounding of tile (m, n) draws its sample stream from
-        # the tile coordinates (generation 1 — build-time compression
-        # is generation 0), so the seed is a pure function of the task
-        # and the factor stays bitwise identical across executors and
-        # worker counts.  The build's compression policy is None for a
-        # hand-assembled matrix: seed root 0.
-        root = a.compression.seed_root if a.compression is not None else 0
         a.set_tile(
             m,
             n,
@@ -141,7 +133,6 @@ def register_cholesky_kernels(
                 zip(operands[0::2], operands[1::2]),
                 tol=a.accuracy,
                 max_rank=a.max_rank,
-                seed=derive_tile_seed(root, m, n, gen=1),
             ),
         )
 
@@ -168,10 +159,10 @@ def tlr_cholesky(
 
     Left-looking: tile ``(m, n)`` is produced by one ``GEMM(m, n)``
     task that subtracts every contributing panel product in one dense
-    accumulation and rounds the result once (residual-stop range-finder,
-    the discarded part's norm ``<= a.accuracy`` whatever method
-    compressed the inputs), then by its ``TRSM(m, n)``; ``O(NT^2)``
-    tasks.
+    accumulation and rounds the result once (the build's exact-rank
+    compression: gesdd's rank at ``a.accuracy``), then by its
+    ``TRSM(m, n)``; ``O(NT^2)`` tasks.  The factor is a pure function
+    of the operator's tiles.
 
     Parameters
     ----------

@@ -6,14 +6,12 @@ recompression; and the four tile kernels of TLR Cholesky
 """
 
 from repro.linalg.lowrank import (
-    CompressionPolicy,
     CompressionStats,
     LowRankFactor,
     compress_block,
     derive_tile_seed,
     randomized_compress,
     recompress,
-    resolve_compression,
     truncated_svd,
 )
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile, TileKind
@@ -28,9 +26,7 @@ __all__ = [
     "truncated_svd",
     "compress_block",
     "recompress",
-    "CompressionPolicy",
     "CompressionStats",
-    "resolve_compression",
     "derive_tile_seed",
     "randomized_compress",
     "Tile",

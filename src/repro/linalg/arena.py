@@ -194,10 +194,6 @@ class TileArena:
             (payload.size // _ITEM,), dtype=DTYPE, buffer=payload.buf
         )
         self._payload_addr = self._elems.__array_interface__["data"][0]
-        #: compression policy mirrored from the source store
-        #: (plain Python state inherited through fork): worker-side GEMM
-        #: reads ``compression.seed_root`` to seed its one rounding.
-        self.compression = None
         # Last-resort leak defense: if the owning coordinator exits
         # abnormally (unhandled exception, sys.exit) without reaching
         # its `finally: arena.unlink()`, this finalizer unlinks the
@@ -269,7 +265,6 @@ class TileArena:
             tile_size=int(getattr(store, "tile_size", 1)),
             owner=True,
         )
-        arena.compression = getattr(store, "compression", None)
         arena._header[_H_SPILL_CUR] = cursor
         arena._header[_H_SPILL_END] = total
         arena._table[:, F_SPILL_OFF] = -1

@@ -105,8 +105,9 @@ def gemm_accumulated_flops(
     thinner side) and its share of the one dense application
     ``D -= X Y^T`` (``2 b^2 min(ka, kb)``); two dense operands are a
     dense GEMM.  The accumulated tile is then rounded once to rank
-    ``kc`` by the range-finder
-    (:func:`randomized_compression_flops`), unless it is stored dense
+    ``kc`` by the certified range-finder, which samples as the
+    residual stop does (:func:`randomized_compression_flops`), unless
+    it is stored dense
     (``kc >= b``) or nothing contributed.
     """
     total = 0.0

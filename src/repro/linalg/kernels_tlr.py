@@ -15,11 +15,10 @@ Algebra for the low-rank paths (``A = Ua Va^T``, ``B = Ub Vb^T``):
 The two update kernels are *accumulating*: they take every panel that
 contributes to a target tile, stack the low-rank product factors and
 apply them as one dense product.  An off-diagonal target is then
-rounded **once**, by the residual-stop range-finder (``_ROUNDING``: it
-stops once the explicit residual is within the threshold and truncates
-the small core exactly, so its rank can differ from ``gesdd``'s by one;
-the build's certified exact-rank ``svd`` is not used here) — never per
-panel, and no tile is ever stored with an inflated rank.
+rounded **once**, by the build's own exact-rank compression
+(``compress_block``: null certificate, certified range-finder, gesdd),
+so every factor rank is gesdd's rank of the accumulated update — never
+per panel, and no tile is ever stored with an inflated rank.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from repro.linalg.kernels_dense import DiagonalShiftPolicy, potrf, potrf_with_shift
 from repro.linalg.kernels_dense import trsm, trsm_left
-from repro.linalg.lowrank import CompressionPolicy, LowRankFactor, compress_block
+from repro.linalg.lowrank import LowRankFactor, compress_block
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile, as_tile
 
 __all__ = [
@@ -42,13 +41,6 @@ __all__ = [
     "gemm_update",
     "gemm_tile",
 ]
-
-#: How an accumulated update is rounded, whatever method compressed the
-#: input tiles: adaptive range-finder, explicit-residual stopping rule,
-#: exact truncation of the small core.  Both exact alternatives were
-#: measured and lose (DESIGN.md, "One rounding per target tile").
-_ROUNDING = CompressionPolicy(method="rand")
-
 
 def _diagonal(a_kk: Tile) -> np.ndarray:
     if not isinstance(a_kk, DenseTile):
@@ -156,7 +148,6 @@ def gemm_update(
     pairs: Iterable[tuple[Tile, Tile]],
     tol: float,
     max_rank: int | None = None,
-    seed: int = 0,
 ) -> Tile:
     """``C[m,n] <- C[m,n] - sum_k A[m,k] @ B[n,k]^T``, rounded once.
 
@@ -166,13 +157,12 @@ def gemm_update(
     ``[U_c | X] @ [V_c | -Y]^T`` for a low-rank C, else ``D -= X @ Y^T``
     onto C's dense form (zeros for a null C — *fill-in*); dense products
     subtract directly.  A dense C stays dense and unrounded.  Otherwise
-    the result is rounded once: null certificate, then the range-finder
-    seeded with ``seed`` (callers derive it from the tile coordinates,
-    so every engine draws the same stream for the same tile) and hinted
-    with C's rank; ``max_rank`` caps the stored rank (HiCMA's maxrank).
-    Pair order is fixed by the caller, so the summation order — hence
-    every bit of the result — is the same whichever engine runs the
-    task.  When no pair contributes the target tile object is returned
+    the result is rounded once by :func:`compress_block` (null
+    certificate, certified range-finder hinted with C's rank, gesdd), so
+    its rank is gesdd's; ``max_rank`` caps the stored rank (HiCMA's
+    maxrank).  Pair order is fixed by the caller, so the summation order
+    — hence every bit of the result — is a pure function of the operand
+    tiles, whichever engine runs the task.  When no pair contributes the target tile object is returned
     as is.
     """
     us, vs, dense_products = [], [], []
@@ -201,10 +191,7 @@ def gemm_update(
     if isinstance(c_mn, DenseTile):
         return DenseTile(acc)
     try:
-        rounded = compress_block(
-            acc, tol, max_rank=max_rank, policy=_ROUNDING, seed=seed,
-            rank_hint=c_mn.rank,
-        )
+        rounded = compress_block(acc, tol, max_rank=max_rank, rank_hint=c_mn.rank)
     except np.linalg.LinAlgError:
         # Degradation ladder: if rank rounding misbehaves (e.g. SVD
         # non-convergence), hold the tile dense rather than aborting
@@ -219,7 +206,6 @@ def gemm_tile(
     b_nk: Tile,
     tol: float,
     max_rank: int | None = None,
-    seed: int = 0,
 ) -> Tile:
     """:func:`gemm_update` with one pair."""
-    return gemm_update(c_mn, ((a_mk, b_nk),), tol, max_rank=max_rank, seed=seed)
+    return gemm_update(c_mn, ((a_mk, b_nk),), tol, max_rank=max_rank)

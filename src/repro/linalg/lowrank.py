@@ -7,29 +7,25 @@ threshold; a tile whose largest singular value falls below the
 threshold *disappears* (rank 0 → null), which is the data sparsity the
 paper exploits.
 
-Two compression methods coexist behind :class:`CompressionPolicy`,
-both on one blocked adaptive range-finder (H2OPUS-TLR style) whose
-cost scales with the *detected* rank instead of the tile size:
+:func:`compress_block` is the one compression routine: the build
+compresses every off-diagonal tile with it and the factorization rounds
+every accumulated update with it.  Its default ``"svd"`` method is the
+exact-rank truncated SVD on a blocked adaptive range-finder
+(H2OPUS-TLR style) whose cost scales with the *detected* rank: sampling
+stops on a proof (Weyl's bound in quadrature) that gesdd's rank is
+kept; small tiles, relative cutoffs and uncertified tiles run gesdd.
+A null certificate goes first: a block with ``||A||_F <= tol`` has
+``sigma_1 <= tol``, so it is null without any decomposition — in the
+sparse regime that is most tiles.  The certified path reads one fixed
+Gaussian test matrix per tile width (:func:`_test_matrix`), so its
+result is a pure function of ``(block, tol)``.
 
-* ``"svd"`` — exact-rank truncated SVD: certified range-finder, gesdd
-  fallback.  Sampling stops on a proof (Weyl's bound in quadrature)
-  that gesdd's rank is kept; small tiles, relative cutoffs and
-  uncertified tiles run gesdd;
-* ``"rand"`` — the range-finder stopped by its residual alone, with
-  a direct-SVD fallback once the sampled rank crosses the crossover.
-
-Both sit behind one null certificate (:func:`compress_block`): a block
-with ``||A||_F <= tol`` has ``sigma_1 <= tol``, so it is null without
-any decomposition — in the sparse regime that is most tiles.
-
-Sampled results are bitwise repeatable on every engine.  The certified
-path reads one fixed Gaussian test matrix per tile width
-(:func:`_test_matrix`), so its result is a pure function of
-``(block, tol)``.  The residual-stopped range-finder (``"rand"`` and
-the factorization's rounding) draws from a ``PCG64`` stream seeded per
-tile (:func:`derive_tile_seed` — operator seed root + tile coordinates
-+ generation: 0 for the build, 1 for the one rounding of the tile's
-accumulated update), a pure function of ``(block, tol, seed)``.
+``method="rand"`` (:func:`randomized_compress`) stops the same
+range-finder on its residual alone, with a direct-SVD fallback once
+the sampled rank crosses the crossover; its rank can differ from
+gesdd's by one.  It draws from a ``PCG64`` stream seeded per tile
+(:func:`derive_tile_seed`) and is kept only as a build to price the
+certified path against.
 """
 
 from __future__ import annotations
@@ -42,13 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from repro.config import DEFAULT_COMPRESSION, DTYPE, compression_from_env
+from repro.config import DTYPE
 
 __all__ = [
     "LowRankFactor",
-    "CompressionPolicy",
     "CompressionStats",
-    "resolve_compression",
     "derive_tile_seed",
     "truncated_svd",
     "randomized_compress",
@@ -125,7 +119,7 @@ def _truncation_rank(s: np.ndarray, tol: float, relative: bool) -> int:
 
 
 # ---------------------------------------------------------------------
-# compression policy, deterministic seeding and stats
+# compression methods, the rand build's seeding and stats
 # ---------------------------------------------------------------------
 
 _METHODS = ("svd", "rand")
@@ -134,61 +128,13 @@ _METHODS = ("svd", "rand")
 def derive_tile_seed(root: int, m: int, k: int, gen: int = 0) -> int:
     """Deterministic 64-bit seed for one tile's random sampling.
 
-    ``root`` identifies the operator (e.g. its spec fingerprint),
-    ``(m, k)`` the tile, and ``gen`` the generation: 0 for the
-    build-time compression, 1 for the rounding of the tile's
-    accumulated factorization update (a tile is rounded once).  The
-    seed is a pure function of the tile, so it is identical no matter
-    which engine or worker count executes the graph.  Hash-based
-    (BLAKE2b), so neighbouring tiles get unrelated streams.
+    ``root`` and ``gen`` name the stream family (a ``"rand"`` build
+    uses root 0, generation 0) and ``(m, k)`` the tile, so the seed is
+    a pure function of the tile.  Hash-based (BLAKE2b), so neighbouring
+    tiles get unrelated streams.
     """
     h = hashlib.blake2b(f"{root}|{m}|{k}|{gen}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "little")
-
-
-@dataclass(frozen=True)
-class CompressionPolicy:
-    """How dense blocks are compressed.
-
-    ``method="svd"`` is the exact-rank truncated SVD (certified
-    range-finder, gesdd fallback); ``method="rand"`` stops the
-    range-finder on its residual alone.
-    The method selects how *input* tiles are built; the factorization
-    rounds every accumulated update with the range-finder regardless
-    (``linalg.kernels_tlr.gemm_update``).  ``seed_root`` anchors the
-    deterministic per-tile seed derivation of the residual-stopped
-    range-finder: the update rounding and ``"rand"`` builds (the svd
-    build's certified path reads one fixed test matrix instead).
-    """
-
-    method: str = DEFAULT_COMPRESSION
-    seed_root: int = 0
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(
-                f"compression method must be one of {_METHODS}, "
-                f"got {self.method!r}"
-            )
-
-    @property
-    def randomized(self) -> bool:
-        return self.method == "rand"
-
-    def tile_seed(self, m: int, k: int, gen: int = 0) -> int:
-        return derive_tile_seed(self.seed_root, m, k, gen)
-
-
-def resolve_compression(
-    value: CompressionPolicy | str | None, seed_root: int = 0
-) -> CompressionPolicy:
-    """Coerce a method spec: an explicit policy or method name wins,
-    then ``$REPRO_COMPRESSION``, then the svd default."""
-    if isinstance(value, CompressionPolicy):
-        return value
-    if value is None:
-        value = compression_from_env()
-    return CompressionPolicy(method=str(value), seed_root=int(seed_root))
 
 
 class CompressionStats:
@@ -315,9 +261,11 @@ def _svd_or_dense(block, tol, relative, max_rank):
     return factor
 
 
-#: the svd policy samples tiles of at least this short side (gesdd wins
+#: the svd method samples tiles of at least this short side (gesdd wins
 #: below it), in panels this wide, up to this fraction of the short side
-_CERTIFY_MIN_SIDE, _CERTIFY_PANELS, _CERTIFY_CROSSOVER = 150, (32, 16), 0.75
+_CERTIFY_MIN_SIDE, _CERTIFY_PANELS, _CERTIFY_CROSSOVER = 50, (32, 16), 0.75
+#: columns over the caller's rank hint in the certified path's first panel
+_CERTIFY_OVERSAMPLE = 16
 #: singular-value rounding, per unit of ``max(m, n) * ||A||_F``, that
 #: both the sampled core's SVD and gesdd stay well inside
 _ROUNDOFF = 4.0 * np.finfo(DTYPE).eps
@@ -356,17 +304,20 @@ def _test_matrix(n: int) -> np.ndarray:
 
 
 def _range_finder(
-    block, fnorm, tol, relative, max_rank, seed, cap, widths, *, exact, stats
+    block, fnorm, tol, relative, max_rank, seed, cap, widths, hint, *, exact, stats
 ):
     """The blocked adaptive range-finder of both methods.
 
     Gaussian panels (``widths[0]``, then ``widths[1]`` columns) are
     projected against the basis so far and folded in; each ``Q_j^T A``
-    downdates the residual and is rows of the core.  Sampling stops
-    when the residual's Frobenius norm is under the cutoff (so is every
-    singular value left out) or, if ``exact``, when :func:`_certified`
-    holds.  The residual stop draws its panels from a ``PCG64(seed)``
-    stream; the certified path reads row slices of the fixed
+    downdates the residual and is rows of the core.  The first panel is
+    ``hint`` columns instead (the caller's expected rank plus an
+    oversample) when that is wider than ``widths[0]`` and under
+    ``cap``, which must hold two later panels.  Sampling stops when the
+    residual's Frobenius norm is under the cutoff (so is every singular
+    value left out) or, if ``exact``, when :func:`_certified` holds.
+    The residual stop draws its panels from a ``PCG64(seed)`` stream;
+    the certified path reads row slices of the fixed
     :func:`_test_matrix` and ignores ``seed`` (its rank is proven
     whatever the sample).  Returns ``None``, a factor, the block (over
     ``max_rank``) or ``_MISSED`` (at ``cap``).
@@ -384,7 +335,8 @@ def _range_finder(
     q_basis: np.ndarray | None = None
     rows = []  # Q_j^T A of every panel: the core, row block by row block
     resid = block
-    width, sampled = widths[0], 0
+    sampled = 0
+    width = hint if widths[0] < hint < cap and 2 * widths[1] <= cap else widths[0]
     while sampled < cap:
         p = min(width, cap - sampled)
         width = widths[1]
@@ -465,11 +417,9 @@ def randomized_compress(
 
     cross_cap = max(1, int(math.ceil(crossover * min(m, n))))
     cap = cross_cap if max_rank is None else min(cross_cap, max_rank + oversample)
-    width = rank_hint + oversample
-    if not (sample_block < width < cap and 2 * sample_block <= cap):
-        width = sample_block
     out = _range_finder(
-        block, fnorm, tol, relative, max_rank, seed, cap, (width, sample_block),
+        block, fnorm, tol, relative, max_rank, seed, cap,
+        (sample_block, sample_block), rank_hint + oversample,
         exact=False, stats=stats,
     )
     if out is _MISSED and cap == cross_cap:
@@ -490,7 +440,7 @@ def compress_block(
     tol: float,
     max_rank: int | None = None,
     relative: bool = False,
-    policy: CompressionPolicy | None = None,
+    method: str = "svd",
     seed: int = 0,
     stats: CompressionStats | None = None,
     rank_hint: int = 0,
@@ -505,16 +455,20 @@ def compress_block(
     Whatever the method, a block whose Frobenius norm is not finite
     raises ``LinAlgError`` before any LAPACK call, and one whose norm
     certifies it null (:func:`_certified_null`) returns before any
-    decomposition.  ``policy`` then selects the method: randomized
-    policies route through :func:`randomized_compress` with the
-    per-tile ``seed``, ``rank_hint`` and that norm; the default,
-    exact-rank truncated SVD samples the fixed test matrix (``seed`` is
-    not read) until :func:`_certified` proves gesdd's rank.
+    decomposition.  The default ``"svd"`` method then keeps exactly
+    gesdd's rank: the certified range-finder samples the fixed test
+    matrix (``seed`` is not read), its first panel sized by
+    ``rank_hint`` (the caller's expected rank), until
+    :func:`_certified` proves that rank, else gesdd decides.
+    ``"rand"`` routes through :func:`randomized_compress` with ``seed``,
+    ``rank_hint`` and that norm.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if method not in _METHODS:
+        raise ValueError(f"compression method must be one of {_METHODS}, got {method!r}")
     block = np.asarray(block, dtype=DTYPE)
-    randomized = policy is not None and policy.randomized
+    randomized = method == "rand"
     if stats is not None:
         if randomized:
             stats.rand_tiles += 1
@@ -535,8 +489,8 @@ def compress_block(
     short = min(block.shape)
     if not relative and short >= _CERTIFY_MIN_SIDE:
         cap = math.ceil(_CERTIFY_CROSSOVER * short)
-        out = _range_finder(block, fnorm, tol, False, max_rank, None, cap,
-                            _CERTIFY_PANELS, exact=True, stats=stats)
+        out = _range_finder(block, fnorm, tol, False, max_rank, None, cap, _CERTIFY_PANELS,
+                            rank_hint + _CERTIFY_OVERSAMPLE, exact=True, stats=stats)
         if out is not _MISSED:
             return out
         if stats is not None:
@@ -554,9 +508,9 @@ def recompress(
     numerical rank; this rounding step restores it with QR
     factorizations of both factors followed by an SVD of the small
     core — the standard low-rank rounding.  The factorization rounds
-    with :func:`randomized_compress`; this exact rounding stays as the
-    reference the property tests compare against (the benchmark times
-    it too).
+    its dense accumulation with :func:`compress_block` instead; this
+    exact rounding stays as the reference the property tests compare
+    against (the benchmark times it too).
 
     Cost: ``O((m+n) K^2 + K^3)`` for accumulated rank ``K``, versus
     ``O(m n min(m, n))`` for recompressing the dense block.  Two fast

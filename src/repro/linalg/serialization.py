@@ -2,7 +2,7 @@
 
 Compressing a large operator is the expensive phase (Fig. 11), so
 operators, factors and factorization checkpoints are kept on disk, each
-as one file written and read here (format version 4, no pickling):
+as one file written and read here (format version 5, no pickling):
 
 * ``header`` = ``[version]``; ``meta``, a JSON record (UTF-8 bytes);
 * per named tile group ``g``: ``kinds_g``, one ``(m, k, kind, rows,
@@ -40,8 +40,10 @@ from repro.utils.atomic import atomic_write_via
 __all__ = ["FORMAT_VERSION", "TileFile", "write", "read", "matrix_meta",
            "save_matrices", "load_matrices", "save_tlr", "load_tlr"]
 
-#: Versions 1-3 (unsealed, or fp32 low-rank factors) are refused.
-FORMAT_VERSION = 4
+#: Versions 1-3 (unsealed, or fp32 low-rank factors) are refused, and so
+#: is 4: its factors and checkpoints were rounded by the residual stop,
+#: and resuming one under the exact-rank rounding would mix the two.
+FORMAT_VERSION = 5
 #: every zip member's timestamp, so equal content gives equal bytes
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 

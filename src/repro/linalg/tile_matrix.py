@@ -16,11 +16,10 @@ import numpy as np
 
 from repro.config import DENSE_RANK_FRACTION, DTYPE
 from repro.linalg.lowrank import (
-    CompressionPolicy,
     CompressionStats,
     LowRankFactor,
     compress_block,
-    resolve_compression,
+    derive_tile_seed,
 )
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile, as_tile
 from repro.utils.validation import check_positive, check_square_matrix
@@ -69,7 +68,6 @@ class TLRMatrix:
         accuracy: float,
         max_rank: int | None = None,
         *,
-        compression: CompressionPolicy | None = None,
         compression_stats: CompressionStats | None = None,
     ) -> None:
         check_positive("n", n)
@@ -79,11 +77,6 @@ class TLRMatrix:
         self.tile_size = int(tile_size)
         self.accuracy = float(accuracy)
         self.max_rank = max_rank
-        #: compression policy the build used; the factorization's
-        #: update rounding reads its ``seed_root`` (via the store) to
-        #: derive per-tile seeds.  ``None`` (e.g. a hand-assembled
-        #: matrix) means seed root 0.
-        self.compression = compression
         #: build-time method/rank counters (``None`` when not built
         #: through :meth:`compress`)
         self.compression_stats = compression_stats
@@ -110,9 +103,8 @@ class TLRMatrix:
         tile_size: int,
         accuracy: float,
         max_rank: int | None = None,
-        compression: CompressionPolicy | str | None = None,
+        compression: str | None = None,
         storage: str | None = None,
-        seed_root: int = 0,
         norm_bound: Callable[[int, int], float] | None = None,
     ) -> "TLRMatrix":
         """Build a TLR matrix by compressing tiles from a generator.
@@ -124,13 +116,10 @@ class TLRMatrix:
         the ``accuracy`` threshold with rank capped by ``max_rank``
         (default: ``DENSE_RANK_FRACTION * tile_size``).
 
-        ``compression`` picks the method (``"svd"``/``"rand"`` or a
-        full :class:`~repro.linalg.lowrank.CompressionPolicy`; default
-        honors ``$REPRO_COMPRESSION``).  Rebuilds are bitwise identical:
-        the svd policy's certified path samples one fixed test matrix,
-        and ``"rand"`` and the factorization's update rounding derive
-        per-tile sampling seeds from ``seed_root`` (pass the operator's
-        fingerprint).
+        ``compression`` picks the method: ``"svd"`` (None, the default:
+        exact-rank, the rounding the factorization uses too) or
+        ``"rand"`` (the residual-stopped range-finder, seeded per tile
+        from root 0).  Rebuilds are bitwise identical.
 
         ``norm_bound(i, j)``, when given, must be an upper bound on the
         Frobenius norm of ``tile_source(i, j)``: an off-diagonal tile
@@ -144,7 +133,9 @@ class TLRMatrix:
         # tiles are stored fp64 only; "fp64" is still accepted by name
         if storage not in (None, "fp64"):
             raise ValueError(f"storage must be 'fp64', got {storage!r}")
-        policy = resolve_compression(compression, seed_root=seed_root)
+        method = "svd" if compression is None else compression
+        if method not in ("svd", "rand"):
+            raise ValueError(f"compression must be 'svd' or 'rand', got {compression!r}")
         stats = CompressionStats()
         nt = -(-n // tile_size)
         tiles: dict[tuple[int, int], Tile] = {}
@@ -163,20 +154,12 @@ class TLRMatrix:
                     block,
                     accuracy,
                     max_rank=max_rank,
-                    policy=policy,
-                    seed=policy.tile_seed(m, k, gen=0),
+                    method=method,
+                    seed=derive_tile_seed(0, m, k) if method == "rand" else 0,
                     stats=stats,
                 )
                 tiles[(m, k)] = as_tile(result, block.shape)
-        return cls(
-            n,
-            tile_size,
-            tiles,
-            accuracy,
-            max_rank,
-            compression=policy,
-            compression_stats=stats,
-        )
+        return cls(n, tile_size, tiles, accuracy, max_rank, compression_stats=stats)
 
     @classmethod
     def from_generator(cls, gen, accuracy: float, **kwargs) -> "TLRMatrix":
@@ -202,8 +185,7 @@ class TLRMatrix:
         tile_size: int,
         accuracy: float,
         max_rank: int | None = None,
-        compression: CompressionPolicy | str | None = None,
-        seed_root: int = 0,
+        compression: str | None = None,
     ) -> "TLRMatrix":
         """Compress an explicit dense symmetric matrix."""
         check_square_matrix("a", a)
@@ -220,7 +202,6 @@ class TLRMatrix:
             accuracy,
             max_rank,
             compression=compression,
-            seed_root=seed_root,
         )
 
     # ------------------------------------------------------------------
@@ -428,7 +409,6 @@ class TLRMatrix:
             dict(self._tiles),
             self.accuracy,
             self.max_rank,
-            compression=self.compression,
             compression_stats=self.compression_stats,
         )
 

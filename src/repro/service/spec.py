@@ -66,10 +66,8 @@ class OperatorSpec:
     kernel: str = "gaussian"
     nugget: float = 1.0e-8
     max_rank: int | None = None
-    #: compression method for the build (``"svd"``/``"rand"``).  None
-    #: defers to ``$REPRO_COMPRESSION`` and is pinned to the resolved
-    #: method at construction, so the fingerprint and the build can
-    #: never disagree about what an env-selected default meant.
+    #: compression method: ``"svd"`` (or None), the only one a build
+    #: uses; accepted by name so existing callers keep working
     compression: str | None = None
     #: tiles are stored fp64 only; "fp64" is still accepted by name
     storage_precision: str | None = None
@@ -88,12 +86,9 @@ class OperatorSpec:
             )
         if self.nugget < 0.0:
             raise ValueError(f"nugget must be >= 0, got {self.nugget}")
-        # pin the env-resolved method name (also fails fast on typos)
-        from repro.linalg.lowrank import resolve_compression
-
-        object.__setattr__(
-            self, "compression", resolve_compression(self.compression).method
-        )
+        if self.compression not in (None, "svd"):
+            raise ValueError(f"compression must be 'svd', got {self.compression!r}")
+        object.__setattr__(self, "compression", "svd")
         if self.storage_precision not in (None, "fp64"):
             raise ValueError(
                 f"storage_precision must be 'fp64', got {self.storage_precision!r}"
@@ -138,10 +133,6 @@ class OperatorSpec:
             f"|maxrank={self.max_rank if self.max_rank is None else int(self.max_rank)}"
             f"|n={self.n}|"
         )
-        # a non-default method extends the header; the default build
-        # keeps its pre-existing fingerprint (cache entries survive)
-        if self.compression != "svd":
-            header += f"comp={self.compression}|"
         h.update(header.encode())
         h.update(self.points.tobytes())
         return h.hexdigest()
@@ -171,10 +162,6 @@ class OperatorSpec:
             gen,
             self.accuracy,
             max_rank=self.max_rank,
-            compression=self.compression,
-            # anchor the per-tile sampling seeds to the operator
-            # identity: rebuilds of the same spec are bitwise identical
-            seed_root=int(self.fingerprint[:16], 16),
         )
         operator = a.copy()
         t1 = time.perf_counter()

@@ -1,50 +1,53 @@
-"""Randomized compression under every engine: bitwise-identical factors.
+"""The factor is a pure function of the operator's tiles.
 
-The repo's reproducibility contract says the factor is a pure function
-of the operator spec — independent of engine and worker count.  The
-randomized compression paths introduce sampling, so the contract
-additionally rests on the deterministic per-tile seed derivation
-(seed root + tile coordinates + generation: 0 for the build, 1 for the
-one rounding of the tile's accumulated update).  These tests pin it
-end to end: rebuilds draw identical samples, and serial and threaded
-executions of the update rounding produce byte-equal factors.
+The factorization rounds every accumulated update with the build's
+certified exact-rank compression, which samples one fixed test matrix:
+there is no seed and no per-tile stream.  So the factor of a spec
+build equals, bitwise, the factor of the same operator after a
+``save_tlr``/``load_tlr`` round trip and of the same tiles compressed
+through ``TLRMatrix.compress``; rebuilds are byte-identical; and serial
+and threaded executions produce byte-equal factors.
 """
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
 
 from repro.core.tlr_cholesky import tlr_cholesky
-from repro.geometry import virus_population
+from repro.geometry import min_spacing, virus_population
 from repro.kernels.matgen import RBFMatrixGenerator
+from repro.linalg.serialization import load_tlr, save_tlr
+from repro.linalg.tile import LowRankTile
 from repro.linalg.tile_matrix import TLRMatrix
+from repro.service.spec import OperatorSpec
 
 TILE = 75
 ACCURACY = 1e-6
-SEED_ROOT = 0xC0FFEE
+
+
+def _spec():
+    pts = virus_population(2, points_per_virus=150, cube_edge=1.7, seed=5)
+    return OperatorSpec(
+        points=pts,
+        shape_parameter=0.5 * min_spacing(pts) * 100,
+        tile_size=TILE,
+        accuracy=ACCURACY,
+        nugget=1e-4,
+    )
 
 
 def _generator():
-    pts = virus_population(2, points_per_virus=150, cube_edge=1.7, seed=5)
+    spec = _spec()
     return RBFMatrixGenerator(
-        points=pts,
-        shape_parameter=0.5 * pdist(pts).min() * 40,
+        points=spec.points,
+        shape_parameter=spec.shape_parameter,
         tile_size=TILE,
-        nugget=1e-4,
+        nugget=spec.nugget,
     )
 
 
 def _operator():
     gen = _generator()
-    return TLRMatrix.compress(
-        gen.tile,
-        gen.n,
-        TILE,
-        ACCURACY,
-        max_rank=40,
-        compression="rand",
-        seed_root=SEED_ROOT,
-    )
+    return TLRMatrix.compress(gen.tile, gen.n, TILE, ACCURACY, max_rank=40)
 
 
 def _tile_bytes(a):
@@ -65,25 +68,32 @@ def _tile_bytes(a):
     return out
 
 
+@pytest.fixture(scope="module")
+def built():
+    return _spec().build()
+
+
+class TestFactorPurity:
+    @pytest.mark.parametrize("source", ["roundtrip", "compress"])
+    def test_factor_depends_only_on_the_tiles(self, built, source, tmp_path):
+        if source == "roundtrip":
+            path = tmp_path / "operator.npz"
+            save_tlr(built.operator, path)
+            operator = load_tlr(path)
+        else:
+            gen = _generator()
+            operator = TLRMatrix.compress(gen.tile, gen.n, TILE, ACCURACY)
+        assert _tile_bytes(operator) == _tile_bytes(built.operator)
+        result = tlr_cholesky(operator)
+        assert _tile_bytes(result.factor) == _tile_bytes(built.factor)
+        # the operator exercises the rounding: GEMMs leave low-rank tiles
+        gemms = [t.params for t in result.graph.tasks if t.klass == "GEMM"]
+        assert any(isinstance(result.factor.tile(*mn), LowRankTile) for mn in gemms)
+
+
 class TestRebuildDeterminism:
     def test_two_builds_are_byte_identical(self):
         assert _tile_bytes(_operator()) == _tile_bytes(_operator())
-
-    def test_seed_root_changes_samples_not_structure(self):
-        gen = _generator()
-        other = TLRMatrix.compress(
-            gen.tile,
-            gen.n,
-            TILE,
-            ACCURACY,
-            max_rank=40,
-            compression="rand",
-            seed_root=SEED_ROOT + 1,
-        )
-        base = _operator()
-        # identical rank structure and operator, different sample draws
-        assert np.array_equal(base.rank_matrix(), other.rank_matrix())
-        assert np.allclose(base.to_dense(), other.to_dense(), atol=1e-5)
 
 
 class TestCrossEngineBitwise:

@@ -320,22 +320,13 @@ class TestGemmUpdate:
         assert isinstance(out, DenseTile)
         assert np.allclose(out.data, self._reference(c, pairs), atol=1e-10)
 
-    def test_seed_selects_the_sample_stream(self, rng):
-        c = rect_lr(rng, self.ROWS, self.COLS, 4)
-        # low rank throughout, so the range-finder (not the direct SVD
-        # past the crossover) produces the result
-        pairs = [(rect_lr(rng, self.ROWS, self.B, 2), rect_lr(rng, self.COLS, self.B, 3))]
-        one = gemm_update(c, pairs, tol=self.TOL, seed=1)
-        assert same_tile(one, gemm_update(c, pairs, tol=self.TOL, seed=1))
-        assert not same_tile(one, gemm_update(c, pairs, tol=self.TOL, seed=2))
-
     @pytest.mark.parametrize("ck", ["null", "lr", "dense"])
     def test_gemm_tile_is_the_one_pair_call(self, rng, ck):
         c = self._target(rng, ck)
         a, b = rect_lr(rng, self.ROWS, self.B, 3), rect_lr(rng, self.COLS, self.B, 2)
         assert same_tile(
-            gemm_tile(c, a, b, tol=self.TOL, max_rank=9, seed=7),
-            gemm_update(c, [(a, b)], tol=self.TOL, max_rank=9, seed=7),
+            gemm_tile(c, a, b, tol=self.TOL, max_rank=9),
+            gemm_update(c, [(a, b)], tol=self.TOL, max_rank=9),
         )
 
 

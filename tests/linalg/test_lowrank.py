@@ -6,7 +6,6 @@ import pytest
 from repro.linalg import lowrank
 from repro.linalg.kernels_tlr import gemm_update
 from repro.linalg.lowrank import (
-    CompressionPolicy,
     LowRankFactor,
     compress_block,
     recompress,
@@ -116,7 +115,7 @@ class TestCompressBlock:
     def test_null(self, rng):
         assert compress_block(np.zeros((10, 10)), tol=1e-4) is None
 
-    @pytest.mark.parametrize("policy", [None, CompressionPolicy(method="rand")])
+    @pytest.mark.parametrize("policy", [None, {"method": "rand"}])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("side", [50, 100, 200])
     def test_non_finite_block_raises_before_lapack(
@@ -128,7 +127,7 @@ class TestCompressBlock:
         monkeypatch.setattr(lowrank, "_GESDD", pytest.fail)
         monkeypatch.setattr(lowrank, "_GEQRF", pytest.fail)
         with pytest.raises(np.linalg.LinAlgError, match="non-finite Frobenius norm"):
-            compress_block(block, tol=1e-8, max_rank=side // 2, policy=policy)
+            compress_block(block, tol=1e-8, max_rank=side // 2, **(policy or {}))
 
     def test_non_finite_update_is_held_dense(self, rng):
         c = LowRankTile(

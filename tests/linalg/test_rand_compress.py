@@ -1,22 +1,22 @@
-"""Randomized compression: SVD parity, determinism, policy plumbing."""
+"""Randomized compression and the update rounding: SVD parity,
+determinism, method plumbing."""
 
 import numpy as np
 import pytest
 
 from repro.linalg import lowrank
 from repro.linalg.lowrank import (
-    CompressionPolicy,
     CompressionStats,
     LowRankFactor,
     compress_block,
     derive_tile_seed,
     randomized_compress,
     recompress,
-    resolve_compression,
     truncated_svd,
 )
 from repro.linalg.kernels_tlr import gemm_update
-from repro.linalg.tile import LowRankTile, NullTile
+from repro.linalg.tile import LowRankTile, NullTile, as_tile
+from repro.linalg.tile_matrix import TLRMatrix
 
 
 def low_rank_block(rng, m, n, k, scale=1.0):
@@ -43,51 +43,58 @@ class TestDeriveTileSeed:
         assert len(seeds) == 2 * 4 * 4 * 3  # no collisions on this grid
 
 
+def spd_source(rng, n):
+    """The 40 x 40 tile source of a smooth SPD operator with low-rank tiles."""
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    a = np.exp(-np.subtract.outer(x, x) ** 2 / 0.1) + 1e-3 * np.eye(n)
+    return lambda i, j: a[i * 40 : (i + 1) * 40, j * 40 : (j + 1) * 40]
+
+
 class TestCompressionPolicy:
-    def test_defaults(self):
-        p = CompressionPolicy()
-        assert p.method == "svd"
-        assert not p.randomized
+    """``compress_block``'s ``method``: the svd default or ``"rand"``."""
 
-    def test_randomized_flag(self):
-        assert CompressionPolicy(method="rand").randomized
-
-    def test_tile_seed_uses_root(self):
-        a = CompressionPolicy(method="rand", seed_root=1)
-        b = CompressionPolicy(method="rand", seed_root=2)
-        assert a.tile_seed(3, 1) != b.tile_seed(3, 1)
-        assert a.tile_seed(3, 1) == derive_tile_seed(1, 3, 1, 0)
+    def test_tile_seed_uses_root(self, rng):
+        # a "rand" build draws tile (m, k) from root 0's per-tile stream
+        source = spd_source(rng, 160)
+        built = TLRMatrix.compress(source, 160, 40, 1e-8, compression="rand")
+        sampled = 0
+        for (m, k), tile in built:
+            if m == k:
+                continue
+            out = compress_block(
+                source(m, k), 1e-8, max_rank=built.max_rank, method="rand",
+                seed=derive_tile_seed(0, m, k),
+            )
+            ref = as_tile(out, tile.shape)
+            assert (tile.kind, tile.rank) == (ref.kind, ref.rank)
+            if isinstance(tile, LowRankTile):
+                sampled += 1
+                assert tile.u.tobytes() == out.u.tobytes()
+        assert sampled > 0
 
     @pytest.mark.parametrize("kwargs", [{"method": "qr"}])
-    def test_rejects_bad_knobs(self, kwargs):
+    def test_rejects_bad_knobs(self, rng, kwargs):
         with pytest.raises(ValueError):
-            CompressionPolicy(**kwargs)
+            compress_block(rng.standard_normal((8, 8)), 1e-8, **kwargs)
 
 
 class TestResolveCompression:
-    def test_policy_passthrough(self):
-        p = CompressionPolicy(method="rand", seed_root=9)
-        assert resolve_compression(p) is p
+    """``TLRMatrix.compress(compression=)``: None is the svd method."""
 
-    def test_method_name(self):
-        assert resolve_compression("rand", seed_root=5).randomized
-        assert resolve_compression("rand", seed_root=5).seed_root == 5
+    def test_method_name(self, rng):
+        source = spd_source(rng, 120)
+        stats = TLRMatrix.compress(source, 120, 40, 1e-8, compression="rand").compression_stats
+        assert stats.rand_tiles == 3 and stats.svd_tiles == 0
 
-    def test_none_defaults_to_svd(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPRESSION", raising=False)
-        assert resolve_compression(None).method == "svd"
+    def test_none_defaults_to_svd(self, rng):
+        source = spd_source(rng, 120)
+        stats = TLRMatrix.compress(source, 120, 40, 1e-8).compression_stats
+        assert stats.svd_tiles == 3 and stats.rand_tiles == 0
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPRESSION", "rand")
-        assert resolve_compression(None).randomized
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPRESSION", "rand")
-        assert resolve_compression("svd").method == "svd"
-
-    def test_bad_name_raises(self):
+    def test_bad_name_raises(self, rng):
+        source = spd_source(rng, 120)
         with pytest.raises(ValueError):
-            resolve_compression("aca")
+            TLRMatrix.compress(source, 120, 40, 1e-8, compression="aca")
 
 
 class TestCompressionStats:
@@ -210,7 +217,7 @@ class TestCompressBlockDispatch:
         out = compress_block(
             block,
             tol=1e-8,
-            policy=CompressionPolicy(method="rand"),
+            method="rand",
             seed=7,
             stats=stats,
         )
@@ -229,16 +236,15 @@ class TestCompressBlockDispatch:
 
         monkeypatch.setattr(lowrank.np.linalg, "norm", norm)
         out = compress_block(
-            block, 1e-8, relative=True, policy=CompressionPolicy(method="rand")
+            block, 1e-8, relative=True, method="rand"
         )
         assert out.rank == 3
         assert seen.count(True) == 1
 
     def test_rand_dispatch_is_seeded(self, rng):
         block = low_rank_block(rng, 60, 60, 3)
-        pol = CompressionPolicy(method="rand")
-        a = compress_block(block, tol=1e-8, policy=pol, seed=7)
-        b = compress_block(block, tol=1e-8, policy=pol, seed=7)
+        a = compress_block(block, tol=1e-8, method="rand", seed=7)
+        b = compress_block(block, tol=1e-8, method="rand", seed=7)
         assert a.u.tobytes() == b.u.tobytes()
 
     def test_default_path_counts_svd(self, rng):
@@ -254,7 +260,7 @@ class TestCompressBlockDispatch:
             block,
             tol=1e-10,
             max_rank=8,
-            policy=CompressionPolicy(method="rand"),
+            method="rand",
             seed=3,
         )
         assert isinstance(svd_out, np.ndarray)
@@ -262,7 +268,12 @@ class TestCompressBlockDispatch:
         assert np.array_equal(svd_out, rnd_out)
 
 
-POLICIES = [None, CompressionPolicy(method="rand")]
+#: compress_block's two methods as keyword arguments (None: the default)
+POLICIES = [None, {"method": "rand"}]
+
+
+def compress(block, tol, policy=None, **kwargs):
+    return compress_block(block, tol, **(policy or {}), **kwargs)
 
 
 def same_result(a, b):
@@ -292,7 +303,7 @@ class TestNullCertificate:
         monkeypatch.setattr(lowrank, "_GEQRF", boom)
         stats = CompressionStats()
         block = low_rank_block(rng, 40, 50, 3, scale=1e-9)
-        assert compress_block(block, 1e-6, policy=policy, stats=stats) is None
+        assert compress(block, 1e-6, policy=policy, stats=stats) is None
         assert stats.screened_null == 1
         assert stats.svd_tiles + stats.rand_tiles == 1
 
@@ -306,13 +317,13 @@ class TestNullCertificate:
         block = low_rank_block(rng, 48, 36, k)
         block *= scale * tol / np.linalg.norm(block)
         stats = CompressionStats()
-        out = compress_block(block, tol, policy=policy, seed=5, stats=stats)
+        out = compress(block, tol, policy=policy, seed=5, stats=stats)
         # at scale 1.0 rounding decides; the certificate must stand
         # aside and leave the verdict to the decomposition
         assert stats.screened_null == (scale < 1.0)
         monkeypatch.setattr(lowrank, "_certified_null", lambda *a: False)
         assert same_result(
-            out, compress_block(block, tol, policy=policy, seed=5)
+            out, compress(block, tol, policy=policy, seed=5)
         )
         if scale < 1.0:
             assert truncated_svd(block, tol) is None
@@ -324,7 +335,7 @@ class TestNullCertificate:
         # block) discards everything, and only tol > 1 is certified
         block = low_rank_block(rng, 30, 30, 2)
         stats = CompressionStats()
-        out = compress_block(
+        out = compress(
             block, tol, relative=True, policy=policy, seed=1, stats=stats
         )
         assert (out is None) == null
@@ -335,7 +346,7 @@ class TestNullCertificate:
     @pytest.mark.parametrize("relative", [False, True])
     def test_zero_block(self, policy, relative):
         stats = CompressionStats()
-        out = compress_block(
+        out = compress(
             np.zeros((20, 30)), 1e-8, relative=relative, policy=policy, stats=stats
         )
         assert out is None and stats.screened_null == 1
@@ -343,16 +354,16 @@ class TestNullCertificate:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_survivors_are_untouched_by_the_screen(self, rng, monkeypatch, policy):
         block = low_rank_block(rng, 60, 60, 4)
-        screened = compress_block(block, 1e-8, max_rank=10, policy=policy, seed=3)
+        screened = compress(block, 1e-8, max_rank=10, policy=policy, seed=3)
         monkeypatch.setattr(lowrank, "_certified_null", lambda *a: False)
-        unscreened = compress_block(block, 1e-8, max_rank=10, policy=policy, seed=3)
+        unscreened = compress(block, 1e-8, max_rank=10, policy=policy, seed=3)
         assert screened.rank == 4
         assert same_result(screened, unscreened)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_rejects_nonpositive_tol(self, policy):
         with pytest.raises(ValueError):
-            compress_block(np.zeros((8, 8)), 0.0, policy=policy)
+            compress(np.zeros((8, 8)), 0.0, policy=policy)
 
 
 def stacked_factor(rng, m, n, ranks, tol=1e-12):
@@ -391,7 +402,7 @@ class TestRandomizedRecompress:
         ranks = [6, 5, 4, 3]  # K = 18 > one sample panel
         f = stacked_factor(rng, 120, 120, ranks)
         exact = recompress(f, tol=1e-9)
-        out = gemm_update(NullTile((120, 120)), as_pairs(f, ranks), tol=1e-9, seed=11)
+        out = gemm_update(NullTile((120, 120)), as_pairs(f, ranks), tol=1e-9)
         assert out.rank == exact.rank == 18
         assert np.allclose(-out.to_dense(), exact.to_dense(), atol=1e-7)
 
@@ -400,15 +411,15 @@ class TestRandomizedRecompress:
         # the same term three times over: stacked rank 27, numerical rank 9
         third = LowRankFactor(base.u, base.v / 3.0)
         pairs = as_pairs(third, [9]) * 3
-        out = gemm_update(NullTile((100, 100)), pairs, tol=1e-9, seed=5)
+        out = gemm_update(NullTile((100, 100)), pairs, tol=1e-9)
         assert out.rank == 9
         assert np.allclose(-out.to_dense(), base.to_dense(), atol=1e-7)
 
     def test_bitwise_deterministic(self, rng):
         ranks = [8, 7, 6]
         pairs = as_pairs(stacked_factor(rng, 100, 100, ranks), ranks)
-        a = gemm_update(NullTile((100, 100)), pairs, tol=1e-9, seed=21)
-        b = gemm_update(NullTile((100, 100)), pairs, tol=1e-9, seed=21)
+        a = gemm_update(NullTile((100, 100)), pairs, tol=1e-9)
+        b = gemm_update(NullTile((100, 100)), pairs, tol=1e-9)
         assert a.u.tobytes() == b.u.tobytes()
         assert a.v.tobytes() == b.v.tobytes()
 
@@ -425,7 +436,7 @@ class TestRandomizedRecompress:
             tol=1e-9,
         )
         pairs = as_pairs(gone, [6]) + as_pairs(extra, [3])
-        out = gemm_update(LowRankTile(c), pairs, tol=1e-9, seed=8)
+        out = gemm_update(LowRankTile(c), pairs, tol=1e-9)
         assert out.rank == exact.rank == 9
         assert np.allclose(out.to_dense(), exact.to_dense(), atol=1e-7)
 

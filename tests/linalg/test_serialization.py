@@ -69,11 +69,13 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="version"):
             load_tlr(path)
 
-    def test_file_is_version_4(self, sparse_tlr, tmp_path):
+    def test_file_is_version_5(self, sparse_tlr, tmp_path):
+        # 5: factors rounded by the exact-rank rule; a version-4 factor
+        # or checkpoint (residual-stop rounding) is refused by its version
         path = tmp_path / "a.npz"
         save_tlr(sparse_tlr, path)
         with np.load(path) as data:
-            assert int(data["header"][0]) == 4
+            assert int(data["header"][0]) == 5
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_unsealed_versions_are_refused(self, sparse_tlr, tmp_path, version):

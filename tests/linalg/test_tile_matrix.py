@@ -97,14 +97,14 @@ class TestFromGenerator:
     @pytest.mark.parametrize("compression", ["svd", "rand"])
     def test_same_operator_as_compress(self, ragged_sparse_generator, compression):
         g = ragged_sparse_generator
-        kw = dict(compression=compression, seed_root=7)
+        kw = dict(compression=compression)
         a = TLRMatrix.from_generator(g, 1e-6, **kw)
         b = TLRMatrix.compress(g.tile, g.n, g.tile_size, 1e-6, **kw)
         assert a.compression_stats.bound_null > 0
         assert b.compression_stats.bound_null == 0
         assert matrix_checksums(a) == matrix_checksums(b)
         assert a.tile(15, 0).shape == b.tile(15, 0).shape == (35, 50)
-        assert (a.max_rank, a.compression) == (b.max_rank, b.compression)
+        assert a.max_rank == b.max_rank
 
     def test_bound_certified_tiles_are_never_generated(
         self, ragged_sparse_generator

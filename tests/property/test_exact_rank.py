@@ -1,14 +1,15 @@
-"""Property-based tests: the svd policy's certified range-finder keeps
-gesdd's rank exactly.
+"""Property-based tests: the certified range-finder keeps gesdd's rank
+exactly, in the build and in the factorization's update rounding.
 
 On tiles of short side ``_CERTIFY_MIN_SIDE`` or more, ``compress_block``
-under the default svd policy samples a basis and stops only on a proof
+under the default svd method samples a basis and stops only on a proof
 (interlacing + Weyl in quadrature, ``sigma_{k+1}^2 <= s_{k+1}^2 +
 ||R||^2``) that the truncated SVD of the full block keeps the same
 rank.  Whatever the spectrum, its outcome — null, rank ``k`` or dense —
 must equal the full gesdd's, with the truncated SVD's error bound,
 bitwise repeatably (the sample is one fixed test matrix, so the seed
-does not matter).
+does not matter).  ``gemm_update`` rounds every accumulated update
+through it, so the same holds for every factor tile (``TestRounding``).
 """
 
 import numpy as np
@@ -22,15 +23,17 @@ from repro.geometry import min_spacing, virus_population
 from repro.kernels import RBFMatrixGenerator
 from repro.linalg import TLRMatrix, lowrank
 from repro.linalg.integrity import matrix_checksums
+from repro.linalg.kernels_tlr import gemm_update
 from repro.linalg.lowrank import (
     CompressionStats,
     LowRankFactor,
     compress_block,
     truncated_svd,
 )
+from repro.linalg.tile import DenseTile, LowRankTile, NullTile
 
 TOL = 1e-6
-SIDES = st.integers(lowrank._CERTIFY_MIN_SIDE, lowrank._CERTIFY_MIN_SIDE + 70)
+SIDES = st.integers(lowrank._CERTIFY_MIN_SIDE, 220)
 SEEDS = st.integers(0, 2**64 - 1)
 
 
@@ -235,7 +238,7 @@ class TestExactRank:
     @settings(max_examples=20, deadline=None)
     def test_ragged(self, m, n, rank, data_seed, seed):
         rng = np.random.default_rng(data_seed)
-        sigma = np.sort(10.0 ** rng.uniform(-8, 0, rank))[::-1]
+        sigma = np.sort(10.0 ** rng.uniform(-8, 0, min(rank, m, n)))[::-1]
         check_exact(with_spectrum(m, n, sigma, data_seed), TOL, min(m, n) // 2, seed)
 
 
@@ -287,8 +290,6 @@ class TestCertificateBoundaries:
         two = compress_block(block, TOL, max_rank=100, seed=2)
         assert one.u.tobytes() == two.u.tobytes()
         assert one.v.tobytes() == two.v.tobytes()
-        # (the update rounding still reads its seed: test_kernels.py,
-        # test_seed_selects_the_sample_stream)
 
     def test_small_tiles_run_gesdd(self):
         side = lowrank._CERTIFY_MIN_SIDE - 1
@@ -312,11 +313,11 @@ def rbf200():
 
 class TestRBFOperator:
     def test_tile_outcomes_equal_gesdd(self, rbf200, monkeypatch):
-        a = TLRMatrix.from_generator(rbf200, 1e-8, compression="svd", seed_root=5)
+        a = TLRMatrix.from_generator(rbf200, 1e-8, compression="svd")
         stats = a.compression_stats
         assert stats.sampled_tiles > 0 and stats.svd_fallback == 0
         monkeypatch.setattr(lowrank, "_CERTIFY_MIN_SIDE", 10**9)
-        ref = TLRMatrix.from_generator(rbf200, 1e-8, compression="svd", seed_root=5)
+        ref = TLRMatrix.from_generator(rbf200, 1e-8, compression="svd")
         assert ref.compression_stats.sampled_tiles == 0
         outcomes = {idx: (t.kind, t.rank) for idx, t in a}
         assert outcomes == {idx: (t.kind, t.rank) for idx, t in ref}
@@ -324,7 +325,96 @@ class TestRBFOperator:
     @pytest.mark.timeout(120)
     def test_factor_bitwise_serial_and_threads(self, rbf200):
         def factor(**kw):
-            a = TLRMatrix.from_generator(rbf200, 1e-8, compression="svd", seed_root=5)
+            a = TLRMatrix.from_generator(rbf200, 1e-8, compression="svd")
             return matrix_checksums(tlr_cholesky(a, **kw).factor)
 
         assert factor(engine="serial") == factor(engine="threads", workers=2)
+
+
+def as_pair(u, v, rng):
+    """Operands ``(U Q^T, V Q^T)``, ``Q`` orthonormal: their product is
+    ``U V^T``."""
+    q = np.linalg.qr(rng.standard_normal((u.shape[0], u.shape[1])))[0]
+    return LowRankTile(LowRankFactor(u, q)), LowRankTile(LowRankFactor(v, q))
+
+
+class TestRounding:
+    """``gemm_update`` rounds the accumulated update ``acc = C - sum A B^T``
+    to gesdd's rank of ``acc``, within ``tol`` in the 2-norm."""
+
+    @given(
+        b=st.sampled_from([50, 100, 200]),
+        target=st.sampled_from(["null", "low-rank", "dense"]),
+        capped=st.booleans(),
+        spectrum=st.sampled_from(["cluster", "decay"]),
+        above=st.integers(0, 60),
+        near=st.integers(0, 4),
+        tail=st.integers(0, 60),
+        terms=st.integers(1, 4),
+        data_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rank_is_gesdd_rank(
+        self, b, target, capped, spectrum, above, near, tail, terms, data_seed
+    ):
+        rng = np.random.default_rng(data_seed)
+        if spectrum == "cluster":
+            sigma = np.concatenate(
+                [
+                    10.0 ** rng.uniform(-4, 0, above),
+                    # values straddling tol, |offset| in [1e-7, 1e-3] relative
+                    TOL * (1.0 + rng.choice([-1.0, 1.0], near) * 10.0 ** rng.uniform(-7, -3, near)),
+                    TOL * rng.uniform(0.01, 0.95, tail),
+                ]
+            )
+        else:
+            # geometric decay through tol, as an RBF tile's spectrum, its
+            # value nearest tol moved to within [1e-5, 1e-2] relative of
+            # it: a residual-only stop keeps one value fewer here
+            sigma = TOL * rng.uniform(0.6, 0.95) ** (np.arange(b) - above)
+            sigma = sigma[sigma < 10.0]
+            at = np.argmin(abs(sigma - TOL))
+            sigma[at] = TOL * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5, -2))
+        sigma = np.sort(sigma)[::-1][:b]
+        acc = with_spectrum(b, b, sigma, data_seed)
+        # acc in `terms` slices of its SVD, and a rank-3 term R the
+        # update adds to C and subtracts again (C = first slice + R)
+        u, s, vt = sla.svd(acc)
+        cuts = np.array_split(np.arange(len(sigma)), terms)
+        slices = [(u[:, c] * s[c], vt[c].T) for c in cuts if len(c)]
+        r_u, r_v = (rng.standard_normal((b, 3)) / np.sqrt(b) for _ in range(2))
+        pairs = [as_pair(r_u, r_v, rng)]
+        if target == "null":
+            c, pairs = NullTile((b, b)), pairs + [as_pair(-r_u, r_v, rng)]
+        else:
+            head = slices.pop(0) if slices else (np.zeros((b, 1)), np.zeros((b, 1)))
+            c_u, c_v = np.hstack([head[0], r_u]), np.hstack([head[1], r_v])
+            c = (
+                LowRankTile(LowRankFactor(c_u, c_v))
+                if target == "low-rank"
+                else DenseTile(c_u @ c_v.T)
+            )
+        pairs += [as_pair(-su, sv, rng) for su, sv in slices]
+        max_rank = b // 2 if capped else None
+        out = gemm_update(c, pairs, TOL, max_rank=max_rank)
+
+        # the certificate's slack band, over the norms of both the
+        # update and the term it cancels (this acc and the kernel's
+        # own accumulation differ in the last bits)
+        band = TOL * 1e-10 + lowrank._ROUNDOFF * b * (
+            np.linalg.norm(acc) + np.linalg.norm(r_u @ r_v.T)
+        )
+        s = sla.svdvals(acc)
+        lo, hi = (int(np.count_nonzero(s > TOL + d)) for d in (band, -band))
+        if target == "dense":
+            assert isinstance(out, DenseTile)
+            assert np.allclose(out.data, acc, rtol=0.0, atol=band)
+        elif isinstance(out, DenseTile):  # over max_rank
+            assert max_rank is not None and hi > max_rank
+        elif isinstance(out, NullTile):
+            assert lo == 0
+            assert sla.svdvals(acc)[0] <= TOL + band
+        else:
+            assert lo <= out.rank <= hi
+            assert max_rank is None or out.rank <= max_rank
+            assert np.linalg.norm(acc - out.to_dense(), 2) <= TOL + band

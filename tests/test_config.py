@@ -38,28 +38,23 @@ class TestConfig:
             ("REPRO_STALL_TIMEOUT", "runtime.parallel:stall_timeout_from_env", None, "2.5", 2.5),
             ("REPRO_VERIFY_TILES", "runtime.checkpoint:verify_tiles_from_env", False, "yes", True),
             ("REPRO_ARENA_SPILL", "linalg.arena:spill_factor_from_env", 1.5, "0.25", 0.25),
-            ("REPRO_COMPRESSION", "linalg.lowrank:resolve_compression", "svd", "rand", "rand"),
         ],
     )
     def test_env_knobs(self, monkeypatch, var, owner, unset, text, parsed):
-        """The six knobs are read in config.py only, stay importable
+        """The five knobs are read in config.py only, stay importable
         from the module that owns the explicit argument, and keep their
         defaults (empty and whitespace count as unset)."""
         module, name = owner.split(":")
         reader = getattr(importlib.import_module(f"repro.{module}"), name)
         args = (None,) if inspect.signature(reader).parameters else ()
 
-        def value():
-            out = reader(*args)  # resolve_compression returns a policy
-            return getattr(out, "method", out)
-
         for blank in (None, "", "  "):
             monkeypatch.delenv(var, raising=False)
             if blank is not None:
                 monkeypatch.setenv(var, blank)
-            assert value() == unset
+            assert reader(*args) == unset
         monkeypatch.setenv(var, f" {text} ")
-        assert value() == parsed
+        assert reader(*args) == parsed
         sources = Path(repro.__file__).parent.rglob("*.py")
         assert [p.name for p in sources if "os.environ" in p.read_text()] == ["config.py"]
 
