@@ -24,7 +24,7 @@ Quick start
 >>> x = solve_cholesky(result.factor, np.ones(gen.n))
 """
 
-from repro.config import DEFAULT_ACCURACY, DEFAULT_TILE_SIZE
+from repro.config import DEFAULT_ACCURACY
 from repro.geometry import (
     fibonacci_sphere,
     min_spacing,
@@ -49,10 +49,8 @@ from repro.core import (
     SyntheticRankField,
     TrimmingAnalysis,
     analyze_ranks,
-    calibrate_rank_field,
     hicma_parsec_factorize,
     logdet,
-    lorapo_factorize,
     solve_cholesky,
     tlr_cholesky,
 )
@@ -82,7 +80,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "DEFAULT_ACCURACY",
-    "DEFAULT_TILE_SIZE",
     "fibonacci_sphere",
     "random_cloud",
     "synthetic_virus",
@@ -105,10 +102,8 @@ __all__ = [
     "FactorizationResult",
     "solve_cholesky",
     "logdet",
-    "lorapo_factorize",
     "hicma_parsec_factorize",
     "SyntheticRankField",
-    "calibrate_rank_field",
     "FrameworkConfig",
     "LORAPO",
     "TRIM_ONLY",

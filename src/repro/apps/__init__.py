@@ -1,11 +1,6 @@
 """End-user applications built on the TLR Cholesky framework."""
 
-from repro.apps.deformation_field import (
-    bending,
-    radial_expansion,
-    rigid_rotation,
-    translation,
-)
+from repro.apps.deformation_field import radial_expansion, rigid_rotation
 from repro.apps.mesh_deformation import MeshDeformationResult, RBFMeshDeformation
 from repro.apps.mesh_quality import QualityReport, quality_report
 from repro.apps.spatial_statistics import GaussianLogLikelihood, LikelihoodResult
@@ -14,8 +9,6 @@ __all__ = [
     "RBFMeshDeformation",
     "MeshDeformationResult",
     "rigid_rotation",
-    "translation",
-    "bending",
     "radial_expansion",
     "QualityReport",
     "quality_report",

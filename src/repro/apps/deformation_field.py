@@ -3,8 +3,7 @@
 Each generator maps boundary node coordinates to prescribed
 displacements ``d_b`` — the right-hand sides of the RBF interpolation
 system (Section IV-C).  They model the motions CFD moving-body
-simulations impose: rigid motion, bending of a flexible body, and
-radial inflation.
+simulations impose: rigid rotation and radial inflation.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from repro.utils.validation import as_points
 
-__all__ = ["rigid_rotation", "translation", "bending", "radial_expansion"]
+__all__ = ["rigid_rotation", "radial_expansion"]
 
 
 def rigid_rotation(
@@ -42,32 +41,6 @@ def rigid_rotation(
         + np.outer(rel @ axis, axis) * (1.0 - cos)
     )
     return rotated - rel
-
-
-def translation(points: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Uniform translation by ``vector``."""
-    points = as_points("points", points)
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (3,):
-        raise ValueError(f"vector must have shape (3,), got {vector.shape}")
-    return np.broadcast_to(vector, points.shape).copy()
-
-
-def bending(
-    points: np.ndarray, amplitude: float, axis: int = 0, out_axis: int = 2
-) -> np.ndarray:
-    """Quadratic bending: displacement along ``out_axis`` grows with
-    the squared (normalized) coordinate along ``axis`` — a cantilever-
-    like deflection."""
-    points = as_points("points", points)
-    if axis == out_axis:
-        raise ValueError("bending axis and output axis must differ")
-    x = points[:, axis]
-    span = x.max() - x.min()
-    xi = (x - x.min()) / span if span > 0 else np.zeros_like(x)
-    d = np.zeros_like(points)
-    d[:, out_axis] = amplitude * xi**2
-    return d
 
 
 def radial_expansion(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_ACCURACY, DTYPE, default_shape_parameter
+from repro.config import DEFAULT_ACCURACY, DTYPE
 from repro.core.solver import solve_cholesky
 from repro.core.tlr_cholesky import FactorizationResult, tlr_cholesky
 from repro.geometry.pointclouds import min_spacing
@@ -91,7 +91,7 @@ class RBFMeshDeformation:
         self.points = pts[self._perm]
 
         if shape_parameter is None:
-            shape_parameter = default_shape_parameter(min_spacing(pts))
+            shape_parameter = 0.5 * min_spacing(pts)  # Sec. IV-C
         if tile_size is None:
             tile_size = max(32, int(np.sqrt(len(pts)) * 2))
         self.accuracy = float(accuracy)
@@ -104,7 +104,6 @@ class RBFMeshDeformation:
             nugget=100.0 * accuracy if nugget is None else float(nugget),
         )
         self._factor: TLRMatrix | None = None
-        self._fact_result: FactorizationResult | None = None
         self.timings: dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -117,11 +116,6 @@ class RBFMeshDeformation:
     def shape_parameter(self) -> float:
         return self.generator.shape_parameter
 
-    @property
-    def factorization(self) -> FactorizationResult | None:
-        """The factorization result (None before :meth:`factorize`)."""
-        return self._fact_result
-
     def factorize(self) -> FactorizationResult:
         """Generate, compress and factorize the RBF operator."""
         t0 = time.perf_counter()
@@ -132,7 +126,6 @@ class RBFMeshDeformation:
         result = tlr_cholesky(a, trim=self.trim)
         self.timings["factorization"] = time.perf_counter() - t1
         self._factor = result.factor
-        self._fact_result = result
         return result
 
     def solve_coefficients(self, boundary_displacements: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Global configuration defaults for the HiCMA-PaRSEC reproduction.
 
-All tolerances, default tile sizes, and numeric types live here so the
+All tolerances and numeric types live here so the
 rest of the library never hard-codes them.  The values mirror the
 paper's experimental setup (Section VIII-A) rescaled to laptop scale
 where noted.
@@ -18,38 +18,10 @@ DTYPE = np.float64
 #: Default TLR accuracy threshold (paper Sec. VIII-A: 1e-4 unless noted).
 DEFAULT_ACCURACY = 1.0e-4
 
-#: Default tile size for laptop-scale runs.  The paper tunes
-#: b = O(sqrt(N)); benchmarks tune this per matrix size the same way.
-DEFAULT_TILE_SIZE = 256
-
-#: Default Gaussian RBF shape parameter delta.  The paper picks
-#: delta = 3.7e-4 for a 1.7 um cube; geometry here is rescaled to the
-#: unit cube so the equivalent default is delta = half the minimum
-#: point spacing (computed per point cloud; this is a fallback).
-DEFAULT_SHAPE_PARAMETER = 3.7e-4
-
 #: Maximum admissible rank as a fraction of the tile size.  Tiles whose
 #: numerical rank exceeds this fraction are stored dense (HiCMA keeps a
 #: maxrank buffer; we follow the same convention).
 DENSE_RANK_FRACTION = 0.5
-
-#: Relative tolerance used when validating factorization residuals in
-#: tests: the residual may exceed the compression threshold by this
-#: multiplicative slack because truncation errors accumulate over the
-#: O(NT) updates each tile receives.
-RESIDUAL_SLACK = 50.0
-
-#: Seed used by deterministic test fixtures and examples.
-DEFAULT_SEED = 42
-
-def default_shape_parameter(min_spacing: float) -> float:
-    """Shape parameter from the paper's rule: half the minimum spacing.
-
-    Section IV-C: ``delta = 1/2 * min ||x - x_bi||``.
-    """
-    if min_spacing <= 0.0:
-        raise ValueError(f"min_spacing must be positive, got {min_spacing}")
-    return 0.5 * min_spacing
 
 
 # ---------------------------------------------------------------------

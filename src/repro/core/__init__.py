@@ -11,22 +11,16 @@
   baseline and full-framework configurations used throughout the
   evaluation section.
 * :mod:`repro.core.solver` — TLR triangular solves and full SPD solve.
-* :mod:`repro.core.rank_model` — calibrated synthetic rank fields for
-  at-scale simulation.
+* :mod:`repro.core.rank_model` — synthetic rank fields for at-scale
+  simulation.
 """
 
 from repro.core.analysis import TrimmingAnalysis, analyze_ranks
 from repro.core.trimming import cholesky_tasks, ptg_cholesky_tasks
 from repro.core.tlr_cholesky import FactorizationResult, tlr_cholesky
-from repro.core.solver import (
-    logdet,
-    solve_cholesky,
-    solve_lower,
-    solve_lower_transpose,
-)
-from repro.core.lorapo import lorapo_factorize
+from repro.core.solver import logdet, solve_cholesky, solve_lower
 from repro.core.hicma_parsec import hicma_parsec_factorize
-from repro.core.rank_model import SyntheticRankField, calibrate_rank_field
+from repro.core.rank_model import SyntheticRankField
 
 __all__ = [
     "TrimmingAnalysis",
@@ -37,10 +31,7 @@ __all__ = [
     "tlr_cholesky",
     "solve_cholesky",
     "solve_lower",
-    "solve_lower_transpose",
     "logdet",
-    "lorapo_factorize",
     "hicma_parsec_factorize",
     "SyntheticRankField",
-    "calibrate_rank_field",
 ]

@@ -96,24 +96,6 @@ class TrimmingAnalysis:
         off = [(m, k) for k in range(nt) for m in range(k + 1, nt)]
         return sum(1 for m, k in off if mask[m, k]) / len(off)
 
-    def fill_in_tiles(self) -> list[tuple[int, int]]:
-        """Tiles that were null initially but fill in during Cholesky."""
-        out = []
-        for k in range(self.nt):
-            for m in range(k + 1, self.nt):
-                if self.final_nonzero[m, k] and not self.initial_nonzero[m, k]:
-                    out.append((m, k))
-        return out
-
-    def task_counts(self) -> dict[str, int]:
-        """Trimmed task-instance counts per class."""
-        return {
-            "POTRF": self.nt,
-            "TRSM": sum(len(v) for v in self.trsm),
-            "SYRK": sum(len(v) for v in self.syrk),
-            "GEMM": sum(len(v) for v in self.gemm.values()),
-        }
-
     def nbytes(self) -> int:
         """Approximate memory footprint of the analysis structure.
 

@@ -7,7 +7,7 @@ Lorapo runs TLR Cholesky over PaRSEC with:
 * the **hybrid 1D+2D block-cyclic** data distribution (Fig. 3b);
 * strict **owner-computes** execution mapping.
 
-The numeric entry point reproduces this configuration in-process; the
+In process the same numerics are ``tlr_cholesky(a, trim=False)``; the
 :data:`LORAPO` config carries the distribution/trimming choices into
 the distributed simulator so at-scale comparisons (Figs. 8-12) pit the
 same two configurations against each other.
@@ -18,12 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable
 
-from repro.core.tlr_cholesky import FactorizationResult, tlr_cholesky
 from repro.distribution import Distribution, HybridDistribution, square_grid
-from repro.linalg.tile_matrix import TLRMatrix
-from repro.runtime.scheduler import Scheduler
 
-__all__ = ["lorapo_factorize", "FrameworkConfig", "LORAPO"]
+__all__ = ["FrameworkConfig", "LORAPO"]
 
 
 @dataclass(frozen=True)
@@ -63,12 +60,3 @@ LORAPO = FrameworkConfig(
     exec_distribution=None,  # owner-computes
     null_rank_floor="mean",  # no null-tile support
 )
-
-
-def lorapo_factorize(
-    a: TLRMatrix,
-    scheduler: Scheduler | None = None,
-    workers: int | None = None,
-) -> FactorizationResult:
-    """Numeric Lorapo factorization: full dense DAG, no trimming."""
-    return tlr_cholesky(a, trim=False, scheduler=scheduler, workers=workers)

@@ -4,23 +4,15 @@ The paper's largest runs (52.57M unknowns, NT ≈ 10,770 tiles) cannot
 be compressed numerically on a laptop, but every at-scale quantity the
 evaluation section reports — task counts, flops, communication volume,
 densities — derives from the *rank structure* of the compressed
-operator, not from its numerical entries.  This module supplies that
-structure in two ways:
-
-* :func:`calibrate_rank_field` extracts the empirical
-  rank-vs-tile-distance and density-vs-tile-distance profiles from a
-  really-compressed :class:`~repro.linalg.TLRMatrix` at laptop scale;
-* :meth:`SyntheticRankField.from_parameters` builds the profile
-  analytically from the physics of the Gaussian kernel: the
-  correlation range ``R = delta * sqrt(ln(1/eps))`` is the spatial
-  distance where kernel entries fall below the accuracy threshold, and
-  Hilbert ordering maps tile-index distance ``d`` to spatial distance
-  ``D(d) ~ edge * (d*b/N)^(1/3)`` (3D locality).  Tiles with
-  ``D(d) >> R`` disappear; nearer tiles carry ranks decaying with
-  distance, matching the sharp decay seen in Fig. 1.
-
-Both return the same :class:`SyntheticRankField`, so simulator inputs
-can be swapped between calibrated and analytic profiles.
+operator, not from its numerical entries.
+:meth:`SyntheticRankField.from_parameters` builds that profile
+analytically from the physics of the Gaussian kernel: the correlation
+range ``R = delta * sqrt(ln(1/eps))`` is the spatial distance where
+kernel entries fall below the accuracy threshold, and Hilbert ordering
+maps tile-index distance ``d`` to spatial distance
+``D(d) ~ edge * (d*b/N)^(1/3)`` (3D locality).  Tiles with
+``D(d) >> R`` disappear; nearer tiles carry ranks decaying with
+distance, matching the sharp decay seen in Fig. 1.
 """
 
 from __future__ import annotations
@@ -29,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.linalg.tile_matrix import TLRMatrix
 from repro.utils.validation import check_positive
 
-__all__ = ["SyntheticRankField", "calibrate_rank_field", "analyze_mask_fast"]
+__all__ = ["SyntheticRankField", "analyze_mask_fast"]
 
 
 def _hash01(a: np.ndarray, b: np.ndarray, seed: int) -> np.ndarray:
@@ -80,7 +71,7 @@ class SyntheticRankField:
     #: virions make their whole tile block non-null together, which is
     #: what keeps Cholesky fill-in contained (block patterns are
     #: closed under fill at the block level, scattered singletons are
-    #: not).  None (e.g. calibrated fields) falls back to independent
+    #: not).  None falls back to independent
     #: per-tile sampling.
     tiles_per_cluster: float | None = None
     #: relative rank disparity within a distance band: tile ranks are
@@ -330,28 +321,6 @@ class SyntheticRankField:
             float(self.density_by_distance[d]) * (nt - d) for d in range(1, nt)
         )
         return expected / total
-
-
-def calibrate_rank_field(a: TLRMatrix, seed: int = 0) -> SyntheticRankField:
-    """Empirical rank field from a really-compressed TLR matrix.
-
-    Averages rank and occupancy over each sub-diagonal; the result
-    regenerates structures statistically matching the input and can be
-    rescaled to larger NT by :func:`SyntheticRankField` construction
-    with interpolated profiles.
-    """
-    ranks = a.rank_matrix()
-    nt = a.n_tiles
-    rank_by_d = np.zeros(nt)
-    dens_by_d = np.zeros(nt)
-    for d in range(nt):
-        diag = np.diagonal(ranks, offset=-d)
-        nz = diag[diag > 0]
-        dens_by_d[d] = len(nz) / len(diag)
-        rank_by_d[d] = float(nz.mean()) if len(nz) else 0.0
-    rank_by_d[0] = a.tile_size
-    dens_by_d[0] = 1.0
-    return SyntheticRankField(nt, a.tile_size, rank_by_d, dens_by_d, seed)
 
 
 def analyze_mask_fast(mask: np.ndarray) -> dict[str, np.ndarray | float]:

@@ -19,7 +19,7 @@ from repro.config import DTYPE
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.utils.validation import as_real
 
-__all__ = ["solve_lower", "solve_lower_transpose", "solve_cholesky", "logdet"]
+__all__ = ["solve_lower", "solve_cholesky", "logdet"]
 
 
 def _workspace(l: TLRMatrix, b: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -98,19 +98,11 @@ def solve_lower(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
     return y[:, 0] if squeeze else y
 
 
-def solve_lower_transpose(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve ``L^T x = b`` with the TLR lower factor (backward subst.)."""
-    x, squeeze = _workspace(l, b)
-    _backward(l, x)
-    return x[:, 0] if squeeze else x
-
-
 def solve_cholesky(l: TLRMatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` given the in-place TLR factor of ``A``.
 
     One private copy of ``b``: the backward substitution overwrites the
-    forward pass's buffer, bitwise the same as
-    ``solve_lower_transpose(l, solve_lower(l, b))``.
+    forward pass's buffer.
     """
     x, squeeze = _workspace(l, b)
     _forward(l, x)

@@ -56,6 +56,3 @@ class BandDistribution(Distribution):
     def over_2d(cls, p: int, q: int) -> "BandDistribution":
         """Band over a plain 2DBCDD off-band grid."""
         return cls(TwoDBlockCyclic(p, q))
-
-    def __repr__(self) -> str:
-        return f"BandDistribution(off_band={self.off_band!r})"

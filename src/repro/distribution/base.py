@@ -37,14 +37,6 @@ class Distribution(ABC):
             count=len(m),
         )
 
-    def owner_matrix(self, n_tiles: int) -> np.ndarray:
-        """``(NT, NT)`` owner map of the lower triangle (-1 above it)."""
-        out = np.full((n_tiles, n_tiles), -1, dtype=np.int64)
-        for k in range(n_tiles):
-            for m in range(k, n_tiles):
-                out[m, k] = self.owner(m, k)
-        return out
-
     def column_group(self, k: int, n_tiles: int) -> set[int]:
         """Processes owning tiles of panel column ``k`` (rows ``>= k``).
 
@@ -52,10 +44,6 @@ class Distribution(ABC):
         TRSMs and TRSM → GEMMs in a column, Section VII-B).
         """
         return {self.owner(m, k) for m in range(k, n_tiles)}
-
-    def row_group(self, m: int, n_tiles: int) -> set[int]:
-        """Processes owning tiles of row ``m`` (columns ``<= m``)."""
-        return {self.owner(m, k) for k in range(m + 1)}
 
 
 def square_grid(nproc: int) -> tuple[int, int]:

@@ -35,9 +35,6 @@ class TwoDBlockCyclic(Distribution):
         k = np.asarray(k, dtype=np.int64)
         return (m % self.p) * self.q + (k % self.q)
 
-    def __repr__(self) -> str:
-        return f"TwoDBlockCyclic(p={self.p}, q={self.q})"
-
 
 class OneDBlockCyclic(Distribution):
     """One-dimensional cyclic distribution over all processes.
@@ -61,6 +58,3 @@ class OneDBlockCyclic(Distribution):
 
         k = np.asarray(k, dtype=np.int64)
         return k % self.nproc
-
-    def __repr__(self) -> str:
-        return f"OneDBlockCyclic(nproc={self.nproc})"

@@ -57,6 +57,3 @@ class DiamondDistribution(Distribution):
         m = np.asarray(m, dtype=np.int64)
         k = np.asarray(k, dtype=np.int64)
         return ((m - k + k // self.q) % self.p) * self.q + (k % self.q)
-
-    def __repr__(self) -> str:
-        return f"DiamondDistribution(p={self.p}, q={self.q})"

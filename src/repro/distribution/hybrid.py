@@ -51,9 +51,3 @@ class HybridDistribution(Distribution):
         k = np.asarray(k, dtype=np.int64)
         two_d = self._two_d.owner_vec(m, k)
         return np.where((m - k) < self.band_width, k % self.nproc, two_d)
-
-    def __repr__(self) -> str:
-        return (
-            f"HybridDistribution(p={self.p}, q={self.q}, "
-            f"band_width={self.band_width})"
-        )

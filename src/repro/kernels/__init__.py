@@ -1,12 +1,7 @@
 """Matrix-entry kernels: radial basis functions, Matern covariances,
 and tile-wise operator generation."""
 
-from repro.kernels.covariance import (
-    MaternKernel,
-    matern_five_half,
-    matern_half,
-    matern_three_half,
-)
+from repro.kernels.covariance import MaternKernel
 from repro.kernels.matgen import RBFMatrixGenerator
 from repro.kernels.rbf import (
     GaussianRBF,
@@ -22,7 +17,4 @@ __all__ = [
     "InverseMultiquadricRBF",
     "RBFMatrixGenerator",
     "MaternKernel",
-    "matern_half",
-    "matern_three_half",
-    "matern_five_half",
 ]

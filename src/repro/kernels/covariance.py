@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.kernels.rbf import RadialBasisFunction
 
-__all__ = ["MaternKernel", "matern_half", "matern_three_half", "matern_five_half"]
+__all__ = ["MaternKernel"]
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,3 @@ class MaternKernel(RadialBasisFunction):
         out = coef * arg**self.nu * kv(self.nu, arg)
         out = np.where(zero, 1.0, out)
         return out
-
-
-def matern_half() -> MaternKernel:
-    """Exponential covariance (nu = 1/2)."""
-    return MaternKernel(nu=0.5)
-
-
-def matern_three_half() -> MaternKernel:
-    return MaternKernel(nu=1.5)
-
-
-def matern_five_half() -> MaternKernel:
-    return MaternKernel(nu=2.5)

@@ -105,10 +105,6 @@ class LowRankFactor:
     def to_dense(self) -> np.ndarray:
         return self.u @ self.v.T
 
-    def transpose(self) -> "LowRankFactor":
-        """Factors of the transposed block (swap u and v)."""
-        return LowRankFactor(self.v, self.u)
-
 
 def _truncation_rank(s: np.ndarray, tol: float, relative: bool) -> int:
     """Number of singular values kept by the accuracy threshold."""

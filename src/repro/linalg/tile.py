@@ -98,9 +98,6 @@ class DenseTile(Tile):
     def to_dense(self) -> np.ndarray:
         return self.data.copy()
 
-    def __repr__(self) -> str:
-        return f"DenseTile(shape={self.shape})"
-
 
 class LowRankTile(Tile):
     """A tile stored as a low-rank factor pair ``u @ v.T``."""
@@ -137,9 +134,6 @@ class LowRankTile(Tile):
     def to_dense(self) -> np.ndarray:
         return self.factor.to_dense()
 
-    def __repr__(self) -> str:
-        return f"LowRankTile(shape={self.shape}, rank={self.rank})"
-
 
 class NullTile(Tile):
     """A tile that disappeared during compression (identically zero)."""
@@ -167,9 +161,6 @@ class NullTile(Tile):
 
     def to_dense(self) -> np.ndarray:
         return np.zeros(self._shape, dtype=DTYPE)
-
-    def __repr__(self) -> str:
-        return f"NullTile(shape={self.shape})"
 
 
 def as_tile(

@@ -22,7 +22,7 @@ from repro.linalg.lowrank import (
     derive_tile_seed,
 )
 from repro.linalg.tile import DenseTile, LowRankTile, NullTile, Tile, as_tile
-from repro.utils.validation import check_positive, check_square_matrix
+from repro.utils.validation import check_positive
 
 __all__ = ["TLRMatrix"]
 
@@ -188,8 +188,9 @@ class TLRMatrix:
         compression: str | None = None,
     ) -> "TLRMatrix":
         """Compress an explicit dense symmetric matrix."""
-        check_square_matrix("a", a)
         a = np.asarray(a, dtype=DTYPE)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"a must be a square matrix, got shape {a.shape}")
         b = tile_size
 
         def source(i: int, j: int) -> np.ndarray:
@@ -410,11 +411,4 @@ class TLRMatrix:
             self.accuracy,
             self.max_rank,
             compression_stats=self.compression_stats,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"TLRMatrix(n={self.n}, tile_size={self.tile_size}, "
-            f"NT={self.n_tiles}, accuracy={self.accuracy:g}, "
-            f"density={self.density():.3f})"
         )

@@ -27,10 +27,6 @@ class AccessMode(enum.Enum):
     RW = "RW"
 
     @property
-    def reads(self) -> bool:
-        return self in (AccessMode.READ, AccessMode.RW)
-
-    @property
     def writes(self) -> bool:
         return self in (AccessMode.WRITE, AccessMode.RW)
 

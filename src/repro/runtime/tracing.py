@@ -2,7 +2,7 @@
 
 Mirrors the PaRSEC instrumentation used in the paper's companion
 analysis work (ProTools'19): start/stop timestamps, kernel class,
-flops, and the process/worker that ran the task.  Traces export to
+flops, and the worker that ran the task.  Traces export to
 the Chrome trace-event JSON format (view in ``chrome://tracing`` or
 Perfetto), the modern equivalent of PaRSEC's .prof visualization.
 """
@@ -27,11 +27,6 @@ class TraceEvent:
     end: float
     flops: float = 0.0
     worker: int = 0
-    #: OS process id the event was executed in; 0 = the recording
-    #: process (what both executors leave).  An event taken over from
-    #: another process carries its pid, so the Chrome export can give
-    #: every process its own lane group.
-    pid: int = 0
 
     @property
     def duration(self) -> float:
@@ -55,9 +50,6 @@ class Trace:
     def record(self, event: TraceEvent) -> None:
         with self._lock:
             self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def worker_lanes(self) -> dict[int, int]:
         """Events per worker lane, keyed by worker id (sorted).
@@ -84,12 +76,6 @@ class Trace:
             agg[e.klass] += e.duration
         return dict(agg)
 
-    def count_by_class(self) -> dict[str, int]:
-        agg: dict[str, int] = defaultdict(int)
-        for e in self.events:
-            agg[e.klass] += 1
-        return dict(agg)
-
     def total_flops(self) -> float:
         return sum(e.flops for e in self.events)
 
@@ -104,12 +90,13 @@ class Trace:
     ) -> str:
         """Serialize as Chrome trace-event JSON (complete events).
 
-        Workers map to thread ids; durations are microseconds, as the
-        format requires.  ``process_name`` and ``thread_names`` (worker
-        id -> label) emit metadata events so consumers other than the
-        factorization engine — e.g. the serving subsystem's solver
-        workers — appear with readable lane names in
-        ``chrome://tracing`` / Perfetto.  ``label_worker_lanes=True``
+        All events share one process row (pid 0) and workers map to
+        thread ids; durations are microseconds, as the format requires.
+        ``process_name`` and ``thread_names`` (worker id -> label) emit
+        metadata events so consumers other than the factorization
+        engine — e.g. the serving subsystem's solver workers — appear
+        with readable lane names in ``chrome://tracing`` / Perfetto.
+        ``label_worker_lanes=True``
         derives default ``worker-N`` labels for every lane present in
         the trace (parallel-engine runs), without having to know the
         worker count up front.
@@ -118,45 +105,14 @@ class Trace:
             derived = {w: f"worker-{w}" for w in self.worker_lanes()}
             derived.update(thread_names or {})
             thread_names = derived
-        # Lane topology: the executors leave every event at pid 0 (one
-        # process row, workers as threads); events stamped with another
-        # process's pid get a row group per process in chrome://tracing.
-        lanes = sorted({(e.pid, e.worker) for e in self.events})
-        pids = sorted({pid for pid, _ in lanes}) or [0]
-        meta: list[dict] = []
-        for pid in pids:
-            if pid == 0:
-                if process_name is not None:
-                    label = process_name
-                else:
-                    continue
-            else:
-                base = f" ({process_name})" if process_name is not None else ""
-                label = f"worker pid {pid}{base}"
-            meta.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "args": {"name": label},
-                }
+        meta = [
+            {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid, "args": {"name": label}}
+            for tid, label in (thread_names or {}).items()
+        ]
+        if process_name is not None:
+            meta.insert(
+                0, {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": process_name}}
             )
-        for tid, label in (thread_names or {}).items():
-            # pid 0 labels every named lane (labels may name lanes
-            # that ran no tasks); nonzero pids label only lanes seen.
-            targets = [p for p in pids if p != 0 and (p, tid) in lanes]
-            if 0 in pids or not lanes:
-                targets.insert(0, 0)
-            for pid in targets:
-                meta.append(
-                    {
-                        "name": "thread_name",
-                        "ph": "M",
-                        "pid": pid,
-                        "tid": tid,
-                        "args": {"name": label},
-                    }
-                )
         events = meta + [
             {
                 "name": f"{e.klass}{e.params}",
@@ -164,7 +120,7 @@ class Trace:
                 "ph": "X",
                 "ts": e.start * 1e6,
                 "dur": e.duration * 1e6,
-                "pid": e.pid,
+                "pid": 0,
                 "tid": e.worker,
                 "args": {"flops": e.flops},
             }

@@ -87,13 +87,6 @@ class RequestBatcher:
         self._count -= len(removed)
         return removed
 
-    def flush_all(self) -> list[list[Any]]:
-        """Pop every pending group, oldest first (shutdown)."""
-        batches = []
-        while self._pending:
-            batches.append(self.take())
-        return batches
-
     def __len__(self) -> int:
         """Pending items (not groups)."""
         return self._count

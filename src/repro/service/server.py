@@ -459,11 +459,10 @@ class SolveService:
             self._closed = True
             # a never-started service has nobody to run what it staged
             executing = drain and self._threads
-            abandoned = [] if executing else self._pending.flush_all()
+            abandoned = [] if executing else self._pending.prune(lambda _: True)
             self._work.notify_all()
-        for batch in abandoned:
-            for req in batch:
-                self._fail(req, ServiceClosedError("service closed"))
+        for req in abandoned:
+            self._fail(req, ServiceClosedError("service closed"))
         for thread in self._threads:
             thread.join()
 

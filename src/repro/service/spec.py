@@ -173,11 +173,3 @@ class OperatorSpec:
             compress_seconds=t1 - t0,
             factorize_seconds=t2 - t1,
         )
-
-    def __repr__(self) -> str:
-        name = self.label or "operator"
-        return (
-            f"OperatorSpec({name!r}, n={self.n}, kernel={self.kernel}, "
-            f"b={self.tile_size}, eps={self.accuracy:g}, "
-            f"fp={self.fingerprint[:12]})"
-        )

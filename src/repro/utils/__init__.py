@@ -2,11 +2,7 @@
 
 from repro.utils.hilbert import hilbert_index_3d, hilbert_order
 from repro.utils.morton import morton_index_3d, morton_order
-from repro.utils.validation import (
-    check_positive,
-    check_square_matrix,
-    check_symmetric,
-)
+from repro.utils.validation import check_positive
 
 __all__ = [
     "hilbert_index_3d",
@@ -14,6 +10,4 @@ __all__ = [
     "morton_index_3d",
     "morton_order",
     "check_positive",
-    "check_square_matrix",
-    "check_symmetric",
 ]

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.config import DTYPE
 
-__all__ = ["as_points", "as_real", "check_positive", "check_square_matrix", "check_symmetric"]
+__all__ = ["as_points", "as_real", "check_positive"]
 
 
 def as_real(name: str, x) -> np.ndarray:
@@ -32,18 +32,3 @@ def check_positive(name: str, value: float | int) -> None:
     """Raise ``ValueError`` unless ``value > 0``."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def check_square_matrix(name: str, a: np.ndarray) -> None:
-    """Raise ``ValueError`` unless ``a`` is a square 2D array."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-
-
-def check_symmetric(name: str, a: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise ``ValueError`` unless ``a`` is symmetric within ``tol``."""
-    check_square_matrix(name, a)
-    scale = max(1.0, float(np.abs(a).max()))
-    if not np.allclose(a, a.T, atol=tol * scale):
-        raise ValueError(f"{name} is not symmetric (tol={tol})")

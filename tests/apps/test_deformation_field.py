@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.deformation_field import (
-    bending,
-    radial_expansion,
-    rigid_rotation,
-    translation,
-)
+from repro.apps.deformation_field import radial_expansion, rigid_rotation
 from repro.geometry import fibonacci_sphere
 
 
@@ -47,27 +42,6 @@ class TestRigidRotation:
 
 
 class TestOthers:
-    def test_translation_uniform(self, sphere):
-        d = translation(sphere, [1.0, 2.0, 3.0])
-        assert np.allclose(d, [1.0, 2.0, 3.0])
-
-    def test_translation_bad_vector(self, sphere):
-        with pytest.raises(ValueError):
-            translation(sphere, [1.0, 2.0])
-
-    def test_bending_quadratic(self):
-        pts = np.zeros((3, 3))
-        pts[:, 0] = [0.0, 0.5, 1.0]
-        d = bending(pts, amplitude=2.0, axis=0, out_axis=2)
-        assert d[0, 2] == 0.0
-        assert d[1, 2] == pytest.approx(0.5)
-        assert d[2, 2] == pytest.approx(2.0)
-        assert np.allclose(d[:, :2], 0.0)
-
-    def test_bending_same_axis_rejected(self, sphere):
-        with pytest.raises(ValueError):
-            bending(sphere, 1.0, axis=1, out_axis=1)
-
     def test_radial_expansion_scales(self, sphere):
         d = radial_expansion(sphere, factor=0.1)
         moved = sphere + d

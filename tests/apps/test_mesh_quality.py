@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.deformation_field import rigid_rotation, translation
+from repro.apps.deformation_field import rigid_rotation
 from repro.apps.mesh_quality import cell_volumes, quality_report, tetrahedralize
 from repro.geometry import random_cloud
 
@@ -41,7 +41,7 @@ class TestCellVolumes:
 
 class TestQualityReport:
     def test_translation_is_perfect(self, cloud):
-        d = translation(cloud, [0.3, -0.1, 0.2])
+        d = np.tile([0.3, -0.1, 0.2], (len(cloud), 1))
         rep = quality_report(cloud, d)
         assert rep.valid
         assert rep.n_inverted == 0

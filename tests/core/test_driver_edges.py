@@ -39,9 +39,7 @@ class TestGraphEdges:
     def test_empty_graph(self):
         g = build_graph([])
         assert len(g) == 0
-        assert g.topological_order() == []
-        length, path = g.critical_path()
-        assert length == 0.0 and path == []
+        assert g.n_edges() == 0 and g.task_counts() == {}
 
     def test_n_edges_counts(self):
         g = build_graph(cholesky_tasks(3))
@@ -67,17 +65,9 @@ class TestMeshDeformationOptions:
             shape_parameter=0.02,
             accuracy=1e-8,
         )
-        from repro.apps.deformation_field import translation
-
-        d = translation(boundary, [1e-3, 0, 0])
+        d = np.tile([1e-3, 0.0, 0.0], (len(boundary), 1))  # a translation
         res = s.deform(boundary[:10] * 1.01, d)
         assert res.boundary_error < 1e-4
-
-    def test_factorization_property_before_and_after(self, boundary):
-        s = RBFMeshDeformation(boundary, tile_size=100)
-        assert s.factorization is None
-        s.factorize()
-        assert s.factorization is not None
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):

@@ -74,7 +74,7 @@ class TestCholeskyEquivalence:
     @pytest.mark.timeout(120)
     def test_trace_covers_all_tasks_and_lanes_are_bounded(self, sparse_tlr):
         r = tlr_cholesky(sparse_tlr.copy(), trim=True, workers=4)
-        assert len(r.trace) == len(r.graph)
+        assert len(r.trace.events) == len(r.graph)
         assert set(r.trace.worker_lanes()) <= set(range(4))
 
     @pytest.mark.timeout(120)
@@ -102,6 +102,6 @@ class TestCholeskyEquivalence:
     def test_env_var_routes_to_parallel_engine(self, sparse_tlr, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
         r = tlr_cholesky(sparse_tlr.copy(), trim=True)
-        assert len(r.trace) == len(r.graph)
+        assert len(r.trace.events) == len(r.graph)
         assert set(r.trace.worker_lanes()) <= {0, 1, 2}
 

@@ -1,13 +1,9 @@
-"""Tests for the synthetic rank field and its calibration."""
+"""Tests for the synthetic rank field."""
 
 import numpy as np
 import pytest
 
-from repro.core.rank_model import (
-    SyntheticRankField,
-    analyze_mask_fast,
-    calibrate_rank_field,
-)
+from repro.core.rank_model import SyntheticRankField, analyze_mask_fast
 from repro.geometry import min_spacing, virus_population
 from repro.kernels import RBFMatrixGenerator
 from repro.linalg import TLRMatrix
@@ -17,18 +13,6 @@ from repro.linalg import TLRMatrix
 def workload():
     pts = virus_population(6, points_per_virus=800, cube_edge=1.7, seed=3)
     return pts, min_spacing(pts)
-
-
-class TestCalibration:
-    def test_roundtrip_profiles(self, sparse_tlr):
-        field = calibrate_rank_field(sparse_tlr)
-        assert field.nt == sparse_tlr.n_tiles
-        assert field.density_by_distance[0] == 1.0
-        assert field.rank_by_distance[0] == sparse_tlr.tile_size
-        # expected density of the field matches the source matrix
-        assert field.initial_density() == pytest.approx(
-            sparse_tlr.density(), abs=0.05
-        )
 
 
 class TestFromParameters:

@@ -8,12 +8,19 @@ import pytest
 import scipy.linalg as sla
 
 from repro.core import solver
-from repro.core.solver import logdet, solve_cholesky, solve_lower, solve_lower_transpose
+from repro.core.solver import logdet, solve_cholesky, solve_lower
 from repro.core.tlr_cholesky import tlr_cholesky
 from repro.linalg.integrity import matrix_checksums
 from repro.linalg.lowrank import LowRankFactor
 from repro.linalg.tile import DenseTile, LowRankTile
 from repro.linalg.tile_matrix import TLRMatrix
+
+
+def backward_pass(l, y):
+    """``L^T x = y`` by the backward substitution alone, in a private copy."""
+    x, squeeze = solver._workspace(l, y)
+    solver._backward(l, x)
+    return x[:, 0] if squeeze else x
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +49,7 @@ class TestSolveLower:
         l_ref = np.linalg.cholesky(a)
         rng = np.random.default_rng(1)
         b = rng.standard_normal(a.shape[0])
-        x = solve_lower_transpose(l, b)
+        x = backward_pass(l, b)
         ref = sla.solve_triangular(l_ref, b, lower=True, trans="T")
         assert np.allclose(x, ref, atol=1e-7)
 
@@ -74,7 +81,7 @@ class TestSolveLower:
         with pytest.raises(ValueError):
             solve_lower(l, np.ones(l.n + 1))
         with pytest.raises(ValueError):
-            solve_lower_transpose(l, np.ones(l.n - 1))
+            solve_cholesky(l, np.ones(l.n - 1))
         with pytest.raises(ValueError):
             solve_cholesky(l, np.ones((l.n, 2, 2)))
 
@@ -120,7 +127,7 @@ class TestRHSBatchingSemantics:
         l, _ = factored
         rng = np.random.default_rng(12)
         b = rng.standard_normal(l.n)
-        for solve in (solve_lower, solve_lower_transpose, solve_cholesky):
+        for solve in (solve_lower, solve_cholesky):
             x1 = solve(l, b)
             x2 = solve(l, b[:, None])
             assert x1.ndim == 1 and x2.shape == (l.n, 1)
@@ -128,15 +135,15 @@ class TestRHSBatchingSemantics:
 
     def test_one_copy_solve_is_bitwise_the_two_pass_composition(self, factored):
         """``solve_cholesky`` runs the backward pass in the forward
-        pass's buffer; the two public passes (one private copy each)
-        are the reference.  The caller's rhs is never written."""
+        pass's buffer; the two passes with one private copy each are
+        the reference.  The caller's rhs is never written."""
         l, _ = factored
         rng = np.random.default_rng(14)
         for shape in ((l.n,), (l.n, 1), (l.n, 5)):
             b = rng.standard_normal(shape)
             kept = b.copy()
             x = solve_cholesky(l, b)
-            assert np.array_equal(x, solve_lower_transpose(l, solve_lower(l, b)))
+            assert np.array_equal(x, backward_pass(l, solve_lower(l, b)))
             assert np.array_equal(b, kept) and not np.shares_memory(x, b)
 
     def test_a_lone_column_goes_through_dtrsv(self, factored, monkeypatch):
@@ -148,7 +155,7 @@ class TestRHSBatchingSemantics:
         b, block = rng.standard_normal(l.n), rng.standard_normal((l.n, 3))
         expected = {
             solve: (solve(l, b), solve(l, block))
-            for solve in (solve_lower, solve_lower_transpose, solve_cholesky)
+            for solve in (solve_lower, solve_cholesky)
         }
 
         def unused(*args, **kwargs):
@@ -278,7 +285,7 @@ class TestPackedStorage:
 class TestInputEdges:
     def test_no_columns(self, factored):
         l, _ = factored
-        for solve in (solve_lower, solve_lower_transpose, solve_cholesky):
+        for solve in (solve_lower, solve_cholesky):
             assert solve(l, np.empty((l.n, 0))).shape == (l.n, 0)
 
     @pytest.mark.parametrize(
@@ -313,7 +320,7 @@ class TestInputEdges:
     def test_complex_rhs_is_a_type_error(self, factored, dtype):
         """A cast would solve the real part and only warn: refused, by dtype."""
         l, _ = factored
-        for solve in (solve_lower, solve_lower_transpose, solve_cholesky):
+        for solve in (solve_lower, solve_cholesky):
             for shape in ((l.n,), (l.n, 2)):
                 b = np.ones(shape, dtype=dtype) * (1 + 2j)
                 with pytest.raises(TypeError, match=f"complex dtype {np.dtype(dtype)}"):

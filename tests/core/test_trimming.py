@@ -9,6 +9,7 @@ from repro.core.analysis import analyze_ranks
 from repro.core.trimming import cholesky_tasks, ptg_cholesky_tasks
 from repro.runtime.dag import build_graph
 from repro.runtime.task import AccessMode
+from tests.dag_refs import ptg_task_counts
 
 
 class TestFullEnumeration:
@@ -50,7 +51,7 @@ class TestTrimmedEnumeration:
         counts = {}
         for t in tasks:
             counts[t.klass] = counts.get(t.klass, 0) + 1
-        assert counts == ana.task_counts()
+        assert counts == ptg_task_counts(ana)
 
     def test_trimmed_is_subset_of_full(self, sparse_tlr):
         nt = sparse_tlr.n_tiles

@@ -14,17 +14,22 @@ from repro.distribution import (
 )
 
 NT = 12
-ALL = [
-    TwoDBlockCyclic(2, 3),
-    OneDBlockCyclic(6),
-    HybridDistribution(2, 3),
-    BandDistribution.over_2d(2, 3),
-    BandDistribution(DiamondDistribution(2, 3)),
-    DiamondDistribution(2, 3),
-]
+#: the cases, keyed by the ids the suite has always given them
+ALL = {
+    "TwoDBlockCyclicTwoDBlockCyclic(p=2, q=3)": TwoDBlockCyclic(2, 3),
+    "OneDBlockCyclicOneDBlockCyclic(nproc=6)": OneDBlockCyclic(6),
+    "HybridDistributionHybridDistribution(p=2, q=3, band_width=1)": HybridDistribution(2, 3),
+    "BandDistributionBandDistribution(off_band=TwoDBlockCyclic(p=2, q=3))": (
+        BandDistribution.over_2d(2, 3)
+    ),
+    "BandDistributionBandDistribution(off_band=DiamondDistribution(p=2, q=3))": (
+        BandDistribution(DiamondDistribution(2, 3))
+    ),
+    "DiamondDistributionDiamondDistribution(p=2, q=3)": DiamondDistribution(2, 3),
+}
 
 
-@pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__ + repr(d))
+@pytest.mark.parametrize("dist", ALL.values(), ids=ALL.keys())
 class TestCommonInvariants:
     def test_owner_in_range(self, dist):
         for k in range(NT):
@@ -83,7 +88,7 @@ class TestTwoDBlockCyclic:
 
     def test_row_group_size_q(self):
         d = TwoDBlockCyclic(4, 8)
-        assert len(d.row_group(63, 64)) == 8
+        assert len({d.owner(63, k) for k in range(64)}) == 8
 
 
 class TestHybrid:
@@ -159,11 +164,12 @@ class TestDiamond:
             assert len(d.column_group(k, nt)) == p
 
     def test_row_group_may_grow(self):
-        """More processes may join row groups — the accepted trade."""
+        """More processes may own tiles of a row — the accepted trade."""
         d = DiamondDistribution(3, 4)
         ref = TwoDBlockCyclic(3, 4)
         nt = 24
-        assert len(d.row_group(nt - 1, nt)) >= len(ref.row_group(nt - 1, nt))
+        row = lambda dist: {dist.owner(nt - 1, k) for k in range(nt)}
+        assert len(row(d)) >= len(row(ref))
 
     def test_balances_distance_decaying_work(self):
         """The rank-aware motivation: with work decaying away from the

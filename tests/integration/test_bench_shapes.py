@@ -43,7 +43,7 @@ def test_executed_task_counts(workloads, name):
     spec = workloads.make_spec(workloads.WORKLOADS[name].operator, seed=1)
     pristine = workloads.compress_operator(spec)
     res = tlr_cholesky(pristine.copy(), engine="serial")
-    assert len(res.graph) == len(res.trace) == EXPECTED[name]
+    assert len(res.graph) == len(res.trace.events) == EXPECTED[name]
     assert len(res.graph) <= pristine.n_tiles**2
     rhs = np.random.default_rng(0).standard_normal(spec.n)
     x = solve_cholesky(res.factor, rhs)

@@ -3,29 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.kernels.covariance import (
-    MaternKernel,
-    matern_five_half,
-    matern_half,
-    matern_three_half,
-)
+from repro.kernels.covariance import MaternKernel
 
 
 class TestMaternClosedForms:
     def test_exponential(self):
-        k = matern_half()
+        k = MaternKernel(nu=0.5)
         r = np.linspace(0, 3, 7)
         assert np.allclose(k(r), np.exp(-r))
 
     def test_three_half(self):
-        k = matern_three_half()
+        k = MaternKernel(nu=1.5)
         r = np.array([0.0, 1.0])
         c = np.sqrt(3.0)
         assert k(r)[0] == 1.0
         assert k(r)[1] == pytest.approx((1 + c) * np.exp(-c))
 
     def test_five_half(self):
-        k = matern_five_half()
+        k = MaternKernel(nu=2.5)
         c = np.sqrt(5.0)
         assert k(np.array([1.0]))[0] == pytest.approx(
             (1 + c + c * c / 3) * np.exp(-c)
@@ -34,7 +29,8 @@ class TestMaternClosedForms:
     def test_general_nu_matches_half_integer(self):
         """The Bessel form must agree with the closed forms."""
         r = np.linspace(0.01, 4, 40)
-        for nu, closed in ((0.5, matern_half()), (1.5, matern_three_half())):
+        for nu in (0.5, 1.5):
+            closed = MaternKernel(nu=nu)
             # force the Bessel path with a nearby nu
             bessel = MaternKernel(nu=nu + 1e-12)
             assert np.allclose(bessel(r), closed(r), atol=1e-6)

@@ -28,10 +28,6 @@ class TestLowRankFactor:
         assert f.shape == (8, 6)
         assert np.allclose(f.to_dense(), u @ v.T)
 
-    def test_transpose(self, rng):
-        f = LowRankFactor(rng.standard_normal((5, 2)), rng.standard_normal((7, 2)))
-        assert np.allclose(f.transpose().to_dense(), f.to_dense().T)
-
     def test_nbytes(self, rng):
         f = LowRankFactor(np.zeros((10, 2)), np.zeros((10, 2)))
         assert f.nbytes == 2 * 10 * 2 * 8

@@ -197,10 +197,6 @@ class TestStructureQueries:
         assert stats["min"] >= 1
         assert stats["max"] >= stats["avg"] >= stats["min"]
 
-    def test_repr(self, sparse_tlr):
-        s = repr(sparse_tlr)
-        assert "TLRMatrix" in s and "density" in s
-
 
 class TestValidation:
     def test_missing_tile_rejected(self):

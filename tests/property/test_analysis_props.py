@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.analysis import analyze_ranks
 from repro.core.rank_model import analyze_mask_fast
+from tests.dag_refs import ptg_task_counts
 
 
 @st.composite
@@ -31,8 +32,8 @@ class TestAnalysisProperties:
         ref = analyze_ranks(r, nt)
         fast = analyze_mask_fast(r > 0)
         assert np.array_equal(fast["final_mask"], ref.final_nonzero)
-        assert int(fast["nnz_col"].sum()) == ref.task_counts()["TRSM"]
-        assert int(fast["n_gemm_col"].sum()) == ref.task_counts()["GEMM"]
+        assert int(fast["nnz_col"].sum()) == ptg_task_counts(ref)["TRSM"]
+        assert int(fast["n_gemm_col"].sum()) == ptg_task_counts(ref)["GEMM"]
 
     @given(pattern=rank_patterns())
     @settings(max_examples=60, deadline=None)
@@ -71,7 +72,7 @@ class TestAnalysisProperties:
             if added:
                 break
         more = analyze_ranks(r2, nt)
-        c0, c1 = base.task_counts(), more.task_counts()
+        c0, c1 = ptg_task_counts(base), ptg_task_counts(more)
         for klass in c0:
             assert c1[klass] >= c0[klass]
         assert np.all(more.final_nonzero | ~base.final_nonzero)

@@ -19,6 +19,7 @@ from repro.machine import SHAHEEN_II, DistributedSimulator
 from repro.machine.simulator import operand_ranks
 from repro.machine.costmodel import CostModel
 from repro.runtime.dag import build_graph
+from tests.dag_refs import longest_path
 
 
 @st.composite
@@ -36,8 +37,7 @@ def problems(draw):
                 ranks[m, k] = int(rng.integers(1, max(2, b // 8)))
     ana = analyze_ranks(ranks, nt)
     # assign model ranks to fill-in tiles
-    for m, k in ana.fill_in_tiles():
-        ranks[m, k] = max(2, b // 16)
+    ranks[ana.final_nonzero & ~ana.initial_nonzero] = max(2, b // 16)
     rank_of = lambda m, k: int(ranks[m, k])
     graph = build_graph(ptg_cholesky_tasks(nt, ana, tile_size=b, rank_of=rank_of))
     p = draw(st.sampled_from([1, 2, 4]))
@@ -65,8 +65,7 @@ class TestSimulatorProperties:
         def w(t):
             return cm.node_time(t.klass, b, *operand_ranks(t, rank_of))[0]
 
-        cp, _ = graph.critical_path(weight=w)
-        assert res.makespan >= cp - 1e-12
+        assert res.makespan >= longest_path(graph, w) - 1e-12
 
     @given(problem=problems())
     @settings(max_examples=20, deadline=None)

@@ -337,7 +337,7 @@ class TestStallWatchdog:
         engine = ParallelExecutionEngine(workers=2, stall_timeout=5.0)
         engine.register("T", lambda t, d: None)
         trace = engine.run(build_graph(chain(10)), None)
-        assert len(trace) == 10
+        assert len(trace.events) == 10
 
     def test_env_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_STALL_TIMEOUT", raising=False)

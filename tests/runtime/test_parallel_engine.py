@@ -193,7 +193,7 @@ class TestParallelExecution(EngineContract):
         ]
         engine = self.engine(sched(), workers=3)
         engine.register("T", noop)
-        assert len(engine.run(build_graph(tasks), None)) == len(tasks)
+        assert len(engine.run(build_graph(tasks), None).events) == len(tasks)
 
     @pytest.mark.timeout(60)
     def test_workers_capped_by_task_count(self):
@@ -208,10 +208,10 @@ class TestParallelExecution(EngineContract):
         engine.register("T", noop)
         trace = Trace()
         out = engine.run(build_graph(wide(3)), None, trace=trace)
-        assert out is trace and len(trace) == 3
+        assert out is trace and len(trace.events) == 3
 
     def test_empty_graph(self):
-        assert len(self.engine().run(build_graph([]), None)) == 0
+        assert len(self.engine().run(build_graph([]), None).events) == 0
 
     def test_unregistered_class_raises_before_spawn(self):
         """Up front and identically worded everywhere: no kernel runs,
@@ -221,7 +221,7 @@ class TestParallelExecution(EngineContract):
         trace = Trace()
         with pytest.raises(KeyError, match=r"no kernel registered.*\['U'\]"):
             engine.run(build_graph(wide(2) + wide(2, klass="U")), None, trace)
-        assert len(trace) == 0
+        assert len(trace.events) == 0
 
     @pytest.mark.timeout(120)
     def test_fully_resumed_frontier_still_runs_final_sweep(self, spd_matrix, tmp_path):
@@ -240,7 +240,7 @@ class TestParallelExecution(EngineContract):
         engine = self.engine(verify_tiles=True)
         register_cholesky_kernels(engine)
         trace = engine.run(done.graph, a, checkpoint=manager)
-        assert len(trace) == 0 and engine.last_run_resumed == len(done.graph)
+        assert len(trace.events) == 0 and engine.last_run_resumed == len(done.graph)
         assert manager.tiles_healed == 1 and a.tile(1, 0) is clean
 
 
@@ -285,7 +285,7 @@ class TestFailFast(EngineContract):
         with pytest.raises(RuntimeError, match="boom"):
             engine.run(build_graph(wide(30)), None, trace)
         # fail-fast: the run must abandon the tail of the ready pool
-        assert len(trace) < 30
+        assert len(trace.events) < 30
 
     @pytest.mark.timeout(60)
     def test_engine_reusable_after_failure(self):
@@ -358,7 +358,7 @@ class TestDebugOwnership:
         engine = ParallelExecutionEngine(workers=3, debug=True)
         engine.register("T", noop)
         engine.register("U", noop)
-        assert len(engine.run(graph, None)) == 8
+        assert len(engine.run(graph, None).events) == 8
 
     @pytest.mark.timeout(60)
     def test_under_constrained_graph_is_caught(self):
@@ -389,7 +389,7 @@ class TestDebugOwnership:
                 klass, lambda t, d: time.sleep(0.001)
             )
         trace = engine.run(graph, None)
-        assert len(trace) == len(graph)
+        assert len(trace.events) == len(graph)
 
 
 class TestWorkerLanes:

@@ -94,7 +94,6 @@ class TestTrace:
         tr.record(TraceEvent("A", (1,), 1.0, 3.0, flops=20))
         tr.record(TraceEvent("B", (0,), 0.5, 2.5, flops=5))
         assert tr.time_by_class() == {"A": 3.0, "B": 2.0}
-        assert tr.count_by_class() == {"A": 2, "B": 1}
         assert tr.total_flops() == 35
         assert tr.makespan == 3.0
         assert tr.busy_time() == 5.0

@@ -42,17 +42,18 @@ class TestChromeExport:
         data = json.loads(trace.to_chrome_trace())
         assert {e["tid"] for e in data["traceEvents"]} == {0, 1}
 
-    def test_foreign_pids_get_their_own_process_rows(self):
-        """Events stamped with another process's pid form one row group
-        per process, and lanes are labelled only where they ran."""
-        t = Trace()
-        t.record(TraceEvent("POTRF", (0,), 0.0, 0.5, worker=0, pid=71))
-        t.record(TraceEvent("TRSM", (1, 0), 0.5, 1.0, worker=1, pid=72))
-        events = json.loads(
-            t.to_chrome_trace(process_name="run", label_worker_lanes=True)
-        )["traceEvents"]
-        rows = {e["pid"]: e["args"]["name"] for e in events if e["name"] == "process_name"}
-        assert rows == {71: "worker pid 71 (run)", 72: "worker pid 72 (run)"}
-        lanes = {(e["pid"], e["tid"]) for e in events if e["name"] == "thread_name"}
-        assert lanes == {(71, 0), (72, 1)}
-        assert {e["pid"] for e in events if e["ph"] == "X"} == {71, 72}
+    def test_factorize_cli_export_is_pinned(self, trace):
+        """What ``repro factorize --trace`` writes for a 2-worker run:
+        one process row, one ``worker-N`` lane per worker."""
+        assert trace.to_chrome_trace(
+            process_name="repro.factorize", label_worker_lanes=True
+        ) == (
+            '{"traceEvents": ['
+            '{"name": "process_name", "ph": "M", "pid": 0, "args": {"name": "repro.factorize"}}, '
+            '{"name": "thread_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "worker-0"}}, '
+            '{"name": "thread_name", "ph": "M", "pid": 0, "tid": 1, "args": {"name": "worker-1"}}, '
+            '{"name": "POTRF(0,)", "cat": "POTRF", "ph": "X", "ts": 0.0, "dur": 500000.0, '
+            '"pid": 0, "tid": 0, "args": {"flops": 100.0}}, '
+            '{"name": "TRSM(1, 0)", "cat": "TRSM", "ph": "X", "ts": 500000.0, "dur": 500000.0, '
+            '"pid": 0, "tid": 1, "args": {"flops": 50.0}}]}'
+        )

@@ -36,13 +36,6 @@ class TestSizeTrigger:
         assert [b.take() for _ in range(3)] == [[1], [2], [3, 4]]
 
 
-class TestFlushAll:
-    def test_flush_all_drains_everything(self):
-        b = filled(2, ("a", 1), ("b", 2), ("a", 3), ("a", 4))
-        assert b.flush_all() == [[1, 3], [2], [4]]  # oldest first
-        assert len(b) == 0 and b.take() == []
-
-
 class TestValidation:
     def test_bad_max_batch(self):
         with pytest.raises(ValueError):
@@ -55,12 +48,12 @@ class TestPrune:
         assert b.prune(lambda it: it % 2 == 1) == [1, 3]
         b.add("k", 4)
         assert len(b) == 2
-        assert b.flush_all() == [[2, 4]]  # the group survives
+        assert b.take() == [2, 4] and len(b) == 0  # the group survives
 
     def test_prune_drops_emptied_groups(self):
         b = filled(10, ("a", 1), ("b", 2))
         assert b.prune(lambda it: it == 1) == [1]
-        assert b.flush_all() == [[2]]
+        assert b.take() == [2] and len(b) == 0
 
     def test_prune_keeps_oldest_item_window(self):
         """Survivors keep their own arrival stamps: a group that loses

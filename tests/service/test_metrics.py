@@ -66,7 +66,7 @@ class TestTracingHook:
     def test_events_land_in_runtime_trace(self):
         m = ServiceMetrics()
         m.record_event("SOLVE", (4, 4), 0.0, 0.5, worker=2, flops=100.0)
-        assert len(m.trace) == 1
+        assert len(m.trace.events) == 1
         assert m.trace.events[0].klass == "SOLVE"
         assert m.trace.time_by_class() == {"SOLVE": pytest.approx(0.5)}
 

@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import (
-    DEFAULT_ACCURACY,
-    DENSE_RANK_FRACTION,
-    default_shape_parameter,
-)
+from repro.apps import RBFMeshDeformation
+from repro.config import DEFAULT_ACCURACY, DENSE_RANK_FRACTION
+from repro.geometry import min_spacing
 
 
 class TestConfig:
@@ -21,14 +19,16 @@ class TestConfig:
         assert 0.0 < DENSE_RANK_FRACTION <= 1.0
 
     def test_shape_parameter_rule(self):
-        """delta = 1/2 * min spacing (Sec. IV-C)."""
-        assert default_shape_parameter(7.4e-4) == pytest.approx(3.7e-4)
+        """delta = 1/2 * min spacing (Sec. IV-C), the mesh solver's default."""
+        pts = np.random.default_rng(0).random((40, 3))
+        s = RBFMeshDeformation(pts)
+        assert s.shape_parameter == 0.5 * min_spacing(pts)
 
     def test_shape_parameter_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            default_shape_parameter(0.0)
-        with pytest.raises(ValueError):
-            default_shape_parameter(-1.0)
+        """Coincident boundary nodes leave no spacing to take half of."""
+        pts = np.random.default_rng(0).random((40, 3))
+        with pytest.raises(ValueError, match="duplicate points"):
+            RBFMeshDeformation(np.vstack([pts, pts[:1]]))
 
     @pytest.mark.parametrize(
         "var, owner, unset, text, parsed",

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Reach census: which ``src/repro`` functions the system's runs execute.
 
-``python tools/reach.py`` runs ``bench/run.py --quick``, ``pytest benchmarks/``
-(the figure scripts), every ``examples/*.py`` and the tier-1 tests; a
-``sitecustomize`` ``settrace`` hook makes every process, forked ones too,
+``python tools/reach.py`` runs ``bench/run.py --quick`` and ``--quick --layers``
+(the per-layer probes), ``pytest benchmarks/`` (the figure scripts), every
+``examples/*.py`` and the tier-1 tests; a ``sitecustomize`` ``settrace`` hook makes every process, forked ones too,
 record the code it enters.  Prints per module its function lines (each
 owned by its innermost ``def``) reached by the first three, by the tests
 only and by nothing, then those last two by function name."""
@@ -19,7 +19,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "src" / "repro"
 POPULATIONS = {
-    "bench": [[sys.executable, "bench/run.py", "--quick"]],
+    "bench": [[sys.executable, "bench/run.py", "--quick"],
+              [sys.executable, "bench/run.py", "--quick", "--layers"]],
     "figures": [[sys.executable, "-m", "pytest", "benchmarks/", "-q", "--benchmark-disable"]],
     "examples": [[sys.executable, str(p)] for p in sorted((ROOT / "examples").glob("*.py"))],
     "tests": [[sys.executable, "-m", "pytest", "tests/", "-q"]],
