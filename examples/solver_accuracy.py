@@ -66,7 +66,7 @@ def main() -> None:
     # persistence: compress once, reuse
     a = TLRMatrix.compress(gen.tile, gen.n, 150, accuracy=1e-6)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "operator.npz"
+        path = Path(tmp) / "operator.tlr"
         save_tlr(a, path)
         size = path.stat().st_size / 1e6
         again = load_tlr(path)

@@ -94,12 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "resumed factor is bitwise identical to an "
                         "uninterrupted run")
     f.add_argument("--verify-tiles", action="store_true",
-                   help="verify per-tile BLAKE2b checksums before every "
+                   help="verify per-tile SHA-256 checksums before every "
                         "kernel and once at run end (also: "
                         "$REPRO_VERIFY_TILES=1)")
     f.add_argument("--save-factor", type=str, default=None, metavar="PATH",
-                   help="save the computed factor as a checksummed .npz "
-                        "(atomic write)")
+                   help="save the computed factor as one sealed tile "
+                        "file, raw panels with per-tile SHA-256 digests "
+                        "(atomic write; conventionally *.tlr)")
 
     s = sub.add_parser("simulate", help="at-scale performance estimate")
     s.add_argument("--machine", choices=["shaheen", "fugaku"], default="shaheen")

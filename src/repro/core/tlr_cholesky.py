@@ -212,7 +212,7 @@ def tlr_cholesky(
         checkpoint friendly); a checkpoint from a *different*
         factorization raises ``ValueError``.
     verify_tiles:
-        Per-kernel BLAKE2b operand verification + end-of-run sweep
+        Per-kernel SHA-256 operand verification + end-of-run sweep
         (default: ``$REPRO_VERIFY_TILES``); see
         :class:`~repro.runtime.engine.ExecutionEngine`.
     engine:

@@ -6,7 +6,7 @@ served from it.  This module supplies the recovery layer both
 execution engines plug into:
 
 ``ChecksumLedger``
-    Thread-safe map of tile index → BLAKE2b content checksum
+    Thread-safe map of tile index → content checksum
     (:func:`repro.linalg.integrity.tile_checksum`).  Engines record a
     checksum whenever a kernel publishes a tile and — under
     ``REPRO_VERIFY_TILES=1`` — re-verify every operand tile before a
@@ -20,7 +20,7 @@ execution engines plug into:
     *references* at retirement (tiles are immutable by convention)
     yields a frontier-consistent snapshot even under the parallel
     engine.  Each generation is one sealed tile file,
-    ``ckpt-{seq:06d}.npz`` (:mod:`repro.linalg.serialization`): the
+    ``ckpt-{seq:06d}.tlr`` (:mod:`repro.linalg.serialization`): the
     dirty tiles with the digests recorded at their retirement, and
     metadata holding the completed task list, the graph signature and
     the matrix grid.  Torn or tampered checkpoints are refused at load
@@ -50,7 +50,7 @@ from pathlib import Path
 
 from repro.config import VERIFY_TILES_ENV, verify_tiles_from_env
 from repro.linalg.integrity import TileIntegrityError, tile_checksum
-from repro.linalg.serialization import matrix_meta, read, write
+from repro.linalg.serialization import SUFFIX, matrix_meta, read, write
 from repro.linalg.tile import Tile
 from repro.utils.atomic import quarantine
 
@@ -159,9 +159,10 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint | None:
     """Load the newest valid checkpoint under ``path``.
 
     ``path`` may be a checkpoint directory (newest-first scan over
-    ``ckpt-*.npz``; corrupt candidates are quarantined and the scan
+    ``ckpt-*.tlr``; corrupt candidates are quarantined and the scan
     falls back to the previous one) or one specific checkpoint file
-    (corruption then raises instead of silently starting over).
+    (corruption or a format-5 ``.npz`` file then raises instead of
+    silently starting over).
     Returns ``None`` when the directory holds no usable checkpoint.
     """
     path = Path(path)
@@ -169,7 +170,7 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint | None:
         return _load_one(path)
     if not path.is_dir():
         return None
-    for candidate in sorted(path.glob(f"{_CKPT_PREFIX}*.npz"), reverse=True):
+    for candidate in sorted(path.glob(f"{_CKPT_PREFIX}*{SUFFIX}"), reverse=True):
         try:
             return _load_one(candidate)
         except (TileIntegrityError, OSError):
@@ -256,7 +257,7 @@ class CheckpointManager:
     # ------------------------------------------------------------------
 
     def _existing_seq(self) -> int:
-        files = self.directory.glob(f"{_CKPT_PREFIX}*.npz")
+        files = self.directory.glob(f"{_CKPT_PREFIX}*{SUFFIX}")
         seqs = (p.stem[len(_CKPT_PREFIX):] for p in files)
         return max((int(seq) for seq in seqs if seq.isdigit()), default=0)
 
@@ -439,19 +440,17 @@ class CheckpointManager:
             "graph_signature": signature,
             "matrix": matrix_meta,
         }
-        # uncompressed: checkpoints are hot-path.  The digests are the
-        # ones recorded at retirement, so a tile corrupted in memory
-        # since then is refused at load.
+        # The digests are the ones recorded at retirement, so a tile
+        # corrupted in memory since then is refused at load.
         return write(
-            self.directory / f"{_CKPT_PREFIX}{seq:06d}.npz",
+            self.directory / f"{_CKPT_PREFIX}{seq:06d}{SUFFIX}",
             {"tiles": ((key, tile) for key, (tile, _) in dirty.items())},
             meta,
-            compressed=False,
             checksums={"tiles": {key: digest for key, (_, digest) in dirty.items()}},
         )
 
     def _prune(self) -> None:
-        files = sorted(self.directory.glob(f"{_CKPT_PREFIX}*.npz"))
+        files = sorted(self.directory.glob(f"{_CKPT_PREFIX}*{SUFFIX}"))
         for path in files[: -self.keep or None]:
             path.unlink(missing_ok=True)
 

@@ -357,7 +357,7 @@ class ExecutionEngine:
         Exhausted retries (and, with no policy, any transient failure)
         raise :class:`~repro.runtime.faults.TaskFailedError`.
     verify_tiles:
-        Verify every operand tile's BLAKE2b checksum before each
+        Verify every operand tile's SHA-256 checksum before each
         kernel consumes it, and sweep every tile once at run end —
         ABFT-style silent-data-corruption detection.  ``None``
         (default) defers to ``$REPRO_VERIFY_TILES``.  A mismatch first

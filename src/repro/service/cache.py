@@ -8,17 +8,12 @@ with LRU eviction, and (optionally) persists entries through
 :mod:`repro.linalg.serialization` so a restarted — or evicted — server
 reloads factors from disk instead of refactorizing.
 
-Lookup outcomes, from cheapest to most expensive:
+Lookup outcomes, from cheapest to most expensive: a ``hit`` (factor
+resident in RAM: zero numerical work), a ``disk hit`` (reloaded from the
+persistence directory: no matgen, compression or factorization) and a
+``miss`` (a full :meth:`OperatorSpec.build`).
 
-``hit``
-    Factor resident in RAM: zero numerical work.
-``disk hit``
-    Factor reloaded from the persistence directory: deserialization
-    only, still zero matgen/compression/factorization.
-``miss``
-    Full build via :meth:`OperatorSpec.build`.
-
-Each disk entry is one sealed tile file, ``{fingerprint}.npz``, holding
+Each disk entry is one sealed tile file, ``{fingerprint}.tlr``, holding
 an ``operator`` and a ``factor`` group (:mod:`repro.linalg.serialization`
 writes and verifies it).  The atomic temp + fsync + rename of that one
 file is the seal: a crash leaves the old entry or none, and shards
@@ -28,7 +23,9 @@ every entry is checked with the reader the load path uses; a corrupt
 one is quarantined (renamed ``*.corrupt``) rather than trusted.  A
 reload that still fails — bit rot since startup — is quarantined,
 counted (``disk_corrupt``), and falls through to a fresh build: the
-cache never serves a factor it cannot verify.
+cache never serves a factor it cannot verify.  A write-through that
+fails (a full disk) leaves no file and is counted
+(``disk_write_failed``): the build stands and is served from memory.
 """
 
 from __future__ import annotations
@@ -37,11 +34,13 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro.linalg.integrity import TileIntegrityError
-from repro.linalg.serialization import load_matrices, save_matrices
+from repro.linalg.serialization import SUFFIX, load_matrices, save_matrices
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.service.metrics import ServiceMetrics
 from repro.service.spec import OperatorSpec
@@ -63,7 +62,7 @@ class CacheEntry:
     _logdet: float | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    @property
+    @cached_property
     def nbytes(self) -> int:
         """Resident numerical payload (operator + factor)."""
         return self.operator.memory_bytes() + self.factor.memory_bytes()
@@ -119,13 +118,11 @@ class OperatorCache:
         self.factor_workers = factor_workers
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
-        self._build_locks: dict[str, threading.Lock] = {}
-        self.hits = 0
-        self.disk_hits = 0
-        self.misses = 0
-        self.builds = 0
-        self.evictions = 0
-        self.disk_corrupt = 0
+        self._resident = 0
+        #: fingerprint -> [build lock, requests holding or awaiting it]
+        self._build_locks: dict[str, list] = {}
+        for name in self._COUNTERS:
+            setattr(self, name, 0)
         if self.directory is not None:
             self.recover()
 
@@ -153,9 +150,11 @@ class OperatorCache:
             entry = self._lookup(fp)  # built while we waited?
             if entry is not None:
                 return entry, "hit"
-            entry = self._load_from_disk(fp)
+            entry = None if self.directory is None else self._read(fp)
             outcome = "disk"
-            if entry is None:
+            if entry is not None:
+                self._count("disk_hits")
+            else:
                 outcome = "build"
                 t0 = time.perf_counter()
                 built = spec.build(workers=self.factor_workers)
@@ -167,7 +166,10 @@ class OperatorCache:
                 )
                 self._count("builds")
                 self._count("misses")
-                self._persist(entry)
+                try:
+                    self._persist(entry)
+                except OSError:  # the write left no file; the build stands
+                    self._count("disk_write_failed")
             self._insert(entry)
             return entry, outcome
 
@@ -180,9 +182,21 @@ class OperatorCache:
             self._count("hits")
         return entry
 
-    def _build_lock(self, fp: str) -> threading.Lock:
+    @contextmanager
+    def _build_lock(self, fp: str):
+        """Hold ``fp``'s build lock; the last request to let go of it
+        drops it, so the map holds only fingerprints in flight."""
         with self._lock:
-            return self._build_locks.setdefault(fp, threading.Lock())
+            slot = self._build_locks.setdefault(fp, [threading.Lock(), 0])
+            slot[1] += 1
+        try:
+            with slot[0]:
+                yield
+        finally:
+            with self._lock:
+                slot[1] -= 1
+                if not slot[1]:
+                    del self._build_locks[fp]
 
     # ------------------------------------------------------------------
     # persistence
@@ -190,21 +204,19 @@ class OperatorCache:
 
     def _path(self, fp: str) -> Path:
         assert self.directory is not None
-        return self.directory / f"{fp}.npz"
+        return self.directory / f"{fp}{SUFFIX}"
 
-    def _sealed_paths(self) -> list[Path]:
-        """Every entry file, sorted: ``{fp}.npz`` with a dotless stem."""
+    def _sealed_paths(self, suffix: str = SUFFIX) -> list[Path]:
+        """Every entry file, sorted: ``{fp}{suffix}`` with a dotless stem."""
         assert self.directory is not None
-        return sorted(p for p in self.directory.glob("*.npz") if "." not in p.stem)
+        return sorted(p for p in self.directory.glob(f"*{suffix}") if "." not in p.stem)
 
     def _persist(self, entry: CacheEntry) -> None:
         if self.directory is None:
             return
-        # uncompressed: warm reload speed matters more than disk bytes
         save_matrices(
             self._path(entry.fingerprint),
             {"operator": entry.operator, "factor": entry.factor},
-            compressed=False,
             fingerprint=entry.fingerprint,
         )
 
@@ -231,18 +243,14 @@ class OperatorCache:
             return None
         return CacheEntry(fingerprint=fp, **matrices)
 
-    def _load_from_disk(self, fp: str) -> CacheEntry | None:
-        entry = None if self.directory is None else self._read(fp)
-        if entry is not None:
-            self._count("disk_hits")
-        return entry
-
     def recover(self) -> dict[str, int]:
         """Startup scan of the persistence directory.
 
         Deletes stray atomic-write temp files (a crash mid-rename) and
         reads every entry as a reload would, quarantining each that
         fails: a truncated file, a flipped bit, another format version.
+        Entries of format 5 and older (``{fp}.npz``) are quarantined
+        unread.
 
         Returns ``{"checked": ..., "quarantined": ..., "tmp_removed": ...}``.
         """
@@ -251,10 +259,12 @@ class OperatorCache:
         tmps = list(self.directory.glob(".*.tmp"))
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
-        paths = self._sealed_paths()
+        paths, legacy = self._sealed_paths(), self._sealed_paths(".npz")
+        for path in legacy:
+            quarantine(path)
         return {
-            "checked": len(paths),
-            "quarantined": sum(self._read(p.stem) is None for p in paths),
+            "checked": len(paths) + len(legacy),
+            "quarantined": sum(self._read(p.stem) is None for p in paths) + len(legacy),
             "tmp_removed": len(tmps),
         }
 
@@ -264,40 +274,37 @@ class OperatorCache:
 
     def _insert(self, entry: CacheEntry) -> None:
         with self._lock:
+            self._pop_locked(entry.fingerprint)
             self._entries[entry.fingerprint] = entry
-            self._entries.move_to_end(entry.fingerprint)
+            self._resident += entry.nbytes
             evicted = 0
-            if self.byte_budget is not None:
-                while (
-                    len(self._entries) > 1
-                    and self._resident_bytes_locked() > self.byte_budget
-                ):
-                    self._entries.popitem(last=False)
-                    evicted += 1
-            resident = self._resident_bytes_locked()
+            budget = self.byte_budget
+            while budget is not None and len(self._entries) > 1 and self._resident > budget:
+                self._pop_locked(next(iter(self._entries)))
+                evicted += 1
+            resident = self._resident
         if evicted:
             self._count("evictions", evicted)
         if self.metrics is not None:
             self.metrics.set_bytes_resident(resident)
 
-    def _resident_bytes_locked(self) -> int:
-        return sum(e.nbytes for e in self._entries.values())
+    def _pop_locked(self, fp: str) -> None:
+        entry = self._entries.pop(fp, None)
+        if entry is not None:
+            self._resident -= entry.nbytes
 
     @property
     def resident_bytes(self) -> int:
         with self._lock:
-            return self._resident_bytes_locked()
+            return self._resident
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
     def __contains__(self, spec_or_fp) -> bool:
-        fp = (
-            spec_or_fp.fingerprint
-            if isinstance(spec_or_fp, OperatorSpec)
-            else str(spec_or_fp)
-        )
+        spec = isinstance(spec_or_fp, OperatorSpec)
+        fp = spec_or_fp.fingerprint if spec else str(spec_or_fp)
         with self._lock:
             return fp in self._entries
 
@@ -307,8 +314,8 @@ class OperatorCache:
         corrupt — the next request rebuilds from scratch instead of
         re-serving poison."""
         with self._lock:
-            self._entries.pop(fp, None)
-            resident = self._resident_bytes_locked()
+            self._pop_locked(fp)
+            resident = self._resident
         if self.directory is not None:
             self._quarantine_entry(fp)
         if self.metrics is not None:
@@ -327,22 +334,15 @@ class OperatorCache:
             return 0
         with self._lock:
             entries = list(self._entries.values())
-        sealed = 0
-        for entry in entries:
-            if self._path(entry.fingerprint).exists():
-                continue
+        fresh = [e for e in entries if not self._path(e.fingerprint).exists()]
+        for entry in fresh:
             self._persist(entry)
-            sealed += 1
-        return sealed
+        return len(fresh)
 
     def disk_fingerprints(self) -> list[str]:
-        """Fingerprints sealed on disk, sorted.
-
-        The fleet's warm-handoff inventory: a respawned shard pointed
-        at this directory serves exactly these operators from disk
-        instead of rebuilding.  Fleet shards share one directory, so
-        an entry sealed by any shard warms every future failover.
-        """
+        """Fingerprints sealed on disk, sorted: the fleet's warm-handoff
+        inventory.  Shards share one directory, so an entry sealed by
+        any shard warms every future failover from disk."""
         if self.directory is None:
             return []
         return [p.stem for p in self._sealed_paths()]
@@ -351,6 +351,7 @@ class OperatorCache:
         """Drop resident entries (disk persistence is left intact)."""
         with self._lock:
             self._entries.clear()
+            self._resident = 0
         if self.metrics is not None:
             self.metrics.set_bytes_resident(0)
 
@@ -358,30 +359,19 @@ class OperatorCache:
     # counters
     # ------------------------------------------------------------------
 
-    _METRIC_NAMES = {
-        "hits": "cache_hits",
-        "disk_hits": "cache_disk_hits",
-        "misses": "cache_misses",
-        "builds": "cache_builds",
-        "evictions": "cache_evictions",
-        "disk_corrupt": "cache_disk_corrupt",
-    }
+    #: each mirrored into the metrics as ``cache_{name}``
+    _COUNTERS = ("hits", "disk_hits", "misses", "builds", "evictions",
+                 "disk_corrupt", "disk_write_failed")
 
     def _count(self, name: str, delta: int = 1) -> None:
         with self._lock:
             setattr(self, name, getattr(self, name) + delta)
         if self.metrics is not None:
-            self.metrics.count(self._METRIC_NAMES[name], delta)
+            self.metrics.count(f"cache_{name}", delta)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {
-                "hits": self.hits,
-                "disk_hits": self.disk_hits,
-                "misses": self.misses,
-                "builds": self.builds,
-                "evictions": self.evictions,
-                "disk_corrupt": self.disk_corrupt,
+            return {name: getattr(self, name) for name in self._COUNTERS} | {
                 "entries": len(self._entries),
-                "resident_bytes": self._resident_bytes_locked(),
+                "resident_bytes": self._resident,
             }

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.tlr_cholesky import tlr_cholesky
+from repro.linalg.serialization import SUFFIX
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.runtime.checkpoint import CheckpointManager, load_checkpoint
 from repro.runtime.faults import (
@@ -99,7 +100,7 @@ class TestCrashAndResume:
             checkpoint=CheckpointManager(tmp_path, every_tasks=1),
         )
         # keep=2: the older surviving checkpoint is the frontier one short
-        one_short = load_checkpoint(sorted(tmp_path.glob("ckpt-*.npz"))[0])
+        one_short = load_checkpoint(sorted(tmp_path.glob(f"ckpt-*{SUFFIX}"))[0])
         started = []
 
         class Recording(threading.Thread):

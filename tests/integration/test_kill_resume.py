@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.linalg.serialization import load_tlr
+from repro.linalg.serialization import SUFFIX, load_tlr
 
 BASE = [
     sys.executable, "-m", "repro", "factorize",
@@ -41,14 +41,14 @@ class TestKillResume:
         """The crash lands in a worker thread: same exit, same resume.
         It can beat the first flush (another worker is still writing
         it — the whole run is shorter than one checkpoint write), and
-        the resume then starts over past a torn ``.npz``."""
+        the resume then starts over past a torn checkpoint file."""
         self._kill_and_resume(tmp_path, ["--workers", "4"])
 
     @staticmethod
     def _kill_and_resume(tmp_path, workers):
         ck = tmp_path / "ck"
-        clean_path = tmp_path / "clean.npz"
-        resumed_path = tmp_path / "resumed.npz"
+        clean_path = tmp_path / "clean.tlr"
+        resumed_path = tmp_path / "resumed.tlr"
 
         # 1. the uninterrupted (serial) reference
         ref = run_cli(["--save-factor", str(clean_path)], tmp_path)
@@ -66,7 +66,7 @@ class TestKillResume:
             f"{killed.stdout}\n{killed.stderr}"
         )
         if not workers:
-            assert list(ck.glob("ckpt-*.npz")), "crash left no checkpoint"
+            assert list(ck.glob(f"ckpt-*{SUFFIX}")), "crash left no checkpoint"
 
         # 3. resume in a fresh process and save the factor
         resumed = run_cli(
@@ -86,8 +86,8 @@ class TestKillResume:
         """Crash after crash, the frontier only grows; a final resume
         with no injector always lands the identical factor."""
         ck = tmp_path / "ck"
-        clean_path = tmp_path / "clean.npz"
-        final_path = tmp_path / "final.npz"
+        clean_path = tmp_path / "clean.tlr"
+        final_path = tmp_path / "final.tlr"
         ref = run_cli(["--save-factor", str(clean_path)], tmp_path)
         assert ref.returncode == 0, ref.stderr
 

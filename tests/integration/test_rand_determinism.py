@@ -77,7 +77,7 @@ class TestFactorPurity:
     @pytest.mark.parametrize("source", ["roundtrip", "compress"])
     def test_factor_depends_only_on_the_tiles(self, built, source, tmp_path):
         if source == "roundtrip":
-            path = tmp_path / "operator.npz"
+            path = tmp_path / "operator.tlr"
             save_tlr(built.operator, path)
             operator = load_tlr(path)
         else:

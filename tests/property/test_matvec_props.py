@@ -67,7 +67,7 @@ class TestMatvecProperties:
         from repro.linalg.serialization import load_tlr, save_tlr
 
         a, seed = data
-        path = tmp_path_factory.mktemp("tlr") / "m.npz"
+        path = tmp_path_factory.mktemp("tlr") / "m.tlr"
         save_tlr(a, path)
         back = load_tlr(path)
         assert np.array_equal(back.to_dense(), a.to_dense())

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.tlr_cholesky import tlr_cholesky
 from repro.linalg.integrity import TileIntegrityError, tile_checksum
-from repro.linalg.serialization import read, write
+from repro.linalg.serialization import SUFFIX, read, write
 from repro.linalg.tile import DenseTile
 from repro.linalg.tile_matrix import TLRMatrix
 from repro.runtime.checkpoint import (
@@ -23,6 +23,7 @@ from repro.runtime.checkpoint import (
     graph_signature,
     load_checkpoint,
 )
+from tests.tilefile import layout, write_npz
 
 
 def spd_tlr(n=128, tile=32, accuracy=1e-10, seed=3):
@@ -65,7 +66,7 @@ class TestCheckpointFiles:
     def test_manifest_and_payload_pair_per_checkpoint(self, written):
         """One sealed file per generation, nothing beside it."""
         directory, result = written
-        files = sorted(directory.glob("ckpt-*.npz"))
+        files = sorted(directory.glob(f"ckpt-*{SUFFIX}"))
         assert len(files) == result.checkpoints_written
         assert sorted(directory.iterdir()) == files
 
@@ -77,7 +78,7 @@ class TestCheckpointFiles:
         directory, _ = written
         ck = load_checkpoint(directory)
         seqs = sorted(
-            int(p.stem.split("-")[1]) for p in directory.glob("ckpt-*.npz")
+            int(p.stem.split("-")[1]) for p in directory.glob(f"ckpt-*{SUFFIX}")
         )
         assert ck is not None and ck.seq == seqs[-1]
 
@@ -95,7 +96,7 @@ class TestCheckpointFiles:
         """Truncating the newest checkpoint must fall back to the
         previous one and quarantine the torn file."""
         directory, _ = written
-        files = sorted(directory.glob("ckpt-*.npz"))
+        files = sorted(directory.glob(f"ckpt-*{SUFFIX}"))
         newest = files[-1]
         newest.write_bytes(newest.read_bytes()[:100])
         ck = load_checkpoint(directory)
@@ -105,10 +106,11 @@ class TestCheckpointFiles:
 
     def test_flipped_payload_bit_detected(self, written):
         directory, _ = written
-        files = sorted(directory.glob("ckpt-*.npz"))
+        files = sorted(directory.glob(f"ckpt-*{SUFFIX}"))
         payload = files[-1]
         raw = bytearray(payload.read_bytes())
-        raw[len(raw) // 2] ^= 0x10
+        at, length = layout(payload)["payloads"][-1]
+        raw[at + length // 2] ^= 0x10
         payload.write_bytes(bytes(raw))
         ck = load_checkpoint(directory)
         # newest quarantined, fell back
@@ -116,11 +118,11 @@ class TestCheckpointFiles:
 
     def test_unreadable_manifest_quarantined(self, written):
         directory, _ = written
-        files = sorted(directory.glob("ckpt-*.npz"))
-        with np.load(files[-1]) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays["meta"] = np.frombuffer(b"{not json", np.uint8)
-        np.savez(files[-1], **arrays)
+        files = sorted(directory.glob(f"ckpt-*{SUFFIX}"))
+        raw = bytearray(files[-1].read_bytes())
+        at, length = layout(files[-1])["index"]
+        raw[at:at + length] = b"{not json".ljust(length)
+        files[-1].write_bytes(bytes(raw))
         ck = load_checkpoint(directory)
         assert ck is not None  # fell back to an older one
         assert (directory / (files[-1].name + ".corrupt")).exists()
@@ -128,10 +130,21 @@ class TestCheckpointFiles:
     def test_explicit_manifest_path_raises_on_corruption(self, written):
         """A *specific* checkpoint must fail loudly, not silently restart."""
         directory, _ = written
-        files = sorted(directory.glob("ckpt-*.npz"))
+        files = sorted(directory.glob(f"ckpt-*{SUFFIX}"))
         files[-1].write_bytes(b"garbage")
         with pytest.raises(ValueError):
             load_checkpoint(files[-1])
+
+    def test_format_5_checkpoint_is_refused(self, written):
+        """A checkpoint of format 5 (an ``.npz`` container) is refused
+        by its version when named, and is not a candidate in a scan."""
+        directory, _ = written
+        old = directory / "ckpt-999999.npz"
+        write_npz(old, meta=np.frombuffer(b'{"seq": 999999}', np.uint8))
+        with pytest.raises(TileIntegrityError, match="version 1-5"):
+            load_checkpoint(old)
+        ck = load_checkpoint(directory)
+        assert ck is not None and ck.seq < 999999 and old.exists()
 
     def test_tile_corrupted_after_retirement_is_refused(self, tmp_path):
         """The file carries the digest recorded when the task retired,
@@ -153,7 +166,7 @@ class TestCheckpointFiles:
     def test_keep_prunes_old_generations(self, tmp_path):
         mgr = CheckpointManager(tmp_path, every_tasks=3, keep=2)
         tlr_cholesky(spd_tlr(), checkpoint=mgr)
-        assert len(list(tmp_path.glob("ckpt-*.npz"))) <= 2
+        assert len(list(tmp_path.glob(f"ckpt-*{SUFFIX}"))) <= 2
         # and the survivors still load
         assert load_checkpoint(tmp_path) is not None
 
@@ -279,13 +292,13 @@ class TestManagerValidation:
         mgr = CheckpointManager(tmp_path, every_tasks=5)
         tlr_cholesky(spd_tlr(), checkpoint=mgr)
         first = max(
-            int(p.stem.split("-")[1]) for p in tmp_path.glob("ckpt-*.npz")
+            int(p.stem.split("-")[1]) for p in tmp_path.glob(f"ckpt-*{SUFFIX}")
         )
         # a new manager (a restarted process) must not overwrite
         mgr2 = CheckpointManager(tmp_path, every_tasks=5)
         tlr_cholesky(spd_tlr(), checkpoint=mgr2, resume_from=tmp_path)
         newest = max(
-            int(p.stem.split("-")[1]) for p in tmp_path.glob("ckpt-*.npz")
+            int(p.stem.split("-")[1]) for p in tmp_path.glob(f"ckpt-*{SUFFIX}")
         )
         assert newest >= first
 

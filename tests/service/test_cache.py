@@ -1,5 +1,12 @@
 """Tests for the byte-budgeted, disk-persistent operator cache."""
 
+import errno
+import os
+import sys
+import threading
+import time
+import types
+
 import numpy as np
 import pytest
 
@@ -164,3 +171,92 @@ class TestStats:
             "resident_bytes",
         } <= set(stats)
         assert stats["resident_bytes"] == cache.resident_bytes > 0
+
+
+class _CheapSpec:
+    """A stand-in spec whose build costs ``delay`` seconds and counts
+    itself: the cache reads only ``fingerprint`` and ``build``."""
+
+    def __init__(self, fingerprint: str, delay: float = 0.0) -> None:
+        self.fingerprint, self.delay, self.builds = fingerprint, delay, 0
+
+    def build(self, workers=None):
+        self.builds += 1
+        time.sleep(self.delay)
+        tiles = types.SimpleNamespace(memory_bytes=lambda: 64)
+        return types.SimpleNamespace(operator=tiles, factor=tiles)
+
+
+class TestBuildLocks:
+    def test_lock_map_stays_bounded(self):
+        """A lock lives only while a build for its fingerprint runs or
+        waits: 100 distinct operators leave none behind."""
+        cache = OperatorCache(byte_budget=64 * 2 * 10)
+        for i in range(100):
+            cache.acquire(_CheapSpec(f"fp{i}"))
+        assert cache._build_locks == {}
+        assert len(cache) == 10 and cache.resident_bytes == 64 * 2 * 10
+
+    def test_concurrent_cold_requests_pay_one_build(self):
+        """Single flight under a short switch interval, more threads
+        than cores: each operator is built once, however the cold
+        requests interleave with the lock's drop."""
+        cache = OperatorCache()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(5):
+                spec = _CheapSpec(f"herd{round_}", delay=0.01)
+                outcomes = []
+                barrier = threading.Barrier(8)
+
+                def cold(spec=spec, barrier=barrier, outcomes=outcomes):
+                    barrier.wait()
+                    outcomes.append(cache.acquire(spec)[1])
+
+                threads = [threading.Thread(target=cold) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert spec.builds == 1
+                assert sorted(outcomes) == ["build"] + ["hit"] * 7
+                assert cache._build_locks == {}
+        finally:
+            sys.setswitchinterval(old)
+
+
+class TestWriteThrough:
+    def test_failed_write_serves_the_build_from_memory(
+        self, small_spec, rhs, tmp_path, monkeypatch
+    ):
+        """A full disk fails the write-through, not the request: one
+        build, served from memory and counted; no file and no temp file
+        left; the breaker is not charged and nothing is retried."""
+        from repro.linalg import serialization
+        from repro.service import SolveService
+        from repro.service.breaker import CircuitBreaker
+
+        real = serialization.atomic_write_via
+
+        def full_disk(path, writer):
+            def write_then_fail(f):
+                writer(f)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            return real(path, write_then_fail)
+
+        monkeypatch.setattr(serialization, "atomic_write_via", full_disk)
+        cache = OperatorCache(directory=tmp_path)
+        breaker = CircuitBreaker(failure_threshold=1)
+        with SolveService(cache=cache, workers=1, breaker=breaker) as svc:
+            x = svc.submit_solve(small_spec, rhs).result(60.0)
+            counters = svc.metrics.to_dict()["counters"]
+        assert np.all(np.isfinite(x))
+        assert counters["cache_builds"] == 1
+        assert counters["cache_disk_write_failed"] == 1
+        assert counters.get("build_retries", 0) == 0
+        assert breaker.state(small_spec.fingerprint) == "closed"
+        assert cache.stats()["disk_write_failed"] == 1
+        assert list(tmp_path.iterdir()) == []

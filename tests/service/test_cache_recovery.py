@@ -10,22 +10,22 @@ falls through to a rebuild and bumps ``disk_corrupt``.
 import numpy as np
 import pytest
 
-from repro.linalg.serialization import read
+from repro.linalg.serialization import SUFFIX, read
 from repro.service import CorruptResultError, OperatorCache, SolveService
+from tests.tilefile import layout, write_npz
 
 TIMEOUT = 60.0
 
 
 def _entry_file(cache, spec):
-    return cache.directory / f"{spec.fingerprint}.npz"
+    return cache.directory / f"{spec.fingerprint}{SUFFIX}"
 
 
-def _rewrite(path, edit):
-    """Re-save ``path`` with ``edit(arrays)`` applied (no re-sealing)."""
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    edit(arrays)
-    np.savez(path, **arrays)
+def _rewrite(path, offset: int, cut: int = 0, data: bytes = b""):
+    """Replace ``cut`` bytes of ``path`` at ``offset`` by ``data`` (no
+    re-sealing)."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:offset] + data + raw[offset + cut:])
 
 
 class TestSealing:
@@ -78,7 +78,9 @@ class TestStartupRecovery:
         first.get_or_build(small_spec)
         fac = _entry_file(first, small_spec)
         raw = bytearray(fac.read_bytes())
-        raw[len(raw) // 2] ^= 0x04  # same size, different content
+        payloads = layout(fac)["payloads"]
+        at, length = payloads[len(payloads) // 2]
+        raw[at + length // 2] ^= 0x04  # same size, different content
         fac.write_bytes(bytes(raw))
         second = OperatorCache(directory=tmp_path)
         assert second.disk_corrupt == 1
@@ -92,10 +94,7 @@ class TestStartupRecovery:
         first.get_or_build(small_spec)
         entry = _entry_file(first, small_spec)
 
-        def drop_a_payload(arrays):
-            del arrays[next(k for k in arrays if k.startswith("u_operator_"))]
-
-        _rewrite(entry, drop_a_payload)
+        _rewrite(entry, *layout(entry)["payloads"][-1])  # drop a payload
         second = OperatorCache(directory=tmp_path)
         assert second.disk_corrupt == 1
 
@@ -104,13 +103,28 @@ class TestStartupRecovery:
         first.get_or_build(small_spec)
         man = _entry_file(first, small_spec)
 
-        def garble_meta(arrays):
-            arrays["meta"] = np.frombuffer(b"{definitely not json", np.uint8)
-
-        _rewrite(man, garble_meta)
+        at, length = layout(man)["index"]
+        _rewrite(man, at, length, b"{definitely not json".ljust(length))
         second = OperatorCache(directory=tmp_path)
         assert second.disk_corrupt == 1
         assert (tmp_path / (man.name + ".corrupt")).exists()
+
+    def test_format_5_entry_is_quarantined_and_rebuilt(self, small_spec, tmp_path):
+        """A format-5 entry, ``{fp}.npz`` or renamed to ``{fp}.tlr``, is
+        never read as an entry: quarantined at startup, then rebuilt and
+        written in format 6."""
+        fp = small_spec.fingerprint
+        meta = np.frombuffer(f'{{"fingerprint": "{fp}"}}'.encode(), np.uint8)
+        for name in (f"{fp}.npz", f"{fp}{SUFFIX}"):
+            write_npz(tmp_path / name, meta=meta)
+        cache = OperatorCache(directory=tmp_path)
+        assert cache.disk_corrupt == 1  # the one read, refused by its version
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{fp}.npz.corrupt", f"{fp}{SUFFIX}.corrupt"
+        ]
+        _, outcome = cache.acquire(small_spec)
+        assert outcome == "build"
+        assert read(tmp_path / f"{fp}{SUFFIX}").meta["fingerprint"] == fp
 
     def test_healthy_entry_survives_recovery_and_loads(
         self, small_spec, tmp_path
@@ -135,13 +149,10 @@ class TestLazyQuarantine:
         second = OperatorCache(directory=tmp_path)
         assert second.disk_corrupt == 0  # startup saw a healthy entry
 
-        def nudge_a_tile(arrays):
-            key = next(k for k in arrays if k[0] in "du")  # a tile payload
-            arr = arrays[key].copy()
-            arr.reshape(-1)[0] = np.nextafter(arr.reshape(-1)[0], np.inf)
-            arrays[key] = arr
-
-        _rewrite(fac, nudge_a_tile)  # checksums block kept stale on purpose
+        at, _ = layout(fac)["payloads"][0]  # a tile payload
+        value = np.frombuffer(fac.read_bytes(), "<f8", 1, at)[0]
+        # the digests are kept stale on purpose
+        _rewrite(fac, at, 8, np.nextafter(value, np.inf).tobytes())
         entry, outcome = second.acquire(small_spec)
         assert outcome == "build"
         assert second.disk_corrupt == 1
@@ -149,16 +160,15 @@ class TestLazyQuarantine:
         # the rebuilt entry is healthy
         assert np.all(np.isfinite(entry.factor.to_dense()))
 
-    def test_npy_header_bit_flip_rebuilds_on_acquire(self, small_spec, tmp_path):
-        """Bit 6 of byte 265 falls inside an ``.npy`` header, where numpy
-        fails with errors of its own (``tokenize.TokenError`` among
-        them).  The reader refuses the file like any other corruption:
+    def test_table_bit_flip_rebuilds_on_acquire(self, small_spec, tmp_path):
+        """A flip in the tile table after the startup scan breaks the
+        seal: the reader refuses the file like any other corruption —
         quarantined, counted, rebuilt."""
         OperatorCache(directory=tmp_path).get_or_build(small_spec)
         second = OperatorCache(directory=tmp_path)
         entry = _entry_file(second, small_spec)
         raw = bytearray(entry.read_bytes())
-        raw[265] ^= 1 << 6
+        raw[layout(entry)["table"][0] + 9] ^= 1 << 6
         entry.write_bytes(bytes(raw))
         _, outcome = second.acquire(small_spec)
         assert outcome == "build"
@@ -166,15 +176,18 @@ class TestLazyQuarantine:
         assert (tmp_path / (entry.name + ".corrupt")).exists()
 
     def test_foreign_npz_files_are_not_entries(self, small_spec, tmp_path):
-        """Only ``{fingerprint}.npz`` is an entry: a file of another
-        layout (here ``{fp}.factor.npz``) is neither read nor counted."""
-        stray = tmp_path / f"{small_spec.fingerprint}.factor.npz"
-        stray.write_bytes(b"not a sealed file")
+        """Only ``{fingerprint}.tlr`` is an entry: a file of another
+        layout (here ``{fp}.factor.npz`` or ``{fp}.factor.tlr``) is
+        neither read nor counted."""
+        strays = [tmp_path / f"{small_spec.fingerprint}.factor{suffix}"
+                  for suffix in (".npz", SUFFIX)]
+        for stray in strays:
+            stray.write_bytes(b"not a sealed file")
         cache = OperatorCache(directory=tmp_path)
         assert cache.recover()["checked"] == 0 and cache.disk_corrupt == 0
         assert cache.disk_fingerprints() == []
         _, outcome = cache.acquire(small_spec)
-        assert outcome == "build" and stray.exists()
+        assert outcome == "build" and all(stray.exists() for stray in strays)
 
     def test_invalidate_drops_memory_and_disk(self, small_spec, tmp_path):
         cache = OperatorCache(directory=tmp_path)

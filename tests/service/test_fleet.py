@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 from repro.geometry import random_cloud
+from repro.linalg.serialization import SUFFIX
 from repro.service import (
     CircuitOpenError,
     FleetService,
+    OperatorCache,
     OperatorSpec,
     RequestFailedError,
     ServiceClosedError,
@@ -215,7 +217,7 @@ class TestChaos:
             fleet.submit_solve(small_spec, rhs, timeout=TIMEOUT).result(TIMEOUT)
             # wait for a checkpoint seal so the factor is on disk
             assert wait_for(
-                lambda: any((tmp_path / "cache").glob("*.npz"))
+                lambda: any((tmp_path / "cache").glob(f"*{SUFFIX}"))
             )
             target = fleet._router.route(
                 small_spec.fingerprint, count=False
@@ -233,6 +235,11 @@ class TestChaos:
                 TIMEOUT
             )
             assert np.isfinite(x).all()
+        # the shards' entries are sealed tile files that the reborn
+        # shard's startup scan kept and any reader loads
+        assert not list((tmp_path / "cache").glob("*.corrupt"))
+        reader = OperatorCache(directory=tmp_path / "cache")
+        assert reader.acquire(small_spec)[1] == "disk"
 
     @pytest.mark.timeout(180)
     def test_crash_respawn_imports_the_last_beats_breaker_state(self, tmp_path):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.linalg.serialization import SUFFIX
 
 
 class TestParser:
@@ -140,7 +141,7 @@ class TestCheckpointFlags:
         assert rc == 0
         out = capsys.readouterr().out
         assert "checkpoints:" in out
-        assert list(ck.glob("ckpt-*.npz"))
+        assert list(ck.glob(f"ckpt-*{SUFFIX}"))
 
     def test_resume_requires_checkpoint_dir(self, capsys):
         rc = main(self.ARGS + ["--resume"])
@@ -170,7 +171,7 @@ class TestCheckpointFlags:
     def test_save_factor_roundtrips(self, capsys, tmp_path):
         from repro.linalg.serialization import load_tlr
 
-        path = tmp_path / "factor.npz"
+        path = tmp_path / "factor.tlr"
         rc = main(self.ARGS + ["--save-factor", str(path)])
         assert rc == 0
         assert "factor written" in capsys.readouterr().out
