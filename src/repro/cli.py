@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--drain", action="store_true",
                     help="after serving, run the graceful drain "
                          "protocol (stop admissions, flush, seal the "
-                         "cache for warm handoff) and print its summary")
+                         "cache) and print its summary")
     sv.add_argument("--max-batch", type=int, default=16)
     sv.add_argument("--cache-budget-mb", type=float, default=None,
                     help="resident-bytes LRU budget (default: unbounded)")
@@ -169,9 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fl.add_argument("--shards", type=int, default=2,
                     help="shard processes behind the front door")
-    fl.add_argument("--replication", type=int, default=2,
-                    help="preference-list length for hot operators "
-                         "(primary + replicas; 1 disables replication)")
     fl.add_argument("--kill-shard", type=int, default=None, metavar="I",
                     help="chaos: SIGKILL shard I halfway through the "
                          "request stream and report the failover")
@@ -185,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--accuracy", type=float, default=1e-6)
     fl.add_argument("--workers-per-shard", type=int, default=2)
     fl.add_argument("--cache-dir", type=str, default=None,
-                    help="shared sealed-cache directory (the warm-handoff "
-                         "medium; default: private temp dir)")
+                    help="shared sealed-cache directory that respawned "
+                         "shards reload from (default: private temp dir)")
     fl.add_argument("--request-timeout", type=float, default=60.0,
                     help="per-request end-to-end deadline in seconds")
     fl.add_argument("--heartbeat-interval", type=float, default=0.1)
     fl.add_argument("--checkpoint-interval", type=float, default=2.0,
                     help="seconds between periodic cache seals in each "
-                         "shard (bounds respawn-to-warm time)")
+                         "shard (a seal retries failed write-throughs)")
     fl.add_argument("--seed", type=int, default=0)
 
     return p
@@ -520,7 +517,6 @@ def _cmd_serve_fleet(args) -> int:
     killed = None
     with FleetService(
         shards=args.shards,
-        replication=args.replication,
         workers_per_shard=args.workers_per_shard,
         cache_dir=args.cache_dir,
         heartbeat_interval=args.heartbeat_interval,
@@ -565,7 +561,7 @@ def _cmd_serve_fleet(args) -> int:
         statuses = fleet.status()
     c = snapshot["counters"]
     print(f"served {args.requests} requests over {args.operators} operator(s), "
-          f"{args.shards} shard(s), replication {args.replication}")
+          f"{args.shards} shard(s)")
     print(f"completed={c.get('completed', 0)} failed={failed} shed={shed} "
           f"replayed={report['requests_replayed']} "
           f"stale={report['stale_results']}")

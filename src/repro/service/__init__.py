@@ -19,8 +19,8 @@ a per-call expense.  The subsystem provides
 - :class:`SolveService` — bounded pending pool + worker threads that
   pull from it, with end-to-end deadline propagation, admission control
   (``max_inflight`` + ``Retry-After`` hints), typed overload
-  rejection, build retry-with-backoff, graceful ``drain()`` for warm
-  handoff, and input validation at the edge;
+  rejection, build retry-with-backoff, graceful ``drain()``, and input
+  validation at the edge;
 - :class:`CircuitBreaker` — per-operator shedding of repeatedly
   failing factorizations, with half-open recovery probes;
 - :class:`RetryBudget` — per-operator token bucket keeping build
@@ -30,9 +30,9 @@ a per-call expense.  The subsystem provides
 - :class:`FleetService` — N supervised shard processes, each a
   ``SolveService`` behind a pipe, under a consistent-hash front door
   (:class:`FleetRouter`), with heartbeat liveness
-  (:class:`~repro.runtime.supervisor.ProcessSupervisor`), hot-operator
-  replication, failover replay of in-flight requests, and warm handoff
-  through the shared sealed cache.
+  (:class:`~repro.runtime.supervisor.ProcessSupervisor`), failover
+  replay of in-flight requests, and warm respawn from the shared
+  sealed cache.
 """
 
 from repro.service.batching import RequestBatcher

@@ -154,79 +154,6 @@ class CircuitBreaker:
                 return True
             return False
 
-    def states(self) -> dict[str, str]:
-        """Snapshot of every tracked key's state (for metrics export)."""
-        with self._lock:
-            keys = list(self._keys)
-        return {k: self.state(k) for k in keys}
-
-    # ------------------------------------------------------------------
-    # warm-handoff state transfer
-    # ------------------------------------------------------------------
-
-    def export_state(self) -> dict[str, dict]:
-        """Portable snapshot of every key's state for warm handoff.
-
-        Monotonic clocks are process-local, so open timestamps are
-        exported as *remaining* seconds until the half-open probe; the
-        importer re-anchors them to its own clock.  A half-open key is
-        exported as open with zero remaining (the in-flight probe died
-        with the exporting process — the importer re-probes once,
-        immediately, which is the correct conservative resume).
-        """
-        now = self._clock()
-        out: dict[str, dict] = {}
-        with self._lock:
-            for key, ks in self._keys.items():
-                state = ks.state
-                remaining = 0.0
-                if state == _OPEN:
-                    remaining = max(
-                        0.0, self.reset_timeout - (now - ks.opened_at)
-                    )
-                    if remaining == 0.0:
-                        state = _HALF_OPEN
-                if state == _CLOSED and ks.failures == 0:
-                    continue  # default state carries no information
-                out[key] = {
-                    "state": state,
-                    "failures": ks.failures,
-                    "reset_remaining": remaining,
-                }
-        return out
-
-    def import_state(self, payload: dict[str, dict]) -> int:
-        """Adopt a handoff snapshot from :meth:`export_state`.
-
-        Open keys stay open for their remaining timeout (re-anchored to
-        this process's clock); half-open keys become immediately
-        probeable.  Returns the number of keys imported.  Existing
-        local state for a key is overwritten — the handoff is the
-        fresher observation by construction (the predecessor served the
-        traffic this process has not seen yet).
-        """
-        imported = 0
-        now = self._clock()
-        with self._lock:
-            for key, snap in payload.items():
-                ks = self._key(key)
-                ks.failures = int(snap.get("failures", 0))
-                ks.probing = False
-                state = snap.get("state", _CLOSED)
-                if state == _OPEN:
-                    remaining = max(0.0, float(snap.get("reset_remaining", 0.0)))
-                    ks.state = _OPEN
-                    # re-anchor: half-opens after exactly `remaining`
-                    ks.opened_at = now - (self.reset_timeout - remaining)
-                elif state == _HALF_OPEN:
-                    # open with an elapsed timeout: next allow() probes
-                    ks.state = _OPEN
-                    ks.opened_at = now - self.reset_timeout
-                else:
-                    ks.state = _CLOSED
-                imported += 1
-        return imported
-
 
 class RetryBudget:
     """Per-key token bucket bounding retry attempts.
@@ -292,31 +219,3 @@ class RetryBudget:
                 return False
             self._buckets[key] = (have - tokens, now)
             return True
-
-    # ------------------------------------------------------------------
-    # warm-handoff state transfer
-    # ------------------------------------------------------------------
-
-    def export_state(self) -> dict[str, float]:
-        """Current token levels per key (full buckets are omitted —
-        they are the default state and carry no information)."""
-        now = self._clock()
-        with self._lock:
-            return {
-                key: self._refill(key, now)
-                for key in self._buckets
-                if self._refill(key, now) < self.capacity
-            }
-
-    def import_state(self, payload: dict[str, float]) -> int:
-        """Adopt token levels from a predecessor's :meth:`export_state`,
-        re-anchored to this clock (refill resumes from import time).
-        Returns the number of buckets imported."""
-        now = self._clock()
-        with self._lock:
-            for key, tokens in payload.items():
-                self._buckets[key] = (
-                    min(self.capacity, max(0.0, float(tokens))),
-                    now,
-                )
-        return len(payload)

@@ -324,11 +324,11 @@ class OperatorCache:
     def seal(self) -> int:
         """Persist every resident entry not yet sealed on disk.
 
-        The drain protocol's warm-handoff step: a successor process
-        pointed at the same directory recovers every operator this one
-        built, instead of re-factorizing on its first requests.
-        Returns the number of entries newly persisted (0 with no
-        persistence directory).
+        A durability flush, not what lets a successor start warm:
+        :meth:`acquire` writes every build through to disk before it
+        is served, so this only retries the write-throughs that failed
+        (``disk_write_failed``).  Returns the number of entries newly
+        persisted (0 with no persistence directory).
         """
         if self.directory is None:
             return 0
@@ -340,9 +340,9 @@ class OperatorCache:
         return len(fresh)
 
     def disk_fingerprints(self) -> list[str]:
-        """Fingerprints sealed on disk, sorted: the fleet's warm-handoff
-        inventory.  Shards share one directory, so an entry sealed by
-        any shard warms every future failover from disk."""
+        """Fingerprints sealed on disk, sorted: what a respawned fleet
+        shard can reload.  Shards share one directory, so an entry
+        sealed by any shard warms every future failover from disk."""
         if self.directory is None:
             return []
         return [p.stem for p in self._sealed_paths()]

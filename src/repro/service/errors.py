@@ -53,7 +53,7 @@ class ServiceOverloadedError(BacklogFullError):
 
 
 class ServiceDrainingError(ServiceError):
-    """The service is draining for handoff and admits no new work.
+    """The service is draining and admits no new work.
 
     Unlike :class:`ServiceClosedError`, in-flight and queued requests
     are still being completed; only *new* admissions are refused.

@@ -1,4 +1,4 @@
-"""Sharded serving fleet: failover routing, replication, warm handoff.
+"""Sharded serving fleet: failover routing, replay, warm respawn.
 
 The single-process :class:`~repro.service.server.SolveService` heals
 its kernels (retry/rollback), its workers (supervised respawn) and its
@@ -12,10 +12,6 @@ router:
 * **routing** — operator fingerprints are consistent-hash-routed
   (:class:`~repro.service.router.FleetRouter`) so a shard owns a
   stable arc of the operator space and its cache stays hot for it;
-* **replication** — operators with proven traffic are prewarmed on the
-  next ``replication - 1`` shards clockwise, which are exactly the
-  shards that inherit the arc if the primary dies: a shard loss
-  degrades latency (one disk reload at worst), not availability;
 * **supervision** — a
   :class:`~repro.runtime.supervisor.ProcessSupervisor`, armed by every
   heartbeat, watches exit codes, SIGKILLs silent shards, and meters
@@ -24,16 +20,23 @@ router:
   re-sent (same request id) to the surviving owner of each key,
   honoring the original end-to-end deadlines.  Request ids dedup late
   results: the first completion wins, and a duplicate *answer* for a
-  replayed solve is checked bitwise against the winner — replicas must
-  agree with the shard they replaced, by construction of the
+  replayed solve is checked bitwise against the winner — a successor
+  must agree with the shard it replaced, by construction of the
   deterministic build (`OperatorSpec.build` is bitwise reproducible);
-* **warm handoff** — the shards share one disk cache of sealed
-  entries (one content-addressed file per operator, written
-  atomically and verified on reload), so a respawned shard reloads
-  factors instead of rebuilding, and each heartbeat piggybacks the shard's breaker/retry-budget state so even
-  a *crash* hands off warm (:meth:`SolveService.export_handoff`).
-  Graceful leave runs the full drain protocol (stop admissions, flush,
-  seal) and returns the same handoff payload.
+* **warm respawn** — the shards share one disk cache of sealed
+  entries (one content-addressed file per operator, written through
+  atomically before it is served and verified on reload), so whichever
+  shard inherits a dead shard's arc, and the respawned shard itself,
+  reloads factors instead of rebuilding.  Graceful leave runs the
+  drain protocol (stop admissions, flush, seal) and returns the
+  shard's final counters.
+
+What is *not* carried over: a respawned shard starts with fresh
+circuit breakers and retry budgets, so a known-bad operator costs at
+most ``failure_threshold * (1 + build_retries)`` failed builds before
+its breaker opens again.  The shard-kill probe
+(``tools/fleet_chaos.py``) measures that bound, and no servable
+request lost or late for it (DESIGN.md, "serving fleet").
 
 Process topology (children of :mod:`repro.runtime.transport`)::
 
@@ -68,6 +71,7 @@ cache churn.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import queue
@@ -135,7 +139,6 @@ def _shard_main(
     name: str,
     epoch: int,
     config: dict,
-    handoff: dict | None,
     req_conn,
     res_conn,
     beat_conn,
@@ -153,7 +156,6 @@ def _shard_main(
     _set_process_title(f"tlr-{name}")
     cache = OperatorCache(**config["cache"])
     svc = SolveService(cache=cache, **config["service"])
-    imported = svc.import_handoff(handoff)
     res_lock = threading.Lock()
 
     def _post(msg: tuple) -> None:
@@ -168,10 +170,7 @@ def _shard_main(
             error = (type(exc).__name__, str(exc))
             _post(("err", name, epoch, handle.request_id, *error))
 
-    info = {
-        "disk_entries": len(cache.disk_fingerprints()),
-        "imported_breaker_keys": imported["breaker_keys"],
-    }
+    info = {"disk_entries": len(cache.disk_fingerprints())}
     _post(("ready", name, epoch, os.getpid(), info))
 
     stop = threading.Event()
@@ -185,9 +184,6 @@ def _shard_main(
                         "inflight": svc.inflight,
                         "entries": len(cache),
                         "completed": svc.metrics.counter("completed"),
-                        # breaker/retry-budget state rides every beat:
-                        # a SIGKILL later recovers from the last beat
-                        "handoff": svc.export_handoff(),
                     }
                 )
             except OSError:  # parent is gone
@@ -195,8 +191,8 @@ def _shard_main(
                 return
             now = time.monotonic()
             if now - last_seal >= config["checkpoint_interval"]:
-                # periodic checkpoint: seal anything built since the
-                # last interval so a crash still hands off warm
+                # periodic durability flush: retry the write-throughs
+                # that failed since the last interval
                 with suppress(OSError):  # disk trouble
                     cache.seal()
                 last_seal = now
@@ -299,14 +295,11 @@ class FleetService:
     ----------
     shards:
         Initial shard process count.
-    replication:
-        Preference-list length for hot operators: the primary plus
-        ``replication - 1`` prewarmed replicas (1 = no replication).
     cache_dir:
-        Shared sealed-cache directory (the warm-handoff medium).
+        Shared sealed-cache directory, which warm respawns reload from.
         ``None`` creates a private temporary directory for the fleet's
-        lifetime — handoff still works, persistence across fleets
-        doesn't.
+        lifetime — respawns still start warm, persistence across
+        fleets doesn't.
     workers_per_shard, backlog, max_batch, max_inflight, factor_workers:
         Forwarded to each shard's ``SolveService``.
     byte_budget:
@@ -315,8 +308,10 @@ class FleetService:
         Shard beat cadence; a shard silent for
         :data:`HEARTBEAT_TIMEOUT_BEATS` intervals is SIGKILLed.
     checkpoint_interval:
-        Seconds between periodic cache seals inside each shard — the
-        bound the respawn-to-warm-serving time is measured against.
+        Seconds between periodic cache seals inside each shard.  Every
+        build is written through before it is served, so a seal only
+        retries write-throughs that failed; the interval is also the
+        bound the respawn-to-ready time is tested against.
     max_respawns:
         Fleet-lifetime shard respawn budget (default ``2*shards + 2``).
     start:
@@ -328,7 +323,6 @@ class FleetService:
         self,
         shards: int = 2,
         *,
-        replication: int = 2,
         cache_dir=None,
         workers_per_shard: int = 2,
         backlog: int = 256,
@@ -344,8 +338,6 @@ class FleetService:
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if replication > shards:
-            replication = shards  # can't replicate wider than the fleet
         if heartbeat_interval <= 0.0:
             raise ValueError(
                 f"heartbeat_interval must be positive, got {heartbeat_interval}"
@@ -353,7 +345,6 @@ class FleetService:
         if max_respawns is None:
             max_respawns = 2 * shards + 2
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.replication = int(replication)
         self.checkpoint_interval = float(checkpoint_interval)
         self._tmpdir = None
         if cache_dir is None:
@@ -374,9 +365,7 @@ class FleetService:
             "checkpoint_interval": float(checkpoint_interval),
         }
         self._ctx = multiprocessing.get_context("fork")
-        self._router = FleetRouter(
-            ConsistentHashRing(), replication=self.replication
-        )
+        self._router = FleetRouter(ConsistentHashRing())
         self.supervisor = ProcessSupervisor(
             max_respawns=max_respawns,
             timeout=HEARTBEAT_TIMEOUT_BEATS * heartbeat_interval,
@@ -508,7 +497,7 @@ class FleetService:
         — stealing keys only from ring neighbors — once it reports
         ready; returns the shard name."""
         name = f"shard-{next(self._shard_index)}"
-        self._spawn(name, epoch=0, handoff=None)
+        self._spawn(name, epoch=0)
         if wait:
             with self._changed:
                 self._changed.wait_for(
@@ -519,13 +508,12 @@ class FleetService:
         return name
 
     def remove_shard(self, name: str, timeout: float = 60.0) -> dict:
-        """Gracefully drain and retire one shard (warm handoff).
+        """Gracefully drain and retire one shard.
 
         The shard's arc is rebalanced to its ring successors *first*
         (no new traffic), then the drain protocol runs inside the
         shard: stop admissions, flush in-flight work, seal the cache.
-        The returned summary carries the shard's handoff payload
-        (breaker/retry-budget state) and final counters.
+        The returned drain summary carries the shard's final counters.
         """
         with self._lock:
             h = self._shards.get(name)
@@ -562,13 +550,11 @@ class FleetService:
         self.metrics.count("shards_killed")
         return pid
 
-    def _spawn(
-        self, name: str, epoch: int, handoff, respawn_t0: float | None = None
-    ) -> None:
+    def _spawn(self, name: str, epoch: int, respawn_t0: float | None = None) -> None:
         child = transport.spawn(
             self._ctx,
             _shard_main,
-            (name, epoch, self._config, handoff),
+            (name, epoch, self._config),
             f"tlr-{name}",
             up=2,
         )
@@ -650,25 +636,26 @@ class FleetService:
         ``seconds`` — the fleet analog of the parallel engines'
         replayed-DAG mode: it exercises the full dispatch path
         (routing, pipes, dedup, failover) with a known service time,
-        isolating front-door capacity from BLAS throughput.  Used by
-        the scaling benchmark and as a health probe.
+        isolating front-door capacity from BLAS throughput.
+        ``seconds`` must be finite and >= 0: refused here, not in the
+        shard's lane.
         """
-        if seconds < 0.0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
+        if not (math.isfinite(seconds) and seconds >= 0.0):
+            raise ValueError(f"seconds must be finite and >= 0, got {seconds}")
         req = self._request("occupy", timeout, seconds=float(seconds))
         return self._submit(req, str(route_key))
 
-    def prewarm(self, spec: OperatorSpec, replicas: bool = True) -> list[RequestHandle]:
-        """Build/load ``spec`` on its primary (and replica) shards now,
-        returning one handle per prewarmed shard.  The benchmark's way
-        of paying cold builds before timing, and the admin's way of
-        staging an operator before a traffic cutover."""
-        decision = self._router.route(spec.fingerprint, count=False)
-        if decision is None:
-            raise ShardUnavailableError("no live shard to prewarm on")
-        targets = [decision.primary] + (decision.replicas if replicas else [])
-        handles = (self._pin(s, self._request("prewarm", None, spec)) for s in targets)
-        return [h for h in handles if h is not None]
+    def prewarm(self, spec: OperatorSpec) -> RequestHandle:
+        """Build/load ``spec`` on its primary shard now: the admin's way
+        of staging an operator before a traffic cutover.  The request
+        is pinned to that shard; its death fails the handle with
+        :class:`ShardFailedError`."""
+        decision = self._router.route(spec.fingerprint)
+        if decision is not None:
+            handle = self._pin(decision.primary, self._request("prewarm", None, spec))
+            if handle is not None:
+                return handle
+        raise ShardUnavailableError("no live shard to prewarm on")
 
     # ------------------------------------------------------------------
     # submission internals
@@ -702,13 +689,6 @@ class FleetService:
             raise ShardUnavailableError("no live shard to route to")
         p = self._track(req, route_key)
         self.metrics.count("submitted")
-        if decision.became_hot and req.spec is not None:
-            # first crossing of the hot threshold: warm each replica
-            # once, so the failover target already holds the factor
-            for replica in decision.replicas:
-                prewarm = self._request("prewarm", None, req.spec)
-                if self._pin(replica, prewarm) is not None:
-                    self.metrics.count("prewarms_sent")
         if not self._dispatch(p, decision.primary):
             # the primary died between routing and send: the monitor
             # reroutes it as soon as the supervisor turns over
@@ -784,7 +764,6 @@ class FleetService:
                     "epoch": epoch,
                     "respawn_seconds": time.monotonic() - h.respawn_t0,
                     "warm_disk_entries": info["disk_entries"],
-                    "imported_breaker_keys": info["imported_breaker_keys"],
                 }
             )
         self._flush_park()
@@ -913,15 +892,9 @@ class FleetService:
         h.out_q.put(None)
         if self.supervisor.can_respawn():
             self.supervisor.record_respawn()
-            # warm handoff out of a crash: the sealed shared cache
-            # restores the factors; the last beat restores the
-            # breaker/retry-budget protection state
-            self._spawn(
-                shard,
-                epoch=h.epoch + 1,
-                handoff=(h.last_beat or {}).get("handoff"),
-                respawn_t0=time.monotonic(),
-            )
+            # warm out of a crash: the sealed shared cache restores the
+            # factors
+            self._spawn(shard, epoch=h.epoch + 1, respawn_t0=time.monotonic())
             self.metrics.count("shards_respawned")
         else:
             self.metrics.count("respawn_budget_exhausted")
@@ -967,7 +940,7 @@ class FleetService:
                 "failed",
             )
             return
-        decision = self._router.route(p.route_key, count=False)
+        decision = self._router.route(p.route_key)
         if decision is not None:
             if self._dispatch(p, decision.primary):
                 self.metrics.count("requests_replayed")
@@ -1040,5 +1013,4 @@ class FleetService:
             },
             "respawns": list(self._respawns),
             **{name: counters.get(name, 0) for name in _REPORTED_COUNTERS},
-            "hot_fingerprints": len(self._router.hot_fingerprints()),
         }

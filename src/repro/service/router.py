@@ -17,18 +17,14 @@ by shard name and fingerprint text — deterministic across processes,
 machines and Python versions, so router decisions are reproducible and
 testable.
 
-:class:`FleetRouter` layers serving policy on the ring:
-
-* **preference lists** — ``route()`` returns the first ``replication``
-  *distinct* shards clockwise from the key.  The head is the primary;
-  the tail are the replica shards that warm the same operator so a
-  primary loss degrades latency (a disk reload at worst), not
-  availability.
-* **hotness tracking** — replicas are only warmed for operators that
-  earn it: a fingerprint becomes *hot* once it has been routed
-  ``hot_threshold`` times, and :meth:`FleetRouter.route` reports the
-  crossing exactly once so the fleet can send each replica a single
-  prewarm message.
+:class:`FleetRouter` puts a lock and a preference-list length on the
+ring: ``route()`` returns the first ``replication`` *distinct* shards
+clockwise from the key.  The head is the primary; the tail is the
+failover order, the shards that inherit the key's arc if the ones
+before them leave.  The fleet routes on the head alone: a successor
+reloads a dead primary's factors from the shared sealed cache, so
+prewarming the tail buys no latency that ``tools/fleet_chaos.py`` can
+measure (DESIGN.md, "serving fleet").
 """
 
 from __future__ import annotations
@@ -124,8 +120,7 @@ class ConsistentHashRing:
 
         The head is the primary owner; the rest are the failover order
         — exactly the shards that inherit the key's arc if the ones
-        before them leave, so replicating to them makes every single
-        failure a warm handoff.
+        before them leave.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -145,80 +140,38 @@ class ConsistentHashRing:
 
 @dataclass
 class RouteDecision:
-    """One routing answer: where a fingerprint goes, and whether it
-    just crossed the hotness threshold (warm the replicas *now*)."""
+    """One routing answer: where a fingerprint goes."""
 
     primary: str
     #: failover order after the primary (replication - 1 shards)
     replicas: list[str] = field(default_factory=list)
-    #: True exactly once per fingerprint, on the request that makes it hot
-    became_hot: bool = False
-    #: requests routed for this fingerprint so far (this one included)
-    count: int = 0
 
 
 class FleetRouter:
-    """Thread-safe routing policy: ring + replication + hotness.
+    """Thread-safe routing policy: a ring and a preference-list length.
 
     Parameters
     ----------
     ring:
         The shared hash ring (mutated by the fleet on join/leave).
     replication:
-        Preference-list length (1 = no replicas).
-    hot_threshold:
-        Requests after which a fingerprint's replicas are warmed.  1
-        replicates everything on first touch; higher values spend
-        replica memory only on operators with proven traffic.
+        Preference-list length (1 = the primary alone).
     """
 
-    def __init__(
-        self,
-        ring: ConsistentHashRing,
-        replication: int = 1,
-        hot_threshold: int = 2,
-    ) -> None:
+    def __init__(self, ring: ConsistentHashRing, replication: int = 1) -> None:
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
-        if hot_threshold < 1:
-            raise ValueError(f"hot_threshold must be >= 1, got {hot_threshold}")
         self.ring = ring
         self.replication = int(replication)
-        self.hot_threshold = int(hot_threshold)
         self._lock = threading.Lock()
-        self._counts: dict[str, int] = {}
-        self._hot: set[str] = set()
 
-    def route(self, fingerprint: str, count: bool = True) -> RouteDecision | None:
-        """Route one request for ``fingerprint`` (``None``: no shards).
-
-        ``count=False`` re-resolves the preference list without
-        advancing the hotness counter — the failover/replay path, which
-        must not double-count a request it is re-homing.
-        """
+    def route(self, fingerprint: str) -> RouteDecision | None:
+        """The preference list for ``fingerprint`` (``None``: no shards)."""
         with self._lock:
             pref = self.ring.preference(fingerprint, self.replication)
-            if not pref:
-                return None
-            became_hot = False
-            if count:
-                c = self._counts.get(fingerprint, 0) + 1
-                self._counts[fingerprint] = c
-            else:
-                c = self._counts.get(fingerprint, 0)
-            if (
-                self.replication > 1
-                and c >= self.hot_threshold
-                and fingerprint not in self._hot
-            ):
-                self._hot.add(fingerprint)
-                became_hot = True
-            return RouteDecision(
-                primary=pref[0],
-                replicas=pref[1:],
-                became_hot=became_hot,
-                count=c,
-            )
+        if not pref:
+            return None
+        return RouteDecision(primary=pref[0], replicas=pref[1:])
 
     def add_node(self, node: str) -> None:
         """Insert a shard into the ring (its arc becomes routable)."""
@@ -233,11 +186,3 @@ class FleetRouter:
     def live_nodes(self) -> set[str]:
         with self._lock:
             return self.ring.nodes
-
-    def is_hot(self, fingerprint: str) -> bool:
-        with self._lock:
-            return fingerprint in self._hot
-
-    def hot_fingerprints(self) -> set[str]:
-        with self._lock:
-            return set(self._hot)

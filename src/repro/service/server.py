@@ -49,6 +49,7 @@ build cannot be amplified by the retry loop.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import threading
 import time
@@ -136,11 +137,12 @@ def deadline_after(timeout: float | None) -> float | None:
     """The absolute ``time.monotonic()`` deadline ``timeout`` seconds
     from now (None = none).  CLOCK_MONOTONIC is machine-wide on Linux,
     so a deadline stamped by a fleet's front door means the same
-    instant inside its shards."""
+    instant inside its shards.  A NaN or infinite timeout is refused:
+    its deadline would never expire (None is how to ask for none)."""
     if timeout is None:
         return None
-    if timeout <= 0.0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
+    if not (math.isfinite(timeout) and timeout > 0.0):
+        raise ValueError(f"timeout must be finite and positive, got {timeout}")
     return time.monotonic() + timeout
 
 
@@ -382,7 +384,7 @@ class SolveService:
                 thread.start()
 
     def drain(self, timeout: float = 30.0) -> dict:
-        """Gracefully drain for warm handoff; the service stays up.
+        """Gracefully drain before a shutdown; the service stays up.
 
         The drain protocol, in order:
 
@@ -392,14 +394,14 @@ class SolveService:
         2. **flush the pipeline** — wait (bounded by ``timeout``
            seconds) until every admitted request has completed: pool
            empty, workers idle;
-        3. **seal the cache** — persist every resident factor not yet
-           on disk, so a successor process pointed at the same cache
-           directory starts warm instead of re-factorizing.
+        3. **seal the cache** — a durability flush: every build was
+           already written through to disk before it was served, so
+           this only retries the write-throughs that failed.
 
         Returns a summary dict (``drained`` is False if ``timeout``
         expired with work still in flight — the remaining count is in
         ``inflight_remaining``).  Idempotent; call :meth:`close`
-        afterwards to shut down, or nothing to hold for handoff.
+        afterwards to shut down.
         """
         with self._lock:
             if self._closed:
@@ -407,13 +409,9 @@ class SolveService:
             self._draining = True
         self.metrics.count("drains_started")
         t0 = time.monotonic()
-        give_up = t0 + max(0.0, float(timeout))
-        while True:
-            with self._lock:
-                inflight = self._inflight
-            if inflight == 0 or time.monotonic() >= give_up:
-                break
-            time.sleep(0.005)
+        with self._work:  # _settle notifies when the count reaches 0
+            self._work.wait_for(lambda: self._inflight == 0, max(0.0, float(timeout)))
+            inflight = self._inflight
         sealed = self.cache.seal()
         self.metrics.count("cache_entries_sealed", sealed)
         summary = {
@@ -421,16 +419,13 @@ class SolveService:
             "inflight_remaining": inflight,
             "sealed_entries": sealed,
             "drain_seconds": time.monotonic() - t0,
-            # protection state rides the handoff payload: the successor
-            # imports it so open breakers stay open across the swap
-            "handoff": self.export_handoff(),
         }
         if inflight == 0:
             self.metrics.count("drains_completed")
         return summary
 
     def resume(self) -> None:
-        """Lift a drain: re-open admissions (handoff was aborted)."""
+        """Lift a drain: re-open admissions."""
         with self._lock:
             self._draining = False
 
@@ -571,6 +566,8 @@ class SolveService:
         ``max_inflight``."""
         with self._lock:
             self._inflight -= 1
+            if self._draining and self._inflight == 0:
+                self._work.notify_all()  # wakes drain()
 
     # Metrics first, handle last: whoever sees the outcome (a client, a
     # shard's reply racing a drain's counter snapshot) finds it counted.
@@ -766,45 +763,6 @@ class SolveService:
         """
         cap = min(self.build_backoff * 2.0**attempt, 10 * self.build_backoff)
         return self._backoff_rng.uniform(0.0, cap)
-
-    # ------------------------------------------------------------------
-    # warm-handoff state transfer
-    # ------------------------------------------------------------------
-
-    def export_handoff(self) -> dict:
-        """Portable protection state for a successor process.
-
-        The warm-handoff payload: circuit-breaker states (open /
-        half-open / failure counts, clock re-anchored on import) and
-        retry-budget token levels.  The factors themselves hand off
-        through the sealed disk cache (:meth:`OperatorCache.seal`);
-        this is the part that lives only in memory — without it a
-        respawned shard would re-probe known-bad operators at full
-        rate until it relearned every open breaker the hard way.
-        """
-        return {
-            "breaker": self.breaker.export_state(),
-            "retry_budget": self.retry_budget.export_state(),
-        }
-
-    def import_handoff(self, payload: dict | None) -> dict:
-        """Adopt a predecessor's :meth:`export_handoff` payload.
-
-        Returns ``{"breaker_keys": ..., "retry_budget_keys": ...}``
-        import counts (both 0 for an empty/None payload).
-        """
-        if not payload:
-            return {"breaker_keys": 0, "retry_budget_keys": 0}
-        breaker_keys = self.breaker.import_state(payload.get("breaker", {}))
-        budget_keys = self.retry_budget.import_state(
-            payload.get("retry_budget", {})
-        )
-        if breaker_keys:
-            self.metrics.count("handoff_breaker_keys", breaker_keys)
-        return {
-            "breaker_keys": breaker_keys,
-            "retry_budget_keys": budget_keys,
-        }
 
     def _condemn(self, entry: CacheEntry, kind: str) -> None:
         """A finite-input request produced non-finite numbers: the

@@ -45,8 +45,8 @@ class TestMinimalDisruption:
         for k in keys:
             after = ring.lookup(k)
             if before[k] == victim_name:
-                # a moved key lands on its old first replica — the
-                # shard replication already warmed for it
+                # a moved key lands on the next shard of its old
+                # preference list: the failover order is predictable
                 if len(successors[k]) > 1:
                     assert after == successors[k][1]
                 assert after != victim_name

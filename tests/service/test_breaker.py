@@ -109,12 +109,6 @@ class TestCircuitBreakerUnit:
         clock.advance(2.0)
         assert b.state("op") == "half-open"
 
-    def test_states_snapshot(self, clock):
-        b = CircuitBreaker(failure_threshold=1, reset_timeout=10.0, clock=clock)
-        b.record_failure("a")
-        b.record_success("b")
-        assert b.states() == {"a": "open", "b": "closed"}
-
 
 class FlakyBuild:
     """Monkeypatch target: fails OperatorSpec.build until told to heal."""
@@ -260,14 +254,14 @@ class TestServiceIntegration:
                 return (
                     err.value.attempts,
                     svc.breaker.state(fp),
-                    svc.export_handoff()["retry_budget"],
+                    svc.retry_budget.tokens(fp),
                     counters["build_retries"],
                     counters["breaker_opened"],
                 )
 
         cold = outcome(lambda svc: svc.submit_solve(small_spec, rhs))
         warm = outcome(lambda svc: svc.submit(Request("prewarm", small_spec)))
-        assert warm == cold == (3, "open", {fp: 3.0}, 2, 1)
+        assert warm == cold == (3, "open", 3.0, 2, 1)
 
 
 class TestHalfOpenRaces:
@@ -382,116 +376,6 @@ class TestHalfOpenRaces:
         # timeout and the clock never advanced past it
         assert outcomes == []
         assert b.state("op") == "open"
-
-
-class TestHandoffStateTransfer:
-    """Breaker/budget state must survive a drain -> respawn swap: an
-    open breaker that silently resets to closed would let a respawned
-    shard re-probe a known-bad operator at full request rate."""
-
-    def test_export_skips_default_state(self, clock):
-        b = CircuitBreaker(failure_threshold=3, reset_timeout=10.0, clock=clock)
-        b.record_failure("warm")
-        b.record_success("warm")  # back to pristine
-        b.record_failure("counting")
-        assert "warm" not in b.export_state()
-        assert b.export_state()["counting"]["failures"] == 1
-
-    def test_open_stays_open_for_the_remaining_timeout(self, clock):
-        donor = CircuitBreaker(
-            failure_threshold=1, reset_timeout=10.0, clock=clock
-        )
-        donor.record_failure("op")
-        clock.advance(4.0)  # 6 s of open time left
-        snap = donor.export_state()
-        assert snap["op"]["reset_remaining"] == pytest.approx(6.0)
-
-        heir_clock = FakeClock()
-        heir_clock.t = 5000.0  # a different process's monotonic origin
-        heir = CircuitBreaker(
-            failure_threshold=1, reset_timeout=10.0, clock=heir_clock
-        )
-        assert heir.import_state(snap) == 1
-        assert heir.state("op") == "open"
-        heir_clock.advance(5.9)
-        assert heir.state("op") == "open"
-        heir_clock.advance(0.2)
-        assert heir.state("op") == "half-open"
-
-    def test_elapsed_open_imports_as_immediately_probeable(self, clock):
-        donor = CircuitBreaker(
-            failure_threshold=1, reset_timeout=10.0, clock=clock
-        )
-        donor.record_failure("op")
-        clock.advance(11.0)  # donor already half-open
-        snap = donor.export_state()
-        assert snap["op"]["state"] == "half-open"
-        heir = CircuitBreaker(
-            failure_threshold=1, reset_timeout=10.0, clock=FakeClock()
-        )
-        heir.import_state(snap)
-        assert heir.state("op") == "half-open"
-        heir.allow("op")  # exactly one probe, immediately
-        with pytest.raises(CircuitOpenError):
-            heir.allow("op")
-
-    def test_consecutive_failure_count_transfers(self, clock):
-        donor = CircuitBreaker(
-            failure_threshold=3, reset_timeout=10.0, clock=clock
-        )
-        donor.record_failure("op")
-        donor.record_failure("op")
-        heir = CircuitBreaker(
-            failure_threshold=3, reset_timeout=10.0, clock=FakeClock()
-        )
-        heir.import_state(donor.export_state())
-        # one more failure opens: the count carried across the swap
-        assert heir.record_failure("op") is True
-
-    def test_round_trip_through_drain_summary(self, clock, small_spec, rhs):
-        """The drain() summary's handoff payload feeds a successor
-        service whose breaker adopts the predecessor's open state."""
-        donor_breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout=60.0, clock=clock
-        )
-        donor_breaker.record_failure("poisoned-op")
-        with SolveService(workers=1, breaker=donor_breaker) as donor:
-            summary = donor.drain()
-        assert "handoff" in summary
-        with SolveService(workers=1, start=False) as heir:
-            counts = heir.import_handoff(summary["handoff"])
-            assert counts["breaker_keys"] == 1
-            assert heir.breaker.state("poisoned-op") == "open"
-
-    def test_import_none_is_a_noop(self):
-        with SolveService(workers=1, start=False) as svc:
-            assert svc.import_handoff(None) == {
-                "breaker_keys": 0,
-                "retry_budget_keys": 0,
-            }
-
-    def test_retry_budget_tokens_transfer(self, clock):
-        from repro.service import RetryBudget
-
-        donor = RetryBudget(capacity=5.0, refill_per_second=0.0, clock=clock)
-        for _ in range(3):
-            assert donor.try_spend("op")
-        snap = donor.export_state()
-        assert snap == {"op": 2.0}
-        heir = RetryBudget(
-            capacity=5.0, refill_per_second=0.0, clock=FakeClock()
-        )
-        assert heir.import_state(snap) == 1
-        assert heir.tokens("op") == 2.0
-        assert heir.tokens("other") == 5.0  # untouched keys stay full
-
-    def test_retry_budget_import_clamps(self, clock):
-        from repro.service import RetryBudget
-
-        heir = RetryBudget(capacity=2.0, refill_per_second=0.0, clock=clock)
-        heir.import_state({"a": 99.0, "b": -3.0})
-        assert heir.tokens("a") == 2.0
-        assert heir.tokens("b") == 0.0
 
 
 class TestRetryBudget:

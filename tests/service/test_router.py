@@ -55,7 +55,7 @@ class TestRing:
 
     def test_failed_keys_flow_to_the_old_first_replica(self):
         """The shard inheriting a key is exactly the next distinct shard
-        clockwise — the one replication warms, making failover warm."""
+        clockwise: the second entry of the key's preference list."""
         r = ring_of(4)
         pref = {k: r.preference(k, 2) for k in KEYS}
         r.remove("shard-1")
@@ -90,8 +90,6 @@ class TestFleetRouter:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="replication"):
             FleetRouter(ring_of(2), replication=0)
-        with pytest.raises(ValueError, match="hot_threshold"):
-            FleetRouter(ring_of(2), hot_threshold=0)
 
     def test_route_on_empty_ring_is_none(self):
         router = FleetRouter(ConsistentHashRing())
@@ -101,28 +99,6 @@ class TestFleetRouter:
         router = FleetRouter(ring_of(4), replication=3)
         d = router.route("op-1")
         assert [d.primary] + d.replicas == router.ring.preference("op-1", 3)
-
-    def test_becomes_hot_exactly_once_at_threshold(self):
-        router = FleetRouter(ring_of(3), replication=2, hot_threshold=3)
-        assert not router.route("op").became_hot
-        assert not router.route("op").became_hot
-        d = router.route("op")
-        assert d.became_hot and d.count == 3
-        assert not router.route("op").became_hot  # only the crossing
-        assert router.is_hot("op")
-        assert router.hot_fingerprints() == {"op"}
-
-    def test_replay_path_does_not_advance_hotness(self):
-        router = FleetRouter(ring_of(3), replication=2, hot_threshold=2)
-        router.route("op")
-        for _ in range(5):
-            assert not router.route("op", count=False).became_hot
-        assert router.route("op").became_hot
-
-    def test_no_hotness_without_replication(self):
-        router = FleetRouter(ring_of(3), replication=1, hot_threshold=1)
-        d = router.route("op")
-        assert d.replicas == [] and not d.became_hot
 
     def test_add_remove_node(self):
         router = FleetRouter(ring_of(2), replication=2)

@@ -93,3 +93,20 @@ class TestDeformationValidation:
         bad[1, 2] = np.nan
         with pytest.raises(RequestFailedError, match="non-finite"):
             svc.submit_deformation(small_spec, bad)
+
+
+class TestTimeoutValidation:
+    """A deadline that can never expire is refused at the call site:
+    NaN compares False with everything, so ``Request.expired`` would
+    never be true for it, and an infinite one is ``None`` spelled
+    wrong."""
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_timeout_rejected(self, svc, small_spec, timeout):
+        with pytest.raises(ValueError, match="finite and positive"):
+            svc.submit_solve(small_spec, np.ones(small_spec.n), timeout=timeout)
+        with pytest.raises(ValueError, match="finite and positive"):
+            svc.submit_logdet(small_spec, timeout=timeout)
+        with pytest.raises(ValueError, match="finite and positive"):
+            svc.submit_deformation(small_spec, np.ones((small_spec.n, 3)), timeout=timeout)
+        assert svc.inflight == 0
